@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 
 use fastreg::byz::TwoFacedLoseWrite;
 use fastreg::config::ClusterConfig;
-use fastreg::harness::{Cluster, FastByz, ProtocolFamily};
+use fastreg::harness::{ByzCtx, Cluster, ClusterBuilder, FastByz, ProtocolFamily, RegisterOps};
 use fastreg::protocols::fast_byz::Msg;
 use fastreg::types::RegValue;
 use fastreg_atomicity::history::History;
@@ -108,10 +108,9 @@ pub fn run_byz_lb(cfg: ClusterConfig, seed: u64) -> Result<ByzLbOutcome, LbError
 fn drive_byz_pr_i(cfg: ClusterConfig, plan: &ByzBlockPlan, seed: u64, i: u32) -> History {
     let r = cfg.r;
     let faulty_block: BTreeSet<u32> = plan.b(i).iter().copied().collect();
-    let mut c: Cluster<FastByz> = fastreg::harness::ClusterBuilder::new(cfg)
+    let mut c: Cluster<FastByz> = ClusterBuilder::new(cfg)
         .sim(SimConfig::default().with_seed(seed))
-        .typed()
-        .server_factory(|cfg, layout, index, ctx: &mut fastreg::harness::ByzCtx| {
+        .build_typed_with(|cfg, layout, index, ctx: &mut ByzCtx| {
             if faulty_block.contains(&index) {
                 Box::new(TwoFacedLoseWrite::new(
                     cfg,
@@ -124,7 +123,7 @@ fn drive_byz_pr_i(cfg: ClusterConfig, plan: &ByzBlockPlan, seed: u64, i: u32) ->
                 FastByz::server(cfg, layout, index, ctx)
             }
         })
-        .build();
+        .expect("the default runtime is simnet");
     let layout = c.layout;
     let t_set = |ks: &[u32]| -> BTreeSet<u32> {
         ks.iter().flat_map(|&k| plan.t(k).iter().copied()).collect()
@@ -199,10 +198,9 @@ fn drive_byz_prc(
 
     // Servers in B_{R+1} are two-faced towards r1.
     let liar_block: BTreeSet<u32> = plan.b(r + 1).iter().copied().collect();
-    let mut c: Cluster<FastByz> = fastreg::harness::ClusterBuilder::new(cfg)
+    let mut c: Cluster<FastByz> = ClusterBuilder::new(cfg)
         .sim(SimConfig::default().with_seed(seed))
-        .typed()
-        .server_factory(|cfg, layout, index, ctx: &mut fastreg::harness::ByzCtx| {
+        .build_typed_with(|cfg, layout, index, ctx: &mut ByzCtx| {
             if liar_block.contains(&index) {
                 Box::new(TwoFacedLoseWrite::new(
                     cfg,
@@ -215,7 +213,7 @@ fn drive_byz_prc(
                 FastByz::server(cfg, layout, index, ctx)
             }
         })
-        .build();
+        .expect("the default runtime is simnet");
     let layout = c.layout;
 
     let t_set = |ks: &[u32]| -> BTreeSet<u32> {

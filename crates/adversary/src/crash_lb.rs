@@ -29,7 +29,7 @@
 use std::collections::BTreeSet;
 
 use fastreg::config::ClusterConfig;
-use fastreg::harness::{Cluster, FastCrash};
+use fastreg::harness::{Cluster, ClusterBuilder, FastCrash, RegisterOps};
 use fastreg::protocols::fast_crash::Msg;
 use fastreg::types::RegValue;
 use fastreg_atomicity::history::History;
@@ -142,7 +142,10 @@ fn completed_read(history: &History, proc: u32, nth: usize) -> Option<RegValue> 
 /// `B_{i−1}`, and a complete read by `r_i` skipping `B_i`.
 fn drive_pr_i(cfg: ClusterConfig, plan: &BlockPlan, seed: u64, i: u32) -> History {
     let r = cfg.r;
-    let mut c: Cluster<FastCrash> = Cluster::new(cfg, seed);
+    let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg)
+        .seed(seed)
+        .build_typed()
+        .expect("the default runtime is simnet");
     let layout = c.layout;
 
     let in_blocks = |ks: &[u32]| -> BTreeSet<u32> {
@@ -232,7 +235,10 @@ fn drive_prc(
     with_write: bool,
 ) -> (History, Returns) {
     let r = cfg.r;
-    let mut c: Cluster<FastCrash> = Cluster::new(cfg, seed);
+    let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg)
+        .seed(seed)
+        .build_typed()
+        .expect("the default runtime is simnet");
     let layout = c.layout;
 
     let in_blocks = |ks: &[u32]| -> BTreeSet<u32> {

@@ -14,7 +14,7 @@
 //! so the explorer is budgeted and reports truncation honestly.
 
 use fastreg::config::ClusterConfig;
-use fastreg::harness::{Cluster, FastCrash};
+use fastreg::harness::{Cluster, ClusterBuilder, FastCrash, RegisterOps};
 use fastreg_atomicity::swmr::check_swmr_atomicity;
 use fastreg_simnet::envelope::MsgId;
 use fastreg_simnet::time::SimTime;
@@ -130,7 +130,10 @@ fn replay(
     script: &OpScript,
     path: &[usize],
 ) -> (Cluster<FastCrash>, Vec<MsgId>) {
-    let mut c: Cluster<FastCrash> = Cluster::new(cfg, 0);
+    let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg)
+        .seed(0)
+        .build_typed()
+        .expect("the default runtime is simnet");
     let mut writes = script.writes.iter();
     if let Some(&v) = writes.next() {
         c.write(v);

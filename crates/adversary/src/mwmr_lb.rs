@@ -28,7 +28,7 @@
 //! [`mwmr::abd`]: fastreg::protocols::mwmr::abd
 
 use fastreg::config::ClusterConfig;
-use fastreg::harness::{Cluster, MwmrAbd, MwmrNaiveFast};
+use fastreg::harness::{Cluster, ClusterBuilder, MwmrAbd, MwmrNaiveFast, RegisterOps};
 use fastreg::protocols::mwmr::naive_fast;
 use fastreg::types::RegValue;
 use fastreg_atomicity::history::History;
@@ -85,7 +85,10 @@ pub fn run_mwmr_lb(s: u32, seed: u64) -> Result<MwmrLbOutcome, LbError> {
     let cfg = ClusterConfig::mwmr(s, 1, 2, 2).expect("valid MWMR config");
 
     // --- Sequential run¹ against the naive fast protocol. ----------------
-    let mut c: Cluster<MwmrNaiveFast> = Cluster::new(cfg, seed);
+    let mut c: Cluster<MwmrNaiveFast> = ClusterBuilder::new(cfg)
+        .seed(seed)
+        .build_typed()
+        .expect("the default runtime is simnet");
     c.write_by(1, 2); // w2 writes 2 …
     settled(c.try_settle())?;
     c.world.advance_to(SimTime::from_ticks(100));
@@ -97,7 +100,10 @@ pub fn run_mwmr_lb(s: u32, seed: u64) -> Result<MwmrLbOutcome, LbError> {
     let linearizable = check_linearizable(&history).unwrap_or(false);
 
     // --- Control: the two-round ABD MWMR baseline. -----------------------
-    let mut control: Cluster<MwmrAbd> = Cluster::new(cfg, seed);
+    let mut control: Cluster<MwmrAbd> = ClusterBuilder::new(cfg)
+        .seed(seed)
+        .build_typed()
+        .expect("the default runtime is simnet");
     control.write_by(1, 2);
     settled(control.try_settle())?;
     control.write_by(0, 1);
@@ -130,7 +136,10 @@ pub fn run_mwmr_lb(s: u32, seed: u64) -> Result<MwmrLbOutcome, LbError> {
 /// `w1`'s store before `w2`'s iff `j < flip`; then `r1` reads skip-free.
 /// Returns the read's value.
 fn chain_run(cfg: ClusterConfig, seed: u64, flip: u32) -> RegValue {
-    let mut c: Cluster<MwmrNaiveFast> = Cluster::new(cfg, seed);
+    let mut c: Cluster<MwmrNaiveFast> = ClusterBuilder::new(cfg)
+        .seed(seed)
+        .build_typed()
+        .expect("the default runtime is simnet");
     let layout = c.layout;
     let w1 = layout.writer(0);
     let w2 = layout.writer(1);

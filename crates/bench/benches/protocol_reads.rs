@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fastreg::config::ClusterConfig;
 use fastreg::harness::{Abd, Cluster, ClusterBuilder, FastCrash, ProtocolFamily, RegisterOps};
-use fastreg::protocols::registry::{ProtocolId, Registry};
+use fastreg::protocols::registry::ProtocolId;
 
 fn cfg_label(cfg: &ClusterConfig) -> String {
     format!("S{}t{}R{}", cfg.s, cfg.t, cfg.r)
@@ -21,8 +21,7 @@ fn cfg_label(cfg: &ClusterConfig) -> String {
 /// Read cost for every registered protocol, enumerated as data.
 fn dyn_reads(c: &mut Criterion) {
     let mut g = c.benchmark_group("read");
-    for entry in Registry::all() {
-        let id = entry.id;
+    for id in ProtocolId::ALL {
         let cfg = id.sample_config();
         g.bench_function(BenchmarkId::new(id.name(), cfg_label(&cfg)), |b| {
             let mut cluster = ClusterBuilder::new(cfg)
@@ -65,7 +64,7 @@ fn dyn_writes(c: &mut Criterion) {
 fn static_dispatch_reads<P: ProtocolFamily>(c: &mut Criterion, name: &str, cfg: ClusterConfig) {
     let mut g = c.benchmark_group("read_static_dispatch");
     g.bench_function(BenchmarkId::new(name, cfg_label(&cfg)), |b| {
-        let mut cluster: Cluster<P> = ClusterBuilder::new(cfg).seed(1).typed().build();
+        let mut cluster: Cluster<P> = ClusterBuilder::new(cfg).seed(1).build_typed().unwrap();
         cluster.write_sync(1);
         b.iter(|| {
             cluster.read_async(0);

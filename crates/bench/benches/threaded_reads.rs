@@ -1,63 +1,26 @@
 //! Wall-clock cost of the protocols over OS threads and channels: the
-//! same automata as the simulation, running on the
-//! [`ThreadedNet`](fastreg_simnet::threaded::ThreadedNet) runtime. This
-//! measures real synchronization cost per operation; the round-structure
-//! advantage of the fast read shows up as fewer channel hops per op.
-
-use std::hint;
+//! same automata as the simulation, one worker thread per actor on the
+//! [`fastreg_rt`] runtime. This measures real synchronization cost per
+//! operation; the round-structure advantage of the fast read shows up as
+//! fewer channel hops per op.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fastreg::config::ClusterConfig;
-use fastreg::harness::ProtocolFamily;
-use fastreg::harness::{Abd, FastCrash};
-use fastreg::layout::Layout;
-use fastreg_atomicity::history::SharedHistory;
-use fastreg_simnet::automaton::Automaton;
-use fastreg_simnet::threaded::ThreadedNet;
-
-/// Builds all automata of a cluster in layout order.
-fn automata<P: ProtocolFamily>(
-    cfg: ClusterConfig,
-    history: &SharedHistory,
-) -> Vec<Box<dyn Automaton<Msg = P::Msg>>> {
-    let layout = Layout::of(&cfg);
-    let mut ctx = P::make_ctx(&cfg, 99);
-    let mut v: Vec<Box<dyn Automaton<Msg = P::Msg>>> = Vec::new();
-    for i in 0..cfg.w {
-        v.push(P::writer(&cfg, layout, i, history.clone(), &mut ctx));
-    }
-    for i in 0..cfg.r {
-        v.push(P::reader(&cfg, layout, i, history.clone(), &mut ctx));
-    }
-    for j in 0..cfg.s {
-        v.push(P::server(&cfg, layout, j, &mut ctx));
-    }
-    v
-}
-
-fn wait_for(history: &SharedHistory, n: usize) {
-    while history.completed_count() < n {
-        hint::spin_loop();
-    }
-}
+use fastreg::harness::{Abd, FastCrash, ProtocolFamily, RegisterOps};
+use fastreg::threads::{RtConfig, ThreadCluster};
 
 fn bench_reads<P: ProtocolFamily>(c: &mut Criterion, name: &str, cfg: ClusterConfig) {
     let mut g = c.benchmark_group("threaded_read");
     g.bench_function(BenchmarkId::new(name, format!("S{}", cfg.s)), |b| {
-        let history = SharedHistory::new();
-        let net = ThreadedNet::spawn(automata::<P>(cfg, &history));
-        let layout = Layout::of(&cfg);
+        let actors = (cfg.w + cfg.r + cfg.s) as usize;
+        let mut cluster: ThreadCluster<P> = ThreadCluster::spawn(cfg, 99, RtConfig::new(actors));
         // One write so reads return a real value.
-        net.inject(layout.writer(0), P::invoke_write(1));
-        wait_for(&history, 1);
-        let mut done = 1usize;
+        cluster.write_sync(1);
         b.iter(|| {
-            net.inject(layout.reader(0), P::invoke_read());
-            done += 1;
-            wait_for(&history, done);
+            cluster.read_async(0);
+            cluster.settle();
         });
-        net.shutdown();
     });
     g.finish();
 }

@@ -80,7 +80,7 @@ use std::env;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fastreg::protocols::registry::{ProtocolId, Registry};
+use fastreg::protocols::registry::ProtocolId;
 use fastreg_workload::experiments as exp;
 
 /// Minimal JSON string escaping for the experiment titles.
@@ -234,8 +234,7 @@ fn print_list(experiments: &[Experiment]) {
         println!("  {:<4} {}  [{}]", e.id, e.title, names.join(", "));
     }
     println!("\nregistered protocols:");
-    for entry in Registry::all() {
-        let id = entry.id;
+    for id in ProtocolId::ALL {
         println!(
             "  {:<16} {}  (feasible iff {})",
             id.name(),

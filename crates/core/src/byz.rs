@@ -321,7 +321,7 @@ impl Automaton for TwoFacedLoseWrite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{ByzCtx, Cluster, FastByz, ProtocolFamily};
+    use crate::harness::{ByzCtx, Cluster, ClusterBuilder, FastByz, ProtocolFamily, RegisterOps};
     use fastreg_simnet::runner::SimConfig;
 
     /// S = 6, t = 1, b = 1, R = 1 — feasible with one malicious server.
@@ -334,17 +334,16 @@ mod tests {
         make: impl Fn(&ClusterConfig, Layout, &mut ByzCtx) -> Box<dyn Automaton<Msg = Msg>>,
     ) -> Cluster<FastByz> {
         // Server 0 is malicious; the rest are honest.
-        crate::harness::ClusterBuilder::new(cfg())
+        ClusterBuilder::new(cfg())
             .sim(SimConfig::default().with_seed(seed))
-            .typed()
-            .server_factory(|c, l, index, ctx| {
+            .build_typed_with(|c, l, index, ctx| {
                 if index == 0 {
                     make(c, l, ctx)
                 } else {
                     FastByz::server(c, l, index, ctx)
                 }
             })
-            .build()
+            .unwrap()
     }
 
     fn exercise(mut c: Cluster<FastByz>) {

@@ -1,83 +1,61 @@
-//! Cluster assembly over the discrete-event simulator.
+//! Cluster assembly: one protocol table, one assembly path, two substrates.
 //!
-//! A [`Cluster`] wires a full register deployment — writer(s), readers,
-//! servers — into a [`World`] and drives operations against it. Clusters
-//! are assembled by [`ClusterBuilder`], which offers two routes to the
-//! same deployment:
+//! Every register deployment — writer(s), readers, servers — is built
+//! the same way. [`ClusterBuilder`] collects the configuration, seed and
+//! [`Runtime`]; the protocol table in this module names each protocol's
+//! automata once; `assemble` constructs them in layout order; the chosen
+//! substrate takes ownership. The builder's terminal methods differ only
+//! in what they hand back:
 //!
-//! * **runtime dispatch** — [`ClusterBuilder::build`] takes a
-//!   [`ProtocolId`], validates the protocol's feasibility predicate, and
-//!   returns a type-erased [`DynCluster`]. This is the route for code
-//!   that sweeps protocols as data (CLI flags, registry loops):
+//! * [`build`](ClusterBuilder::build) takes a [`ProtocolId`], checks the
+//!   protocol's feasibility predicate and returns a type-erased
+//!   [`DynCluster`] on either runtime — [`Runtime::Simnet`] (the
+//!   default: the deterministic discrete-event oracle) or
+//!   [`Runtime::Threads`] (the same automata on OS threads via
+//!   [`fastreg_rt`], see [`ThreadCluster`]):
 //!
 //! ```
 //! use fastreg::config::ClusterConfig;
-//! use fastreg::harness::{ClusterBuilder, RegisterOps};
+//! use fastreg::harness::{Affinity, ClusterBuilder, RegisterOps, Runtime};
 //! use fastreg::protocols::registry::ProtocolId;
 //! use fastreg::types::RegValue;
 //!
 //! let cfg = ClusterConfig::crash_stop(5, 1, 2)?;
-//! for id in [ProtocolId::FastCrash, ProtocolId::Abd] {
-//!     let mut cluster = ClusterBuilder::new(cfg).seed(1).build(id)?;
-//!     cluster.write_sync(9);
-//!     assert_eq!(cluster.read(1), RegValue::Val(9), "{id}");
+//! let threads = Runtime::Threads { workers: 2, affinity: Affinity::None };
+//! for runtime in [Runtime::Simnet, threads] {
+//!     for id in [ProtocolId::FastCrash, ProtocolId::Abd] {
+//!         let mut cluster = ClusterBuilder::new(cfg).seed(1).runtime(runtime).build(id)?;
+//!         cluster.write_sync(9);
+//!         assert_eq!(cluster.read(1), RegValue::Val(9), "{id} on {runtime}");
+//!         cluster.check_atomic()?;
+//!     }
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! * **static dispatch** — [`ClusterBuilder::typed`] picks the protocol
-//!   by its zero-sized [`ProtocolFamily`] marker at compile time and
-//!   returns a concrete `Cluster<P>`, the zero-cost path that also
-//!   admits a custom [server factory](TypedClusterBuilder::server_factory)
-//!   (e.g. to plant malicious servers) and typed actor introspection:
+//! * [`build_typed`](ClusterBuilder::build_typed) picks the protocol by
+//!   its [`ProtocolFamily`] marker and returns the concrete simulated
+//!   `Cluster<P>` — public [`World`], typed actor introspection — and
+//!   [`build_typed_with`](ClusterBuilder::build_typed_with) additionally
+//!   replaces servers (e.g. to plant malicious ones):
 //!
 //! ```
 //! use fastreg::config::ClusterConfig;
-//! use fastreg::harness::{Cluster, ClusterBuilder, FastCrash};
+//! use fastreg::harness::{Cluster, ClusterBuilder, FastCrash, RegisterOps};
 //! use fastreg::types::RegValue;
 //!
 //! let cfg = ClusterConfig::crash_stop(5, 1, 2)?;
-//! let mut fast: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(1).typed().build();
+//! let mut fast: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(1).build_typed()?;
 //! fast.write_sync(9);
 //! assert_eq!(fast.read(1), RegValue::Val(9));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Both cluster forms implement [`RegisterOps`], so generic drivers take
-//! `&mut dyn RegisterOps` and work with either.
-//!
-//! ## Choosing a runtime
-//!
-//! The builder also picks the *execution substrate* via
-//! [`ClusterBuilder::runtime`]: [`Runtime::Simnet`] (the default) runs
-//! the deployment on the deterministic discrete-event simulator, while
-//! [`Runtime::Threads`] runs the very same automata on a pool of OS
-//! threads ([`ThreadCluster`](crate::threads::ThreadCluster), backed by
-//! [`fastreg_rt`]). Both return a [`DynCluster`] speaking [`RegisterOps`],
-//! so consumers switch backends with one argument:
-//!
-//! ```
-//! use fastreg::config::ClusterConfig;
-//! use fastreg::harness::{ClusterBuilder, RegisterOps, Runtime};
-//! use fastreg::protocols::registry::ProtocolId;
-//! use fastreg::types::RegValue;
-//! use fastreg_rt::Affinity;
-//!
-//! let cfg = ClusterConfig::crash_stop(5, 1, 2)?;
-//! let mut cluster = ClusterBuilder::new(cfg)
-//!     .runtime(Runtime::Threads { workers: 2, affinity: Affinity::None })
-//!     .build(ProtocolId::FastCrash)?;
-//! cluster.write_sync(9);
-//! assert_eq!(cluster.read(1), RegValue::Val(9));
-//! cluster.check_atomic()?;
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
-//!
-//! Simnet-only world controls — random scheduling, crash injection, link
-//! faults, trace fingerprints — live on the [`SimControl`] extension
-//! trait, reachable from a [`DynCluster`] via
-//! [`DynCluster::sim_control`] (which returns `None` on the threaded
-//! runtime rather than faking determinism it cannot provide).
+//! Every cluster form speaks [`RegisterOps`], so generic drivers take
+//! `&mut dyn RegisterOps`. Simnet-only world controls — random
+//! scheduling, crash injection, link faults, trace fingerprints — live on
+//! the [`SimControl`] extension trait, reachable from a [`DynCluster`]
+//! via [`DynCluster::sim_control`] (`None` on the threaded runtime).
 
 use std::fmt;
 
@@ -97,8 +75,9 @@ use fastreg_simnet::world::{QuiescenceError, World};
 
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
-use crate::protocols::registry::{Contract, ProtocolId, Registry};
+use crate::protocols::registry::{Contract, ProtocolId};
 use crate::protocols::{abd, fast_byz, fast_crash, fast_regular, maxmin, mwmr, swsr_fast};
+use crate::threads::ThreadCluster;
 use crate::types::{RegValue, Value};
 
 /// The execution substrate a [`ClusterBuilder`] deploys onto.
@@ -142,10 +121,10 @@ impl fmt::Display for Runtime {
 
 /// A family of automata implementing one register protocol.
 ///
-/// Implemented by the zero-sized markers [`FastCrash`], [`FastByz`],
-/// [`Abd`], [`MaxMin`], [`FastRegular`], [`MwmrAbd`] and [`MwmrNaiveFast`].
-/// The associated `Ctx` carries per-cluster shared state (the Byzantine
-/// protocol's keys); most families use `()`.
+/// Implemented by the zero-sized markers the protocol table generates,
+/// one per row ([`FastCrash`], [`FastByz`], [`Abd`], …). The associated
+/// `Ctx` carries per-cluster shared state (the Byzantine protocol's
+/// keys); most families use `()`.
 pub trait ProtocolFamily {
     /// The protocol's message alphabet.
     type Msg: Clone + fmt::Debug + Send + 'static;
@@ -193,63 +172,8 @@ pub struct ByzCtx {
     pub writer_key: KeyId,
 }
 
-/// Fig. 2 — fast crash-stop protocol marker.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastCrash;
-
-impl ProtocolFamily for FastCrash {
-    type Msg = fast_crash::Msg;
-    type Ctx = ();
-
-    fn make_ctx(_cfg: &ClusterConfig, _seed: u64) {}
-
-    fn writer(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(fast_crash::Writer::new(*cfg, layout, history))
-    }
-
-    fn reader(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(fast_crash::Reader::new(*cfg, layout, history))
-    }
-
-    fn server(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(fast_crash::Server::new(cfg, layout))
-    }
-
-    fn invoke_write(value: Value) -> Self::Msg {
-        fast_crash::Msg::InvokeWrite { value }
-    }
-
-    fn invoke_read() -> Self::Msg {
-        fast_crash::Msg::InvokeRead
-    }
-}
-
-/// Fig. 5 — fast arbitrary-failure protocol marker.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastByz;
-
-impl ProtocolFamily for FastByz {
-    type Msg = fast_byz::Msg;
-    type Ctx = ByzCtx;
-
-    fn make_ctx(_cfg: &ClusterConfig, seed: u64) -> ByzCtx {
+impl ByzCtx {
+    fn new(seed: u64) -> Self {
         let mut chain = Keychain::new(seed ^ 0x5167_fa57);
         let signer = chain.issue();
         let writer_key = signer.key();
@@ -260,350 +184,162 @@ impl ProtocolFamily for FastByz {
         }
     }
 
-    fn writer(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        ctx: &mut ByzCtx,
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        let signer = ctx.signer.take().expect("one writer per cluster");
-        Box::new(fast_byz::Writer::new(
-            *cfg,
-            layout,
-            history,
-            signer,
-            ctx.verifier.clone(),
-        ))
-    }
-
-    fn reader(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        index: u32,
-        history: SharedHistory,
-        ctx: &mut ByzCtx,
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(fast_byz::Reader::new(
-            *cfg,
-            layout,
-            index,
-            history,
-            ctx.verifier.clone(),
-            ctx.writer_key,
-        ))
-    }
-
-    fn server(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        ctx: &mut ByzCtx,
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(fast_byz::Server::new(
-            cfg,
-            layout,
-            ctx.verifier.clone(),
-            ctx.writer_key,
-        ))
-    }
-
-    fn invoke_write(value: Value) -> Self::Msg {
-        fast_byz::Msg::InvokeWrite { value }
-    }
-
-    fn invoke_read() -> Self::Msg {
-        fast_byz::Msg::InvokeRead
+    fn take_signer(&mut self) -> SignerHandle {
+        self.signer.take().expect("one writer per cluster")
     }
 }
 
-/// ABD baseline marker (two-round reads).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Abd;
+type ClientCtor<C, A> = fn(&ClusterConfig, Layout, u32, SharedHistory, &mut C) -> A;
+type ServerCtor<C, A> = fn(&ClusterConfig, Layout, u32, &mut C) -> A;
 
-impl ProtocolFamily for Abd {
-    type Msg = abd::Msg;
-    type Ctx = ();
+/// The protocol table. One row per protocol: its marker (which is also
+/// its [`ProtocolId`] variant), its message module, its context, and how
+/// to construct each role. Everything else that must exist per protocol
+/// — the [`ProtocolFamily`] impl, the [`ProtocolId::ALL`] slot, the
+/// id → constructor dispatch behind [`ClusterBuilder::build`] on both
+/// runtimes — is generated from the row, so a protocol is either wired
+/// everywhere or does not compile.
+macro_rules! protocol_table {
+    ($(
+        $(#[$doc:meta])*
+        $id:ident => $($m:ident)::+, ctx: $ctx:ty = $make_ctx:expr,
+            writer: $writer:expr,
+            reader: $reader:expr,
+            server: $server:expr;
+    )*) => {
+        $(
+            $(#[$doc])*
+            #[derive(Clone, Copy, Debug, Default)]
+            pub struct $id;
 
-    fn make_ctx(_cfg: &ClusterConfig, _seed: u64) {}
+            impl ProtocolFamily for $id {
+                type Msg = $($m)::+::Msg;
+                type Ctx = $ctx;
 
-    fn writer(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(abd::Writer::new(*cfg, layout, history))
-    }
+                fn make_ctx(cfg: &ClusterConfig, seed: u64) -> $ctx {
+                    let make: fn(&ClusterConfig, u64) -> $ctx = $make_ctx;
+                    make(cfg, seed)
+                }
 
-    fn reader(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(abd::Reader::new(*cfg, layout, history))
-    }
+                fn writer(
+                    cfg: &ClusterConfig,
+                    layout: Layout,
+                    index: u32,
+                    history: SharedHistory,
+                    ctx: &mut $ctx,
+                ) -> Box<dyn Automaton<Msg = Self::Msg>> {
+                    let make: ClientCtor<$ctx, _> = $writer;
+                    Box::new(make(cfg, layout, index, history, ctx))
+                }
 
-    fn server(
-        _cfg: &ClusterConfig,
-        _layout: Layout,
-        _index: u32,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(abd::Server::new())
-    }
+                fn reader(
+                    cfg: &ClusterConfig,
+                    layout: Layout,
+                    index: u32,
+                    history: SharedHistory,
+                    ctx: &mut $ctx,
+                ) -> Box<dyn Automaton<Msg = Self::Msg>> {
+                    let make: ClientCtor<$ctx, _> = $reader;
+                    Box::new(make(cfg, layout, index, history, ctx))
+                }
 
-    fn invoke_write(value: Value) -> Self::Msg {
-        abd::Msg::InvokeWrite { value }
-    }
+                fn server(
+                    cfg: &ClusterConfig,
+                    layout: Layout,
+                    index: u32,
+                    ctx: &mut $ctx,
+                ) -> Box<dyn Automaton<Msg = Self::Msg>> {
+                    let make: ServerCtor<$ctx, _> = $server;
+                    Box::new(make(cfg, layout, index, ctx))
+                }
 
-    fn invoke_read() -> Self::Msg {
-        abd::Msg::InvokeRead
-    }
+                fn invoke_write(value: Value) -> Self::Msg {
+                    $($m)::+::Msg::InvokeWrite { value }
+                }
+
+                fn invoke_read() -> Self::Msg {
+                    $($m)::+::Msg::InvokeRead
+                }
+            }
+        )*
+
+        impl ProtocolId {
+            /// Every registered protocol, in table order.
+            pub const ALL: [ProtocolId; [$(ProtocolId::$id),*].len()] = [$(ProtocolId::$id),*];
+        }
+
+        impl ClusterBuilder {
+            /// Builds the protocol named by `id` *without* the feasibility
+            /// check — for experiments that deliberately deploy beyond the
+            /// bound (the lower-bound constructions, the §8 inversion
+            /// studies). Also skips the runtime-compatibility checks: a
+            /// zero-worker thread pool is clamped to one worker, and a
+            /// custom sim config is silently ignored on the threaded path.
+            pub fn build_unchecked(self, id: ProtocolId) -> DynCluster {
+                match id {
+                    $(ProtocolId::$id => self.erased::<$id>(id),)*
+                }
+            }
+        }
+    };
 }
 
-/// Max–min decentralized baseline marker (§1).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MaxMin;
-
-impl ProtocolFamily for MaxMin {
-    type Msg = maxmin::Msg;
-    type Ctx = ();
-
-    fn make_ctx(_cfg: &ClusterConfig, _seed: u64) {}
-
-    fn writer(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(maxmin::Writer::new(*cfg, layout, history))
-    }
-
-    fn reader(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(maxmin::Reader::new(*cfg, layout, index, history))
-    }
-
-    fn server(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        index: u32,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(maxmin::Server::new(*cfg, layout, index))
-    }
-
-    fn invoke_write(value: Value) -> Self::Msg {
-        maxmin::Msg::InvokeWrite { value }
-    }
-
-    fn invoke_read() -> Self::Msg {
-        maxmin::Msg::InvokeRead
-    }
-}
-
-/// Fast regular register marker (§8).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastRegular;
-
-impl ProtocolFamily for FastRegular {
-    type Msg = fast_regular::Msg;
-    type Ctx = ();
-
-    fn make_ctx(_cfg: &ClusterConfig, _seed: u64) {}
-
-    fn writer(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(fast_regular::Writer::new(*cfg, layout, history))
-    }
-
-    fn reader(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(fast_regular::Reader::new(*cfg, layout, history))
-    }
-
-    fn server(
-        _cfg: &ClusterConfig,
-        _layout: Layout,
-        _index: u32,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(fast_regular::Server::new())
-    }
-
-    fn invoke_write(value: Value) -> Self::Msg {
-        fast_regular::Msg::InvokeWrite { value }
-    }
-
-    fn invoke_read() -> Self::Msg {
-        fast_regular::Msg::InvokeRead
-    }
-}
-
-/// Correct two-round MWMR register marker (§7 baseline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MwmrAbd;
-
-impl ProtocolFamily for MwmrAbd {
-    type Msg = mwmr::abd::Msg;
-    type Ctx = ();
-
-    fn make_ctx(_cfg: &ClusterConfig, _seed: u64) {}
-
-    fn writer(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(mwmr::abd::Client::writer(*cfg, layout, index, history))
-    }
-
-    fn reader(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(mwmr::abd::Client::reader(*cfg, layout, history))
-    }
-
-    fn server(
-        _cfg: &ClusterConfig,
-        _layout: Layout,
-        _index: u32,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(mwmr::abd::Server::new())
-    }
-
-    fn invoke_write(value: Value) -> Self::Msg {
-        mwmr::abd::Msg::InvokeWrite { value }
-    }
-
-    fn invoke_read() -> Self::Msg {
-        mwmr::abd::Msg::InvokeRead
-    }
-}
-
-/// The unsound one-round MWMR protocol marker (§7 counterexample target).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MwmrNaiveFast;
-
-impl ProtocolFamily for MwmrNaiveFast {
-    type Msg = mwmr::naive_fast::Msg;
-    type Ctx = ();
-
-    fn make_ctx(_cfg: &ClusterConfig, _seed: u64) {}
-
-    fn writer(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(mwmr::naive_fast::Writer::new(*cfg, layout, index, history))
-    }
-
-    fn reader(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(mwmr::naive_fast::Reader::new(*cfg, layout, history))
-    }
-
-    fn server(
-        _cfg: &ClusterConfig,
-        _layout: Layout,
-        _index: u32,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(mwmr::naive_fast::Server::new())
-    }
-
-    fn invoke_write(value: Value) -> Self::Msg {
-        mwmr::naive_fast::Msg::InvokeWrite { value }
-    }
-
-    fn invoke_read() -> Self::Msg {
-        mwmr::naive_fast::Msg::InvokeRead
-    }
-}
-
-/// The §1 single-reader fast register marker (`R = 1`, `t < S/2`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SwsrFast;
-
-impl ProtocolFamily for SwsrFast {
-    type Msg = swsr_fast::Msg;
-    type Ctx = ();
-
-    fn make_ctx(_cfg: &ClusterConfig, _seed: u64) {}
-
-    fn writer(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        _index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(swsr_fast::Writer::new(*cfg, layout, history))
-    }
-
-    fn reader(
-        cfg: &ClusterConfig,
-        layout: Layout,
-        index: u32,
-        history: SharedHistory,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        assert_eq!(index, 0, "the SWSR protocol supports exactly one reader");
-        Box::new(swsr_fast::Reader::new(*cfg, layout, history))
-    }
-
-    fn server(
-        _cfg: &ClusterConfig,
-        _layout: Layout,
-        _index: u32,
-        _ctx: &mut (),
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(swsr_fast::Server::new())
-    }
-
-    fn invoke_write(value: Value) -> Self::Msg {
-        swsr_fast::Msg::InvokeWrite { value }
-    }
-
-    fn invoke_read() -> Self::Msg {
-        swsr_fast::Msg::InvokeRead
-    }
+protocol_table! {
+    /// Fig. 2 — fast crash-stop protocol marker.
+    FastCrash => fast_crash, ctx: () = |_, _| (),
+        writer: |cfg, layout, _, history, _| fast_crash::Writer::new(*cfg, layout, history),
+        reader: |cfg, layout, _, history, _| fast_crash::Reader::new(*cfg, layout, history),
+        server: |cfg, layout, _, _| fast_crash::Server::new(cfg, layout);
+    /// Fig. 5 — fast arbitrary-failure protocol marker.
+    FastByz => fast_byz, ctx: ByzCtx = |_, seed| ByzCtx::new(seed),
+        writer: |cfg, layout, _, history, ctx| {
+            let signer = ctx.take_signer();
+            fast_byz::Writer::new(*cfg, layout, history, signer, ctx.verifier.clone())
+        },
+        reader: |cfg, layout, index, history, ctx| {
+            let (verifier, key) = (ctx.verifier.clone(), ctx.writer_key);
+            fast_byz::Reader::new(*cfg, layout, index, history, verifier, key)
+        },
+        server: |cfg, layout, _, ctx| {
+            fast_byz::Server::new(cfg, layout, ctx.verifier.clone(), ctx.writer_key)
+        };
+    /// ABD baseline marker (two-round reads).
+    Abd => abd, ctx: () = |_, _| (),
+        writer: |cfg, layout, _, history, _| abd::Writer::new(*cfg, layout, history),
+        reader: |cfg, layout, _, history, _| abd::Reader::new(*cfg, layout, history),
+        server: |_, _, _, _| abd::Server::new();
+    /// Max–min decentralized baseline marker (§1).
+    MaxMin => maxmin, ctx: () = |_, _| (),
+        writer: |cfg, layout, _, history, _| maxmin::Writer::new(*cfg, layout, history),
+        reader: |cfg, layout, index, history, _| maxmin::Reader::new(*cfg, layout, index, history),
+        server: |cfg, layout, index, _| maxmin::Server::new(*cfg, layout, index);
+    /// Fast regular register marker (§8).
+    FastRegular => fast_regular, ctx: () = |_, _| (),
+        writer: |cfg, layout, _, history, _| fast_regular::Writer::new(*cfg, layout, history),
+        reader: |cfg, layout, _, history, _| fast_regular::Reader::new(*cfg, layout, history),
+        server: |_, _, _, _| fast_regular::Server::new();
+    /// The §1 single-reader fast register marker (`R = 1`, `t < S/2`).
+    SwsrFast => swsr_fast, ctx: () = |_, _| (),
+        writer: |cfg, layout, _, history, _| swsr_fast::Writer::new(*cfg, layout, history),
+        reader: |cfg, layout, index, history, _| {
+            assert_eq!(index, 0, "the SWSR protocol supports exactly one reader");
+            swsr_fast::Reader::new(*cfg, layout, history)
+        },
+        server: |_, _, _, _| swsr_fast::Server::new();
+    /// Correct two-round MWMR register marker (§7 baseline).
+    MwmrAbd => mwmr::abd, ctx: () = |_, _| (),
+        writer: |cfg, layout, index, history, _| {
+            mwmr::abd::Client::writer(*cfg, layout, index, history)
+        },
+        reader: |cfg, layout, _, history, _| mwmr::abd::Client::reader(*cfg, layout, history),
+        server: |_, _, _, _| mwmr::abd::Server::new();
+    /// The unsound one-round MWMR protocol marker (§7 counterexample target).
+    MwmrNaiveFast => mwmr::naive_fast, ctx: () = |_, _| (),
+        writer: |cfg, layout, index, history, _| {
+            mwmr::naive_fast::Writer::new(*cfg, layout, index, history)
+        },
+        reader: |cfg, layout, _, history, _| mwmr::naive_fast::Reader::new(*cfg, layout, history),
+        server: |_, _, _, _| mwmr::naive_fast::Server::new();
 }
 
 /// A fully assembled register deployment in a simulated world.
@@ -620,16 +356,13 @@ pub struct Cluster<P: ProtocolFamily> {
     pub ctx: P::Ctx,
 }
 
-/// Fluent entry point for assembling clusters.
-///
-/// Collects the cluster configuration and simulation settings, then
-/// hands off to one of two terminal routes:
-///
-/// * [`build`](ClusterBuilder::build) — runtime dispatch on a
-///   [`ProtocolId`]; validates feasibility and returns a [`DynCluster`];
-/// * [`typed`](ClusterBuilder::typed) — compile-time dispatch on a
-///   [`ProtocolFamily`] marker via [`TypedClusterBuilder`], the
-///   zero-cost path that also supports custom server factories.
+/// Fluent entry point for assembling clusters: three setters
+/// ([`seed`](Self::seed), [`sim`](Self::sim), [`runtime`](Self::runtime)),
+/// then one terminal — [`build`](Self::build) /
+/// [`build_unchecked`](Self::build_unchecked) for a type-erased
+/// [`DynCluster`] on either runtime, [`build_typed`](Self::build_typed) /
+/// [`build_typed_with`](Self::build_typed_with) for a concrete simulated
+/// `Cluster<P>`.
 #[derive(Clone, Debug)]
 pub struct ClusterBuilder {
     cfg: ClusterConfig,
@@ -721,48 +454,137 @@ impl ClusterBuilder {
         Ok(self.build_unchecked(id))
     }
 
-    /// Builds the protocol named by `id` *without* the feasibility check
-    /// — for experiments that deliberately deploy beyond the bound (the
-    /// lower-bound constructions, the §8 inversion studies). Also skips
-    /// the runtime-compatibility checks: a zero-worker thread pool is
-    /// clamped to one worker, and a custom sim config is silently ignored
-    /// on the threaded path.
-    pub fn build_unchecked(self, id: ProtocolId) -> DynCluster {
-        let sim = self.resolved_sim();
-        match self.runtime {
-            Runtime::Simnet => Registry::get(id).instantiate(self.cfg, sim),
-            Runtime::Threads { workers, affinity } => Registry::get(id).instantiate_threads(
-                self.cfg,
-                sim.seed,
-                RtConfig::new(workers.max(1)).affinity(affinity),
-            ),
-        }
+    /// Builds the concrete simulated `Cluster<P>` for the protocol marker
+    /// `P` — static dispatch, public [`World`], typed actor
+    /// introspection. No feasibility check: the lower-bound constructions
+    /// deploy beyond the bound through this terminal.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::UnsupportedRuntime`] unless the runtime is
+    /// [`Runtime::Simnet`]: a `Cluster<P>` *is* a simulated world. The
+    /// typed threaded deployment is
+    /// [`ThreadCluster::spawn`].
+    pub fn build_typed<P: ProtocolFamily>(self) -> Result<Cluster<P>, BuildError> {
+        self.build_typed_with(P::server)
     }
 
-    /// Switches to compile-time protocol selection.
-    pub fn typed<'f, P: ProtocolFamily>(self) -> TypedClusterBuilder<'f, P> {
-        TypedClusterBuilder {
+    /// [`build_typed`](Self::build_typed) with a server factory, called
+    /// once per server index in order; return `P::server(..)` for indices
+    /// that should stay honest. The entry point for Byzantine-behaviour
+    /// experiments.
+    ///
+    /// # Errors
+    ///
+    /// As [`build_typed`](Self::build_typed).
+    pub fn build_typed_with<P: ProtocolFamily>(
+        self,
+        mut server_factory: impl FnMut(
+            &ClusterConfig,
+            Layout,
+            u32,
+            &mut P::Ctx,
+        ) -> Box<dyn Automaton<Msg = P::Msg>>,
+    ) -> Result<Cluster<P>, BuildError> {
+        if self.runtime != Runtime::Simnet {
+            return Err(BuildError::UnsupportedRuntime {
+                runtime: self.runtime,
+                reason: "a typed Cluster<P> is a simulated world; build(id) or \
+                         ThreadCluster::spawn deploy onto threads",
+            });
+        }
+        Ok(self.simulated(&mut server_factory))
+    }
+
+    /// The seed every substrate sees: an explicit [`seed`](Self::seed)
+    /// always wins over the one inside [`sim`](Self::sim).
+    fn resolved_seed(&self) -> u64 {
+        self.seed.unwrap_or(self.sim.seed)
+    }
+
+    /// Hands one [`assemble`]d deployment to a simulated [`World`].
+    fn simulated<P: ProtocolFamily>(self, server_factory: ServerFactory<'_, P>) -> Cluster<P> {
+        let seed = self.resolved_seed();
+        let parts = assemble::<P>(&self.cfg, seed, server_factory);
+        let mut world = World::new(SimConfig { seed, ..self.sim });
+        for automaton in parts.automata {
+            world.add_actor(automaton);
+        }
+        Cluster {
             cfg: self.cfg,
-            sim: self.sim,
-            seed: self.seed,
-            factory: None,
+            layout: parts.layout,
+            world,
+            history: parts.history,
+            ctx: parts.ctx,
         }
     }
 
-    /// The simulation config with any [`seed`](Self::seed) override
-    /// applied.
-    fn resolved_sim(&self) -> SimConfig {
-        resolve_sim(self.sim.clone(), self.seed)
+    /// One table row's leg of [`build_unchecked`](Self::build_unchecked):
+    /// the deployment on the selected runtime, erased.
+    fn erased<P>(self, id: ProtocolId) -> DynCluster
+    where
+        P: ProtocolFamily + 'static,
+        P::Ctx: Send + 'static,
+    {
+        let inner = match self.runtime {
+            Runtime::Simnet => DynInner::Sim(Box::new(self.simulated::<P>(&mut P::server))),
+            Runtime::Threads { workers, affinity } => {
+                let rt = RtConfig::new(workers.max(1)).affinity(affinity);
+                let cluster = ThreadCluster::<P>::spawn(self.cfg, self.resolved_seed(), rt);
+                DynInner::Threads(Box::new(cluster))
+            }
+        };
+        DynCluster { id, inner }
     }
 }
 
-/// The single definition of the "an explicit `.seed()` always wins over
-/// `.sim()`" rule, shared by both builder halves.
-fn resolve_sim(mut sim: SimConfig, seed: Option<u64>) -> SimConfig {
-    if let Some(seed) = seed {
-        sim.seed = seed;
+/// A per-index server constructor: `P::server` itself, or the replacement
+/// handed to [`ClusterBuilder::build_typed_with`].
+pub(crate) type ServerFactory<'f, P> =
+    &'f mut dyn FnMut(
+        &ClusterConfig,
+        Layout,
+        u32,
+        &mut <P as ProtocolFamily>::Ctx,
+    ) -> Box<dyn Automaton<Msg = <P as ProtocolFamily>::Msg>>;
+
+/// A deployment's parts before a substrate owns them.
+pub(crate) struct Assembly<P: ProtocolFamily> {
+    pub(crate) layout: Layout,
+    pub(crate) history: SharedHistory,
+    pub(crate) ctx: P::Ctx,
+    /// Writers, readers, then servers — [`Layout`] address order.
+    pub(crate) automata: Vec<Box<dyn Automaton<Msg = P::Msg>>>,
+}
+
+/// Builds one deployment's layout, history, context and automata. The
+/// only place the writers → readers → servers loop exists: `Cluster`
+/// feeds the result to [`World::add_actor`], `ThreadCluster` to
+/// `ActorPool::spawn`.
+pub(crate) fn assemble<P: ProtocolFamily>(
+    cfg: &ClusterConfig,
+    seed: u64,
+    server_factory: ServerFactory<'_, P>,
+) -> Assembly<P> {
+    let layout = Layout::of(cfg);
+    let history = SharedHistory::new();
+    let mut ctx = P::make_ctx(cfg, seed);
+    let mut automata = Vec::with_capacity((cfg.w + cfg.r + cfg.s) as usize);
+    for i in 0..cfg.w {
+        automata.push(P::writer(cfg, layout, i, history.clone(), &mut ctx));
     }
-    sim
+    for i in 0..cfg.r {
+        automata.push(P::reader(cfg, layout, i, history.clone(), &mut ctx));
+    }
+    for j in 0..cfg.s {
+        automata.push(server_factory(cfg, layout, j, &mut ctx));
+    }
+    Assembly {
+        layout,
+        history,
+        ctx,
+        automata,
+    }
 }
 
 /// A cluster build rejected by the registry.
@@ -813,204 +635,10 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-type ServerFactory<'f, P> = Box<
-    dyn FnMut(
-            &ClusterConfig,
-            Layout,
-            u32,
-            &mut <P as ProtocolFamily>::Ctx,
-        ) -> Box<dyn Automaton<Msg = <P as ProtocolFamily>::Msg>>
-        + 'f,
->;
-
-/// The compile-time half of [`ClusterBuilder`]: builds a concrete
-/// `Cluster<P>` (static dispatch, zero-cost operations) and optionally
-/// replaces individual servers — the entry point for Byzantine-behaviour
-/// experiments.
-pub struct TypedClusterBuilder<'f, P: ProtocolFamily> {
-    cfg: ClusterConfig,
-    sim: SimConfig,
-    seed: Option<u64>,
-    factory: Option<ServerFactory<'f, P>>,
-}
-
-impl<'f, P: ProtocolFamily> TypedClusterBuilder<'f, P> {
-    /// Starts a typed builder over `cfg` with default simulation
-    /// settings (equivalent to `ClusterBuilder::new(cfg).typed()`).
-    pub fn new(cfg: ClusterConfig) -> Self {
-        ClusterBuilder::new(cfg).typed()
-    }
-
-    /// Sets the simulation seed. Takes precedence over the seed inside a
-    /// [`sim`](Self::sim) configuration, regardless of call order.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Replaces the simulation configuration (also the seed, unless
-    /// [`seed`](Self::seed) is called, which always wins).
-    pub fn sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
-    /// Installs a server factory, called once per server index in order;
-    /// return `P::server(..)` for indices that should stay honest.
-    pub fn server_factory(
-        mut self,
-        f: impl FnMut(&ClusterConfig, Layout, u32, &mut P::Ctx) -> Box<dyn Automaton<Msg = P::Msg>> + 'f,
-    ) -> Self {
-        self.factory = Some(Box::new(f));
-        self
-    }
-
-    /// Assembles the cluster: writers, readers, then servers (honest or
-    /// from the installed factory), all registered in the simulated
-    /// world in layout order.
-    pub fn build(mut self) -> Cluster<P> {
-        let layout = Layout::of(&self.cfg);
-        let history = SharedHistory::new();
-        let sim = resolve_sim(self.sim, self.seed);
-        let mut ctx = P::make_ctx(&self.cfg, sim.seed);
-        let mut world: World<P::Msg> = World::new(sim);
-        for i in 0..self.cfg.w {
-            let a = P::writer(&self.cfg, layout, i, history.clone(), &mut ctx);
-            world.add_actor(a);
-        }
-        for i in 0..self.cfg.r {
-            let a = P::reader(&self.cfg, layout, i, history.clone(), &mut ctx);
-            world.add_actor(a);
-        }
-        for j in 0..self.cfg.s {
-            let a = match self.factory.as_mut() {
-                Some(factory) => factory(&self.cfg, layout, j, &mut ctx),
-                None => P::server(&self.cfg, layout, j, &mut ctx),
-            };
-            world.add_actor(a);
-        }
-        Cluster {
-            cfg: self.cfg,
-            layout,
-            world,
-            history,
-            ctx,
-        }
-    }
-}
-
-impl<P: ProtocolFamily> Cluster<P> {
-    /// Builds a cluster with default simulation settings and the given
-    /// seed — shorthand for `ClusterBuilder::new(cfg).seed(seed).typed().build()`.
-    pub fn new(cfg: ClusterConfig, seed: u64) -> Self {
-        ClusterBuilder::new(cfg).seed(seed).typed().build()
-    }
-
-    /// Invokes `write(value)` at writer 0 without settling.
-    pub fn write(&mut self, value: Value) {
-        self.write_by(0, value);
-    }
-
-    /// Invokes `write(value)` at writer `wid` without settling.
-    pub fn write_by(&mut self, wid: u32, value: Value) {
-        let w = self.layout.writer(wid);
-        self.world.inject(w, P::invoke_write(value));
-    }
-
-    /// Invokes `read()` at reader `index` without settling.
-    pub fn read_async(&mut self, index: u32) {
-        let r = self.layout.reader(index);
-        self.world.inject(r, P::invoke_read());
-    }
-
-    /// Runs the world until quiescent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the step budget is exhausted first (the protocol never
-    /// quiesced); use [`Cluster::try_settle`] to handle that as a value.
-    pub fn settle(&mut self) {
-        self.world.run_until_quiescent_or_panic();
-    }
-
-    /// Runs the world until quiescent, surfacing budget exhaustion as a
-    /// typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`QuiescenceError`] if the step budget ran out while
-    /// messages remained deliverable.
-    pub fn try_settle(&mut self) -> Result<u64, QuiescenceError> {
-        self.world.run_until_quiescent()
-    }
-
-    /// Invokes `write(value)` at writer 0 and settles.
-    pub fn write_sync(&mut self, value: Value) {
-        self.write(value);
-        self.settle();
-    }
-
-    /// Invokes `read()` at reader `index`, settles, and returns the value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read did not complete (e.g. too many servers crashed).
-    pub fn read(&mut self, index: u32) -> RegValue {
-        let reader_addr = self.layout.reader(index).index();
-        let before = self
-            .history
-            .snapshot()
-            .reads()
-            .filter(|r| r.proc == reader_addr && r.is_complete())
-            .count();
-        self.read_async(index);
-        self.settle();
-        let snap = self.history.snapshot();
-        let op = snap
-            .reads()
-            .filter(|r| r.proc == reader_addr && r.is_complete())
-            .nth(before)
-            .unwrap_or_else(|| panic!("read by reader {index} did not complete"));
-        op.returned.expect("complete reads carry a value")
-    }
-
-    /// Snapshot of the recorded history.
-    pub fn snapshot(&self) -> History {
-        self.history.snapshot()
-    }
-
-    /// Checks the §3.1 SWMR atomicity conditions on the history so far.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation if the history is not atomic.
-    pub fn check_atomic(&self) -> Result<(), AtomicityViolation> {
-        check_swmr_atomicity(&self.snapshot())
-    }
-
-    /// Checks general linearizability (for MWMR histories).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the history is too long for the checker.
-    pub fn check_linearizable(&self) -> Result<bool, LinCheckError> {
-        check_linearizable(&self.snapshot())
-    }
-
-    /// Checks SWMR regularity (§8).
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation if the history is not regular.
-    pub fn check_regular(&self) -> Result<(), RegularityViolation> {
-        check_swmr_regularity(&self.snapshot())
-    }
-}
-
 /// The uniform operations surface of an assembled register deployment.
 ///
 /// Implemented by every concrete `Cluster<P>` (static dispatch), by
-/// [`ThreadCluster<P>`](crate::threads::ThreadCluster) (real threads),
+/// [`ThreadCluster<P>`](ThreadCluster) (real threads),
 /// and by [`DynCluster`] (runtime dispatch), so generic drivers and
 /// experiment loops take `&mut dyn RegisterOps` and run unchanged over
 /// any registered protocol **on either runtime**. This is the portable
@@ -1038,7 +666,11 @@ pub trait RegisterOps {
     ///
     /// Panics if the step budget is exhausted first; see
     /// [`try_settle`](RegisterOps::try_settle).
-    fn settle(&mut self);
+    fn settle(&mut self) {
+        if let Err(e) = self.try_settle() {
+            panic!("deployment did not settle: {e}");
+        }
+    }
     /// Runs the world until quiescent, returning the steps taken or a
     /// typed [`QuiescenceError`] on budget exhaustion.
     ///
@@ -1078,19 +710,25 @@ pub trait RegisterOps {
     /// # Errors
     ///
     /// Returns the violation if the history is not atomic.
-    fn check_atomic(&self) -> Result<(), AtomicityViolation>;
+    fn check_atomic(&self) -> Result<(), AtomicityViolation> {
+        check_swmr_atomicity(&self.snapshot())
+    }
     /// Checks general linearizability (for MWMR histories).
     ///
     /// # Errors
     ///
     /// Returns an error if the history is too long for the checker.
-    fn check_linearizable(&self) -> Result<bool, LinCheckError>;
+    fn check_linearizable(&self) -> Result<bool, LinCheckError> {
+        check_linearizable(&self.snapshot())
+    }
     /// Checks SWMR regularity (§8).
     ///
     /// # Errors
     ///
     /// Returns the violation if the history is not regular.
-    fn check_regular(&self) -> Result<(), RegularityViolation>;
+    fn check_regular(&self) -> Result<(), RegularityViolation> {
+        check_swmr_regularity(&self.snapshot())
+    }
     /// Current virtual time, in ticks.
     fn now_ticks(&self) -> u64;
     /// Advances virtual time to `ticks`, delivering everything due.
@@ -1159,7 +797,7 @@ pub trait RegisterOps {
 /// schedulers to drive by hand, crashes and partitions to inject at
 /// exact points, a trace to fingerprint for replay. The threaded runtime
 /// has none of that — the OS schedules, faults are real — so
-/// [`ThreadCluster`](crate::threads::ThreadCluster) implements only
+/// [`ThreadCluster`] implements only
 /// [`RegisterOps`]. Code generic over both runtimes takes
 /// `&mut dyn RegisterOps`; code that steers the schedule (the explorer,
 /// fault scripts, replay) takes `&mut dyn SimControl`, reachable from a
@@ -1216,6 +854,24 @@ pub trait SimControl: RegisterOps {
     fn sched_counters(&self) -> fastreg_simnet::world::SchedStats;
 }
 
+/// The value returned by the `nth` (0-based) completed read of the reader
+/// at address `addr` — the harvest half of [`RegisterOps::read`] on both
+/// substrates. Readers only read, so `nth` is the client's completion
+/// count ([`SharedHistory::completed_by`], O(1)) taken before invoking.
+///
+/// # Panics
+///
+/// Panics if that read did not complete (e.g. too many servers crashed).
+pub(crate) fn nth_read_value(history: &SharedHistory, addr: u32, nth: u64) -> RegValue {
+    let snap = history.snapshot();
+    let op = snap
+        .reads()
+        .filter(|r| r.proc == addr && r.is_complete())
+        .nth(nth as usize)
+        .unwrap_or_else(|| panic!("read by the reader at address {addr} did not complete"));
+    op.returned.expect("complete reads carry a value")
+}
+
 impl<P: ProtocolFamily> RegisterOps for Cluster<P> {
     fn cfg(&self) -> ClusterConfig {
         self.cfg
@@ -1226,27 +882,29 @@ impl<P: ProtocolFamily> RegisterOps for Cluster<P> {
     }
 
     fn write_by(&mut self, wid: u32, value: Value) {
-        Cluster::write_by(self, wid, value);
+        let w = self.layout.writer(wid);
+        self.world.inject(w, P::invoke_write(value));
     }
 
     fn read_async(&mut self, index: u32) {
-        Cluster::read_async(self, index);
-    }
-
-    fn settle(&mut self) {
-        Cluster::settle(self);
+        let r = self.layout.reader(index);
+        self.world.inject(r, P::invoke_read());
     }
 
     fn try_settle(&mut self) -> Result<u64, QuiescenceError> {
-        Cluster::try_settle(self)
+        self.world.run_until_quiescent()
     }
 
     fn read(&mut self, index: u32) -> RegValue {
-        Cluster::read(self, index)
+        let addr = self.layout.reader(index).index();
+        let before = self.history.completed_by(addr);
+        self.read_async(index);
+        self.settle();
+        nth_read_value(&self.history, addr, before)
     }
 
     fn snapshot(&self) -> History {
-        Cluster::snapshot(self)
+        self.history.snapshot()
     }
 
     fn ops_recorded(&self) -> u64 {
@@ -1259,18 +917,6 @@ impl<P: ProtocolFamily> RegisterOps for Cluster<P> {
 
     fn client_busy(&self, proc: u32) -> bool {
         self.history.client_busy(proc)
-    }
-
-    fn check_atomic(&self) -> Result<(), AtomicityViolation> {
-        Cluster::check_atomic(self)
-    }
-
-    fn check_linearizable(&self) -> Result<bool, LinCheckError> {
-        Cluster::check_linearizable(self)
-    }
-
-    fn check_regular(&self) -> Result<(), RegularityViolation> {
-        Cluster::check_regular(self)
     }
 
     fn now_ticks(&self) -> u64 {
@@ -1390,12 +1036,12 @@ enum DynInner {
 }
 
 /// A type-erased register deployment: some `Cluster<P>` or
-/// [`ThreadCluster<P>`](crate::threads::ThreadCluster) behind `dyn`
+/// [`ThreadCluster<P>`](ThreadCluster) behind `dyn`
 /// [`RegisterOps`], tagged with the [`ProtocolId`] it runs.
 ///
 /// Obtained from [`ClusterBuilder::build`] (or
-/// [`DynCluster::from_cluster`] / [`DynCluster::from_register_ops`] to
-/// erase a cluster built by hand). All portable operations go through
+/// [`DynCluster::from_cluster`] to erase a simulated cluster built with
+/// a server factory). All portable operations go through
 /// the [`RegisterOps`] impl regardless of runtime; simulator-only
 /// controls are reachable via [`sim_control`](DynCluster::sim_control),
 /// which returns `None` on the threaded runtime. The erased cluster is
@@ -1408,12 +1054,6 @@ pub struct DynCluster {
 }
 
 impl DynCluster {
-    /// Starts a [`ClusterBuilder`] (convenience alias for
-    /// [`ClusterBuilder::new`]).
-    pub fn builder(cfg: ClusterConfig) -> ClusterBuilder {
-        ClusterBuilder::new(cfg)
-    }
-
     /// Erases a statically built simulated cluster, tagging it with
     /// `id`.
     pub fn from_cluster<P>(id: ProtocolId, cluster: Cluster<P>) -> Self
@@ -1424,18 +1064,6 @@ impl DynCluster {
         DynCluster {
             id,
             inner: DynInner::Sim(Box::new(cluster)),
-        }
-    }
-
-    /// Erases a deployment that only speaks the portable surface — the
-    /// threaded runtime's entry point ([`sim_control`] will return
-    /// `None` for it).
-    ///
-    /// [`sim_control`]: DynCluster::sim_control
-    pub fn from_register_ops(id: ProtocolId, inner: Box<dyn RegisterOps + Send>) -> Self {
-        DynCluster {
-            id,
-            inner: DynInner::Threads(inner),
         }
     }
 
@@ -1512,10 +1140,6 @@ impl RegisterOps for DynCluster {
         self.ops_mut().read_async(index);
     }
 
-    fn settle(&mut self) {
-        self.ops_mut().settle();
-    }
-
     fn try_settle(&mut self) -> Result<u64, QuiescenceError> {
         self.ops_mut().try_settle()
     }
@@ -1538,18 +1162,6 @@ impl RegisterOps for DynCluster {
 
     fn client_busy(&self, proc: u32) -> bool {
         self.ops().client_busy(proc)
-    }
-
-    fn check_atomic(&self) -> Result<(), AtomicityViolation> {
-        self.ops().check_atomic()
-    }
-
-    fn check_linearizable(&self) -> Result<bool, LinCheckError> {
-        self.ops().check_linearizable()
-    }
-
-    fn check_regular(&self) -> Result<(), RegularityViolation> {
-        self.ops().check_regular()
     }
 
     fn now_ticks(&self) -> u64 {
@@ -1585,10 +1197,14 @@ impl RegisterOps for DynCluster {
 mod tests {
     use super::*;
 
+    fn typed<P: ProtocolFamily>(cfg: ClusterConfig, seed: u64) -> Cluster<P> {
+        ClusterBuilder::new(cfg).seed(seed).build_typed().unwrap()
+    }
+
     #[test]
     fn fast_crash_cluster_end_to_end() {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, 7);
+        let mut c: Cluster<FastCrash> = typed(cfg, 7);
         c.write_sync(1);
         assert_eq!(c.read(0), RegValue::Val(1));
         c.write_sync(2);
@@ -1599,7 +1215,7 @@ mod tests {
     #[test]
     fn fast_byz_cluster_end_to_end() {
         let cfg = ClusterConfig::byzantine(6, 1, 1, 1).unwrap();
-        let mut c: Cluster<FastByz> = Cluster::new(cfg, 7);
+        let mut c: Cluster<FastByz> = typed(cfg, 7);
         c.write_sync(5);
         assert_eq!(c.read(0), RegValue::Val(5));
         c.check_atomic().unwrap();
@@ -1608,7 +1224,7 @@ mod tests {
     #[test]
     fn abd_cluster_end_to_end() {
         let cfg = ClusterConfig::crash_stop(4, 1, 3).unwrap();
-        let mut c: Cluster<Abd> = Cluster::new(cfg, 7);
+        let mut c: Cluster<Abd> = typed(cfg, 7);
         c.write_sync(3);
         assert_eq!(c.read(2), RegValue::Val(3));
         c.check_atomic().unwrap();
@@ -1617,7 +1233,7 @@ mod tests {
     #[test]
     fn maxmin_cluster_end_to_end() {
         let cfg = ClusterConfig::crash_stop(5, 2, 2).unwrap();
-        let mut c: Cluster<MaxMin> = Cluster::new(cfg, 7);
+        let mut c: Cluster<MaxMin> = typed(cfg, 7);
         c.write_sync(4);
         assert_eq!(c.read(0), RegValue::Val(4));
         c.check_atomic().unwrap();
@@ -1626,7 +1242,7 @@ mod tests {
     #[test]
     fn fast_regular_cluster_end_to_end() {
         let cfg = ClusterConfig::crash_stop(5, 2, 4).unwrap();
-        let mut c: Cluster<FastRegular> = Cluster::new(cfg, 7);
+        let mut c: Cluster<FastRegular> = typed(cfg, 7);
         c.write_sync(4);
         assert_eq!(c.read(3), RegValue::Val(4));
         c.check_regular().unwrap();
@@ -1635,7 +1251,7 @@ mod tests {
     #[test]
     fn mwmr_abd_cluster_end_to_end() {
         let cfg = ClusterConfig::mwmr(3, 1, 2, 2).unwrap();
-        let mut c: Cluster<MwmrAbd> = Cluster::new(cfg, 7);
+        let mut c: Cluster<MwmrAbd> = typed(cfg, 7);
         c.write_by(0, 1);
         c.settle();
         c.write_by(1, 2);
@@ -1647,7 +1263,7 @@ mod tests {
     #[test]
     fn mwmr_naive_cluster_assembles() {
         let cfg = ClusterConfig::mwmr(3, 1, 2, 2).unwrap();
-        let mut c: Cluster<MwmrNaiveFast> = Cluster::new(cfg, 7);
+        let mut c: Cluster<MwmrNaiveFast> = typed(cfg, 7);
         c.write_by(1, 9);
         c.settle();
         assert_eq!(c.read(1), RegValue::Val(9));
@@ -1656,14 +1272,14 @@ mod tests {
     #[test]
     fn read_returns_bottom_on_fresh_cluster() {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, 7);
+        let mut c: Cluster<FastCrash> = typed(cfg, 7);
         assert_eq!(c.read(0), RegValue::Bottom);
     }
 
     #[test]
     fn multiple_reads_by_same_reader_are_counted() {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, 7);
+        let mut c: Cluster<FastCrash> = typed(cfg, 7);
         assert_eq!(c.read(0), RegValue::Bottom);
         c.write_sync(1);
         assert_eq!(c.read(0), RegValue::Val(1));
@@ -1679,15 +1295,14 @@ mod tests {
         // Replace server 4 with a mute (crash-like) server: operations
         // still complete because quorum = 4.
         let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg)
-            .typed()
-            .server_factory(|cfg, layout, index, ctx| {
+            .build_typed_with(|cfg, layout, index, ctx| {
                 if index == 4 {
                     Box::new(ByzActor::new(Box::new(Mute)))
                 } else {
                     FastCrash::server(cfg, layout, index, ctx)
                 }
             })
-            .build();
+            .unwrap();
         c.write_sync(1);
         assert_eq!(c.read(0), RegValue::Val(1));
         c.check_atomic().unwrap();
@@ -1712,6 +1327,36 @@ mod tests {
         assert!(!requirement.is_empty());
         assert!(err.to_string().contains("fast-crash"));
         assert!(err.to_string().contains("R=3"));
+    }
+
+    #[test]
+    fn typed_terminals_reject_a_threads_runtime_instead_of_dropping_it() {
+        // Regression: `.runtime(Threads)` followed by the typed route used
+        // to be discarded, quietly returning a simnet cluster.
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        let runtime = Runtime::Threads {
+            workers: 2,
+            affinity: Affinity::None,
+        };
+        let plain = ClusterBuilder::new(cfg)
+            .runtime(runtime)
+            .build_typed::<FastCrash>();
+        let with_factory = ClusterBuilder::new(cfg)
+            .runtime(runtime)
+            .build_typed_with::<FastCrash>(FastCrash::server);
+        for built in [plain, with_factory] {
+            match built.map(|_| ()) {
+                Err(BuildError::UnsupportedRuntime { runtime: got, .. }) => {
+                    assert_eq!(got, runtime)
+                }
+                other => panic!("expected UnsupportedRuntime, got {other:?}"),
+            }
+        }
+        // The default (and an explicit simnet) runtime is accepted.
+        ClusterBuilder::new(cfg)
+            .runtime(Runtime::Simnet)
+            .build_typed::<FastCrash>()
+            .unwrap();
     }
 
     #[test]
@@ -1740,8 +1385,8 @@ mod tests {
         let typed: Cluster<FastCrash> = ClusterBuilder::new(cfg)
             .seed(7)
             .sim(SimConfig::default())
-            .typed()
-            .build();
+            .build_typed()
+            .unwrap();
         let mut typed = DynCluster::from_cluster(ProtocolId::FastCrash, typed);
         let sim = typed
             .sim_control()
@@ -1767,8 +1412,8 @@ mod tests {
     #[test]
     fn dyn_cluster_matches_static_cluster_run_for_run() {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let mut stat: Cluster<FastCrash> = Cluster::new(cfg, 9);
-        let mut dynamic = DynCluster::builder(cfg)
+        let mut stat: Cluster<FastCrash> = typed(cfg, 9);
+        let mut dynamic = ClusterBuilder::new(cfg)
             .seed(9)
             .build(ProtocolId::FastCrash)
             .unwrap();

@@ -20,11 +20,12 @@
 //! * [`predicate`] — the fast-read safety predicate (Fig. 2/5 line 19).
 //! * [`layout`] — role ↔ address mapping.
 //! * [`protocols`] — Fig. 2, Fig. 5, ABD, max–min, fast regular, MWMR,
-//!   and the runtime [`protocols::registry`] (ids ⇄ names ⇄ feasibility
-//!   ⇄ constructors).
+//!   and the runtime [`protocols::registry`] (ids ⇄ names ⇄
+//!   feasibility).
 //! * [`byz`] — malicious server strategies (protocol-aware).
-//! * [`harness`] — cluster assembly: the [`harness::ClusterBuilder`]
-//!   fluent API (with its [`harness::Runtime`] switch), the portable
+//! * [`harness`] — cluster assembly: the protocol table, the one
+//!   [`harness::ClusterBuilder`] (with its [`harness::Runtime`] switch)
+//!   every deployment is built through, the portable
 //!   [`harness::RegisterOps`] operations trait, the simulator-only
 //!   [`harness::SimControl`] extension, and the type-erased
 //!   [`harness::DynCluster`].
@@ -35,12 +36,12 @@
 //!
 //! ```
 //! use fastreg::config::ClusterConfig;
-//! use fastreg::harness::{Cluster, FastCrash};
+//! use fastreg::harness::{Cluster, ClusterBuilder, FastCrash, RegisterOps};
 //! use fastreg::types::RegValue;
 //!
 //! // 5 servers, tolerate 1 crash, 2 readers: fast-feasible.
 //! let cfg = ClusterConfig::crash_stop(5, 1, 2)?;
-//! let mut cluster: Cluster<FastCrash> = Cluster::new(cfg, 42);
+//! let mut cluster: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(42).build_typed()?;
 //!
 //! cluster.write(7);
 //! cluster.try_settle()?; // typed error if the protocol never quiesces

@@ -12,9 +12,9 @@
 //! | [`swsr_fast`] | §1 single-reader trick | 1 round (sticky reads) | `t < S/2`, crash, `R = 1` |
 
 //!
-//! Every protocol is also registered as a runtime value in [`registry`]:
-//! [`registry::ProtocolId`] names it, [`registry::Registry`] enumerates
-//! ids ⇄ names ⇄ feasibility predicates ⇄ constructors.
+//! Every protocol is also a runtime value: [`registry::ProtocolId`] names
+//! it (ids ⇄ names ⇄ feasibility predicates), and the protocol table in
+//! [`crate::harness`] maps each id to its automata.
 
 pub mod abd;
 pub mod ablation;
@@ -26,4 +26,4 @@ pub mod mwmr;
 pub mod registry;
 pub mod swsr_fast;
 
-pub use registry::{Contract, ProtocolEntry, ProtocolId, Registry, UnknownProtocol};
+pub use registry::{Contract, ProtocolId, UnknownProtocol};

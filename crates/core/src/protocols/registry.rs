@@ -1,27 +1,24 @@
-//! The runtime protocol registry: every register protocol in the
-//! repository as a first-class value.
+//! Protocol identities: every register protocol in the repository as a
+//! first-class value.
 //!
-//! The compile-time route to a cluster is the zero-sized
-//! [`ProtocolFamily`] type parameter of [`Cluster`]; it is zero-cost but
-//! forces every caller to monomorphize one code block per protocol. This
-//! module adds the runtime route: a [`ProtocolId`] names each protocol,
-//! the [`Registry`] maps ids ⇄ names ⇄ feasibility predicates ⇄
-//! constructors, and [`ClusterBuilder`](crate::harness::ClusterBuilder)
-//! turns an id into a type-erased [`DynCluster`] that speaks
-//! [`RegisterOps`](crate::harness::RegisterOps).
+//! A [`ProtocolId`] names a protocol and carries what is known about it
+//! without building it — name, summary, [`Contract`], feasibility
+//! predicate, sample configuration. Its automata are named once, in the
+//! protocol table in [`crate::harness`], which also generates
+//! [`ProtocolId::ALL`]; [`ClusterBuilder`](crate::harness::ClusterBuilder)
+//! turns an id into a running [`DynCluster`](crate::harness::DynCluster).
 //!
 //! Enumerating all protocols as data:
 //!
 //! ```
 //! use fastreg::harness::{ClusterBuilder, RegisterOps};
-//! use fastreg::protocols::registry::Registry;
+//! use fastreg::protocols::registry::ProtocolId;
 //! use fastreg::types::RegValue;
 //!
-//! for entry in Registry::all() {
-//!     let cfg = entry.id.sample_config();
-//!     let mut cluster = ClusterBuilder::new(cfg).seed(7).build(entry.id)?;
+//! for id in ProtocolId::ALL {
+//!     let mut cluster = ClusterBuilder::new(id.sample_config()).seed(7).build(id)?;
 //!     cluster.write_sync(9);
-//!     assert_eq!(cluster.read(0), RegValue::Val(9), "{}", entry.id.name());
+//!     assert_eq!(cluster.read(0), RegValue::Val(9), "{id}");
 //! }
 //! # Ok::<(), fastreg::harness::BuildError>(())
 //! ```
@@ -40,22 +37,15 @@
 use std::fmt;
 use std::str::FromStr;
 
-use fastreg_rt::RtConfig;
-use fastreg_simnet::runner::SimConfig;
-
 use crate::config::ClusterConfig;
-use crate::harness::{
-    Abd, Cluster, DynCluster, FastByz, FastCrash, FastRegular, MaxMin, MwmrAbd, MwmrNaiveFast,
-    ProtocolFamily, SwsrFast, TypedClusterBuilder,
-};
-use crate::threads::ThreadCluster;
 
 /// Runtime name of one register protocol implementation.
 ///
 /// The variants correspond one-to-one to the zero-sized
-/// [`ProtocolFamily`] markers in [`crate::harness`]; `ProtocolId` is the
-/// value-level mirror that can be stored in tables, parsed from CLI
-/// flags, and swept by loops.
+/// [`ProtocolFamily`](crate::harness::ProtocolFamily) markers (the
+/// protocol table in [`crate::harness`] has one row per variant, enforced
+/// by the compiler); `ProtocolId` is the value-level mirror that can be
+/// stored in tables, parsed from CLI flags, and swept by loops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProtocolId {
     /// Fig. 2 — fast crash-stop atomic register.
@@ -124,18 +114,6 @@ impl fmt::Display for UnknownProtocol {
 impl std::error::Error for UnknownProtocol {}
 
 impl ProtocolId {
-    /// Every registered protocol, in registry order.
-    pub const ALL: [ProtocolId; 8] = [
-        ProtocolId::FastCrash,
-        ProtocolId::FastByz,
-        ProtocolId::Abd,
-        ProtocolId::MaxMin,
-        ProtocolId::FastRegular,
-        ProtocolId::SwsrFast,
-        ProtocolId::MwmrAbd,
-        ProtocolId::MwmrNaiveFast,
-    ];
-
     /// The stable kebab-case name (CLI flags, table columns).
     pub fn name(self) -> &'static str {
         match self {
@@ -246,135 +224,14 @@ impl FromStr for ProtocolId {
     }
 }
 
-/// One registry row: a protocol id together with its type-erased
-/// constructor. The id carries the name, contract, feasibility predicate
-/// and sample configuration; the entry adds the ability to instantiate.
-pub struct ProtocolEntry {
-    /// The protocol this entry constructs.
-    pub id: ProtocolId,
-    build: fn(ProtocolId, ClusterConfig, SimConfig) -> DynCluster,
-    build_threads: fn(ProtocolId, ClusterConfig, u64, RtConfig) -> DynCluster,
-}
-
-impl ProtocolEntry {
-    /// Instantiates the protocol over `cfg` and `sim` *without* a
-    /// feasibility check — the entry point for experiments that
-    /// deliberately build infeasible deployments (lower bounds, §8
-    /// inversions). Prefer
-    /// [`ClusterBuilder::build`](crate::harness::ClusterBuilder::build),
-    /// which rejects infeasible configurations with a typed error.
-    pub fn instantiate(&self, cfg: ClusterConfig, sim: SimConfig) -> DynCluster {
-        (self.build)(self.id, cfg, sim)
-    }
-
-    /// Instantiates the protocol over the real-threads runtime, again
-    /// without a feasibility check. `seed` feeds the protocol context
-    /// (key material for the Byzantine family); there is no schedule to
-    /// seed. Prefer
-    /// [`ClusterBuilder::runtime`](crate::harness::ClusterBuilder::runtime)
-    /// + `build`, which also validates the runtime combination.
-    pub fn instantiate_threads(&self, cfg: ClusterConfig, seed: u64, rt: RtConfig) -> DynCluster {
-        (self.build_threads)(self.id, cfg, seed, rt)
-    }
-}
-
-fn build_dyn<P>(id: ProtocolId, cfg: ClusterConfig, sim: SimConfig) -> DynCluster
-where
-    P: ProtocolFamily + 'static,
-    P::Ctx: Send + 'static,
-{
-    let cluster: Cluster<P> = TypedClusterBuilder::<P>::new(cfg).sim(sim).build();
-    DynCluster::from_cluster(id, cluster)
-}
-
-fn build_threads_dyn<P>(id: ProtocolId, cfg: ClusterConfig, seed: u64, rt: RtConfig) -> DynCluster
-where
-    P: ProtocolFamily + 'static,
-{
-    let cluster: ThreadCluster<P> = ThreadCluster::spawn(cfg, seed, rt);
-    DynCluster::from_register_ops(id, Box::new(cluster))
-}
-
-static REGISTRY: [ProtocolEntry; 8] = [
-    ProtocolEntry {
-        id: ProtocolId::FastCrash,
-        build: build_dyn::<FastCrash>,
-        build_threads: build_threads_dyn::<FastCrash>,
-    },
-    ProtocolEntry {
-        id: ProtocolId::FastByz,
-        build: build_dyn::<FastByz>,
-        build_threads: build_threads_dyn::<FastByz>,
-    },
-    ProtocolEntry {
-        id: ProtocolId::Abd,
-        build: build_dyn::<Abd>,
-        build_threads: build_threads_dyn::<Abd>,
-    },
-    ProtocolEntry {
-        id: ProtocolId::MaxMin,
-        build: build_dyn::<MaxMin>,
-        build_threads: build_threads_dyn::<MaxMin>,
-    },
-    ProtocolEntry {
-        id: ProtocolId::FastRegular,
-        build: build_dyn::<FastRegular>,
-        build_threads: build_threads_dyn::<FastRegular>,
-    },
-    ProtocolEntry {
-        id: ProtocolId::SwsrFast,
-        build: build_dyn::<SwsrFast>,
-        build_threads: build_threads_dyn::<SwsrFast>,
-    },
-    ProtocolEntry {
-        id: ProtocolId::MwmrAbd,
-        build: build_dyn::<MwmrAbd>,
-        build_threads: build_threads_dyn::<MwmrAbd>,
-    },
-    ProtocolEntry {
-        id: ProtocolId::MwmrNaiveFast,
-        build: build_dyn::<MwmrNaiveFast>,
-        build_threads: build_threads_dyn::<MwmrNaiveFast>,
-    },
-];
-
-/// The registry of every register protocol in the repository.
-///
-/// A zero-sized namespace: all state is `'static`. Use
-/// [`Registry::all`] to sweep protocols as data, [`Registry::get`] for a
-/// specific id, and [`Registry::by_name`] to resolve a CLI flag.
-pub struct Registry;
-
-impl Registry {
-    /// Every registered protocol, in stable order.
-    pub fn all() -> &'static [ProtocolEntry] {
-        &REGISTRY
-    }
-
-    /// The entry for `id` (total: every id is registered).
-    pub fn get(id: ProtocolId) -> &'static ProtocolEntry {
-        &REGISTRY[id as usize]
-    }
-
-    /// Resolves a kebab-case name to its entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownProtocol`] if the name is not registered.
-    pub fn by_name(name: &str) -> Result<&'static ProtocolEntry, UnknownProtocol> {
-        ProtocolId::parse(name).map(Registry::get)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn registry_order_matches_discriminants() {
-        for (i, entry) in Registry::all().iter().enumerate() {
-            assert_eq!(entry.id as usize, i);
-            assert_eq!(Registry::get(entry.id).id, entry.id);
+        for (i, id) in ProtocolId::ALL.into_iter().enumerate() {
+            assert_eq!(id as usize, i);
         }
     }
 
@@ -384,7 +241,6 @@ mod tests {
             assert_eq!(ProtocolId::parse(id.name()), Ok(id));
             assert_eq!(id.name().parse::<ProtocolId>(), Ok(id));
             assert_eq!(format!("{id}"), id.name());
-            assert_eq!(Registry::by_name(id.name()).unwrap().id, id);
         }
     }
 

@@ -12,24 +12,23 @@
 //! fingerprint. Runs are nondeterministic; the harvested history is
 //! judged post hoc by the same checkers the simulator uses.
 //!
-//! Construction goes through
+//! Type-erased construction goes through
 //! [`ClusterBuilder::runtime`](crate::harness::ClusterBuilder::runtime)
-//! with [`Runtime::Threads`](crate::harness::Runtime::Threads); this
-//! module is the backend, not the entry point.
+//! with [`Runtime::Threads`](crate::harness::Runtime::Threads);
+//! [`ThreadCluster::spawn`] is the typed terminal (it keeps the pool's
+//! [`rt_stats`](ThreadCluster::rt_stats) reachable). Both hand the same
+//! `assemble`d automata to the pool.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use fastreg_atomicity::history::{History, SharedHistory};
-use fastreg_atomicity::linearizability::{check_linearizable, LinCheckError};
-use fastreg_atomicity::regularity::{check_swmr_regularity, RegularityViolation};
-use fastreg_atomicity::swmr::{check_swmr_atomicity, AtomicityViolation};
 use fastreg_rt::ActorPool;
 pub use fastreg_rt::RtConfig;
 use fastreg_simnet::world::QuiescenceError;
 
 use crate::config::ClusterConfig;
-use crate::harness::{ProtocolFamily, RegisterOps};
+use crate::harness::{assemble, nth_read_value, ProtocolFamily, RegisterOps};
 use crate::layout::Layout;
 use crate::types::{RegValue, Value};
 
@@ -68,24 +67,12 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
     /// protocol context (key material for the Byzantine family); there
     /// is no schedule to seed.
     pub fn spawn(cfg: ClusterConfig, seed: u64, rt: RtConfig) -> Self {
-        let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
-        let mut ctx = P::make_ctx(&cfg, seed);
-        let mut automata = Vec::with_capacity((cfg.w + cfg.r + cfg.s) as usize);
-        for i in 0..cfg.w {
-            automata.push(P::writer(&cfg, layout, i, history.clone(), &mut ctx));
-        }
-        for i in 0..cfg.r {
-            automata.push(P::reader(&cfg, layout, i, history.clone(), &mut ctx));
-        }
-        for j in 0..cfg.s {
-            automata.push(P::server(&cfg, layout, j, &mut ctx));
-        }
+        let parts = assemble::<P>(&cfg, seed, &mut P::server);
         ThreadCluster {
             cfg,
-            layout,
-            history,
-            pool: ActorPool::spawn(automata, rt),
+            layout: parts.layout,
+            history: parts.history,
+            pool: ActorPool::spawn(parts.automata, rt),
             issued: 0,
             issued_by: BTreeMap::new(),
         }
@@ -161,15 +148,6 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
         self.pool.inject(r, P::invoke_read());
     }
 
-    fn settle(&mut self) {
-        if let Err(e) = RegisterOps::try_settle(self) {
-            panic!(
-                "threaded deployment did not settle: {} of {} ops outstanding after {:?} ({e})",
-                e.in_transit, self.issued, SETTLE_TIMEOUT
-            );
-        }
-    }
-
     #[allow(clippy::disallowed_methods)]
     fn try_settle(&mut self) -> Result<u64, QuiescenceError> {
         let deadline = Instant::now() + SETTLE_TIMEOUT;
@@ -187,28 +165,14 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
         Ok(polls)
     }
 
-    #[allow(clippy::disallowed_methods)]
     fn read(&mut self, index: u32) -> RegValue {
         let addr = self.layout.reader(index).index();
-        // Readers only read, so their per-client completion count is a
-        // completed-reads count — the same cursor the simulated read uses.
         let before = self.history.completed_by(addr);
-        RegisterOps::read_async(self, index);
-        let deadline = Instant::now() + SETTLE_TIMEOUT;
-        while self.history.completed_by(addr) <= before {
-            assert!(
-                Instant::now() < deadline,
-                "read by reader {index} did not complete"
-            );
-            std::thread::yield_now();
-        }
-        let snap = self.history.snapshot();
-        let op = snap
-            .reads()
-            .filter(|r| r.proc == addr && r.is_complete())
-            .nth(before as usize)
-            .unwrap_or_else(|| panic!("read by reader {index} not in the harvested history"));
-        op.returned.expect("complete reads carry a value")
+        self.read_async(index);
+        // Waits for this reader only: other clients' operations may
+        // legitimately stay in flight across a read.
+        self.await_client_idle(addr);
+        nth_read_value(&self.history, addr, before)
     }
 
     fn snapshot(&self) -> History {
@@ -228,18 +192,6 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
 
     fn client_busy(&self, proc: u32) -> bool {
         self.outstanding(proc) > 0
-    }
-
-    fn check_atomic(&self) -> Result<(), AtomicityViolation> {
-        check_swmr_atomicity(&self.snapshot())
-    }
-
-    fn check_linearizable(&self) -> Result<bool, LinCheckError> {
-        check_linearizable(&self.snapshot())
-    }
-
-    fn check_regular(&self) -> Result<(), RegularityViolation> {
-        check_swmr_regularity(&self.snapshot())
     }
 
     fn now_ticks(&self) -> u64 {

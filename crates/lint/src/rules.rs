@@ -3,10 +3,10 @@
 //! | id | code | invariant |
 //! |----|------|-----------|
 //! | D1 | `nondet-order` | no `HashMap`/`HashSet` in modules that feed verdicts, traces, fingerprints or counterexample bytes |
-//! | D2 | `wall-clock` | `Instant::now`/`SystemTime` only in the real-threads runtime and the bench crate |
+//! | D2 | `wall-clock` | `Instant::now`/`SystemTime` only in the real-threads runtime (`crates/rt`, `core/src/threads.rs`) and the bench crate |
 //! | D3 | `substrate-isolation` | simnet-only controls (`SimControl` & friends, fault-script types) never referenced from the threads substrate |
 //! | D4 | `panic-hygiene` | no `settle()`/`run_until_quiescent_or_panic`/bare `unwrap()` in non-test protocol/checker library code |
-//! | D5 | `registry-completeness` | every `ProtocolId` variant has a registry entry, a `build_threads` constructor and a conformance appearance |
+//! | D5 | `registry-completeness` | every `ProtocolId` variant is exercised by `tests/protocol_conformance.rs` (its wiring is the protocol table's job, enforced by the compiler) |
 //! | D6 | `thread-spawn` | raw thread creation (`thread::spawn`/`thread::Builder`) only in `crates/rt` and `simnet/src/threaded.rs` |
 //! | D7 | `obs-clock-discipline` | the observability wall-clock (`MonoClock`) is constructed only inside `crates/rt` (and defined in `crates/obs`) |
 //!
@@ -87,8 +87,8 @@ impl Rule {
                  fingerprint or counterexample"
             }
             Rule::WallClock => {
-                "Instant::now/SystemTime only in crates/rt, core/src/threads.rs, \
-                 simnet/src/threaded.rs and crates/bench"
+                "Instant::now/SystemTime only in crates/rt, core/src/threads.rs and \
+                 crates/bench"
             }
             Rule::SubstrateIsolation => {
                 "SimControl-only methods and fault-script types must not be referenced \
@@ -99,8 +99,8 @@ impl Rule {
                  protocol/checker library code"
             }
             Rule::RegistryCompleteness => {
-                "every ProtocolId variant needs an ALL slot, a registry entry with \
-                 build_threads, and a protocol_conformance appearance"
+                "every ProtocolId variant needs a tests/protocol_conformance.rs \
+                 appearance (the protocol table already forces its wiring to compile)"
             }
             Rule::ThreadSpawn => {
                 "thread::spawn/thread::Builder only in crates/rt and \
@@ -175,7 +175,6 @@ fn d1_scope(p: &str) -> bool {
 fn d2_exempt(p: &str) -> bool {
     p.starts_with("crates/rt/")
         || p == "crates/core/src/threads.rs"
-        || p == "crates/simnet/src/threaded.rs"
         || p.starts_with("crates/bench/")
 }
 
@@ -285,57 +284,35 @@ fn snippet_of(raw: &str) -> String {
 /// The cross-file D5 check over a parsed `registry.rs` and the
 /// conformance suite.
 ///
+/// A `ProtocolId` variant's wiring — `ProtocolFamily` impl, `ALL` slot,
+/// constructor on both runtimes — is generated from one protocol-table
+/// row and cannot be partial without a compile error. What the types
+/// cannot force is that the conformance suite *runs* it; that is the one
+/// leg left here.
+///
 /// `registry` is the scanned `crates/core/src/protocols/registry.rs`;
 /// `conformance` is the scanned `tests/protocol_conformance.rs` (or
-/// `None` if that file is missing, which fails every variant's
-/// conformance leg).
+/// `None` if that file is missing, which fails every variant).
 pub fn check_registry(
     registry_path: &str,
     registry: &Scanned,
     conformance: Option<&Scanned>,
 ) -> Vec<Finding> {
-    let variants = enum_variants(registry, "ProtocolId");
-    let all_span = span_between(registry, "const ALL", "];");
-    let registry_span = span_between(registry, "static REGISTRY", "];");
-    let entries = entry_chunks(registry, &registry_span);
-
     let mut findings = Vec::new();
-    for (name, decl_line) in &variants {
+    for (name, decl_line) in enum_variants(registry, "ProtocolId") {
         let qualified = format!("ProtocolId::{name}");
-        let mut missing: Vec<String> = Vec::new();
-        if !span_contains_token(registry, &all_span, &qualified) {
-            missing.push("missing from ProtocolId::ALL".to_string());
+        if conformance.is_some_and(|c| c.contains_token(&qualified)) {
+            continue;
         }
-        match entries.iter().find(|chunk| {
-            chunk
-                .iter()
-                .any(|l| find_token(&registry.lines[*l].code, &qualified))
-        }) {
-            None => missing.push("no ProtocolEntry in REGISTRY".to_string()),
-            Some(chunk) => {
-                if !chunk
-                    .iter()
-                    .any(|l| find_token(&registry.lines[*l].code, "build_threads"))
-                {
-                    missing.push("registry entry lacks a build_threads constructor".to_string());
-                }
-            }
-        }
-        match conformance {
-            Some(c) if c.contains_token(&qualified) => {}
-            _ => missing.push("never exercised by tests/protocol_conformance.rs".to_string()),
-        }
-        for what in missing {
-            findings.push(Finding {
-                rule: Rule::RegistryCompleteness,
-                file: registry_path.to_string(),
-                line: *decl_line,
-                snippet: format!("{qualified}: {what}"),
-                allowed: registry
-                    .allow_reason(*decl_line, Rule::RegistryCompleteness.code())
-                    .map(str::to_string),
-            });
-        }
+        findings.push(Finding {
+            rule: Rule::RegistryCompleteness,
+            file: registry_path.to_string(),
+            line: decl_line,
+            snippet: format!("{qualified}: never exercised by tests/protocol_conformance.rs"),
+            allowed: registry
+                .allow_reason(decl_line, Rule::RegistryCompleteness.code())
+                .map(str::to_string),
+        });
     }
     findings
 }
@@ -387,40 +364,6 @@ fn enum_variants(scanned: &Scanned, enum_name: &str) -> Vec<(String, usize)> {
         }
     }
     out
-}
-
-/// The 0-based line range from the first line containing `open` to the
-/// next line containing `close` (inclusive). Empty if not found.
-fn span_between(scanned: &Scanned, open: &str, close: &str) -> Vec<usize> {
-    let Some(start) = scanned.lines.iter().position(|l| l.code.contains(open)) else {
-        return Vec::new();
-    };
-    let end = scanned.lines[start..]
-        .iter()
-        .position(|l| l.code.contains(close))
-        .map(|off| start + off)
-        .unwrap_or(scanned.lines.len() - 1);
-    (start..=end).collect()
-}
-
-fn span_contains_token(scanned: &Scanned, span: &[usize], token: &str) -> bool {
-    span.iter()
-        .any(|&l| find_token(&scanned.lines[l].code, token))
-}
-
-/// Splits a `static REGISTRY` span into per-`ProtocolEntry {` chunks of
-/// 0-based line indices.
-fn entry_chunks(scanned: &Scanned, span: &[usize]) -> Vec<Vec<usize>> {
-    let mut chunks: Vec<Vec<usize>> = Vec::new();
-    for &l in span {
-        if scanned.lines[l].code.contains("ProtocolEntry {") {
-            chunks.push(Vec::new());
-        }
-        if let Some(current) = chunks.last_mut() {
-            current.push(l);
-        }
-    }
-    chunks
 }
 
 #[cfg(test)]

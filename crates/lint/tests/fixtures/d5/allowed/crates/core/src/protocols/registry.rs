@@ -1,23 +1,7 @@
 pub enum ProtocolId {
     Alpha,
-    // fastreg-lint: allow(registry-completeness): experimental protocol, wiring tracked in ROADMAP.md
+    // fastreg-lint: allow(registry-completeness): experimental protocol, conformance tracked in ROADMAP.md
     Beta,
     // fastreg-lint: allow(registry-completeness): spec-only placeholder, no implementation yet
     Gamma,
 }
-
-impl ProtocolId {
-    pub const ALL: [ProtocolId; 2] = [ProtocolId::Alpha, ProtocolId::Beta];
-}
-
-static REGISTRY: [ProtocolEntry; 2] = [
-    ProtocolEntry {
-        id: ProtocolId::Alpha,
-        build: build_alpha,
-        build_threads: build_alpha_threads,
-    },
-    ProtocolEntry {
-        id: ProtocolId::Beta,
-        build: build_beta,
-    },
-];

@@ -3,19 +3,3 @@ pub enum ProtocolId {
     Beta,
     Gamma,
 }
-
-impl ProtocolId {
-    pub const ALL: [ProtocolId; 2] = [ProtocolId::Alpha, ProtocolId::Beta];
-}
-
-static REGISTRY: [ProtocolEntry; 2] = [
-    ProtocolEntry {
-        id: ProtocolId::Alpha,
-        build: build_alpha,
-        build_threads: build_alpha_threads,
-    },
-    ProtocolEntry {
-        id: ProtocolId::Beta,
-        build: build_beta,
-    },
-];

@@ -21,8 +21,7 @@
 //! exclusively, so a step — receive, mutate state, emit an [`Outbox`] —
 //! is as atomic as under the simulator, and per-sender FIFO order is
 //! preserved by the channels. Worker count 1 degenerates to a serialized
-//! (but still wall-clock) run; worker count `n` matches the one-thread-
-//! per-actor [`ThreadedNet`](fastreg_simnet::threaded::ThreadedNet).
+//! (but still wall-clock) run; worker count `n` is one thread per actor.
 //!
 //! Times reported through [`Outbox::now`] are microseconds since the pool
 //! started, so histories recorded here are directly comparable with
@@ -199,9 +198,8 @@ pub struct RtStats {
 /// Construct with [`ActorPool::spawn`], drive with [`ActorPool::inject`],
 /// and stop with [`ActorPool::shutdown`] (or just drop the pool — the
 /// destructor shuts it down too). Actor ids are assigned in vector order,
-/// exactly like [`World::add_actor`](fastreg_simnet::world::World) and
-/// [`ThreadedNet::spawn`](fastreg_simnet::threaded::ThreadedNet::spawn),
-/// so the same layout addressing works across all three runtimes.
+/// exactly like [`World::add_actor`](fastreg_simnet::world::World), so
+/// the same layout addressing works on both runtimes.
 pub struct ActorPool<M> {
     senders: Vec<Sender<Job<M>>>,
     handles: Vec<JoinHandle<()>>,
@@ -258,7 +256,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
                     // Routes one step's outbox onto the spine. Sends to a
                     // worker that already shut down are dropped — the
                     // same "stays in transit forever" semantics as the
-                    // simulator's closed links and ThreadedNet.
+                    // simulator's closed links.
                     let route = |me: ProcessId, out: Outbox<M>| {
                         for (to, msg) in out.into_messages() {
                             let idx = to.index() as usize;

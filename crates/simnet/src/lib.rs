@@ -2,8 +2,7 @@
 //!
 //! A deterministic discrete-event simulator of the asynchronous
 //! message-passing model used by *How Fast can a Distributed Atomic Read
-//! be?* (PODC 2004), plus an in-process threaded runtime for wall-clock
-//! benchmarks.
+//! be?* (PODC 2004), plus the workspace's order-preserving worker pool.
 //!
 //! ## The model
 //!
@@ -43,8 +42,8 @@
 //! * [`byz`] wraps an automaton with a Byzantine strategy.
 //! * [`trace::Trace`] records every send/deliver/crash for debugging and for
 //!   rendering the proof constructions.
-//! * [`threaded`] runs the *same* automata over OS threads and crossbeam
-//!   channels for wall-clock benchmarking.
+//! * [`threaded`] hosts [`threaded::map_ordered`], the order-preserving
+//!   worker pool independent simulated worlds are fanned out over.
 //!
 //! ## Example
 //!

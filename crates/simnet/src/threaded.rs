@@ -1,156 +1,14 @@
-//! Wall-clock runtime: the same automata over OS threads and channels.
+//! The workspace's order-preserving worker pool, [`map_ordered`]: the
+//! fan-out primitive the schedule-exploration engine, the parallel
+//! checkers and the sharded store use to run independent work on real
+//! threads while keeping results — and therefore verdicts and
+//! counterexample bytes — independent of the thread count.
 //!
-//! Every actor runs on its own thread with an unbounded crossbeam channel as
-//! its inbox; sends are real cross-thread messages. This runtime exists for
-//! the criterion benches — it measures real synchronization cost, while the
-//! [`World`](crate::world::World) measures rounds and virtual latency.
-//!
-//! Times reported through [`Outbox::now`](crate::automaton::Outbox::now) are
-//! microseconds since the net was started, so histories recorded under both
-//! runtimes are comparable.
-//!
-//! Besides the actor runtime, this module hosts the workspace's
-//! order-preserving worker pool, [`map_ordered`]: the fan-out primitive
-//! the schedule-exploration engine uses to run independent simulated
-//! worlds on real threads while keeping results — and therefore verdicts
-//! and counterexample bytes — independent of the thread count.
+//! (Running *automata* on threads is `fastreg_rt`'s job, not this
+//! module's.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::thread::JoinHandle;
-use std::time::Instant;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-
-use crate::automaton::{Automaton, Outbox};
-use crate::id::ProcessId;
-use crate::time::SimTime;
-
-enum NodeInput<M> {
-    Msg { from: ProcessId, msg: M },
-    Shutdown,
-}
-
-type NodeChannel<M> = (Sender<NodeInput<M>>, Receiver<NodeInput<M>>);
-
-/// A running set of actor threads connected by reliable channels.
-///
-/// Construct with [`ThreadedNet::spawn`], drive with
-/// [`ThreadedNet::inject`], and stop with [`ThreadedNet::shutdown`], which
-/// returns the final automata for inspection.
-///
-/// # Examples
-///
-/// ```
-/// use fastreg_simnet::prelude::*;
-/// use fastreg_simnet::threaded::ThreadedNet;
-///
-/// #[derive(Clone, Debug)]
-/// struct Inc(u64);
-///
-/// struct Counter { total: u64 }
-/// impl Automaton for Counter {
-///     type Msg = Inc;
-///     fn on_message(&mut self, _f: ProcessId, m: Inc, _o: &mut Outbox<Inc>) {
-///         self.total += m.0;
-///     }
-/// }
-///
-/// let net = ThreadedNet::spawn(vec![Box::new(Counter { total: 0 })]);
-/// net.inject(ProcessId::new(0), Inc(5));
-/// net.inject(ProcessId::new(0), Inc(7));
-/// let actors = net.shutdown();
-/// let counter = (*actors[0]).as_any().downcast_ref::<Counter>().unwrap();
-/// assert_eq!(counter.total, 12);
-/// ```
-pub struct ThreadedNet<M> {
-    senders: Vec<Sender<NodeInput<M>>>,
-    handles: Vec<JoinHandle<Box<dyn Automaton<Msg = M>>>>,
-}
-
-impl<M: Clone + std::fmt::Debug + Send + 'static> ThreadedNet<M> {
-    /// Spawns one thread per automaton. Ids are assigned in vector order.
-    /// Each automaton's `on_start` runs on its own thread before any message
-    /// is processed.
-    // `threaded` is a sanctioned wall-clock site (lint rule D2): OS
-    // threads have no simulated clock to timestamp with.
-    #[allow(clippy::disallowed_methods)]
-    pub fn spawn(automata: Vec<Box<dyn Automaton<Msg = M>>>) -> Self {
-        let start = Instant::now();
-        let channels: Vec<NodeChannel<M>> = automata.iter().map(|_| unbounded()).collect();
-        let senders: Vec<Sender<NodeInput<M>>> = channels.iter().map(|(s, _)| s.clone()).collect();
-
-        let mut handles = Vec::with_capacity(automata.len());
-        for (index, (mut automaton, (_, rx))) in automata.into_iter().zip(channels).enumerate() {
-            let peers = senders.clone();
-            let me = ProcessId::new(index as u32);
-            handles.push(std::thread::spawn(move || {
-                let now = || SimTime::from_ticks(start.elapsed().as_micros() as u64);
-                let route = |out: Outbox<M>, peers: &[Sender<NodeInput<M>>]| {
-                    for (to, msg) in out.into_messages() {
-                        if let Some(tx) = peers.get(to.index() as usize) {
-                            // A closed peer inbox means that peer already
-                            // shut down; dropping the message matches the
-                            // "stays in transit forever" semantics.
-                            let _ = tx.send(NodeInput::Msg { from: me, msg });
-                        }
-                    }
-                };
-                let mut out = Outbox::new(me, now());
-                automaton.on_start(&mut out);
-                route(out, &peers);
-                while let Ok(input) = rx.recv() {
-                    match input {
-                        NodeInput::Msg { from, msg } => {
-                            let mut out = Outbox::new(me, now());
-                            automaton.on_message(from, msg, &mut out);
-                            route(out, &peers);
-                        }
-                        NodeInput::Shutdown => break,
-                    }
-                }
-                automaton
-            }));
-        }
-
-        ThreadedNet { senders, handles }
-    }
-
-    /// Number of nodes in the net.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Returns `true` if the net has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
-    /// Sends a message to `to` from the external environment.
-    ///
-    /// Operation invocations use this entry point, exactly like
-    /// [`World::inject`](crate::world::World::inject).
-    pub fn inject(&self, to: ProcessId, msg: M) {
-        if let Some(tx) = self.senders.get(to.index() as usize) {
-            let _ = tx.send(NodeInput::Msg {
-                from: ProcessId::EXTERNAL,
-                msg,
-            });
-        }
-    }
-
-    /// Stops all nodes after they drain the messages already in their
-    /// inboxes, and returns the final automata in id order.
-    pub fn shutdown(self) -> Vec<Box<dyn Automaton<Msg = M>>> {
-        for tx in &self.senders {
-            let _ = tx.send(NodeInput::Shutdown);
-        }
-        self.handles
-            .into_iter()
-            .map(|h| h.join().expect("actor thread panicked"))
-            .collect()
-    }
-}
 
 /// Runs `f(index, item)` over every item on a pool of `threads` OS
 /// threads, returning the results **in item order**.
@@ -228,98 +86,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[derive(Clone, Debug)]
-    enum Msg {
-        Ping,
-        Pong,
-    }
-
-    struct Responder;
-    impl Automaton for Responder {
-        type Msg = Msg;
-        fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-            if matches!(msg, Msg::Ping) {
-                out.send(from, Msg::Pong);
-            }
-        }
-    }
-
-    struct Initiator {
-        peer: ProcessId,
-        pongs: Arc<AtomicUsize>,
-        done: Sender<()>,
-        expect: usize,
-    }
-    impl Automaton for Initiator {
-        type Msg = Msg;
-        fn on_message(&mut self, _from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-            match msg {
-                Msg::Ping => out.send(self.peer, Msg::Ping),
-                Msg::Pong => {
-                    let n = self.pongs.fetch_add(1, Ordering::SeqCst) + 1;
-                    if n == self.expect {
-                        let _ = self.done.send(());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn round_trips_complete() {
-        let pongs = Arc::new(AtomicUsize::new(0));
-        let (done_tx, done_rx) = unbounded();
-        let initiator = Initiator {
-            peer: ProcessId::new(1),
-            pongs: pongs.clone(),
-            done: done_tx,
-            expect: 10,
-        };
-        let net = ThreadedNet::spawn(vec![Box::new(initiator), Box::new(Responder)]);
-        for _ in 0..10 {
-            net.inject(ProcessId::new(0), Msg::Ping);
-        }
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("all pongs arrive");
-        net.shutdown();
-        assert_eq!(pongs.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn shutdown_returns_final_state() {
-        struct Last(Option<u32>);
-        impl Automaton for Last {
-            type Msg = u32;
-            fn on_message(&mut self, _f: ProcessId, m: u32, _o: &mut Outbox<u32>) {
-                self.0 = Some(m);
-            }
-        }
-        let net = ThreadedNet::spawn(vec![Box::new(Last(None))]);
-        net.inject(ProcessId::new(0), 41);
-        net.inject(ProcessId::new(0), 42);
-        let actors = net.shutdown();
-        let last = (*actors[0]).as_any().downcast_ref::<Last>().unwrap();
-        assert_eq!(last.0, Some(42));
-        assert_eq!(actors.len(), 1);
-    }
-
-    #[test]
-    fn empty_net_is_empty() {
-        let net: ThreadedNet<u32> = ThreadedNet::spawn(vec![]);
-        assert!(net.is_empty());
-        assert_eq!(net.len(), 0);
-        net.shutdown();
-    }
-
-    #[test]
-    fn inject_to_unknown_id_is_ignored() {
-        let net: ThreadedNet<u32> = ThreadedNet::spawn(vec![]);
-        net.inject(ProcessId::new(5), 1);
-        net.shutdown();
-    }
 
     #[test]
     fn map_ordered_preserves_item_order_across_thread_counts() {

@@ -197,8 +197,7 @@ impl StoreCheckReport {
 
 /// Checks every key of a store against its shard's declared contract.
 ///
-/// A zero-sized namespace, like
-/// [`Registry`](fastreg::protocols::registry::Registry).
+/// A zero-sized namespace.
 pub struct StoreChecker;
 
 impl StoreChecker {

@@ -327,9 +327,6 @@ mod tests {
         fn read_async(&mut self, index: u32) {
             self.inner.read_async(index);
         }
-        fn settle(&mut self) {
-            self.inner.settle();
-        }
         fn try_settle(&mut self) -> Result<u64, fastreg_simnet::world::QuiescenceError> {
             self.inner.try_settle()
         }
@@ -348,17 +345,6 @@ mod tests {
         }
         fn client_busy(&self, proc: u32) -> bool {
             self.inner.client_busy(proc)
-        }
-        fn check_atomic(&self) -> Result<(), fastreg_atomicity::swmr::AtomicityViolation> {
-            self.inner.check_atomic()
-        }
-        fn check_linearizable(
-            &self,
-        ) -> Result<bool, fastreg_atomicity::linearizability::LinCheckError> {
-            self.inner.check_linearizable()
-        }
-        fn check_regular(&self) -> Result<(), fastreg_atomicity::regularity::RegularityViolation> {
-            self.inner.check_regular()
         }
         fn now_ticks(&self) -> u64 {
             self.inner.now_ticks()
@@ -381,7 +367,7 @@ mod tests {
         // Deliberately static: a concrete `Cluster<P>` must coerce into
         // the driver's `&mut dyn RegisterOps` unchanged.
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, 1);
+        let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(1).build_typed().unwrap();
         let report = run_closed_loop(
             &mut c,
             &WorkloadSpec {
@@ -540,7 +526,7 @@ mod tests {
     #[test]
     fn streaming_verdict_matches_batch_and_frontier_stays_small() {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, 11);
+        let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(11).build_typed().unwrap();
         let report = run_closed_loop(
             &mut c,
             &WorkloadSpec {
@@ -571,7 +557,7 @@ mod tests {
         // The Counting wrapper keeps RegisterOps' default (journal-less)
         // methods, forcing the snapshot-replay path.
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, 11);
+        let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(11).build_typed().unwrap();
         let mut counted = Counting::new(&mut c);
         let report = run_closed_loop(
             &mut counted,

@@ -9,7 +9,7 @@ use fastreg::byz::{
     CounterAbuser, Forger, SeenInflater, StaleOldest, StaleReplayer, TwoFacedLoseWrite,
 };
 use fastreg::config::ClusterConfig;
-use fastreg::harness::{Cluster, ClusterBuilder, FastByz, FastCrash, ProtocolFamily};
+use fastreg::harness::{Cluster, ClusterBuilder, FastByz, FastCrash, ProtocolFamily, RegisterOps};
 use fastreg::predicate::{predicate_witness, predicate_witness_bruteforce, PredicateModel};
 use fastreg::protocols::fast_crash;
 use fastreg::protocols::registry::ProtocolId;
@@ -267,8 +267,7 @@ enum BehaviourKind {
 fn byz_run_is_atomic(cfg: ClusterConfig, seed: u64, kind: BehaviourKind) -> bool {
     let mut c: Cluster<FastByz> = ClusterBuilder::new(cfg)
         .sim(SimConfig::default().with_seed(seed))
-        .typed()
-        .server_factory(|cfg, layout, index, ctx| {
+        .build_typed_with(|cfg, layout, index, ctx| {
             if index == 0 {
                 match kind {
                     BehaviourKind::Honest => FastByz::server(cfg, layout, index, ctx),
@@ -305,7 +304,7 @@ fn byz_run_is_atomic(cfg: ClusterConfig, seed: u64, kind: BehaviourKind) -> bool
                 FastByz::server(cfg, layout, index, ctx)
             }
         })
-        .build();
+        .expect("the default runtime is simnet");
     // Mixed concurrent workload with a writer mid-broadcast crash.
     c.write_sync(1);
     c.read_async(0);
@@ -593,7 +592,10 @@ pub fn e10_predicate() -> Table {
     // Witness histogram over a concurrent workload. The typed builder
     // keeps static dispatch: the histogram needs typed actor access.
     let cfg = ClusterConfig::crash_stop(7, 1, 4).expect("valid");
-    let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(3).typed().build();
+    let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg)
+        .seed(3)
+        .build_typed()
+        .expect("the default runtime is simnet");
     for round in 0..30u64 {
         c.write(round + 1);
         for i in 0..cfg.r {
@@ -818,7 +820,7 @@ pub fn e13_seen_ablation() -> Table {
 /// (`run_closed_loop`) rescans its state per operation. Histories at the
 /// smallest size are checked against the protocol's declared contract.
 pub fn e14_scale(sizes: &[u64]) -> Table {
-    use fastreg::protocols::registry::{Contract, Registry};
+    use fastreg::protocols::registry::{Contract, ProtocolId};
     use std::time::Instant;
 
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
@@ -832,8 +834,7 @@ pub fn e14_scale(sizes: &[u64]) -> Table {
         "msgs/op",
         "ticks",
     ]);
-    for entry in Registry::all() {
-        let id = entry.id;
+    for id in ProtocolId::ALL {
         if !id.feasible(&cfg) || id.contract() == Contract::Unsound {
             continue;
         }

@@ -54,15 +54,14 @@ fn main() {
         // server and inspecting the reader both need the concrete types.
         let mut cluster: Cluster<FastByz> = ClusterBuilder::new(cfg)
             .sim(SimConfig::default().with_seed(7))
-            .typed()
-            .server_factory(|c, l, index, ctx| {
+            .build_typed_with(|c, l, index, ctx| {
                 if index == 0 {
                     make(c, l, ctx)
                 } else {
                     FastByz::server(c, l, index, ctx)
                 }
             })
-            .build();
+            .expect("the default runtime is simnet");
 
         // Publish three audit heads; the auditor fetches after each.
         for batch in 1..=3u64 {

@@ -38,8 +38,7 @@ fn main() {
         "verified contract",
     ]);
 
-    for entry in Registry::all() {
-        let id = entry.id;
+    for id in ProtocolId::ALL {
         let cfg = id.sample_config();
         let mut cluster = ClusterBuilder::new(cfg)
             .sim(sim())

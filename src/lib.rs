@@ -44,9 +44,9 @@ pub use fastreg_workload;
 /// Commonly used items, re-exported for examples and tests.
 ///
 /// Protocols are first-class runtime values: enumerate them with
-/// [`Registry::all`](fastreg::protocols::registry::Registry::all), parse
-/// a [`ProtocolId`](fastreg::protocols::registry::ProtocolId) from a CLI
-/// flag, and build a type-erased
+/// [`ProtocolId::ALL`](fastreg::protocols::registry::ProtocolId::ALL),
+/// parse a [`ProtocolId`](fastreg::protocols::registry::ProtocolId) from
+/// a CLI flag, and build a type-erased
 /// [`DynCluster`](fastreg::harness::DynCluster) with
 /// [`ClusterBuilder`](fastreg::harness::ClusterBuilder):
 ///
@@ -67,11 +67,9 @@ pub mod prelude {
     pub use fastreg::harness::{
         Abd, Affinity, BuildError, Cluster, ClusterBuilder, DynCluster, FastByz, FastCrash,
         FastRegular, MaxMin, MwmrAbd, MwmrNaiveFast, ProtocolFamily, RegisterOps, Runtime,
-        SimControl, SwsrFast, TypedClusterBuilder,
+        SimControl, SwsrFast,
     };
-    pub use fastreg::protocols::registry::{
-        Contract, ProtocolEntry, ProtocolId, Registry, UnknownProtocol,
-    };
+    pub use fastreg::protocols::registry::{Contract, ProtocolId, UnknownProtocol};
     pub use fastreg::threads::ThreadCluster;
     pub use fastreg::types::{ClientId, RegValue, Role, TaggedValue, Timestamp, Value};
     pub use fastreg_atomicity::history::History;

@@ -6,7 +6,7 @@ use fastreg_suite::prelude::*;
 
 /// Drives the same deterministic op sequence and returns the read values.
 fn drive<P: ProtocolFamily>(cfg: ClusterConfig, seed: u64) -> Vec<RegValue> {
-    let mut c: Cluster<P> = Cluster::new(cfg, seed);
+    let mut c: Cluster<P> = ClusterBuilder::new(cfg).seed(seed).build_typed().unwrap();
     let mut reads = Vec::new();
     reads.push(c.read(0)); // before any write: ⊥
     c.write_sync(11);
@@ -47,7 +47,7 @@ fn all_swmr_protocols_agree_on_sequential_runs() {
 fn regular_register_agrees_when_sequential() {
     // Without concurrency, regular = atomic.
     let cfg = ClusterConfig::crash_stop(5, 2, 2).unwrap();
-    let mut c: Cluster<FastRegular> = Cluster::new(cfg, 3);
+    let mut c: Cluster<FastRegular> = ClusterBuilder::new(cfg).seed(3).build_typed().unwrap();
     assert_eq!(c.read(0), RegValue::Bottom);
     c.write_sync(7);
     assert_eq!(c.read(1), RegValue::Val(7));
@@ -59,7 +59,7 @@ fn regular_register_agrees_when_sequential() {
 fn same_seed_same_history_across_protocol_instances() {
     let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
     let run = || {
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, 99);
+        let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(99).build_typed().unwrap();
         c.write(1);
         c.read_async(0);
         c.read_async(1);
@@ -73,7 +73,7 @@ fn same_seed_same_history_across_protocol_instances() {
 fn mwmr_abd_handles_interleaved_writers() {
     let cfg = ClusterConfig::mwmr(5, 1, 2, 2).unwrap();
     for seed in 0..10 {
-        let mut c: Cluster<MwmrAbd> = Cluster::new(cfg, seed);
+        let mut c: Cluster<MwmrAbd> = ClusterBuilder::new(cfg).seed(seed).build_typed().unwrap();
         c.write_by(0, 1);
         c.write_by(1, 2);
         c.read_async(0);
@@ -87,13 +87,13 @@ fn mwmr_abd_handles_interleaved_writers() {
 fn crashed_quorum_minus_one_still_serves() {
     // Crash exactly t servers in every protocol; everything still works.
     let fast_cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-    let mut c: Cluster<FastCrash> = Cluster::new(fast_cfg, 2);
+    let mut c: Cluster<FastCrash> = ClusterBuilder::new(fast_cfg).seed(2).build_typed().unwrap();
     c.world.crash(c.layout.server(2));
     c.write_sync(5);
     assert_eq!(c.read(0), RegValue::Val(5));
 
     let maj_cfg = ClusterConfig::crash_stop(5, 2, 2).unwrap();
-    let mut c: Cluster<Abd> = Cluster::new(maj_cfg, 2);
+    let mut c: Cluster<Abd> = ClusterBuilder::new(maj_cfg).seed(2).build_typed().unwrap();
     c.world.crash(c.layout.server(0));
     c.world.crash(c.layout.server(1));
     c.write_sync(5);
@@ -105,7 +105,7 @@ fn partitioned_minority_does_not_block_fast_register() {
     // Partition t = 1 server away from everyone; the register keeps
     // serving. Heal; the straggler catches up via in-transit messages.
     let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-    let mut c: Cluster<FastCrash> = Cluster::new(cfg, 11);
+    let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(11).build_typed().unwrap();
     let isolated = c.layout.server(4);
     let everyone: Vec<_> = c.world.actor_ids().filter(|&p| p != isolated).collect();
     c.world.partition(&[isolated], &everyone);
@@ -134,7 +134,7 @@ fn partition_of_more_than_t_servers_stalls_but_stays_safe() {
     // needs S − t responsive servers), but nothing unsafe happens, and
     // healing lets the pending operations finish.
     let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-    let mut c: Cluster<FastCrash> = Cluster::new(cfg, 12);
+    let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(12).build_typed().unwrap();
     let cut: Vec<_> = vec![c.layout.server(3), c.layout.server(4)];
     let rest: Vec<_> = c.world.actor_ids().filter(|p| !cut.contains(p)).collect();
     c.world.partition(&cut, &rest);

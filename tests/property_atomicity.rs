@@ -115,7 +115,7 @@ proptest! {
         seed in 0u64..1_000,
         steps in proptest::collection::vec(step_strategy(), 1..40),
     ) {
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, seed);
+        let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(seed).build_typed().unwrap();
         apply_steps(&mut c, &steps);
         let history = c.snapshot();
         prop_assert!(
@@ -134,7 +134,7 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(), 1..20),
     ) {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
-        let mut c: Cluster<FastCrash> = Cluster::new(cfg, seed);
+        let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(seed).build_typed().unwrap();
         apply_steps(&mut c, &steps);
         let history = c.snapshot();
         if history.len() < 16 {
@@ -177,15 +177,14 @@ proptest! {
         };
         let mut c: Cluster<FastByz> = ClusterBuilder::new(cfg)
             .sim(SimConfig::default().with_seed(seed))
-            .typed()
-            .server_factory(|cc, l, index, ctx| {
+            .build_typed_with(|cc, l, index, ctx| {
                 if index == 3 {
                     make(behaviour, cc, l, ctx)
                 } else {
                     FastByz::server(cc, l, index, ctx)
                 }
             })
-            .build();
+            .unwrap();
         c.write_sync(1);
         c.read_async(0);
         c.world.run_random_until_quiescent();

@@ -5,39 +5,55 @@
 //! This is the suite that keeps the registry honest: adding a protocol
 //! means registering it, and registering it means passing conformance.
 
+use fastreg_suite::fastreg_workload::driver::{run_closed_loop, WorkloadSpec};
 use fastreg_suite::prelude::*;
 
 /// Sequential write/read/settle round trips through `dyn RegisterOps`,
-/// on each protocol's canonical feasible configuration. Sequential
-/// histories must be atomic for *every* contract — even the §8 regular
-/// register and the §7 counterexample only diverge under concurrency.
+/// on each protocol's canonical feasible configuration, built through the
+/// one constructor on both runtimes. Sequential histories must be atomic
+/// for *every* contract — even the §8 regular register and the §7
+/// counterexample only diverge under concurrency.
 #[test]
 fn every_registered_protocol_round_trips_through_dyn_register_ops() {
-    for entry in Registry::all() {
-        let id = entry.id;
+    let threads = Runtime::Threads {
+        workers: 2,
+        affinity: Affinity::None,
+    };
+    for (id, runtime) in ProtocolId::ALL
+        .into_iter()
+        .flat_map(|id| [(id, Runtime::Simnet), (id, threads)])
+    {
         let cfg = id.sample_config();
         assert!(id.feasible(&cfg), "{id}: sample config must be feasible");
 
         let mut cluster = ClusterBuilder::new(cfg)
             .seed(7)
+            .runtime(runtime)
             .build(id)
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
+            .unwrap_or_else(|e| panic!("{id} on {runtime}: {e}"));
+        assert_eq!(cluster.id(), id);
+        assert_eq!(cluster.sim_control().is_some(), runtime == Runtime::Simnet);
         let ops: &mut dyn RegisterOps = &mut cluster;
 
         assert_eq!(ops.read(0), RegValue::Bottom, "{id}: fresh register is ⊥");
         ops.write_sync(11);
-        assert_eq!(ops.read(0), RegValue::Val(11), "{id}");
+        assert_eq!(ops.read(0), RegValue::Val(11), "{id} on {runtime}");
         ops.write_sync(22);
         for i in 0..cfg.r {
-            assert_eq!(ops.read(i), RegValue::Val(22), "{id}: reader {i}");
+            assert_eq!(
+                ops.read(i),
+                RegValue::Val(22),
+                "{id} on {runtime}: reader {i}"
+            );
         }
         ops.settle();
 
         if cfg.w == 1 {
-            ops.check_atomic()
-                .unwrap_or_else(|v| panic!("{id}: sequential history not atomic: {v}"));
+            ops.check_atomic().unwrap_or_else(|v| {
+                panic!("{id} on {runtime}: sequential history not atomic: {v}")
+            });
         } else {
-            assert_eq!(ops.check_linearizable(), Ok(true), "{id}");
+            assert_eq!(ops.check_linearizable(), Ok(true), "{id} on {runtime}");
         }
     }
 }
@@ -129,8 +145,7 @@ fn swmr_protocols_agree_on_sequential_results() {
         RegValue::Val(11),
         RegValue::Val(33),
     ];
-    for entry in Registry::all() {
-        let id = entry.id;
+    for id in ProtocolId::ALL {
         let cfg = id.sample_config();
         if cfg.w != 1 {
             continue; // MWMR deployments are covered by the round-trip test.
@@ -165,11 +180,54 @@ fn build_unchecked_and_from_cluster_cover_the_escape_hatches() {
 
     // Erasing a statically built cluster preserves behaviour and identity.
     let feasible = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-    let typed: Cluster<FastCrash> = ClusterBuilder::new(feasible).seed(3).typed().build();
+    let typed: Cluster<FastCrash> = ClusterBuilder::new(feasible).seed(3).build_typed().unwrap();
     let mut erased = DynCluster::from_cluster(ProtocolId::FastCrash, typed);
     assert_eq!(erased.id(), ProtocolId::FastCrash);
     assert_eq!(erased.name(), "fast-crash");
     erased.write_sync(9);
     assert_eq!(erased.read(1), RegValue::Val(9));
     erased.check_atomic().unwrap();
+}
+
+/// `(messages_sent, duration_ticks, trace_fingerprint)` of a 64-op closed
+/// loop at seed `0xD5` on each protocol's sample configuration, captured
+/// at the commit before cluster construction was folded into one path.
+/// Construction refactors must leave every row unchanged; naming each
+/// variant here is also the registry's conformance appearance (lint D5).
+const DETERMINISM_PINS: [(ProtocolId, u64, u64, u64); 8] = [
+    (ProtocolId::FastCrash, 640, 45, 0x3a13_20ad_63b7_4ee8),
+    (ProtocolId::FastByz, 768, 69, 0x7c88_3e5f_8934_f00a),
+    (ProtocolId::Abd, 980, 69, 0x51fa_a957_7ae3_b55c),
+    (ProtocolId::MaxMin, 1400, 59, 0xa4e0_5698_b589_1c83),
+    (ProtocolId::FastRegular, 640, 29, 0x8437_682e_848e_a221),
+    (ProtocolId::SwsrFast, 640, 69, 0xa5c1_a91a_f021_3095),
+    (ProtocolId::MwmrAbd, 768, 91, 0x226a_3262_1799_c2a4),
+    (ProtocolId::MwmrNaiveFast, 384, 50, 0xf2bb_737a_382b_6752),
+];
+
+#[test]
+fn fixed_seed_runs_are_pinned_for_every_protocol() {
+    assert_eq!(DETERMINISM_PINS.map(|pin| pin.0), ProtocolId::ALL);
+    for (id, messages_sent, duration_ticks, fingerprint) in DETERMINISM_PINS {
+        let mut c = ClusterBuilder::new(id.sample_config())
+            .seed(0xD5)
+            .build(id)
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        let spec = WorkloadSpec {
+            n_ops: 64,
+            seed: 0xD5,
+            ..WorkloadSpec::default()
+        };
+        let report = run_closed_loop(&mut c, &spec).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let sim = c.sim_control_ref().expect("simnet is the default runtime");
+        assert_eq!(
+            (
+                report.messages_sent,
+                report.duration_ticks,
+                sim.trace_fingerprint()
+            ),
+            (messages_sent, duration_ticks, fingerprint),
+            "{id}"
+        );
+    }
 }

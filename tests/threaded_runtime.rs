@@ -1,63 +1,26 @@
 //! Integration: the same protocol automata over the wall-clock threaded
-//! runtime produce atomic histories, just like under simulation.
+//! runtime produce atomic histories, just like under simulation. One
+//! worker per actor — the most concurrent shape the runtime has.
 
-use fastreg_suite::fastreg::harness::ProtocolFamily;
-use fastreg_suite::fastreg::layout::Layout;
-use fastreg_suite::fastreg_atomicity::history::SharedHistory;
-use fastreg_suite::fastreg_simnet::automaton::Automaton;
-use fastreg_suite::fastreg_simnet::threaded::ThreadedNet;
+use fastreg_suite::fastreg::threads::RtConfig;
 use fastreg_suite::prelude::*;
 
-fn automata<P: ProtocolFamily>(
-    cfg: ClusterConfig,
-    history: &SharedHistory,
-) -> Vec<Box<dyn Automaton<Msg = P::Msg>>> {
-    let layout = Layout::of(&cfg);
-    let mut ctx = P::make_ctx(&cfg, 7);
-    let mut v: Vec<Box<dyn Automaton<Msg = P::Msg>>> = Vec::new();
-    for i in 0..cfg.w {
-        v.push(P::writer(&cfg, layout, i, history.clone(), &mut ctx));
-    }
-    for i in 0..cfg.r {
-        v.push(P::reader(&cfg, layout, i, history.clone(), &mut ctx));
-    }
-    for j in 0..cfg.s {
-        v.push(P::server(&cfg, layout, j, &mut ctx));
-    }
-    v
+fn thread_per_actor<P: ProtocolFamily>(cfg: ClusterConfig) -> ThreadCluster<P> {
+    let actors = (cfg.w + cfg.r + cfg.s) as usize;
+    let cluster = ThreadCluster::spawn(cfg, 7, RtConfig::new(actors));
+    assert_eq!(cluster.workers(), actors);
+    cluster
 }
 
-#[allow(clippy::disallowed_methods)]
-fn wait_for(history: &SharedHistory, n: usize) {
-    // fastreg-lint: allow(wall-clock): test-harness timeout on a real-threads run; no simulated clock exists here
-    let start = std::time::Instant::now();
-    while history.completed_count() < n {
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(30),
-            "timed out waiting for {n} completions"
-        );
-        std::thread::yield_now();
-    }
-}
-
-fn run_over_threads<P: ProtocolFamily>(cfg: ClusterConfig) -> fastreg_suite::prelude::History {
-    let history = SharedHistory::new();
-    let net = ThreadedNet::spawn(automata::<P>(cfg, &history));
-    let layout = Layout::of(&cfg);
-
-    let mut completed = 0usize;
+fn run_over_threads<P: ProtocolFamily>(cfg: ClusterConfig) -> History {
+    let mut c = thread_per_actor::<P>(cfg);
     for round in 1..=5u64 {
-        net.inject(layout.writer(0), P::invoke_write(round * 10));
-        completed += 1;
-        wait_for(&history, completed);
+        c.write_sync(round * 10);
         for i in 0..cfg.r {
-            net.inject(layout.reader(i), P::invoke_read());
-            completed += 1;
-            wait_for(&history, completed);
+            c.read(i);
         }
     }
-    net.shutdown();
-    history.snapshot()
+    c.snapshot()
 }
 
 #[test]
@@ -89,17 +52,14 @@ fn abd_is_atomic_over_real_threads() {
 fn concurrent_injections_over_threads_stay_atomic() {
     // Fire reads while a write is in flight — real racy interleavings.
     let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-    let history = SharedHistory::new();
-    let net = ThreadedNet::spawn(automata::<FastCrash>(cfg, &history));
-    let layout = Layout::of(&cfg);
+    let mut c = thread_per_actor::<FastCrash>(cfg);
     for round in 1..=10u64 {
-        net.inject(layout.writer(0), FastCrash::invoke_write(round));
-        net.inject(layout.reader(0), FastCrash::invoke_read());
-        net.inject(layout.reader(1), FastCrash::invoke_read());
-        wait_for(&history, (round * 3) as usize);
+        c.write(round);
+        c.read_async(0);
+        c.read_async(1);
+        c.settle();
     }
-    net.shutdown();
-    let h = history.snapshot();
+    let h = c.snapshot();
     assert_eq!(h.complete_ops().count(), 30);
     check_swmr_atomicity(&h).unwrap_or_else(|e| panic!("{e}\n{}", h.render()));
 }

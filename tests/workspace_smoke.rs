@@ -25,7 +25,7 @@ fn bound_is_tight_at_the_doc_example_config() {
 #[test]
 fn prelude_protocol_and_checker_round_trip() {
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
-    let mut cluster: Cluster<FastCrash> = Cluster::new(cfg, 42);
+    let mut cluster: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(42).build_typed().unwrap();
     cluster.write(7);
     cluster.settle();
     assert_eq!(cluster.read(0), RegValue::Val(7));
@@ -34,12 +34,12 @@ fn prelude_protocol_and_checker_round_trip() {
     assert_eq!(check_linearizable(&history), Ok(true));
 }
 
-/// The registry surface — `ProtocolId`, `Registry`, `ClusterBuilder`,
+/// The registry surface — `ProtocolId`, `ClusterBuilder`,
 /// `DynCluster`, `RegisterOps`, `BuildError` — is re-exported by the
 /// prelude and usable end to end: build by id, drive through the trait.
 #[test]
 fn prelude_registry_and_builder_round_trip() {
-    assert_eq!(Registry::all().len(), ProtocolId::ALL.len());
+    assert_eq!(ProtocolId::ALL.len(), 8);
     let id: ProtocolId = "fast-crash".parse().expect("registered");
     assert_eq!(id.contract(), Contract::Atomic);
 
@@ -58,9 +58,8 @@ fn prelude_registry_and_builder_round_trip() {
     let err: BuildError = ClusterBuilder::new(beyond).build(id).unwrap_err();
     assert!(err.to_string().contains("fast-crash"));
 
-    // The typed path is re-exported as well.
-    let typed: TypedClusterBuilder<FastCrash> = ClusterBuilder::new(cfg).typed();
-    let mut c = typed.build();
+    // The typed terminal is reachable through the prelude as well.
+    let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).build_typed().expect("simnet");
     c.write_sync(1);
     assert_eq!(c.read(0), RegValue::Val(1));
 }
