@@ -18,9 +18,8 @@ use rand::{Rng, SeedableRng};
 use fastreg::config::ClusterConfig;
 use fastreg::harness::{ClusterBuilder, RegisterOps, SimControl};
 use fastreg::protocols::registry::{Contract, ProtocolId};
-use fastreg_atomicity::history::HistoryEvent;
-use fastreg_atomicity::streaming::{StreamingChecker, StreamingLinChecker};
-use fastreg_atomicity::verdict::{Verdict, ViolationKind};
+use fastreg_atomicity::streaming::OnlineChecker;
+use fastreg_atomicity::verdict::Verdict;
 use fastreg_simnet::fault::{FaultEvent, FaultKind, FaultScript};
 
 /// The fault-schedule family a cell draws from — one axis of the
@@ -133,44 +132,6 @@ pub struct CellOutcome {
     pub signals: RunSignals,
 }
 
-/// The streaming tripwire an early-exit run feeds as operations settle:
-/// the same contract dispatch as [`Cell::contract`]'s verdict, but
-/// online, so a doomed schedule is abandoned the moment a violation is
-/// proven.
-enum Tripwire {
-    // Boxed: the SWMR checker is an order of magnitude larger than the
-    // lin checker, and one tripwire lives per early-exit cell run.
-    Swmr(Box<StreamingChecker>),
-    Lin(StreamingLinChecker),
-}
-
-impl Tripwire {
-    fn for_contract(contract: Contract, w: u32) -> Tripwire {
-        match contract {
-            Contract::Atomic if w <= 1 => Tripwire::Swmr(Box::new(StreamingChecker::new_atomic())),
-            Contract::Regular => Tripwire::Swmr(Box::new(StreamingChecker::new_regular())),
-            Contract::Atomic | Contract::Unsound => Tripwire::Lin(StreamingLinChecker::new()),
-        }
-    }
-
-    fn on_events(&mut self, events: &[HistoryEvent]) {
-        match self {
-            Tripwire::Swmr(c) => c.on_events(events),
-            Tripwire::Lin(c) => c.on_events(events),
-        }
-    }
-
-    /// The violation proven so far, if any — `CheckerLimit` is the
-    /// oracle giving up, not a proof, so it never trips the wire.
-    fn proven(&self) -> Option<ViolationKind> {
-        let kind = match self {
-            Tripwire::Swmr(c) => c.violation(),
-            Tripwire::Lin(c) => c.violation(),
-        }?;
-        (kind != ViolationKind::CheckerLimit).then_some(kind)
-    }
-}
-
 /// SplitMix64 — the per-cell seed derivation (and the only hash this
 /// module needs).
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
@@ -181,15 +142,9 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl Cell {
-    /// The contract this cell's history is checked against (the
-    /// protocol's declared contract).
-    pub fn contract(&self) -> Contract {
-        self.protocol.contract()
-    }
-
     /// Whether a violation in this cell is a bug or the sought prize.
     pub fn expectation(&self) -> CellExpectation {
-        if self.protocol.feasible(&self.cfg) && self.contract() != Contract::Unsound {
+        if self.protocol.feasible(&self.cfg) && self.protocol.contract() != Contract::Unsound {
             CellExpectation::Clean
         } else {
             CellExpectation::MayViolate
@@ -298,12 +253,10 @@ impl Cell {
         self.run_with(&self.generate_faults())
     }
 
-    /// Runs the cell like [`Cell::run`], but feeds a streaming checker
-    /// as operations settle and abandons the schedule at the first
-    /// *proven* violation (first-violation mode). A clean run is
-    /// byte-identical to [`Cell::run`]'s — journaling does not perturb
-    /// the schedule — while a violating run returns as soon as the
-    /// violation is provable, with
+    /// Runs the cell like [`Cell::run`], but abandons the schedule at
+    /// the first *proven* violation (first-violation mode). A clean run
+    /// is byte-identical to [`Cell::run`]'s, while a violating run
+    /// returns as soon as the violation is provable, with
     /// [`early_exited`](CellOutcome::early_exited) set.
     pub fn run_early_exit(&self) -> CellOutcome {
         self.run_with_early_exit(&self.generate_faults())
@@ -343,11 +296,15 @@ impl Cell {
         let mut next_value = 1u64;
         let mut issued = 0u64;
         let mut writer_armed = false;
-        let mut tripwire = if early_exit {
-            cluster.start_history_journal();
-            Some(Tripwire::for_contract(self.contract(), self.cfg.w))
-        } else {
-            None
+        // Every run journals its history into the one online checker as
+        // operations settle; `early_exit` only decides whether a proven
+        // violation ends the schedule.
+        cluster.start_history_journal();
+        let mut checker = OnlineChecker::new(cluster.contract().spec(self.cfg.w));
+        let mut poll = |cluster: &mut dyn SimControl, issued: u64| {
+            checker.on_events(&cluster.drain_history_events());
+            let kind = checker.proven().filter(|_| early_exit)?;
+            Some(outcome(cluster, Verdict::Violation(kind), issued, true))
         };
 
         // --- Phase 1: interleave ops, faults and deliveries. ------------
@@ -416,14 +373,14 @@ impl Cell {
             if rng.gen_bool(0.5) {
                 cluster.step_random();
             }
-            if let Some(out) = poll_tripwire(&mut *cluster, &mut tripwire, issued) {
+            if let Some(out) = poll(&mut *cluster, issued) {
                 return out;
             }
         }
 
         // --- Phase 2: drain everything deliverable. ---------------------
         cluster.run_random_until_quiescent();
-        if let Some(out) = poll_tripwire(&mut *cluster, &mut tripwire, issued) {
+        if let Some(out) = poll(&mut *cluster, issued) {
             return out;
         }
 
@@ -435,7 +392,7 @@ impl Cell {
                 cluster.read_async(i);
                 cluster.run_random_until_quiescent();
             }
-            if let Some(out) = poll_tripwire(&mut *cluster, &mut tripwire, issued) {
+            if let Some(out) = poll(&mut *cluster, issued) {
                 return out;
             }
         }
@@ -446,48 +403,29 @@ impl Cell {
         }
         cluster.run_random_until_quiescent();
 
-        let verdict = cluster.contract_verdict(self.contract());
-        CellOutcome {
-            verdict,
-            fingerprint: cluster.trace_fingerprint(),
-            ops_issued: issued,
-            early_exited: false,
-            history: match verdict {
-                Verdict::Clean => None,
-                Verdict::Violation(_) => Some(cluster.snapshot().render()),
-            },
-            signals: harvest_signals(&*cluster),
-        }
+        checker.on_events(&cluster.drain_history_events());
+        outcome(&*cluster, checker.verdict(), issued, false)
     }
 }
 
-/// Harvests the run's coverage signals from the finished (or abandoned)
-/// world.
-fn harvest_signals(cluster: &dyn SimControl) -> RunSignals {
-    RunSignals {
-        reorder_depth: cluster.max_reorder_depth(),
-        witness_levels: cluster.witness_levels(),
-    }
-}
-
-/// Feeds the tripwire everything journaled since the last poll; a
-/// proven violation becomes the early-exit outcome.
-fn poll_tripwire(
-    cluster: &mut dyn SimControl,
-    tripwire: &mut Option<Tripwire>,
-    issued: u64,
-) -> Option<CellOutcome> {
-    let t = tripwire.as_mut()?;
-    t.on_events(&cluster.drain_history_events());
-    let kind = t.proven()?;
-    Some(CellOutcome {
-        verdict: Verdict::Violation(kind),
+/// Harvests a run's outcome from the finished (or abandoned) world.
+fn outcome(
+    cluster: &dyn SimControl,
+    verdict: Verdict,
+    ops_issued: u64,
+    early_exited: bool,
+) -> CellOutcome {
+    CellOutcome {
+        verdict,
         fingerprint: cluster.trace_fingerprint(),
-        ops_issued: issued,
-        early_exited: true,
-        history: Some(cluster.snapshot().render()),
-        signals: harvest_signals(cluster),
-    })
+        ops_issued,
+        early_exited,
+        history: (!verdict.is_clean()).then(|| cluster.snapshot().render()),
+        signals: RunSignals {
+            reorder_depth: cluster.max_reorder_depth(),
+            witness_levels: cluster.witness_levels(),
+        },
+    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,13 @@
 //!   fast regular registers with fast atomic ones).
 //! * [`verdict`] — checker outcomes as stable serializable codes, the
 //!   form schedule-exploration counterexample files store and compare.
-//! * [`streaming`] — incremental (bounded-memory, online) and parallel
-//!   (epoch-partitioned) forms of the same checks, emitting identical
-//!   verdict codes.
+//! * [`streaming`] — the one online verdict path: an
+//!   [`OnlineChecker`] built from a [`Spec`] grades an event stream in
+//!   bounded memory and emits the same verdict codes.
+//!
+//! The three batch checkers are the oracle — the only source of typed
+//! witnesses, and the reference the online path is pinned equal to; every
+//! production verdict comes from [`OnlineChecker`].
 //!
 //! ## Example
 //!
@@ -53,10 +57,6 @@ pub mod verdict;
 pub use history::{History, HistoryEvent, OpId, OpKind, Operation, RegValue, SharedHistory};
 pub use linearizability::{check_linearizable, LinCheckError};
 pub use regularity::check_swmr_regularity;
-pub use streaming::{
-    check_swmr_atomicity_parallel, check_swmr_regularity_parallel, replay_events,
-    stream_lin_verdict, stream_regularity_verdict, stream_swmr_verdict, StreamingChecker,
-    StreamingLinChecker,
-};
+pub use streaming::{replay_events, OnlineChecker, Spec, StreamingChecker, StreamingLinChecker};
 pub use swmr::{check_swmr_atomicity, AtomicityViolation};
 pub use verdict::{UnknownVerdict, Verdict, ViolationKind};

@@ -2,10 +2,10 @@
 //!
 //! The batch oracle ([`check_linearizable`](crate::linearizability))
 //! explores one 64-bit mask over the whole history. The streaming form
-//! exploits the same precedence-closed epochs as
-//! [`epochs`](crate::streaming::epochs): once every buffered operation has
-//! responded and a new invocation starts strictly after the latest
-//! response, the buffered prefix is an epoch no later operation overlaps.
+//! cuts the event stream into precedence-closed *epochs*: once every
+//! buffered operation has responded and a new invocation starts strictly
+//! after the latest response, the buffered prefix is an epoch no later
+//! operation overlaps.
 //! The checker then computes the *set of register values* the epoch can
 //! end on (seeded from the values the previous epochs could end on),
 //! drops the buffer, and carries only that value set forward — memory is
@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::history::{History, HistoryEvent, OpKind, RegValue, Tick};
+use crate::history::{HistoryEvent, OpKind, RegValue, Tick};
 use crate::verdict::{Verdict, ViolationKind};
 
 /// A buffered operation, as reconstructed from events.
@@ -53,7 +53,7 @@ impl LiteOp {
 ///
 /// ```
 /// use fastreg_atomicity::history::{History, RegValue};
-/// use fastreg_atomicity::streaming::lin::stream_lin_verdict;
+/// use fastreg_atomicity::streaming::{replay_events, StreamingLinChecker};
 /// use fastreg_atomicity::verdict::Verdict;
 ///
 /// let mut h = History::new();
@@ -61,12 +61,14 @@ impl LiteOp {
 /// h.respond(w, None, 1);
 /// let r = h.invoke_read(1, 2);
 /// h.respond(r, Some(RegValue::Val(1)), 3);
-/// assert_eq!(stream_lin_verdict(&h), Verdict::Clean);
+///
+/// let mut c = StreamingLinChecker::new();
+/// c.on_events(&replay_events(&h));
+/// assert_eq!(c.verdict(), Verdict::Clean);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamingLinChecker {
     last_tick: Tick,
-    ops_seen: usize,
     /// Ops of the still-open epoch, keyed by record id.
     buffer: BTreeMap<usize, LiteOp>,
     /// Buffered ops that have not responded yet.
@@ -94,7 +96,6 @@ impl StreamingLinChecker {
         in_set.insert(RegValue::Bottom);
         StreamingLinChecker {
             last_tick: 0,
-            ops_seen: 0,
             buffer: BTreeMap::new(),
             open: 0,
             max_resp: 0,
@@ -104,14 +105,7 @@ impl StreamingLinChecker {
         }
     }
 
-    /// Feeds one event (same contract as
-    /// [`StreamingChecker::on_event`](crate::streaming::online::StreamingChecker::on_event)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on tick-order regressions and on responses for operations
-    /// never fed.
-    pub fn on_event(&mut self, event: &HistoryEvent) {
+    fn on_event(&mut self, event: &HistoryEvent) {
         let at = match event {
             HistoryEvent::Invoked { at, .. } | HistoryEvent::Responded { at, .. } => *at,
         };
@@ -123,7 +117,6 @@ impl StreamingLinChecker {
         self.last_tick = at;
         match *event {
             HistoryEvent::Invoked { id, kind, at, .. } => {
-                self.ops_seen += 1;
                 if self.terminal.is_some() {
                     return;
                 }
@@ -169,7 +162,13 @@ impl StreamingLinChecker {
         }
     }
 
-    /// Feeds a batch of events.
+    /// Feeds a batch of events (same contract as
+    /// [`StreamingChecker::on_events`](crate::streaming::online::StreamingChecker::on_events)).
+    ///
+    /// # Panics
+    ///
+    /// Panics on tick-order regressions and on responses for operations
+    /// never fed.
     pub fn on_events(&mut self, events: &[HistoryEvent]) {
         for e in events {
             self.on_event(e);
@@ -199,11 +198,6 @@ impl StreamingLinChecker {
     /// has reached.
     pub fn high_water_mark(&self) -> usize {
         self.hwm
-    }
-
-    /// Total invocations fed so far.
-    pub fn ops_seen(&self) -> usize {
-        self.ops_seen
     }
 
     /// The outcome proven so far, if any (sticky): the early-exit signal.
@@ -331,21 +325,16 @@ fn search<T>(
     }
 }
 
-/// Checks linearizability by streaming a recorded history — same verdict
-/// code as lifting
-/// [`check_linearizable`](crate::linearizability::check_linearizable) for
-/// histories the batch oracle can hold, exact epoch-wise verdicts beyond
-/// that.
-pub fn stream_lin_verdict(history: &History) -> Verdict {
-    let mut c = StreamingLinChecker::new();
-    c.on_events(&crate::streaming::online::replay_events(history));
-    c.verdict()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::History;
     use crate::linearizability::check_linearizable;
+    use crate::streaming::{OnlineChecker, Spec};
+
+    fn online_lin(h: &History) -> Verdict {
+        OnlineChecker::check(Spec::Linearizable, h)
+    }
 
     fn batch(h: &History) -> Verdict {
         Verdict::from_linearizable(&check_linearizable(h))
@@ -363,7 +352,7 @@ mod tests {
 
     #[test]
     fn empty_is_clean() {
-        assert_eq!(stream_lin_verdict(&History::new()), Verdict::Clean);
+        assert_eq!(online_lin(&History::new()), Verdict::Clean);
     }
 
     #[test]
@@ -375,16 +364,16 @@ mod tests {
         h.respond(w1, None, 10);
         h.respond(w2, None, 10);
         r(&mut h, 2, RegValue::Val(1), 11, 12);
-        assert_eq!(stream_lin_verdict(&h), batch(&h));
-        assert_eq!(stream_lin_verdict(&h), Verdict::Clean);
+        assert_eq!(online_lin(&h), batch(&h));
+        assert_eq!(online_lin(&h), Verdict::Clean);
 
         // Stale read.
         let mut h = History::new();
         w(&mut h, 0, 1, 0, 1);
         r(&mut h, 1, RegValue::Bottom, 2, 3);
-        assert_eq!(stream_lin_verdict(&h), batch(&h));
+        assert_eq!(online_lin(&h), batch(&h));
         assert_eq!(
-            stream_lin_verdict(&h),
+            online_lin(&h),
             Verdict::Violation(ViolationKind::NotLinearizable)
         );
 
@@ -393,7 +382,7 @@ mod tests {
         h.invoke_write(0, 1, 0);
         r(&mut h, 1, RegValue::Val(1), 2, 4);
         r(&mut h, 2, RegValue::Bottom, 5, 7);
-        assert_eq!(stream_lin_verdict(&h), batch(&h));
+        assert_eq!(online_lin(&h), batch(&h));
     }
 
     #[test]
@@ -406,9 +395,9 @@ mod tests {
         w(&mut h, 0, 5, 0, 3);
         r(&mut h, 1, RegValue::Bottom, 1, 2); // fine: concurrent with the write
         r(&mut h, 2, RegValue::Bottom, 10, 11); // stale: epoch 1 ended at 5
-        assert_eq!(stream_lin_verdict(&h), batch(&h));
+        assert_eq!(online_lin(&h), batch(&h));
         assert_eq!(
-            stream_lin_verdict(&h),
+            online_lin(&h),
             Verdict::Violation(ViolationKind::NotLinearizable)
         );
     }
@@ -421,8 +410,8 @@ mod tests {
         let mut h = History::new();
         h.invoke_write(0, 5, 0); // never completes
         r(&mut h, 1, RegValue::Val(5), 10, 11);
-        assert_eq!(stream_lin_verdict(&h), batch(&h));
-        assert_eq!(stream_lin_verdict(&h), Verdict::Clean);
+        assert_eq!(online_lin(&h), batch(&h));
+        assert_eq!(online_lin(&h), Verdict::Clean);
     }
 
     #[test]
@@ -442,12 +431,12 @@ mod tests {
             Verdict::Violation(ViolationKind::CheckerLimit),
             "precondition: batch oracle must be over budget"
         );
-        assert_eq!(stream_lin_verdict(&h), Verdict::Clean);
+        assert_eq!(online_lin(&h), Verdict::Clean);
 
         // And a violation deep in the tail is still found.
         r(&mut h, 3, RegValue::Val(7), t, t + 1);
         assert_eq!(
-            stream_lin_verdict(&h),
+            online_lin(&h),
             Verdict::Violation(ViolationKind::NotLinearizable)
         );
     }
@@ -464,7 +453,6 @@ mod tests {
         }
         c.on_events(&crate::streaming::online::replay_events(&h));
         assert_eq!(c.verdict(), Verdict::Clean);
-        assert_eq!(c.ops_seen(), 400);
         assert!(
             c.high_water_mark() <= 4,
             "epoch buffer grew: hwm = {}",
@@ -480,9 +468,9 @@ mod tests {
         for id in ids {
             h.respond(id, None, 100);
         }
-        assert_eq!(stream_lin_verdict(&h), batch(&h));
+        assert_eq!(online_lin(&h), batch(&h));
         assert_eq!(
-            stream_lin_verdict(&h),
+            online_lin(&h),
             Verdict::Violation(ViolationKind::CheckerLimit)
         );
         // The terminal outcome is sticky and early-exitable.

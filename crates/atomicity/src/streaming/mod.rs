@@ -1,34 +1,155 @@
-//! Streaming, parallel consistency checking.
+//! The online verdict path: one checker, fed events, bounded memory.
 //!
 //! The batch checkers ([`swmr`](crate::swmr),
 //! [`regularity`](crate::regularity),
 //! [`linearizability`](crate::linearizability)) consume a complete
-//! [`History`](crate::history::History); at millions of operations the
-//! check dominates wall time and the history dominates memory. This module
-//! provides the same verdicts in two cheaper shapes:
+//! [`History`] and return typed witnesses; they are the *oracle*. Every
+//! production verdict — the workload driver's, the store's per-key
+//! check, the explorer's — comes from the one [`OnlineChecker`] here,
+//! which accepts [`HistoryEvent`]s as they happen, keeps only the
+//! *frontier* resident, and answers with the same stable [`Verdict`]
+//! codes (pinned equal to the oracle by the 256-case
+//! `tests/streaming_equivalence.rs` suite).
 //!
-//! * [`online`] — an incremental checker ([`StreamingChecker`]) that
-//!   accepts [`HistoryEvent`](crate::history::HistoryEvent)s as they
-//!   happen, keeps only the *frontier* (pending operations plus the
-//!   undominated settled suffix) resident, and answers with the same
-//!   stable [`Verdict`](crate::verdict::Verdict) codes as the batch path.
-//!   [`StreamingLinChecker`] is the linearizability (W>1) counterpart.
-//! * [`epochs`] — intra-history parallelism for complete histories: the
-//!   operation stream is partitioned into precedence-closed epochs and the
-//!   epochs are checked across
-//!   [`map_ordered`](fastreg_simnet::threaded::map_ordered) workers, with
-//!   verdicts independent of the worker count.
+//! An [`OnlineChecker`] is built from a [`Spec`] — the consistency
+//! condition to grade against — and wraps one of two engines:
 //!
-//! Streaming vs batch: use the batch checkers when you need the *typed*
-//! violation payload (operation ids, indices) for a failure report; use
-//! streaming when the history is large, when you want the verdict to be
-//! ready the moment the run ends, or when you want to abandon a doomed run
-//! at the first proven violation. Both emit identical verdict codes.
+//! * [`online`] — [`StreamingChecker`], the incremental SWMR checker
+//!   (§3.1 atomicity or §8 regularity): pending operations plus the
+//!   undominated settled suffix stay resident, everything behind the
+//!   frontier is pruned.
+//! * [`lin`] — [`StreamingLinChecker`], linearizability for any number
+//!   of writers (§7). This is where the *precedence-closed cut* lives:
+//!   whenever every buffered operation has responded strictly before the
+//!   next invocation, the buffer is an epoch no later operation overlaps;
+//!   it is searched once, reduced to the set of values it can end on, and
+//!   dropped.
+//!
+//! Use the batch checkers when a failure report needs the typed payload
+//! (operation ids, indices); use [`OnlineChecker`] for the verdict.
 
-pub mod epochs;
 pub mod lin;
 pub mod online;
 
-pub use epochs::{check_swmr_atomicity_parallel, check_swmr_regularity_parallel};
-pub use lin::{stream_lin_verdict, StreamingLinChecker};
-pub use online::{replay_events, stream_regularity_verdict, stream_swmr_verdict, StreamingChecker};
+pub use lin::StreamingLinChecker;
+pub use online::{replay_events, StreamingChecker};
+
+use crate::history::{History, HistoryEvent};
+use crate::verdict::{Verdict, ViolationKind};
+
+/// The consistency condition an [`OnlineChecker`] grades a history
+/// against — each defined once in the paper, each checked by one engine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Spec {
+    /// The four conditions of §3.1 (single writer).
+    SwmrAtomic,
+    /// Lamport regularity, §8 (single writer).
+    SwmrRegular,
+    /// Linearizability of a read/write register, §7 (any writers).
+    Linearizable,
+}
+
+/// The online checker: history events in, stable [`Verdict`] out.
+///
+/// Feed events in nondecreasing tick order — live from
+/// [`History::drain_journal`], or a recorded history through
+/// [`replay_events`] — and read the [`verdict`](OnlineChecker::verdict)
+/// at any point; it treats the events so far as the complete history and
+/// carries the code the batch checker for the same [`Spec`] would emit.
+///
+/// # Examples
+///
+/// ```
+/// use fastreg_atomicity::history::{History, RegValue};
+/// use fastreg_atomicity::streaming::{OnlineChecker, Spec};
+/// use fastreg_atomicity::verdict::{Verdict, ViolationKind};
+///
+/// // A new/old inversion across an incomplete write (the paper's prC).
+/// let mut h = History::new();
+/// h.invoke_write(0, 1, 0);
+/// let r1 = h.invoke_read(1, 2);
+/// h.respond(r1, Some(RegValue::Val(1)), 4);
+/// let r2 = h.invoke_read(2, 5);
+/// h.respond(r2, Some(RegValue::Bottom), 7);
+///
+/// let inversion = Verdict::Violation(ViolationKind::NewOldInversion);
+/// assert_eq!(OnlineChecker::check(Spec::SwmrAtomic, &h), inversion);
+/// // ...which regularity allows: both reads overlap the open write.
+/// assert_eq!(OnlineChecker::check(Spec::SwmrRegular, &h), Verdict::Clean);
+/// assert!(!OnlineChecker::check(Spec::Linearizable, &h).is_clean());
+/// ```
+#[derive(Clone, Debug)]
+pub struct OnlineChecker(Engine);
+
+#[derive(Clone, Debug)]
+enum Engine {
+    // Boxed: the SWMR engine is an order of magnitude larger than the
+    // linearizability one.
+    Swmr(Box<StreamingChecker>),
+    Lin(StreamingLinChecker),
+}
+
+impl OnlineChecker {
+    /// Creates the checker for `spec`.
+    pub fn new(spec: Spec) -> Self {
+        OnlineChecker(match spec {
+            Spec::SwmrAtomic => Engine::Swmr(Box::new(StreamingChecker::new_atomic())),
+            Spec::SwmrRegular => Engine::Swmr(Box::new(StreamingChecker::new_regular())),
+            Spec::Linearizable => Engine::Lin(StreamingLinChecker::new()),
+        })
+    }
+
+    /// Checks a recorded history in one shot: replays its events through
+    /// a fresh checker for `spec`.
+    pub fn check(spec: Spec, history: &History) -> Verdict {
+        let mut checker = OnlineChecker::new(spec);
+        checker.on_events(&replay_events(history));
+        checker.verdict()
+    }
+
+    /// Feeds a batch of events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event's tick precedes an already-seen event's, or on
+    /// a response for an operation whose invocation was never fed.
+    pub fn on_events(&mut self, events: &[HistoryEvent]) {
+        match &mut self.0 {
+            Engine::Swmr(c) => c.on_events(events),
+            Engine::Lin(c) => c.on_events(events),
+        }
+    }
+
+    /// The violation *proven* so far, if any — the early-exit signal. A
+    /// `Some` is final: no further event can clean it (unlike
+    /// [`verdict`](OnlineChecker::verdict), which also counts reads
+    /// still waiting for their value to be written). Never
+    /// [`CheckerLimit`](ViolationKind::CheckerLimit): that is the oracle
+    /// giving up, not a proof.
+    pub fn proven(&self) -> Option<ViolationKind> {
+        let kind = match &self.0 {
+            Engine::Swmr(c) => c.violation(),
+            Engine::Lin(c) => c.violation(),
+        }?;
+        (kind != ViolationKind::CheckerLimit).then_some(kind)
+    }
+
+    /// The verdict for the events seen so far, treated as the complete
+    /// history.
+    pub fn verdict(&self) -> Verdict {
+        match &self.0 {
+            Engine::Swmr(c) => c.verdict(),
+            Engine::Lin(c) => c.verdict(),
+        }
+    }
+
+    /// The most operations (and per-operation summary entries) the
+    /// checker ever held resident — bounded by concurrency, not by
+    /// history length.
+    pub fn high_water_mark(&self) -> usize {
+        match &self.0 {
+            Engine::Swmr(c) => c.high_water_mark(),
+            Engine::Lin(c) => c.high_water_mark(),
+        }
+    }
+}

@@ -101,7 +101,7 @@ impl TickBag {
 ///
 /// ```
 /// use fastreg_atomicity::history::{History, RegValue};
-/// use fastreg_atomicity::streaming::online::{replay_events, StreamingChecker};
+/// use fastreg_atomicity::streaming::{replay_events, StreamingChecker};
 /// use fastreg_atomicity::verdict::Verdict;
 ///
 /// let mut h = History::new();
@@ -111,9 +111,7 @@ impl TickBag {
 /// h.respond(r, Some(RegValue::Val(1)), 4);
 ///
 /// let mut c = StreamingChecker::new_atomic();
-/// for e in replay_events(&h) {
-///     c.on_event(&e);
-/// }
+/// c.on_events(&replay_events(&h));
 /// assert_eq!(c.verdict(), Verdict::Clean);
 /// ```
 #[derive(Clone, Debug)]
@@ -121,8 +119,6 @@ pub struct StreamingChecker {
     mode: Mode,
     /// Tick of the last event seen; events must not go backwards.
     last_tick: Tick,
-    /// Total invocations seen (reads and writes).
-    ops_seen: usize,
 
     // -- writer state ----------------------------------------------------
     writer_proc: Option<u32>,
@@ -198,7 +194,6 @@ impl StreamingChecker {
         StreamingChecker {
             mode,
             last_tick: 0,
-            ops_seen: 0,
             writer_proc: None,
             writes_invoked: 0,
             last_write: None,
@@ -228,14 +223,7 @@ impl StreamingChecker {
         }
     }
 
-    /// Feeds one event. Events must arrive in nondecreasing tick order
-    /// (the order both the history journal and [`replay_events`] produce).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event's tick precedes an already-seen event's, or on
-    /// a response for an operation whose invocation was never fed.
-    pub fn on_event(&mut self, event: &HistoryEvent) {
+    fn on_event(&mut self, event: &HistoryEvent) {
         let at = match event {
             HistoryEvent::Invoked { at, .. } | HistoryEvent::Responded { at, .. } => *at,
         };
@@ -256,7 +244,14 @@ impl StreamingChecker {
         self.hwm = self.hwm.max(self.resident_ops());
     }
 
-    /// Feeds a batch of events (see [`on_event`](StreamingChecker::on_event)).
+    /// Feeds a batch of events. Events must arrive in nondecreasing tick
+    /// order (the order both the history journal and [`replay_events`]
+    /// produce).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event's tick precedes an already-seen event's, or on
+    /// a response for an operation whose invocation was never fed.
     pub fn on_events(&mut self, events: &[HistoryEvent]) {
         for e in events {
             self.on_event(e);
@@ -264,7 +259,6 @@ impl StreamingChecker {
     }
 
     fn on_write_invoked(&mut self, id: usize, proc: u32, value: u64, at: Tick) {
-        self.ops_seen += 1;
         if self.malformed {
             return;
         }
@@ -309,7 +303,6 @@ impl StreamingChecker {
     }
 
     fn on_read_invoked(&mut self, id: usize, at: Tick) {
-        self.ops_seen += 1;
         if self.malformed || self.duplicate {
             return;
         }
@@ -545,11 +538,6 @@ impl StreamingChecker {
         self.hwm
     }
 
-    /// Total invocations fed so far.
-    pub fn ops_seen(&self) -> usize {
-        self.ops_seen
-    }
-
     /// The violation *proven so far*, if any — the early-exit signal.
     ///
     /// Unlike [`verdict`](StreamingChecker::verdict) this never counts a
@@ -660,28 +648,20 @@ pub fn replay_events(history: &History) -> Vec<HistoryEvent> {
     events.into_iter().map(|(_, _, _, e)| e).collect()
 }
 
-/// Checks SWMR atomicity by streaming a recorded history — same verdict
-/// code as [`check_swmr_atomicity`](crate::swmr::check_swmr_atomicity),
-/// O(frontier) resident operations.
-pub fn stream_swmr_verdict(history: &History) -> Verdict {
-    let mut c = StreamingChecker::new_atomic();
-    c.on_events(&replay_events(history));
-    c.verdict()
-}
-
-/// Checks SWMR regularity by streaming a recorded history — same verdict
-/// code as [`check_swmr_regularity`](crate::regularity::check_swmr_regularity).
-pub fn stream_regularity_verdict(history: &History) -> Verdict {
-    let mut c = StreamingChecker::new_regular();
-    c.on_events(&replay_events(history));
-    c.verdict()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::regularity::check_swmr_regularity;
+    use crate::streaming::{OnlineChecker, Spec};
     use crate::swmr::check_swmr_atomicity;
+
+    fn online_atomic(h: &History) -> Verdict {
+        OnlineChecker::check(Spec::SwmrAtomic, h)
+    }
+
+    fn online_regular(h: &History) -> Verdict {
+        OnlineChecker::check(Spec::SwmrRegular, h)
+    }
 
     fn batch_atomic(h: &History) -> Verdict {
         Verdict::from_atomicity(&check_swmr_atomicity(h))
@@ -693,13 +673,13 @@ mod tests {
 
     fn assert_matches_batch(h: &History) {
         assert_eq!(
-            stream_swmr_verdict(h),
+            online_atomic(h),
             batch_atomic(h),
             "atomic mismatch on:\n{}",
             h.render()
         );
         assert_eq!(
-            stream_regularity_verdict(h),
+            online_regular(h),
             batch_regular(h),
             "regular mismatch on:\n{}",
             h.render()
@@ -718,8 +698,8 @@ mod tests {
 
     #[test]
     fn empty_history_is_clean() {
-        assert_eq!(stream_swmr_verdict(&History::new()), Verdict::Clean);
-        assert_eq!(stream_regularity_verdict(&History::new()), Verdict::Clean);
+        assert_eq!(online_atomic(&History::new()), Verdict::Clean);
+        assert_eq!(online_regular(&History::new()), Verdict::Clean);
     }
 
     #[test]
@@ -730,7 +710,7 @@ mod tests {
         w(&mut h, 2, 4, 5);
         r(&mut h, 2, RegValue::Val(2), 6, 7);
         assert_matches_batch(&h);
-        assert_eq!(stream_swmr_verdict(&h), Verdict::Clean);
+        assert_eq!(online_atomic(&h), Verdict::Clean);
     }
 
     #[test]
@@ -741,7 +721,7 @@ mod tests {
         r(&mut h, 1, RegValue::Val(42), 2, 3);
         assert_matches_batch(&h);
         assert_eq!(
-            stream_swmr_verdict(&h),
+            online_atomic(&h),
             Verdict::Violation(ViolationKind::UnwrittenValue)
         );
 
@@ -751,11 +731,11 @@ mod tests {
         r(&mut h, 1, RegValue::Bottom, 2, 3);
         assert_matches_batch(&h);
         assert_eq!(
-            stream_swmr_verdict(&h),
+            online_atomic(&h),
             Verdict::Violation(ViolationKind::MissedPrecedingWrite)
         );
         assert_eq!(
-            stream_regularity_verdict(&h),
+            online_regular(&h),
             Verdict::Violation(ViolationKind::NotRegular)
         );
 
@@ -765,7 +745,7 @@ mod tests {
         w(&mut h, 1, 5, 6);
         assert_matches_batch(&h);
         assert_eq!(
-            stream_swmr_verdict(&h),
+            online_atomic(&h),
             Verdict::Violation(ViolationKind::ReadFromFuture)
         );
 
@@ -776,11 +756,11 @@ mod tests {
         r(&mut h, 2, RegValue::Bottom, 5, 7);
         assert_matches_batch(&h);
         assert_eq!(
-            stream_swmr_verdict(&h),
+            online_atomic(&h),
             Verdict::Violation(ViolationKind::NewOldInversion)
         );
         // ...which is regular: both reads overlap the open write.
-        assert_eq!(stream_regularity_verdict(&h), Verdict::Clean);
+        assert_eq!(online_regular(&h), Verdict::Clean);
 
         // duplicate written value
         let mut h = History::new();
@@ -795,7 +775,7 @@ mod tests {
         h.respond(a, None, 10);
         assert_matches_batch(&h);
         assert_eq!(
-            stream_swmr_verdict(&h),
+            online_atomic(&h),
             Verdict::Violation(ViolationKind::MalformedWrites)
         );
 
@@ -820,7 +800,7 @@ mod tests {
         r(&mut h, 1, RegValue::Val(9), 0, 2);
         w(&mut h, 9, 5, 6);
         assert_eq!(
-            stream_swmr_verdict(&h),
+            online_atomic(&h),
             Verdict::Violation(ViolationKind::ReadFromFuture)
         );
         // Read still open when the write is invoked: concurrent, clean.
@@ -830,7 +810,7 @@ mod tests {
         h.respond(rd, Some(RegValue::Val(9)), 4);
         h.respond(wr, None, 5);
         assert_matches_batch(&h);
-        assert_eq!(stream_swmr_verdict(&h), Verdict::Clean);
+        assert_eq!(online_atomic(&h), Verdict::Clean);
     }
 
     #[test]
@@ -852,7 +832,7 @@ mod tests {
         h.respond(w2, None, 8);
         assert_matches_batch(&h);
         assert_eq!(
-            stream_swmr_verdict(&h),
+            online_atomic(&h),
             Verdict::Violation(ViolationKind::ReadFromFuture)
         );
     }
@@ -868,7 +848,7 @@ mod tests {
         r(&mut h, 2, RegValue::Val(42), 4, 5); // unwritten
         assert_matches_batch(&h);
         assert_eq!(
-            stream_regularity_verdict(&h),
+            online_regular(&h),
             Verdict::Violation(ViolationKind::NotRegular)
         );
 
@@ -879,7 +859,7 @@ mod tests {
         r(&mut h, 2, RegValue::Bottom, 4, 5); // stale
         assert_matches_batch(&h);
         assert_eq!(
-            stream_regularity_verdict(&h),
+            online_regular(&h),
             Verdict::Violation(ViolationKind::UnwrittenValue)
         );
     }
@@ -958,7 +938,6 @@ mod tests {
             t += 6;
         }
         assert_eq!(c.verdict(), Verdict::Clean);
-        assert_eq!(c.ops_seen(), 30_000);
         assert!(
             c.high_water_mark() <= 8,
             "resident ops grew with history: hwm = {}",

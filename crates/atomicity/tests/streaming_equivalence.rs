@@ -1,8 +1,9 @@
-//! Property suite: the streaming and parallel checkers emit verdicts
-//! byte-identical (by stable code) to the batch checkers, on random
+//! Property suite: the one production verdict path,
+//! `OnlineChecker::check(spec, h)`, emits verdicts byte-identical (by
+//! stable code) to the batch oracle for every `Spec`, on random
 //! histories with pending operations, crashes, duplicate and unwritten
 //! values, overlapping writes, and both single- and multi-writer
-//! contracts — at every worker count.
+//! populations.
 
 use std::collections::BTreeSet;
 
@@ -12,16 +13,12 @@ use rand::{Rng, SeedableRng};
 use fastreg_atomicity::history::{History, RegValue};
 use fastreg_atomicity::linearizability::check_linearizable;
 use fastreg_atomicity::regularity::check_swmr_regularity;
-use fastreg_atomicity::streaming::{
-    check_swmr_atomicity_parallel, check_swmr_regularity_parallel, stream_lin_verdict,
-    stream_regularity_verdict, stream_swmr_verdict,
-};
+use fastreg_atomicity::streaming::{OnlineChecker, Spec};
 use fastreg_atomicity::swmr::check_swmr_atomicity;
 use fastreg_atomicity::verdict::Verdict;
 
 const SWMR_CASES: u64 = 192;
 const LIN_CASES: u64 = 64;
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// One synthesized operation, pre-recording.
 struct GenOp {
@@ -188,7 +185,7 @@ fn gen_mwmr(seed: u64) -> History {
 }
 
 #[test]
-fn swmr_streaming_and_parallel_match_batch_on_random_histories() {
+fn swmr_streaming_matches_batch_on_random_histories() {
     let mut atomic_codes: BTreeSet<String> = BTreeSet::new();
     let mut regular_codes: BTreeSet<String> = BTreeSet::new();
     for case in 0..SWMR_CASES {
@@ -199,31 +196,17 @@ fn swmr_streaming_and_parallel_match_batch_on_random_histories() {
         regular_codes.insert(batch_regular.code().to_string());
 
         assert_eq!(
-            stream_swmr_verdict(&h),
+            OnlineChecker::check(Spec::SwmrAtomic, &h),
             batch_atomic,
             "case {case}: streaming atomicity diverged\n{}",
             h.render()
         );
         assert_eq!(
-            stream_regularity_verdict(&h),
+            OnlineChecker::check(Spec::SwmrRegular, &h),
             batch_regular,
             "case {case}: streaming regularity diverged\n{}",
             h.render()
         );
-        for threads in WORKER_COUNTS {
-            assert_eq!(
-                check_swmr_atomicity_parallel(&h, threads),
-                batch_atomic,
-                "case {case}, {threads} workers: parallel atomicity diverged\n{}",
-                h.render()
-            );
-            assert_eq!(
-                check_swmr_regularity_parallel(&h, threads),
-                batch_regular,
-                "case {case}, {threads} workers: parallel regularity diverged\n{}",
-                h.render()
-            );
-        }
     }
     // The generator must actually exercise the code space, or the
     // equivalence above is vacuous.
@@ -249,7 +232,7 @@ fn lin_streaming_matches_batch_on_random_mwmr_histories() {
         let batch = Verdict::from_linearizable(&check_linearizable(&h));
         codes.insert(batch.code().to_string());
         assert_eq!(
-            stream_lin_verdict(&h),
+            OnlineChecker::check(Spec::Linearizable, &h),
             batch,
             "case {case}: streaming linearizability diverged\n{}",
             h.render()

@@ -10,9 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fastreg_atomicity::history::{History, RegValue};
 use fastreg_atomicity::linearizability::check_linearizable;
-use fastreg_atomicity::streaming::{
-    check_swmr_atomicity_parallel, replay_events, StreamingChecker,
-};
+use fastreg_atomicity::streaming::{replay_events, StreamingChecker};
 use fastreg_atomicity::swmr::check_swmr_atomicity;
 
 /// A clean sequential history with `n_writes` writes each followed by two
@@ -95,13 +93,6 @@ fn checkers(c: &mut Criterion) {
                 ck.on_events(&events);
                 assert!(ck.verdict().is_clean());
                 ck.high_water_mark()
-            })
-        });
-        g.bench_function(BenchmarkId::new("parallel_x4", n_ops), |b| {
-            b.iter(|| {
-                let v = check_swmr_atomicity_parallel(&h, 4);
-                assert!(v.is_clean());
-                v
             })
         });
         if n_ops <= 100_000 {

@@ -10,9 +10,6 @@
 //! report --list               # list experiments and registered protocols
 //! report --quick              # smaller seed counts (CI-friendly)
 //! report --json               # machine-readable per-experiment wall times
-//! report --quick --baseline BENCH_baseline.json --check-regression 50
-//!                             # diff wall times against a committed
-//!                             # `--json` output; exit 1 past the threshold
 //!
 //! report explore --cells 64 --threads 4 --budget 8 --seed 0 --out found/
 //!                             # fan the exploration grid across a worker
@@ -60,21 +57,9 @@
 //! Protocol names are resolved through the runtime registry
 //! (`fastreg::protocols::registry`); unknown experiment or protocol
 //! names exit with code 2 and list the valid ones. `--json` emits one
-//! JSON document with the wall-clock time of each selected experiment;
-//! committing its output (see `BENCH_baseline.json`) anchors the perf
-//! trajectory for future changes, and `--baseline <file>` closes the
-//! loop by rerunning the selected experiments and comparing wall times
-//! against that anchor (`--check-regression <pct>` turns the comparison
-//! into a gate: exit code 1 when any experiment is more than `pct`
-//! percent slower than its baseline). The gate judges only experiments
-//! present in *both* the baseline and the current run: a newly added
-//! experiment shows as `no baseline (new experiment)`, a baseline entry
-//! outside this run's selection shows as `not measured this run`, and
-//! neither direction can fail the gate. The run's mode must match the
-//! baseline's recorded `"mode"` — quick and full seed counts are not
-//! comparable — and combining `--baseline` with `--json` measures once,
-//! emitting the JSON on stdout and the comparison on stderr, so a CI
-//! step can gate and archive the very same run.
+//! JSON document with the wall-clock time of each selected experiment
+//! (informational: the gated perf ledger is `fastbench`, under
+//! `benchmark/`).
 
 use std::env;
 use std::process::ExitCode;
@@ -213,7 +198,7 @@ fn experiments(quick: bool) -> Vec<Experiment<'static>> {
             // conservative because batch throughput only falls with n.
             run: Box::new(move || {
                 let batch_cap = if quick { 10_000 } else { 100_000 };
-                exp::e18_checker_throughput(&[10_000, 100_000, 1_000_000], batch_cap, 4).render()
+                exp::e18_checker_throughput(&[10_000, 100_000, 1_000_000], batch_cap).render()
             }),
         },
         Experiment {
@@ -242,36 +227,6 @@ fn print_list(experiments: &[Experiment]) {
             id.requirement()
         );
     }
-}
-
-/// Extracts the `"mode"` a `report --json` baseline was generated in.
-fn parse_baseline_mode(text: &str) -> Option<String> {
-    text.lines().find_map(|line| {
-        line.trim()
-            .strip_prefix("\"mode\": \"")
-            .and_then(|rest| rest.strip_suffix("\","))
-            .map(str::to_string)
-    })
-}
-
-/// Extracts the `(id, wall_ms)` pairs from a committed `report --json`
-/// output. Deliberately a line scanner, not a JSON parser: the binary
-/// emits the format itself, and the workspace carries no JSON
-/// dependency.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut id: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"id\": \"") {
-            id = rest.strip_suffix("\",").map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"wall_ms\": ") {
-            if let (Some(id), Ok(ms)) = (id.take(), rest.trim_end_matches(',').parse::<f64>()) {
-                out.push((id, ms));
-            }
-        }
-    }
-    out
 }
 
 /// Renders a [`CoverageReport`] as a single-line JSON object — the
@@ -1065,8 +1020,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut list = false;
     let mut protocol: Option<ProtocolId> = None;
-    let mut baseline: Option<String> = None;
-    let mut check_regression: Option<f64> = None;
     let mut selected: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -1104,38 +1057,11 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "baseline" => {
-                match value("--baseline needs a file path (a committed `report --json` output)") {
-                    Ok(v) => baseline = Some(v),
-                    Err(code) => return code,
-                }
-            }
-            "check-regression" => {
-                let v = match value("--check-regression needs a percentage, e.g. 25") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                match v.parse::<f64>() {
-                    Ok(pct) if pct.is_finite() && pct >= 0.0 => check_regression = Some(pct),
-                    _ => {
-                        eprintln!("invalid --check-regression percentage '{v}'");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             _ => {
-                eprintln!(
-                    "unknown flag '{a}' (valid: --list, --protocol <name>, --quick, --json, \
-                     --baseline <file>, --check-regression <pct>)"
-                );
+                eprintln!("unknown flag '{a}' (valid: --list, --protocol <name>, --quick, --json)");
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if check_regression.is_some() && baseline.is_none() {
-        eprintln!("--check-regression needs --baseline <file>");
-        return ExitCode::from(2);
     }
 
     let experiments = experiments(quick);
@@ -1178,50 +1104,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Load and validate the baseline *before* spending time measuring.
-    let current_mode = if quick { "quick" } else { "full" };
-    let base: Option<(String, Vec<(String, f64)>)> = match baseline {
-        None => None,
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read baseline '{path}': {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let entries = parse_baseline(&text);
-            if entries.is_empty() {
-                eprintln!(
-                    "baseline '{path}' has no (id, wall_ms) entries — is it `report --json` output?"
-                );
-                return ExitCode::from(2);
-            }
-            // Quick and full runs use different seed counts, so
-            // cross-mode wall-time comparisons are meaningless.
-            if let Some(mode) = parse_baseline_mode(&text) {
-                if mode != current_mode {
-                    eprintln!(
-                        "baseline '{path}' was generated in {mode} mode but this run is {current_mode} \
-                         ({}): cross-mode wall times are not comparable",
-                        if mode == "quick" {
-                            "add --quick"
-                        } else {
-                            "drop --quick"
-                        }
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-            Some((path, entries))
-        }
-    };
-
-    if json || base.is_some() {
-        // One measurement pass serves both outputs: the JSON document
-        // (stdout) and the baseline comparison (stderr when --json owns
-        // stdout, stdout otherwise) judge the *same* run.
-        let measured: Vec<(&Experiment, f64, usize)> = experiments
+    if json {
+        let entries: Vec<String> = experiments
             .iter()
             .filter(|e| want(e))
             .map(|e| {
@@ -1229,121 +1113,36 @@ fn main() -> ExitCode {
                 let start = Instant::now();
                 let rendered = (e.run)();
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                (e, wall_ms, rendered.lines().count())
+                format!(
+                    "    {{\n      \"id\": \"{}\",\n      \"title\": \"{}\",\n      \
+                     \"wall_ms\": {:.3},\n      \"table_lines\": {}\n    }}",
+                    json_escape(e.id),
+                    json_escape(e.title),
+                    wall_ms,
+                    rendered.lines().count()
+                )
             })
             .collect();
-
-        let mut exit = ExitCode::SUCCESS;
-        if let Some((path, base)) = base {
-            use std::io::Write as _;
-            let mut cmp: Box<dyn std::io::Write> = if json {
-                Box::new(std::io::stderr())
-            } else {
-                Box::new(std::io::stdout())
-            };
-            let mut regressed: Vec<&str> = Vec::new();
-            let _ = writeln!(
-                cmp,
-                "{:<5} {:>12} {:>12} {:>9}  verdict",
-                "id", "baseline ms", "current ms", "delta"
-            );
-            for (e, wall_ms, _) in &measured {
-                match base.iter().find(|(id, _)| id == e.id) {
-                    None => {
-                        let _ = writeln!(
-                            cmp,
-                            "{:<5} {:>12} {:>12.3} {:>9}  no baseline (new experiment)",
-                            e.id, "-", wall_ms, "-"
-                        );
-                    }
-                    // A 0 ms baseline (timer granularity, truncated
-                    // file) makes every delta infinite: report it,
-                    // never gate on it.
-                    Some((_, base_ms)) if *base_ms <= 0.0 => {
-                        let _ = writeln!(
-                            cmp,
-                            "{:<5} {:>12.3} {:>12.3} {:>9}  unusable baseline (0 ms) — not gated",
-                            e.id, base_ms, wall_ms, "-"
-                        );
-                    }
-                    Some((_, base_ms)) => {
-                        let delta_pct = (wall_ms - base_ms) / base_ms * 100.0;
-                        let verdict = match check_regression {
-                            Some(pct) if delta_pct > pct => {
-                                regressed.push(e.id);
-                                "REGRESSED"
-                            }
-                            Some(_) => "ok",
-                            None => "informational",
-                        };
-                        let _ = writeln!(
-                            cmp,
-                            "{:<5} {:>12.3} {:>12.3} {:>+8.1}%  {verdict}",
-                            e.id, base_ms, wall_ms, delta_pct
-                        );
-                    }
-                }
-            }
-            // The other half of the intersection rule: baseline entries
-            // this run did not measure (experiment retired, filtered by
-            // --protocol, or simply not selected). Reported so the
-            // narrowing is visible, never gated — only experiments in
-            // both sets can regress.
-            for (id, base_ms) in &base {
-                if !measured.iter().any(|(e, _, _)| e.id == *id) {
-                    let _ = writeln!(
-                        cmp,
-                        "{id:<5} {base_ms:>12.3} {:>12} {:>9}  not measured this run",
-                        "-", "-"
-                    );
-                }
-            }
-            drop(cmp);
-            if !regressed.is_empty() {
-                eprintln!(
-                    "perf regression past the {}% threshold in: {} (baseline: {path})",
-                    check_regression.expect("verdicts only regress with a threshold"),
-                    regressed.join(", ")
-                );
-                exit = ExitCode::from(1);
-            }
+        let mut reproduce = Vec::new();
+        if quick {
+            reproduce.push("--quick".to_string());
         }
-
-        if json {
-            let entries: Vec<String> = measured
-                .iter()
-                .map(|(e, wall_ms, table_lines)| {
-                    format!(
-                        "    {{\n      \"id\": \"{}\",\n      \"title\": \"{}\",\n      \
-                         \"wall_ms\": {:.3},\n      \"table_lines\": {}\n    }}",
-                        json_escape(e.id),
-                        json_escape(e.title),
-                        wall_ms,
-                        table_lines
-                    )
-                })
-                .collect();
-            let mut reproduce = Vec::new();
-            if quick {
-                reproduce.push("--quick".to_string());
-            }
-            if let Some(p) = protocol {
-                reproduce.push(format!("--protocol {}", p.name()));
-            }
-            reproduce.extend(selected.iter().cloned());
-            reproduce.push("--json".to_string());
-            println!("{{");
-            println!(
-                "  \"generated_by\": \"cargo run --release -p fastreg-bench --bin report -- {}\",",
-                json_escape(&reproduce.join(" "))
-            );
-            println!("  \"mode\": \"{current_mode}\",");
-            println!("  \"experiments\": [");
-            println!("{}", entries.join(",\n"));
-            println!("  ]");
-            println!("}}");
+        if let Some(p) = protocol {
+            reproduce.push(format!("--protocol {}", p.name()));
         }
-        return exit;
+        reproduce.extend(selected.iter().cloned());
+        reproduce.push("--json".to_string());
+        println!("{{");
+        println!(
+            "  \"generated_by\": \"cargo run --release -p fastreg-bench --bin report -- {}\",",
+            json_escape(&reproduce.join(" "))
+        );
+        println!("  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
+        println!("  \"experiments\": [");
+        println!("{}", entries.join(",\n"));
+        println!("  ]");
+        println!("}}");
+        return ExitCode::SUCCESS;
     }
 
     for e in experiments.iter().filter(|e| want(e)) {

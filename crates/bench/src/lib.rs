@@ -6,9 +6,9 @@
 //!   experiment table (E1–E14) from `EXPERIMENTS.md`; `--list` shows the
 //!   experiments and the registered protocols, `--protocol <name>`
 //!   (a registry name like `fast-byz`) restricts the run to the
-//!   experiments exercising that protocol, and
-//!   `--baseline <file> --check-regression <pct>` diffs wall times
-//!   against a committed `--json` output (exit 1 past the threshold).
+//!   experiments exercising that protocol, and `--json` emits
+//!   per-experiment wall times (informational; the gated perf ledger is
+//!   `fastbench` under `benchmark/`).
 //! * `cargo bench -p fastreg-bench` runs the wall-clock and simulated-time
 //!   microbenchmarks:
 //!   - `protocol_reads` — fast vs ABD vs max–min read, simulated cluster;

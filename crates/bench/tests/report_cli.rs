@@ -130,139 +130,6 @@ impl Drop for TempFile {
 }
 
 #[test]
-fn check_regression_without_baseline_exits_2() {
-    let out = report(&["--check-regression", "25", "e13"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("--baseline"));
-}
-
-#[test]
-fn baseline_with_json_measures_once_and_splits_the_streams() {
-    // One run serves both outputs: the JSON document on stdout (clean
-    // enough to pipe to a file) and the comparison table on stderr.
-    let json = report(&["--quick", "--json", "e13"]);
-    assert!(json.status.success());
-    let baseline = TempFile::with_content(
-        "split_streams.json",
-        &String::from_utf8(json.stdout).unwrap(),
-    );
-    let out = report(&[
-        "--quick",
-        "--json",
-        "--baseline",
-        baseline.path(),
-        "--check-regression",
-        "100000",
-        "e13",
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.trim_start().starts_with('{'), "stdout is the JSON");
-    assert!(stdout.contains("\"id\": \"e13\""));
-    assert!(
-        !stdout.contains("verdict"),
-        "comparison must not pollute stdout"
-    );
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("verdict"));
-    assert!(stderr.contains("e13"));
-}
-
-#[test]
-fn baseline_mode_mismatch_exits_2() {
-    // Quick and full runs use different seed counts; comparing their
-    // wall times would report phantom regressions.
-    let json = report(&["--quick", "--json", "e13"]);
-    assert!(json.status.success());
-    let baseline =
-        TempFile::with_content("quick_mode.json", &String::from_utf8(json.stdout).unwrap());
-    let out = report(&["--baseline", baseline.path(), "e13"]); // full mode
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("quick mode"));
-    assert!(stderr.contains("add --quick"));
-}
-
-#[test]
-fn missing_baseline_file_exits_2() {
-    let out = report(&["--baseline", "/nonexistent/base.json", "e13"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("/nonexistent/base.json"));
-}
-
-#[test]
-fn baseline_round_trip_passes_under_a_generous_threshold() {
-    // `--json` output fed straight back as the baseline: the same
-    // experiment re-measured cannot be 100000% slower than itself.
-    let json = report(&["--quick", "--json", "e13"]);
-    assert!(json.status.success());
-    let baseline =
-        TempFile::with_content("round_trip.json", &String::from_utf8(json.stdout).unwrap());
-    let out = report(&[
-        "--quick",
-        "--baseline",
-        baseline.path(),
-        "--check-regression",
-        "100000",
-        "e13",
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("e13"));
-    assert!(stdout.contains("ok"));
-}
-
-#[test]
-fn regression_past_the_threshold_exits_1() {
-    // A fabricated sub-nanosecond baseline makes any real run a
-    // regression.
-    let baseline = TempFile::with_content(
-        "impossible.json",
-        "{\n  \"experiments\": [\n    {\n      \"id\": \"e13\",\n      \
-         \"wall_ms\": 0.000001\n    }\n  ]\n}\n",
-    );
-    let out = report(&[
-        "--quick",
-        "--baseline",
-        baseline.path(),
-        "--check-regression",
-        "10",
-        "e13",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("REGRESSED"));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("e13"));
-}
-
-#[test]
-fn zero_wall_time_baseline_is_reported_not_gated() {
-    // A 0 ms baseline entry (timer granularity, hand-edited file) would
-    // make any real wall time an infinite regression; the comparison
-    // must flag the entry as unusable instead of gating on it.
-    let baseline = TempFile::with_content(
-        "zero.json",
-        "{\n  \"experiments\": [\n    {\n      \"id\": \"e13\",\n      \
-         \"wall_ms\": 0.0\n    }\n  ]\n}\n",
-    );
-    let out = report(&[
-        "--quick",
-        "--baseline",
-        baseline.path(),
-        "--check-regression",
-        "10",
-        "e13",
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("unusable baseline (0 ms)"), "{stdout}");
-    assert!(!stdout.contains("REGRESSED"));
-}
-
-#[test]
 fn trace_subcommand_writes_deterministic_artifacts() {
     let trace_a = TempFile::with_content("trace_a.json", "");
     let metrics_a = TempFile::with_content("metrics_a.json", "");
@@ -335,68 +202,6 @@ fn unknown_trace_flag_exits_2() {
     assert!(stderr.contains("--budget"));
     assert!(stderr.contains("usage: report trace"));
 }
-
-#[test]
-fn experiment_missing_from_baseline_is_informational_not_a_regression() {
-    // The gate judges only experiments present in both sets: a baseline
-    // predating a new experiment (the E17 scenario) must not trip a
-    // false regression for it, even under a zero-tolerance threshold.
-    let json = report(&["--quick", "--json", "e13"]);
-    assert!(json.status.success());
-    let baseline =
-        TempFile::with_content("missing_e11.json", &String::from_utf8(json.stdout).unwrap());
-    let out = report(&[
-        "--quick",
-        "--baseline",
-        baseline.path(),
-        "--check-regression",
-        "100000",
-        "e13",
-        "e11",
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("no baseline (new experiment)"), "{stdout}");
-    assert!(!stdout.contains("REGRESSED"));
-}
-
-#[test]
-fn baseline_entries_not_measured_this_run_are_reported_not_gated() {
-    // The reverse direction: selecting a subset leaves baseline-only
-    // entries visible as `not measured this run`, outside the gate.
-    let json = report(&["--quick", "--json", "e11", "e13"]);
-    assert!(json.status.success());
-    let baseline =
-        TempFile::with_content("superset.json", &String::from_utf8(json.stdout).unwrap());
-    let out = report(&[
-        "--quick",
-        "--baseline",
-        baseline.path(),
-        "--check-regression",
-        "100000",
-        "e13",
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("not measured this run"), "{stdout}");
-    let e11_row = stdout
-        .lines()
-        .find(|l| l.starts_with("e11"))
-        .expect("baseline-only e11 appears in the table");
-    assert!(e11_row.contains("not measured this run"));
-    assert!(!stdout.contains("REGRESSED"));
-}
-
-#[test]
-fn unparseable_baseline_exits_2() {
-    let baseline = TempFile::with_content("empty.json", "{ \"experiments\": [] }\n");
-    let out = report(&["--baseline", baseline.path(), "e13"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("no (id, wall_ms) entries"));
-}
-
-// ---------------------------------------------------------------- explore
 
 #[test]
 fn explore_runs_and_reports_both_directions() {

@@ -62,6 +62,7 @@ use std::fmt;
 use fastreg_atomicity::history::{History, HistoryEvent, SharedHistory};
 use fastreg_atomicity::linearizability::{check_linearizable, LinCheckError};
 use fastreg_atomicity::regularity::{check_swmr_regularity, RegularityViolation};
+use fastreg_atomicity::streaming::OnlineChecker;
 use fastreg_atomicity::swmr::{check_swmr_atomicity, AtomicityViolation};
 use fastreg_atomicity::verdict::Verdict;
 use fastreg_auth::{KeyId, Keychain, SignerHandle, Verifier};
@@ -130,6 +131,8 @@ pub trait ProtocolFamily {
     type Msg: Clone + fmt::Debug + Send + 'static;
     /// Per-cluster context threaded through actor construction.
     type Ctx;
+    /// The value-level name of this protocol (its table row).
+    const ID: ProtocolId;
 
     /// Builds the cluster context.
     fn make_ctx(cfg: &ClusterConfig, seed: u64) -> Self::Ctx;
@@ -215,6 +218,7 @@ macro_rules! protocol_table {
             impl ProtocolFamily for $id {
                 type Msg = $($m)::+::Msg;
                 type Ctx = $ctx;
+                const ID: ProtocolId = ProtocolId::$id;
 
                 fn make_ctx(cfg: &ClusterConfig, seed: u64) -> $ctx {
                     let make: fn(&ClusterConfig, u64) -> $ctx = $make_ctx;
@@ -277,7 +281,7 @@ macro_rules! protocol_table {
             /// custom sim config is silently ignored on the threaded path.
             pub fn build_unchecked(self, id: ProtocolId) -> DynCluster {
                 match id {
-                    $(ProtocolId::$id => self.erased::<$id>(id),)*
+                    $(ProtocolId::$id => self.erased::<$id>(),)*
                 }
             }
         }
@@ -521,7 +525,7 @@ impl ClusterBuilder {
 
     /// One table row's leg of [`build_unchecked`](Self::build_unchecked):
     /// the deployment on the selected runtime, erased.
-    fn erased<P>(self, id: ProtocolId) -> DynCluster
+    fn erased<P>(self) -> DynCluster
     where
         P: ProtocolFamily + 'static,
         P::Ctx: Send + 'static,
@@ -534,7 +538,7 @@ impl ClusterBuilder {
                 DynInner::Threads(Box::new(cluster))
             }
         };
-        DynCluster { id, inner }
+        DynCluster { id: P::ID, inner }
     }
 }
 
@@ -774,20 +778,19 @@ pub trait RegisterOps {
         self.settle();
     }
 
+    /// The consistency contract this deployment promised — its
+    /// protocol's [`ProtocolId::contract`]. Wrappers that do not know
+    /// their protocol keep the default, [`Contract::Atomic`]: the strict
+    /// side.
+    fn contract(&self) -> Contract {
+        Contract::Atomic
+    }
+
     /// Checks the history so far against `contract`, as a stable
-    /// [`Verdict`]: [`Contract::Atomic`] uses the §3.1 SWMR checker (the
-    /// Wing–Gong linearizability oracle when `W > 1`),
-    /// [`Contract::Regular`] the regularity checker, and
-    /// [`Contract::Unsound`] the linearizability oracle (the contract the
-    /// counterexample-target protocols *claim* and fail).
+    /// [`Verdict`] from the [`OnlineChecker`] for
+    /// [`contract.spec(W)`](Contract::spec).
     fn contract_verdict(&self, contract: Contract) -> Verdict {
-        match contract {
-            Contract::Atomic if self.cfg().w <= 1 => Verdict::from_atomicity(&self.check_atomic()),
-            Contract::Atomic | Contract::Unsound => {
-                Verdict::from_linearizable(&self.check_linearizable())
-            }
-            Contract::Regular => Verdict::from_regularity(&self.check_regular()),
-        }
+        OnlineChecker::check(contract.spec(self.cfg().w), &self.snapshot())
     }
 }
 
@@ -875,6 +878,10 @@ pub(crate) fn nth_read_value(history: &SharedHistory, addr: u32, nth: u64) -> Re
 impl<P: ProtocolFamily> RegisterOps for Cluster<P> {
     fn cfg(&self) -> ClusterConfig {
         self.cfg
+    }
+
+    fn contract(&self) -> Contract {
+        P::ID.contract()
     }
 
     fn layout(&self) -> Layout {
@@ -1126,6 +1133,10 @@ impl fmt::Debug for DynCluster {
 impl RegisterOps for DynCluster {
     fn cfg(&self) -> ClusterConfig {
         self.ops().cfg()
+    }
+
+    fn contract(&self) -> Contract {
+        self.id.contract()
     }
 
     fn layout(&self) -> Layout {

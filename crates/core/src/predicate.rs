@@ -118,51 +118,6 @@ pub fn predicate_witness(
     None
 }
 
-/// Parallel form of [`predicate_witness`]: the witness levels
-/// `a ∈ [1, R+1]` are independent of one another, so they are scanned
-/// across [`map_ordered`](fastreg_simnet::threaded::map_ordered) workers
-/// and the smallest succeeding level wins — the same answer as the
-/// sequential scan at any `threads` value.
-///
-/// Worth it only when `R` is large or the seen-set population is dense;
-/// the harness paths keep calling the sequential form.
-pub fn predicate_witness_parallel(
-    s: u32,
-    t: u32,
-    r: u32,
-    model: PredicateModel,
-    max_ts_seens: &[BTreeSet<ClientId>],
-    threads: usize,
-) -> Option<u32> {
-    if max_ts_seens.is_empty() {
-        return None;
-    }
-    let universe: Vec<ClientId> = {
-        let mut u: BTreeSet<ClientId> = BTreeSet::new();
-        for seen in max_ts_seens {
-            u.extend(seen.iter().copied());
-        }
-        u.into_iter().collect()
-    };
-    let levels: Vec<u32> = (1..=(r + 1)).collect();
-    let hits = fastreg_simnet::threaded::map_ordered(levels, threads, |_, a| {
-        let m = model.ms_size(s, t, a)? as usize;
-        if max_ts_seens.len() < m {
-            return None;
-        }
-        let frequent: Vec<ClientId> = universe
-            .iter()
-            .copied()
-            .filter(|c| max_ts_seens.iter().filter(|seen| seen.contains(c)).count() >= m)
-            .collect();
-        if (frequent.len() as u32) < a {
-            return None;
-        }
-        combo_exists(&frequent, a as usize, &mut Vec::new(), 0, max_ts_seens, m).then_some(a)
-    });
-    hits.into_iter().flatten().next()
-}
-
 /// Recursively enumerates `size`-subsets of `candidates` and tests whether
 /// at least `m` seen-sets contain the whole subset.
 fn combo_exists(
@@ -384,13 +339,6 @@ mod tests {
                 fast, brute,
                 "case {case}: s={s} t={t} b={b} r={r_count} seens={seens:?}"
             );
-            for threads in [1, 2, 4] {
-                assert_eq!(
-                    predicate_witness_parallel(s, t, r_count, model, &seens, threads),
-                    fast,
-                    "case {case} threads={threads}: s={s} t={t} b={b} r={r_count}"
-                );
-            }
         }
     }
 

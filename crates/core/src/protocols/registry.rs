@@ -37,6 +37,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use fastreg_atomicity::streaming::Spec;
+
 use crate::config::ClusterConfig;
 
 /// Runtime name of one register protocol implementation.
@@ -76,6 +78,22 @@ pub enum Contract {
     Regular,
     /// Deliberately unsound — exists as a counterexample target (§7).
     Unsound,
+}
+
+impl Contract {
+    /// The checker [`Spec`] that grades this contract on a deployment
+    /// with `writers` writers — the only place a contract is matched to
+    /// a checker. The §3.1 conditions presuppose a single writer, so an
+    /// atomic register with several is held to linearizability (§7), as
+    /// is [`Contract::Unsound`]: the contract the counterexample targets
+    /// *claim* and fail.
+    pub fn spec(self, writers: u32) -> Spec {
+        match self {
+            Contract::Atomic if writers <= 1 => Spec::SwmrAtomic,
+            Contract::Atomic | Contract::Unsound => Spec::Linearizable,
+            Contract::Regular => Spec::SwmrRegular,
+        }
+    }
 }
 
 impl fmt::Display for Contract {
@@ -227,6 +245,7 @@ impl FromStr for ProtocolId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{Affinity, ClusterBuilder, RegisterOps, Runtime};
 
     #[test]
     fn registry_order_matches_discriminants() {
@@ -290,5 +309,35 @@ mod tests {
         assert_eq!(ProtocolId::FastRegular.contract(), Contract::Regular);
         assert_eq!(ProtocolId::MwmrNaiveFast.contract(), Contract::Unsound);
         assert_eq!(format!("{}", Contract::Regular), "regular");
+    }
+
+    #[test]
+    fn every_protocol_is_graded_by_the_spec_it_promises() {
+        for id in ProtocolId::ALL {
+            let expected = match id {
+                ProtocolId::FastRegular => Spec::SwmrRegular,
+                ProtocolId::MwmrAbd | ProtocolId::MwmrNaiveFast => Spec::Linearizable,
+                ProtocolId::FastCrash
+                | ProtocolId::FastByz
+                | ProtocolId::Abd
+                | ProtocolId::MaxMin
+                | ProtocolId::SwsrFast => Spec::SwmrAtomic,
+            };
+            let cfg = id.sample_config();
+            assert_eq!(id.contract().spec(cfg.w), expected, "{id}");
+            // ...and a built deployment knows what it promised.
+            let threads = Runtime::Threads {
+                workers: 1,
+                affinity: Affinity::None,
+            };
+            for runtime in [Runtime::Simnet, threads] {
+                let built = ClusterBuilder::new(cfg).runtime(runtime).build(id);
+                let cluster = built.expect("sample configurations are feasible");
+                assert_eq!(cluster.contract(), id.contract(), "{id} on {runtime}");
+                if let Some(typed) = cluster.sim_control_ref() {
+                    assert_eq!(typed.contract(), id.contract(), "Cluster<{id}>");
+                }
+            }
+        }
     }
 }

@@ -30,6 +30,7 @@ use fastreg_simnet::world::QuiescenceError;
 use crate::config::ClusterConfig;
 use crate::harness::{assemble, nth_read_value, ProtocolFamily, RegisterOps};
 use crate::layout::Layout;
+use crate::protocols::registry::Contract;
 use crate::types::{RegValue, Value};
 
 /// How long a [`ThreadCluster`] waits for outstanding operations before
@@ -128,6 +129,10 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
 impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
     fn cfg(&self) -> ClusterConfig {
         self.cfg
+    }
+
+    fn contract(&self) -> Contract {
+        P::ID.contract()
     }
 
     fn layout(&self) -> Layout {

@@ -1,7 +1,7 @@
 //! The workspace's order-preserving worker pool, [`map_ordered`]: the
-//! fan-out primitive the schedule-exploration engine, the parallel
-//! checkers and the sharded store use to run independent work on real
-//! threads while keeping results — and therefore verdicts and
+//! fan-out primitive the schedule-exploration engine and the sharded
+//! store (driving shards, checking keys) use to run independent work on
+//! real threads while keeping results — and therefore verdicts and
 //! counterexample bytes — independent of the thread count.
 //!
 //! (Running *automata* on threads is `fastreg_rt`'s job, not this

@@ -1,26 +1,20 @@
 //! Per-key contract checking: projecting the store's global history onto
-//! per-key sub-histories and running the existing register checkers on
-//! each.
+//! per-key sub-histories and running the register checker on each.
 //!
 //! The store's correctness claim is *per key*: every key is one atomic
 //! (or regular) register, whatever the interleaving of operations across
 //! keys. The [`StoreChecker`] makes that checkable with the machinery
-//! the repository already trusts — [`check_swmr_atomicity`], the
-//! Wing–Gong linearizability oracle, [`check_swmr_regularity`] — by
-//! projecting the key-tagged [`KvHistory`] onto one
-//! [`History`] per key and lifting each checker result into the stable
+//! the repository already trusts: it projects the key-tagged
+//! [`KvHistory`] onto one [`History`] per key and grades each with the
+//! [`OnlineChecker`] for the [`Spec`](fastreg_atomicity::streaming::Spec)
+//! its shard's protocol promised ([`Contract::spec`]), in the stable
 //! [`Verdict`] codes of `fastreg_atomicity::verdict`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use fastreg::protocols::registry::{Contract, ProtocolId};
 use fastreg_atomicity::history::{History, OpKind, Operation};
-use fastreg_atomicity::linearizability::check_linearizable;
-use fastreg_atomicity::regularity::check_swmr_regularity;
-use fastreg_atomicity::streaming::{
-    stream_lin_verdict, stream_regularity_verdict, stream_swmr_verdict,
-};
-use fastreg_atomicity::swmr::check_swmr_atomicity;
+use fastreg_atomicity::streaming::OnlineChecker;
 use fastreg_atomicity::verdict::Verdict;
 use fastreg_simnet::threaded::map_ordered;
 
@@ -201,51 +195,19 @@ impl StoreCheckReport {
 pub struct StoreChecker;
 
 impl StoreChecker {
-    /// Projects `history` per key and checks each sub-history against
-    /// the contract of the shard (of `store`) owning that key.
-    ///
-    /// Split from [`StoreChecker::check`] so tests can feed hand-built
-    /// histories through the very same projection path.
-    pub fn check_history(store: &ShardedStore, history: &KvHistory) -> StoreCheckReport {
-        let router = store.router();
-        let per_key = history
-            .per_key_ops()
-            .into_iter()
-            .map(|(key, ops)| {
-                let shard_index = router.shard_of(key);
-                let shard = &store.shards()[shard_index as usize];
-                let contract = shard.protocol().contract();
-                let sub = rebuild(ops.into_iter());
-                KeyVerdict {
-                    key,
-                    shard: shard_index,
-                    protocol: shard.protocol(),
-                    contract,
-                    verdict: verdict_for(&sub, contract, store.cfg().w),
-                }
-            })
-            .collect();
-        StoreCheckReport { per_key }
-    }
-
-    /// Harvests the store's global history, projects it per key, and
-    /// checks every sub-history: `check_history(store,
-    /// &store.global_history())`.
+    /// Harvests the store's global history and checks every key's
+    /// sub-history: `check_streaming(store, &store.global_history(), 1)`.
     pub fn check(store: &ShardedStore) -> StoreCheckReport {
-        Self::check_history(store, &store.global_history())
+        Self::check_streaming(store, &store.global_history(), 1)
     }
 
-    /// Streaming, parallel form of [`StoreChecker::check_history`]: the
-    /// per-key sub-histories are checked concurrently across `threads`
-    /// [`map_ordered`] workers,
-    /// each running the streaming checkers of
-    /// `fastreg_atomicity::streaming` instead of the batch ones.
+    /// Projects `history` per key and checks each sub-history against
+    /// the contract of the shard (of `store`) owning that key, fanning
+    /// the keys across `threads` [`map_ordered`] workers. The report is
+    /// identical at any `threads` value.
     ///
-    /// The report is identical to [`StoreChecker::check_history`]'s at
-    /// any `threads` value, except that a key whose history overflows the
-    /// batch linearizability oracle may get an exact verdict where the
-    /// batch path reports `checker-limit` (the streaming oracle only
-    /// gives up when a single *epoch* overflows).
+    /// Taking the history as an argument lets tests feed hand-built
+    /// histories through the very same projection path.
     pub fn check_streaming(
         store: &ShardedStore,
         history: &KvHistory,
@@ -273,37 +235,10 @@ impl StoreChecker {
             })
             .collect();
         let per_key = map_ordered(items, threads, move |_, (seed, sub)| KeyVerdict {
-            verdict: streaming_verdict_for(&sub, seed.contract, w),
+            verdict: OnlineChecker::check(seed.contract.spec(w), &sub),
             ..seed
         });
         StoreCheckReport { per_key }
-    }
-}
-
-/// Checks one history against a contract, as the registry's
-/// [`contract_verdict`](fastreg::harness::RegisterOps::contract_verdict)
-/// does for live clusters: the §3.1 SWMR checker for atomic
-/// single-writer histories, the Wing–Gong linearizability oracle when
-/// `w > 1` (and for [`Contract::Unsound`], the contract the
-/// counterexample targets claim), the regularity checker for
-/// [`Contract::Regular`].
-pub fn verdict_for(history: &History, contract: Contract, w: u32) -> Verdict {
-    match contract {
-        Contract::Atomic if w <= 1 => Verdict::from_atomicity(&check_swmr_atomicity(history)),
-        Contract::Atomic | Contract::Unsound => {
-            Verdict::from_linearizable(&check_linearizable(history))
-        }
-        Contract::Regular => Verdict::from_regularity(&check_swmr_regularity(history)),
-    }
-}
-
-/// [`verdict_for`] with the streaming checkers behind the same contract
-/// dispatch — the kernel [`StoreChecker::check_streaming`] runs per key.
-pub fn streaming_verdict_for(history: &History, contract: Contract, w: u32) -> Verdict {
-    match contract {
-        Contract::Atomic if w <= 1 => stream_swmr_verdict(history),
-        Contract::Atomic | Contract::Unsound => stream_lin_verdict(history),
-        Contract::Regular => stream_regularity_verdict(history),
     }
 }
 
@@ -312,6 +247,7 @@ mod tests {
     use super::*;
     use fastreg::config::ClusterConfig;
     use fastreg_atomicity::history::RegValue;
+    use fastreg_atomicity::swmr::check_swmr_atomicity;
     use fastreg_atomicity::verdict::ViolationKind;
 
     use crate::kv::KvOp;
@@ -375,21 +311,53 @@ mod tests {
         );
         assert_eq!(report.clean_count(), 9);
         assert_eq!(report.unexpected().count(), 0);
-        // The projection-based verdicts agree with asking each live
-        // register directly.
+        // The projection-based verdicts agree with running the batch
+        // oracle on each live register's own record (every backend here
+        // is single-writer atomic).
         for kv in &report.per_key {
             let shard = &store.shards()[kv.shard as usize];
-            let direct = {
-                let h = shard.key_history(kv.key).unwrap();
-                verdict_for(&h, kv.contract, store.cfg().w)
-            };
-            assert_eq!(kv.verdict, direct, "key {}", kv.key);
+            let h = shard.key_history(kv.key).unwrap();
+            assert_eq!(kv.verdict, batch_atomic(&h), "key {}", kv.key);
         }
+    }
+
+    /// The §3.1 batch oracle, as a verdict — what every key of
+    /// `driven_store` (fast-crash and abd shards) is held to.
+    fn batch_atomic(h: &History) -> Verdict {
+        Verdict::from_atomicity(&check_swmr_atomicity(h))
     }
 
     #[test]
     fn verdict_for_dispatches_per_contract() {
-        // An inverted history: write completes, a later read misses it.
+        // One shard per contract; each hand-built history is replayed
+        // onto one key of every shard.
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        let store = StoreBuilder::new(cfg)
+            .shards(3)
+            .backends(vec![
+                ProtocolId::FastCrash,
+                ProtocolId::FastRegular,
+                ProtocolId::MwmrNaiveFast,
+            ])
+            .build()
+            .unwrap();
+        let verdicts = |h: &History| {
+            let mut records = Vec::new();
+            for shard in 0..3 {
+                let key = (0..).find(|&k| store.router().shard_of(k) == shard);
+                let key = key.expect("every shard owns some key");
+                let tagged = h.ops().iter().map(|op| KvRecord {
+                    key,
+                    op: op.clone(),
+                });
+                records.extend(tagged);
+            }
+            let report = StoreChecker::check_streaming(&store, &KvHistory { records }, 1);
+            let of = |c| report.per_key.iter().find(|kv| kv.contract == c).unwrap();
+            [Contract::Atomic, Contract::Regular, Contract::Unsound].map(|c| of(c).verdict)
+        };
+
+        // A stale read: the write completes, a later read misses it.
         let mut h = History::new();
         let w = h.invoke_write(0, 7, 0);
         h.respond(w, None, 10);
@@ -397,32 +365,37 @@ mod tests {
         h.respond(r1, Some(RegValue::Val(7)), 12);
         let r2 = h.invoke_read(2, 13);
         h.respond(r2, Some(RegValue::Bottom), 14);
-        assert!(!verdict_for(&h, Contract::Atomic, 1).is_clean());
-        assert!(!verdict_for(&h, Contract::Regular, 1).is_clean());
-        assert_eq!(
-            verdict_for(&h, Contract::Unsound, 1),
-            Verdict::Violation(ViolationKind::NotLinearizable)
-        );
+        let [atomic, regular, unsound] = verdicts(&h);
+        assert!(!atomic.is_clean());
+        assert!(!regular.is_clean());
+        assert_eq!(unsound, Verdict::Violation(ViolationKind::NotLinearizable));
+
+        // A new/old inversion across an incomplete write: exactly what
+        // regularity permits and atomicity forbids.
+        let mut h = History::new();
+        h.invoke_write(0, 1, 0);
+        let r1 = h.invoke_read(1, 2);
+        h.respond(r1, Some(RegValue::Val(1)), 4);
+        let r2 = h.invoke_read(2, 5);
+        h.respond(r2, Some(RegValue::Bottom), 7);
+        let [atomic, regular, unsound] = verdicts(&h);
+        assert_eq!(atomic, Verdict::Violation(ViolationKind::NewOldInversion));
+        assert_eq!(regular, Verdict::Clean);
+        assert_eq!(unsound, Verdict::Violation(ViolationKind::NotLinearizable));
+
         // A clean sequential history is clean under every contract.
         let mut ok = History::new();
         let w = ok.invoke_write(0, 1, 0);
         ok.respond(w, None, 2);
         let r = ok.invoke_read(1, 3);
         ok.respond(r, Some(RegValue::Val(1)), 4);
-        for c in [Contract::Atomic, Contract::Regular, Contract::Unsound] {
-            assert!(verdict_for(&ok, c, 1).is_clean(), "{c:?}");
-        }
+        assert_eq!(verdicts(&ok), [Verdict::Clean; 3]);
     }
 
     #[test]
     fn streaming_check_agrees_with_batch_at_any_thread_count() {
         let store = driven_store();
         let global = store.global_history();
-        let batch = StoreChecker::check_history(&store, &global);
-        for threads in [1, 2, 4] {
-            let streamed = StoreChecker::check_streaming(&store, &global, threads);
-            assert_eq!(streamed.per_key, batch.per_key, "threads = {threads}");
-        }
         // And on a doctored (violating) history too.
         let mut doctored = global.clone();
         for r in &mut doctored.records {
@@ -431,11 +404,18 @@ mod tests {
                 break;
             }
         }
-        let batch = StoreChecker::check_history(&store, &doctored);
-        assert!(!batch.is_clean());
-        for threads in [1, 2, 4] {
-            let streamed = StoreChecker::check_streaming(&store, &doctored, threads);
-            assert_eq!(streamed.per_key, batch.per_key, "threads = {threads}");
+        for (history, clean) in [(&global, true), (&doctored, false)] {
+            let batch: Vec<Verdict> = history
+                .keys()
+                .iter()
+                .map(|&key| batch_atomic(&history.project(key)))
+                .collect();
+            assert_eq!(batch.iter().all(|v| v.is_clean()), clean);
+            for threads in [1, 2, 4] {
+                let streamed = StoreChecker::check_streaming(&store, history, threads);
+                let verdicts: Vec<Verdict> = streamed.per_key.iter().map(|kv| kv.verdict).collect();
+                assert_eq!(verdicts, batch, "threads = {threads}");
+            }
         }
     }
 
@@ -463,7 +443,7 @@ mod tests {
             }
         }
         assert!(doctored, "found a completed read to doctor");
-        let report = StoreChecker::check_history(&store, &global);
+        let report = StoreChecker::check_streaming(&store, &global, 1);
         let bad: Vec<_> = report.violations().collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].key, victim);

@@ -44,8 +44,9 @@
 //!   histories and trace fingerprints are **identical at any thread
 //!   count**.
 //! * The [`checker::StoreChecker`] projects the store's global history
-//!   onto per-key sub-histories and runs the existing atomicity /
-//!   linearizability / regularity checkers on each, reporting stable
+//!   onto per-key sub-histories and grades each with the online checker
+//!   for its shard's contract (atomicity / linearizability /
+//!   regularity), reporting stable
 //!   [`Verdict`](fastreg_atomicity::verdict::Verdict) codes — every
 //!   registry protocol instantly becomes a KV backend with its contract
 //!   checked per key.

@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fastreg::harness::RegisterOps;
-use fastreg_atomicity::history::{History, HistoryEvent};
-use fastreg_atomicity::streaming::{replay_events, StreamingChecker, StreamingLinChecker};
+use fastreg_atomicity::history::History;
+use fastreg_atomicity::streaming::{replay_events, OnlineChecker};
 use fastreg_atomicity::verdict::Verdict;
 use fastreg_simnet::world::QuiescenceError;
 
@@ -62,11 +62,11 @@ pub struct WorkloadReport {
     pub messages_sent: u64,
     /// Virtual time at the end of the run.
     pub duration_ticks: u64,
-    /// Verdict from the streaming checker the driver fed as operations
-    /// settled — SWMR atomicity when the deployment has one writer,
-    /// linearizability otherwise. Same codes as running the batch checker
-    /// over [`history`](WorkloadReport::history), available the moment
-    /// the run ends.
+    /// Verdict from the [`OnlineChecker`] the driver fed as operations
+    /// settled, graded against the contract the deployment promised
+    /// ([`RegisterOps::contract`]). Same codes as running the matching
+    /// batch checker over [`history`](WorkloadReport::history), available
+    /// the moment the run ends.
     pub streaming_verdict: Verdict,
     /// Peak operation count resident in the streaming checker (the
     /// frontier high-water mark) — bounded by concurrency, not by
@@ -128,47 +128,6 @@ impl std::error::Error for DriverError {
     }
 }
 
-/// The online checker the driver feeds as operations settle: the SWMR
-/// streaming checker for single-writer deployments, the epoch-chained
-/// linearizability checker otherwise.
-enum LiveChecker {
-    // Boxed: the SWMR checker dwarfs the lin checker, and one lives per
-    // closed-loop run.
-    Swmr(Box<StreamingChecker>),
-    Lin(StreamingLinChecker),
-}
-
-impl LiveChecker {
-    fn for_writers(w: u32) -> LiveChecker {
-        if w <= 1 {
-            LiveChecker::Swmr(Box::new(StreamingChecker::new_atomic()))
-        } else {
-            LiveChecker::Lin(StreamingLinChecker::new())
-        }
-    }
-
-    fn on_events(&mut self, events: &[HistoryEvent]) {
-        match self {
-            LiveChecker::Swmr(c) => c.on_events(events),
-            LiveChecker::Lin(c) => c.on_events(events),
-        }
-    }
-
-    fn verdict(&self) -> Verdict {
-        match self {
-            LiveChecker::Swmr(c) => c.verdict(),
-            LiveChecker::Lin(c) => c.verdict(),
-        }
-    }
-
-    fn high_water_mark(&self) -> usize {
-        match self {
-            LiveChecker::Swmr(c) => c.high_water_mark(),
-            LiveChecker::Lin(c) => c.high_water_mark(),
-        }
-    }
-}
-
 /// Runs a closed-loop workload on a cluster (writer 0 writes; readers
 /// read).
 ///
@@ -192,7 +151,7 @@ pub fn run_closed_loop(
     // Check online where the runtime journals events; otherwise replay
     // the final snapshot through the same checker at the end.
     let journaling = cluster.start_history_journal();
-    let mut checker = LiveChecker::for_writers(cluster.cfg().w);
+    let mut checker = OnlineChecker::new(cluster.contract().spec(cluster.cfg().w));
     let mut next_value = 1u64;
     let mut issued = 0u64;
     // Earliest time each client may issue again (think time gate). A
@@ -577,6 +536,58 @@ mod tests {
             1,
             "fallback must reuse the one snapshot"
         );
+    }
+
+    #[test]
+    fn streaming_verdict_grades_the_contract_the_deployment_promised() {
+        // Regression: the driver picked its checker from the writer count
+        // alone, so fast-regular — which promises regularity, not
+        // atomicity — was failed for a new/old inversion §8 allows.
+        use fastreg::harness::DynCluster;
+        use fastreg_atomicity::streaming::Spec;
+        use fastreg_simnet::delay::DelayModel;
+        use fastreg_simnet::runner::SimConfig;
+
+        let spec = WorkloadSpec {
+            n_ops: 300,
+            write_fraction: 0.3,
+            think_time: 0,
+            seed: 0,
+        };
+        let run = |id: ProtocolId| -> (DynCluster, WorkloadReport) {
+            let sim = SimConfig::default().with_delay(DelayModel::Uniform { lo: 1, hi: 40 });
+            let mut c = ClusterBuilder::new(id.sample_config())
+                .sim(sim)
+                .seed(0)
+                .build(id)
+                .unwrap();
+            let report = run_closed_loop(&mut c, &spec).expect("quiesces");
+            (c, report)
+        };
+
+        let (c, report) = run(ProtocolId::FastRegular);
+        let as_atomic = OnlineChecker::check(Spec::SwmrAtomic, &report.history);
+        assert!(
+            !as_atomic.is_clean(),
+            "fixture must contain an inversion, or this test pins nothing"
+        );
+        c.check_regular().expect("the history is regular");
+        assert_eq!(c.contract_verdict(c.contract()), Verdict::Clean);
+        assert_eq!(report.streaming_verdict, Verdict::Clean);
+        assert_eq!(
+            report.streaming_verdict,
+            OnlineChecker::check(Spec::SwmrRegular, &report.history)
+        );
+
+        // An atomic protocol under the same delays is still held to the
+        // atomic spec.
+        let (c, report) = run(ProtocolId::FastCrash);
+        assert_eq!(c.contract().spec(c.cfg().w), Spec::SwmrAtomic);
+        assert_eq!(
+            report.streaming_verdict,
+            OnlineChecker::check(Spec::SwmrAtomic, &report.history)
+        );
+        assert_eq!(report.streaming_verdict, Verdict::Clean);
     }
 
     #[test]

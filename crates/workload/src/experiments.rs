@@ -817,14 +817,14 @@ pub fn e13_seen_ablation() -> Table {
 /// closed loop at each requested size and records wall time. Per-op wall
 /// cost staying flat as `n_ops` grows 100× is the end-to-end evidence
 /// that neither the scheduler (`step_timed`) nor the driver
-/// (`run_closed_loop`) rescans its state per operation. Histories at the
-/// smallest size are checked against the protocol's declared contract.
+/// (`run_closed_loop`) rescans its state per operation. Every run must
+/// end with a clean verdict from the driver's online checker — the
+/// protocol's declared contract, graded as operations settled.
 pub fn e14_scale(sizes: &[u64]) -> Table {
     use fastreg::protocols::registry::{Contract, ProtocolId};
     use std::time::Instant;
 
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
-    let check_at = sizes.iter().copied().min().unwrap_or(0);
     let mut table = Table::new(vec![
         "protocol",
         "n_ops",
@@ -860,15 +860,12 @@ pub fn e14_scale(sizes: &[u64]) -> Table {
                 "E14: {id} must complete every op at n = {n_ops}"
             );
             assert_eq!(rep.breakdown.incomplete, 0);
-            if n_ops == check_at {
-                match id.contract() {
-                    Contract::Atomic => check_swmr_atomicity(&rep.history)
-                        .unwrap_or_else(|v| panic!("E14: {id} not atomic: {v}")),
-                    Contract::Regular => check_swmr_regularity(&rep.history)
-                        .unwrap_or_else(|v| panic!("E14: {id} not regular: {v}")),
-                    Contract::Unsound => unreachable!("filtered above"),
-                }
-            }
+            assert!(
+                rep.streaming_verdict.is_clean(),
+                "E14: {id} broke its {} contract at n = {n_ops}: {}",
+                id.contract(),
+                rep.streaming_verdict.code()
+            );
             table.row(vec![
                 id.name().into(),
                 n_ops.to_string(),
@@ -1265,19 +1262,17 @@ fn e18_history(n_ops: u64) -> fastreg_atomicity::history::History {
     h
 }
 
-/// E18 — checker throughput: the streaming and epoch-parallel checkers
-/// vs the batch checker on synthetic SWMR histories up to millions of
-/// ops. The batch checker is quadratic in the number of reads, so it
+/// E18 — checker throughput: the streaming checker vs the batch
+/// checker on synthetic SWMR histories up to millions of ops. The batch
+/// checker is quadratic in the number of reads, so it
 /// only runs up to `batch_cap` ops; its throughput (ops/s) *decreases*
 /// with size, which makes the reported speedup — streaming throughput
 /// at the largest size over batch throughput at its largest measured
 /// size — a conservative lower bound. Streaming memory stays bounded:
 /// the table's `resident` column is the checker's high-water mark of
 /// simultaneously buffered ops, independent of history length.
-pub fn e18_checker_throughput(sizes: &[u64], batch_cap: u64, threads: usize) -> Table {
-    use fastreg_atomicity::streaming::{
-        check_swmr_atomicity_parallel, replay_events, StreamingChecker,
-    };
+pub fn e18_checker_throughput(sizes: &[u64], batch_cap: u64) -> Table {
+    use fastreg_atomicity::streaming::{replay_events, StreamingChecker};
     use fastreg_atomicity::verdict::Verdict;
     use std::time::Instant;
 
@@ -1289,59 +1284,37 @@ pub fn e18_checker_throughput(sizes: &[u64], batch_cap: u64, threads: usize) -> 
     for &n_ops in sizes {
         let h = e18_history(n_ops);
         let n = h.len() as u64;
-
-        // fastreg-lint: allow(wall-clock): wall-time report row only; never feeds a verdict, trace, or fingerprint
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
-        let events = replay_events(&h);
-        let mut ck = StreamingChecker::new_atomic();
-        ck.on_events(&events);
-        let verdict = ck.verdict();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert!(verdict.is_clean(), "E18: synthetic history must be clean");
-        let ops_per_s = n as f64 / (wall_ms / 1e3).max(1e-9);
-        best_stream_ops_per_s = best_stream_ops_per_s.max(ops_per_s);
-        table.row(vec![
-            n.to_string(),
-            "streaming".into(),
-            format!("{wall_ms:.1}"),
-            format!("{ops_per_s:.0}"),
-            ck.high_water_mark().to_string(),
-            verdict.code().into(),
-        ]);
-
-        // fastreg-lint: allow(wall-clock): wall-time report row only; never feeds a verdict, trace, or fingerprint
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
-        let verdict = check_swmr_atomicity_parallel(&h, threads);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert!(verdict.is_clean(), "E18: synthetic history must be clean");
-        table.row(vec![
-            n.to_string(),
-            format!("parallel x{threads}"),
-            format!("{wall_ms:.1}"),
-            format!("{:.0}", n as f64 / (wall_ms / 1e3).max(1e-9)),
-            "-".into(),
-            verdict.code().into(),
-        ]);
-
-        if n_ops <= batch_cap {
+        // Times one checker over `h` (`check` returns its verdict and
+        // resident-op count), appends its row, returns its ops/s.
+        let mut grade = |name: &str, check: &dyn Fn() -> (Verdict, usize)| {
             // fastreg-lint: allow(wall-clock): wall-time report row only; never feeds a verdict, trace, or fingerprint
             #[allow(clippy::disallowed_methods)]
             let start = Instant::now();
-            let verdict = Verdict::from_atomicity(&check_swmr_atomicity(&h));
+            let (verdict, resident) = check();
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             assert!(verdict.is_clean(), "E18: synthetic history must be clean");
             let ops_per_s = n as f64 / (wall_ms / 1e3).max(1e-9);
-            best_batch_ops_per_s = best_batch_ops_per_s.max(ops_per_s);
             table.row(vec![
                 n.to_string(),
-                "batch".into(),
+                name.into(),
                 format!("{wall_ms:.1}"),
                 format!("{ops_per_s:.0}"),
-                n.to_string(),
+                resident.to_string(),
                 verdict.code().into(),
             ]);
+            ops_per_s
+        };
+        let streaming = grade("streaming", &|| {
+            let mut ck = StreamingChecker::new_atomic();
+            ck.on_events(&replay_events(&h));
+            (ck.verdict(), ck.high_water_mark())
+        });
+        best_stream_ops_per_s = best_stream_ops_per_s.max(streaming);
+        if n_ops <= batch_cap {
+            let batch = grade("batch", &|| {
+                (Verdict::from_atomicity(&check_swmr_atomicity(&h)), h.len())
+            });
+            best_batch_ops_per_s = best_batch_ops_per_s.max(batch);
         }
     }
     let speedup = best_stream_ops_per_s / best_batch_ops_per_s.max(1e-9);
@@ -1608,13 +1581,12 @@ mod tests {
     fn e18_compares_checkers_at_ci_sizes() {
         // CI-sized: batch runs only at the small size, the speedup row
         // and the >= 5x assertion inside the experiment still arm.
-        let t = e18_checker_throughput(&[3_000, 60_000], 3_000, 2);
-        // streaming + parallel per size, batch at the small size, plus
-        // the speedup summary row.
-        assert_eq!(t.len(), 6);
+        let t = e18_checker_throughput(&[9_000, 60_000], 9_000);
+        // streaming per size, batch at the small size, plus the speedup
+        // summary row.
+        assert_eq!(t.len(), 4);
         let s = t.render();
         assert!(s.contains("streaming"));
-        assert!(s.contains("parallel x2"));
         assert!(s.contains("batch"));
         assert!(s.contains("speedup"));
         // Bounded memory: the frontier high-water mark is a handful of

@@ -181,8 +181,7 @@ pub fn run_kv_workload(
     let (store, stats) = frontend.finish()?;
     let global = store.global_history();
     // Per-key checks run concurrently on the same worker-thread budget
-    // that drove the shards, through the streaming checkers (same codes
-    // as `check_history`, thread-count independent).
+    // that drove the shards (the report is thread-count independent).
     let check = StoreChecker::check_streaming(&store, &global, threads);
     let breakdown = OpBreakdown::of(&global.latency_history());
     let report = KvReport {
