@@ -9,21 +9,32 @@
 //! `linear_scan_reference` group drives the same worlds through the
 //! pre-index full-`mset` scan kept for the equivalence property suite,
 //! making the asymptotic gap directly visible in one bench run.
+//!
+//! Those rows carry `u8` payloads, whose `Clone` and `Debug` are free —
+//! a per-message cost that depends on the payload (formatting it,
+//! cloning it into the trace) is invisible to them. The
+//! `protocol_payload` group runs the same echo step with a
+//! `fast_crash::Msg::ReadAck` carrying a 3-element `seen` set, with the
+//! trace recording, full, and off.
+
+use std::marker::PhantomData;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use fastreg::protocols::fast_crash::Msg;
+use fastreg::types::{ClientId, TaggedValue, Timestamp};
 use fastreg_simnet::delay::DelayModel;
 use fastreg_simnet::prelude::*;
 use fastreg_simnet::runner::SimConfig;
 
 /// Replies to every message, keeping the in-transit pool at a constant
 /// size: one delivery in, one send out.
-struct Echo;
+struct Echo<M>(PhantomData<fn() -> M>);
 
-impl Automaton for Echo {
-    type Msg = u8;
+impl<M: Clone + std::fmt::Debug + Send + 'static> Automaton for Echo<M> {
+    type Msg = M;
 
-    fn on_message(&mut self, from: ProcessId, msg: u8, out: &mut Outbox<u8>) {
+    fn on_message(&mut self, from: ProcessId, msg: M, out: &mut Outbox<M>) {
         if from != ProcessId::EXTERNAL {
             out.send(from, msg);
         }
@@ -38,12 +49,12 @@ fn world_with_pool(pool: usize) -> World<u8> {
         seed: 42,
         delay: DelayModel::Uniform { lo: 1, hi: 1_000 },
         // The trace is bounded storage, but skip it entirely here: the
-        // benchmark measures the scheduler, not `format!` on payloads.
+        // benchmark measures the scheduler, not trace recording.
         trace_capacity: 0,
         ..SimConfig::default()
     });
-    let a = w.add_actor(Box::new(Echo));
-    let b = w.add_actor(Box::new(Echo));
+    let a = w.add_actor(Box::new(Echo(PhantomData)));
+    let b = w.add_actor(Box::new(Echo(PhantomData)));
     for i in 0..pool {
         w.send_from_external(a, b, (i % 251) as u8);
     }
@@ -80,5 +91,52 @@ fn linear_scan_reference_steps(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, event_queue_steps, linear_scan_reference_steps);
+/// One timed echo step with a protocol-shaped payload over a pool of 10
+/// (one fast read's worth of messages), per trace regime:
+///
+/// * `recording` — a capacity the run never reaches, so every send is
+///   stored (what each of the store's short-lived worlds pays);
+/// * `default_trace` — `SimConfig::default()`, which fills during the
+///   warm-up exactly as it does ≈ 4 800 ops into a long closed loop, so
+///   the timed steps only count;
+/// * `trace_capacity_0` — nothing is ever stored.
+fn protocol_payload_steps(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simnet_scheduler/protocol_payload");
+    let regimes = [
+        ("recording", 1 << 21),
+        ("default_trace", SimConfig::default().trace_capacity),
+        ("trace_capacity_0", 0),
+    ];
+    for (regime, trace_capacity) in regimes {
+        g.bench_function(BenchmarkId::new("echo_step", regime), |bench| {
+            let mut w: World<Msg> = World::new(SimConfig {
+                seed: 42,
+                trace_capacity,
+                ..SimConfig::default()
+            });
+            let a = w.add_actor(Box::new(Echo(PhantomData)));
+            let b = w.add_actor(Box::new(Echo(PhantomData)));
+            for i in 0..10 {
+                let ack = Msg::ReadAck {
+                    ts: Timestamp(i),
+                    tags: TaggedValue::INITIAL,
+                    seen: (0..3).map(ClientId).collect(),
+                    r_counter: i,
+                };
+                w.send_from_external(a, b, ack);
+            }
+            bench.iter(|| {
+                assert!(w.step_timed(), "echo pool never drains");
+            });
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    event_queue_steps,
+    linear_scan_reference_steps,
+    protocol_payload_steps
+);
 criterion_main!(benches);

@@ -846,12 +846,14 @@ pub trait SimControl: RegisterOps {
     /// Empty for protocols whose readers keep no witness histogram.
     fn witness_levels(&self) -> Vec<(u32, u64)>;
     /// Snapshot of the simulated world's network statistics
-    /// (sent/delivered/dropped/steps plus per-process tallies) — the
+    /// (sent/delivered/dropped/steps) — the
     /// observability layer's raw material for its `net.*` counters.
     fn net_stats(&self) -> fastreg_simnet::stats::NetStats;
     /// The world's retained trace entries so far (the trace is bounded;
     /// see [`Trace::suppressed`](fastreg_simnet::trace::Trace::suppressed)),
-    /// from which the observability layer derives message spans.
+    /// from which the observability layer derives message spans. Entries
+    /// only: the typed messages stay in the world's trace, which renders
+    /// them when read ([`trace_fingerprint`](SimControl::trace_fingerprint)).
     fn trace_entries(&self) -> Vec<fastreg_simnet::trace::TraceEntry>;
     /// Lifetime counters of the timed scheduler's ready-queue index.
     fn sched_counters(&self) -> fastreg_simnet::world::SchedStats;

@@ -507,11 +507,10 @@ mod tests {
         // a double broadcast.)
         let gossip_from_s0 = w
             .trace()
-            .entries()
-            .iter()
-            .filter(|e| {
-                matches!(e, fastreg_simnet::trace::TraceEntry::Send { from, payload, .. }
-                    if *from == s0 && payload.contains("Gossip"))
+            .lines()
+            .filter(|l| {
+                matches!(l.entry, fastreg_simnet::trace::TraceEntry::Send { from, .. } if from == s0)
+                    && matches!(l.payload, Some(Msg::Gossip { .. }))
             })
             .count();
         assert_eq!(gossip_from_s0, 4); // one broadcast to 4 peers

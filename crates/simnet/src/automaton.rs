@@ -93,11 +93,15 @@ pub struct Outbox<M> {
 impl<M> Outbox<M> {
     /// Creates an outbox for a step taken by `this` at time `now`.
     pub fn new(this: ProcessId, now: SimTime) -> Self {
-        Outbox {
-            now,
-            this,
-            msgs: Vec::new(),
-        }
+        Self::with_buffer(this, now, Vec::new())
+    }
+
+    /// [`Outbox::new`] over a caller-owned (empty) buffer, so a runtime
+    /// that takes one step at a time can lend the same allocation to
+    /// every step and get it back from [`Outbox::into_messages`].
+    pub(crate) fn with_buffer(this: ProcessId, now: SimTime, msgs: Vec<(ProcessId, M)>) -> Self {
+        debug_assert!(msgs.is_empty());
+        Outbox { now, this, msgs }
     }
 
     /// The current time (virtual under simulation, wall-clock ticks under

@@ -1,9 +1,5 @@
 //! Run-level message statistics.
 
-use std::collections::BTreeMap;
-
-use crate::id::ProcessId;
-
 /// Counters maintained by a [`World`](crate::world::World) across a run.
 ///
 /// Message *complexity* comparisons between protocols (e.g. the fast read's
@@ -19,10 +15,6 @@ pub struct NetStats {
     pub dropped: u64,
     /// Total steps executed (deliveries + injections).
     pub steps: u64,
-    /// Per-sender send counts.
-    pub sent_by: BTreeMap<ProcessId, u64>,
-    /// Per-receiver delivery counts.
-    pub delivered_to: BTreeMap<ProcessId, u64>,
 }
 
 impl NetStats {
@@ -31,17 +23,15 @@ impl NetStats {
         Self::default()
     }
 
-    /// Records a send by `from`.
-    pub fn record_send(&mut self, from: ProcessId) {
+    /// Records a send.
+    pub fn record_send(&mut self) {
         self.sent += 1;
-        *self.sent_by.entry(from).or_insert(0) += 1;
     }
 
-    /// Records a delivery to `to`.
-    pub fn record_delivery(&mut self, to: ProcessId) {
+    /// Records a delivery (one message, one step of its receiver).
+    pub fn record_delivery(&mut self) {
         self.delivered += 1;
         self.steps += 1;
-        *self.delivered_to.entry(to).or_insert(0) += 1;
     }
 
     /// Records a dropped message.
@@ -67,21 +57,16 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = NetStats::new();
-        let a = ProcessId::new(0);
-        let b = ProcessId::new(1);
-        s.record_send(a);
-        s.record_send(a);
-        s.record_send(b);
-        s.record_delivery(b);
+        s.record_send();
+        s.record_send();
+        s.record_send();
+        s.record_delivery();
         s.record_drop();
         s.record_injection();
         assert_eq!(s.sent, 3);
         assert_eq!(s.delivered, 1);
         assert_eq!(s.dropped, 1);
         assert_eq!(s.steps, 2);
-        assert_eq!(s.sent_by[&a], 2);
-        assert_eq!(s.sent_by[&b], 1);
-        assert_eq!(s.delivered_to[&b], 1);
         assert_eq!(s.in_transit(), 1);
     }
 

@@ -5,6 +5,17 @@
 //! protocol code, rendering the lower-bound proof constructions in the
 //! `lower_bound_gallery` example, and asserting simulator determinism (two
 //! runs with the same seed produce byte-identical traces).
+//!
+//! ## Render on read
+//!
+//! A recorded computation is an input consumed *after* the run, so
+//! recording costs a move and rendering is paid by whoever reads. A
+//! stored `Send` / `Inject` keeps a clone of the message itself in a side
+//! table — one slot per payload-carrying entry, in entry order, so the
+//! payload-free [`TraceEntry`] stays small and `Copy` — and `Debug` runs
+//! only in the readers: [`Line`]'s `Display`, [`Trace::render`] and
+//! [`Trace::fingerprint`]. An entry that will not be stored (trace full,
+//! or capacity 0) is counted and its message is never cloned.
 
 use std::fmt;
 
@@ -12,8 +23,9 @@ use crate::envelope::MsgId;
 use crate::id::ProcessId;
 use crate::time::SimTime;
 
-/// One recorded simulator event.
-#[derive(Clone, Debug, PartialEq)]
+/// One recorded simulator event. The message of a `Send` / `Inject` is
+/// kept by the owning [`Trace`]; [`Trace::lines`] pairs the two.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEntry {
     /// A message entered the in-transit set.
     Send {
@@ -25,8 +37,6 @@ pub enum TraceEntry {
         from: ProcessId,
         /// Receiver.
         to: ProcessId,
-        /// `Debug` rendering of the payload.
-        payload: String,
     },
     /// A message was delivered in a step of `to`.
     Deliver {
@@ -45,8 +55,6 @@ pub enum TraceEntry {
         at: SimTime,
         /// Target process.
         to: ProcessId,
-        /// `Debug` rendering of the payload.
-        payload: String,
     },
     /// A process crashed.
     Crash {
@@ -91,24 +99,33 @@ impl TraceEntry {
             | TraceEntry::Drop { at, .. } => *at,
         }
     }
+
+    /// Whether the owning [`Trace`] keeps a message for this entry.
+    fn carries_payload(&self) -> bool {
+        matches!(self, TraceEntry::Send { .. } | TraceEntry::Inject { .. })
+    }
 }
 
-impl fmt::Display for TraceEntry {
+/// One stored entry paired with its message: what [`Trace::lines`]
+/// yields. Its `Display` is the one place a payload's `Debug` runs.
+#[derive(Debug)]
+pub struct Line<'a, M> {
+    /// The event.
+    pub entry: TraceEntry,
+    /// The message of a `Send` / `Inject`; `None` for the other kinds.
+    pub payload: Option<&'a M>,
+}
+
+impl<M: fmt::Debug> fmt::Display for Line<'_, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEntry::Send {
-                at,
-                id,
-                from,
-                to,
-                payload,
-            } => write!(f, "[{at:>6}] send    {id} {from} -> {to}: {payload}"),
+        match self.entry {
+            TraceEntry::Send { at, id, from, to } => {
+                write!(f, "[{at:>6}] send    {id} {from} -> {to}: ")?;
+            }
             TraceEntry::Deliver { at, id, from, to } => {
-                write!(f, "[{at:>6}] deliver {id} {from} -> {to}")
+                write!(f, "[{at:>6}] deliver {id} {from} -> {to}")?;
             }
-            TraceEntry::Inject { at, to, payload } => {
-                write!(f, "[{at:>6}] inject  -> {to}: {payload}")
-            }
+            TraceEntry::Inject { at, to } => write!(f, "[{at:>6}] inject  -> {to}: ")?,
             TraceEntry::Crash {
                 at,
                 process,
@@ -116,11 +133,34 @@ impl fmt::Display for TraceEntry {
             } => write!(
                 f,
                 "[{at:>6}] crash   {process} (sent {sent_before_crash} of step)"
-            ),
+            )?,
             TraceEntry::Drop { at, id, reason } => {
-                write!(f, "[{at:>6}] drop    {id} ({reason:?})")
+                write!(f, "[{at:>6}] drop    {id} ({reason:?})")?;
             }
         }
+        // Through `write!`, not `Debug::fmt`, so the caller's width and
+        // `#` flags never reach the payload.
+        self.payload.map_or(Ok(()), |m| write!(f, "{m:?}"))
+    }
+}
+
+/// FNV-1a as a `fmt::Write` sink: rendered text is hashed as it is
+/// produced instead of being collected into a `String` first.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.eat(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -129,17 +169,20 @@ impl fmt::Display for TraceEntry {
 /// Once `capacity` entries have been recorded, further entries are counted
 /// but not stored, so long random runs cannot exhaust memory.
 #[derive(Clone, Debug)]
-pub struct Trace {
+pub struct Trace<M> {
     entries: Vec<TraceEntry>,
+    /// The message of every stored `Send` / `Inject`, in entry order.
+    payloads: Vec<M>,
     capacity: usize,
     suppressed: u64,
 }
 
-impl Trace {
+impl<M> Trace<M> {
     /// Creates a trace that stores at most `capacity` entries.
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
             entries: Vec::new(),
+            payloads: Vec::new(),
             capacity,
             suppressed: 0,
         }
@@ -150,18 +193,63 @@ impl Trace {
         Self::with_capacity(0)
     }
 
-    /// Records an entry (or counts it as suppressed when full).
-    pub fn record(&mut self, entry: TraceEntry) {
-        if self.entries.len() < self.capacity {
+    /// Stores `entry` if there is room, otherwise counts it as suppressed;
+    /// returns whether it was stored.
+    fn push(&mut self, entry: TraceEntry) -> bool {
+        let room = self.entries.len() < self.capacity;
+        if room {
             self.entries.push(entry);
         } else {
             self.suppressed += 1;
         }
+        room
     }
 
-    /// The stored entries, in order.
+    /// Records a payload-free entry (or counts it as suppressed when
+    /// full). `Send` and `Inject` go through [`Trace::record_send`] and
+    /// [`Trace::record_inject`], which keep the message.
+    pub fn record(&mut self, entry: TraceEntry) {
+        debug_assert!(!entry.carries_payload(), "{entry:?} needs its message");
+        self.push(entry);
+    }
+
+    /// Records a send; `msg` is cloned only if the entry is stored.
+    pub fn record_send(&mut self, at: SimTime, id: MsgId, from: ProcessId, to: ProcessId, msg: &M)
+    where
+        M: Clone,
+    {
+        if self.push(TraceEntry::Send { at, id, from, to }) {
+            self.payloads.push(msg.clone());
+        }
+    }
+
+    /// Records an injection; `msg` is cloned only if the entry is stored.
+    pub fn record_inject(&mut self, at: SimTime, to: ProcessId, msg: &M)
+    where
+        M: Clone,
+    {
+        if self.push(TraceEntry::Inject { at, to }) {
+            self.payloads.push(msg.clone());
+        }
+    }
+
+    /// The stored entries, in order (without their messages; see
+    /// [`Trace::lines`]).
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
+    }
+
+    /// The stored entries, each paired with its message, in order.
+    pub fn lines(&self) -> impl Iterator<Item = Line<'_, M>> {
+        let mut payloads = self.payloads.iter();
+        self.entries.iter().map(move |&entry| Line {
+            entry,
+            payload: if entry.carries_payload() {
+                payloads.next()
+            } else {
+                None
+            },
+        })
     }
 
     /// Number of entries that were recorded but not stored.
@@ -170,29 +258,25 @@ impl Trace {
     }
 
     /// A stable 64-bit fingerprint of the trace: FNV-1a over the rendered
-    /// entries plus the suppressed count.
+    /// entries plus the suppressed count, streamed — no line is ever
+    /// materialised.
     ///
     /// Two runs have equal fingerprints iff their stored traces render
     /// identically — the compact form of the scheduler-equivalence
     /// "byte-identical traces" check, used by replayable counterexample
     /// files to assert that a replay reproduced the original run
     /// event-for-event without embedding the whole trace.
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for e in &self.entries {
-            eat(e.to_string().as_bytes());
-            eat(b"\n");
+    pub fn fingerprint(&self) -> u64
+    where
+        M: fmt::Debug,
+    {
+        use std::fmt::Write as _;
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        for line in self.lines() {
+            let _ = writeln!(h, "{line}");
         }
-        eat(&self.suppressed.to_le_bytes());
-        h
+        h.eat(&self.suppressed.to_le_bytes());
+        h.0
     }
 
     /// The maximum message-reorder depth observed in the stored entries.
@@ -243,11 +327,14 @@ impl Trace {
     }
 
     /// Renders the stored entries, one per line.
-    pub fn render(&self) -> String {
+    pub fn render(&self) -> String
+    where
+        M: fmt::Debug,
+    {
         use std::fmt::Write as _;
         let mut s = String::new();
-        for e in &self.entries {
-            let _ = writeln!(s, "{e}");
+        for line in self.lines() {
+            let _ = writeln!(s, "{line}");
         }
         if self.suppressed > 0 {
             let _ = writeln!(s, "... and {} suppressed entries", self.suppressed);
@@ -256,7 +343,7 @@ impl Trace {
     }
 }
 
-impl Default for Trace {
+impl<M> Default for Trace<M> {
     /// A generous default bound suitable for unit tests and the gallery
     /// example.
     fn default() -> Self {
@@ -268,37 +355,43 @@ impl Default for Trace {
 mod tests {
     use super::*;
 
-    fn send_entry(tick: u64) -> TraceEntry {
-        TraceEntry::Send {
-            at: SimTime::from_ticks(tick),
-            id: MsgId(1),
-            from: ProcessId::new(0),
-            to: ProcessId::new(1),
-            payload: "x".to_string(),
-        }
+    /// Records a send of `"x"` at `tick` (m1, p0 → p1).
+    fn record_send(t: &mut Trace<&'static str>, tick: u64) {
+        t.record_send(
+            SimTime::from_ticks(tick),
+            MsgId(1),
+            ProcessId::new(0),
+            ProcessId::new(1),
+            &"x",
+        );
     }
 
     #[test]
     fn records_until_capacity_then_counts() {
         let mut t = Trace::with_capacity(2);
-        t.record(send_entry(1));
-        t.record(send_entry(2));
-        t.record(send_entry(3));
+        record_send(&mut t, 1);
+        record_send(&mut t, 2);
+        record_send(&mut t, 3);
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.suppressed(), 1);
+        assert_eq!(t.lines().filter_map(|l| l.payload).count(), 2);
     }
 
     #[test]
     fn disabled_stores_nothing() {
         let mut t = Trace::disabled();
-        t.record(send_entry(1));
+        record_send(&mut t, 1);
+        t.record_inject(SimTime::ZERO, ProcessId::new(0), &"op");
         assert!(t.entries().is_empty());
-        assert_eq!(t.suppressed(), 1);
+        assert_eq!(t.lines().count(), 0);
+        assert_eq!(t.suppressed(), 2);
     }
 
     #[test]
     fn entry_time_accessor() {
-        assert_eq!(send_entry(9).at(), SimTime::from_ticks(9));
+        let mut t = Trace::default();
+        record_send(&mut t, 9);
+        assert_eq!(t.entries()[0].at(), SimTime::from_ticks(9));
         let crash = TraceEntry::Crash {
             at: SimTime::from_ticks(3),
             process: ProcessId::new(1),
@@ -308,49 +401,49 @@ mod tests {
     }
 
     #[test]
+    fn payload_free_entries_are_smaller_than_the_eagerly_rendered_ones() {
+        // 48 bytes when `Send` / `Inject` carried a `String`.
+        assert!(std::mem::size_of::<TraceEntry>() <= 32);
+    }
+
+    #[test]
     fn fingerprint_tracks_render() {
         let mut a = Trace::with_capacity(10);
         let mut b = Trace::with_capacity(10);
-        a.record(send_entry(1));
-        b.record(send_entry(1));
+        record_send(&mut a, 1);
+        record_send(&mut b, 1);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        b.record(send_entry(2));
+        record_send(&mut b, 2);
         assert_ne!(a.fingerprint(), b.fingerprint());
         // Suppression is part of the identity: a full trace that dropped
         // different numbers of entries is a different run.
         let mut c = Trace::with_capacity(1);
         let mut d = Trace::with_capacity(1);
-        c.record(send_entry(1));
-        d.record(send_entry(1));
-        d.record(send_entry(2));
+        record_send(&mut c, 1);
+        record_send(&mut d, 1);
+        record_send(&mut d, 2);
         assert_ne!(c.fingerprint(), d.fingerprint());
     }
 
-    fn wire(id: u64, to: u32) -> (TraceEntry, TraceEntry) {
-        let send = TraceEntry::Send {
-            at: SimTime::from_ticks(id),
-            id: MsgId(id),
-            from: ProcessId::new(0),
-            to: ProcessId::new(to),
-            payload: "x".to_string(),
-        };
-        let deliver = TraceEntry::Deliver {
+    /// Records `id`'s send to `to` and returns its delivery entry.
+    fn wire(t: &mut Trace<&'static str>, id: u64, to: u32) -> TraceEntry {
+        let (from, to) = (ProcessId::new(0), ProcessId::new(to));
+        t.record_send(SimTime::from_ticks(id), MsgId(id), from, to, &"x");
+        TraceEntry::Deliver {
             at: SimTime::from_ticks(id + 100),
             id: MsgId(id),
-            from: ProcessId::new(0),
-            to: ProcessId::new(to),
-        };
-        (send, deliver)
+            from,
+            to,
+        }
     }
 
     #[test]
     fn fifo_delivery_has_zero_reorder_depth() {
         let mut t = Trace::default();
-        let (s1, d1) = wire(1, 1);
-        let (s2, d2) = wire(2, 1);
-        for e in [s1, s2, d1, d2] {
-            t.record(e);
-        }
+        let d1 = wire(&mut t, 1, 1);
+        let d2 = wire(&mut t, 2, 1);
+        t.record(d1);
+        t.record(d2);
         assert_eq!(t.max_reorder_depth(), 0);
     }
 
@@ -359,10 +452,10 @@ mod tests {
         // m1..m3 sent to receiver 1; m3 delivered first (overtakes two),
         // then m1, m2 (in order among what remains).
         let mut t = Trace::default();
-        let (s1, d1) = wire(1, 1);
-        let (s2, d2) = wire(2, 1);
-        let (s3, d3) = wire(3, 1);
-        for e in [s1, s2, s3, d3, d1, d2] {
+        let d1 = wire(&mut t, 1, 1);
+        let d2 = wire(&mut t, 2, 1);
+        let d3 = wire(&mut t, 3, 1);
+        for e in [d3, d1, d2] {
             t.record(e);
         }
         assert_eq!(t.max_reorder_depth(), 2);
@@ -370,11 +463,10 @@ mod tests {
         // The same sends split across two receivers never overtake:
         // reordering is per receiver, not global.
         let mut t = Trace::default();
-        let (s1, d1) = wire(1, 1);
-        let (s2, d2) = wire(2, 2);
-        for e in [s1, s2, d2, d1] {
-            t.record(e);
-        }
+        let d1 = wire(&mut t, 1, 1);
+        let d2 = wire(&mut t, 2, 2);
+        t.record(d2);
+        t.record(d1);
         assert_eq!(t.max_reorder_depth(), 0);
     }
 
@@ -382,10 +474,8 @@ mod tests {
     fn drops_leave_the_inflight_window() {
         // m1 is dropped before m2 arrives: m2 overtakes nothing.
         let mut t = Trace::default();
-        let (s1, _) = wire(1, 1);
-        let (s2, d2) = wire(2, 1);
-        t.record(s1);
-        t.record(s2);
+        wire(&mut t, 1, 1);
+        let d2 = wire(&mut t, 2, 1);
         t.record(TraceEntry::Drop {
             at: SimTime::from_ticks(50),
             id: MsgId(1),
@@ -398,8 +488,8 @@ mod tests {
     #[test]
     fn render_mentions_suppressed() {
         let mut t = Trace::with_capacity(1);
-        t.record(send_entry(1));
-        t.record(send_entry(2));
+        record_send(&mut t, 1);
+        record_send(&mut t, 2);
         let s = t.render();
         assert!(s.contains("send"));
         assert!(s.contains("suppressed"));
@@ -407,32 +497,37 @@ mod tests {
 
     #[test]
     fn display_formats_each_kind() {
-        let entries = vec![
-            send_entry(1),
-            TraceEntry::Deliver {
-                at: SimTime::ZERO,
-                id: MsgId(0),
-                from: ProcessId::new(0),
-                to: ProcessId::new(1),
-            },
-            TraceEntry::Inject {
-                at: SimTime::ZERO,
-                to: ProcessId::new(1),
-                payload: "op".into(),
-            },
-            TraceEntry::Crash {
-                at: SimTime::ZERO,
-                process: ProcessId::new(2),
-                sent_before_crash: 1,
-            },
-            TraceEntry::Drop {
-                at: SimTime::ZERO,
-                id: MsgId(4),
-                reason: DropReason::Scripted,
-            },
-        ];
-        for e in entries {
-            assert!(!format!("{e}").is_empty());
-        }
+        let mut t = Trace::default();
+        record_send(&mut t, 1);
+        t.record(TraceEntry::Deliver {
+            at: SimTime::ZERO,
+            id: MsgId(0),
+            from: ProcessId::new(0),
+            to: ProcessId::new(1),
+        });
+        t.record_inject(SimTime::ZERO, ProcessId::new(1), &"op");
+        t.record(TraceEntry::Crash {
+            at: SimTime::ZERO,
+            process: ProcessId::new(2),
+            sent_before_crash: 1,
+        });
+        t.record(TraceEntry::Drop {
+            at: SimTime::ZERO,
+            id: MsgId(4),
+            reason: DropReason::Scripted,
+        });
+        let payloads: Vec<Option<&&str>> = t.lines().map(|l| l.payload).collect();
+        assert_eq!(payloads, [Some(&"x"), None, Some(&"op"), None, None]);
+        assert_eq!(
+            t.render(),
+            "[1] send    m1 p0 -> p1: \"x\"\n\
+             [0] deliver m0 p0 -> p1\n\
+             [0] inject  -> p1: \"op\"\n\
+             [0] crash   p2 (sent 1 of step)\n\
+             [0] drop    m4 (Scripted)\n"
+        );
+        // A caller's format flags never reach the payload.
+        let first = t.lines().next().unwrap();
+        assert_eq!(format!("{first:#}"), "[1] send    m1 p0 -> p1: \"x\"");
     }
 }

@@ -1,16 +1,24 @@
 //! The simulated world: actors, the in-transit message set, and steps.
 //!
 //! Delivery is organized around two data structures: the authoritative
-//! in-transit map `mset` (every envelope, addressable by id — the
-//! scripted/adversarial API works on this) and the [`sched::ReadyQueue`]
-//! index the *timed* scheduler pops from in O(log n) per step. Both
-//! driving styles funnel into one internal delivery path, so traces,
-//! statistics and actor steps are identical whichever style (or mix)
-//! drives a run.
+//! in-transit set `mset` (every envelope, addressable by id — the
+//! scripted/adversarial API works on this; a send-ordered window, see
+//! the `mset` module) and the [`sched::ReadyQueue`] index the *timed*
+//! scheduler pops from in O(log n) per step. Both driving styles funnel
+//! into one internal delivery path, so traces, statistics and actor
+//! steps are identical whichever style (or mix) drives a run.
+//!
+//! One timed delivery costs a heap pop, an O(1) `mset` lookup and
+//! removal, a 32-byte trace entry and the receiver's step; each message
+//! the step emits costs a delay sample, a heap push, an `mset` push and —
+//! while the trace has room — one clone into the trace. No message is
+//! formatted on this path: payloads are rendered by whoever reads the
+//! [`Trace`] (see [`crate::trace`]), and the step's outbox is one buffer
+//! lent out again and again.
 
+mod mset;
 pub mod sched;
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -26,6 +34,7 @@ use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::{DropReason, Trace, TraceEntry};
 
+use mset::InTransit;
 use sched::ReadyQueue;
 pub use sched::{QuiescenceError, SchedStats};
 
@@ -34,6 +43,16 @@ pub use sched::{QuiescenceError, SchedStats};
 pub enum DeliverError {
     /// No in-transit message has the requested id.
     UnknownMessage(MsgId),
+    /// The message is in transit, but to another receiver than the one a
+    /// [`World::deliver_set`] step names.
+    WrongReceiver {
+        /// The offending message.
+        id: MsgId,
+        /// The receiver the step was for.
+        expected: ProcessId,
+        /// The receiver the message is addressed to.
+        actual: ProcessId,
+    },
     /// The receiver has crashed and cannot take a step.
     ReceiverCrashed(ProcessId),
 }
@@ -42,6 +61,11 @@ impl fmt::Display for DeliverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeliverError::UnknownMessage(id) => write!(f, "no in-transit message {id}"),
+            DeliverError::WrongReceiver {
+                id,
+                expected,
+                actual,
+            } => write!(f, "message {id} is addressed to {actual}, not {expected}"),
             DeliverError::ReceiverCrashed(p) => write!(f, "receiver {p} has crashed"),
         }
     }
@@ -73,14 +97,17 @@ struct Slot<M> {
 /// See the crate-level docs for an end-to-end example.
 pub struct World<M> {
     slots: Vec<Slot<M>>,
-    mset: BTreeMap<MsgId, Envelope<M>>,
+    mset: InTransit<M>,
     /// The timed scheduler's index over `mset` (lazy invalidation).
     ready: ReadyQueue,
+    /// The one outbox buffer: lent to each actor step, drained into
+    /// `mset`, and taken back with its capacity.
+    outbox_buf: Vec<(ProcessId, M)>,
     next_msg_id: u64,
     now: SimTime,
     rng: StdRng,
     config: SimConfig,
-    trace: Trace,
+    trace: Trace<M>,
     stats: NetStats,
     /// Directed links currently blocked: messages on them stay in transit
     /// for the timed and random schedulers (scripted delivery can still
@@ -97,8 +124,9 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     pub fn new(config: SimConfig) -> Self {
         World {
             slots: Vec::new(),
-            mset: BTreeMap::new(),
+            mset: InTransit::new(),
             ready: ReadyQueue::new(),
+            outbox_buf: Vec::new(),
             next_msg_id: 0,
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(config.seed),
@@ -120,7 +148,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
             automaton,
             crash: CrashState::Up,
         });
-        let mut out = Outbox::new(id, self.now);
+        let mut out = self.lend_outbox(id);
         self.slots[id.index() as usize].automaton.on_start(&mut out);
         self.absorb_outbox(id, out);
         id
@@ -142,7 +170,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     }
 
     /// The run trace so far.
-    pub fn trace(&self) -> &Trace {
+    pub fn trace(&self) -> &Trace<M> {
         &self.trace
     }
 
@@ -282,11 +310,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         if self.is_crashed(to) {
             return;
         }
-        self.trace.record(TraceEntry::Inject {
-            at: self.now,
-            to,
-            payload: format!("{msg:?}"),
-        });
+        self.trace.record_inject(self.now, to, &msg);
         self.stats.record_injection();
         self.step_actor(to, ProcessId::EXTERNAL, msg);
     }
@@ -301,7 +325,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
 
     /// All in-transit envelopes, in send order.
     pub fn pending(&self) -> impl Iterator<Item = &Envelope<M>> {
-        self.mset.values()
+        self.mset.iter()
     }
 
     /// Number of in-transit messages.
@@ -311,11 +335,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
 
     /// Ids of in-transit envelopes satisfying `pred`, in send order.
     pub fn pending_ids_matching<F: Fn(&Envelope<M>) -> bool>(&self, pred: F) -> Vec<MsgId> {
-        self.mset
-            .values()
-            .filter(|e| pred(e))
-            .map(|e| e.id)
-            .collect()
+        self.mset.iter().filter(|e| pred(e)).map(|e| e.id).collect()
     }
 
     /// Delivers one in-transit message as a step `<to, {m}>` of its
@@ -328,13 +348,13 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     pub fn deliver(&mut self, id: MsgId) -> Result<(), DeliverError> {
         let to = self
             .mset
-            .get(&id)
+            .get(id)
             .map(|e| e.to)
             .ok_or(DeliverError::UnknownMessage(id))?;
         if self.is_crashed(to) {
             return Err(DeliverError::ReceiverCrashed(to));
         }
-        let env = self.mset.remove(&id).expect("looked up above");
+        let env = self.mset.remove(id).expect("looked up above");
         self.deliver_env(env);
         Ok(())
     }
@@ -344,16 +364,23 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     ///
     /// # Errors
     ///
-    /// Fails without delivering anything if any id is unknown, any message
-    /// is not addressed to `to`, or `to` has crashed.
+    /// Fails without delivering anything if any id is unknown
+    /// ([`DeliverError::UnknownMessage`]), any message is not addressed to
+    /// `to` ([`DeliverError::WrongReceiver`]), or `to` has crashed.
     pub fn deliver_set(&mut self, to: ProcessId, ids: &[MsgId]) -> Result<(), DeliverError> {
         if self.is_crashed(to) {
             return Err(DeliverError::ReceiverCrashed(to));
         }
         for id in ids {
-            match self.mset.get(id) {
+            match self.mset.get(*id) {
                 None => return Err(DeliverError::UnknownMessage(*id)),
-                Some(e) if e.to != to => return Err(DeliverError::UnknownMessage(*id)),
+                Some(e) if e.to != to => {
+                    return Err(DeliverError::WrongReceiver {
+                        id: *id,
+                        expected: to,
+                        actual: e.to,
+                    })
+                }
                 Some(_) => {}
             }
         }
@@ -401,7 +428,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     pub fn drop_matching<F: Fn(&Envelope<M>) -> bool>(&mut self, pred: F) -> usize {
         let ids = self.pending_ids_matching(pred);
         for id in &ids {
-            self.mset.remove(id);
+            self.mset.remove(*id);
             self.trace.record(TraceEntry::Drop {
                 at: self.now,
                 id: *id,
@@ -428,7 +455,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     /// until [`World::heal_link`].
     fn pop_next_unblocked(&mut self) -> Option<(MsgId, SimTime)> {
         while let Some((ready_at, id)) = self.ready.pop() {
-            let Some(env) = self.mset.get(&id) else {
+            let Some(env) = self.mset.get(id) else {
                 continue; // stale: already delivered or dropped
             };
             let link = (env.from, env.to);
@@ -448,7 +475,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         // Fast path: the heap top is usually live, so peek without the
         // pop/re-push round trip (and its scratch Vec).
         if let Some((ready_at, id)) = self.ready.peek() {
-            if let Some(env) = self.mset.get(&id) {
+            if let Some(env) = self.mset.get(id) {
                 if !self.blocked_links.contains(&(env.from, env.to)) && !self.is_crashed(env.to) {
                     return Some(ready_at);
                 }
@@ -458,7 +485,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         let mut found = None;
         while let Some((id, ready_at)) = self.pop_next_unblocked() {
             popped.push((ready_at, id));
-            let to = self.mset.get(&id).expect("validated by pop").to;
+            let to = self.mset.get(id).expect("validated by pop").to;
             if !self.is_crashed(to) {
                 found = Some(ready_at);
                 break;
@@ -483,7 +510,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
             if ready_at > self.now {
                 self.now = ready_at;
             }
-            let env = self.mset.remove(&id).expect("validated by pop");
+            let env = self.mset.remove(id).expect("validated by pop");
             if self.is_crashed(env.to) {
                 self.trace.record(TraceEntry::Drop {
                     at: self.now,
@@ -508,7 +535,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         loop {
             let next = self
                 .mset
-                .values()
+                .iter()
                 .filter(|e| !self.blocked_links.contains(&(e.from, e.to)))
                 .min_by_key(|e| (e.ready_at, e.id))
                 .map(|e| (e.id, e.to, e.ready_at));
@@ -518,7 +545,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
             if ready_at > self.now {
                 self.now = ready_at;
             }
-            let env = self.mset.remove(&id).expect("selected from mset");
+            let env = self.mset.remove(id).expect("selected from mset");
             if self.is_crashed(to) {
                 self.trace.record(TraceEntry::Drop {
                     at: self.now,
@@ -555,7 +582,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         }
         if self
             .mset
-            .values()
+            .iter()
             .any(|e| !self.is_crashed(e.to) && !self.blocked_links.contains(&(e.from, e.to)))
         {
             return Err(QuiescenceError {
@@ -608,7 +635,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         while steps < self.config.max_steps {
             let next_ready = self
                 .mset
-                .values()
+                .iter()
                 .filter(|e| !self.is_crashed(e.to) && !self.blocked_links.contains(&(e.from, e.to)))
                 .map(|e| e.ready_at)
                 .min();
@@ -634,7 +661,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         let blocked = &self.blocked_links;
         let choice = self
             .mset
-            .values()
+            .iter()
             .filter(|e| {
                 !crashed.get(e.to.index() as usize).copied().unwrap_or(false)
                     && !blocked.contains(&(e.from, e.to))
@@ -678,16 +705,10 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
             ready_at: self.now + delay,
             msg,
         };
-        self.trace.record(TraceEntry::Send {
-            at: self.now,
-            id,
-            from,
-            to,
-            payload: format!("{:?}", env.msg),
-        });
-        self.stats.record_send(from);
+        self.trace.record_send(self.now, id, from, to, &env.msg);
+        self.stats.record_send();
         self.ready.push(env.ready_at, id);
-        self.mset.insert(id, env);
+        self.mset.insert(env);
         id
     }
 
@@ -702,12 +723,18 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
             from: env.from,
             to: env.to,
         });
-        self.stats.record_delivery(env.to);
+        self.stats.record_delivery();
         self.step_actor(env.to, env.from, env.msg);
     }
 
+    /// An outbox for a step of `p` now, backed by the world's one buffer
+    /// (`absorb_outbox` takes it back).
+    fn lend_outbox(&mut self, p: ProcessId) -> Outbox<M> {
+        Outbox::with_buffer(p, self.now, std::mem::take(&mut self.outbox_buf))
+    }
+
     fn step_actor(&mut self, p: ProcessId, from: ProcessId, msg: M) {
-        let mut out = Outbox::new(p, self.now);
+        let mut out = self.lend_outbox(p);
         self.slots[p.index() as usize]
             .automaton
             .on_message(from, msg, &mut out);
@@ -727,9 +754,10 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
                 sent_before_crash: kept,
             });
         }
-        for (to, msg) in msgs {
+        for (to, msg) in msgs.drain(..) {
             self.enqueue(p, to, msg);
         }
+        self.outbox_buf = msgs;
     }
 }
 
@@ -908,9 +936,27 @@ mod tests {
         let (mut w, ids) = world_of(3);
         w.inject(ids[0], Msg::ReplyAll);
         let all: Vec<MsgId> = w.pending().map(|e| e.id).collect();
-        // Mixed receivers: must fail.
-        assert!(w.deliver_set(ids[1], &all).is_err());
+        // Mixed receivers: must fail, naming the message that is in
+        // transit but addressed elsewhere — and deliver nothing.
+        let err = w.deliver_set(ids[1], &all).unwrap_err();
+        assert_eq!(
+            err,
+            DeliverError::WrongReceiver {
+                id: all[1],
+                expected: ids[1],
+                actual: ids[2],
+            }
+        );
+        assert_eq!(err.to_string(), "message m1 is addressed to p2, not p1");
         assert_eq!(w.pending_len(), 2);
+        assert_eq!(w.stats().delivered, 0);
+        assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 0);
+        // An id that is not in transit at all is still `UnknownMessage`.
+        assert_eq!(
+            w.deliver_set(ids[1], &[all[0], MsgId(99)]),
+            Err(DeliverError::UnknownMessage(MsgId(99)))
+        );
+        assert_eq!(w.stats().delivered, 0);
         // Correct receiver: ok.
         let to1 = w.pending_ids_matching(|e| e.to == ids[1]);
         w.deliver_set(ids[1], &to1).unwrap();

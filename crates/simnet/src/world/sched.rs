@@ -1,9 +1,9 @@
 //! The indexed event queue behind the timed scheduler.
 //!
 //! A [`World`](super::World) keeps the authoritative in-transit set
-//! `mset` (a `BTreeMap<MsgId, Envelope>`) because scripted/adversarial
-//! delivery must be able to address *any* message — that is the power
-//! the paper's lower-bound adversary has. The *timed* scheduler, on the
+//! `mset` (a send-ordered window of envelopes with O(1) lookup by id)
+//! because scripted/adversarial delivery must be able to address *any*
+//! message — that is the power the paper's lower-bound adversary has. The *timed* scheduler, on the
 //! other hand, only ever needs the earliest deliverable envelope, so the
 //! world additionally maintains a [`ReadyQueue`]: a binary min-heap of
 //! `(ready_at, MsgId)` entries plus a per-link parking table for blocked
@@ -29,10 +29,12 @@
 //!   their next pop.
 //!
 //! `ready_at` is immutable per envelope and [`MsgId`]s are never reused,
-//! so "id still in `mset`" is a complete validity check. Every envelope
-//! in `mset` is indexed by exactly one live heap or parked entry, which
-//! makes a timed step O(log n) amortized instead of an O(n) scan per
-//! delivery.
+//! so "id still live in `mset`" is a complete validity check: a removed
+//! message is a tombstone or gone from the window altogether (trimmed
+//! off its front, or squeezed out by a compaction), and a lookup answers
+//! "not in transit" for all three alike. Every envelope in `mset` is
+//! indexed by exactly one live heap or parked entry, which makes a
+//! timed step O(log n) amortized instead of an O(n) scan per delivery.
 //!
 //! The index is maintained on *every* send, including in runs driven
 //! purely by scripted or random delivery that never pop it — a small

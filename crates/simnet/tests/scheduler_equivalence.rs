@@ -9,6 +9,14 @@
 //! linear scan (`step_timed_reference`, `run_until_reference`). The
 //! traces must be byte-identical and the clocks, statistics and
 //! in-transit pools equal, for every schedule proptest generates.
+//!
+//! The command set is also the adversarial workout of the in-transit
+//! window behind `mset`: newest-first scripted deliveries and
+//! every-other drops punch holes behind its front, crashes turn timed
+//! pops into drops, and a message pinned on a blocked link sits under a
+//! burst of later traffic until the link heals. After *every* command
+//! both worlds must agree on the trace and on `pending()`, which must be
+//! in send order.
 
 use proptest::prelude::*;
 
@@ -52,7 +60,10 @@ impl Automaton for Node {
 /// worlds (the timed variants dispatch on the scheduler under test).
 #[derive(Clone, Debug)]
 enum Cmd {
-    Inject { p: u8, hops: u8 },
+    Inject {
+        p: u8,
+        hops: u8,
+    },
     StepTimed(u8),
     RunUntil(u8),
     DeliverNth(u8),
@@ -61,6 +72,22 @@ enum Cmd {
     Block(u8, u8),
     Heal(u8, u8),
     Quiesce,
+    /// Scripted delivery of up to `k` pending messages, newest first.
+    DeliverNewestFirst(u8),
+    /// Drops every other pending message, starting at `first % 2`.
+    DropEveryOther(u8),
+    /// Crashes `p`, then takes timed steps: pops addressed to `p` drop.
+    CrashThenStep {
+        p: u8,
+        steps: u8,
+    },
+    /// Pins a message on a blocked link, pushes a burst of later
+    /// traffic through the scheduler, then heals the link.
+    BlockBurstHeal {
+        a: u8,
+        b: u8,
+        burst: u8,
+    },
 }
 
 fn cmd_strategy() -> impl Strategy<Value = Cmd> {
@@ -74,6 +101,10 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
         (0u8..8, 0u8..8).prop_map(|(a, b)| Cmd::Block(a, b)),
         (0u8..8, 0u8..8).prop_map(|(a, b)| Cmd::Heal(a, b)),
         Just(Cmd::Quiesce),
+        (1u8..6).prop_map(Cmd::DeliverNewestFirst),
+        (0u8..2).prop_map(Cmd::DropEveryOther),
+        (0u8..8, 1u8..6).prop_map(|(p, steps)| Cmd::CrashThenStep { p, steps }),
+        (0u8..8, 0u8..8, 1u8..12).prop_map(|(a, b, burst)| Cmd::BlockBurstHeal { a, b, burst }),
     ]
 }
 
@@ -94,61 +125,85 @@ fn pid(raw: u8) -> ProcessId {
     ProcessId::new(raw as u32 % N)
 }
 
-fn apply(w: &mut World<Msg>, cmds: &[Cmd], reference: bool) {
-    let step = |w: &mut World<Msg>| {
-        if reference {
-            w.step_timed_reference()
-        } else {
-            w.step_timed()
-        }
-    };
-    for cmd in cmds {
-        match *cmd {
-            Cmd::Inject { p, hops } => w.inject(pid(p), Msg::Ping(hops)),
-            Cmd::StepTimed(k) => {
-                for _ in 0..k {
-                    if !step(w) {
-                        break;
-                    }
-                }
-            }
-            Cmd::RunUntil(k) => {
-                let deadline = w.now() + k as u64;
-                if reference {
-                    w.run_until_reference(deadline);
-                } else {
-                    w.run_until(deadline);
-                }
-            }
-            Cmd::DeliverNth(i) => {
-                let ids = w.pending_ids_matching(|_| true);
-                if !ids.is_empty() {
-                    // Delivery to a crashed receiver fails the same way
-                    // on both sides; ignore it.
-                    let _ = w.deliver(ids[i as usize % ids.len()]);
-                }
-            }
-            Cmd::DropNth(i) => {
-                let ids = w.pending_ids_matching(|_| true);
-                if !ids.is_empty() {
-                    let victim = ids[i as usize % ids.len()];
-                    w.drop_matching(|e| e.id == victim);
-                }
-            }
-            Cmd::Crash(p) => w.crash(pid(p)),
-            Cmd::Block(a, b) => w.block_link(pid(a), pid(b)),
-            Cmd::Heal(a, b) => w.heal_link(pid(a), pid(b)),
-            Cmd::Quiesce => {
-                if reference {
-                    while step(w) {}
-                } else {
-                    w.run_until_quiescent().expect("hop budget is finite");
-                }
-            }
+fn step(w: &mut World<Msg>, reference: bool) -> bool {
+    if reference {
+        w.step_timed_reference()
+    } else {
+        w.step_timed()
+    }
+}
+
+fn steps(w: &mut World<Msg>, k: u8, reference: bool) {
+    for _ in 0..k {
+        if !step(w, reference) {
+            break;
         }
     }
-    // Finish every run deterministically so pools compare at rest.
-    while step(w) {}
+}
+
+fn apply(w: &mut World<Msg>, cmd: &Cmd, reference: bool) {
+    match *cmd {
+        Cmd::Inject { p, hops } => w.inject(pid(p), Msg::Ping(hops)),
+        Cmd::StepTimed(k) => steps(w, k, reference),
+        Cmd::RunUntil(k) => {
+            let deadline = w.now() + k as u64;
+            if reference {
+                w.run_until_reference(deadline);
+            } else {
+                w.run_until(deadline);
+            }
+        }
+        Cmd::DeliverNth(i) => {
+            let ids = w.pending_ids_matching(|_| true);
+            if !ids.is_empty() {
+                // Delivery to a crashed receiver fails the same way
+                // on both sides; ignore it.
+                let _ = w.deliver(ids[i as usize % ids.len()]);
+            }
+        }
+        Cmd::DropNth(i) => {
+            let ids = w.pending_ids_matching(|_| true);
+            if !ids.is_empty() {
+                let victim = ids[i as usize % ids.len()];
+                w.drop_matching(|e| e.id == victim);
+            }
+        }
+        Cmd::Crash(p) => w.crash(pid(p)),
+        Cmd::Block(a, b) => w.block_link(pid(a), pid(b)),
+        Cmd::Heal(a, b) => w.heal_link(pid(a), pid(b)),
+        Cmd::Quiesce => {
+            if reference {
+                while step(w, true) {}
+            } else {
+                w.run_until_quiescent().expect("hop budget is finite");
+            }
+        }
+        Cmd::DeliverNewestFirst(k) => {
+            let ids = w.pending_ids_matching(|_| true);
+            for id in ids.into_iter().rev().take(k as usize) {
+                let _ = w.deliver(id);
+            }
+        }
+        Cmd::DropEveryOther(first) => {
+            let ids = w.pending_ids_matching(|_| true);
+            let victims: Vec<MsgId> = ids.into_iter().skip(first as usize).step_by(2).collect();
+            w.drop_matching(|e| victims.contains(&e.id));
+        }
+        Cmd::CrashThenStep { p, steps: k } => {
+            w.crash(pid(p));
+            steps(w, k, reference);
+        }
+        Cmd::BlockBurstHeal { a, b, burst } => {
+            let (a, b) = (pid(a), pid(b));
+            w.block_link(a, b);
+            w.send_from_external(a, b, Msg::Ping(0));
+            for i in 0..burst {
+                w.send_from_external(b, pid(i), Msg::Ping(0));
+                steps(w, 2, reference);
+            }
+            w.heal_link(a, b);
+        }
+    }
 }
 
 fn observe(w: &World<Msg>) -> (String, u64, u64, u64, u64, u64, Vec<MsgId>) {
@@ -174,8 +229,23 @@ proptest! {
     ) {
         let mut heap_world = world_of(seed);
         let mut scan_world = world_of(seed);
-        apply(&mut heap_world, &cmds, false);
-        apply(&mut scan_world, &cmds, true);
+        for cmd in &cmds {
+            apply(&mut heap_world, cmd, false);
+            apply(&mut scan_world, cmd, true);
+            let pending: Vec<MsgId> = heap_world.pending().map(|e| e.id).collect();
+            prop_assert!(pending.windows(2).all(|w| w[0] < w[1]), "send order after {:?}", cmd);
+            prop_assert_eq!(pending.len(), heap_world.pending_len());
+            prop_assert!(scan_world.pending().map(|e| e.id).eq(pending), "pools after {:?}", cmd);
+            prop_assert_eq!(
+                heap_world.trace().render(),
+                scan_world.trace().render(),
+                "traces diverged at {:?}",
+                cmd
+            );
+        }
+        // Finish every run deterministically so pools compare at rest.
+        while heap_world.step_timed() {}
+        while scan_world.step_timed_reference() {}
         let heap_obs = observe(&heap_world);
         let scan_obs = observe(&scan_world);
         prop_assert_eq!(&heap_obs.0, &scan_obs.0, "traces diverged under {:?}", cmds);
@@ -191,7 +261,9 @@ proptest! {
         cmds in proptest::collection::vec(cmd_strategy(), 1..60),
     ) {
         let mut w = world_of(seed);
-        apply(&mut w, &cmds, false);
+        for cmd in &cmds {
+            apply(&mut w, cmd, false);
+        }
         let s = w.stats();
         prop_assert_eq!(
             s.sent,
