@@ -18,9 +18,10 @@ pub type Tick = u64;
 /// The paper fixes the initial value to a special `⊥` that is not a valid
 /// input of any write; modelling it as a distinct variant keeps that
 /// distinction type-level.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RegValue {
     /// The initial value `⊥`.
+    #[default]
     Bottom,
     /// A written value.
     Val(u64),

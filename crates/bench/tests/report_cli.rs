@@ -5,6 +5,7 @@
 use std::process::{Command, Output};
 
 use fastreg::protocols::registry::ProtocolId;
+use fastreg_adversary::explore::Counterexample;
 use fastreg_workload::experiments::EXPERIMENT_IDS;
 
 fn report(args: &[&str]) -> Output {
@@ -361,6 +362,29 @@ fn explore_replay_divergence_exits_1() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("DIVERGED"));
+}
+
+#[test]
+fn explore_replay_of_a_protocol_outside_its_hypotheses_diverges_not_panics() {
+    // A corpus entry re-addressed to the single-reader protocol with two
+    // readers parses; replaying it yields a verdict like any other
+    // deployment past its hypotheses — the file's own verdict is not
+    // reproduced (exit 1), and nothing panics (exit 101).
+    let corpus = format!(
+        "{}/../../corpus/fast-crash-s5t1b0r3w1-seed3073235814424963731.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(corpus)
+        .unwrap()
+        .replace("protocol: fast-crash", "protocol: swsr-fast")
+        .replace("config: s=5 t=1 b=0 r=3 w=1", "config: s=5 t=2 b=0 r=2 w=1");
+    let cx = Counterexample::parse(&text).expect("still a well-formed file");
+    assert_eq!((cx.protocol, cx.cfg.r), (ProtocolId::SwsrFast, 2));
+    assert!(!cx.replay().reproduces(&cx));
+    let file = TempFile::with_content("swsr_two_readers.txt", &text);
+    let out = report(&["explore", "--replay", file.path()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8(out.stdout).unwrap().contains("DIVERGED"));
 }
 
 #[test]

@@ -325,10 +325,7 @@ protocol_table! {
     /// The §1 single-reader fast register marker (`R = 1`, `t < S/2`).
     SwsrFast => swsr_fast, ctx: () = |_, _| (),
         writer: |cfg, layout, _, history, _| swsr_fast::Writer::new(*cfg, layout, history),
-        reader: |cfg, layout, index, history, _| {
-            assert_eq!(index, 0, "the SWSR protocol supports exactly one reader");
-            swsr_fast::Reader::new(*cfg, layout, history)
-        },
+        reader: |cfg, layout, _, history, _| swsr_fast::Reader::new(*cfg, layout, history),
         server: |_, _, _, _| swsr_fast::Server::new();
     /// Correct two-round MWMR register marker (§7 baseline).
     MwmrAbd => mwmr::abd, ctx: () = |_, _| (),

@@ -8,14 +8,15 @@
 //! experiments contrast its read latency and message complexity with the
 //! fast protocol's.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 
-use fastreg_atomicity::history::{OpId, SharedHistory};
+use fastreg_atomicity::history::{OpId, OpKind, SharedHistory};
 use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
+use crate::protocols::round::{Client, Round, Rule};
 use crate::types::{RegValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
@@ -71,6 +72,7 @@ pub enum Msg {
 }
 
 /// Server: stores the highest `(ts, value)` it has seen.
+#[derive(Default)]
 pub struct Server {
     /// Current timestamp.
     pub ts: Timestamp,
@@ -81,10 +83,7 @@ pub struct Server {
 impl Server {
     /// Creates a server holding `(ts0, ⊥)`.
     pub fn new() -> Self {
-        Server {
-            ts: Timestamp::ZERO,
-            value: RegValue::Bottom,
-        }
+        Self::default()
     }
 
     fn adopt(&mut self, ts: Timestamp, value: RegValue) {
@@ -94,13 +93,6 @@ impl Server {
         }
     }
 }
-
-impl Default for Server {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Automaton for Server {
     type Msg = Msg;
 
@@ -133,109 +125,82 @@ impl Automaton for Server {
     }
 }
 
-struct PendingWrite {
-    op: OpId,
-    ts: Timestamp,
-    acks: BTreeSet<u32>,
+/// The part of an alphabet the one-round timestamp [`Writer`] speaks.
+pub trait WriteAlphabet: Clone + std::fmt::Debug + Send + 'static {
+    /// The value of an `InvokeWrite`.
+    fn invoked_write(&self) -> Option<Value>;
+    /// Writer → servers: store `(ts, value)`.
+    fn write(ts: Timestamp, value: Value) -> Self;
+    /// The timestamp a `WriteAck` echoes.
+    fn write_ack(&self) -> Option<Timestamp>;
 }
 
-/// Writer: one-round writes with self-incremented timestamps.
-pub struct Writer {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
-    /// Timestamp of the next write.
-    pub ts: Timestamp,
-    pending: Option<PendingWrite>,
-}
-
-impl Writer {
-    /// Creates the writer in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Writer {
-            cfg,
-            layout,
-            history,
-            ts: Timestamp(1),
-            pending: None,
+impl WriteAlphabet for Msg {
+    fn invoked_write(&self) -> Option<Value> {
+        match *self {
+            Msg::InvokeWrite { value } => Some(value),
+            _ => None,
         }
     }
 
-    /// Returns `true` if no write is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
+    fn write(ts: Timestamp, value: Value) -> Self {
+        Msg::Write { ts, value }
+    }
+
+    fn write_ack(&self) -> Option<Timestamp> {
+        match *self {
+            Msg::WriteAck { ts } => Some(ts),
+            _ => None,
+        }
     }
 }
 
-impl Automaton for Writer {
-    type Msg = Msg;
+/// The single writer's rule, shared by every protocol whose servers keep
+/// the highest `(ts, value)`: the write's timestamp is its tag, a quorum
+/// of echoes completes it.
+pub struct WriteRule<M>(PhantomData<fn() -> M>);
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::InvokeWrite { value } => {
-                assert!(from.is_external(), "writes are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked write() while an operation was pending"
-                );
-                let op = self
-                    .history
-                    .invoke_write(out.this().index(), value, out.now().ticks());
-                self.pending = Some(PendingWrite {
-                    op,
-                    ts: self.ts,
-                    acks: BTreeSet::new(),
-                });
-                out.broadcast(self.layout.servers(), Msg::Write { ts: self.ts, value });
-            }
-            Msg::WriteAck { ts } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if ts != pending.ts {
-                    return;
-                }
-                pending.acks.insert(server);
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    self.history.respond(done.op, None, out.now().ticks());
-                    self.ts = self.ts.next();
-                }
-            }
-            _ => {}
-        }
+impl<M> Default for WriteRule<M> {
+    fn default() -> Self {
+        WriteRule(PhantomData)
+    }
+}
+
+/// Writer: one-round writes with self-incremented timestamps, over
+/// alphabet `M` — ABD's own, or that of a protocol writing the same way.
+pub type Writer<M = Msg> = Client<WriteRule<M>>;
+
+impl<M: WriteAlphabet> Rule for WriteRule<M> {
+    type Msg = M;
+    type Ack = ();
+
+    fn request(&mut self, msg: &M, tag: u64) -> Option<(OpKind, M)> {
+        let value = msg.invoked_write()?;
+        Some((OpKind::Write { value }, M::write(Timestamp(tag), value)))
+    }
+
+    fn ack(&mut self, msg: M, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
+        msg.write_ack().map(|ts| (ts.0, ()))
+    }
+
+    fn decide(&mut self, _: &Round<()>) -> Option<RegValue> {
+        None
     }
 }
 
 enum ReadPhase {
-    Query {
-        acks: BTreeMap<u32, (Timestamp, RegValue)>,
-    },
-    WriteBack {
-        chosen: (Timestamp, RegValue),
-        acks: BTreeSet<u32>,
-    },
+    Query(Round<(Timestamp, RegValue)>),
+    WriteBack { chosen: RegValue, acks: Round<()> },
 }
 
-struct PendingRead {
-    op: OpId,
-    op_counter: u64,
-    phase: ReadPhase,
-}
-
-/// Reader: two-phase reads (query + write-back).
+/// Reader: two-phase reads (query + write-back), two [`Round`]s in
+/// sequence under one operation counter.
 pub struct Reader {
     cfg: ClusterConfig,
     layout: Layout,
     history: SharedHistory,
     op_counter: u64,
-    pending: Option<PendingRead>,
-    /// Completed reads, for metrics.
-    pub completed_reads: u64,
+    pending: Option<(OpId, ReadPhase)>,
 }
 
 impl Reader {
@@ -247,7 +212,6 @@ impl Reader {
             history,
             op_counter: 0,
             pending: None,
-            completed_reads: 0,
         }
     }
 
@@ -261,87 +225,64 @@ impl Automaton for Reader {
     type Msg = Msg;
 
     fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::InvokeRead => {
-                assert!(from.is_external(), "reads are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked read() while an operation was pending"
-                );
-                self.op_counter += 1;
-                let op = self
-                    .history
-                    .invoke_read(out.this().index(), out.now().ticks());
-                self.pending = Some(PendingRead {
-                    op,
+        if let Msg::InvokeRead = msg {
+            assert!(from.is_external(), "reads are invoked by the environment");
+            assert!(
+                self.pending.is_none(),
+                "client invoked read() while an operation was pending"
+            );
+            self.op_counter += 1;
+            let op = self
+                .history
+                .invoke_read(out.this().index(), out.now().ticks());
+            let query = Round::new(&self.cfg, self.op_counter);
+            self.pending = Some((op, ReadPhase::Query(query)));
+            out.broadcast(
+                self.layout.servers(),
+                Msg::Query {
                     op_counter: self.op_counter,
-                    phase: ReadPhase::Query {
-                        acks: BTreeMap::new(),
-                    },
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Query {
-                        op_counter: self.op_counter,
-                    },
-                );
-            }
+                },
+            );
+            return;
+        }
+        let (Some(server), Some((op, phase))) =
+            (self.layout.server_index(from), self.pending.as_mut())
+        else {
+            return;
+        };
+        match msg {
             Msg::QueryAck {
                 op_counter,
                 ts,
                 value,
             } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if op_counter != pending.op_counter {
-                    return;
-                }
-                let ReadPhase::Query { acks } = &mut pending.phase else {
+                let ReadPhase::Query(acks) = phase else {
                     return; // stale phase-1 ack after we moved on
                 };
-                acks.insert(server, (ts, value));
-                if acks.len() as u32 >= quorum {
-                    let chosen = *acks.values().max_by_key(|(ts, _)| *ts).expect("nonempty");
-                    pending.phase = ReadPhase::WriteBack {
-                        chosen,
-                        acks: BTreeSet::new(),
-                    };
-                    out.broadcast(
-                        self.layout.servers(),
-                        Msg::WriteBack {
-                            op_counter,
-                            ts: chosen.0,
-                            value: chosen.1,
-                        },
-                    );
+                if !acks.offer(server, op_counter, (ts, value)) {
+                    return;
                 }
+                let (ts, value) = *acks.acks().max_by_key(|(ts, _)| *ts).expect("nonempty");
+                *phase = ReadPhase::WriteBack {
+                    chosen: value,
+                    acks: Round::new(&self.cfg, op_counter),
+                };
+                out.broadcast(
+                    self.layout.servers(),
+                    Msg::WriteBack {
+                        op_counter,
+                        ts,
+                        value,
+                    },
+                );
             }
             Msg::WriteBackAck { op_counter } => {
-                let Some(server) = self.layout.server_index(from) else {
+                let ReadPhase::WriteBack { chosen, acks } = phase else {
                     return;
                 };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if op_counter != pending.op_counter {
-                    return;
-                }
-                let ReadPhase::WriteBack { chosen, acks } = &mut pending.phase else {
-                    return;
-                };
-                acks.insert(server);
-                if acks.len() as u32 >= quorum {
-                    let returned = chosen.1;
-                    let done = self.pending.take().expect("checked above");
-                    self.history
-                        .respond(done.op, Some(returned), out.now().ticks());
-                    self.completed_reads += 1;
+                if acks.offer(server, op_counter, ()) {
+                    self.history.respond(*op, Some(*chosen), out.now().ticks());
+                    self.pending = None;
                 }
             }
             _ => {}
@@ -352,22 +293,14 @@ impl Automaton for Reader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{Abd, ClusterBuilder};
     use fastreg_atomicity::swmr::check_swmr_atomicity;
-    use fastreg_simnet::runner::SimConfig;
     use fastreg_simnet::world::World;
 
     fn cluster(cfg: ClusterConfig, seed: u64) -> (World<Msg>, Layout, SharedHistory) {
-        let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
-        let mut world: World<Msg> = World::new(SimConfig::default().with_seed(seed));
-        world.add_actor(Box::new(Writer::new(cfg, layout, history.clone())));
-        for _ in 0..cfg.r {
-            world.add_actor(Box::new(Reader::new(cfg, layout, history.clone())));
-        }
-        for _ in 0..cfg.s {
-            world.add_actor(Box::new(Server::new()));
-        }
-        (world, layout, history)
+        let c = ClusterBuilder::new(cfg).seed(seed).build_typed::<Abd>();
+        let c = c.expect("simnet");
+        (c.world, c.layout, c.history)
     }
 
     /// ABD works at majority resilience where the fast protocol cannot:
@@ -380,9 +313,9 @@ mod tests {
     fn write_then_read() {
         let (mut w, l, h) = cluster(cfg_majority(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 11 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(
             hist.reads().next().unwrap().returned,
@@ -395,10 +328,10 @@ mod tests {
     fn read_takes_two_round_trips() {
         let (mut w, l, h) = cluster(cfg_majority(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let t0 = w.now();
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         let rd = hist.reads().next().unwrap();
         // Two round trips at unit delay: 4 ticks. The fast protocol's read
@@ -411,7 +344,7 @@ mod tests {
     fn read_message_complexity_is_4s() {
         let (mut w, l, _) = cluster(cfg_majority(), 1);
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         // Query + QueryAck + WriteBack + WriteBackAck, each S messages.
         assert_eq!(w.stats().sent, 20);
     }
@@ -424,12 +357,12 @@ mod tests {
         let (mut w, l, h) = cluster(cfg_majority(), 1);
         w.arm_crash_after_sends(l.writer(0), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 9 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let first = h.snapshot().reads().next().unwrap().returned;
         w.inject(l.reader(1), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         let second = hist.reads().nth(1).unwrap().returned;
         if first == Some(RegValue::Val(9)) {
@@ -444,9 +377,9 @@ mod tests {
         w.crash(l.server(0));
         w.crash(l.server(1));
         w.inject(l.writer(0), Msg::InvokeWrite { value: 4 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(2), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(hist.complete_ops().count(), 2);
         assert_eq!(
@@ -477,7 +410,7 @@ mod tests {
     fn reads_return_bottom_before_writes() {
         let (mut w, l, h) = cluster(cfg_majority(), 1);
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(
             h.snapshot().reads().next().unwrap().returned,
             Some(RegValue::Bottom)

@@ -19,128 +19,78 @@
 //!   returned by one reader, and a second reader that misses `t` of those
 //!   servers drops back below threshold (condition 4, new/old inversion).
 
-use std::collections::BTreeMap;
-
-use fastreg_atomicity::history::{OpId, SharedHistory};
-use fastreg_simnet::automaton::{Automaton, Outbox};
-use fastreg_simnet::id::ProcessId;
+use fastreg_atomicity::history::{OpKind, SharedHistory};
 
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::protocols::fast_crash::Msg;
-use crate::types::{TaggedValue, Timestamp};
+use crate::protocols::round::{Client, Round, Rule};
+use crate::types::{RegValue, TaggedValue, Timestamp};
 
-/// A Fig. 2 reader whose predicate is `|maxTSmsg| ≥ k` — deliberately
-/// ignoring `seen`. Exists to be refuted.
-pub struct CountReader {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
+/// The rule of a Fig. 2 reader whose predicate is `|maxTSmsg| ≥ k` —
+/// deliberately ignoring `seen`. Exists to be refuted.
+pub struct CountRule {
     /// The count threshold under ablation.
     pub k: u32,
     /// Adopted timestamp (still written back, as in Fig. 2).
     pub max_ts: Timestamp,
     /// Tags adopted with `max_ts`.
     pub tags: TaggedValue,
-    /// The read counter.
-    pub r_counter: u64,
-    pending: Option<Pending>,
 }
 
-struct Pending {
-    op: OpId,
-    r_counter: u64,
-    acks: BTreeMap<u32, (Timestamp, TaggedValue)>,
-}
+/// A Fig. 2 reader deciding by [`CountRule`].
+pub type CountReader = Client<CountRule>;
 
 impl CountReader {
     /// Creates a count-threshold reader.
     pub fn new(cfg: ClusterConfig, layout: Layout, k: u32, history: SharedHistory) -> Self {
-        CountReader {
-            cfg,
-            layout,
-            history,
+        let rule = CountRule {
             k,
             max_ts: Timestamp::ZERO,
             tags: TaggedValue::INITIAL,
-            r_counter: 0,
-            pending: None,
-        }
-    }
-
-    /// Returns `true` if no read is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
+        };
+        Client::with_rule(cfg, layout, history, rule)
     }
 }
 
-impl Automaton for CountReader {
+impl Rule for CountRule {
     type Msg = Msg;
+    type Ack = (Timestamp, TaggedValue);
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        let read = Msg::Read {
+            ts: self.max_ts,
+            tags: self.tags,
+            r_counter: tag,
+        };
+        matches!(msg, Msg::InvokeRead).then_some((OpKind::Read, read))
+    }
+
+    fn ack(&mut self, msg: Msg, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
         match msg {
-            Msg::InvokeRead => {
-                assert!(from.is_external(), "reads are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked read() while an operation was pending"
-                );
-                self.r_counter += 1;
-                let op = self
-                    .history
-                    .invoke_read(out.this().index(), out.now().ticks());
-                self.pending = Some(Pending {
-                    op,
-                    r_counter: self.r_counter,
-                    acks: BTreeMap::new(),
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Read {
-                        ts: self.max_ts,
-                        tags: self.tags,
-                        r_counter: self.r_counter,
-                    },
-                );
-            }
             Msg::ReadAck {
                 ts,
                 tags,
                 r_counter,
                 ..
-            } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let k = self.k;
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if r_counter != pending.r_counter {
-                    return;
-                }
-                pending.acks.insert(server, (ts, tags));
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    let max_ts = done.acks.values().map(|(ts, _)| *ts).max().expect("quorum");
-                    let (_, tags) = *done
-                        .acks
-                        .values()
-                        .find(|(ts, _)| *ts == max_ts)
-                        .expect("max exists");
-                    let sightings =
-                        done.acks.values().filter(|(ts, _)| *ts == max_ts).count() as u32;
-                    // The ablated predicate: count only, no `seen`.
-                    let returned = if sightings >= k { tags.cur } else { tags.prev };
-                    self.max_ts = max_ts;
-                    self.tags = tags;
-                    self.history
-                        .respond(done.op, Some(returned), out.now().ticks());
-                }
-            }
-            _ => {}
+            } => Some((r_counter, (ts, tags))),
+            _ => None,
         }
+    }
+
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+        let max_ts = acks.acks().map(|(ts, _)| *ts).max().expect("quorum");
+        let mut at_max = acks.acks().filter(|(ts, _)| *ts == max_ts);
+        let (_, tags) = *at_max.next().expect("max exists");
+        let sightings = 1 + at_max.count() as u32;
+        self.max_ts = max_ts;
+        self.tags = tags;
+        // The ablated predicate: count only, no `seen`.
+        Some(if sightings >= self.k {
+            tags.cur
+        } else {
+            tags.prev
+        })
     }
 }
 
@@ -174,9 +124,9 @@ mod tests {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
         let (mut w, l, h) = cluster(cfg, 3);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 4 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(
             hist.reads().next().unwrap().returned,
@@ -190,7 +140,7 @@ mod tests {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
         let (mut w, l, h) = cluster(cfg, 3);
         w.inject(l.reader(1), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let rd = h.snapshot().reads().next().unwrap().clone();
         assert_eq!(rd.responded_at.unwrap() - rd.invoked_at, 2);
     }

@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fastreg_atomicity::history::{OpId, SharedHistory};
+use fastreg_atomicity::history::{OpKind, SharedHistory};
 use fastreg_auth::digest::DigestWriter;
 use fastreg_auth::{KeyId, Signature, SignerHandle, Verifier};
 use fastreg_simnet::automaton::{Automaton, Outbox};
@@ -29,6 +29,7 @@ use fastreg_simnet::id::ProcessId;
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::predicate::{predicate_witness, PredicateModel};
+use crate::protocols::round::{Client, Round, Rule};
 use crate::types::{ClientId, RegValue, TaggedValue, Timestamp, Value};
 
 /// A timestamp with its value tags and the writer's signature: the paper's
@@ -224,26 +225,17 @@ impl Automaton for Server {
     }
 }
 
-struct PendingWrite {
-    op: OpId,
-    ts: Timestamp,
-    value: Value,
-    acks: BTreeSet<u32>,
-}
-
-/// Writer automaton (Fig. 5 lines 1–8): signs every record it writes.
-pub struct Writer {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
+/// Writer rule (Fig. 5 lines 1–8): signs every record it writes.
+pub struct WriteRule {
     signer: SignerHandle,
     verifier: Verifier,
-    /// Timestamp of the next write.
-    pub ts: Timestamp,
     /// Value of the previous write.
     pub prev_value: RegValue,
-    pending: Option<PendingWrite>,
+    writing: RegValue,
 }
+
+/// Writer automaton (Fig. 5 lines 1–8).
+pub type Writer = Client<WriteRule>;
 
 impl Writer {
     /// Creates the writer holding the signing key.
@@ -254,118 +246,68 @@ impl Writer {
         signer: SignerHandle,
         verifier: Verifier,
     ) -> Self {
-        Writer {
-            cfg,
-            layout,
-            history,
+        let rule = WriteRule {
             signer,
             verifier,
-            ts: Timestamp(1),
             prev_value: RegValue::Bottom,
-            pending: None,
-        }
-    }
-
-    /// Returns `true` if no write is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
+            writing: RegValue::Bottom,
+        };
+        Client::with_rule(cfg, layout, history, rule)
     }
 }
 
-impl Automaton for Writer {
+impl Rule for WriteRule {
     type Msg = Msg;
+    type Ack = ();
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        let Msg::InvokeWrite { value } = *msg else {
+            return None;
+        };
+        self.writing = RegValue::Val(value);
+        let tags = TaggedValue::new(self.writing, self.prev_value);
+        let write = Msg::Write {
+            record: SignedRecord::signed(Timestamp(tag), tags, &self.signer),
+            r_counter: 0,
+        };
+        Some((OpKind::Write { value }, write))
+    }
+
+    /// receivevalid: the ack must echo a genuinely signed record with the
+    /// pending write's timestamp; anything else is malicious noise.
+    fn ack(&mut self, msg: Msg, _: &Round<()>) -> Option<(u64, ())> {
         match msg {
-            Msg::InvokeWrite { value } => {
-                assert!(from.is_external(), "writes are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked write() while an operation was pending"
-                );
-                let op = self
-                    .history
-                    .invoke_write(out.this().index(), value, out.now().ticks());
-                let tags = TaggedValue::new(RegValue::Val(value), self.prev_value);
-                let record = SignedRecord::signed(self.ts, tags, &self.signer);
-                self.pending = Some(PendingWrite {
-                    op,
-                    ts: self.ts,
-                    value,
-                    acks: BTreeSet::new(),
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Write {
-                        record,
-                        r_counter: 0,
-                    },
-                );
-            }
             Msg::WriteAck {
                 record,
                 r_counter: 0,
                 ..
-            } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                // receivevalid: the ack must echo the exact signed record
-                // of the pending write; anything else is malicious noise.
-                if !record.is_valid(&self.verifier, self.signer.key()) {
-                    return;
-                }
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if record.ts != pending.ts {
-                    return;
-                }
-                pending.acks.insert(server);
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    self.history.respond(done.op, None, out.now().ticks());
-                    self.prev_value = RegValue::Val(done.value);
-                    self.ts = self.ts.next();
-                }
-            }
-            _ => {}
+            } if record.is_valid(&self.verifier, self.signer.key()) => Some((record.ts.0, ())),
+            _ => None,
         }
+    }
+
+    fn decide(&mut self, _: &Round<()>) -> Option<RegValue> {
+        self.prev_value = self.writing;
+        None
     }
 }
 
 /// A validated `readack` kept until the quorum completes.
-#[derive(Clone, Debug)]
-struct AckInfo {
+pub struct AckInfo {
     record: SignedRecord,
     seen: BTreeSet<ClientId>,
 }
 
-struct PendingRead {
-    op: OpId,
-    r_counter: u64,
-    /// The timestamp written back at invocation (validity floor).
-    floor: Timestamp,
-    acks: BTreeMap<u32, AckInfo>,
-    /// Acks discarded as provably malicious, for metrics.
-    discarded: u64,
-}
-
-/// Reader automaton (Fig. 5 lines 9–22).
-pub struct Reader {
+/// Reader rule (Fig. 5 lines 9–22).
+pub struct ReadRule {
     cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
     verifier: Verifier,
     writer_key: KeyId,
     /// This reader's id in the paper's `pid` mapping.
     pub me: ClientId,
-    /// Adopted signed record (`maxTS_sgn`), written back on the next read.
+    /// Adopted signed record (`maxTS_sgn`), written back on the next read;
+    /// its timestamp is the validity floor of the acks of that read.
     pub max_rec: SignedRecord,
-    /// The read counter.
-    pub r_counter: u64,
-    pending: Option<PendingRead>,
     /// Reads that returned the newest value, per witness level.
     pub witness_histogram: BTreeMap<u32, u64>,
     /// Reads that fell back to the previous value.
@@ -373,6 +315,9 @@ pub struct Reader {
     /// Total acks discarded by the validity filter.
     pub discarded_acks: u64,
 }
+
+/// Reader automaton (Fig. 5 lines 9–22).
+pub type Reader = Client<ReadRule>;
 
 impl Reader {
     /// Creates reader `index` (0-based).
@@ -384,48 +329,59 @@ impl Reader {
         verifier: Verifier,
         writer_key: KeyId,
     ) -> Self {
-        Reader {
+        let rule = ReadRule {
             cfg,
-            layout,
-            history,
             verifier,
             writer_key,
             me: ClientId::reader(index),
             max_rec: SignedRecord::genesis(),
-            r_counter: 0,
-            pending: None,
             witness_histogram: BTreeMap::new(),
             conservative_reads: 0,
             discarded_acks: 0,
-        }
+        };
+        Client::with_rule(cfg, layout, history, rule)
+    }
+}
+
+impl Rule for ReadRule {
+    type Msg = Msg;
+    type Ack = AckInfo;
+
+    /// Lines 13–14: the read writes back the record of the previous one.
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        matches!(msg, Msg::InvokeRead).then(|| {
+            let (record, r_counter) = (self.max_rec.clone(), tag);
+            (OpKind::Read, Msg::Read { record, r_counter })
+        })
     }
 
-    /// Returns `true` if no read is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-
-    /// Line 15's `receivevalid` filter for one ack.
-    fn ack_is_valid(
-        &self,
-        floor: Timestamp,
-        record: &SignedRecord,
-        seen: &BTreeSet<ClientId>,
-    ) -> bool {
-        record.is_valid(&self.verifier, self.writer_key)
-            && record.ts >= floor
-            && seen.contains(&self.me)
+    /// Line 15's `receivevalid` filter: correctly signed, not older than
+    /// the written-back record, and this reader in `seen′`. An ack of the
+    /// current read that fails it is provably malicious, and is counted.
+    fn ack(&mut self, msg: Msg, round: &Round<AckInfo>) -> Option<(u64, AckInfo)> {
+        let Msg::ReadAck {
+            record,
+            seen,
+            r_counter,
+        } = msg
+        else {
+            return None;
+        };
+        let valid = record.is_valid(&self.verifier, self.writer_key)
+            && record.ts >= self.max_rec.ts
+            && seen.contains(&self.me);
+        self.discarded_acks += u64::from(round.expects(r_counter) && !valid);
+        valid.then_some((r_counter, AckInfo { record, seen }))
     }
 
     /// Lines 17–22.
-    fn decide(&mut self, acks: &BTreeMap<u32, AckInfo>) -> (SignedRecord, RegValue) {
+    fn decide(&mut self, acks: &Round<AckInfo>) -> Option<RegValue> {
         let max_ts = acks
-            .values()
+            .acks()
             .map(|a| a.record.ts)
             .max()
             .expect("quorum nonempty");
-        let max_msgs: Vec<&AckInfo> = acks.values().filter(|a| a.record.ts == max_ts).collect();
-        let record = max_msgs[0].record.clone();
+        let max_msgs: Vec<&AckInfo> = acks.acks().filter(|a| a.record.ts == max_ts).collect();
         let seens: Vec<BTreeSet<ClientId>> = max_msgs.iter().map(|a| a.seen.clone()).collect();
         let witness = predicate_witness(
             self.cfg.s,
@@ -434,133 +390,33 @@ impl Reader {
             PredicateModel::Byzantine { b: self.cfg.b },
             &seens,
         );
-        let returned = match witness {
+        self.max_rec = max_msgs[0].record.clone();
+        Some(match witness {
             Some(a) => {
                 *self.witness_histogram.entry(a).or_insert(0) += 1;
-                record.tags.cur
+                self.max_rec.tags.cur
             }
             None => {
                 self.conservative_reads += 1;
-                record.tags.prev
+                self.max_rec.tags.prev
             }
-        };
-        (record, returned)
-    }
-}
-
-impl Automaton for Reader {
-    type Msg = Msg;
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::InvokeRead => {
-                assert!(from.is_external(), "reads are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked read() while an operation was pending"
-                );
-                self.r_counter += 1;
-                let op = self
-                    .history
-                    .invoke_read(out.this().index(), out.now().ticks());
-                self.pending = Some(PendingRead {
-                    op,
-                    r_counter: self.r_counter,
-                    floor: self.max_rec.ts,
-                    acks: BTreeMap::new(),
-                    discarded: 0,
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Read {
-                        record: self.max_rec.clone(),
-                        r_counter: self.r_counter,
-                    },
-                );
-            }
-            Msg::ReadAck {
-                record,
-                seen,
-                r_counter,
-            } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_ref() else {
-                    return;
-                };
-                if r_counter != pending.r_counter {
-                    return;
-                }
-                if !self.ack_is_valid(pending.floor, &record, &seen) {
-                    self.discarded_acks += 1;
-                    if let Some(p) = self.pending.as_mut() {
-                        p.discarded += 1;
-                    }
-                    return;
-                }
-                let pending = self.pending.as_mut().expect("checked above");
-                pending
-                    .acks
-                    .entry(server)
-                    .or_insert(AckInfo { record, seen });
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    let (record, returned) = self.decide(&done.acks);
-                    self.max_rec = record;
-                    self.history
-                        .respond(done.op, Some(returned), out.now().ticks());
-                }
-            }
-            _ => {}
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{ClusterBuilder, FastByz};
     use fastreg_atomicity::swmr::check_swmr_atomicity;
     use fastreg_auth::Keychain;
-    use fastreg_simnet::runner::SimConfig;
     use fastreg_simnet::world::World;
 
     /// Builds an all-honest cluster.
     fn cluster(cfg: ClusterConfig, seed: u64) -> (World<Msg>, Layout, SharedHistory) {
-        let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
-        let mut chain = Keychain::new(seed ^ 0xdead);
-        let signer = chain.issue();
-        let writer_key = signer.key();
-        let verifier = chain.verifier();
-        let mut world: World<Msg> = World::new(SimConfig::default().with_seed(seed));
-        world.add_actor(Box::new(Writer::new(
-            cfg,
-            layout,
-            history.clone(),
-            signer,
-            verifier.clone(),
-        )));
-        for i in 0..cfg.r {
-            world.add_actor(Box::new(Reader::new(
-                cfg,
-                layout,
-                i,
-                history.clone(),
-                verifier.clone(),
-                writer_key,
-            )));
-        }
-        for _ in 0..cfg.s {
-            world.add_actor(Box::new(Server::new(
-                &cfg,
-                layout,
-                verifier.clone(),
-                writer_key,
-            )));
-        }
-        (world, layout, history)
+        let c = ClusterBuilder::new(cfg).seed(seed).build_typed::<FastByz>();
+        let c = c.expect("simnet");
+        (c.world, c.layout, c.history)
     }
 
     /// S = 6, t = 1, b = 1, R = 1: 6 > 3·1 + 2·1 = 5 → feasible.
@@ -577,9 +433,9 @@ mod tests {
     fn write_then_read_honest_run() {
         let (mut w, l, h) = cluster(cfg_byz(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 31 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(
             hist.reads().next().unwrap().returned,
@@ -592,9 +448,9 @@ mod tests {
     fn operations_are_fast() {
         let (mut w, l, h) = cluster(cfg_byz(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         for op in hist.complete_ops() {
             assert_eq!(op.responded_at.unwrap() - op.invoked_at, 2);
@@ -643,9 +499,9 @@ mod tests {
         let (mut w, l, h) = cluster(cfg_byz(), 2);
         for v in 1..=4 {
             w.inject(l.writer(0), Msg::InvokeWrite { value: v });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.inject(l.reader(0), Msg::InvokeRead);
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
         }
         let hist = h.snapshot();
         check_swmr_atomicity(&hist).unwrap();
@@ -678,16 +534,16 @@ mod tests {
         w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
         // The write never reaches server 5.
         w.drop_matching(|e| e.to == s5);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(
             w.with_actor::<Server, _, _>(s5, |s| s.record.ts).unwrap(),
             Timestamp::ZERO
         );
         // First read adopts ts1; second read writes it back, signed.
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(
             w.with_actor::<Server, _, _>(s5, |s| s.record.ts).unwrap(),
             Timestamp(1)

@@ -23,13 +23,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fastreg_atomicity::history::{OpId, SharedHistory};
+use fastreg_atomicity::history::{OpKind, SharedHistory};
 use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::predicate::{predicate_witness, PredicateModel};
+use crate::protocols::round::{Client, Round, Rule};
 use crate::types::{ClientId, RegValue, TaggedValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
@@ -174,163 +175,118 @@ impl Automaton for Server {
     }
 }
 
-struct PendingWrite {
-    op: OpId,
-    ts: Timestamp,
-    value: Value,
-    acks: BTreeSet<u32>,
+/// Writer rule (Fig. 2 lines 1–8): the write's timestamp is its tag;
+/// being the only writer, it knows the latest one and just increments it.
+#[derive(Default)]
+pub struct WriteRule {
+    /// Value of the previous write, for the two-tag scheme of §4.
+    pub prev_value: RegValue,
+    writing: RegValue,
 }
 
 /// Writer automaton (Fig. 2 lines 1–8).
-pub struct Writer {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
-    /// Timestamp of the next write (line 3 initializes it to 1).
-    pub ts: Timestamp,
-    /// Value of the previous write, for the two-tag scheme of §4.
-    pub prev_value: RegValue,
-    pending: Option<PendingWrite>,
-    /// Completed writes, for tests and metrics.
-    pub completed_writes: u64,
-}
+pub type Writer = Client<WriteRule>;
 
-impl Writer {
-    /// Creates the writer in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Writer {
-            cfg,
-            layout,
-            history,
-            ts: Timestamp(1),
-            prev_value: RegValue::Bottom,
-            pending: None,
-            completed_writes: 0,
-        }
-    }
-
-    /// Returns `true` if no write is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-}
-
-impl Automaton for Writer {
+impl Rule for WriteRule {
     type Msg = Msg;
+    type Ack = ();
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        let Msg::InvokeWrite { value } = *msg else {
+            return None;
+        };
+        self.writing = RegValue::Val(value);
+        let write = Msg::Write {
+            ts: Timestamp(tag),
+            tags: TaggedValue::new(self.writing, self.prev_value),
+            r_counter: 0,
+        };
+        Some((OpKind::Write { value }, write))
+    }
+
+    fn ack(&mut self, msg: Msg, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
         match msg {
-            Msg::InvokeWrite { value } => {
-                assert!(from.is_external(), "writes are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked write() while an operation was pending"
-                );
-                let op = self
-                    .history
-                    .invoke_write(out.this().index(), value, out.now().ticks());
-                let tags = TaggedValue::new(RegValue::Val(value), self.prev_value);
-                self.pending = Some(PendingWrite {
-                    op,
-                    ts: self.ts,
-                    value,
-                    acks: BTreeSet::new(),
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Write {
-                        ts: self.ts,
-                        tags,
-                        r_counter: 0,
-                    },
-                );
-            }
             Msg::WriteAck {
                 ts, r_counter: 0, ..
-            } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if ts != pending.ts {
-                    return; // ack for an older write
-                }
-                pending.acks.insert(server);
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    self.history.respond(done.op, None, out.now().ticks());
-                    self.prev_value = RegValue::Val(done.value);
-                    self.ts = self.ts.next();
-                    self.completed_writes += 1;
-                }
-            }
-            _ => {}
+            } => Some((ts.0, ())),
+            _ => None,
         }
+    }
+
+    fn decide(&mut self, _: &Round<()>) -> Option<RegValue> {
+        self.prev_value = self.writing;
+        None
     }
 }
 
 /// A received `readack`, kept until the quorum completes.
-#[derive(Clone, Debug)]
-struct AckInfo {
+pub struct AckInfo {
     ts: Timestamp,
     tags: TaggedValue,
     seen: BTreeSet<ClientId>,
 }
 
-struct PendingRead {
-    op: OpId,
-    r_counter: u64,
-    acks: BTreeMap<u32, AckInfo>,
-}
-
-/// Reader automaton (Fig. 2 lines 9–22).
-pub struct Reader {
+/// Reader rule (Fig. 2 lines 9–22).
+pub struct ReadRule {
     cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
     /// Adopted timestamp (`maxTS` of the previous read; line 13 writes it
     /// back in the next `read` message).
     pub max_ts: Timestamp,
     /// Tags adopted with `max_ts`.
     pub tags: TaggedValue,
-    /// The read counter `rCounter`.
-    pub r_counter: u64,
-    pending: Option<PendingRead>,
     /// Reads that returned `maxTS` (predicate held), per witness level `a`.
     pub witness_histogram: BTreeMap<u32, u64>,
     /// Reads that returned `maxTS − 1` (predicate failed).
     pub conservative_reads: u64,
 }
 
+/// Reader automaton (Fig. 2 lines 9–22).
+pub type Reader = Client<ReadRule>;
+
 impl Reader {
-    /// Creates reader `index` (0-based) in its initial state (line 11).
+    /// Creates a reader in its initial state (line 11).
     pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Reader {
+        let rule = ReadRule {
             cfg,
-            layout,
-            history,
             max_ts: Timestamp::ZERO,
             tags: TaggedValue::INITIAL,
-            r_counter: 0,
-            pending: None,
             witness_histogram: BTreeMap::new(),
             conservative_reads: 0,
+        };
+        Client::with_rule(cfg, layout, history, rule)
+    }
+}
+
+impl Rule for ReadRule {
+    type Msg = Msg;
+    type Ack = AckInfo;
+
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        let read = Msg::Read {
+            ts: self.max_ts,
+            tags: self.tags,
+            r_counter: tag,
+        };
+        matches!(msg, Msg::InvokeRead).then_some((OpKind::Read, read))
+    }
+
+    fn ack(&mut self, msg: Msg, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
+        match msg {
+            Msg::ReadAck {
+                ts,
+                tags,
+                seen,
+                r_counter,
+            } => Some((r_counter, AckInfo { ts, tags, seen })),
+            _ => None,
         }
     }
 
-    /// Returns `true` if no read is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-
-    /// Line 17–22: given the quorum of acks, compute `maxTS`, evaluate the
-    /// predicate, and pick the returned value.
-    fn decide(&mut self, acks: &BTreeMap<u32, AckInfo>) -> (Timestamp, TaggedValue, RegValue) {
-        let max_ts = acks.values().map(|a| a.ts).max().expect("quorum nonempty");
-        let max_msgs: Vec<&AckInfo> = acks.values().filter(|a| a.ts == max_ts).collect();
+    /// Lines 17–22: compute `maxTS`, evaluate the predicate, pick the
+    /// returned value; `maxTS` is adopted either way.
+    fn decide(&mut self, acks: &Round<AckInfo>) -> Option<RegValue> {
+        let max_ts = acks.acks().map(|a| a.ts).max().expect("quorum nonempty");
+        let max_msgs: Vec<&AckInfo> = acks.acks().filter(|a| a.ts == max_ts).collect();
         let tags = max_msgs[0].tags;
         let seens: Vec<BTreeSet<ClientId>> = max_msgs.iter().map(|a| a.seen.clone()).collect();
         let witness = predicate_witness(
@@ -340,7 +296,9 @@ impl Reader {
             PredicateModel::Crash,
             &seens,
         );
-        let returned = match witness {
+        self.max_ts = max_ts;
+        self.tags = tags;
+        Some(match witness {
             Some(a) => {
                 *self.witness_histogram.entry(a).or_insert(0) += 1;
                 tags.cur
@@ -349,92 +307,25 @@ impl Reader {
                 self.conservative_reads += 1;
                 tags.prev
             }
-        };
-        (max_ts, tags, returned)
-    }
-}
-
-impl Automaton for Reader {
-    type Msg = Msg;
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::InvokeRead => {
-                assert!(from.is_external(), "reads are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked read() while an operation was pending"
-                );
-                self.r_counter += 1;
-                let op = self
-                    .history
-                    .invoke_read(out.this().index(), out.now().ticks());
-                self.pending = Some(PendingRead {
-                    op,
-                    r_counter: self.r_counter,
-                    acks: BTreeMap::new(),
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Read {
-                        ts: self.max_ts,
-                        tags: self.tags,
-                        r_counter: self.r_counter,
-                    },
-                );
-            }
-            Msg::ReadAck {
-                ts,
-                tags,
-                seen,
-                r_counter,
-            } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if r_counter != pending.r_counter {
-                    return; // ack from a previous read of ours
-                }
-                pending.acks.insert(server, AckInfo { ts, tags, seen });
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    let (max_ts, tags, returned) = self.decide(&done.acks);
-                    self.max_ts = max_ts;
-                    self.tags = tags;
-                    self.history
-                        .respond(done.op, Some(returned), out.now().ticks());
-                }
-            }
-            _ => {}
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{ClusterBuilder, FastCrash};
     use fastreg_atomicity::swmr::check_swmr_atomicity;
-    use fastreg_simnet::runner::SimConfig;
     use fastreg_simnet::world::World;
 
     /// Builds a full cluster in a fresh world. Returns the world, layout
     /// and shared history.
     fn cluster(cfg: ClusterConfig, seed: u64) -> (World<Msg>, Layout, SharedHistory) {
-        let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
-        let mut world: World<Msg> = World::new(SimConfig::default().with_seed(seed));
-        world.add_actor(Box::new(Writer::new(cfg, layout, history.clone())));
-        for _ in 0..cfg.r {
-            world.add_actor(Box::new(Reader::new(cfg, layout, history.clone())));
-        }
-        for _ in 0..cfg.s {
-            world.add_actor(Box::new(Server::new(&cfg, layout)));
-        }
-        (world, layout, history)
+        let c = ClusterBuilder::new(cfg)
+            .seed(seed)
+            .build_typed::<FastCrash>();
+        let c = c.expect("simnet");
+        (c.world, c.layout, c.history)
     }
 
     fn cfg512() -> ClusterConfig {
@@ -445,9 +336,9 @@ mod tests {
     fn sequential_write_then_read() {
         let (mut w, l, h) = cluster(cfg512(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 42 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(hist.complete_ops().count(), 2);
         let read = hist.reads().next().unwrap();
@@ -459,7 +350,7 @@ mod tests {
     fn read_before_any_write_returns_bottom() {
         let (mut w, l, h) = cluster(cfg512(), 1);
         w.inject(l.reader(1), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         let read = hist.reads().next().unwrap();
         assert_eq!(read.returned, Some(RegValue::Bottom));
@@ -472,13 +363,13 @@ mod tests {
         // T + 2 (request + reply): one round trip, the definition of fast.
         let (mut w, l, h) = cluster(cfg512(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 7 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         let wr = hist.writes().next().unwrap();
         assert_eq!(wr.responded_at.unwrap() - wr.invoked_at, 2);
 
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         let rd = hist.reads().next().unwrap();
         assert_eq!(rd.responded_at.unwrap() - rd.invoked_at, 2);
@@ -488,11 +379,11 @@ mod tests {
     fn message_complexity_is_2s_per_op() {
         let (mut w, l, _) = cluster(cfg512(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 7 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         // S write + S writeack.
         assert_eq!(w.stats().sent, 10);
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(w.stats().sent, 20);
     }
 
@@ -501,9 +392,9 @@ mod tests {
         let (mut w, l, h) = cluster(cfg512(), 3);
         for v in 1..=5 {
             w.inject(l.writer(0), Msg::InvokeWrite { value: v * 10 });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.inject(l.reader((v % 2) as u32), Msg::InvokeRead);
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
         }
         let hist = h.snapshot();
         assert_eq!(hist.complete_ops().count(), 10);
@@ -523,9 +414,9 @@ mod tests {
         // Writer crashes after sending to exactly 1 server.
         w.arm_crash_after_sends(l.writer(0), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 9 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         let rd = hist.reads().next().unwrap();
         assert_eq!(rd.returned, Some(RegValue::Bottom));
@@ -537,9 +428,9 @@ mod tests {
         let (mut w, l, _) = cluster(cfg512(), 1);
         w.arm_crash_after_sends(l.writer(0), 2);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 9 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         // Reader adopted ts1 even though it returned ⊥ (the prev tag).
         let (ts, conservative) = w
             .with_actor::<Reader, _, _>(l.reader(0), |r| (r.max_ts, r.conservative_reads))
@@ -552,9 +443,9 @@ mod tests {
     fn predicate_histogram_records_witness_levels() {
         let (mut w, l, _) = cluster(cfg512(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = w
             .with_actor::<Reader, _, _>(l.reader(0), |r| r.witness_histogram.clone())
             .unwrap();
@@ -570,10 +461,10 @@ mod tests {
         let (mut w, l, h) = cluster(cfg, 5);
         w.crash(l.server(4));
         w.inject(l.writer(0), Msg::InvokeWrite { value: 3 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
         w.inject(l.reader(1), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(hist.complete_ops().count(), 3);
         check_swmr_atomicity(&hist).unwrap();

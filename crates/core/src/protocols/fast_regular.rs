@@ -13,14 +13,12 @@
 //! holds, and (b) atomicity violations (new/old inversions) actually occur
 //! — exhibiting the §8 trade-off.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use fastreg_atomicity::history::{OpId, SharedHistory};
+use fastreg_atomicity::history::OpKind;
 use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 
-use crate::config::ClusterConfig;
-use crate::layout::Layout;
+use crate::protocols::abd::{self, WriteAlphabet};
+use crate::protocols::round::{Client, Round, Rule};
 use crate::types::{RegValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
@@ -62,6 +60,7 @@ pub enum Msg {
 }
 
 /// Server: stores the highest `(ts, value)`.
+#[derive(Default)]
 pub struct Server {
     /// Current timestamp.
     pub ts: Timestamp,
@@ -72,19 +71,9 @@ pub struct Server {
 impl Server {
     /// Creates a server holding `(ts0, ⊥)`.
     pub fn new() -> Self {
-        Server {
-            ts: Timestamp::ZERO,
-            value: RegValue::Bottom,
-        }
+        Self::default()
     }
 }
-
-impl Default for Server {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Automaton for Server {
     type Msg = Msg;
 
@@ -112,197 +101,82 @@ impl Automaton for Server {
     }
 }
 
-struct PendingWrite {
-    op: OpId,
-    ts: Timestamp,
-    acks: BTreeSet<u32>,
+impl WriteAlphabet for Msg {
+    fn invoked_write(&self) -> Option<Value> {
+        match *self {
+            Msg::InvokeWrite { value } => Some(value),
+            _ => None,
+        }
+    }
+
+    fn write(ts: Timestamp, value: Value) -> Self {
+        Msg::Write { ts, value }
+    }
+
+    fn write_ack(&self) -> Option<Timestamp> {
+        match *self {
+            Msg::WriteAck { ts } => Some(ts),
+            _ => None,
+        }
+    }
 }
 
 /// Writer: one-round writes, as in ABD.
-pub struct Writer {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
-    /// Timestamp of the next write.
-    pub ts: Timestamp,
-    pending: Option<PendingWrite>,
-}
+pub type Writer = abd::Writer<Msg>;
 
-impl Writer {
-    /// Creates the writer in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Writer {
-            cfg,
-            layout,
-            history,
-            ts: Timestamp(1),
-            pending: None,
-        }
-    }
+/// Reader rule: return the max-timestamp value. No predicate — this is
+/// what makes the register regular rather than atomic.
+#[derive(Default)]
+pub struct MaxTs;
 
-    /// Returns `true` if no write is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-}
+/// Reader: one round, deciding by [`MaxTs`].
+pub type Reader = Client<MaxTs>;
 
-impl Automaton for Writer {
+impl Rule for MaxTs {
     type Msg = Msg;
+    type Ack = (Timestamp, RegValue);
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        matches!(msg, Msg::InvokeRead).then_some((OpKind::Read, Msg::Read { op_counter: tag }))
+    }
+
+    fn ack(&mut self, msg: Msg, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
         match msg {
-            Msg::InvokeWrite { value } => {
-                assert!(from.is_external(), "writes are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked write() while an operation was pending"
-                );
-                let op = self
-                    .history
-                    .invoke_write(out.this().index(), value, out.now().ticks());
-                self.pending = Some(PendingWrite {
-                    op,
-                    ts: self.ts,
-                    acks: BTreeSet::new(),
-                });
-                out.broadcast(self.layout.servers(), Msg::Write { ts: self.ts, value });
-            }
-            Msg::WriteAck { ts } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if ts != pending.ts {
-                    return;
-                }
-                pending.acks.insert(server);
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    self.history.respond(done.op, None, out.now().ticks());
-                    self.ts = self.ts.next();
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-struct PendingRead {
-    op: OpId,
-    op_counter: u64,
-    acks: BTreeMap<u32, (Timestamp, RegValue)>,
-}
-
-/// Reader: one round; returns the max-timestamp value. No predicate — this
-/// is what makes it regular rather than atomic.
-pub struct Reader {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
-    op_counter: u64,
-    pending: Option<PendingRead>,
-}
-
-impl Reader {
-    /// Creates a reader in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Reader {
-            cfg,
-            layout,
-            history,
-            op_counter: 0,
-            pending: None,
-        }
-    }
-
-    /// Returns `true` if no read is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-}
-
-impl Automaton for Reader {
-    type Msg = Msg;
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::InvokeRead => {
-                assert!(from.is_external(), "reads are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked read() while an operation was pending"
-                );
-                self.op_counter += 1;
-                let op = self
-                    .history
-                    .invoke_read(out.this().index(), out.now().ticks());
-                self.pending = Some(PendingRead {
-                    op,
-                    op_counter: self.op_counter,
-                    acks: BTreeMap::new(),
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Read {
-                        op_counter: self.op_counter,
-                    },
-                );
-            }
             Msg::ReadAck {
                 op_counter,
                 ts,
                 value,
-            } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if op_counter != pending.op_counter {
-                    return;
-                }
-                pending.acks.insert(server, (ts, value));
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    let (_, returned) = *done
-                        .acks
-                        .values()
-                        .max_by_key(|(ts, _)| *ts)
-                        .expect("quorum nonempty");
-                    self.history
-                        .respond(done.op, Some(returned), out.now().ticks());
-                }
-            }
-            _ => {}
+            } => Some((op_counter, (ts, value))),
+            _ => None,
         }
+    }
+
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+        let (_, value) = *acks
+            .acks()
+            .max_by_key(|(ts, _)| *ts)
+            .expect("quorum nonempty");
+        Some(value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ClusterConfig;
+    use crate::harness::{ClusterBuilder, FastRegular};
+    use crate::layout::Layout;
+    use fastreg_atomicity::history::SharedHistory;
     use fastreg_atomicity::regularity::check_swmr_regularity;
     use fastreg_atomicity::swmr::check_swmr_atomicity;
-    use fastreg_simnet::runner::SimConfig;
     use fastreg_simnet::world::World;
 
     fn cluster(cfg: ClusterConfig, seed: u64) -> (World<Msg>, Layout, SharedHistory) {
-        let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
-        let mut world: World<Msg> = World::new(SimConfig::default().with_seed(seed));
-        world.add_actor(Box::new(Writer::new(cfg, layout, history.clone())));
-        for _ in 0..cfg.r {
-            world.add_actor(Box::new(Reader::new(cfg, layout, history.clone())));
-        }
-        for _ in 0..cfg.s {
-            world.add_actor(Box::new(Server::new()));
-        }
-        (world, layout, history)
+        let c = ClusterBuilder::new(cfg)
+            .seed(seed)
+            .build_typed::<FastRegular>();
+        let c = c.expect("simnet");
+        (c.world, c.layout, c.history)
     }
 
     /// Many readers at majority resilience — far beyond the atomic fast
@@ -315,9 +189,9 @@ mod tests {
     fn write_then_read() {
         let (mut w, l, h) = cluster(cfg_many_readers(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 5 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(3), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(
             hist.reads().next().unwrap().returned,
@@ -330,7 +204,7 @@ mod tests {
     fn read_is_one_round_trip() {
         let (mut w, l, h) = cluster(cfg_many_readers(), 1);
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         let rd = hist.reads().next().unwrap();
         assert_eq!(rd.responded_at.unwrap() - rd.invoked_at, 2);
@@ -399,9 +273,9 @@ mod tests {
         w.crash(l.server(0));
         w.crash(l.server(1));
         w.inject(l.writer(0), Msg::InvokeWrite { value: 8 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(5), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(hist.complete_ops().count(), 2);
         check_swmr_regularity(&hist).unwrap();

@@ -11,14 +11,16 @@
 //!
 //! Requires `t < S/2`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use fastreg_atomicity::history::{OpId, SharedHistory};
+use fastreg_atomicity::history::{OpKind, SharedHistory};
 use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
+use crate::protocols::abd::{self, WriteAlphabet};
+use crate::protocols::round::{Client, Round, Rule};
 use crate::types::{RegValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
@@ -73,12 +75,11 @@ pub enum Msg {
 }
 
 /// State of one gather at one server.
-#[derive(Debug, Default)]
 struct Gather {
     /// Did this server receive the `Read` from the reader yet?
     started: bool,
     /// Peer reports, by server index (this server included once started).
-    reports: BTreeMap<u32, (Timestamp, RegValue)>,
+    reports: Round<(Timestamp, RegValue)>,
     /// Whether the ack has been sent already.
     done: bool,
 }
@@ -117,29 +118,35 @@ impl Server {
         }
     }
 
-    /// Completes the gather if a quorum of reports has arrived.
-    fn maybe_finish(&mut self, key: (u32, u64), out: &mut Outbox<Msg>) {
-        let quorum = self.cfg.quorum();
-        let reader_addr = self.layout.reader(key.0);
-        let Some(g) = self.gathers.get_mut(&key) else {
-            return;
-        };
-        if g.done || !g.started || (g.reports.len() as u32) < quorum {
+    /// Files `report` from server `from` under gather `key`; once the
+    /// reader's `Read` and a quorum of reports are in, adopts their max
+    /// and answers the reader — once.
+    fn report(
+        &mut self,
+        key: (u32, u64),
+        from: u32,
+        report: (Timestamp, RegValue),
+        started: bool,
+        out: &mut Outbox<Msg>,
+    ) {
+        let g = self.gathers.entry(key).or_insert_with(|| Gather {
+            started: false,
+            reports: Round::new(&self.cfg, key.1),
+            done: false,
+        });
+        g.started |= started;
+        if !g.reports.offer(from, key.1, report) || !g.started || g.done {
             return;
         }
         g.done = true;
         let (ts, value) = *g
             .reports
-            .values()
+            .acks()
             .max_by_key(|(ts, _)| *ts)
             .expect("quorum nonempty");
-        let (ts, value) = {
-            // Adopt the max before replying.
-            (ts, value)
-        };
         self.adopt(ts, value);
         out.send(
-            reader_addr,
+            self.layout.reader(key.0),
             Msg::ReadAck {
                 op_counter: key.1,
                 ts: self.ts,
@@ -160,14 +167,11 @@ impl Automaton for Server {
             }
             Msg::Read { reader, op_counter } => {
                 let key = (reader, op_counter);
-                let me = self.index;
-                let (ts, value) = (self.ts, self.value);
-                let g = self.gathers.entry(key).or_default();
-                if g.started {
+                if self.gathers.get(&key).is_some_and(|g| g.started) {
                     return; // duplicate
                 }
-                g.started = true;
-                g.reports.insert(me, (ts, value));
+                let me = self.index;
+                let (ts, value) = (self.ts, self.value);
                 // Broadcast to the other servers.
                 let peers: Vec<ProcessId> = self
                     .layout
@@ -183,7 +187,7 @@ impl Automaton for Server {
                         value,
                     },
                 );
-                self.maybe_finish(key, out);
+                self.report(key, me, (ts, value), true, out);
             }
             Msg::Gossip {
                 reader,
@@ -191,213 +195,98 @@ impl Automaton for Server {
                 ts,
                 value,
             } => {
-                let Some(peer) = self.layout.server_index(from) else {
-                    return;
-                };
-                let key = (reader, op_counter);
-                let g = self.gathers.entry(key).or_default();
-                g.reports.insert(peer, (ts, value));
-                self.maybe_finish(key, out);
+                if let Some(peer) = self.layout.server_index(from) {
+                    self.report((reader, op_counter), peer, (ts, value), false, out);
+                }
             }
             _ => {}
         }
     }
 }
 
-struct PendingWrite {
-    op: OpId,
-    ts: Timestamp,
-    acks: BTreeSet<u32>,
+impl WriteAlphabet for Msg {
+    fn invoked_write(&self) -> Option<Value> {
+        match *self {
+            Msg::InvokeWrite { value } => Some(value),
+            _ => None,
+        }
+    }
+
+    fn write(ts: Timestamp, value: Value) -> Self {
+        Msg::Write { ts, value }
+    }
+
+    fn write_ack(&self) -> Option<Timestamp> {
+        match *self {
+            Msg::WriteAck { ts } => Some(ts),
+            _ => None,
+        }
+    }
 }
 
 /// Writer: identical to the ABD writer.
-pub struct Writer {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
-    /// Timestamp of the next write.
-    pub ts: Timestamp,
-    pending: Option<PendingWrite>,
-}
+pub type Writer = abd::Writer<Msg>;
 
-impl Writer {
-    /// Creates the writer in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Writer {
-            cfg,
-            layout,
-            history,
-            ts: Timestamp(1),
-            pending: None,
-        }
-    }
-
-    /// Returns `true` if no write is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-}
-
-impl Automaton for Writer {
-    type Msg = Msg;
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::InvokeWrite { value } => {
-                assert!(from.is_external(), "writes are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked write() while an operation was pending"
-                );
-                let op = self
-                    .history
-                    .invoke_write(out.this().index(), value, out.now().ticks());
-                self.pending = Some(PendingWrite {
-                    op,
-                    ts: self.ts,
-                    acks: BTreeSet::new(),
-                });
-                out.broadcast(self.layout.servers(), Msg::Write { ts: self.ts, value });
-            }
-            Msg::WriteAck { ts } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if ts != pending.ts {
-                    return;
-                }
-                pending.acks.insert(server);
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    self.history.respond(done.op, None, out.now().ticks());
-                    self.ts = self.ts.next();
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-struct PendingRead {
-    op: OpId,
-    op_counter: u64,
-    acks: BTreeMap<u32, (Timestamp, RegValue)>,
-}
-
-/// Reader: single round to the servers; returns the value with the
-/// *minimum* timestamp among the quorum of (already maximized) replies.
-pub struct Reader {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
-    /// This reader's index (0-based).
+/// Reader rule: the value with the *minimum* timestamp among the quorum
+/// of (already maximized) replies.
+pub struct MinTs {
+    /// This reader's index (0-based), so servers can key the gather.
     pub index: u32,
-    op_counter: u64,
-    pending: Option<PendingRead>,
 }
+
+/// Reader: a single round to the servers, deciding by [`MinTs`].
+pub type Reader = Client<MinTs>;
 
 impl Reader {
     /// Creates reader `index` in its initial state.
     pub fn new(cfg: ClusterConfig, layout: Layout, index: u32, history: SharedHistory) -> Self {
-        Reader {
-            cfg,
-            layout,
-            history,
-            index,
-            op_counter: 0,
-            pending: None,
-        }
-    }
-
-    /// Returns `true` if no read is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
+        Client::with_rule(cfg, layout, history, MinTs { index })
     }
 }
 
-impl Automaton for Reader {
+impl Rule for MinTs {
     type Msg = Msg;
+    type Ack = (Timestamp, RegValue);
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        let read = Msg::Read {
+            reader: self.index,
+            op_counter: tag,
+        };
+        matches!(msg, Msg::InvokeRead).then_some((OpKind::Read, read))
+    }
+
+    fn ack(&mut self, msg: Msg, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
         match msg {
-            Msg::InvokeRead => {
-                assert!(from.is_external(), "reads are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked read() while an operation was pending"
-                );
-                self.op_counter += 1;
-                let op = self
-                    .history
-                    .invoke_read(out.this().index(), out.now().ticks());
-                self.pending = Some(PendingRead {
-                    op,
-                    op_counter: self.op_counter,
-                    acks: BTreeMap::new(),
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Read {
-                        reader: self.index,
-                        op_counter: self.op_counter,
-                    },
-                );
-            }
             Msg::ReadAck {
                 op_counter,
                 ts,
                 value,
-            } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if op_counter != pending.op_counter {
-                    return;
-                }
-                pending.acks.insert(server, (ts, value));
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    let (_, returned) = *done
-                        .acks
-                        .values()
-                        .min_by_key(|(ts, _)| *ts)
-                        .expect("quorum nonempty");
-                    self.history
-                        .respond(done.op, Some(returned), out.now().ticks());
-                }
-            }
-            _ => {}
+            } => Some((op_counter, (ts, value))),
+            _ => None,
         }
+    }
+
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+        let (_, value) = *acks
+            .acks()
+            .min_by_key(|(ts, _)| *ts)
+            .expect("quorum nonempty");
+        Some(value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{ClusterBuilder, MaxMin};
     use fastreg_atomicity::swmr::check_swmr_atomicity;
-    use fastreg_simnet::runner::SimConfig;
     use fastreg_simnet::world::World;
 
     fn cluster(cfg: ClusterConfig, seed: u64) -> (World<Msg>, Layout, SharedHistory) {
-        let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
-        let mut world: World<Msg> = World::new(SimConfig::default().with_seed(seed));
-        world.add_actor(Box::new(Writer::new(cfg, layout, history.clone())));
-        for i in 0..cfg.r {
-            world.add_actor(Box::new(Reader::new(cfg, layout, i, history.clone())));
-        }
-        for j in 0..cfg.s {
-            world.add_actor(Box::new(Server::new(cfg, layout, j)));
-        }
-        (world, layout, history)
+        let c = ClusterBuilder::new(cfg).seed(seed).build_typed::<MaxMin>();
+        let c = c.expect("simnet");
+        (c.world, c.layout, c.history)
     }
 
     fn cfg_majority() -> ClusterConfig {
@@ -408,9 +297,9 @@ mod tests {
     fn write_then_read() {
         let (mut w, l, h) = cluster(cfg_majority(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 21 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(
             hist.reads().next().unwrap().returned,
@@ -423,9 +312,9 @@ mod tests {
     fn read_takes_three_message_delays() {
         let (mut w, l, h) = cluster(cfg_majority(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         let rd = hist.reads().next().unwrap();
         // client→server (1) + gossip (1) + server→client (1) = 3 at unit
@@ -477,9 +366,9 @@ mod tests {
         w.crash(l.server(3));
         w.crash(l.server(4));
         w.inject(l.writer(0), Msg::InvokeWrite { value: 2 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(hist.complete_ops().count(), 2);
         check_swmr_atomicity(&hist).unwrap();
@@ -501,7 +390,7 @@ mod tests {
                 op_counter: 1,
             },
         );
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         // One gather only: reports carry at most S entries and one ack per
         // server went out. (If the duplicate restarted the gather we'd see
         // a double broadcast.)

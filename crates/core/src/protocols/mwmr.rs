@@ -15,14 +15,13 @@
 //!   violation. It exists to make the impossibility executable, not to be
 //!   used.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use fastreg_atomicity::history::{OpId, SharedHistory};
+use fastreg_atomicity::history::{OpId, OpKind, SharedHistory};
 use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
+use crate::protocols::round::{Round, Rule};
 use crate::types::{RegValue, Value, WTimestamp};
 
 /// The correct two-round MWMR register.
@@ -71,6 +70,7 @@ pub mod abd {
     }
 
     /// Server: keeps the lexicographically highest `(ts, value)`.
+    #[derive(Default)]
     pub struct Server {
         /// Current timestamp.
         pub ts: WTimestamp,
@@ -81,19 +81,9 @@ pub mod abd {
     impl Server {
         /// Creates a server holding `(ts0, ⊥)`.
         pub fn new() -> Self {
-            Server {
-                ts: WTimestamp::ZERO,
-                value: RegValue::Bottom,
-            }
+            Self::default()
         }
     }
-
-    impl Default for Server {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
     impl Automaton for Server {
         type Msg = Msg;
 
@@ -124,27 +114,18 @@ pub mod abd {
     }
 
     enum Phase {
-        Query {
-            acks: BTreeMap<u32, (WTimestamp, RegValue)>,
-        },
+        Query(Round<(WTimestamp, RegValue)>),
         Store {
-            /// Value this operation will return (reads) and the ts stored.
-            chosen: (WTimestamp, RegValue),
-            acks: BTreeSet<u32>,
+            /// Value this operation will return (reads only).
+            returned: Option<RegValue>,
+            acks: Round<()>,
         },
-    }
-
-    struct PendingOp {
-        op: OpId,
-        op_counter: u64,
-        /// `Some(v)`: this is a write of `v`; `None`: a read.
-        writing: Option<Value>,
-        phase: Phase,
     }
 
     /// A combined client automaton: writer `wid` if constructed with
-    /// [`Client::writer`], reader otherwise. Both roles are two-phase,
-    /// which is why one automaton serves both.
+    /// [`Client::writer`], reader otherwise. Both roles are two-phase —
+    /// two [`Round`]s in sequence under one operation counter — which is
+    /// why one automaton serves both.
     pub struct Client {
         cfg: ClusterConfig,
         layout: Layout,
@@ -152,7 +133,9 @@ pub mod abd {
         /// Writer id for timestamps (writers only).
         pub wid: Option<u32>,
         op_counter: u64,
-        pending: Option<PendingOp>,
+        /// The pending operation, the value it writes (`None`: a read)
+        /// and its phase.
+        pending: Option<(OpId, Option<Value>, Phase)>,
     }
 
     impl Client {
@@ -164,12 +147,8 @@ pub mod abd {
             history: SharedHistory,
         ) -> Self {
             Client {
-                cfg,
-                layout,
-                history,
                 wid: Some(wid),
-                op_counter: 0,
-                pending: None,
+                ..Client::reader(cfg, layout, history)
             }
         }
 
@@ -195,127 +174,87 @@ pub mod abd {
         type Msg = Msg;
 
         fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
+            let (me, now) = (out.this().index(), out.now().ticks());
+            let writing = match msg {
+                Msg::InvokeWrite { value } => Some(Some(value)),
+                Msg::InvokeRead => Some(None),
+                _ => None,
+            };
+            if let Some(writing) = writing {
+                let name = if writing.is_some() { "write" } else { "read" };
+                assert!(from.is_external(), "{name}s are invoked by the environment");
+                assert!(
+                    writing.is_none() || self.wid.is_some(),
+                    "read-only client asked to write"
+                );
+                assert!(
+                    self.pending.is_none(),
+                    "client invoked {name}() while an operation was pending"
+                );
+                self.op_counter += 1;
+                let op = match writing {
+                    Some(value) => self.history.invoke_write(me, value, now),
+                    None => self.history.invoke_read(me, now),
+                };
+                let query = Round::new(&self.cfg, self.op_counter);
+                self.pending = Some((op, writing, Phase::Query(query)));
+                out.broadcast(
+                    self.layout.servers(),
+                    Msg::Query {
+                        op_counter: self.op_counter,
+                    },
+                );
+                return;
+            }
+            let (Some(server), Some((op, writing, phase))) =
+                (self.layout.server_index(from), self.pending.as_mut())
+            else {
+                return;
+            };
             match msg {
-                Msg::InvokeWrite { value } => {
-                    assert!(from.is_external(), "writes are invoked by the environment");
-                    assert!(self.wid.is_some(), "read-only client asked to write");
-                    assert!(
-                        self.pending.is_none(),
-                        "client invoked write() while an operation was pending"
-                    );
-                    self.op_counter += 1;
-                    let op =
-                        self.history
-                            .invoke_write(out.this().index(), value, out.now().ticks());
-                    self.pending = Some(PendingOp {
-                        op,
-                        op_counter: self.op_counter,
-                        writing: Some(value),
-                        phase: Phase::Query {
-                            acks: BTreeMap::new(),
-                        },
-                    });
-                    out.broadcast(
-                        self.layout.servers(),
-                        Msg::Query {
-                            op_counter: self.op_counter,
-                        },
-                    );
-                }
-                Msg::InvokeRead => {
-                    assert!(from.is_external(), "reads are invoked by the environment");
-                    assert!(
-                        self.pending.is_none(),
-                        "client invoked read() while an operation was pending"
-                    );
-                    self.op_counter += 1;
-                    let op = self
-                        .history
-                        .invoke_read(out.this().index(), out.now().ticks());
-                    self.pending = Some(PendingOp {
-                        op,
-                        op_counter: self.op_counter,
-                        writing: None,
-                        phase: Phase::Query {
-                            acks: BTreeMap::new(),
-                        },
-                    });
-                    out.broadcast(
-                        self.layout.servers(),
-                        Msg::Query {
-                            op_counter: self.op_counter,
-                        },
-                    );
-                }
                 Msg::QueryAck {
                     op_counter,
                     ts,
                     value,
                 } => {
-                    let Some(server) = self.layout.server_index(from) else {
+                    let Phase::Query(acks) = phase else {
                         return;
                     };
-                    let quorum = self.cfg.quorum();
-                    let wid = self.wid;
-                    let Some(pending) = self.pending.as_mut() else {
-                        return;
-                    };
-                    if op_counter != pending.op_counter {
+                    if !acks.offer(server, op_counter, (ts, value)) {
                         return;
                     }
-                    let Phase::Query { acks } = &mut pending.phase else {
-                        return;
-                    };
-                    acks.insert(server, (ts, value));
-                    if acks.len() as u32 >= quorum {
-                        let (max_ts, max_val) =
-                            *acks.values().max_by_key(|(ts, _)| *ts).expect("nonempty");
-                        let chosen = match pending.writing {
-                            Some(v) => (
-                                WTimestamp {
-                                    seq: max_ts.seq + 1,
-                                    wid: wid.expect("writers have ids"),
-                                },
-                                RegValue::Val(v),
-                            ),
-                            None => (max_ts, max_val),
-                        };
-                        pending.phase = Phase::Store {
-                            chosen,
-                            acks: BTreeSet::new(),
-                        };
-                        out.broadcast(
-                            self.layout.servers(),
-                            Msg::Store {
-                                op_counter,
-                                ts: chosen.0,
-                                value: chosen.1,
+                    let (max_ts, max_val) =
+                        *acks.acks().max_by_key(|(ts, _)| *ts).expect("nonempty");
+                    let (ts, value) = match *writing {
+                        Some(v) => (
+                            WTimestamp {
+                                seq: max_ts.seq + 1,
+                                wid: self.wid.expect("writers have ids"),
                             },
-                        );
-                    }
+                            RegValue::Val(v),
+                        ),
+                        None => (max_ts, max_val),
+                    };
+                    *phase = Phase::Store {
+                        returned: writing.is_none().then_some(value),
+                        acks: Round::new(&self.cfg, op_counter),
+                    };
+                    out.broadcast(
+                        self.layout.servers(),
+                        Msg::Store {
+                            op_counter,
+                            ts,
+                            value,
+                        },
+                    );
                 }
                 Msg::StoreAck { op_counter } => {
-                    let Some(server) = self.layout.server_index(from) else {
+                    let Phase::Store { returned, acks } = phase else {
                         return;
                     };
-                    let quorum = self.cfg.quorum();
-                    let Some(pending) = self.pending.as_mut() else {
-                        return;
-                    };
-                    if op_counter != pending.op_counter {
-                        return;
-                    }
-                    let Phase::Store { chosen, acks } = &mut pending.phase else {
-                        return;
-                    };
-                    acks.insert(server);
-                    if acks.len() as u32 >= quorum {
-                        let returned = match pending.writing {
-                            Some(_) => None,
-                            None => Some(chosen.1),
-                        };
-                        let done = self.pending.take().expect("checked above");
-                        self.history.respond(done.op, returned, out.now().ticks());
+                    if acks.offer(server, op_counter, ()) {
+                        self.history.respond(*op, *returned, now);
+                        self.pending = None;
                     }
                 }
                 _ => {}
@@ -328,6 +267,7 @@ pub mod abd {
 /// refutes.
 pub mod naive_fast {
     use super::*;
+    use crate::protocols::round::Client;
 
     /// Message alphabet.
     #[derive(Clone, Debug, PartialEq)]
@@ -369,6 +309,7 @@ pub mod naive_fast {
     }
 
     /// Server: keeps the highest `(ts, value)`.
+    #[derive(Default)]
     pub struct Server {
         /// Current timestamp.
         pub ts: WTimestamp,
@@ -379,19 +320,9 @@ pub mod naive_fast {
     impl Server {
         /// Creates a server holding `(ts0, ⊥)`.
         pub fn new() -> Self {
-            Server {
-                ts: WTimestamp::ZERO,
-                value: RegValue::Bottom,
-            }
+            Self::default()
         }
     }
-
-    impl Default for Server {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
     impl Automaton for Server {
         type Msg = Msg;
 
@@ -417,179 +348,82 @@ pub mod naive_fast {
         }
     }
 
-    struct PendingWrite {
-        op: OpId,
-        ts: WTimestamp,
-        acks: BTreeSet<u32>,
+    /// Writer rule: a locally generated timestamp `(seq, wid)` — no query
+    /// phase, the unsound shortcut. The tag is `seq`.
+    pub struct LocalSeq {
+        /// This writer's id.
+        pub wid: u32,
     }
 
     /// Writer with a local sequence counter (no query phase).
-    pub struct Writer {
-        cfg: ClusterConfig,
-        layout: Layout,
-        history: SharedHistory,
-        /// This writer's id.
-        pub wid: u32,
-        seq: u64,
-        pending: Option<PendingWrite>,
-    }
+    pub type Writer = Client<LocalSeq>;
 
     impl Writer {
         /// Creates writer `wid`.
         pub fn new(cfg: ClusterConfig, layout: Layout, wid: u32, history: SharedHistory) -> Self {
-            Writer {
-                cfg,
-                layout,
-                history,
-                wid,
-                seq: 0,
-                pending: None,
-            }
-        }
-
-        /// Returns `true` if no write is in progress.
-        pub fn is_idle(&self) -> bool {
-            self.pending.is_none()
+            Client::with_rule(cfg, layout, history, LocalSeq { wid })
         }
     }
 
-    impl Automaton for Writer {
+    impl Rule for LocalSeq {
         type Msg = Msg;
+        type Ack = ();
 
-        fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
+        fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+            let Msg::InvokeWrite { value } = *msg else {
+                return None;
+            };
+            let ts = WTimestamp {
+                seq: tag,
+                wid: self.wid,
+            };
+            Some((OpKind::Write { value }, Msg::Store { ts, value }))
+        }
+
+        fn ack(&mut self, msg: Msg, _: &Round<()>) -> Option<(u64, ())> {
             match msg {
-                Msg::InvokeWrite { value } => {
-                    assert!(from.is_external(), "writes are invoked by the environment");
-                    assert!(
-                        self.pending.is_none(),
-                        "client invoked write() while an operation was pending"
-                    );
-                    self.seq += 1;
-                    let ts = WTimestamp {
-                        seq: self.seq,
-                        wid: self.wid,
-                    };
-                    let op =
-                        self.history
-                            .invoke_write(out.this().index(), value, out.now().ticks());
-                    self.pending = Some(PendingWrite {
-                        op,
-                        ts,
-                        acks: BTreeSet::new(),
-                    });
-                    out.broadcast(self.layout.servers(), Msg::Store { ts, value });
-                }
-                Msg::StoreAck { ts } => {
-                    let Some(server) = self.layout.server_index(from) else {
-                        return;
-                    };
-                    let quorum = self.cfg.quorum();
-                    let Some(pending) = self.pending.as_mut() else {
-                        return;
-                    };
-                    if ts != pending.ts {
-                        return;
-                    }
-                    pending.acks.insert(server);
-                    if pending.acks.len() as u32 >= quorum {
-                        let done = self.pending.take().expect("checked above");
-                        self.history.respond(done.op, None, out.now().ticks());
-                    }
-                }
-                _ => {}
+                Msg::StoreAck { ts } if ts.wid == self.wid => Some((ts.seq, ())),
+                _ => None,
             }
+        }
+
+        fn decide(&mut self, _: &Round<()>) -> Option<RegValue> {
+            None
         }
     }
 
-    struct PendingRead {
-        op: OpId,
-        op_counter: u64,
-        acks: BTreeMap<u32, (WTimestamp, RegValue)>,
-    }
+    /// Reader rule: the max-timestamp value.
+    #[derive(Default)]
+    pub struct MaxTs;
 
     /// Reader: one round, returns the max-timestamp value.
-    pub struct Reader {
-        cfg: ClusterConfig,
-        layout: Layout,
-        history: SharedHistory,
-        op_counter: u64,
-        pending: Option<PendingRead>,
-    }
+    pub type Reader = Client<MaxTs>;
 
-    impl Reader {
-        /// Creates a reader.
-        pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-            Reader {
-                cfg,
-                layout,
-                history,
-                op_counter: 0,
-                pending: None,
-            }
-        }
-
-        /// Returns `true` if no read is in progress.
-        pub fn is_idle(&self) -> bool {
-            self.pending.is_none()
-        }
-    }
-
-    impl Automaton for Reader {
+    impl Rule for MaxTs {
         type Msg = Msg;
+        type Ack = (WTimestamp, RegValue);
 
-        fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
+        fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+            matches!(msg, Msg::InvokeRead).then_some((OpKind::Read, Msg::Read { op_counter: tag }))
+        }
+
+        fn ack(&mut self, msg: Msg, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
             match msg {
-                Msg::InvokeRead => {
-                    assert!(from.is_external(), "reads are invoked by the environment");
-                    assert!(
-                        self.pending.is_none(),
-                        "client invoked read() while an operation was pending"
-                    );
-                    self.op_counter += 1;
-                    let op = self
-                        .history
-                        .invoke_read(out.this().index(), out.now().ticks());
-                    self.pending = Some(PendingRead {
-                        op,
-                        op_counter: self.op_counter,
-                        acks: BTreeMap::new(),
-                    });
-                    out.broadcast(
-                        self.layout.servers(),
-                        Msg::Read {
-                            op_counter: self.op_counter,
-                        },
-                    );
-                }
                 Msg::ReadAck {
                     op_counter,
                     ts,
                     value,
-                } => {
-                    let Some(server) = self.layout.server_index(from) else {
-                        return;
-                    };
-                    let quorum = self.cfg.quorum();
-                    let Some(pending) = self.pending.as_mut() else {
-                        return;
-                    };
-                    if op_counter != pending.op_counter {
-                        return;
-                    }
-                    pending.acks.insert(server, (ts, value));
-                    if pending.acks.len() as u32 >= quorum {
-                        let done = self.pending.take().expect("checked above");
-                        let (_, returned) = *done
-                            .acks
-                            .values()
-                            .max_by_key(|(ts, _)| *ts)
-                            .expect("quorum nonempty");
-                        self.history
-                            .respond(done.op, Some(returned), out.now().ticks());
-                    }
-                }
-                _ => {}
+                } => Some((op_counter, (ts, value))),
+                _ => None,
             }
+        }
+
+        fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+            let (_, value) = *acks
+                .acks()
+                .max_by_key(|(ts, _)| *ts)
+                .expect("quorum nonempty");
+            Some(value)
         }
     }
 }
@@ -597,8 +431,8 @@ pub mod naive_fast {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{ClusterBuilder, MwmrAbd, MwmrNaiveFast};
     use fastreg_atomicity::linearizability::check_linearizable;
-    use fastreg_simnet::runner::SimConfig;
     use fastreg_simnet::world::World;
 
     fn cfg() -> ClusterConfig {
@@ -610,30 +444,20 @@ mod tests {
         use super::*;
 
         fn cluster(cfg: ClusterConfig, seed: u64) -> (World<Msg>, Layout, SharedHistory) {
-            let layout = Layout::of(&cfg);
-            let history = SharedHistory::new();
-            let mut world: World<Msg> = World::new(SimConfig::default().with_seed(seed));
-            for wid in 0..cfg.w {
-                world.add_actor(Box::new(Client::writer(cfg, layout, wid, history.clone())));
-            }
-            for _ in 0..cfg.r {
-                world.add_actor(Box::new(Client::reader(cfg, layout, history.clone())));
-            }
-            for _ in 0..cfg.s {
-                world.add_actor(Box::new(Server::new()));
-            }
-            (world, layout, history)
+            let c = ClusterBuilder::new(cfg).seed(seed).build_typed::<MwmrAbd>();
+            let c = c.expect("simnet");
+            (c.world, c.layout, c.history)
         }
 
         #[test]
         fn two_writers_sequential() {
             let (mut w, l, h) = cluster(cfg(), 1);
             w.inject(l.writer(0), Msg::InvokeWrite { value: 10 });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.inject(l.writer(1), Msg::InvokeWrite { value: 20 });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.inject(l.reader(0), Msg::InvokeRead);
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             let hist = h.snapshot();
             assert_eq!(
                 hist.reads().next().unwrap().returned,
@@ -646,7 +470,7 @@ mod tests {
         fn writes_are_two_rounds() {
             let (mut w, l, h) = cluster(cfg(), 1);
             w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             let hist = h.snapshot();
             let wr = hist.writes().next().unwrap();
             // Query + Store: 4 message delays — not fast, as §7 requires.
@@ -699,28 +523,20 @@ mod tests {
         use super::*;
 
         fn cluster(cfg: ClusterConfig, seed: u64) -> (World<Msg>, Layout, SharedHistory) {
-            let layout = Layout::of(&cfg);
-            let history = SharedHistory::new();
-            let mut world: World<Msg> = World::new(SimConfig::default().with_seed(seed));
-            for wid in 0..cfg.w {
-                world.add_actor(Box::new(Writer::new(cfg, layout, wid, history.clone())));
-            }
-            for _ in 0..cfg.r {
-                world.add_actor(Box::new(Reader::new(cfg, layout, history.clone())));
-            }
-            for _ in 0..cfg.s {
-                world.add_actor(Box::new(Server::new()));
-            }
-            (world, layout, history)
+            let c = ClusterBuilder::new(cfg)
+                .seed(seed)
+                .build_typed::<MwmrNaiveFast>();
+            let c = c.expect("simnet");
+            (c.world, c.layout, c.history)
         }
 
         #[test]
         fn all_ops_are_one_round() {
             let (mut w, l, h) = cluster(cfg(), 1);
             w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.inject(l.reader(0), Msg::InvokeRead);
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             let hist = h.snapshot();
             for op in hist.complete_ops() {
                 assert_eq!(op.responded_at.unwrap() - op.invoked_at, 2);
@@ -732,11 +548,11 @@ mod tests {
             // The protocol is plausible: on sequential schedules it behaves.
             let (mut w, l, h) = cluster(cfg(), 1);
             w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.inject(l.writer(1), Msg::InvokeWrite { value: 2 });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.inject(l.reader(0), Msg::InvokeRead);
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             let hist = h.snapshot();
             // Writer 1's local seq is 1 == writer 0's, so its write ties at
             // seq 1 and wins on wid — the read sees 2.
@@ -752,10 +568,10 @@ mod tests {
             let (mut w, l, h) = cluster(cfg(), 1);
             for v in 1..=3 {
                 w.inject(l.writer(0), Msg::InvokeWrite { value: v });
-                w.run_until_quiescent_or_panic();
+                w.run_until_quiescent().expect("quiesces");
             }
             w.inject(l.reader(1), Msg::InvokeRead);
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             let hist = h.snapshot();
             assert_eq!(
                 hist.reads().next().unwrap().returned,

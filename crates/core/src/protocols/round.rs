@@ -1,0 +1,254 @@
+//! One quorum round, once (§3.2).
+//!
+//! The paper calls an operation *fast* when its client sends to all
+//! servers, every server answers without waiting for anyone, and the
+//! client returns after `S − t` replies. That skeleton is the same in
+//! every protocol of this repository; what differs is the request, which
+//! replies count, and what is decided over them. This module holds the
+//! skeleton:
+//!
+//! * [`Round`] — the acks of one broadcast: the only per-server ack
+//!   container, stale-tag filter and quorum comparison in the protocol
+//!   layer. Two-phase clients ([`abd::Reader`](super::abd::Reader),
+//!   [`mwmr::abd::Client`](super::mwmr::abd::Client)) run two of them in
+//!   sequence; max–min's servers gather peer reports in one.
+//! * [`Client`] over a [`Rule`] — the one-round client automaton: the
+//!   only place that asserts "invoked by the environment, one operation
+//!   at a time", records the invocation and the response in the
+//!   [`SharedHistory`], numbers the operation and broadcasts. An
+//!   operation whose client is a `Client<R>` is fast by construction.
+
+use std::ops::Deref;
+
+use fastreg_atomicity::history::{OpId, OpKind, SharedHistory};
+use fastreg_simnet::automaton::{Automaton, Outbox};
+use fastreg_simnet::id::ProcessId;
+
+use crate::config::ClusterConfig;
+use crate::layout::Layout;
+use crate::types::RegValue;
+
+/// The acks of one broadcast: one slot per server, filled by
+/// [`offer`](Round::offer) and read back in server-index order.
+pub struct Round<A> {
+    tag: u64,
+    quorum: u32,
+    answered: u32,
+    slots: Vec<Option<A>>,
+}
+
+impl<A> Round<A> {
+    /// An empty round for a deployment of `cfg.s` servers whose acks must
+    /// echo `tag` (a read counter or a write timestamp).
+    pub fn new(cfg: &ClusterConfig, tag: u64) -> Self {
+        Round {
+            tag,
+            quorum: cfg.quorum(),
+            answered: 0,
+            slots: (0..cfg.s).map(|_| None).collect(),
+        }
+    }
+
+    /// Whether an ack echoing `tag` answers this round's broadcast.
+    pub fn expects(&self, tag: u64) -> bool {
+        tag == self.tag
+    }
+
+    /// Takes `ack` from server `server`, unless its `tag` is stale. A
+    /// server that answers again replaces its earlier ack and still
+    /// counts once. Returns `true` when the ack was taken and `S − t`
+    /// distinct servers have now answered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `server` is not a server index of the deployment.
+    pub fn offer(&mut self, server: u32, tag: u64, ack: A) -> bool {
+        if !self.expects(tag) {
+            return false;
+        }
+        if self.slots[server as usize].replace(ack).is_none() {
+            self.answered += 1;
+        }
+        self.answered >= self.quorum
+    }
+
+    /// The acks held, in server-index order.
+    pub fn acks(&self) -> impl Iterator<Item = &A> {
+        self.slots.iter().flatten()
+    }
+}
+
+/// What distinguishes one one-round operation from another: its request,
+/// the replies that count, and the decision over a quorum of them.
+pub trait Rule: Send + 'static {
+    /// The protocol's message alphabet.
+    type Msg: Clone + std::fmt::Debug + Send + 'static;
+    /// What is kept of one counted reply.
+    type Ack: Send + 'static;
+
+    /// If `msg` invokes this rule's operation: the operation, for the
+    /// history, and the request to broadcast. Replies must echo `tag`.
+    fn request(&mut self, msg: &Self::Msg, tag: u64) -> Option<(OpKind, Self::Msg)>;
+    /// If `msg` is a reply that may count towards the quorum of `round`
+    /// (Fig. 5's `receivevalid`; crash-model rules count every reply): the
+    /// tag it echoes and what to keep of it.
+    fn ack(&mut self, msg: Self::Msg, round: &Round<Self::Ack>) -> Option<(u64, Self::Ack)>;
+    /// Decides over replies from `S − t` servers: the value a read
+    /// returns, `None` for a write.
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue>;
+}
+
+/// The one-round client automaton: broadcast a request, collect `S − t`
+/// valid replies in a [`Round`], decide. Dereferences to its [`Rule`],
+/// whose public fields are the client's protocol state.
+pub struct Client<R: Rule> {
+    cfg: ClusterConfig,
+    layout: Layout,
+    history: SharedHistory,
+    rule: R,
+    /// Operations invoked so far; the tag of the latest.
+    invoked: u64,
+    pending: Option<(OpId, Round<R::Ack>)>,
+}
+
+impl<R: Rule> Client<R> {
+    /// A client in its initial state, deciding by `rule`.
+    pub fn with_rule(cfg: ClusterConfig, layout: Layout, history: SharedHistory, rule: R) -> Self {
+        Client {
+            cfg,
+            layout,
+            history,
+            rule,
+            invoked: 0,
+            pending: None,
+        }
+    }
+
+    /// Returns `true` if no operation is in progress.
+    pub fn is_idle(&self) -> bool {
+        self.pending.is_none()
+    }
+}
+
+impl<R: Rule + Default> Client<R> {
+    /// A client in its initial state, for rules that need no parameters.
+    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
+        Self::with_rule(cfg, layout, history, R::default())
+    }
+}
+
+impl<R: Rule> Deref for Client<R> {
+    type Target = R;
+
+    fn deref(&self) -> &R {
+        &self.rule
+    }
+}
+
+impl<R: Rule> Automaton for Client<R> {
+    type Msg = R::Msg;
+
+    fn on_message(&mut self, from: ProcessId, msg: R::Msg, out: &mut Outbox<R::Msg>) {
+        let (me, now) = (out.this().index(), out.now().ticks());
+        if let Some((kind, request)) = self.rule.request(&msg, self.invoked + 1) {
+            let name = match kind {
+                OpKind::Read => "read",
+                OpKind::Write { .. } => "write",
+            };
+            assert!(from.is_external(), "{name}s are invoked by the environment");
+            assert!(
+                self.pending.is_none(),
+                "client invoked {name}() while an operation was pending"
+            );
+            self.invoked += 1;
+            let op = match kind {
+                OpKind::Read => self.history.invoke_read(me, now),
+                OpKind::Write { value } => self.history.invoke_write(me, value, now),
+            };
+            self.pending = Some((op, Round::new(&self.cfg, self.invoked)));
+            out.broadcast(self.layout.servers(), request);
+            return;
+        }
+        let (Some(server), Some((_, round))) =
+            (self.layout.server_index(from), self.pending.as_mut())
+        else {
+            return;
+        };
+        let Some((tag, ack)) = self.rule.ack(msg, round) else {
+            return;
+        };
+        if round.offer(server, tag, ack) {
+            let (op, round) = self.pending.take().expect("a round just filled");
+            let returned = self.rule.decide(&round);
+            self.history.respond(op, returned, now);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// S = 5, t = 2: a quorum is 3 servers.
+    fn round(tag: u64) -> Round<char> {
+        Round::new(&ClusterConfig::crash_stop(5, 2, 1).unwrap(), tag)
+    }
+
+    #[test]
+    fn a_repeated_server_is_counted_once_and_replaced() {
+        let mut r = round(7);
+        assert!(!r.offer(3, 7, 'a'));
+        assert!(!r.offer(3, 7, 'b'));
+        assert!(!r.offer(0, 7, 'c'));
+        assert_eq!(r.acks().collect::<String>(), "cb");
+        assert!(r.offer(4, 7, 'd'), "third distinct server");
+    }
+
+    #[test]
+    fn a_stale_tag_is_ignored() {
+        let mut r = round(7);
+        assert!(!r.offer(0, 7, 'a'));
+        assert!(!r.offer(1, 7, 'b'));
+        assert!(!r.offer(2, 6, 'x'), "would have been the quorum");
+        assert!(!r.offer(2, 8, 'x'));
+        assert_eq!(r.acks().collect::<String>(), "ab");
+    }
+
+    #[test]
+    fn quorum_is_reported_at_exactly_the_quorum_th_distinct_server() {
+        let mut r = round(1);
+        let reported: Vec<bool> = [4, 4, 2, 2, 0, 1].map(|s| r.offer(s, 1, 'x')).into();
+        assert_eq!(reported, [false, false, false, false, true, true]);
+    }
+
+    #[test]
+    fn acks_iterate_in_server_index_order() {
+        let mut r = round(1);
+        for (server, ack) in [(4, 'e'), (0, 'a'), (2, 'c')] {
+            r.offer(server, 1, ack);
+        }
+        assert_eq!(r.acks().collect::<String>(), "ace");
+    }
+
+    proptest! {
+        /// `Round` against the `BTreeMap<u32, A>` + tag check + `len() >=
+        /// quorum` it replaced in every client, over random offers.
+        #[test]
+        fn round_agrees_with_the_btreemap_it_replaces(
+            offers in proptest::collection::vec((0u32..5, 0u64..3, any::<u16>()), 0..40),
+        ) {
+            let mut r: Round<u16> = Round::new(&ClusterConfig::crash_stop(5, 2, 1).unwrap(), 1);
+            let mut model: BTreeMap<u32, u16> = BTreeMap::new();
+            for (server, tag, ack) in offers {
+                let full = tag == 1 && {
+                    model.insert(server, ack);
+                    model.len() >= 3
+                };
+                prop_assert_eq!(r.offer(server, tag, ack), full);
+                prop_assert!(r.acks().eq(model.values()));
+            }
+        }
+    }
+}

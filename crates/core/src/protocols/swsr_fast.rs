@@ -20,312 +20,76 @@
 //! | `R = 1` | `t < S/2` (this module)        |
 //! | `R ≥ 2` | `S > (R+2)t + (R+1)b` (Figs. 2/5) |
 
-use std::collections::{BTreeMap, BTreeSet};
+use fastreg_atomicity::history::OpKind;
 
-use fastreg_atomicity::history::{OpId, SharedHistory};
-use fastreg_simnet::automaton::{Automaton, Outbox};
-use fastreg_simnet::id::ProcessId;
+use crate::protocols::fast_regular::MaxTs;
+use crate::protocols::round::{Client, Round, Rule};
+use crate::types::{RegValue, Timestamp};
 
-use crate::config::ClusterConfig;
-use crate::layout::Layout;
-use crate::types::{RegValue, Timestamp, Value};
+/// The alphabet, the server (it stores the highest `(ts, value)`) and the
+/// writer are the regular register's; the magic is entirely in the
+/// reader's rule.
+pub use crate::protocols::fast_regular::{Msg, Server, Writer};
 
-/// Message alphabet of the protocol.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Msg {
-    /// Environment → writer: invoke `write(value)`.
-    InvokeWrite {
-        /// The value to write.
-        value: Value,
-    },
-    /// Environment → reader: invoke `read()`.
-    InvokeRead,
-    /// Writer → servers.
-    Write {
-        /// The write's timestamp.
-        ts: Timestamp,
-        /// The written value.
-        value: Value,
-    },
-    /// Server → writer.
-    WriteAck {
-        /// Echo of the stored timestamp.
-        ts: Timestamp,
-    },
-    /// Reader → servers.
-    Read {
-        /// The reader's operation counter.
-        op_counter: u64,
-    },
-    /// Server → reader.
-    ReadAck {
-        /// Echo of the operation counter.
-        op_counter: u64,
-        /// The server's timestamp.
-        ts: Timestamp,
-        /// The server's value.
-        value: RegValue,
-    },
-}
-
-/// Server: stores the highest `(ts, value)` — identical to the regular
-/// register's server; the magic is entirely in the reader.
-pub struct Server {
-    /// Current timestamp.
-    pub ts: Timestamp,
-    /// Current value.
-    pub value: RegValue,
-}
-
-impl Server {
-    /// Creates a server holding `(ts0, ⊥)`.
-    pub fn new() -> Self {
-        Server {
-            ts: Timestamp::ZERO,
-            value: RegValue::Bottom,
-        }
-    }
-}
-
-impl Default for Server {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Automaton for Server {
-    type Msg = Msg;
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::Write { ts, value } => {
-                if ts > self.ts {
-                    self.ts = ts;
-                    self.value = RegValue::Val(value);
-                }
-                out.send(from, Msg::WriteAck { ts });
-            }
-            Msg::Read { op_counter } => out.send(
-                from,
-                Msg::ReadAck {
-                    op_counter,
-                    ts: self.ts,
-                    value: self.value,
-                },
-            ),
-            _ => {}
-        }
-    }
-}
-
-struct PendingWrite {
-    op: OpId,
-    ts: Timestamp,
-    acks: BTreeSet<u32>,
-}
-
-/// Writer: one-round writes with self-incremented timestamps (as in ABD).
-pub struct Writer {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
-    /// Timestamp of the next write.
-    pub ts: Timestamp,
-    pending: Option<PendingWrite>,
-}
-
-impl Writer {
-    /// Creates the writer in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Writer {
-            cfg,
-            layout,
-            history,
-            ts: Timestamp(1),
-            pending: None,
-        }
-    }
-
-    /// Returns `true` if no write is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-}
-
-impl Automaton for Writer {
-    type Msg = Msg;
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::InvokeWrite { value } => {
-                assert!(from.is_external(), "writes are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked write() while an operation was pending"
-                );
-                let op = self
-                    .history
-                    .invoke_write(out.this().index(), value, out.now().ticks());
-                self.pending = Some(PendingWrite {
-                    op,
-                    ts: self.ts,
-                    acks: BTreeSet::new(),
-                });
-                out.broadcast(self.layout.servers(), Msg::Write { ts: self.ts, value });
-            }
-            Msg::WriteAck { ts } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if ts != pending.ts {
-                    return;
-                }
-                pending.acks.insert(server);
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    self.history.respond(done.op, None, out.now().ticks());
-                    self.ts = self.ts.next();
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-struct PendingRead {
-    op: OpId,
-    op_counter: u64,
-    acks: BTreeMap<u32, (Timestamp, RegValue)>,
-}
-
-/// The single reader: one round, returns the max-timestamp quorum value —
-/// but never regresses below its own previous return (the §1 trick).
-pub struct Reader {
-    cfg: ClusterConfig,
-    layout: Layout,
-    history: SharedHistory,
-    op_counter: u64,
+/// The single reader's rule: the max-timestamp quorum value — but never
+/// anything older than its own previous return (the §1 trick). Request
+/// and counted replies are [`MaxTs`]'s.
+#[derive(Default)]
+pub struct StickyMaxTs {
     /// Timestamp of the last returned value.
     pub last_ts: Timestamp,
     /// The last returned value.
     pub last_value: RegValue,
     /// Reads answered from memory because the quorum view was older.
     pub sticky_reads: u64,
-    pending: Option<PendingRead>,
 }
 
-impl Reader {
-    /// Creates the reader in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Reader {
-            cfg,
-            layout,
-            history,
-            op_counter: 0,
-            last_ts: Timestamp::ZERO,
-            last_value: RegValue::Bottom,
-            sticky_reads: 0,
-            pending: None,
-        }
-    }
+/// The single reader: one round, deciding by [`StickyMaxTs`].
+pub type Reader = Client<StickyMaxTs>;
 
-    /// Returns `true` if no read is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-}
-
-impl Automaton for Reader {
+impl Rule for StickyMaxTs {
     type Msg = Msg;
+    type Ack = (Timestamp, RegValue);
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::InvokeRead => {
-                assert!(from.is_external(), "reads are invoked by the environment");
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked read() while an operation was pending"
-                );
-                self.op_counter += 1;
-                let op = self
-                    .history
-                    .invoke_read(out.this().index(), out.now().ticks());
-                self.pending = Some(PendingRead {
-                    op,
-                    op_counter: self.op_counter,
-                    acks: BTreeMap::new(),
-                });
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Read {
-                        op_counter: self.op_counter,
-                    },
-                );
-            }
-            Msg::ReadAck {
-                op_counter,
-                ts,
-                value,
-            } => {
-                let Some(server) = self.layout.server_index(from) else {
-                    return;
-                };
-                let quorum = self.cfg.quorum();
-                let Some(pending) = self.pending.as_mut() else {
-                    return;
-                };
-                if op_counter != pending.op_counter {
-                    return;
-                }
-                pending.acks.insert(server, (ts, value));
-                if pending.acks.len() as u32 >= quorum {
-                    let done = self.pending.take().expect("checked above");
-                    let (max_ts, max_val) = *done
-                        .acks
-                        .values()
-                        .max_by_key(|(ts, _)| *ts)
-                        .expect("quorum nonempty");
-                    // The §1 rule: never return anything older than the
-                    // previous read's value.
-                    let returned = if max_ts >= self.last_ts {
-                        self.last_ts = max_ts;
-                        self.last_value = max_val;
-                        max_val
-                    } else {
-                        self.sticky_reads += 1;
-                        self.last_value
-                    };
-                    self.history
-                        .respond(done.op, Some(returned), out.now().ticks());
-                }
-            }
-            _ => {}
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        MaxTs.request(msg, tag)
+    }
+
+    fn ack(&mut self, msg: Msg, round: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
+        MaxTs.ack(msg, round)
+    }
+
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+        let (max_ts, max_val) = *acks
+            .acks()
+            .max_by_key(|(ts, _)| *ts)
+            .expect("quorum nonempty");
+        if max_ts >= self.last_ts {
+            self.last_ts = max_ts;
+            self.last_value = max_val;
+        } else {
+            self.sticky_reads += 1;
         }
+        Some(self.last_value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ClusterConfig;
+    use crate::harness::{ClusterBuilder, SwsrFast};
+    use crate::layout::Layout;
+    use fastreg_atomicity::history::SharedHistory;
     use fastreg_atomicity::swmr::check_swmr_atomicity;
-    use fastreg_simnet::runner::SimConfig;
     use fastreg_simnet::world::World;
 
     fn cluster(cfg: ClusterConfig, seed: u64) -> (World<Msg>, Layout, SharedHistory) {
-        assert_eq!(cfg.r, 1, "SWSR protocol takes exactly one reader");
-        let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
-        let mut world: World<Msg> = World::new(SimConfig::default().with_seed(seed));
-        world.add_actor(Box::new(Writer::new(cfg, layout, history.clone())));
-        world.add_actor(Box::new(Reader::new(cfg, layout, history.clone())));
-        for _ in 0..cfg.s {
-            world.add_actor(Box::new(Server::new()));
-        }
-        (world, layout, history)
+        let c = ClusterBuilder::new(cfg)
+            .seed(seed)
+            .build_typed::<SwsrFast>();
+        let c = c.expect("simnet");
+        (c.world, c.layout, c.history)
     }
 
     /// t = 1 of S = 3: majority-only resilience, where the general fast
@@ -341,9 +105,9 @@ mod tests {
     fn write_then_read() {
         let (mut w, l, h) = cluster(cfg_majority_only(), 1);
         w.inject(l.writer(0), Msg::InvokeWrite { value: 9 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(
             hist.reads().next().unwrap().returned,
@@ -356,7 +120,7 @@ mod tests {
     fn reads_are_one_round_trip() {
         let (mut w, l, h) = cluster(cfg_majority_only(), 1);
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let rd = h.snapshot().reads().next().unwrap().clone();
         assert_eq!(rd.responded_at.unwrap() - rd.invoked_at, 2);
     }
@@ -414,9 +178,9 @@ mod tests {
         let (mut w, l, h) = cluster(ClusterConfig::crash_stop(5, 2, 1).unwrap(), 3);
         for v in 1..=6u64 {
             w.inject(l.writer(0), Msg::InvokeWrite { value: v });
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.inject(l.reader(0), Msg::InvokeRead);
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
         }
         let hist = h.snapshot();
         check_swmr_atomicity(&hist).unwrap();
@@ -431,9 +195,9 @@ mod tests {
         w.crash(l.server(0));
         w.crash(l.server(1));
         w.inject(l.writer(0), Msg::InvokeWrite { value: 5 });
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         let hist = h.snapshot();
         assert_eq!(hist.complete_ops().count(), 2);
         check_swmr_atomicity(&hist).unwrap();

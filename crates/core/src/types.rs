@@ -13,17 +13,6 @@ pub struct Timestamp(pub u64);
 impl Timestamp {
     /// The initial timestamp.
     pub const ZERO: Timestamp = Timestamp(0);
-
-    /// The next timestamp (used by the single writer, who always knows the
-    /// latest timestamp — footnote 2 of the paper).
-    pub fn next(self) -> Timestamp {
-        Timestamp(self.0 + 1)
-    }
-
-    /// The previous timestamp, saturating at zero.
-    pub fn prev(self) -> Timestamp {
-        Timestamp(self.0.saturating_sub(1))
-    }
 }
 
 impl fmt::Debug for Timestamp {
@@ -146,13 +135,6 @@ pub type Value = u64;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timestamp_next_prev() {
-        assert_eq!(Timestamp::ZERO.next(), Timestamp(1));
-        assert_eq!(Timestamp(5).prev(), Timestamp(4));
-        assert_eq!(Timestamp::ZERO.prev(), Timestamp::ZERO);
-    }
 
     #[test]
     fn timestamp_orders_numerically() {

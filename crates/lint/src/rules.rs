@@ -5,7 +5,7 @@
 //! | D1 | `nondet-order` | no `HashMap`/`HashSet` in modules that feed verdicts, traces, fingerprints or counterexample bytes |
 //! | D2 | `wall-clock` | `Instant::now`/`SystemTime` only in the real-threads runtime (`crates/rt`, `core/src/threads.rs`) and the bench crate |
 //! | D3 | `substrate-isolation` | simnet-only controls (`SimControl` & friends, fault-script types) never referenced from the threads substrate |
-//! | D4 | `panic-hygiene` | no `settle()`/`run_until_quiescent_or_panic`/bare `unwrap()` in non-test protocol/checker library code |
+//! | D4 | `panic-hygiene` | no `settle()`/bare `unwrap()` in non-test protocol/checker library code |
 //! | D5 | `registry-completeness` | every `ProtocolId` variant is exercised by `tests/protocol_conformance.rs` (its wiring is the protocol table's job, enforced by the compiler) |
 //! | D6 | `thread-spawn` | raw thread creation (`thread::spawn`/`thread::Builder`) only in `crates/rt` and `simnet/src/threaded.rs` |
 //! | D7 | `obs-clock-discipline` | the observability wall-clock (`MonoClock`) is constructed only inside `crates/rt` (and defined in `crates/obs`) |
@@ -95,8 +95,7 @@ impl Rule {
                  from the threads substrate"
             }
             Rule::PanicHygiene => {
-                "no settle()/run_until_quiescent_or_panic/bare unwrap() in non-test \
-                 protocol/checker library code"
+                "no settle()/bare unwrap() in non-test protocol/checker library code"
             }
             Rule::RegistryCompleteness => {
                 "every ProtocolId variant needs a tests/protocol_conformance.rs \
@@ -223,7 +222,7 @@ const D3_TOKENS: &[&str] = &[
     "FaultEvent",
     "FaultKind",
 ];
-const D4_TOKENS: &[&str] = &[".unwrap()", ".settle()", "run_until_quiescent_or_panic"];
+const D4_TOKENS: &[&str] = &[".unwrap()", ".settle()"];
 const D6_TOKENS: &[&str] = &["thread::spawn", "thread::Builder"];
 const D7_TOKENS: &[&str] = &["MonoClock"];
 

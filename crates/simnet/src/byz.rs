@@ -132,7 +132,7 @@ mod tests {
     fn mute_never_replies() {
         let (mut w, probe, byz) = setup(Box::new(Mute));
         w.send_from_external(probe, byz, N(1));
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert!(w
             .with_actor::<Probe, _, _>(probe, |p| p.got.is_empty())
             .unwrap());
@@ -142,7 +142,7 @@ mod tests {
     fn echo_storm_floods() {
         let (mut w, probe, byz) = setup(Box::new(EchoStorm { copies: 3 }));
         w.send_from_external(probe, byz, N(7));
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(
             w.with_actor::<Probe, _, _>(probe, |p| p.got.clone())
                 .unwrap(),
@@ -156,7 +156,7 @@ mod tests {
         w.send_from_external(probe, byz, N(1)); // recorded, no reply
         w.send_from_external(probe, byz, N(2)); // replies with N(1)
         w.send_from_external(probe, byz, N(3)); // replies with N(1)
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(
             w.with_actor::<Probe, _, _>(probe, |p| p.got.clone())
                 .unwrap(),

@@ -570,8 +570,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     /// Returns a [`QuiescenceError`] if the budget is exhausted while
     /// messages remain deliverable — that indicates a protocol that never
     /// quiesces, which is a bug in the caller's setup rather than a
-    /// legitimate outcome. Callers that treat it as such can use
-    /// [`World::run_until_quiescent_or_panic`].
+    /// legitimate outcome.
     pub fn run_until_quiescent(&mut self) -> Result<u64, QuiescenceError> {
         let mut steps = 0;
         while steps < self.config.max_steps {
@@ -591,21 +590,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
             });
         }
         Ok(steps)
-    }
-
-    /// [`World::run_until_quiescent`], panicking on budget exhaustion —
-    /// the convenient form for tests and for drivers whose protocols are
-    /// known to quiesce.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`QuiescenceError`] message if the step budget is
-    /// exhausted while messages remain deliverable.
-    pub fn run_until_quiescent_or_panic(&mut self) -> u64 {
-        match self.run_until_quiescent() {
-            Ok(steps) => steps,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Runs timed steps while the next deliverable message is ready at or
@@ -824,7 +808,7 @@ mod tests {
     fn inject_and_quiesce() {
         let (mut w, ids) = world_of(4);
         w.inject(ids[0], Msg::ReplyAll);
-        let steps = w.run_until_quiescent_or_panic();
+        let steps = w.run_until_quiescent().expect("quiesces");
         // 3 hellos + 3 acks delivered.
         assert_eq!(steps, 6);
         assert_eq!(w.with_actor::<Node, _, _>(ids[0], |n| n.acks).unwrap(), 3);
@@ -858,7 +842,7 @@ mod tests {
         w.inject(ids[0], Msg::ReplyAll);
         let to2 = w.pending_ids_matching(|e| e.to == ids[2]);
         w.deliver(to2[0]).unwrap();
-        let steps = w.run_until_quiescent_or_panic();
+        let steps = w.run_until_quiescent().expect("quiesces");
         // hello->p1, ack(p2)->p0, ack(p1)->p0.
         assert_eq!(steps, 3);
         assert_eq!(w.pending_len(), 0);
@@ -879,7 +863,7 @@ mod tests {
         let (mut w, ids) = world_of(3);
         w.inject(ids[0], Msg::ReplyAll);
         w.crash(ids[1]);
-        let steps = w.run_until_quiescent_or_panic();
+        let steps = w.run_until_quiescent().expect("quiesces");
         // hello->p2, ack->p0 delivered; hello->p1 dropped.
         assert_eq!(steps, 2);
         assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 0);
@@ -998,7 +982,7 @@ mod tests {
         w.step_timed();
         assert_eq!(w.now(), SimTime::from_ticks(10));
         // Ack goes back with another 10 ticks of delay.
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(w.now(), SimTime::from_ticks(20));
     }
 
@@ -1057,7 +1041,7 @@ mod tests {
                 .map(|_| w.add_actor(Box::new(Node::new(4))))
                 .collect();
             w.inject(ids[0], Msg::ReplyAll);
-            w.run_until_quiescent_or_panic();
+            w.run_until_quiescent().expect("quiesces");
             w.trace().render()
         };
         assert_eq!(run(7), run(7));
@@ -1100,7 +1084,7 @@ mod tests {
         let (mut w, ids) = world_of(3);
         w.block_link(ids[0], ids[1]);
         w.inject(ids[0], Msg::ReplyAll);
-        let steps = w.run_until_quiescent_or_panic();
+        let steps = w.run_until_quiescent().expect("quiesces");
         // Only the hello to ids[2] and its ack flow; the hello to ids[1]
         // stays in transit (not dropped).
         assert_eq!(steps, 2);
@@ -1110,7 +1094,7 @@ mod tests {
 
         // Healing releases the parked message.
         w.heal_link(ids[0], ids[1]);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 1);
         assert_eq!(w.pending_len(), 0);
     }
@@ -1152,13 +1136,13 @@ mod tests {
         let (mut w, ids) = world_of(4);
         w.partition(&[ids[0], ids[1]], &[ids[2], ids[3]]);
         w.inject(ids[0], Msg::ReplyAll);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         // Hellos reached only the same-side peer.
         assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 1);
         assert_eq!(w.with_actor::<Node, _, _>(ids[2], |n| n.hellos).unwrap(), 0);
         assert_eq!(w.with_actor::<Node, _, _>(ids[3], |n| n.hellos).unwrap(), 0);
         w.heal_partition(&[ids[0], ids[1]], &[ids[2], ids[3]]);
-        w.run_until_quiescent_or_panic();
+        w.run_until_quiescent().expect("quiesces");
         assert_eq!(w.with_actor::<Node, _, _>(ids[2], |n| n.hellos).unwrap(), 1);
         assert_eq!(w.with_actor::<Node, _, _>(ids[3], |n| n.hellos).unwrap(), 1);
     }
@@ -1190,11 +1174,5 @@ mod tests {
         assert_eq!(err.steps, 100);
         assert_eq!(err.in_transit, 1); // the ping-pong ball
         assert!(err.to_string().contains("did not quiesce"));
-    }
-
-    #[test]
-    #[should_panic(expected = "did not quiesce")]
-    fn livelock_hits_step_budget() {
-        livelocked_world().run_until_quiescent_or_panic();
     }
 }

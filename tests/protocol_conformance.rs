@@ -5,6 +5,8 @@
 //! This is the suite that keeps the registry honest: adding a protocol
 //! means registering it, and registering it means passing conformance.
 
+use fastreg_suite::fastreg::byz::{CounterAbuser, Forger};
+use fastreg_suite::fastreg_simnet::delay::DelayModel;
 use fastreg_suite::fastreg_workload::driver::{run_closed_loop, WorkloadSpec};
 use fastreg_suite::prelude::*;
 
@@ -189,30 +191,101 @@ fn build_unchecked_and_from_cluster_cover_the_escape_hatches() {
     erased.check_atomic().unwrap();
 }
 
-/// `(messages_sent, duration_ticks, trace_fingerprint)` of a 64-op closed
-/// loop at seed `0xD5` on each protocol's sample configuration, captured
-/// at the commit before cluster construction was folded into one path.
-/// Construction refactors must leave every row unchanged; naming each
-/// variant here is also the registry's conformance appearance (lint D5).
-const DETERMINISM_PINS: [(ProtocolId, u64, u64, u64); 8] = [
-    (ProtocolId::FastCrash, 640, 45, 0x3a13_20ad_63b7_4ee8),
-    (ProtocolId::FastByz, 768, 69, 0x7c88_3e5f_8934_f00a),
-    (ProtocolId::Abd, 980, 69, 0x51fa_a957_7ae3_b55c),
-    (ProtocolId::MaxMin, 1400, 59, 0xa4e0_5698_b589_1c83),
-    (ProtocolId::FastRegular, 640, 29, 0x8437_682e_848e_a221),
-    (ProtocolId::SwsrFast, 640, 69, 0xa5c1_a91a_f021_3095),
-    (ProtocolId::MwmrAbd, 768, 91, 0x226a_3262_1799_c2a4),
-    (ProtocolId::MwmrNaiveFast, 384, 50, 0xf2bb_737a_382b_6752),
+/// The network a [`DETERMINISM_PINS`] row runs under.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Net {
+    /// `Constant(1)` delays, nobody faulty: acks arrive in server order.
+    Calm,
+    /// `Uniform { lo: 1, hi: 7 }` delays and server 1 crashed from the
+    /// start: acks arrive out of server order, late acks of one operation
+    /// land in the next, and every quorum is exactly `S − t` of the rest.
+    Rough,
+    /// `Uniform { lo: 1, hi: 7 }` delays with a [`Forger`] in server slot
+    /// 0 (`fast-byz` only): every one of its acks must be discarded.
+    Forger,
+    /// `Uniform { lo: 1, hi: 7 }` delays with a [`CounterAbuser`] in
+    /// server slot 0 (`fast-byz` only): two of its three acks per request
+    /// carry a wrong counter, some of them the *next* read's.
+    CounterAbuser,
+}
+
+const JITTER: DelayModel = DelayModel::Uniform { lo: 1, hi: 7 };
+
+/// `(messages_sent, duration_ticks, trace_fingerprint, outcome)` of a
+/// 64-op closed loop at seed `0xD5` on each protocol's sample
+/// configuration; `outcome` is FNV-1a over the rendered history (every
+/// returned value and response time) and the readers' witness levels.
+/// The `Calm` rows were captured at the commit before cluster
+/// construction was folded into one path, the others at the commit before
+/// the client automata were folded onto `protocols::round` — they pin
+/// what `Calm` cannot see: ack arrival order, stale acks, a server that
+/// answers twice or wrongly. Refactors must leave every row unchanged;
+/// naming each variant here is also the registry's conformance
+/// appearance (lint D5).
+#[rustfmt::skip] // one row per line: a table, not code
+const DETERMINISM_PINS: [(ProtocolId, Net, u64, u64, u64, u64); 18] = [
+    (ProtocolId::FastCrash, Net::Calm, 640, 45, 0x3a13_20ad_63b7_4ee8, 0xbf90_65aa_25ac_44ee),
+    (ProtocolId::FastByz, Net::Calm, 768, 69, 0x7c88_3e5f_8934_f00a, 0xa332_46a4_264a_23a6),
+    (ProtocolId::Abd, Net::Calm, 980, 69, 0x51fa_a957_7ae3_b55c, 0x1316_6da3_4c60_65be),
+    (ProtocolId::MaxMin, Net::Calm, 1400, 59, 0xa4e0_5698_b589_1c83, 0xd83b_f8b3_fdf0_6098),
+    (ProtocolId::FastRegular, Net::Calm, 640, 29, 0x8437_682e_848e_a221, 0xdbe1_97d5_fefe_5da9),
+    (ProtocolId::SwsrFast, Net::Calm, 640, 69, 0xa5c1_a91a_f021_3095, 0x6ec9_153d_f94c_029d),
+    (ProtocolId::MwmrAbd, Net::Calm, 768, 91, 0x226a_3262_1799_c2a4, 0x6f96_179e_0c49_c274),
+    (ProtocolId::MwmrNaiveFast, Net::Calm, 384, 50, 0xf2bb_737a_382b_6752, 0x93cc_5284_883a_7a63),
+    (ProtocolId::FastCrash, Net::Rough, 576, 254, 0xb648_cfbf_a9cc_b14c, 0x7940_a7e0_9c7b_ac43),
+    (ProtocolId::FastByz, Net::Rough, 704, 425, 0xe25f_6d81_1ebd_ec1d, 0x31c1_3eb9_60f6_19e0),
+    (ProtocolId::Abd, Net::Rough, 882, 319, 0xc75d_3bd6_24ee_fdcb, 0xea87_df51_68a7_4c35),
+    (ProtocolId::MaxMin, Net::Rough, 1184, 258, 0xa3a9_daee_a9e5_13b7, 0xc7cf_a578_3902_402e),
+    (ProtocolId::FastRegular, Net::Rough, 576, 135, 0x7de9_4602_1f76_bd63, 0x2a08_fd0b_5d70_01ca),
+    (ProtocolId::SwsrFast, Net::Rough, 576, 343, 0x0f95_c070_e993_2a36, 0x1b27_d1ea_115e_9afc),
+    (ProtocolId::MwmrAbd, Net::Rough, 640, 477, 0x6541_7028_934f_e11e, 0x2de6_1c37_73ab_f38b),
+    (ProtocolId::MwmrNaiveFast, Net::Rough, 320, 264, 0x7567_c1f1_e5b1_700f, 0x6fc2_1e88_1e90_e1fe),
+    (ProtocolId::FastByz, Net::Forger, 768, 401, 0x43af_1eae_08d2_3385, 0x7ac4_7f4d_daa0_5837),
+    (ProtocolId::FastByz, Net::CounterAbuser, 840, 356, 0x3fcf_d9a6_3597_5012, 0x3694_fb73_1e49_9933),
 ];
+
+/// The deployment a pin row describes.
+fn pinned_cluster(id: ProtocolId, net: Net) -> DynCluster {
+    let builder = ClusterBuilder::new(id.sample_config()).seed(0xD5);
+    let jittered = builder.clone().sim(SimConfig::default().with_delay(JITTER));
+    match net {
+        Net::Calm => builder.build(id).unwrap_or_else(|e| panic!("{id}: {e}")),
+        Net::Rough => {
+            let mut c = jittered.build(id).unwrap_or_else(|e| panic!("{id}: {e}"));
+            c.sim_control().expect("simnet").crash_server(1);
+            c
+        }
+        Net::Forger | Net::CounterAbuser => {
+            assert_eq!(
+                id,
+                ProtocolId::FastByz,
+                "behaviours speak Fig. 5's alphabet"
+            );
+            let typed = jittered.build_typed_with::<FastByz>(|cfg, layout, index, ctx| {
+                let (verifier, key) = (ctx.verifier.clone(), ctx.writer_key);
+                match (index, net) {
+                    (0, Net::Forger) => Box::new(Forger::new()),
+                    (0, _) => Box::new(CounterAbuser::new(cfg, layout, verifier, key)),
+                    _ => FastByz::server(cfg, layout, index, ctx),
+                }
+            });
+            DynCluster::from_cluster(id, typed.expect("simnet"))
+        }
+    }
+}
 
 #[test]
 fn fixed_seed_runs_are_pinned_for_every_protocol() {
-    assert_eq!(DETERMINISM_PINS.map(|pin| pin.0), ProtocolId::ALL);
-    for (id, messages_sent, duration_ticks, fingerprint) in DETERMINISM_PINS {
-        let mut c = ClusterBuilder::new(id.sample_config())
-            .seed(0xD5)
-            .build(id)
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
+    for net in [Net::Calm, Net::Rough] {
+        let covered: Vec<_> = DETERMINISM_PINS
+            .iter()
+            .filter(|p| p.1 == net)
+            .map(|p| p.0)
+            .collect();
+        assert_eq!(covered, ProtocolId::ALL, "{net:?}");
+    }
+    for (id, net, messages_sent, duration_ticks, fingerprint, outcome) in DETERMINISM_PINS {
+        let mut c = pinned_cluster(id, net);
         let spec = WorkloadSpec {
             n_ops: 64,
             seed: 0xD5,
@@ -220,14 +293,19 @@ fn fixed_seed_runs_are_pinned_for_every_protocol() {
         };
         let report = run_closed_loop(&mut c, &spec).unwrap_or_else(|e| panic!("{id}: {e}"));
         let sim = c.sim_control_ref().expect("simnet is the default runtime");
+        let told = format!("{}{:?}", report.history.render(), sim.witness_levels());
+        let told = told.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
         assert_eq!(
             (
                 report.messages_sent,
                 report.duration_ticks,
-                sim.trace_fingerprint()
+                sim.trace_fingerprint(),
+                told
             ),
-            (messages_sent, duration_ticks, fingerprint),
-            "{id}"
+            (messages_sent, duration_ticks, fingerprint, outcome),
+            "{id} under {net:?}"
         );
     }
 }
