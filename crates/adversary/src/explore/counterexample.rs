@@ -250,9 +250,19 @@ impl Counterexample {
         let faults = FaultScript::parse(&fault_lines)
             .map_err(|e| CounterexampleParseError::new(e.to_string()))?;
         let missing = |what: &str| CounterexampleParseError::new(format!("missing field '{what}'"));
+        let protocol = protocol.ok_or_else(|| missing("protocol"))?;
+        let cfg = cfg.ok_or_else(|| missing("config"))?;
+        // Replay deploys without the feasibility check, so the one limit
+        // that deployment cannot exceed is checked where the file enters.
+        if !protocol.population_fits(&cfg) {
+            return Err(CounterexampleParseError::new(format!(
+                "config: '{protocol}' cannot deploy r={} readers",
+                cfg.r
+            )));
+        }
         Ok(Counterexample {
-            protocol: protocol.ok_or_else(|| missing("protocol"))?,
-            cfg: cfg.ok_or_else(|| missing("config"))?,
+            protocol,
+            cfg,
             seed: seed.ok_or_else(|| missing("seed"))?,
             ops: ops.ok_or_else(|| missing("ops"))?,
             dist: dist.ok_or_else(|| missing("distribution"))?,
@@ -387,6 +397,13 @@ mod tests {
         );
         // Hand-edited inconsistent population: t > s.
         assert!(Counterexample::parse(&text.replace("t=1", "t=9")).is_err());
+        // More readers than a seen-set protocol can deploy: rejected here,
+        // not by a panic when replay builds the cluster; fine elsewhere.
+        let crowded = text.replace("r=3", "r=64");
+        let err = Counterexample::parse(&crowded).unwrap_err();
+        assert!(err.to_string().contains("r=64"), "got: {err}");
+        assert!(Counterexample::parse(&crowded.replace("fast-crash", "abd")).is_ok());
+        assert!(Counterexample::parse(&text.replace("r=3", "r=63")).is_ok());
     }
 
     #[test]

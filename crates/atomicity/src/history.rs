@@ -162,10 +162,11 @@ pub struct History {
     ops: Vec<Operation>,
     /// Number of completed operations (maintained by `respond`).
     completed: usize,
-    /// Outstanding (invoked, not yet responded) operations per client.
-    pending_by_proc: std::collections::BTreeMap<u32, u32>,
-    /// Completed operations per client (maintained by `respond`).
-    completed_by_proc: std::collections::BTreeMap<u32, u64>,
+    /// Outstanding (invoked, not yet responded) operations per client,
+    /// indexed by `proc`; grown by `invoke` to the highest `proc` seen.
+    pending_by_proc: Vec<u32>,
+    /// Completed operations per client, indexed like `pending_by_proc`.
+    completed_by_proc: Vec<u64>,
     /// When `Some`, every invoke/respond is also appended here, for
     /// streaming consumers. `None` (the default) costs nothing.
     journal: Option<Vec<HistoryEvent>>,
@@ -209,6 +210,17 @@ impl History {
         }
     }
 
+    /// Moves the journalled events accumulated since the last drain onto
+    /// the end of `into`. Unlike [`drain_journal`](History::drain_journal)
+    /// both buffers keep their capacity, so a caller that polls with one
+    /// reused buffer stops allocating once the two have grown to the
+    /// burst size.
+    pub fn drain_journal_into(&mut self, into: &mut Vec<HistoryEvent>) {
+        if let Some(j) = &mut self.journal {
+            into.append(j);
+        }
+    }
+
     /// Records the invocation of `write(value)` by `proc` at `at`.
     pub fn invoke_write(&mut self, proc: u32, value: u64, at: Tick) -> OpId {
         self.invoke(proc, OpKind::Write { value }, at)
@@ -230,7 +242,11 @@ impl History {
             responded_at: None,
             returned: None,
         });
-        *self.pending_by_proc.entry(proc).or_insert(0) += 1;
+        if self.pending_by_proc.len() <= proc as usize {
+            self.pending_by_proc.resize(proc as usize + 1, 0);
+            self.completed_by_proc.resize(proc as usize + 1, 0);
+        }
+        self.pending_by_proc[proc as usize] += 1;
         if let Some(j) = &mut self.journal {
             j.push(HistoryEvent::Invoked { id, proc, kind, at });
         }
@@ -259,15 +275,8 @@ impl History {
         if let Some(j) = &mut self.journal {
             j.push(HistoryEvent::Responded { id, returned, at });
         }
-        *self.completed_by_proc.entry(proc).or_insert(0) += 1;
-        if let std::collections::btree_map::Entry::Occupied(mut e) =
-            self.pending_by_proc.entry(proc)
-        {
-            *e.get_mut() -= 1;
-            if *e.get() == 0 {
-                e.remove();
-            }
-        }
+        self.completed_by_proc[proc as usize] += 1;
+        self.pending_by_proc[proc as usize] -= 1;
     }
 
     /// All operations, in invocation order.
@@ -302,14 +311,15 @@ impl History {
     }
 
     /// Returns `true` if client `proc` has an operation outstanding, in
-    /// O(log #clients) — the incremental form of scanning
-    /// [`ops`](History::ops) for an incomplete entry.
+    /// O(1) — the incremental form of scanning [`ops`](History::ops) for
+    /// an incomplete entry.
     pub fn has_pending(&self, proc: u32) -> bool {
-        self.pending_by_proc.contains_key(&proc)
+        self.pending_by_proc
+            .get(proc as usize)
+            .is_some_and(|&n| n > 0)
     }
 
-    /// Number of operations client `proc` has completed, in
-    /// O(log #clients).
+    /// Number of operations client `proc` has completed, in O(1).
     ///
     /// Wall-clock runtimes lean on this: between injecting an invocation
     /// and the actor recording it there is a real-time window in which
@@ -317,7 +327,10 @@ impl History {
     /// driver that must not double-invoke a client compares its own
     /// issued count against this monotone completion count instead.
     pub fn completed_by(&self, proc: u32) -> u64 {
-        self.completed_by_proc.get(&proc).copied().unwrap_or(0)
+        self.completed_by_proc
+            .get(proc as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Iterator over completed operations.
@@ -399,6 +412,12 @@ impl SharedHistory {
     /// [`History::drain_journal`]).
     pub fn drain_journal(&self) -> Vec<HistoryEvent> {
         self.inner.lock().drain_journal()
+    }
+
+    /// Moves the journalled events accumulated since the last drain onto
+    /// the end of `into` (see [`History::drain_journal_into`]).
+    pub fn drain_journal_into(&self, into: &mut Vec<HistoryEvent>) {
+        self.inner.lock().drain_journal_into(into)
     }
 
     /// Records a `write` invocation.

@@ -2,16 +2,14 @@
 //! local computation in the protocol. Series over the population and the
 //! number of maxTS messages.
 
-use std::collections::BTreeSet;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fastreg::predicate::{predicate_witness, PredicateModel};
-use fastreg::types::ClientId;
+use fastreg::types::{ClientId, ClientSet};
 
-fn random_seens(s: u32, r: u32, n_msgs: usize, seed: u64) -> Vec<BTreeSet<ClientId>> {
+fn random_seens(s: u32, r: u32, n_msgs: usize, seed: u64) -> Vec<ClientSet> {
     let mut rng = StdRng::seed_from_u64(seed);
     let clients: Vec<ClientId> = std::iter::once(ClientId::WRITER)
         .chain((0..r).map(ClientId::reader))

@@ -10,8 +10,6 @@
 //! the signature scheme — so every attack reduces to replaying authentic
 //! records or lying about unauthenticated fields.
 
-use std::collections::BTreeSet;
-
 use fastreg_auth::{KeyId, Verifier};
 use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
@@ -19,21 +17,19 @@ use fastreg_simnet::id::ProcessId;
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::protocols::fast_byz::{Msg, Server, SignedRecord};
-use crate::types::{ClientId, RegValue, TaggedValue, Timestamp};
+use crate::types::{ClientId, ClientSet, RegValue, TaggedValue, Timestamp};
 
 /// Always replies with the genesis record and a fully inflated `seen` set,
 /// never adopting anything. Attacks both the timestamp freshness (stale
 /// data) and the predicate (bogus evidence).
 pub struct StaleReplayer {
-    all_clients: BTreeSet<ClientId>,
+    all_clients: ClientSet,
 }
 
 impl StaleReplayer {
     /// Creates the behaviour for a given configuration.
     pub fn new(cfg: &ClusterConfig) -> Self {
-        let all_clients = std::iter::once(ClientId::WRITER)
-            .chain((0..cfg.r).map(ClientId::reader))
-            .collect();
+        let all_clients = (0..=cfg.r).map(ClientId).collect();
         StaleReplayer { all_clients }
     }
 }
@@ -44,7 +40,7 @@ impl Automaton for StaleReplayer {
     fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
         let reply = |r_counter| Msg::ReadAck {
             record: SignedRecord::genesis(),
-            seen: self.all_clients.clone(),
+            seen: self.all_clients,
             r_counter,
         };
         match msg {
@@ -53,7 +49,7 @@ impl Automaton for StaleReplayer {
                 from,
                 Msg::WriteAck {
                     record: SignedRecord::genesis(),
-                    seen: self.all_clients.clone(),
+                    seen: self.all_clients,
                     r_counter,
                 },
             ),
@@ -67,15 +63,13 @@ impl Automaton for StaleReplayer {
 /// predicate.
 pub struct SeenInflater {
     inner: Server,
-    all_clients: BTreeSet<ClientId>,
+    all_clients: ClientSet,
 }
 
 impl SeenInflater {
     /// Wraps an honest server.
     pub fn new(cfg: &ClusterConfig, layout: Layout, verifier: Verifier, writer_key: KeyId) -> Self {
-        let all_clients = std::iter::once(ClientId::WRITER)
-            .chain((0..cfg.r).map(ClientId::reader))
-            .collect();
+        let all_clients = (0..=cfg.r).map(ClientId).collect();
         SeenInflater {
             inner: Server::new(cfg, layout, verifier, writer_key),
             all_clients,
@@ -95,14 +89,14 @@ impl Automaton for SeenInflater {
                     record, r_counter, ..
                 } => Msg::ReadAck {
                     record,
-                    seen: self.all_clients.clone(),
+                    seen: self.all_clients,
                     r_counter,
                 },
                 Msg::WriteAck {
                     record, r_counter, ..
                 } => Msg::WriteAck {
                     record,
-                    seen: self.all_clients.clone(),
+                    seen: self.all_clients,
                     r_counter,
                 },
                 other => other,
@@ -154,7 +148,7 @@ impl Automaton for Forger {
                     from,
                     Msg::ReadAck {
                         record: forged,
-                        seen: BTreeSet::from([ClientId::WRITER]),
+                        seen: ClientId::WRITER.into(),
                         r_counter,
                     },
                 );
@@ -252,7 +246,7 @@ impl Automaton for CounterAbuser {
                             to,
                             Msg::ReadAck {
                                 record: record.clone(),
-                                seen: seen.clone(),
+                                seen,
                                 r_counter: rc,
                             },
                         );

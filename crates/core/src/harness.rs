@@ -279,7 +279,18 @@ macro_rules! protocol_table {
             /// studies). Also skips the runtime-compatibility checks: a
             /// zero-worker thread pool is clamped to one worker, and a
             /// custom sim config is silently ignored on the threaded path.
+            ///
+            /// # Panics
+            ///
+            /// Panics if the configuration has more clients than the
+            /// protocol can represent ([`ProtocolId::max_clients`]) — the
+            /// one limit no experiment can deploy beyond;
+            /// [`build`](Self::build) reports it as
+            /// [`BuildError::TooManyClients`].
             pub fn build_unchecked(self, id: ProtocolId) -> DynCluster {
+                if let Err(e) = self.check_population(id) {
+                    panic!("{e}");
+                }
                 match id {
                     $(ProtocolId::$id => self.erased::<$id>(),)*
                 }
@@ -429,6 +440,9 @@ impl ClusterBuilder {
     /// [`Runtime::Threads`] with zero workers, or combined with a custom
     /// [`sim`](Self::sim) configuration (there is no virtual scheduler
     /// on real threads to configure).
+    ///
+    /// Returns [`BuildError::TooManyClients`] if `R + 1` exceeds what the
+    /// protocol can represent ([`ProtocolId::max_clients`]).
     pub fn build(self, id: ProtocolId) -> Result<DynCluster, BuildError> {
         if !id.feasible(&self.cfg) {
             return Err(BuildError::Infeasible {
@@ -437,6 +451,7 @@ impl ClusterBuilder {
                 requirement: id.requirement(),
             });
         }
+        self.check_population(id)?;
         if let Runtime::Threads { workers, .. } = self.runtime {
             if workers == 0 {
                 return Err(BuildError::UnsupportedRuntime {
@@ -466,6 +481,9 @@ impl ClusterBuilder {
     /// [`Runtime::Simnet`]: a `Cluster<P>` *is* a simulated world. The
     /// typed threaded deployment is
     /// [`ThreadCluster::spawn`].
+    ///
+    /// Returns [`BuildError::TooManyClients`] if `R + 1` exceeds what the
+    /// protocol can represent ([`ProtocolId::max_clients`]).
     pub fn build_typed<P: ProtocolFamily>(self) -> Result<Cluster<P>, BuildError> {
         self.build_typed_with(P::server)
     }
@@ -494,7 +512,22 @@ impl ClusterBuilder {
                          ThreadCluster::spawn deploy onto threads",
             });
         }
+        self.check_population(P::ID)?;
         Ok(self.simulated(&mut server_factory))
+    }
+
+    /// The one limit that is not a feasibility question: a protocol whose
+    /// `seen` sets are [`ClientSet`](crate::types::ClientSet)s cannot
+    /// tell more than [`ProtocolId::max_clients`] clients apart.
+    fn check_population(&self, id: ProtocolId) -> Result<(), BuildError> {
+        match id.max_clients() {
+            Some(limit) if !id.population_fits(&self.cfg) => Err(BuildError::TooManyClients {
+                id,
+                cfg: self.cfg,
+                limit,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// The seed every substrate sees: an explicit [`seed`](Self::seed)
@@ -600,6 +633,16 @@ pub enum BuildError {
         /// Human-readable statement of the violated requirement.
         requirement: &'static str,
     },
+    /// The configuration has more clients (`R + 1`) than the protocol's
+    /// `seen` sets can tell apart.
+    TooManyClients {
+        /// The requested protocol.
+        id: ProtocolId,
+        /// The offending configuration.
+        cfg: ClusterConfig,
+        /// The protocol's [`ProtocolId::max_clients`].
+        limit: u32,
+    },
     /// The requested [`Runtime`] cannot honor the rest of the builder.
     UnsupportedRuntime {
         /// The runtime that was requested.
@@ -626,6 +669,13 @@ impl fmt::Display for BuildError {
                 cfg.r,
                 cfg.w,
                 requirement
+            ),
+            BuildError::TooManyClients { id, cfg, limit } => write!(
+                f,
+                "protocol '{}' keeps its seen sets in a {limit}-bit mask: R = {} readers and \
+                 the writer are more than {limit} clients",
+                id.name(),
+                cfg.r
             ),
             BuildError::UnsupportedRuntime { runtime, reason } => {
                 write!(f, "runtime {runtime} unsupported here: {reason}")
@@ -762,6 +812,14 @@ pub trait RegisterOps {
     /// checkers.
     fn drain_history_events(&mut self) -> Vec<HistoryEvent> {
         Vec::new()
+    }
+
+    /// [`drain_history_events`](RegisterOps::drain_history_events) onto
+    /// the end of a buffer the caller keeps: a driver that polls after
+    /// every step passes the same `Vec` each time, and deployments that
+    /// own their history move the events over without allocating.
+    fn drain_history_events_into(&mut self, into: &mut Vec<HistoryEvent>) {
+        into.extend(self.drain_history_events());
     }
 
     /// Invokes `write(value)` at writer 0 without settling.
@@ -952,6 +1010,10 @@ impl<P: ProtocolFamily> RegisterOps for Cluster<P> {
 
     fn drain_history_events(&mut self) -> Vec<HistoryEvent> {
         self.history.drain_journal()
+    }
+
+    fn drain_history_events_into(&mut self, into: &mut Vec<HistoryEvent>) {
+        self.history.drain_journal_into(into);
     }
 }
 
@@ -1200,6 +1262,10 @@ impl RegisterOps for DynCluster {
 
     fn drain_history_events(&mut self) -> Vec<HistoryEvent> {
         self.ops_mut().drain_history_events()
+    }
+
+    fn drain_history_events_into(&mut self, into: &mut Vec<HistoryEvent>) {
+        self.ops_mut().drain_history_events_into(into);
     }
 }
 

@@ -21,16 +21,26 @@
 //! there is a set `MS` of size ≥ m whose seen-intersection has size ≥ a
 //! **iff** there is a set `A` of `a` client processes such that at least
 //! `m` messages' seen-sets contain all of `A` (take `MS` = exactly those
-//! messages; conversely take `A` ⊆ the intersection). Since seen-sets only
-//! ever contain clients (≤ R+1 of them), enumerating candidate sets `A` is
-//! cheap at the population sizes the bound permits. [`predicate_witness`]
-//! implements this; tests cross-check it against a brute-force subset
-//! enumeration.
+//! messages; conversely take `A` ⊆ the intersection). A seen-set is a
+//! [`ClientSet`] — one machine word — so "message `i` contains all of
+//! `A`" is `seen[i] & A == A`, and a level is decided by counting:
+//!
+//! 1. a member of `A` must on its own be in ≥ m seen-sets; the clients
+//!    that are form the *frequent* mask, and a level with fewer than `a`
+//!    of them fails without a search;
+//! 2. otherwise the `a`-client submasks of the frequent mask are grown
+//!    one client at a time, and a partial `A` that fewer than `m`
+//!    seen-sets contain is abandoned with everything above it (adding a
+//!    client never raises that count).
+//!
+//! [`predicate_witness`] is this scan; tests cross-check it against
+//! [`predicate_witness_bruteforce`], which enumerates the subsets `MS`
+//! themselves over plain ordered sets.
 
 use std::collections::BTreeSet;
 
 use crate::quorum::{byz_ms_size, crash_ms_size};
-use crate::types::ClientId;
+use crate::types::{ClientId, ClientSet};
 
 /// Which failure model's size family to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,16 +72,14 @@ impl PredicateModel {
 /// # Examples
 ///
 /// ```
-/// use std::collections::BTreeSet;
 /// use fastreg::predicate::{predicate_witness, PredicateModel};
-/// use fastreg::types::ClientId;
+/// use fastreg::types::{ClientId, ClientSet};
 ///
 /// // S = 5, t = 1, R = 2. All four acks carry maxTS and their seen-sets
 /// // all contain the writer: a = 1 works (4 ≥ S − t = 4).
-/// let seen: BTreeSet<ClientId> = [ClientId::WRITER].into_iter().collect();
-/// let acks = vec![seen.clone(), seen.clone(), seen.clone(), seen];
+/// let seen = ClientSet::from(ClientId::WRITER);
 /// assert_eq!(
-///     predicate_witness(5, 1, 2, PredicateModel::Crash, &acks),
+///     predicate_witness(5, 1, 2, PredicateModel::Crash, &[seen; 4]),
 ///     Some(1),
 /// );
 /// ```
@@ -80,78 +88,63 @@ pub fn predicate_witness(
     t: u32,
     r: u32,
     model: PredicateModel,
-    max_ts_seens: &[BTreeSet<ClientId>],
+    max_ts_seens: &[ClientSet],
 ) -> Option<u32> {
-    if max_ts_seens.is_empty() {
-        return None;
-    }
-    // Universe of candidate clients: anything appearing in some seen-set.
-    let universe: Vec<ClientId> = {
-        let mut u: BTreeSet<ClientId> = BTreeSet::new();
-        for seen in max_ts_seens {
-            u.extend(seen.iter().copied());
-        }
-        u.into_iter().collect()
-    };
-
-    for a in 1..=(r + 1) {
+    let anywhere = max_ts_seens
+        .iter()
+        .fold(ClientSet::EMPTY, |all, &seen| all.union(seen));
+    (1..=r + 1).find(|&a| {
         let Some(m) = model.ms_size(s, t, a) else {
-            continue;
+            return false;
         };
-        let m = m as usize;
-        if max_ts_seens.len() < m {
-            continue;
+        if max_ts_seens.len() < m as usize {
+            return false;
         }
-        // Candidate members must each individually appear in >= m seen-sets.
-        let frequent: Vec<ClientId> = universe
+        let frequent: ClientSet = anywhere
             .iter()
-            .copied()
-            .filter(|c| max_ts_seens.iter().filter(|seen| seen.contains(c)).count() >= m)
+            .filter(|&c| containing(max_ts_seens, c.into()) >= m)
             .collect();
-        if (frequent.len() as u32) < a {
-            continue;
-        }
-        if combo_exists(&frequent, a as usize, &mut Vec::new(), 0, max_ts_seens, m) {
-            return Some(a);
-        }
-    }
-    None
+        grows_to(max_ts_seens, m, ClientSet::EMPTY, frequent, a)
+    })
 }
 
-/// Recursively enumerates `size`-subsets of `candidates` and tests whether
-/// at least `m` seen-sets contain the whole subset.
-fn combo_exists(
-    candidates: &[ClientId],
-    size: usize,
-    chosen: &mut Vec<ClientId>,
-    start: usize,
-    seens: &[BTreeSet<ClientId>],
-    m: usize,
+/// How many of `seens` contain all of `clients`.
+fn containing(seens: &[ClientSet], clients: ClientSet) -> u32 {
+    seens
+        .iter()
+        .filter(|seen| seen.is_superset(clients))
+        .count() as u32
+}
+
+/// Whether `chosen` — contained in at least `m` of `seens` — can take
+/// `need` more clients out of `candidates` and still be.
+fn grows_to(
+    seens: &[ClientSet],
+    m: u32,
+    chosen: ClientSet,
+    candidates: ClientSet,
+    need: u32,
 ) -> bool {
-    if chosen.len() == size {
-        return seens
-            .iter()
-            .filter(|seen| chosen.iter().all(|c| seen.contains(c)))
-            .count()
-            >= m;
+    if need == 0 {
+        return true;
     }
-    for i in start..candidates.len() {
-        // Not enough candidates left to fill the subset.
-        if candidates.len() - i < size - chosen.len() {
-            break;
+    let mut rest = candidates;
+    for c in candidates.iter() {
+        rest.remove(c);
+        if rest.len() + 1 < need {
+            return false;
         }
-        chosen.push(candidates[i]);
-        if combo_exists(candidates, size, chosen, i + 1, seens, m) {
-            chosen.pop();
+        let grown = chosen.union(c.into());
+        if containing(seens, grown) >= m && grows_to(seens, m, grown, rest, need - 1) {
             return true;
         }
-        chosen.pop();
     }
     false
 }
 
 /// Brute-force reference: enumerates all non-empty subsets `MS` of the
-/// messages directly (exponential; for tests and small inputs only).
+/// messages directly, intersecting ordered sets (exponential; for tests
+/// and small inputs only).
 ///
 /// Returns the smallest `a` with a witnessing subset, like
 /// [`predicate_witness`].
@@ -160,10 +153,11 @@ pub fn predicate_witness_bruteforce(
     t: u32,
     r: u32,
     model: PredicateModel,
-    max_ts_seens: &[BTreeSet<ClientId>],
+    max_ts_seens: &[ClientSet],
 ) -> Option<u32> {
     let n = max_ts_seens.len();
     assert!(n <= 20, "brute force limited to 20 messages");
+    let seens: Vec<BTreeSet<ClientId>> = max_ts_seens.iter().map(|s| s.iter().collect()).collect();
     for a in 1..=(r + 1) {
         let Some(m) = model.ms_size(s, t, a) else {
             continue;
@@ -172,16 +166,14 @@ pub fn predicate_witness_bruteforce(
             if (mask.count_ones() as usize) < m as usize {
                 continue;
             }
-            let mut inter: Option<BTreeSet<ClientId>> = None;
-            for (i, seen) in max_ts_seens.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    inter = Some(match inter {
-                        None => seen.clone(),
-                        Some(acc) => acc.intersection(seen).copied().collect(),
-                    });
-                }
-            }
-            if inter.map(|i| i.len() as u32 >= a).unwrap_or(false) {
+            let members = seens
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0);
+            let common = members
+                .map(|(_, seen)| seen.clone())
+                .reduce(|acc, seen| &acc & &seen);
+            if common.is_some_and(|common| common.len() as u32 >= a) {
                 return Some(a);
             }
         }
@@ -193,7 +185,7 @@ pub fn predicate_witness_bruteforce(
 mod tests {
     use super::*;
 
-    fn seen(ids: &[ClientId]) -> BTreeSet<ClientId> {
+    fn seen(ids: &[ClientId]) -> ClientSet {
         ids.iter().copied().collect()
     }
 
@@ -247,7 +239,7 @@ mod tests {
         // S = 7, t = 1, R = 3. 4 messages all containing {w, r1, r2}:
         // a = 3 needs m = 4. a = 1 needs 6, a = 2 needs 5 — too big.
         let common = seen(&[W, r(0), r(1)]);
-        let acks = vec![common.clone(), common.clone(), common.clone(), common];
+        let acks = [common; 4];
         assert_eq!(
             predicate_witness(7, 1, 3, PredicateModel::Crash, &acks),
             Some(3)
@@ -324,7 +316,7 @@ mod tests {
             };
             let n_msgs = rng.gen_range(0..=(s - t).min(8)) as usize;
             let clients: Vec<ClientId> = std::iter::once(W).chain((0..r_count).map(r)).collect();
-            let seens: Vec<BTreeSet<ClientId>> = (0..n_msgs)
+            let seens: Vec<ClientSet> = (0..n_msgs)
                 .map(|_| {
                     clients
                         .iter()

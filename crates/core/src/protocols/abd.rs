@@ -189,17 +189,19 @@ impl<M: WriteAlphabet> Rule for WriteRule<M> {
 }
 
 enum ReadPhase {
-    Query(Round<(Timestamp, RegValue)>),
-    WriteBack { chosen: RegValue, acks: Round<()> },
+    Query,
+    WriteBack { chosen: RegValue },
 }
 
 /// Reader: two-phase reads (query + write-back), two [`Round`]s in
 /// sequence under one operation counter.
 pub struct Reader {
-    cfg: ClusterConfig,
     layout: Layout,
     history: SharedHistory,
     op_counter: u64,
+    /// The acks of the latest read's two phases.
+    query: Round<(Timestamp, RegValue)>,
+    write_back: Round<()>,
     pending: Option<(OpId, ReadPhase)>,
 }
 
@@ -207,10 +209,11 @@ impl Reader {
     /// Creates a reader in its initial state.
     pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
         Reader {
-            cfg,
             layout,
             history,
             op_counter: 0,
+            query: Round::new(&cfg, 0),
+            write_back: Round::new(&cfg, 0),
             pending: None,
         }
     }
@@ -235,8 +238,8 @@ impl Automaton for Reader {
             let op = self
                 .history
                 .invoke_read(out.this().index(), out.now().ticks());
-            let query = Round::new(&self.cfg, self.op_counter);
-            self.pending = Some((op, ReadPhase::Query(query)));
+            self.query.reset(self.op_counter);
+            self.pending = Some((op, ReadPhase::Query));
             out.broadcast(
                 self.layout.servers(),
                 Msg::Query {
@@ -256,17 +259,16 @@ impl Automaton for Reader {
                 ts,
                 value,
             } => {
-                let ReadPhase::Query(acks) = phase else {
+                let ReadPhase::Query = phase else {
                     return; // stale phase-1 ack after we moved on
                 };
-                if !acks.offer(server, op_counter, (ts, value)) {
+                if !self.query.offer(server, op_counter, (ts, value)) {
                     return;
                 }
-                let (ts, value) = *acks.acks().max_by_key(|(ts, _)| *ts).expect("nonempty");
-                *phase = ReadPhase::WriteBack {
-                    chosen: value,
-                    acks: Round::new(&self.cfg, op_counter),
-                };
+                let acks = self.query.acks();
+                let (ts, value) = *acks.max_by_key(|(ts, _)| *ts).expect("nonempty");
+                *phase = ReadPhase::WriteBack { chosen: value };
+                self.write_back.reset(op_counter);
                 out.broadcast(
                     self.layout.servers(),
                     Msg::WriteBack {
@@ -277,10 +279,10 @@ impl Automaton for Reader {
                 );
             }
             Msg::WriteBackAck { op_counter } => {
-                let ReadPhase::WriteBack { chosen, acks } = phase else {
+                let ReadPhase::WriteBack { chosen } = phase else {
                     return;
                 };
-                if acks.offer(server, op_counter, ()) {
+                if self.write_back.offer(server, op_counter, ()) {
                     self.history.respond(*op, Some(*chosen), out.now().ticks());
                     self.pending = None;
                 }

@@ -18,7 +18,7 @@
 //! * The predicate uses the stricter size family `S − a·t − (a−1)·b`
 //!   (line 19).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fastreg_atomicity::history::{OpKind, SharedHistory};
 use fastreg_auth::digest::DigestWriter;
@@ -30,7 +30,7 @@ use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::predicate::{predicate_witness, PredicateModel};
 use crate::protocols::round::{Client, Round, Rule};
-use crate::types::{ClientId, RegValue, TaggedValue, Timestamp, Value};
+use crate::types::{ClientId, ClientSet, RegValue, TaggedValue, Timestamp, Value};
 
 /// A timestamp with its value tags and the writer's signature: the paper's
 /// `ts_σw`, extended to cover the value tags so that a malicious server
@@ -116,7 +116,7 @@ pub enum Msg {
         /// The server's current signed record.
         record: SignedRecord,
         /// The server's `seen` set.
-        seen: BTreeSet<ClientId>,
+        seen: ClientSet,
         /// Echo of the counter.
         r_counter: u64,
     },
@@ -133,7 +133,7 @@ pub enum Msg {
         /// The server's current signed record.
         record: SignedRecord,
         /// The server's `seen` set.
-        seen: BTreeSet<ClientId>,
+        seen: ClientSet,
         /// Echo of the counter.
         r_counter: u64,
     },
@@ -148,7 +148,7 @@ pub struct Server {
     /// Latest adopted signed record.
     pub record: SignedRecord,
     /// Clients answered since adopting `record.ts`.
-    pub seen: BTreeSet<ClientId>,
+    pub seen: ClientSet,
     /// Per-client read counters.
     pub counter: Vec<u64>,
 }
@@ -161,7 +161,7 @@ impl Server {
             verifier,
             writer_key,
             record: SignedRecord::genesis(),
-            seen: BTreeSet::new(),
+            seen: ClientSet::EMPTY,
             counter: vec![0; (cfg.r + 1) as usize],
         }
     }
@@ -179,7 +179,7 @@ impl Server {
         }
         if record.ts > self.record.ts {
             self.record = record;
-            self.seen = BTreeSet::from([q]);
+            self.seen = q.into();
         } else {
             self.seen.insert(q);
         }
@@ -202,7 +202,7 @@ impl Automaton for Server {
                         from,
                         Msg::WriteAck {
                             record: self.record.clone(),
-                            seen: self.seen.clone(),
+                            seen: self.seen,
                             r_counter,
                         },
                     );
@@ -214,7 +214,7 @@ impl Automaton for Server {
                         from,
                         Msg::ReadAck {
                             record: self.record.clone(),
-                            seen: self.seen.clone(),
+                            seen: self.seen,
                             r_counter,
                         },
                     );
@@ -295,7 +295,7 @@ impl Rule for WriteRule {
 /// A validated `readack` kept until the quorum completes.
 pub struct AckInfo {
     record: SignedRecord,
-    seen: BTreeSet<ClientId>,
+    seen: ClientSet,
 }
 
 /// Reader rule (Fig. 5 lines 9–22).
@@ -314,6 +314,8 @@ pub struct ReadRule {
     pub conservative_reads: u64,
     /// Total acks discarded by the validity filter.
     pub discarded_acks: u64,
+    /// The `seen` sets of the acks carrying `maxTS`, refilled per read.
+    max_ts_seens: Vec<ClientSet>,
 }
 
 /// Reader automaton (Fig. 5 lines 9–22).
@@ -338,6 +340,7 @@ impl Reader {
             witness_histogram: BTreeMap::new(),
             conservative_reads: 0,
             discarded_acks: 0,
+            max_ts_seens: Vec::with_capacity(cfg.s as usize),
         };
         Client::with_rule(cfg, layout, history, rule)
     }
@@ -369,28 +372,26 @@ impl Rule for ReadRule {
         };
         let valid = record.is_valid(&self.verifier, self.writer_key)
             && record.ts >= self.max_rec.ts
-            && seen.contains(&self.me);
+            && seen.contains(self.me);
         self.discarded_acks += u64::from(round.expects(r_counter) && !valid);
         valid.then_some((r_counter, AckInfo { record, seen }))
     }
 
     /// Lines 17–22.
     fn decide(&mut self, acks: &Round<AckInfo>) -> Option<RegValue> {
-        let max_ts = acks
-            .acks()
-            .map(|a| a.record.ts)
-            .max()
-            .expect("quorum nonempty");
-        let max_msgs: Vec<&AckInfo> = acks.acks().filter(|a| a.record.ts == max_ts).collect();
-        let seens: Vec<BTreeSet<ClientId>> = max_msgs.iter().map(|a| a.seen.clone()).collect();
+        let max_ts = acks.acks().map(|a| a.record.ts).max();
+        let max_msgs = || acks.acks().filter(|a| Some(a.record.ts) == max_ts);
+        self.max_ts_seens.clear();
+        self.max_ts_seens.extend(max_msgs().map(|a| a.seen));
         let witness = predicate_witness(
             self.cfg.s,
             self.cfg.t,
             self.cfg.r,
             PredicateModel::Byzantine { b: self.cfg.b },
-            &seens,
+            &self.max_ts_seens,
         );
-        self.max_rec = max_msgs[0].record.clone();
+        let newest = max_msgs().next().expect("quorum nonempty");
+        self.max_rec = newest.record.clone();
         Some(match witness {
             Some(a) => {
                 *self.witness_histogram.entry(a).or_insert(0) += 1;

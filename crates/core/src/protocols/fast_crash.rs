@@ -21,7 +21,7 @@
 //! write carries its own value and its predecessor's, so "return
 //! `maxTS − 1`" is a local tag lookup, not another round.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fastreg_atomicity::history::{OpKind, SharedHistory};
 use fastreg_simnet::automaton::{Automaton, Outbox};
@@ -31,7 +31,7 @@ use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::predicate::{predicate_witness, PredicateModel};
 use crate::protocols::round::{Client, Round, Rule};
-use crate::types::{ClientId, RegValue, TaggedValue, Timestamp, Value};
+use crate::types::{ClientSet, RegValue, TaggedValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,7 +58,7 @@ pub enum Msg {
         ts: Timestamp,
         /// The server's `seen` set (unused by the writer; sent for
         /// fidelity with Fig. 2 line 35).
-        seen: BTreeSet<ClientId>,
+        seen: ClientSet,
         /// Echo of the request counter.
         r_counter: u64,
     },
@@ -81,7 +81,7 @@ pub enum Msg {
         /// Tags associated with `ts`.
         tags: TaggedValue,
         /// Clients this server has answered since adopting `ts`.
-        seen: BTreeSet<ClientId>,
+        seen: ClientSet,
         /// Echo of the request counter.
         r_counter: u64,
     },
@@ -95,7 +95,7 @@ pub struct Server {
     /// Value tags adopted with `ts`.
     pub tags: TaggedValue,
     /// Clients answered since adopting `ts` (including the adopter).
-    pub seen: BTreeSet<ClientId>,
+    pub seen: ClientSet,
     /// `counter[pid]`: latest read counter seen per client (index 0 is the
     /// writer and stays 0).
     pub counter: Vec<u64>,
@@ -108,7 +108,7 @@ impl Server {
             layout,
             ts: Timestamp::ZERO,
             tags: TaggedValue::INITIAL,
-            seen: BTreeSet::new(),
+            seen: ClientSet::EMPTY,
             counter: vec![0; (cfg.r + 1) as usize],
         }
     }
@@ -125,7 +125,7 @@ impl Server {
         if ts > self.ts {
             self.ts = ts;
             self.tags = tags;
-            self.seen = BTreeSet::from([q]);
+            self.seen = q.into();
         } else {
             self.seen.insert(q);
         }
@@ -148,7 +148,7 @@ impl Automaton for Server {
                     from,
                     Msg::WriteAck {
                         ts: self.ts,
-                        seen: self.seen.clone(),
+                        seen: self.seen,
                         r_counter,
                     },
                 );
@@ -163,7 +163,7 @@ impl Automaton for Server {
                     Msg::ReadAck {
                         ts: self.ts,
                         tags: self.tags,
-                        seen: self.seen.clone(),
+                        seen: self.seen,
                         r_counter,
                     },
                 );
@@ -223,7 +223,7 @@ impl Rule for WriteRule {
 pub struct AckInfo {
     ts: Timestamp,
     tags: TaggedValue,
-    seen: BTreeSet<ClientId>,
+    seen: ClientSet,
 }
 
 /// Reader rule (Fig. 2 lines 9–22).
@@ -238,6 +238,8 @@ pub struct ReadRule {
     pub witness_histogram: BTreeMap<u32, u64>,
     /// Reads that returned `maxTS − 1` (predicate failed).
     pub conservative_reads: u64,
+    /// The `seen` sets of the acks carrying `maxTS`, refilled per read.
+    max_ts_seens: Vec<ClientSet>,
 }
 
 /// Reader automaton (Fig. 2 lines 9–22).
@@ -252,6 +254,7 @@ impl Reader {
             tags: TaggedValue::INITIAL,
             witness_histogram: BTreeMap::new(),
             conservative_reads: 0,
+            max_ts_seens: Vec::with_capacity(cfg.s as usize),
         };
         Client::with_rule(cfg, layout, history, rule)
     }
@@ -286,16 +289,17 @@ impl Rule for ReadRule {
     /// returned value; `maxTS` is adopted either way.
     fn decide(&mut self, acks: &Round<AckInfo>) -> Option<RegValue> {
         let max_ts = acks.acks().map(|a| a.ts).max().expect("quorum nonempty");
-        let max_msgs: Vec<&AckInfo> = acks.acks().filter(|a| a.ts == max_ts).collect();
-        let tags = max_msgs[0].tags;
-        let seens: Vec<BTreeSet<ClientId>> = max_msgs.iter().map(|a| a.seen.clone()).collect();
+        let max_msgs = || acks.acks().filter(|a| a.ts == max_ts);
+        self.max_ts_seens.clear();
+        self.max_ts_seens.extend(max_msgs().map(|a| a.seen));
         let witness = predicate_witness(
             self.cfg.s,
             self.cfg.t,
             self.cfg.r,
             PredicateModel::Crash,
-            &seens,
+            &self.max_ts_seens,
         );
+        let tags = max_msgs().next().expect("an ack carries maxTS").tags;
         self.max_ts = max_ts;
         self.tags = tags;
         Some(match witness {

@@ -114,11 +114,10 @@ pub mod abd {
     }
 
     enum Phase {
-        Query(Round<(WTimestamp, RegValue)>),
+        Query,
         Store {
             /// Value this operation will return (reads only).
             returned: Option<RegValue>,
-            acks: Round<()>,
         },
     }
 
@@ -127,12 +126,14 @@ pub mod abd {
     /// two [`Round`]s in sequence under one operation counter — which is
     /// why one automaton serves both.
     pub struct Client {
-        cfg: ClusterConfig,
         layout: Layout,
         history: SharedHistory,
         /// Writer id for timestamps (writers only).
         pub wid: Option<u32>,
         op_counter: u64,
+        /// The acks of the latest operation's two phases.
+        query: Round<(WTimestamp, RegValue)>,
+        store: Round<()>,
         /// The pending operation, the value it writes (`None`: a read)
         /// and its phase.
         pending: Option<(OpId, Option<Value>, Phase)>,
@@ -155,11 +156,12 @@ pub mod abd {
         /// Creates a reader.
         pub fn reader(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
             Client {
-                cfg,
                 layout,
                 history,
                 wid: None,
                 op_counter: 0,
+                query: Round::new(&cfg, 0),
+                store: Round::new(&cfg, 0),
                 pending: None,
             }
         }
@@ -196,8 +198,8 @@ pub mod abd {
                     Some(value) => self.history.invoke_write(me, value, now),
                     None => self.history.invoke_read(me, now),
                 };
-                let query = Round::new(&self.cfg, self.op_counter);
-                self.pending = Some((op, writing, Phase::Query(query)));
+                self.query.reset(self.op_counter);
+                self.pending = Some((op, writing, Phase::Query));
                 out.broadcast(
                     self.layout.servers(),
                     Msg::Query {
@@ -217,14 +219,14 @@ pub mod abd {
                     ts,
                     value,
                 } => {
-                    let Phase::Query(acks) = phase else {
+                    let Phase::Query = phase else {
                         return;
                     };
-                    if !acks.offer(server, op_counter, (ts, value)) {
+                    if !self.query.offer(server, op_counter, (ts, value)) {
                         return;
                     }
-                    let (max_ts, max_val) =
-                        *acks.acks().max_by_key(|(ts, _)| *ts).expect("nonempty");
+                    let acks = self.query.acks();
+                    let (max_ts, max_val) = *acks.max_by_key(|(ts, _)| *ts).expect("nonempty");
                     let (ts, value) = match *writing {
                         Some(v) => (
                             WTimestamp {
@@ -237,8 +239,8 @@ pub mod abd {
                     };
                     *phase = Phase::Store {
                         returned: writing.is_none().then_some(value),
-                        acks: Round::new(&self.cfg, op_counter),
                     };
+                    self.store.reset(op_counter);
                     out.broadcast(
                         self.layout.servers(),
                         Msg::Store {
@@ -249,10 +251,10 @@ pub mod abd {
                     );
                 }
                 Msg::StoreAck { op_counter } => {
-                    let Phase::Store { returned, acks } = phase else {
+                    let Phase::Store { returned } = phase else {
                         return;
                     };
-                    if acks.offer(server, op_counter, ()) {
+                    if self.store.offer(server, op_counter, ()) {
                         self.history.respond(*op, *returned, now);
                         self.pending = None;
                     }

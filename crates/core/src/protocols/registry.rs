@@ -40,6 +40,7 @@ use std::str::FromStr;
 use fastreg_atomicity::streaming::Spec;
 
 use crate::config::ClusterConfig;
+use crate::types::ClientSet;
 
 /// Runtime name of one register protocol implementation.
 ///
@@ -198,6 +199,21 @@ impl ProtocolId {
             ProtocolId::SwsrFast => "W = 1, R = 1, b = 0 and t < S/2",
             ProtocolId::MwmrAbd | ProtocolId::MwmrNaiveFast => "b = 0 and t < S/2",
         }
+    }
+
+    /// The most clients (`R + 1`) a deployment of this protocol can have,
+    /// `None` if any number: the protocols whose servers report a `seen`
+    /// set keep it in a [`ClientSet`]. This is a limit of the
+    /// representation, not one of the paper's hypotheses, so it is not
+    /// part of [`feasible`](Self::feasible).
+    pub fn max_clients(self) -> Option<u32> {
+        matches!(self, ProtocolId::FastCrash | ProtocolId::FastByz).then_some(ClientSet::CAPACITY)
+    }
+
+    /// Whether `cfg`'s `R + 1` clients are within
+    /// [`max_clients`](Self::max_clients).
+    pub fn population_fits(self, cfg: &ClusterConfig) -> bool {
+        self.max_clients().is_none_or(|limit| cfg.r < limit)
     }
 
     /// A canonical feasible configuration for this protocol — the one the

@@ -49,6 +49,14 @@ impl<A> Round<A> {
         }
     }
 
+    /// Empties the round for the next broadcast, whose acks must echo
+    /// `tag`; the slots are kept, so a client's rounds allocate once.
+    pub fn reset(&mut self, tag: u64) {
+        self.tag = tag;
+        self.answered = 0;
+        self.slots.fill_with(|| None);
+    }
+
     /// Whether an ack echoing `tag` answers this round's broadcast.
     pub fn expects(&self, tag: u64) -> bool {
         tag == self.tag
@@ -102,24 +110,25 @@ pub trait Rule: Send + 'static {
 /// valid replies in a [`Round`], decide. Dereferences to its [`Rule`],
 /// whose public fields are the client's protocol state.
 pub struct Client<R: Rule> {
-    cfg: ClusterConfig,
     layout: Layout,
     history: SharedHistory,
     rule: R,
     /// Operations invoked so far; the tag of the latest.
     invoked: u64,
-    pending: Option<(OpId, Round<R::Ack>)>,
+    /// The acks of the latest operation.
+    round: Round<R::Ack>,
+    pending: Option<OpId>,
 }
 
 impl<R: Rule> Client<R> {
     /// A client in its initial state, deciding by `rule`.
     pub fn with_rule(cfg: ClusterConfig, layout: Layout, history: SharedHistory, rule: R) -> Self {
         Client {
-            cfg,
             layout,
             history,
             rule,
             invoked: 0,
+            round: Round::new(&cfg, 0),
             pending: None,
         }
     }
@@ -165,21 +174,20 @@ impl<R: Rule> Automaton for Client<R> {
                 OpKind::Read => self.history.invoke_read(me, now),
                 OpKind::Write { value } => self.history.invoke_write(me, value, now),
             };
-            self.pending = Some((op, Round::new(&self.cfg, self.invoked)));
+            self.pending = Some(op);
+            self.round.reset(self.invoked);
             out.broadcast(self.layout.servers(), request);
             return;
         }
-        let (Some(server), Some((_, round))) =
-            (self.layout.server_index(from), self.pending.as_mut())
-        else {
+        let (Some(server), Some(op)) = (self.layout.server_index(from), self.pending) else {
             return;
         };
-        let Some((tag, ack)) = self.rule.ack(msg, round) else {
+        let Some((tag, ack)) = self.rule.ack(msg, &self.round) else {
             return;
         };
-        if round.offer(server, tag, ack) {
-            let (op, round) = self.pending.take().expect("a round just filled");
-            let returned = self.rule.decide(&round);
+        if self.round.offer(server, tag, ack) {
+            self.pending = None;
+            let returned = self.rule.decide(&self.round);
             self.history.respond(op, returned, now);
         }
     }
@@ -232,22 +240,49 @@ mod tests {
         assert_eq!(r.acks().collect::<String>(), "ace");
     }
 
+    #[test]
+    fn a_reset_round_is_empty_and_expects_the_new_tag() {
+        let mut r = round(7);
+        assert!(!r.offer(0, 7, 'a'));
+        assert!(!r.offer(1, 7, 'b'));
+        r.reset(8);
+        assert_eq!(r.acks().count(), 0);
+        assert!(!r.offer(2, 7, 'x'), "the old tag is stale now");
+        assert!(!r.offer(0, 8, 'c'));
+        assert!(
+            !r.offer(1, 8, 'd'),
+            "answers to the old tag no longer count"
+        );
+        assert!(r.offer(4, 8, 'e'));
+        assert_eq!(r.acks().collect::<String>(), "cde");
+    }
+
     proptest! {
         /// `Round` against the `BTreeMap<u32, A>` + tag check + `len() >=
-        /// quorum` it replaced in every client, over random offers.
+        /// quorum` it replaced in every client, over random offers — one
+        /// round reused by `reset` against a fresh map per operation.
         #[test]
         fn round_agrees_with_the_btreemap_it_replaces(
-            offers in proptest::collection::vec((0u32..5, 0u64..3, any::<u16>()), 0..40),
+            ops in proptest::collection::vec(
+                proptest::collection::vec((0u32..5, 0u64..4, any::<u16>()), 0..40),
+                1..4,
+            ),
         ) {
             let mut r: Round<u16> = Round::new(&ClusterConfig::crash_stop(5, 2, 1).unwrap(), 1);
-            let mut model: BTreeMap<u32, u16> = BTreeMap::new();
-            for (server, tag, ack) in offers {
-                let full = tag == 1 && {
-                    model.insert(server, ack);
-                    model.len() >= 3
-                };
-                prop_assert_eq!(r.offer(server, tag, ack), full);
-                prop_assert!(r.acks().eq(model.values()));
+            for (op, offers) in ops.into_iter().enumerate() {
+                let expected = op as u64 + 1;
+                if op > 0 {
+                    r.reset(expected);
+                }
+                let mut model: BTreeMap<u32, u16> = BTreeMap::new();
+                for (server, tag, ack) in offers {
+                    let full = tag == expected && {
+                        model.insert(server, ack);
+                        model.len() >= 3
+                    };
+                    prop_assert_eq!(r.offer(server, tag, ack), full);
+                    prop_assert!(r.acks().eq(model.values()));
+                }
             }
         }
     }

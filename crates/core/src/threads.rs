@@ -67,7 +67,20 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
     /// order, partitioned over the pool's workers. `seed` feeds the
     /// protocol context (key material for the Byzantine family); there
     /// is no schedule to seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has more clients than the protocol can represent
+    /// ([`ProtocolId::max_clients`](crate::protocols::registry::ProtocolId::max_clients));
+    /// [`ClusterBuilder::build`](crate::harness::ClusterBuilder::build)
+    /// reports that as a typed error instead.
     pub fn spawn(cfg: ClusterConfig, seed: u64, rt: RtConfig) -> Self {
+        assert!(
+            P::ID.population_fits(&cfg),
+            "'{}' cannot deploy R = {} readers",
+            P::ID,
+            cfg.r
+        );
         let parts = assemble::<P>(&cfg, seed, &mut P::server);
         ThreadCluster {
             cfg,

@@ -81,6 +81,106 @@ impl fmt::Debug for ClientId {
     }
 }
 
+/// A set of clients as a 64-bit mask: bit `i` is `ClientId(i)`. This is
+/// the `seen` set of Fig. 2 / Fig. 5 — copied into every ack and
+/// intersected by the fast-read predicate — over a universe of `R + 1`
+/// clients, which is why the fast protocols deploy at most
+/// [`ClientSet::CAPACITY`] of them. Renders like the `BTreeSet<ClientId>`
+/// with the same members.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ClientSet(u64);
+
+impl ClientSet {
+    /// The most clients (`R + 1`) a set can tell apart.
+    pub const CAPACITY: u32 = u64::BITS;
+
+    /// The empty set.
+    pub const EMPTY: ClientSet = ClientSet(0);
+
+    /// Adds `client`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is not below [`CAPACITY`](Self::CAPACITY);
+    /// building a deployment of a `seen`-keeping protocol rejects such
+    /// populations first.
+    pub fn insert(&mut self, client: ClientId) {
+        assert!(
+            client.0 < Self::CAPACITY,
+            "{client:?} does not fit a {}-client set",
+            Self::CAPACITY
+        );
+        self.0 |= 1 << client.0;
+    }
+
+    /// Removes `client`, if it is a member.
+    pub fn remove(&mut self, client: ClientId) {
+        if client.0 < Self::CAPACITY {
+            self.0 &= !(1 << client.0);
+        }
+    }
+
+    /// Returns `true` if `client` is a member.
+    pub fn contains(self, client: ClientId) -> bool {
+        client.0 < Self::CAPACITY && self.0 & (1 << client.0) != 0
+    }
+
+    /// Returns `true` if every member of `other` is a member.
+    pub fn is_superset(self, other: ClientSet) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// The members of either set.
+    pub fn union(self, other: ClientSet) -> ClientSet {
+        ClientSet(self.0 | other.0)
+    }
+
+    /// Number of members.
+    pub fn len(self) -> u32 {
+        self.0.count_ones()
+    }
+
+    /// Returns `true` if there are no members.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The members, in increasing id order.
+    pub fn iter(self) -> impl Iterator<Item = ClientId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let lowest = bits.trailing_zeros();
+                bits &= bits - 1;
+                ClientId(lowest)
+            })
+        })
+    }
+}
+
+impl From<ClientId> for ClientSet {
+    /// The set holding only `client`.
+    fn from(client: ClientId) -> Self {
+        let mut set = ClientSet::EMPTY;
+        set.insert(client);
+        set
+    }
+}
+
+impl FromIterator<ClientId> for ClientSet {
+    fn from_iter<I: IntoIterator<Item = ClientId>>(clients: I) -> Self {
+        let mut set = ClientSet::EMPTY;
+        clients.into_iter().for_each(|client| set.insert(client));
+        set
+    }
+}
+
+impl fmt::Debug for ClientSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// The two value tags the writer attaches to a timestamp (§4): the value of
 /// the write carrying the timestamp, and the value of the immediately
 /// preceding write. A reader that cannot prove the newest value safe

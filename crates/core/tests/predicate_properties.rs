@@ -1,5 +1,5 @@
-//! Property-based tests of the fast-read predicate and the feasibility
-//! arithmetic.
+//! Property-based tests of the fast-read predicate, the client set it
+//! scans, and the feasibility arithmetic.
 
 use std::collections::BTreeSet;
 
@@ -8,54 +8,50 @@ use proptest::prelude::*;
 use fastreg::config::ClusterConfig;
 use fastreg::predicate::{predicate_witness, predicate_witness_bruteforce, PredicateModel};
 use fastreg::quorum::{byz_ms_size, crash_ms_size};
-use fastreg::types::ClientId;
+use fastreg::types::{ClientId, ClientSet};
 
-fn seen_sets(r: u32, n: usize) -> impl Strategy<Value = Vec<BTreeSet<ClientId>>> {
-    let clients: Vec<ClientId> = std::iter::once(ClientId::WRITER)
-        .chain((0..r).map(ClientId::reader))
-        .collect();
-    proptest::collection::vec(
-        proptest::collection::btree_set(proptest::sample::select(clients), 0..=(r as usize + 1)),
-        0..=n,
-    )
+/// Up to `n` seen-sets over the writer and `r` readers.
+fn seen_sets(r: u32, n: usize) -> impl Strategy<Value = Vec<ClientSet>> {
+    let clients: Vec<ClientId> = (0..=r).map(ClientId).collect();
+    let seen =
+        proptest::collection::btree_set(proptest::sample::select(clients), 0..=(r as usize + 1))
+            .prop_map(|members| members.into_iter().collect::<ClientSet>());
+    proptest::collection::vec(seen, 0..=n)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The candidate-set decision procedure is exactly the brute-force
-    /// subset enumeration, for both failure models.
+    /// The mask scan is exactly the brute-force subset enumeration over
+    /// ordered sets, for both failure models: `S ≤ 8`, `R ≤ 5`, 0–7 acks.
     #[test]
     fn exact_equals_bruteforce(
-        s in 3u32..9,
+        s in 3u32..=8,
         t in 1u32..3,
         b in 0u32..3,
-        r in 1u32..4,
-        idx in any::<prop::sample::Index>(),
+        population in (1u32..=5).prop_flat_map(|r| (Just(r), seen_sets(r, 7))),
     ) {
         prop_assume!(t <= s && b <= t);
         let model = if b == 0 { PredicateModel::Crash } else { PredicateModel::Byzantine { b } };
-        // Use the index to derive a deterministic seen-set family.
-        let n = (s - t).min(8) as usize;
-        let clients: Vec<ClientId> = std::iter::once(ClientId::WRITER)
-            .chain((0..r).map(ClientId::reader))
-            .collect();
-        let mut x = idx.index(1 << 20) as u64;
-        let mut seens: Vec<BTreeSet<ClientId>> = Vec::new();
-        for _ in 0..n {
-            let mut set = BTreeSet::new();
-            for &c in &clients {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                if x & 1 == 1 {
-                    set.insert(c);
-                }
-            }
-            seens.push(set);
-        }
+        let (r, seens) = population;
         prop_assert_eq!(
             predicate_witness(s, t, r, model, &seens),
             predicate_witness_bruteforce(s, t, r, model, &seens)
         );
+    }
+
+    /// A `ClientSet` renders as the `BTreeSet<ClientId>` with the same
+    /// members does, compact and pretty — which is what keeps trace text
+    /// and every fingerprint over it unchanged.
+    #[test]
+    fn client_set_renders_like_the_btreeset_it_replaces(
+        members in proptest::collection::btree_set((0..ClientSet::CAPACITY).prop_map(ClientId), 0..=64),
+    ) {
+        let set: ClientSet = members.iter().copied().collect();
+        prop_assert!(set.iter().eq(members.iter().copied()));
+        prop_assert_eq!(set.len() as usize, members.len());
+        prop_assert_eq!(format!("{set:?}"), format!("{members:?}"));
+        prop_assert_eq!(format!("{set:#?}"), format!("{members:#?}"));
     }
 
     /// Monotonicity: adding a message with a full seen-set never makes the
@@ -69,9 +65,7 @@ proptest! {
         let (s, t) = (9u32, 1u32);
         let before = predicate_witness(s, t, r, PredicateModel::Crash, &seens);
         // Add a message whose seen contains every client.
-        let full: BTreeSet<ClientId> = std::iter::once(ClientId::WRITER)
-            .chain((0..r).map(ClientId::reader))
-            .collect();
+        let full: ClientSet = (0..=r).map(ClientId).collect();
         let mut more = seens.clone();
         more.push(full);
         let after = predicate_witness(s, t, r, PredicateModel::Crash, &more);
@@ -130,4 +124,12 @@ proptest! {
             None => prop_assert!(!base.with_readers(0).fast_feasible()),
         }
     }
+}
+
+#[test]
+fn the_empty_client_set_renders_like_an_empty_btreeset() {
+    let empty = BTreeSet::<ClientId>::new();
+    assert_eq!(format!("{:?}", ClientSet::EMPTY), format!("{empty:?}"));
+    assert_eq!(format!("{:#?}", ClientSet::EMPTY), format!("{empty:#?}"));
+    assert_eq!(format!("{:?}", ClientSet::EMPTY), "{}");
 }

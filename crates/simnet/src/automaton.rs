@@ -96,11 +96,12 @@ impl<M> Outbox<M> {
         Self::with_buffer(this, now, Vec::new())
     }
 
-    /// [`Outbox::new`] over a caller-owned (empty) buffer, so a runtime
-    /// that takes one step at a time can lend the same allocation to
-    /// every step and get it back from [`Outbox::into_messages`].
-    pub(crate) fn with_buffer(this: ProcessId, now: SimTime, msgs: Vec<(ProcessId, M)>) -> Self {
-        debug_assert!(msgs.is_empty());
+    /// [`Outbox::new`] over a caller-owned buffer, so a runtime that takes
+    /// one step at a time can lend the same allocation to every step and
+    /// get it back from [`Outbox::into_messages`]. Anything still in the
+    /// buffer is discarded: an outbox starts its step empty.
+    pub fn with_buffer(this: ProcessId, now: SimTime, mut msgs: Vec<(ProcessId, M)>) -> Self {
+        msgs.clear();
         Outbox { now, this, msgs }
     }
 

@@ -13,14 +13,13 @@
 //! types *and* keeps per-op cost flat: no [`RegisterOps::snapshot`]
 //! clone, no rescan of the recorded operations, however long the run.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fastreg::harness::RegisterOps;
-use fastreg_atomicity::history::History;
+use fastreg_atomicity::history::{History, HistoryEvent};
 use fastreg_atomicity::streaming::{replay_events, OnlineChecker};
 use fastreg_atomicity::verdict::Verdict;
 use fastreg_simnet::world::QuiescenceError;
@@ -146,29 +145,26 @@ pub fn run_closed_loop(
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x0c10_ced1);
     let layout = cluster.layout();
     let writer = layout.writer(0);
-    let n_readers = cluster.cfg().r;
+    let cfg = cluster.cfg();
+    let n_readers = cfg.r;
     cluster.reserve_history(spec.n_ops as usize);
     // Check online where the runtime journals events; otherwise replay
     // the final snapshot through the same checker at the end.
     let journaling = cluster.start_history_journal();
-    let mut checker = OnlineChecker::new(cluster.contract().spec(cluster.cfg().w));
+    let mut checker = OnlineChecker::new(cluster.contract().spec(cfg.w));
+    // Journalled events on their way to the checker; one buffer for the
+    // whole run.
+    let mut events: Vec<HistoryEvent> = Vec::new();
     let mut next_value = 1u64;
     let mut issued = 0u64;
-    // Earliest time each client may issue again (think time gate). A
-    // BTreeMap, not a HashMap: the no-progress jump below iterates the
-    // gate values, and everything iterated on the driving path must have
-    // a deterministic order (D1 nondet-order).
-    let mut ready_at: BTreeMap<u32, u64> = BTreeMap::new();
+    // Earliest time each client may issue again (think time gate), by
+    // layout address: clients are the first `W + R` addresses.
+    let mut ready_at = vec![0u64; (cfg.w + cfg.r) as usize];
     // A client is idle when it has no outstanding op (an O(1) query on
     // the history's counters — no snapshot, no per-op rescan) and its
     // think-time gate has passed.
-    fn is_idle(
-        cluster: &dyn RegisterOps,
-        ready_at: &BTreeMap<u32, u64>,
-        proc: u32,
-        now: u64,
-    ) -> bool {
-        !cluster.client_busy(proc) && ready_at.get(&proc).copied().unwrap_or(0) <= now
+    fn is_idle(cluster: &dyn RegisterOps, ready_at: &[u64], proc: u32, now: u64) -> bool {
+        !cluster.client_busy(proc) && ready_at[proc as usize] <= now
     }
 
     while issued < spec.n_ops {
@@ -181,7 +177,7 @@ pub fn run_closed_loop(
             cluster.write(next_value);
             next_value += 1;
             issued += 1;
-            ready_at.insert(writer.index(), now + spec.think_time);
+            ready_at[writer.index() as usize] = now + spec.think_time;
             progressed = true;
         } else if n_readers > 0 {
             let pick = rng.gen_range(0..n_readers);
@@ -189,7 +185,7 @@ pub fn run_closed_loop(
             if is_idle(cluster, &ready_at, addr, now) {
                 cluster.read_async(pick);
                 issued += 1;
-                ready_at.insert(addr, now + spec.think_time);
+                ready_at[addr as usize] = now + spec.think_time;
                 progressed = true;
             }
         }
@@ -202,7 +198,7 @@ pub fn run_closed_loop(
                 // jumping to their minimum would crawl one tick per
                 // iteration instead of leaping to the next real wake-up.
                 let next_ready = ready_at
-                    .values()
+                    .iter()
                     .copied()
                     .filter(|&t| t > now)
                     .min()
@@ -212,11 +208,12 @@ pub fn run_closed_loop(
         }
         if journaling {
             // Settled ops leave the journal and enter the checker's
-            // frontier: memory stays O(concurrency), not O(n_ops).
-            let events = cluster.drain_history_events();
-            if !events.is_empty() {
-                checker.on_events(&events);
-            }
+            // frontier: the *checker* holds O(concurrency) operations,
+            // not O(n_ops). The deployment's history still keeps every
+            // operation — it is returned as `WorkloadReport::history`.
+            cluster.drain_history_events_into(&mut events);
+            checker.on_events(&events);
+            events.clear();
         }
     }
     cluster
@@ -229,7 +226,8 @@ pub fn run_closed_loop(
 
     let history = cluster.snapshot();
     if journaling {
-        checker.on_events(&cluster.drain_history_events());
+        cluster.drain_history_events_into(&mut events);
+        checker.on_events(&events);
     } else {
         checker.on_events(&replay_events(&history));
     }

@@ -13,7 +13,7 @@ use fastreg::harness::{Cluster, ClusterBuilder, FastByz, FastCrash, ProtocolFami
 use fastreg::predicate::{predicate_witness, predicate_witness_bruteforce, PredicateModel};
 use fastreg::protocols::fast_crash;
 use fastreg::protocols::registry::ProtocolId;
-use fastreg::types::{ClientId, RegValue};
+use fastreg::types::{ClientId, ClientSet, RegValue};
 use fastreg_adversary::{
     random_adversarial_search, run_byz_lb, run_crash_lb, run_mwmr_lb, LbError,
 };
@@ -634,7 +634,7 @@ pub fn e10_predicate() -> Table {
         let clients: Vec<ClientId> = std::iter::once(ClientId::WRITER)
             .chain((0..r).map(ClientId::reader))
             .collect();
-        let seens: Vec<std::collections::BTreeSet<ClientId>> = (0..n)
+        let seens: Vec<ClientSet> = (0..n)
             .map(|_| {
                 clients
                     .iter()

@@ -1,0 +1,137 @@
+//! Cost budgets that do not depend on the clock.
+//!
+//! For every registered protocol, a 1 000-op closed loop on a warmed-up
+//! simnet deployment is charged three exact integers: heap allocations,
+//! bytes allocated, and message deliveries. The run is deterministic at a
+//! fixed seed, so [`COST_PINS`] fails on the first regression and a
+//! performance change can state its effect ("fast-crash 16.5 → 0.04
+//! allocations per op") before any timer is read.
+//!
+//! The counts cover everything `run_closed_loop` does on this thread:
+//! automata, simulator, history, online checker and the driver itself,
+//! including the per-run constant (checker set-up, final snapshot, latency
+//! breakdown). The allocator is global only in this test binary; its tally
+//! is thread-local, so concurrently running tests do not see each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fastreg_suite::fastreg_workload::driver::{run_closed_loop, WorkloadSpec};
+use fastreg_suite::prelude::*;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting this thread's allocations and their
+/// sizes. `realloc` is the trait's default (allocate, copy, free), so a
+/// growing `Vec` is charged its new size each time it grows.
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one being implemented; the counters are `const`
+// thread-local `Cell<u64>`s (no lazy init, no destructor), so touching
+// them never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        // SAFETY: `layout` comes from our caller under `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Operations in the measured closed loop; the pins are totals over it.
+const OPS: u64 = 1_000;
+
+/// Small enough that the warm-up below fills it for every protocol: from
+/// then on recording an entry is a counter bump, as in a long run.
+const TRACE_CAPACITY: usize = 2_048;
+
+/// `(allocations, bytes allocated, deliveries)` of [`OPS`] operations on
+/// each protocol's sample configuration — divide by 1 000 for the per-op
+/// figures. A budget may only go down; a change that raises one says why.
+///
+/// What is left is per run, not per operation: ≈ 40 allocations (history
+/// reserve, checker maps, the final snapshot and latency breakdown) and
+/// ≈ 270 kB, most of it that snapshot. Max–min is the exception: its
+/// servers build a `Round` per gather.
+#[rustfmt::skip] // one row per line: a table, not code
+const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
+    (ProtocolId::FastCrash, 39, 277_592, 10_000),
+    (ProtocolId::FastByz, 42, 297_260, 12_000),
+    (ProtocolId::Abd, 42, 298_088, 15_260),
+    (ProtocolId::MaxMin, 6_409, 1_036_952, 21_760),
+    (ProtocolId::FastRegular, 38, 265_472, 10_000),
+    (ProtocolId::SwsrFast, 41, 278_940, 10_000),
+    (ProtocolId::MwmrAbd, 38, 268_136, 12_000),
+    (ProtocolId::MwmrNaiveFast, 38, 267_968, 6_000),
+];
+
+/// Warms a deployment of `id` up, then charges one [`OPS`]-op closed loop.
+fn measure(id: ProtocolId) -> (u64, u64, u64) {
+    let sim = SimConfig::default().with_trace_capacity(TRACE_CAPACITY);
+    let mut c = ClusterBuilder::new(id.sample_config())
+        .sim(sim)
+        .seed(0xC057)
+        .build(id)
+        .unwrap_or_else(|e| panic!("{id}: {e}"));
+    // Reads only, so the measured loop's writes (values 1, 2, …) stay
+    // distinct: fills the trace and grows every reused buffer to size.
+    let warm_up = WorkloadSpec {
+        n_ops: 512,
+        write_fraction: 0.0,
+        seed: 0xC057,
+        ..WorkloadSpec::default()
+    };
+    run_closed_loop(&mut c, &warm_up).unwrap_or_else(|e| panic!("{id} warm-up: {e}"));
+    let delivered = |c: &DynCluster| c.sim_control_ref().expect("simnet").net_stats().delivered;
+    assert!(
+        delivered(&c) >= TRACE_CAPACITY as u64,
+        "{id}: the warm-up did not fill the trace"
+    );
+
+    let spec = WorkloadSpec {
+        n_ops: OPS,
+        seed: 0xC057,
+        ..WorkloadSpec::default()
+    };
+    let tally = || (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let delivered_before = delivered(&c);
+    let before = tally();
+    let report = run_closed_loop(&mut c, &spec);
+    let after = tally();
+    let report = report.unwrap_or_else(|e| panic!("{id}: {e}"));
+    assert_eq!(report.breakdown.completed, 512 + OPS, "{id}");
+    (
+        after.0 - before.0,
+        after.1 - before.1,
+        delivered(&c) - delivered_before,
+    )
+}
+
+#[test]
+fn per_op_costs_are_pinned_for_every_protocol() {
+    let covered: Vec<_> = COST_PINS.iter().map(|p| p.0).collect();
+    assert_eq!(covered, ProtocolId::ALL);
+    let measured: Vec<_> = COST_PINS
+        .iter()
+        .map(|&(id, ..)| {
+            let (allocs, bytes, deliveries) = measure(id);
+            (id, allocs, bytes, deliveries)
+        })
+        .collect();
+    assert_eq!(
+        measured, COST_PINS,
+        "(protocol, allocations, bytes, deliveries) per {OPS} ops"
+    );
+}

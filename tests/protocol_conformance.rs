@@ -135,6 +135,76 @@ fn infeasible_configs_are_rejected_at_build_with_a_typed_error() {
     }
 }
 
+/// A `seen`-keeping protocol tells at most 64 clients apart (its `seen`
+/// sets are 64-bit masks): one reader more is a typed
+/// [`BuildError::TooManyClients`] naming the limit, on both substrates
+/// and both builder routes — not a shift overflow in a server. The
+/// limit is the representation's, not the paper's: such configurations
+/// stay valid, and the protocols that keep no `seen` set still deploy
+/// them.
+#[test]
+fn more_clients_than_a_seen_set_holds_is_a_typed_build_error() {
+    let threads = Runtime::Threads {
+        workers: 1,
+        affinity: Affinity::None,
+    };
+    // The smallest feasible deployments with R = 63 and R = 64 readers.
+    let crash = |r| ClusterConfig::crash_stop(r + 3, 1, r).unwrap();
+    let byz = |r| ClusterConfig::byzantine(2 * r + 4, 1, 1, r).unwrap();
+    for (id, fits, crowded) in [
+        (ProtocolId::FastCrash, crash(63), crash(64)),
+        (ProtocolId::FastByz, byz(63), byz(64)),
+    ] {
+        assert!(id.feasible(&fits) && id.feasible(&crowded), "{id}");
+        for runtime in [Runtime::Simnet, threads] {
+            let err = ClusterBuilder::new(crowded)
+                .runtime(runtime)
+                .build(id)
+                .expect_err("65 clients");
+            let expected = BuildError::TooManyClients {
+                id,
+                cfg: crowded,
+                limit: 64,
+            };
+            assert_eq!(err, expected, "{id} on {runtime}");
+            assert!(err.to_string().contains("64"), "{err}");
+            assert!(err.to_string().contains(id.name()), "{err}");
+        }
+        // 64 clients fit, up to the highest bit: the last reader reads.
+        let mut c = ClusterBuilder::new(fits).seed(1).build(id).unwrap();
+        c.write_sync(7);
+        assert_eq!(c.read(62), RegValue::Val(7), "{id}");
+        c.check_atomic().unwrap();
+    }
+    let typed_crash = ClusterBuilder::new(crash(64)).build_typed::<FastCrash>();
+    let typed_byz = ClusterBuilder::new(byz(64)).build_typed::<FastByz>();
+    for err in [typed_crash.map(drop), typed_byz.map(drop)] {
+        assert!(
+            matches!(err, Err(BuildError::TooManyClients { limit: 64, .. })),
+            "{err:?}"
+        );
+    }
+
+    // R = 100 is still a configuration, and everyone else still builds it.
+    let many = ClusterConfig::crash_stop(5, 2, 100).unwrap();
+    assert!(many.fast_regular_feasible());
+    let many_writers = ClusterConfig::mwmr(5, 2, 2, 100).unwrap();
+    for id in ProtocolId::ALL {
+        if id.max_clients().is_some() {
+            continue;
+        }
+        let cfg = if id.sample_config().w > 1 {
+            many_writers
+        } else {
+            many
+        };
+        // Unchecked: `swsr-fast` is only *feasible* at R = 1.
+        let mut c = ClusterBuilder::new(cfg).seed(1).build_unchecked(id);
+        c.write_sync(7);
+        assert_eq!(c.read(99), RegValue::Val(7), "{id}");
+    }
+}
+
 /// Every SWMR protocol must produce identical results on the same
 /// sequential run — the value read depends only on register semantics,
 /// not on the protocol (this was previously asserted per-protocol with
