@@ -128,7 +128,7 @@ impl fmt::Display for Runtime {
 /// keys); most families use `()`.
 pub trait ProtocolFamily {
     /// The protocol's message alphabet.
-    type Msg: Clone + fmt::Debug + Send + 'static;
+    type Msg: Clone + fmt::Debug + std::hash::Hash + Send + 'static;
     /// Per-cluster context threaded through actor construction.
     type Ctx;
     /// The value-level name of this protocol (its table row).
@@ -885,8 +885,17 @@ pub trait SimControl: RegisterOps {
     /// Stable fingerprint of the simulated world's trace so far (see
     /// [`Trace::fingerprint`](fastreg_simnet::trace::Trace::fingerprint)).
     /// Equal fingerprints ⇔ event-identical runs; the schedule-exploration
-    /// replay path compares these.
+    /// replay path compares these. It hashes the *rendered* trace, which
+    /// makes it the one identity that may be persisted (pins, corpus
+    /// files) — and costs a `Debug` render of every stored message.
     fn trace_fingerprint(&self) -> u64;
+    /// In-process identity of the trace so far (see
+    /// [`Trace::digest`](fastreg_simnet::trace::Trace::digest)): equal
+    /// for event-identical runs and, like the fingerprint, different for
+    /// any others up to a 64-bit hash collision — at a fraction of the
+    /// cost, but only comparable within one process: never write it to a
+    /// file or a pin.
+    fn trace_digest(&self) -> u64;
     /// Maximum message-reorder depth of the run so far (see
     /// [`Trace::max_reorder_depth`](fastreg_simnet::trace::Trace::max_reorder_depth)):
     /// how many older in-flight messages some delivery overtook, per
@@ -1052,6 +1061,10 @@ impl<P: ProtocolFamily> SimControl for Cluster<P> {
 
     fn trace_fingerprint(&self) -> u64 {
         self.world.trace().fingerprint()
+    }
+
+    fn trace_digest(&self) -> u64 {
+        self.world.trace().digest()
     }
 
     fn max_reorder_depth(&self) -> u64 {

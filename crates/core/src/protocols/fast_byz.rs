@@ -35,7 +35,7 @@ use crate::types::{ClientId, ClientSet, RegValue, TaggedValue, Timestamp, Value}
 /// A timestamp with its value tags and the writer's signature: the paper's
 /// `ts_σw`, extended to cover the value tags so that a malicious server
 /// cannot attach a forged value to a genuine timestamp.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SignedRecord {
     /// The signed timestamp.
     pub ts: Timestamp,
@@ -95,7 +95,7 @@ impl SignedRecord {
 }
 
 /// Message alphabet of the protocol.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Msg {
     /// Environment → writer: invoke `write(value)`.
     InvokeWrite {

@@ -34,7 +34,7 @@ use crate::protocols::round::{Client, Round, Rule};
 use crate::types::{ClientSet, RegValue, TaggedValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Msg {
     /// Environment → writer: invoke `write(value)`.
     InvokeWrite {

@@ -22,7 +22,7 @@ use crate::protocols::round::{Client, Round, Rule};
 use crate::types::{RegValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Msg {
     /// Environment → writer: invoke `write(value)`.
     InvokeWrite {

@@ -29,7 +29,7 @@ pub mod abd {
     use super::*;
 
     /// Message alphabet.
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Hash)]
     pub enum Msg {
         /// Environment → writer: invoke `write(value)`.
         InvokeWrite {
@@ -272,7 +272,7 @@ pub mod naive_fast {
     use crate::protocols::round::Client;
 
     /// Message alphabet.
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Hash)]
     pub enum Msg {
         /// Environment → writer.
         InvokeWrite {

@@ -218,6 +218,7 @@ const D3_TOKENS: &[&str] = &[
     "block_link_procs",
     "heal_link_procs",
     "trace_fingerprint",
+    "trace_digest",
     "FaultScript",
     "FaultEvent",
     "FaultKind",

@@ -1,8 +1,10 @@
 //! The workspace's order-preserving worker pool, [`map_ordered`]: the
 //! fan-out primitive the schedule-exploration engine and the sharded
-//! store (driving shards, checking keys) use to run independent work on
-//! real threads while keeping results — and therefore verdicts and
-//! counterexample bytes — independent of the thread count.
+//! store's checker use to run independent work on real threads while
+//! keeping results — and therefore verdicts and counterexample bytes —
+//! independent of the thread count. It spawns scoped threads per call,
+//! so it suits fan-outs whose work dwarfs a spawn (seconds of cells or
+//! keys), not a store flush's microseconds per shard.
 //!
 //! (Running *automata* on threads is `fastreg_rt`'s job, not this
 //! module's.)

@@ -16,8 +16,17 @@
 //! only in the readers: [`Line`]'s `Display`, [`Trace::render`] and
 //! [`Trace::fingerprint`]. An entry that will not be stored (trace full,
 //! or capacity 0) is counted and its message is never cloned.
+//!
+//! ## Two identities
+//!
+//! [`Trace::fingerprint`] hashes the rendered text: a stable format, the
+//! only identity that may be written to a file or pinned in a test.
+//! [`Trace::digest`] hashes the stored entries and messages themselves
+//! through [`std::hash::Hash`] — linear in the events, not in their text,
+//! and valid only for comparing traces inside one process.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::envelope::MsgId;
 use crate::id::ProcessId;
@@ -25,7 +34,7 @@ use crate::time::SimTime;
 
 /// One recorded simulator event. The message of a `Send` / `Inject` is
 /// kept by the owning [`Trace`]; [`Trace::lines`] pairs the two.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceEntry {
     /// A message entered the in-transit set.
     Send {
@@ -79,7 +88,7 @@ pub enum TraceEntry {
 }
 
 /// Why a message left the in-transit set without being delivered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// The test driver or adversary discarded it.
     Scripted,
@@ -144,15 +153,18 @@ impl<M: fmt::Debug> fmt::Display for Line<'_, M> {
     }
 }
 
-/// FNV-1a as a `fmt::Write` sink: rendered text is hashed as it is
-/// produced instead of being collected into a `String` first.
+/// FNV-1a as a `fmt::Write` sink — rendered text is hashed as it is
+/// produced instead of being collected into a `String` first — and as a
+/// [`Hasher`] for [`Trace::digest`].
 struct Fnv1a(u64);
 
 impl Fnv1a {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
     fn eat(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
     }
 }
@@ -161,6 +173,35 @@ impl fmt::Write for Fnv1a {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         self.eat(s.as_bytes());
         Ok(())
+    }
+}
+
+/// Integers are folded a word at a time (one multiply each, not one per
+/// byte): derived `Hash` impls feed fixed-width fields, and which width
+/// arrives where is fixed by the hashed type. A multiply only carries a
+/// difference upward, so each word ends with an xor-shift that brings
+/// the high half back down — without it, two consecutive fields that
+/// differ only in their top bit would cancel exactly.
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.eat(bytes);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(Self::PRIME);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
     }
 }
 
@@ -277,6 +318,29 @@ impl<M> Trace<M> {
         }
         h.eat(&self.suppressed.to_le_bytes());
         h.0
+    }
+
+    /// An *in-process* 64-bit identity of the trace: the stored entries,
+    /// their messages and the suppressed count through
+    /// [`std::hash::Hash`], no rendering.
+    ///
+    /// Within one process (same build), equal traces have equal digests,
+    /// and unequal traces collide only with the negligible probability
+    /// of a 64-bit hash — the same guarantee
+    /// [`fingerprint`](Trace::fingerprint) gives, without the render. It
+    /// is the cheap witness for "these two runs were event-identical".
+    /// The byte stream a derived `Hash` feeds is not a stable format, so
+    /// the value must never be written to a file or pinned in a test;
+    /// persist the fingerprint instead.
+    pub fn digest(&self) -> u64
+    where
+        M: Hash,
+    {
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        self.entries.hash(&mut h);
+        self.payloads.hash(&mut h);
+        h.write_u64(self.suppressed);
+        h.finish()
     }
 
     /// The maximum message-reorder depth observed in the stored entries.
@@ -406,15 +470,21 @@ mod tests {
         assert!(std::mem::size_of::<TraceEntry>() <= 32);
     }
 
+    /// Both identities of `t`: they must agree on every comparison below.
+    fn identities<M: fmt::Debug + Hash>(t: &Trace<M>) -> (u64, u64) {
+        (t.fingerprint(), t.digest())
+    }
+
     #[test]
     fn fingerprint_tracks_render() {
         let mut a = Trace::with_capacity(10);
         let mut b = Trace::with_capacity(10);
         record_send(&mut a, 1);
         record_send(&mut b, 1);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(identities(&a), identities(&b));
         record_send(&mut b, 2);
         assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a.digest(), b.digest());
         // Suppression is part of the identity: a full trace that dropped
         // different numbers of entries is a different run.
         let mut c = Trace::with_capacity(1);
@@ -423,6 +493,39 @@ mod tests {
         record_send(&mut d, 1);
         record_send(&mut d, 2);
         assert_ne!(c.fingerprint(), d.fingerprint());
+        assert_ne!(c.digest(), d.digest());
+        // So is every field of a payload, and of a payload-free entry.
+        let inject = |payload: (u8, u64)| {
+            let mut t = Trace::with_capacity(10);
+            t.record_inject(SimTime::ZERO, ProcessId::new(0), &payload);
+            t
+        };
+        assert_eq!(identities(&inject((1, 7))), identities(&inject((1, 7))));
+        assert_ne!(inject((1, 7)).fingerprint(), inject((1, 8)).fingerprint());
+        assert_ne!(inject((1, 7)).digest(), inject((1, 8)).digest());
+        // Two consecutive words differing only in their top bit: the pair
+        // a multiply-only word fold cancels.
+        let words = |payload: (u64, u64)| {
+            let mut t = Trace::with_capacity(10);
+            t.record_inject(SimTime::ZERO, ProcessId::new(0), &payload);
+            t
+        };
+        assert_ne!(words((0, 0)).digest(), words((1 << 63, 1 << 63)).digest());
+        let dropped = |reason| {
+            let mut t = Trace::<()>::with_capacity(10);
+            t.record(TraceEntry::Drop {
+                at: SimTime::ZERO,
+                id: MsgId(1),
+                reason,
+            });
+            t
+        };
+        let (scripted, crashed) = (
+            dropped(DropReason::Scripted),
+            dropped(DropReason::ReceiverCrashed),
+        );
+        assert_ne!(scripted.fingerprint(), crashed.fingerprint());
+        assert_ne!(scripted.digest(), crashed.digest());
     }
 
     /// Records `id`'s send to `to` and returns its delivery entry.

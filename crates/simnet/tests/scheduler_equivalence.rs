@@ -17,6 +17,10 @@
 //! burst of later traffic until the link heals. After *every* command
 //! both worlds must agree on the trace and on `pending()`, which must be
 //! in send order.
+//!
+//! The same schedules are the input of the trace-identity relation:
+//! over any two recorded runs, `Trace::digest` (structural, in-process)
+//! is equal exactly when `Trace::fingerprint` (rendered, persistable) is.
 
 use proptest::prelude::*;
 
@@ -26,7 +30,7 @@ use fastreg_simnet::runner::SimConfig;
 
 const N: u32 = 4;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 enum Msg {
     /// Ack the sender and, while the hop budget lasts, ping everyone.
     Ping(u8),
@@ -109,11 +113,15 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
 }
 
 fn world_of(seed: u64) -> World<Msg> {
+    world_with(seed, SimConfig::default().trace_capacity)
+}
+
+fn world_with(seed: u64, trace_capacity: usize) -> World<Msg> {
     let mut w = World::new(SimConfig {
         seed,
         delay: DelayModel::Uniform { lo: 1, hi: 25 },
         max_steps: 100_000,
-        ..SimConfig::default()
+        trace_capacity,
     });
     for _ in 0..N {
         w.add_actor(Box::new(Node { n: N }));
@@ -269,5 +277,38 @@ proptest! {
             s.sent,
             s.delivered + s.dropped + w.pending_len() as u64
         );
+    }
+
+    /// Digest equality is fingerprint equality, over pairs of runs that
+    /// are the same run, differ by seed, differ by a truncated command
+    /// tail, or differ only in how much a full trace suppressed.
+    #[test]
+    fn digest_and_fingerprint_agree_on_every_pair_of_runs(
+        seed in 0u64..10_000,
+        other_seed in 0u64..10_000,
+        cmds in proptest::collection::vec(cmd_strategy(), 1..60),
+        cut in 0usize..60,
+        capacity in prop_oneof![Just(8usize), Just(64), Just(100_000)],
+    ) {
+        let run = |seed: u64, cmds: &[Cmd]| {
+            let mut w = world_with(seed, capacity);
+            for cmd in cmds {
+                apply(&mut w, cmd, false);
+            }
+            let t = w.trace();
+            (t.render(), t.suppressed(), t.fingerprint(), t.digest())
+        };
+        let base = run(seed, &cmds);
+        let runs = [
+            run(seed, &cmds),
+            run(other_seed, &cmds),
+            run(seed, &cmds[..cut.min(cmds.len())]),
+        ];
+        prop_assert_eq!(&runs[0], &base, "the same run twice");
+        for other in &runs {
+            let same_trace = (&other.0, other.1) == (&base.0, base.1);
+            prop_assert_eq!(other.2 == base.2, same_trace, "fingerprint vs stored trace");
+            prop_assert_eq!(other.3 == base.3, same_trace, "digest vs stored trace");
+        }
     }
 }

@@ -6,8 +6,7 @@
 //! [`BatchedFrontend`] is that window: [`submit`](BatchedFrontend::submit)
 //! buffers operations from any number of simulated clients, and a flush
 //! (explicit, or automatic when the window fills) routes the buffer and
-//! drives the affected shards concurrently via
-//! [`ShardedStore::apply_batch`].
+//! drives the affected shards via [`ShardedStore::apply_batch`].
 
 use fastreg::harness::{BuildError, Runtime};
 
@@ -62,7 +61,7 @@ pub struct BatchedFrontend {
 
 impl BatchedFrontend {
     /// A frontend over `store`, flushing automatically once `window` ops
-    /// are pending and driving shards on `threads` worker threads.
+    /// are pending; `threads` goes to [`ShardedStore::apply_batch`].
     ///
     /// A zero `window` is treated as 1 (flush per op — the unbatched
     /// degenerate mode, useful as a baseline).
@@ -79,10 +78,9 @@ impl BatchedFrontend {
     /// Runtime-aware constructor for callers that thread a
     /// [`Runtime`] selection through the whole stack.
     ///
-    /// The frontend's own worker threads are real either way; what the
-    /// `runtime` names is the substrate of the *registers underneath*,
-    /// and those are simulated per key — the store's determinism
-    /// contract depends on it.
+    /// What the `runtime` names is the substrate of the *registers
+    /// underneath*, and those are simulated per key — the store's
+    /// determinism contract depends on it.
     ///
     /// # Errors
     ///
@@ -144,8 +142,9 @@ impl BatchedFrontend {
         if self.pending.is_empty() {
             return Ok(BatchStats::default());
         }
-        let ops = std::mem::take(&mut self.pending);
-        let batch = self.store.apply_batch(&ops, self.threads)?;
+        let batch = self.store.apply_batch(&self.pending, self.threads);
+        self.pending.clear();
+        let batch = batch?;
         self.stats.flushes += 1;
         self.stats.max_flush_ops = self.stats.max_flush_ops.max(batch.ops);
         self.stats.shard_batches += batch.shards_hit;

@@ -14,10 +14,10 @@
 //!                 └────────┬────────┘
 //!                          │ flush: group by shard
 //!              ┌───────────┼───────────────┐
-//!       Router │shard_of(k)│               │     (map_ordered:
-//!              ▼           ▼               ▼      shards drive
-//!         ┌─────────┐ ┌─────────┐    ┌─────────┐  concurrently,
-//!         │ Shard 0 │ │ Shard 1 │ …  │ Shard S │  results in
+//!       Router │shard_of(k)│               │     (shards share
+//!              ▼           ▼               ▼      nothing; each
+//!         ┌─────────┐ ┌─────────┐    ┌─────────┐  applies its own
+//!         │ Shard 0 │ │ Shard 1 │ …  │ Shard S │  sub-batch, in
 //!         │fast-crash│ │  abd    │    │fast-byz │  shard order)
 //!         └────┬────┘ └────┬────┘    └────┬────┘
 //!              │ one DynCluster per key   │
@@ -38,11 +38,11 @@
 //!   — shards may run *different* protocols behind one router
 //!   (heterogeneous backends).
 //! * The [`frontend::BatchedFrontend`] coalesces an operation stream
-//!   into per-shard batches and drives shards concurrently on a worker
-//!   pool ([`fastreg_simnet::threaded::map_ordered`]); because shards
-//!   share nothing and results collect in shard order, verdicts,
-//!   histories and trace fingerprints are **identical at any thread
-//!   count**.
+//!   into per-shard batches and drives the hit shards in shard order;
+//!   they share nothing, and the checker's fan-out preserves key order,
+//!   so verdicts, histories and the store fingerprint (in-process trace
+//!   digests; only rendered trace fingerprints may be persisted) are
+//!   **identical at any thread count**.
 //! * The [`checker::StoreChecker`] projects the store's global history
 //!   onto per-key sub-histories and grades each with the online checker
 //!   for its shard's contract (atomicity / linearizability /

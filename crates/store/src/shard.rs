@@ -1,8 +1,7 @@
 //! One shard: an independent slice of the keyspace, one register
 //! deployment per key.
 
-#[allow(clippy::disallowed_types)]
-use std::collections::{BTreeMap, HashSet}; // fastreg-lint: allow(nondet-order): wave-busy set, membership tests only
+use std::collections::BTreeMap;
 use std::fmt;
 
 use fastreg::config::ClusterConfig;
@@ -78,6 +77,10 @@ pub struct Shard {
     seed: u64,
     registers: BTreeMap<Key, DynCluster>,
     ops_applied: u64,
+    /// The routed sub-batch `apply_staged` consumes; its capacity outlives the batch.
+    pub(crate) staged: Vec<KvOp>,
+    /// Client processes (by layout index) with an op in the current wave.
+    busy: Vec<bool>,
 }
 
 impl Shard {
@@ -98,6 +101,8 @@ impl Shard {
             seed,
             registers: BTreeMap::new(),
             ops_applied: 0,
+            staged: Vec::new(),
+            busy: vec![false; (cfg.w + cfg.r) as usize],
         }
     }
 
@@ -143,10 +148,13 @@ impl Shard {
         self.registers.get(&key).map(|c| c.snapshot())
     }
 
-    /// A stable fingerprint of everything the shard's registers did:
-    /// FNV-1a over `(key, trace fingerprint)` in key order. Equal
-    /// fingerprints ⇔ event-identical shard executions; the store's
-    /// thread-independence guarantee is checked on these.
+    /// An *in-process* identity of everything the shard's registers did:
+    /// FNV-1a over `(key, trace digest)` in key order. Within one process,
+    /// event-identical shard executions have equal fingerprints and any
+    /// others differ up to a 64-bit hash collision; the store's
+    /// thread-independence guarantee is checked on these. It folds
+    /// [`SimControl::trace_digest`](fastreg::harness::SimControl::trace_digest),
+    /// not the rendered trace fingerprint: never write it to a file or a pin.
     pub fn fingerprint(&self) -> u64 {
         let mut digest = DigestWriter::new();
         for (key, cluster) in &self.registers {
@@ -154,22 +162,9 @@ impl Shard {
             let sim = cluster
                 .sim_control_ref()
                 .expect("store registers run on the simnet runtime");
-            digest.write_u64(sim.trace_fingerprint());
+            digest.write_u64(sim.trace_digest());
         }
         digest.finish()
-    }
-
-    /// The register deployment for `key`, created on first access.
-    fn register(&mut self, key: Key) -> &mut DynCluster {
-        let (protocol, cfg, sim) = (self.protocol, self.cfg, &self.sim);
-        let seed = mix64(self.seed ^ mix64(key ^ ((self.index as u64) << 32)));
-        self.registers.entry(key).or_insert_with(|| {
-            ClusterBuilder::new(cfg)
-                .sim(sim.clone())
-                .seed(seed) // an explicit seed always wins over sim.seed
-                .build(protocol)
-                .expect("the store builder validated feasibility")
-        })
     }
 
     /// Applies a batch of operations, all of which must route to this
@@ -190,44 +185,61 @@ impl Shard {
     /// Returns [`StoreError::ShardStalled`] if any key's world exhausts
     /// its step budget before quiescing.
     pub fn apply(&mut self, ops: &[KvOp]) -> Result<ShardBatch, StoreError> {
-        let mut per_key: BTreeMap<Key, Vec<KvOp>> = BTreeMap::new();
-        for op in ops {
-            per_key.entry(op.key).or_default().push(*op);
-        }
+        self.staged.extend_from_slice(ops);
+        self.apply_staged()
+    }
+
+    /// [`apply`](Shard::apply) to the staged sub-batch, which it empties.
+    pub(crate) fn apply_staged(&mut self) -> Result<ShardBatch, StoreError> {
+        // Stable: keys ascending, submission order within a key.
+        self.staged.sort_by_key(|op| op.key);
+        let result = self.drive();
+        self.staged.clear();
+        result
+    }
+
+    /// Drives the staged ops, sorted by key, one run of equal keys at a time.
+    fn drive(&mut self) -> Result<ShardBatch, StoreError> {
+        let (index, protocol, cfg, seed) = (self.index, self.protocol, self.cfg, self.seed);
         let mut batch = ShardBatch {
-            ops: ops.len() as u64,
-            keys: per_key.len() as u64,
+            ops: self.staged.len() as u64,
+            keys: 0,
             waves: 0,
         };
-        let (shard_index, cfg) = (self.index, self.cfg);
-        for (key, kops) in per_key {
-            let cluster = self.register(key);
-            let layout = cluster.layout();
-            // fastreg-lint: allow(nondet-order): insert/clear membership only; wave boundaries depend on op order, not set order
-            #[allow(clippy::disallowed_types)]
-            let mut busy: HashSet<u32> = HashSet::new();
+        for kops in self.staged.chunk_by(|a, b| a.key == b.key) {
+            let key = kops[0].key;
+            batch.keys += 1;
+            let cluster = self.registers.entry(key).or_insert_with(|| {
+                ClusterBuilder::new(cfg)
+                    .sim(self.sim.clone())
+                    // Created on first access; this seed wins over `sim.seed`.
+                    .seed(mix64(seed ^ mix64(key ^ ((index as u64) << 32))))
+                    .build(protocol)
+                    .expect("the store builder validated feasibility")
+            });
             let settle = |cluster: &mut DynCluster| {
                 cluster
                     .try_settle()
                     .map_err(|source| StoreError::ShardStalled {
-                        shard: shard_index,
+                        shard: index,
                         key,
                         source,
                     })
             };
+            self.busy.fill(false);
             for op in kops {
                 let proc = match op.kind {
-                    KvOpKind::Put { .. } => layout.writer(op.client % cfg.w).index(),
-                    KvOpKind::Get => layout.reader(op.client % cfg.r).index(),
-                };
-                if !busy.insert(proc) {
+                    KvOpKind::Put { .. } => op.client % cfg.w,
+                    KvOpKind::Get => cfg.w + op.client % cfg.r,
+                } as usize;
+                if self.busy[proc] {
                     // This process already has an op in flight: close the
                     // wave so the history stays well-formed.
                     settle(cluster)?;
                     batch.waves += 1;
-                    busy.clear();
-                    busy.insert(proc);
+                    self.busy.fill(false);
                 }
+                self.busy[proc] = true;
                 match op.kind {
                     KvOpKind::Put { value } => cluster.write_by(op.client % cfg.w, value),
                     KvOpKind::Get => cluster.read_async(op.client % cfg.r),

@@ -7,7 +7,6 @@ use fastreg::harness::{BuildError, Runtime};
 use fastreg::protocols::registry::ProtocolId;
 use fastreg_auth::digest::DigestWriter;
 use fastreg_simnet::runner::SimConfig;
-use fastreg_simnet::threaded::map_ordered;
 
 use crate::checker::KvHistory;
 use crate::kv::KvOp;
@@ -188,10 +187,9 @@ impl BatchStats {
 /// * each [`Shard`] owns one independent register deployment per key,
 ///   built from the shard's [`ProtocolId`] backend;
 /// * [`apply_batch`](ShardedStore::apply_batch) routes a batch of
-///   [`KvOp`]s and drives the affected shards **concurrently** on a
-///   worker pool ([`map_ordered`]) — shards share nothing, so the thread
-///   count changes wall-clock only, never results (pinned by
-///   [`fingerprint`](ShardedStore::fingerprint) tests);
+///   [`KvOp`]s and drives the affected shards, which share nothing, in
+///   shard order — a thread count never changes results (checked on
+///   [`fingerprint`](ShardedStore::fingerprint)s);
 /// * [`global_history`](ShardedStore::global_history) harvests every
 ///   register's recorded operations into one key-tagged history for the
 ///   [`StoreChecker`](crate::checker::StoreChecker).
@@ -243,11 +241,11 @@ impl ShardedStore {
         self.shards.iter().map(Shard::messages_sent).sum()
     }
 
-    /// A stable fingerprint of everything the store did: FNV-1a over the
-    /// shard fingerprints in shard order. Two runs with equal
-    /// fingerprints executed event-identical simulated histories — the
-    /// value the "same results at any thread count" guarantee is checked
-    /// on.
+    /// An *in-process* identity of everything the store did: FNV-1a over
+    /// the [`Shard::fingerprint`]s in shard order. Two runs of one process
+    /// with equal fingerprints executed event-identical simulated
+    /// histories — the value the "same results at any thread count"
+    /// guarantee is checked on. Compare it, never persist it.
     pub fn fingerprint(&self) -> u64 {
         let mut digest = DigestWriter::new();
         for s in &self.shards {
@@ -256,36 +254,41 @@ impl ShardedStore {
         digest.finish()
     }
 
-    /// Applies one batch of operations, driving the affected shards
-    /// concurrently on `threads` worker threads.
+    /// Applies one batch of operations.
     ///
     /// Ops are grouped per shard by the router, **preserving submission
-    /// order within each shard**; each shard then applies its sub-batch
-    /// independently (see [`Shard::apply`] for the per-key wave
-    /// semantics). Results are collected in shard order, so both the
-    /// stats and any error are independent of the thread count.
+    /// order within each shard**; each hit shard then applies its
+    /// sub-batch independently (see [`Shard::apply`] for the per-key wave
+    /// semantics), in shard order, so the stats and any error are a
+    /// function of the ops alone.
+    ///
+    /// The shards are driven one after another on the calling thread,
+    /// whatever `_threads` says. A flush hands a shard tens of
+    /// microseconds of work (measured: 8 sub-batches of ≈ 8 ops), less
+    /// than handing it to another thread costs — to threads spawned per
+    /// batch or to helpers parked between batches, both measured slower.
+    /// The parameter stays for the callers that carry a thread count
+    /// (it still sizes the [`StoreChecker`](crate::checker::StoreChecker)'s
+    /// fan-out); shards share nothing, so a fan-out can return here
+    /// without changing a result.
     ///
     /// # Errors
     ///
     /// Returns the first (by shard order) [`StoreError`] if any shard
     /// stalled; later shards of the same batch still ran.
-    pub fn apply_batch(&mut self, ops: &[KvOp], threads: usize) -> Result<BatchStats, StoreError> {
-        let mut per_shard: Vec<Vec<KvOp>> = vec![Vec::new(); self.shards.len()];
+    pub fn apply_batch(&mut self, ops: &[KvOp], _threads: usize) -> Result<BatchStats, StoreError> {
         for op in ops {
-            per_shard[self.router.shard_of(op.key) as usize].push(*op);
+            let shard = self.router.shard_of(op.key) as usize;
+            self.shards[shard].staged.push(*op);
         }
-        let items: Vec<(&mut Shard, Vec<KvOp>)> = self
-            .shards
-            .iter_mut()
-            .zip(per_shard)
-            .filter(|(_, batch)| !batch.is_empty())
-            .collect();
-        let results = map_ordered(items, threads, |_, (shard, batch)| shard.apply(&batch));
-        let mut stats = BatchStats::default();
-        for r in results {
-            stats.absorb(&r?);
+        let (mut stats, mut stalled) = (BatchStats::default(), None);
+        for shard in self.shards.iter_mut().filter(|s| !s.staged.is_empty()) {
+            match shard.apply_staged() {
+                Ok(batch) => stats.absorb(&batch),
+                Err(e) => stalled = stalled.or(Some(e)),
+            }
         }
-        Ok(stats)
+        stalled.map_or(Ok(stats), Err)
     }
 
     /// Harvests every register's recorded operations into one key-tagged
@@ -434,6 +437,35 @@ mod tests {
             fingerprints.windows(2).all(|w| w[0] == w[1]),
             "thread count changed the store's execution: {fingerprints:?}"
         );
+    }
+
+    #[test]
+    fn a_stalled_batch_reports_the_first_shard_and_keeps_every_shard() {
+        // A 1-step budget cannot settle any key, so every hit shard
+        // stalls; the report must be the lowest-indexed one at any thread
+        // count, the later shards still ran, and nothing stays staged.
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        let ops = mixed_ops(40);
+        for threads in [1, 4] {
+            let mut store = StoreBuilder::new(cfg)
+                .shards(8)
+                .sim(SimConfig::default().with_max_steps(1))
+                .build()
+                .unwrap();
+            let first_hit = (ops.iter().map(|op| store.router().shard_of(op.key)))
+                .min()
+                .unwrap();
+            let StoreError::ShardStalled { shard, .. } =
+                store.apply_batch(&ops, threads).unwrap_err();
+            assert_eq!(shard, first_hit, "threads = {threads}");
+            let order: Vec<u32> = store.shards().iter().map(Shard::index).collect();
+            assert_eq!(order, (0..8).collect::<Vec<_>>(), "threads = {threads}");
+            // Nothing is left staged: the next batch starts clean.
+            assert_eq!(
+                store.apply_batch(&[], threads).unwrap(),
+                BatchStats::default()
+            );
+        }
     }
 
     #[test]

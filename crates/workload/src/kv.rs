@@ -106,8 +106,13 @@ pub struct KvReport {
     pub gets: u64,
     /// Total messages the store's registers sent.
     pub messages_sent: u64,
-    /// The store's stable execution fingerprint (thread-count
-    /// independent).
+    /// The store's execution fingerprint
+    /// ([`ShardedStore::fingerprint`]): thread-count independent, and an
+    /// *in-process* identity — equal across event-identical runs of one
+    /// process (and, up to a 64-bit hash collision, only across those),
+    /// but built from structural trace digests, so it is compared, never
+    /// persisted. The identity that may be written to a file is the
+    /// rendered per-trace fingerprint.
     pub fingerprint: u64,
 }
 

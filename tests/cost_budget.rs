@@ -12,11 +12,16 @@
 //! including the per-run constant (checker set-up, final snapshot, latency
 //! breakdown). The allocator is global only in this test binary; its tally
 //! is thread-local, so concurrently running tests do not see each other.
+//!
+//! [`KV_COST_PINS`] charges the sharded store the same way: 1 000 KV
+//! operations of fastbench's `store_zipf` shape on one thread, per
+//! backend mix, and holds `ShardedStore::fingerprint()` to zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fastreg_suite::fastreg_workload::driver::{run_closed_loop, WorkloadSpec};
+use fastreg_suite::fastreg_workload::kv::{run_kv_workload, KeyDist, KvWorkloadSpec};
 use fastreg_suite::prelude::*;
 
 thread_local! {
@@ -77,6 +82,11 @@ const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
     (ProtocolId::MwmrNaiveFast, 38, 267_968, 6_000),
 ];
 
+/// This thread's `(allocations, bytes allocated)` so far.
+fn tally() -> (u64, u64) {
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
 /// Warms a deployment of `id` up, then charges one [`OPS`]-op closed loop.
 fn measure(id: ProtocolId) -> (u64, u64, u64) {
     let sim = SimConfig::default().with_trace_capacity(TRACE_CAPACITY);
@@ -105,7 +115,6 @@ fn measure(id: ProtocolId) -> (u64, u64, u64) {
         seed: 0xC057,
         ..WorkloadSpec::default()
     };
-    let tally = || (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let delivered_before = delivered(&c);
     let before = tally();
     let report = run_closed_loop(&mut c, &spec);
@@ -133,5 +142,69 @@ fn per_op_costs_are_pinned_for_every_protocol() {
     assert_eq!(
         measured, COST_PINS,
         "(protocol, allocations, bytes, deliveries) per {OPS} ops"
+    );
+}
+
+/// fastbench's `store_zipf` backend assignment; the rows after it take
+/// each backend alone.
+const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId::FastByz];
+
+/// `(backends, allocations, bytes allocated, worlds built)` of [`OPS`] KV
+/// operations of the `store_zipf` shape (8 shards, 1 500 keys, Zipf 1.2,
+/// 64 clients, 10 % puts) on a fresh store with `threads = 1`, so this
+/// thread's tally sees every shard: routing, per-key world construction,
+/// waves, the global history, per-key checks and the report's
+/// fingerprint. Most of a row is building the worlds. Same ratchet as
+/// [`COST_PINS`].
+#[rustfmt::skip] // one row per line: a table, not code
+const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
+    (MIX, 13_189, 8_002_956, 242),
+    (&[ProtocolId::FastCrash], 13_457, 6_563_874, 242),
+    (&[ProtocolId::Abd], 12_390, 8_505_894, 242),
+    (&[ProtocolId::FastByz], 14_183, 7_953_954, 242),
+];
+
+/// Charges one [`OPS`]-op KV run over `backends`; one more
+/// `ShardedStore::fingerprint()` on the result must allocate nothing.
+fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64) {
+    let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
+    let store = StoreBuilder::new(cfg)
+        .shards(8)
+        .seed(0xC057)
+        .backends(backends.to_vec())
+        .build()
+        .unwrap_or_else(|e| panic!("{backends:?}: {e}"));
+    let spec = KvWorkloadSpec {
+        n_ops: OPS,
+        n_keys: 1_500,
+        n_clients: 64,
+        put_fraction: 0.1,
+        dist: KeyDist::Zipf { exponent: 1.2 },
+        seed: 0xC057,
+    };
+    let before = tally();
+    let run = run_kv_workload(store, &spec, 1);
+    let after = tally();
+    let (store, report) = run.unwrap_or_else(|e| panic!("{backends:?}: {e}"));
+    assert_eq!(report.breakdown.completed, OPS, "{backends:?}");
+    assert!(report.check.is_clean(), "{backends:?}");
+    let fingerprint = store.fingerprint();
+    assert_eq!(tally(), after, "{backends:?}: fingerprint() allocated");
+    assert_eq!(fingerprint, report.fingerprint, "{backends:?}");
+    (after.0 - before.0, after.1 - before.1, report.distinct_keys)
+}
+
+#[test]
+fn per_op_costs_are_pinned_for_the_store() {
+    let measured: Vec<_> = KV_COST_PINS
+        .iter()
+        .map(|&(backends, ..)| {
+            let (allocs, bytes, worlds) = measure_kv(backends);
+            (backends, allocs, bytes, worlds)
+        })
+        .collect();
+    assert_eq!(
+        measured, KV_COST_PINS,
+        "(backends, allocations, bytes, worlds built) per {OPS} KV ops"
     );
 }

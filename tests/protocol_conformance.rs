@@ -314,9 +314,18 @@ const DETERMINISM_PINS: [(ProtocolId, Net, u64, u64, u64, u64); 18] = [
     (ProtocolId::FastByz, Net::CounterAbuser, 840, 356, 0x3fcf_d9a6_3597_5012, 0x3694_fb73_1e49_9933),
 ];
 
-/// The deployment a pin row describes.
-fn pinned_cluster(id: ProtocolId, net: Net) -> DynCluster {
-    let builder = ClusterBuilder::new(id.sample_config()).seed(0xD5);
+/// The closed loop every pin row ran.
+fn pinned_loop() -> WorkloadSpec {
+    WorkloadSpec {
+        n_ops: 64,
+        seed: 0xD5,
+        ..WorkloadSpec::default()
+    }
+}
+
+/// The deployment a pin row describes (the rows are at `seed` `0xD5`).
+fn pinned_cluster(id: ProtocolId, net: Net, seed: u64) -> DynCluster {
+    let builder = ClusterBuilder::new(id.sample_config()).seed(seed);
     let jittered = builder.clone().sim(SimConfig::default().with_delay(JITTER));
     match net {
         Net::Calm => builder.build(id).unwrap_or_else(|e| panic!("{id}: {e}")),
@@ -355,13 +364,9 @@ fn fixed_seed_runs_are_pinned_for_every_protocol() {
         assert_eq!(covered, ProtocolId::ALL, "{net:?}");
     }
     for (id, net, messages_sent, duration_ticks, fingerprint, outcome) in DETERMINISM_PINS {
-        let mut c = pinned_cluster(id, net);
-        let spec = WorkloadSpec {
-            n_ops: 64,
-            seed: 0xD5,
-            ..WorkloadSpec::default()
-        };
-        let report = run_closed_loop(&mut c, &spec).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let mut c = pinned_cluster(id, net, 0xD5);
+        let report =
+            run_closed_loop(&mut c, &pinned_loop()).unwrap_or_else(|e| panic!("{id}: {e}"));
         let sim = c.sim_control_ref().expect("simnet is the default runtime");
         let told = format!("{}{:?}", report.history.render(), sim.witness_levels());
         let told = told.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
@@ -377,5 +382,34 @@ fn fixed_seed_runs_are_pinned_for_every_protocol() {
             (messages_sent, duration_ticks, fingerprint, outcome),
             "{id} under {net:?}"
         );
+    }
+}
+
+/// The in-process trace digest stands in for the pinned, rendered
+/// fingerprint wherever two runs of one process are compared: over every
+/// pin row's deployment it repeats exactly at a fixed seed, and — where
+/// the delays are drawn from the seed — moves with the seed, always in
+/// step with the fingerprint.
+#[test]
+fn trace_digests_repeat_at_a_seed_and_move_with_it() {
+    let identities = |id, net, seed| {
+        let mut c = pinned_cluster(id, net, seed);
+        run_closed_loop(&mut c, &pinned_loop()).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let sim = c.sim_control_ref().expect("simnet is the default runtime");
+        (sim.trace_fingerprint(), sim.trace_digest())
+    };
+    for (id, net, _, _, fingerprint, _) in DETERMINISM_PINS {
+        let pinned = identities(id, net, 0xD5);
+        assert_eq!(pinned.0, fingerprint, "{id} under {net:?}");
+        assert_eq!(identities(id, net, 0xD5), pinned, "{id} under {net:?}");
+        let reseeded = identities(id, net, 0xD6);
+        assert_eq!(
+            reseeded.0 == pinned.0,
+            reseeded.1 == pinned.1,
+            "{id} under {net:?}: the identities disagree"
+        );
+        if net != Net::Calm {
+            assert_ne!(reseeded.1, pinned.1, "{id} under {net:?}: seed-blind");
+        }
     }
 }
