@@ -11,14 +11,11 @@
 //! [`CountReader`]: fastreg::protocols::ablation::CountReader
 
 use fastreg::config::ClusterConfig;
-use fastreg::layout::Layout;
-use fastreg::protocols::ablation::CountReader;
-use fastreg::protocols::fast_crash::{Msg, Server, Writer};
-use fastreg_atomicity::history::{History, SharedHistory};
+use fastreg::protocols::ablation::count_cluster;
+use fastreg::protocols::fast_crash::Msg;
+use fastreg_atomicity::history::History;
 use fastreg_atomicity::swmr::{check_swmr_atomicity, AtomicityViolation};
-use fastreg_simnet::runner::SimConfig;
 use fastreg_simnet::time::SimTime;
-use fastreg_simnet::world::World;
 
 use crate::LbError;
 
@@ -34,22 +31,6 @@ pub struct AblationOutcome {
     pub violation: AtomicityViolation,
     /// The violating history.
     pub history: History,
-}
-
-/// Builds the cluster with count-threshold readers over the unchanged
-/// Fig. 2 writer and servers.
-fn cluster(cfg: ClusterConfig, k: u32) -> (World<Msg>, Layout, SharedHistory) {
-    let layout = Layout::of(&cfg);
-    let history = SharedHistory::new();
-    let mut world: World<Msg> = World::new(SimConfig::default());
-    world.add_actor(Box::new(Writer::new(cfg, layout, history.clone())));
-    for _ in 0..cfg.r {
-        world.add_actor(Box::new(CountReader::new(cfg, layout, k, history.clone())));
-    }
-    for _ in 0..cfg.s {
-        world.add_actor(Box::new(Server::new(&cfg, layout)));
-    }
-    (world, layout, history)
 }
 
 /// Refutes the count threshold `k` on configuration `cfg` (requires
@@ -97,8 +78,9 @@ pub fn refute_count_predicate(cfg: ClusterConfig, k: u32) -> Result<AblationOutc
 /// Schedule A (`k > S − 2t`): write completes at `S − t` servers; the read
 /// quorum misses `t` of them, seeing the timestamp only `S − 2t < k`
 /// times → returns `⊥` after a completed write (condition 2).
-fn completed_write_missed(cfg: ClusterConfig, _k: u32) -> History {
-    let (mut w, l, h) = cluster(cfg, _k);
+fn completed_write_missed(cfg: ClusterConfig, k: u32) -> History {
+    let mut c = count_cluster(cfg, k);
+    let (l, w) = (c.layout, &mut c.world);
     let s = cfg.s;
     let t = cfg.t;
     // Write completes at servers 0..S−t (messages to the last t stay in
@@ -117,7 +99,7 @@ fn completed_write_missed(cfg: ClusterConfig, _k: u32) -> History {
         matches!(e.msg, Msg::Read { .. }) && l.server_index(e.to).map(|j| j >= t).unwrap_or(false)
     });
     w.deliver_matching(|e| e.to == l.reader(0));
-    h.snapshot()
+    c.history.snapshot()
 }
 
 /// Schedule B (`k ≤ S − 2t`): write reaches exactly `k` servers
@@ -125,7 +107,8 @@ fn completed_write_missed(cfg: ClusterConfig, _k: u32) -> History {
 /// reader 2's quorum misses `t` of them → `k − t < k` sightings → `⊥`
 /// (condition 4 inversion).
 fn unstable_value_returned(cfg: ClusterConfig, k: u32) -> History {
-    let (mut w, l, h) = cluster(cfg, k);
+    let mut c = count_cluster(cfg, k);
+    let (l, w) = (c.layout, &mut c.world);
     let s = cfg.s;
     let t = cfg.t;
     // Incomplete write at servers 0..k.
@@ -153,7 +136,7 @@ fn unstable_value_returned(cfg: ClusterConfig, k: u32) -> History {
             && l.server_index(e.to).map(|j| j >= t).unwrap_or(false)
     });
     w.deliver_matching(|e| e.to == l.reader(1));
-    h.snapshot()
+    c.history.snapshot()
 }
 
 #[cfg(test)]

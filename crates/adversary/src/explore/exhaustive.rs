@@ -149,13 +149,7 @@ fn replay(
         c.world.deliver(id).expect("replay choice is deliverable");
         // Issue the next write as soon as the writer is idle (sequential
         // writer, concurrent with everything else).
-        let idle = c
-            .world
-            .with_actor::<fastreg::protocols::fast_crash::Writer, _, _>(c.layout.writer(0), |w| {
-                w.is_idle()
-            })
-            .unwrap_or(false);
-        if idle {
+        if !c.client_busy(c.layout.writer(0).index()) {
             if let Some(&v) = writes.next() {
                 c.write(v);
             }

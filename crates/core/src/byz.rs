@@ -1,7 +1,7 @@
 //! Protocol-aware malicious server behaviours for the Fig. 5 protocol.
 //!
-//! §6 allows up to `b` servers to deviate arbitrarily. Generic behaviours
-//! (mute, echo storms) live in `fastreg_simnet::byz`; the behaviours here
+//! §6 allows up to `b` servers to deviate arbitrarily. The generic
+//! behaviour (mute) lives in `fastreg_simnet::byz`; the behaviours here
 //! understand the protocol and attack it where it is actually sensitive:
 //! stale replies, `seen`-set lies, forged timestamps, and the two-faced
 //! memory-loss behaviour the §6.2 lower-bound proof uses.
@@ -423,9 +423,9 @@ mod tests {
 
     #[test]
     fn mute_byz_server_cannot_break_atomicity() {
-        use fastreg_simnet::byz::{ByzActor, Mute};
+        use fastreg_simnet::byz::Mute;
         for seed in 0..10 {
-            let c = cluster_with_byz(seed, |_, _, _| Box::new(ByzActor::new(Box::new(Mute))));
+            let c = cluster_with_byz(seed, |_, _, _| Box::new(Mute::default()));
             exercise(c);
         }
     }

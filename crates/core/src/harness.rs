@@ -16,12 +16,12 @@
 //!
 //! ```
 //! use fastreg::config::ClusterConfig;
-//! use fastreg::harness::{Affinity, ClusterBuilder, RegisterOps, Runtime};
+//! use fastreg::harness::{ClusterBuilder, RegisterOps, Runtime};
 //! use fastreg::protocols::registry::ProtocolId;
 //! use fastreg::types::RegValue;
 //!
 //! let cfg = ClusterConfig::crash_stop(5, 1, 2)?;
-//! let threads = Runtime::Threads { workers: 2, affinity: Affinity::None };
+//! let threads = Runtime::Threads { workers: 2 };
 //! for runtime in [Runtime::Simnet, threads] {
 //!     for id in [ProtocolId::FastCrash, ProtocolId::Abd] {
 //!         let mut cluster = ClusterBuilder::new(cfg).seed(1).runtime(runtime).build(id)?;
@@ -66,7 +66,6 @@ use fastreg_atomicity::streaming::OnlineChecker;
 use fastreg_atomicity::swmr::{check_swmr_atomicity, AtomicityViolation};
 use fastreg_atomicity::verdict::Verdict;
 use fastreg_auth::{KeyId, Keychain, SignerHandle, Verifier};
-pub use fastreg_rt::Affinity;
 use fastreg_rt::RtConfig;
 use fastreg_simnet::automaton::Automaton;
 use fastreg_simnet::id::ProcessId;
@@ -104,8 +103,6 @@ pub enum Runtime {
         /// Worker threads for the actor pool (clamped to the actor
         /// count; `0` is rejected by [`ClusterBuilder::build`]).
         workers: usize,
-        /// Core-affinity policy for the workers.
-        affinity: Affinity,
     },
 }
 
@@ -113,9 +110,7 @@ impl fmt::Display for Runtime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Runtime::Simnet => f.write_str("simnet"),
-            Runtime::Threads { workers, affinity } => {
-                write!(f, "threads(workers={workers}, affinity={affinity:?})")
-            }
+            Runtime::Threads { workers } => write!(f, "threads(workers={workers})"),
         }
     }
 }
@@ -341,9 +336,9 @@ protocol_table! {
     /// Correct two-round MWMR register marker (§7 baseline).
     MwmrAbd => mwmr::abd, ctx: () = |_, _| (),
         writer: |cfg, layout, index, history, _| {
-            mwmr::abd::Client::writer(*cfg, layout, index, history)
+            mwmr::abd::Client::new(*cfg, layout, Some(index), history)
         },
-        reader: |cfg, layout, _, history, _| mwmr::abd::Client::reader(*cfg, layout, history),
+        reader: |cfg, layout, _, history, _| mwmr::abd::Client::new(*cfg, layout, None, history),
         server: |_, _, _, _| mwmr::abd::Server::new();
     /// The unsound one-round MWMR protocol marker (§7 counterexample target).
     MwmrNaiveFast => mwmr::naive_fast, ctx: () = |_, _| (),
@@ -513,7 +508,7 @@ impl ClusterBuilder {
             });
         }
         self.check_population(P::ID)?;
-        Ok(self.simulated(&mut server_factory))
+        Ok(self.simulated(&mut P::reader, &mut server_factory))
     }
 
     /// The one limit that is not a feasibility question: a protocol whose
@@ -537,9 +532,13 @@ impl ClusterBuilder {
     }
 
     /// Hands one [`assemble`]d deployment to a simulated [`World`].
-    fn simulated<P: ProtocolFamily>(self, server_factory: ServerFactory<'_, P>) -> Cluster<P> {
+    pub(crate) fn simulated<P: ProtocolFamily>(
+        self,
+        reader_factory: ReaderFactory<'_, P>,
+        server_factory: ServerFactory<'_, P>,
+    ) -> Cluster<P> {
         let seed = self.resolved_seed();
-        let parts = assemble::<P>(&self.cfg, seed, server_factory);
+        let parts = assemble::<P>(&self.cfg, seed, reader_factory, server_factory);
         let mut world = World::new(SimConfig { seed, ..self.sim });
         for automaton in parts.automata {
             world.add_actor(automaton);
@@ -561,9 +560,11 @@ impl ClusterBuilder {
         P::Ctx: Send + 'static,
     {
         let inner = match self.runtime {
-            Runtime::Simnet => DynInner::Sim(Box::new(self.simulated::<P>(&mut P::server))),
-            Runtime::Threads { workers, affinity } => {
-                let rt = RtConfig::new(workers.max(1)).affinity(affinity);
+            Runtime::Simnet => DynInner::Sim(Box::new(
+                self.simulated::<P>(&mut P::reader, &mut P::server),
+            )),
+            Runtime::Threads { workers } => {
+                let rt = RtConfig::new(workers.max(1));
                 let cluster = ThreadCluster::<P>::spawn(self.cfg, self.resolved_seed(), rt);
                 DynInner::Threads(Box::new(cluster))
             }
@@ -579,6 +580,17 @@ pub(crate) type ServerFactory<'f, P> =
         &ClusterConfig,
         Layout,
         u32,
+        &mut <P as ProtocolFamily>::Ctx,
+    ) -> Box<dyn Automaton<Msg = <P as ProtocolFamily>::Msg>>;
+
+/// A per-index reader constructor: `P::reader` itself, or the ablated
+/// reader of [`ablation::count_cluster`](crate::protocols::ablation::count_cluster).
+pub(crate) type ReaderFactory<'f, P> =
+    &'f mut dyn FnMut(
+        &ClusterConfig,
+        Layout,
+        u32,
+        SharedHistory,
         &mut <P as ProtocolFamily>::Ctx,
     ) -> Box<dyn Automaton<Msg = <P as ProtocolFamily>::Msg>>;
 
@@ -598,6 +610,7 @@ pub(crate) struct Assembly<P: ProtocolFamily> {
 pub(crate) fn assemble<P: ProtocolFamily>(
     cfg: &ClusterConfig,
     seed: u64,
+    reader_factory: ReaderFactory<'_, P>,
     server_factory: ServerFactory<'_, P>,
 ) -> Assembly<P> {
     let layout = Layout::of(cfg);
@@ -608,7 +621,7 @@ pub(crate) fn assemble<P: ProtocolFamily>(
         automata.push(P::writer(cfg, layout, i, history.clone(), &mut ctx));
     }
     for i in 0..cfg.r {
-        automata.push(P::reader(cfg, layout, i, history.clone(), &mut ctx));
+        automata.push(reader_factory(cfg, layout, i, history.clone(), &mut ctx));
     }
     for j in 0..cfg.s {
         automata.push(server_factory(cfg, layout, j, &mut ctx));
@@ -1379,14 +1392,14 @@ mod tests {
 
     #[test]
     fn server_factory_injects_custom_servers() {
-        use fastreg_simnet::byz::{ByzActor, Mute};
+        use fastreg_simnet::byz::Mute;
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
         // Replace server 4 with a mute (crash-like) server: operations
         // still complete because quorum = 4.
         let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg)
             .build_typed_with(|cfg, layout, index, ctx| {
                 if index == 4 {
-                    Box::new(ByzActor::new(Box::new(Mute)))
+                    Box::new(Mute::default())
                 } else {
                     FastCrash::server(cfg, layout, index, ctx)
                 }
@@ -1423,10 +1436,7 @@ mod tests {
         // Regression: `.runtime(Threads)` followed by the typed route used
         // to be discarded, quietly returning a simnet cluster.
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let runtime = Runtime::Threads {
-            workers: 2,
-            affinity: Affinity::None,
-        };
+        let runtime = Runtime::Threads { workers: 2 };
         let plain = ClusterBuilder::new(cfg)
             .runtime(runtime)
             .build_typed::<FastCrash>();

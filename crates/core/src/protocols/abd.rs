@@ -10,13 +10,11 @@
 
 use std::marker::PhantomData;
 
-use fastreg_atomicity::history::{OpId, OpKind, SharedHistory};
+use fastreg_atomicity::history::OpKind;
 use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 
-use crate::config::ClusterConfig;
-use crate::layout::Layout;
-use crate::protocols::round::{Client, Round, Rule};
+use crate::protocols::round::{Client, Decision, Round, Rule};
 use crate::types::{RegValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
@@ -183,119 +181,66 @@ impl<M: WriteAlphabet> Rule for WriteRule<M> {
         msg.write_ack().map(|ts| (ts.0, ()))
     }
 
-    fn decide(&mut self, _: &Round<()>) -> Option<RegValue> {
-        None
+    fn decide(&mut self, _: &Round<()>) -> Decision<M> {
+        Decision::Respond(None)
     }
 }
 
-enum ReadPhase {
-    Query,
-    WriteBack { chosen: RegValue },
+/// The read's rule: query a quorum for the highest `(ts, value)`, write it
+/// back to a quorum, return it — "every atomic read must write".
+#[derive(Default)]
+pub struct ReadRule {
+    /// The pair being written back; `None` while the read still queries.
+    chosen: Option<(Timestamp, RegValue)>,
 }
 
-/// Reader: two-phase reads (query + write-back), two [`Round`]s in
-/// sequence under one operation counter.
-pub struct Reader {
-    layout: Layout,
-    history: SharedHistory,
-    op_counter: u64,
-    /// The acks of the latest read's two phases.
-    query: Round<(Timestamp, RegValue)>,
-    write_back: Round<()>,
-    pending: Option<(OpId, ReadPhase)>,
-}
+/// Reader: two-phase reads (query + write-back) under one operation
+/// counter.
+pub type Reader = Client<ReadRule>;
 
-impl Reader {
-    /// Creates a reader in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-        Reader {
-            layout,
-            history,
-            op_counter: 0,
-            query: Round::new(&cfg, 0),
-            write_back: Round::new(&cfg, 0),
-            pending: None,
-        }
-    }
-
-    /// Returns `true` if no read is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
-    }
-}
-
-impl Automaton for Reader {
+impl Rule for ReadRule {
     type Msg = Msg;
+    /// A write-back ack stands for the pair it acknowledges.
+    type Ack = (Timestamp, RegValue);
+    const ROUNDS: u32 = 2;
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        if let Msg::InvokeRead = msg {
-            assert!(from.is_external(), "reads are invoked by the environment");
-            assert!(
-                self.pending.is_none(),
-                "client invoked read() while an operation was pending"
-            );
-            self.op_counter += 1;
-            let op = self
-                .history
-                .invoke_read(out.this().index(), out.now().ticks());
-            self.query.reset(self.op_counter);
-            self.pending = Some((op, ReadPhase::Query));
-            out.broadcast(
-                self.layout.servers(),
-                Msg::Query {
-                    op_counter: self.op_counter,
-                },
-            );
-            return;
-        }
-        let (Some(server), Some((op, phase))) =
-            (self.layout.server_index(from), self.pending.as_mut())
-        else {
-            return;
-        };
+    fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+        matches!(msg, Msg::InvokeRead).then_some((OpKind::Read, Msg::Query { op_counter: tag }))
+    }
+
+    fn ack(&mut self, msg: Msg, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
         match msg {
             Msg::QueryAck {
                 op_counter,
                 ts,
                 value,
-            } => {
-                let ReadPhase::Query = phase else {
-                    return; // stale phase-1 ack after we moved on
-                };
-                if !self.query.offer(server, op_counter, (ts, value)) {
-                    return;
-                }
-                let acks = self.query.acks();
-                let (ts, value) = *acks.max_by_key(|(ts, _)| *ts).expect("nonempty");
-                *phase = ReadPhase::WriteBack { chosen: value };
-                self.write_back.reset(op_counter);
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::WriteBack {
-                        op_counter,
-                        ts,
-                        value,
-                    },
-                );
-            }
-            Msg::WriteBackAck { op_counter } => {
-                let ReadPhase::WriteBack { chosen } = phase else {
-                    return;
-                };
-                if self.write_back.offer(server, op_counter, ()) {
-                    self.history.respond(*op, Some(*chosen), out.now().ticks());
-                    self.pending = None;
-                }
-            }
-            _ => {}
+            } if self.chosen.is_none() => Some((op_counter, (ts, value))),
+            Msg::WriteBackAck { op_counter } => self.chosen.map(|pair| (op_counter, pair)),
+            _ => None,
         }
+    }
+
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Decision<Msg> {
+        if let Some((_, value)) = self.chosen.take() {
+            return Decision::Respond(Some(value));
+        }
+        let (ts, value) = *acks.acks().max_by_key(|(ts, _)| *ts).expect("nonempty");
+        self.chosen = Some((ts, value));
+        Decision::Next(Msg::WriteBack {
+            op_counter: acks.tag(),
+            ts,
+            value,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ClusterConfig;
     use crate::harness::{Abd, ClusterBuilder};
+    use crate::layout::Layout;
+    use fastreg_atomicity::history::SharedHistory;
     use fastreg_atomicity::swmr::check_swmr_atomicity;
     use fastreg_simnet::world::World;
 

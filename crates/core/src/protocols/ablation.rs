@@ -22,10 +22,11 @@
 use fastreg_atomicity::history::{OpKind, SharedHistory};
 
 use crate::config::ClusterConfig;
+use crate::harness::{Cluster, ClusterBuilder, FastCrash, ProtocolFamily};
 use crate::layout::Layout;
 use crate::protocols::fast_crash::Msg;
-use crate::protocols::round::{Client, Round, Rule};
-use crate::types::{RegValue, TaggedValue, Timestamp};
+use crate::protocols::round::{Client, Decision, Round, Rule};
+use crate::types::{TaggedValue, Timestamp};
 
 /// The rule of a Fig. 2 reader whose predicate is `|maxTSmsg| ≥ k` —
 /// deliberately ignoring `seen`. Exists to be refuted.
@@ -53,6 +54,15 @@ impl CountReader {
     }
 }
 
+/// Fig. 2 with every reader a [`CountReader`] of threshold `k`, over the
+/// unchanged writer and servers.
+pub fn count_cluster(cfg: ClusterConfig, k: u32) -> Cluster<FastCrash> {
+    ClusterBuilder::new(cfg).simulated(
+        &mut |cfg, layout, _, history, _| Box::new(CountReader::new(*cfg, layout, k, history)),
+        &mut FastCrash::server,
+    )
+}
+
 impl Rule for CountRule {
     type Msg = Msg;
     type Ack = (Timestamp, TaggedValue);
@@ -78,7 +88,7 @@ impl Rule for CountRule {
         }
     }
 
-    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Decision<Msg> {
         let max_ts = acks.acks().map(|(ts, _)| *ts).max().expect("quorum");
         let mut at_max = acks.acks().filter(|(ts, _)| *ts == max_ts);
         let (_, tags) = *at_max.next().expect("max exists");
@@ -86,62 +96,38 @@ impl Rule for CountRule {
         self.max_ts = max_ts;
         self.tags = tags;
         // The ablated predicate: count only, no `seen`.
-        Some(if sightings >= self.k {
+        Decision::Respond(Some(if sightings >= self.k {
             tags.cur
         } else {
             tags.prev
-        })
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::fast_crash::{Server, Writer};
+    use crate::harness::RegisterOps;
     use crate::types::RegValue;
     use fastreg_atomicity::swmr::check_swmr_atomicity;
-    use fastreg_simnet::runner::SimConfig;
-    use fastreg_simnet::world::World;
-
-    fn cluster(cfg: ClusterConfig, k: u32) -> (World<Msg>, Layout, SharedHistory) {
-        let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
-        let mut world: World<Msg> = World::new(SimConfig::default());
-        world.add_actor(Box::new(Writer::new(cfg, layout, history.clone())));
-        for _ in 0..cfg.r {
-            world.add_actor(Box::new(CountReader::new(cfg, layout, k, history.clone())));
-        }
-        for _ in 0..cfg.s {
-            world.add_actor(Box::new(Server::new(&cfg, layout)));
-        }
-        (world, layout, history)
-    }
 
     #[test]
     fn count_reader_looks_fine_on_benign_runs() {
         // The ablation is plausible: sequential runs behave — that is what
         // makes the refutation interesting.
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let (mut w, l, h) = cluster(cfg, 3);
-        w.inject(l.writer(0), Msg::InvokeWrite { value: 4 });
-        w.run_until_quiescent().expect("quiesces");
-        w.inject(l.reader(0), Msg::InvokeRead);
-        w.run_until_quiescent().expect("quiesces");
-        let hist = h.snapshot();
-        assert_eq!(
-            hist.reads().next().unwrap().returned,
-            Some(RegValue::Val(4))
-        );
-        check_swmr_atomicity(&hist).unwrap();
+        let mut c = count_cluster(cfg, 3);
+        c.write_sync(4);
+        assert_eq!(c.read(0), RegValue::Val(4));
+        check_swmr_atomicity(&c.snapshot()).unwrap();
     }
 
     #[test]
     fn count_reader_is_one_round() {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let (mut w, l, h) = cluster(cfg, 3);
-        w.inject(l.reader(1), Msg::InvokeRead);
-        w.run_until_quiescent().expect("quiesces");
-        let rd = h.snapshot().reads().next().unwrap().clone();
+        let mut c = count_cluster(cfg, 3);
+        c.read(1);
+        let rd = c.snapshot().reads().next().unwrap().clone();
         assert_eq!(rd.responded_at.unwrap() - rd.invoked_at, 2);
     }
 }

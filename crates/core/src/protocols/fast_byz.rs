@@ -29,7 +29,7 @@ use fastreg_simnet::id::ProcessId;
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::predicate::{predicate_witness, PredicateModel};
-use crate::protocols::round::{Client, Round, Rule};
+use crate::protocols::round::{Client, Decision, Round, Rule};
 use crate::types::{ClientId, ClientSet, RegValue, TaggedValue, Timestamp, Value};
 
 /// A timestamp with its value tags and the writer's signature: the paper's
@@ -286,9 +286,9 @@ impl Rule for WriteRule {
         }
     }
 
-    fn decide(&mut self, _: &Round<()>) -> Option<RegValue> {
+    fn decide(&mut self, _: &Round<()>) -> Decision<Msg> {
         self.prev_value = self.writing;
-        None
+        Decision::Respond(None)
     }
 }
 
@@ -373,12 +373,12 @@ impl Rule for ReadRule {
         let valid = record.is_valid(&self.verifier, self.writer_key)
             && record.ts >= self.max_rec.ts
             && seen.contains(self.me);
-        self.discarded_acks += u64::from(round.expects(r_counter) && !valid);
+        self.discarded_acks += u64::from(round.tag() == r_counter && !valid);
         valid.then_some((r_counter, AckInfo { record, seen }))
     }
 
     /// Lines 17–22.
-    fn decide(&mut self, acks: &Round<AckInfo>) -> Option<RegValue> {
+    fn decide(&mut self, acks: &Round<AckInfo>) -> Decision<Msg> {
         let max_ts = acks.acks().map(|a| a.record.ts).max();
         let max_msgs = || acks.acks().filter(|a| Some(a.record.ts) == max_ts);
         self.max_ts_seens.clear();
@@ -392,7 +392,7 @@ impl Rule for ReadRule {
         );
         let newest = max_msgs().next().expect("quorum nonempty");
         self.max_rec = newest.record.clone();
-        Some(match witness {
+        Decision::Respond(Some(match witness {
             Some(a) => {
                 *self.witness_histogram.entry(a).or_insert(0) += 1;
                 self.max_rec.tags.cur
@@ -401,7 +401,7 @@ impl Rule for ReadRule {
                 self.conservative_reads += 1;
                 self.max_rec.tags.prev
             }
-        })
+        }))
     }
 }
 

@@ -30,7 +30,7 @@ use fastreg_simnet::id::ProcessId;
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::predicate::{predicate_witness, PredicateModel};
-use crate::protocols::round::{Client, Round, Rule};
+use crate::protocols::round::{Client, Decision, Round, Rule};
 use crate::types::{ClientSet, RegValue, TaggedValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
@@ -213,9 +213,9 @@ impl Rule for WriteRule {
         }
     }
 
-    fn decide(&mut self, _: &Round<()>) -> Option<RegValue> {
+    fn decide(&mut self, _: &Round<()>) -> Decision<Msg> {
         self.prev_value = self.writing;
-        None
+        Decision::Respond(None)
     }
 }
 
@@ -287,7 +287,7 @@ impl Rule for ReadRule {
 
     /// Lines 17–22: compute `maxTS`, evaluate the predicate, pick the
     /// returned value; `maxTS` is adopted either way.
-    fn decide(&mut self, acks: &Round<AckInfo>) -> Option<RegValue> {
+    fn decide(&mut self, acks: &Round<AckInfo>) -> Decision<Msg> {
         let max_ts = acks.acks().map(|a| a.ts).max().expect("quorum nonempty");
         let max_msgs = || acks.acks().filter(|a| a.ts == max_ts);
         self.max_ts_seens.clear();
@@ -302,7 +302,7 @@ impl Rule for ReadRule {
         let tags = max_msgs().next().expect("an ack carries maxTS").tags;
         self.max_ts = max_ts;
         self.tags = tags;
-        Some(match witness {
+        Decision::Respond(Some(match witness {
             Some(a) => {
                 *self.witness_histogram.entry(a).or_insert(0) += 1;
                 tags.cur
@@ -311,7 +311,7 @@ impl Rule for ReadRule {
                 self.conservative_reads += 1;
                 tags.prev
             }
-        })
+        }))
     }
 }
 

@@ -18,7 +18,7 @@ use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 
 use crate::protocols::abd::{self, WriteAlphabet};
-use crate::protocols::round::{Client, Round, Rule};
+use crate::protocols::round::{Client, Decision, Round, Rule};
 use crate::types::{RegValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
@@ -151,12 +151,12 @@ impl Rule for MaxTs {
         }
     }
 
-    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Decision<Msg> {
         let (_, value) = *acks
             .acks()
             .max_by_key(|(ts, _)| *ts)
             .expect("quorum nonempty");
-        Some(value)
+        Decision::Respond(Some(value))
     }
 }
 

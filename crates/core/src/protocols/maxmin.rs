@@ -20,7 +20,7 @@ use fastreg_simnet::id::ProcessId;
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
 use crate::protocols::abd::{self, WriteAlphabet};
-use crate::protocols::round::{Client, Round, Rule};
+use crate::protocols::round::{Client, Decision, Round, Rule};
 use crate::types::{RegValue, Timestamp, Value};
 
 /// Message alphabet of the protocol.
@@ -267,12 +267,12 @@ impl Rule for MinTs {
         }
     }
 
-    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Decision<Msg> {
         let (_, value) = *acks
             .acks()
             .min_by_key(|(ts, _)| *ts)
             .expect("quorum nonempty");
-        Some(value)
+        Decision::Respond(Some(value))
     }
 }
 

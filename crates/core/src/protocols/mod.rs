@@ -13,13 +13,13 @@
 //! | [`ablation`] | §4's argument, executed | 1 round, **unsound** | — | `maxTS` if ≥ `k` acks carry it |
 //!
 //! A protocol file states three things: its message alphabet, its server
-//! transition, and one [`round::Rule`] per one-round operation — the
-//! request, the replies that count, the decision over `S − t` of them.
-//! How a round is run (§3.2: send to all, collect `S − t` replies, return)
-//! exists once, in [`round`]: a one-round operation is a
-//! [`round::Client`] over its rule and is fast by construction; the
-//! two-phase clients ([`abd::Reader`], [`mwmr::abd::Client`]) run two
-//! [`round::Round`]s in sequence.
+//! transition, and one [`round::Rule`] per operation — the request, the
+//! replies that count, the decision over `S − t` of them. How a round is
+//! run (§3.2: send to all, collect `S − t` replies, return) exists once,
+//! in [`round`]: every client is a [`round::Client`] over its rule, and
+//! the rule's [`ROUNDS`](round::Rule::ROUNDS) is the paper's unit of cost
+//! — 1 is fast by construction, 2 for the two-phase operations
+//! ([`abd::Reader`], both roles of [`mwmr::abd::Client`]).
 //!
 //! Every protocol is also a runtime value: [`registry::ProtocolId`] names
 //! it (ids ⇄ names ⇄ feasibility predicates), and the protocol table in

@@ -15,13 +15,13 @@
 //!   violation. It exists to make the impossibility executable, not to be
 //!   used.
 
-use fastreg_atomicity::history::{OpId, OpKind, SharedHistory};
+use fastreg_atomicity::history::{OpKind, SharedHistory};
 use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 
 use crate::config::ClusterConfig;
 use crate::layout::Layout;
-use crate::protocols::round::{Round, Rule};
+use crate::protocols::round::{self, Decision, Round, Rule};
 use crate::types::{RegValue, Value, WTimestamp};
 
 /// The correct two-round MWMR register.
@@ -113,154 +113,87 @@ pub mod abd {
         }
     }
 
-    enum Phase {
-        Query,
-        Store {
-            /// Value this operation will return (reads only).
-            returned: Option<RegValue>,
-        },
+    /// The rule of both roles: query a quorum for the highest
+    /// `(ts, value)`, then store to a quorum — a writer its value under
+    /// `(max.seq + 1, wid)`, a reader the highest pair, which it returns.
+    pub struct QueryThenStore {
+        /// Writer id for timestamps (`None`: a reader).
+        pub wid: Option<u32>,
+        /// The latest operation.
+        op: OpKind,
+        /// The pair being stored; `None` while the operation still queries.
+        storing: Option<(WTimestamp, RegValue)>,
     }
 
-    /// A combined client automaton: writer `wid` if constructed with
-    /// [`Client::writer`], reader otherwise. Both roles are two-phase —
-    /// two [`Round`]s in sequence under one operation counter — which is
-    /// why one automaton serves both.
-    pub struct Client {
-        layout: Layout,
-        history: SharedHistory,
-        /// Writer id for timestamps (writers only).
-        pub wid: Option<u32>,
-        op_counter: u64,
-        /// The acks of the latest operation's two phases.
-        query: Round<(WTimestamp, RegValue)>,
-        store: Round<()>,
-        /// The pending operation, the value it writes (`None`: a read)
-        /// and its phase.
-        pending: Option<(OpId, Option<Value>, Phase)>,
-    }
+    /// Both roles' client automaton: a writer if built with a `wid`, a
+    /// reader otherwise.
+    pub type Client = round::Client<QueryThenStore>;
 
     impl Client {
-        /// Creates writer `wid`.
-        pub fn writer(
+        /// Creates writer `wid`, or a reader if `None`.
+        pub fn new(
             cfg: ClusterConfig,
             layout: Layout,
-            wid: u32,
+            wid: Option<u32>,
             history: SharedHistory,
         ) -> Self {
-            Client {
-                wid: Some(wid),
-                ..Client::reader(cfg, layout, history)
-            }
-        }
-
-        /// Creates a reader.
-        pub fn reader(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
-            Client {
-                layout,
-                history,
-                wid: None,
-                op_counter: 0,
-                query: Round::new(&cfg, 0),
-                store: Round::new(&cfg, 0),
-                pending: None,
-            }
-        }
-
-        /// Returns `true` if no operation is in progress.
-        pub fn is_idle(&self) -> bool {
-            self.pending.is_none()
+            let rule = QueryThenStore {
+                wid,
+                op: OpKind::Read,
+                storing: None,
+            };
+            round::Client::with_rule(cfg, layout, history, rule)
         }
     }
 
-    impl Automaton for Client {
+    impl Rule for QueryThenStore {
         type Msg = Msg;
+        /// A store ack stands for the pair it acknowledges.
+        type Ack = (WTimestamp, RegValue);
+        const ROUNDS: u32 = 2;
 
-        fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-            let (me, now) = (out.this().index(), out.now().ticks());
-            let writing = match msg {
-                Msg::InvokeWrite { value } => Some(Some(value)),
-                Msg::InvokeRead => Some(None),
-                _ => None,
+        fn request(&mut self, msg: &Msg, tag: u64) -> Option<(OpKind, Msg)> {
+            self.op = match *msg {
+                Msg::InvokeWrite { value } => OpKind::Write { value },
+                Msg::InvokeRead => OpKind::Read,
+                _ => return None,
             };
-            if let Some(writing) = writing {
-                let name = if writing.is_some() { "write" } else { "read" };
-                assert!(from.is_external(), "{name}s are invoked by the environment");
-                assert!(
-                    writing.is_none() || self.wid.is_some(),
-                    "read-only client asked to write"
-                );
-                assert!(
-                    self.pending.is_none(),
-                    "client invoked {name}() while an operation was pending"
-                );
-                self.op_counter += 1;
-                let op = match writing {
-                    Some(value) => self.history.invoke_write(me, value, now),
-                    None => self.history.invoke_read(me, now),
-                };
-                self.query.reset(self.op_counter);
-                self.pending = Some((op, writing, Phase::Query));
-                out.broadcast(
-                    self.layout.servers(),
-                    Msg::Query {
-                        op_counter: self.op_counter,
-                    },
-                );
-                return;
-            }
-            let (Some(server), Some((op, writing, phase))) =
-                (self.layout.server_index(from), self.pending.as_mut())
-            else {
-                return;
-            };
+            Some((self.op, Msg::Query { op_counter: tag }))
+        }
+
+        fn ack(&mut self, msg: Msg, _: &Round<Self::Ack>) -> Option<(u64, Self::Ack)> {
             match msg {
                 Msg::QueryAck {
                     op_counter,
                     ts,
                     value,
-                } => {
-                    let Phase::Query = phase else {
-                        return;
-                    };
-                    if !self.query.offer(server, op_counter, (ts, value)) {
-                        return;
-                    }
-                    let acks = self.query.acks();
-                    let (max_ts, max_val) = *acks.max_by_key(|(ts, _)| *ts).expect("nonempty");
-                    let (ts, value) = match *writing {
-                        Some(v) => (
-                            WTimestamp {
-                                seq: max_ts.seq + 1,
-                                wid: self.wid.expect("writers have ids"),
-                            },
-                            RegValue::Val(v),
-                        ),
-                        None => (max_ts, max_val),
-                    };
-                    *phase = Phase::Store {
-                        returned: writing.is_none().then_some(value),
-                    };
-                    self.store.reset(op_counter);
-                    out.broadcast(
-                        self.layout.servers(),
-                        Msg::Store {
-                            op_counter,
-                            ts,
-                            value,
-                        },
-                    );
-                }
-                Msg::StoreAck { op_counter } => {
-                    let Phase::Store { returned } = phase else {
-                        return;
-                    };
-                    if self.store.offer(server, op_counter, ()) {
-                        self.history.respond(*op, *returned, now);
-                        self.pending = None;
-                    }
-                }
-                _ => {}
+                } if self.storing.is_none() => Some((op_counter, (ts, value))),
+                Msg::StoreAck { op_counter } => self.storing.map(|pair| (op_counter, pair)),
+                _ => None,
             }
+        }
+
+        fn decide(&mut self, acks: &Round<Self::Ack>) -> Decision<Msg> {
+            if let Some((_, value)) = self.storing.take() {
+                return Decision::Respond((self.op == OpKind::Read).then_some(value));
+            }
+            let (max_ts, max_val) = *acks.acks().max_by_key(|(ts, _)| *ts).expect("nonempty");
+            let (ts, value) = match self.op {
+                OpKind::Write { value } => (
+                    WTimestamp {
+                        seq: max_ts.seq + 1,
+                        wid: self.wid.expect("read-only client asked to write"),
+                    },
+                    RegValue::Val(value),
+                ),
+                OpKind::Read => (max_ts, max_val),
+            };
+            self.storing = Some((ts, value));
+            Decision::Next(Msg::Store {
+                op_counter: acks.tag(),
+                ts,
+                value,
+            })
         }
     }
 }
@@ -269,7 +202,7 @@ pub mod abd {
 /// refutes.
 pub mod naive_fast {
     use super::*;
-    use crate::protocols::round::Client;
+    use round::Client;
 
     /// Message alphabet.
     #[derive(Clone, Debug, PartialEq, Hash)]
@@ -389,8 +322,8 @@ pub mod naive_fast {
             }
         }
 
-        fn decide(&mut self, _: &Round<()>) -> Option<RegValue> {
-            None
+        fn decide(&mut self, _: &Round<()>) -> Decision<Msg> {
+            Decision::Respond(None)
         }
     }
 
@@ -420,12 +353,12 @@ pub mod naive_fast {
             }
         }
 
-        fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+        fn decide(&mut self, acks: &Round<Self::Ack>) -> Decision<Msg> {
             let (_, value) = *acks
                 .acks()
                 .max_by_key(|(ts, _)| *ts)
                 .expect("quorum nonempty");
-            Some(value)
+            Decision::Respond(Some(value))
         }
     }
 }

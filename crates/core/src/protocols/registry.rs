@@ -261,7 +261,7 @@ impl FromStr for ProtocolId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Affinity, ClusterBuilder, RegisterOps, Runtime};
+    use crate::harness::{ClusterBuilder, RegisterOps, Runtime};
 
     #[test]
     fn registry_order_matches_discriminants() {
@@ -342,10 +342,7 @@ mod tests {
             let cfg = id.sample_config();
             assert_eq!(id.contract().spec(cfg.w), expected, "{id}");
             // ...and a built deployment knows what it promised.
-            let threads = Runtime::Threads {
-                workers: 1,
-                affinity: Affinity::None,
-            };
+            let threads = Runtime::Threads { workers: 1 };
             for runtime in [Runtime::Simnet, threads] {
                 let built = ClusterBuilder::new(cfg).runtime(runtime).build(id);
                 let cluster = built.expect("sample configurations are feasible");

@@ -9,14 +9,15 @@
 //!
 //! * [`Round`] — the acks of one broadcast: the only per-server ack
 //!   container, stale-tag filter and quorum comparison in the protocol
-//!   layer. Two-phase clients ([`abd::Reader`](super::abd::Reader),
-//!   [`mwmr::abd::Client`](super::mwmr::abd::Client)) run two of them in
-//!   sequence; max–min's servers gather peer reports in one.
-//! * [`Client`] over a [`Rule`] — the one-round client automaton: the
-//!   only place that asserts "invoked by the environment, one operation
-//!   at a time", records the invocation and the response in the
-//!   [`SharedHistory`], numbers the operation and broadcasts. An
-//!   operation whose client is a `Client<R>` is fast by construction.
+//!   layer; max–min's servers gather peer reports in one.
+//! * [`Client`] over a [`Rule`] — the client automaton: the only place
+//!   that asserts "invoked by the environment, one operation at a time",
+//!   records the invocation and the response in the [`SharedHistory`],
+//!   numbers the operation and broadcasts. An operation takes
+//!   [`Rule::ROUNDS`] quorum rounds: one is fast by construction, and a
+//!   two-phase operation ([`abd::Reader`](super::abd::Reader),
+//!   [`mwmr::abd::Client`](super::mwmr::abd::Client)) is the same client
+//!   over a rule whose [`decide`](Rule::decide) asks for a second.
 
 use std::ops::Deref;
 
@@ -57,9 +58,9 @@ impl<A> Round<A> {
         self.slots.fill_with(|| None);
     }
 
-    /// Whether an ack echoing `tag` answers this round's broadcast.
-    pub fn expects(&self, tag: u64) -> bool {
-        tag == self.tag
+    /// The tag an ack must echo to answer this round's broadcast.
+    pub fn tag(&self) -> u64 {
+        self.tag
     }
 
     /// Takes `ack` from server `server`, unless its `tag` is stale. A
@@ -71,7 +72,7 @@ impl<A> Round<A> {
     ///
     /// Panics if `server` is not a server index of the deployment.
     pub fn offer(&mut self, server: u32, tag: u64, ack: A) -> bool {
-        if !self.expects(tag) {
+        if tag != self.tag {
             return false;
         }
         if self.slots[server as usize].replace(ack).is_none() {
@@ -86,13 +87,16 @@ impl<A> Round<A> {
     }
 }
 
-/// What distinguishes one one-round operation from another: its request,
-/// the replies that count, and the decision over a quorum of them.
+/// What distinguishes one operation from another: its request, the
+/// replies that count, and the decision over a quorum of them.
 pub trait Rule: Send + 'static {
     /// The protocol's message alphabet.
     type Msg: Clone + std::fmt::Debug + Send + 'static;
     /// What is kept of one counted reply.
     type Ack: Send + 'static;
+    /// Quorum rounds per operation — what the paper counts: under unit
+    /// delay an operation takes `2 × ROUNDS` ticks.
+    const ROUNDS: u32 = 1;
 
     /// If `msg` invokes this rule's operation: the operation, for the
     /// history, and the request to broadcast. Replies must echo `tag`.
@@ -101,26 +105,38 @@ pub trait Rule: Send + 'static {
     /// (Fig. 5's `receivevalid`; crash-model rules count every reply): the
     /// tag it echoes and what to keep of it.
     fn ack(&mut self, msg: Self::Msg, round: &Round<Self::Ack>) -> Option<(u64, Self::Ack)>;
-    /// Decides over replies from `S − t` servers: the value a read
-    /// returns, `None` for a write.
-    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue>;
+    /// Decides over replies from `S − t` servers: the response, or the
+    /// request of the operation's next round. The rule's own state says
+    /// which round's replies [`ack`](Rule::ack) counts.
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Decision<Self::Msg>;
 }
 
-/// The one-round client automaton: broadcast a request, collect `S − t`
-/// valid replies in a [`Round`], decide. Dereferences to its [`Rule`],
-/// whose public fields are the client's protocol state.
+/// What a [`Rule`] decides over a quorum of replies.
+pub enum Decision<M> {
+    /// The operation responds: a read with its value, a write with `None`.
+    Respond(Option<RegValue>),
+    /// The operation takes another round: this request, under the same tag.
+    Next(M),
+}
+
+/// The client automaton: broadcast a request, collect `S − t` valid
+/// replies in a [`Round`], decide; again if the decision is another round.
+/// Dereferences to its [`Rule`], whose public fields are its protocol state.
 pub struct Client<R: Rule> {
     layout: Layout,
     history: SharedHistory,
     rule: R,
     /// Operations invoked so far; the tag of the latest.
     invoked: u64,
-    /// The acks of the latest operation.
+    /// The acks of the latest operation's current round.
     round: Round<R::Ack>,
     pending: Option<OpId>,
 }
 
 impl<R: Rule> Client<R> {
+    /// [`Rule::ROUNDS`] of the client's rule.
+    pub const ROUNDS: u32 = R::ROUNDS;
+
     /// A client in its initial state, deciding by `rule`.
     pub fn with_rule(cfg: ClusterConfig, layout: Layout, history: SharedHistory, rule: R) -> Self {
         Client {
@@ -131,11 +147,6 @@ impl<R: Rule> Client<R> {
             round: Round::new(&cfg, 0),
             pending: None,
         }
-    }
-
-    /// Returns `true` if no operation is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none()
     }
 }
 
@@ -186,9 +197,16 @@ impl<R: Rule> Automaton for Client<R> {
             return;
         };
         if self.round.offer(server, tag, ack) {
-            self.pending = None;
-            let returned = self.rule.decide(&self.round);
-            self.history.respond(op, returned, now);
+            match self.rule.decide(&self.round) {
+                Decision::Respond(returned) => {
+                    self.pending = None;
+                    self.history.respond(op, returned, now);
+                }
+                Decision::Next(request) => {
+                    self.round.reset(self.invoked);
+                    out.broadcast(self.layout.servers(), request);
+                }
+            }
         }
     }
 }
@@ -255,6 +273,61 @@ mod tests {
         );
         assert!(r.offer(4, 8, 'e'));
         assert_eq!(r.acks().collect::<String>(), "cde");
+    }
+
+    /// The multi-round path, on ABD's read (S = 5, t = 2, one tag for both
+    /// phases): each phase counts only its own acks, a server once.
+    #[test]
+    fn a_second_round_counts_only_its_own_acks_and_a_server_once() {
+        use crate::protocols::abd::{Msg, Reader};
+        use crate::types::Timestamp;
+        use fastreg_simnet::time::SimTime;
+
+        let cfg = ClusterConfig::crash_stop(5, 2, 1).unwrap();
+        let layout = Layout::of(&cfg);
+        let history = SharedHistory::new();
+        let mut reader = Reader::new(cfg, layout, history.clone());
+        let me = layout.reader(0);
+        let mut step = |from: ProcessId, msg: Msg| {
+            let mut out = Outbox::new(me, SimTime::ZERO);
+            reader.on_message(from, msg, &mut out);
+            out.into_messages()
+        };
+        let server = |j| layout.server(j);
+        let query_ack = |ts| Msg::QueryAck {
+            op_counter: 1,
+            ts: Timestamp(ts),
+            value: RegValue::Val(ts),
+        };
+        let write_back_ack = Msg::WriteBackAck { op_counter: 1 };
+
+        assert_eq!(step(ProcessId::EXTERNAL, Msg::InvokeRead).len(), 5);
+        assert!(step(server(0), write_back_ack.clone()).is_empty(), "early");
+        assert!(step(server(0), query_ack(1)).is_empty());
+        assert!(step(server(0), query_ack(1)).is_empty(), "repeated");
+        assert!(step(server(1), query_ack(2)).is_empty());
+        let write_back = Msg::WriteBack {
+            op_counter: 1,
+            ts: Timestamp(2),
+            value: RegValue::Val(2),
+        };
+        let sent = step(server(2), query_ack(1));
+        assert_eq!(sent.len(), 5, "third distinct server: the second round");
+        assert!(sent.iter().all(|(_, msg)| *msg == write_back));
+
+        for late in [3, 4, 3] {
+            assert!(step(server(late), query_ack(9)).is_empty());
+        }
+        for j in [0, 0, 1] {
+            assert!(step(server(j), write_back_ack.clone()).is_empty());
+        }
+        assert!(
+            history.client_busy(me.index()),
+            "three late phase-1 acks and a repeated server are not a quorum"
+        );
+        step(server(2), write_back_ack);
+        let read = history.snapshot().reads().next().unwrap().clone();
+        assert_eq!(read.returned, Some(RegValue::Val(2)));
     }
 
     proptest! {

@@ -23,7 +23,7 @@
 use fastreg_atomicity::history::OpKind;
 
 use crate::protocols::fast_regular::MaxTs;
-use crate::protocols::round::{Client, Round, Rule};
+use crate::protocols::round::{Client, Decision, Round, Rule};
 use crate::types::{RegValue, Timestamp};
 
 /// The alphabet, the server (it stores the highest `(ts, value)`) and the
@@ -59,7 +59,7 @@ impl Rule for StickyMaxTs {
         MaxTs.ack(msg, round)
     }
 
-    fn decide(&mut self, acks: &Round<Self::Ack>) -> Option<RegValue> {
+    fn decide(&mut self, acks: &Round<Self::Ack>) -> Decision<Msg> {
         let (max_ts, max_val) = *acks
             .acks()
             .max_by_key(|(ts, _)| *ts)
@@ -70,7 +70,7 @@ impl Rule for StickyMaxTs {
         } else {
             self.sticky_reads += 1;
         }
-        Some(self.last_value)
+        Decision::Respond(Some(self.last_value))
     }
 }
 

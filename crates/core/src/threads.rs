@@ -81,7 +81,7 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
             P::ID,
             cfg.r
         );
-        let parts = assemble::<P>(&cfg, seed, &mut P::server);
+        let parts = assemble::<P>(&cfg, seed, &mut P::reader, &mut P::server);
         ThreadCluster {
             cfg,
             layout: parts.layout,

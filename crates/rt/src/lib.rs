@@ -76,74 +76,25 @@ use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 use fastreg_simnet::time::SimTime;
 
-/// Core-affinity policy for the pool's worker threads.
-///
-/// Pinning is strictly best-effort: on Linux it issues a
-/// `sched_setaffinity` call and ignores failure (restricted cpusets,
-/// containers exposing fewer cores than the host); on other platforms it
-/// is a no-op. A run never fails because a pin did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Affinity {
-    /// Let the OS scheduler place worker threads freely (the default).
-    #[default]
-    None,
-    /// Pin worker `w` to core `w mod available_parallelism()`.
-    Pin,
-}
-
 /// Configuration of an [`ActorPool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RtConfig {
     /// Requested worker threads; clamped to `1..=n_actors` at spawn.
     pub workers: usize,
-    /// Core-affinity policy for the workers.
-    pub affinity: Affinity,
 }
 
 impl Default for RtConfig {
     fn default() -> Self {
-        RtConfig {
-            workers: 1,
-            affinity: Affinity::None,
-        }
+        RtConfig::new(1)
     }
 }
 
 impl RtConfig {
-    /// A pool of `workers` threads with no affinity.
+    /// A pool of `workers` threads.
     pub fn new(workers: usize) -> Self {
-        RtConfig {
-            workers,
-            affinity: Affinity::None,
-        }
-    }
-
-    /// Sets the affinity policy.
-    pub fn affinity(mut self, affinity: Affinity) -> Self {
-        self.affinity = affinity;
-        self
+        RtConfig { workers }
     }
 }
-
-/// Best-effort pin of the calling thread to one core.
-#[cfg(target_os = "linux")]
-fn pin_current_thread(core: usize) {
-    // A fixed 1024-bit cpu_set_t, matching glibc's default CPU_SETSIZE.
-    const WORDS: usize = 1024 / 64;
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; WORDS];
-    let bit = core % 1024;
-    mask[bit / 64] |= 1u64 << (bit % 64);
-    // Ignore the result: failure to pin must never break a run.
-    unsafe {
-        sched_setaffinity(0, std::mem::size_of::<[u64; WORDS]>(), mask.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_current_thread(_core: usize) {}
 
 enum Job<M> {
     Deliver { to: u32, from: ProcessId, msg: M },
@@ -225,7 +176,6 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
         let counters = Arc::new(RtCounters::default());
         let busy_by_actor: Arc<Vec<AtomicU64>> =
             Arc::new((0..n_actors).map(|_| AtomicU64::new(0)).collect());
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
         type Channel<M> = (Sender<Job<M>>, Receiver<Job<M>>);
         let channels: Vec<Channel<M>> = (0..workers).map(|_| unbounded()).collect();
@@ -245,13 +195,9 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
             let clock = Arc::clone(&clock);
             let counters = Arc::clone(&counters);
             let busy_by_actor = Arc::clone(&busy_by_actor);
-            let pin = cfg.affinity == Affinity::Pin;
             let handle = std::thread::Builder::new()
                 .name(format!("fastreg-rt-{w}"))
                 .spawn(move || {
-                    if pin {
-                        pin_current_thread(w % cores);
-                    }
                     let now = || SimTime::from_ticks(clock.elapsed_us());
                     // Routes one step's outbox onto the spine. Sends to a
                     // worker that already shut down are dropped — the
@@ -465,7 +411,7 @@ mod tests {
         }
     }
 
-    fn ping_pong(workers: usize, affinity: Affinity) {
+    fn ping_pong(workers: usize) {
         let (tx, rx) = mpsc::channel();
         let pool = ActorPool::spawn(
             vec![
@@ -477,7 +423,7 @@ mod tests {
                 }) as Box<dyn Automaton<Msg = Msg>>,
                 Box::new(Responder),
             ],
-            RtConfig::new(workers).affinity(affinity),
+            RtConfig::new(workers),
         );
         for _ in 0..10 {
             pool.inject(ProcessId::new(0), Msg::Ping);
@@ -493,20 +439,13 @@ mod tests {
 
     #[test]
     fn round_trips_complete_on_one_worker() {
-        ping_pong(1, Affinity::None);
+        ping_pong(1);
     }
 
     #[test]
     fn round_trips_complete_on_more_workers_than_actors() {
         // Requested 4, clamped to 2 actors.
-        ping_pong(4, Affinity::None);
-    }
-
-    #[test]
-    fn pinned_workers_still_complete() {
-        // Affinity is best-effort: this must pass on any host, including
-        // single-core CI containers.
-        ping_pong(2, Affinity::Pin);
+        ping_pong(4);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! * [`fault`] injects crashes, including crashing a process *in the middle
 //!   of a broadcast* after an arbitrary prefix of sends — the paper is
 //!   explicit that algorithms must tolerate this (§4, correctness preamble).
-//! * [`byz`] wraps an automaton with a Byzantine strategy.
+//! * [`byz`] holds the protocol-agnostic Byzantine actor, [`byz::Mute`].
 //! * [`trace::Trace`] records every send/deliver/crash for debugging and for
 //!   rendering the proof constructions.
 //! * [`threaded`] hosts [`threaded::map_ordered`], the order-preserving
@@ -99,7 +99,6 @@ pub mod world;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::automaton::{Automaton, Downcast, Outbox};
-    pub use crate::byz::{ByzActor, ByzStrategy};
     pub use crate::delay::DelayModel;
     pub use crate::envelope::{Envelope, MsgId};
     pub use crate::fault::CrashMode;

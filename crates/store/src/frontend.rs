@@ -217,14 +217,10 @@ mod tests {
     fn runtime_aware_constructor_rejects_threads() {
         use crate::store::StoreBuilder;
         use fastreg::config::ClusterConfig;
-        use fastreg::harness::Affinity;
 
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
         let store = || StoreBuilder::new(cfg).shards(2).build().unwrap();
-        let requested = Runtime::Threads {
-            workers: 4,
-            affinity: Affinity::None,
-        };
+        let requested = Runtime::Threads { workers: 4 };
         match BatchedFrontend::with_runtime(store(), 2, 8, requested) {
             Err(BuildError::UnsupportedRuntime { runtime, .. }) => assert_eq!(runtime, requested),
             Err(other) => panic!("expected UnsupportedRuntime, got {other:?}"),

@@ -359,12 +359,8 @@ mod tests {
 
     #[test]
     fn builder_rejects_the_threaded_runtime_typed_ly() {
-        use fastreg::harness::Affinity;
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let requested = Runtime::Threads {
-            workers: 2,
-            affinity: Affinity::None,
-        };
+        let requested = Runtime::Threads { workers: 2 };
         let err = StoreBuilder::new(cfg)
             .shards(2)
             .runtime(requested)

@@ -11,15 +11,15 @@ use fastreg::byz::{
 use fastreg::config::ClusterConfig;
 use fastreg::harness::{Cluster, ClusterBuilder, FastByz, FastCrash, ProtocolFamily, RegisterOps};
 use fastreg::predicate::{predicate_witness, predicate_witness_bruteforce, PredicateModel};
-use fastreg::protocols::fast_crash;
 use fastreg::protocols::registry::ProtocolId;
+use fastreg::protocols::{abd, fast_crash};
 use fastreg::types::{ClientId, ClientSet, RegValue};
 use fastreg_adversary::{
     random_adversarial_search, run_byz_lb, run_crash_lb, run_mwmr_lb, LbError,
 };
 use fastreg_atomicity::regularity::check_swmr_regularity;
 use fastreg_atomicity::swmr::check_swmr_atomicity;
-use fastreg_simnet::byz::{ByzActor, Mute};
+use fastreg_simnet::byz::Mute;
 use fastreg_simnet::delay::DelayModel;
 use fastreg_simnet::runner::SimConfig;
 
@@ -123,11 +123,15 @@ pub fn e2_round_trips() -> Table {
     ]);
 
     // One registry-driven loop replaces the three hand-monomorphized
-    // blocks; the per-protocol expectations stay as data.
+    // blocks; the per-protocol expectations stay as data. A quorum round
+    // is two message delays; max–min's servers wait a third.
+    let delays = |rounds: u32| 2 * u64::from(rounds);
+    let fast = delays(fast_crash::Reader::ROUNDS);
+    let abd = delays(abd::Reader::ROUNDS);
     let expectations: [(ProtocolId, u64, Option<u64>, &str); 3] = [
-        (ProtocolId::FastCrash, 2, Some(2), "1 round trip"),
+        (ProtocolId::FastCrash, fast, Some(2), "1 round trip"),
         (ProtocolId::MaxMin, 3, None, "servers wait (not fast)"),
-        (ProtocolId::Abd, 4, None, "2 round trips (read writes)"),
+        (ProtocolId::Abd, abd, None, "2 round trips (read writes)"),
     ];
     for (id, read_max, write_max, paper) in expectations {
         let mut c = ClusterBuilder::new(cfg)
@@ -271,7 +275,7 @@ fn byz_run_is_atomic(cfg: ClusterConfig, seed: u64, kind: BehaviourKind) -> bool
             if index == 0 {
                 match kind {
                     BehaviourKind::Honest => FastByz::server(cfg, layout, index, ctx),
-                    BehaviourKind::Mute => Box::new(ByzActor::new(Box::new(Mute))),
+                    BehaviourKind::Mute => Box::new(Mute::default()),
                     BehaviourKind::Stale => Box::new(StaleReplayer::new(cfg)),
                     BehaviourKind::Inflater => Box::new(SeenInflater::new(
                         cfg,
@@ -1155,7 +1159,7 @@ pub fn e16_store(headline_ops: u64, threads: usize) -> Table {
 /// meaningful on a multi-core host, so callers keep it off in CI and in
 /// quick mode (CI containers here are single-core).
 pub fn e17_rt_throughput(n_ops: u64, workers: &[usize], assert_scaling: bool) -> Table {
-    use fastreg::harness::{Affinity, Runtime};
+    use fastreg::harness::Runtime;
     use std::time::Instant;
 
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
@@ -1183,10 +1187,7 @@ pub fn e17_rt_throughput(n_ops: u64, workers: &[usize], assert_scaling: bool) ->
         for &w in workers {
             let mut c = ClusterBuilder::new(cfg)
                 .seed(17)
-                .runtime(Runtime::Threads {
-                    workers: w,
-                    affinity: Affinity::None,
-                })
+                .runtime(Runtime::Threads { workers: w })
                 .build(id)
                 .expect("E17 deployments are feasible and thread-compatible");
             let spec = WorkloadSpec {
@@ -1347,7 +1348,7 @@ pub fn e18_checker_throughput(sizes: &[u64], batch_cap: u64) -> Table {
 /// (every op's messages were drained through the mailboxes).
 pub fn e19_obs_invariants(n_ops: u64) -> Table {
     use crate::obsrun::trace_register_run;
-    use fastreg::harness::{Affinity, Runtime};
+    use fastreg::harness::Runtime;
     use fastreg::threads::{RtConfig, ThreadCluster};
     use fastreg_obs::spans_balanced;
 
@@ -1410,10 +1411,7 @@ pub fn e19_obs_invariants(n_ops: u64) -> Table {
         // Threads leg: the same automata behind the actor pool.
         let mut rt = ClusterBuilder::new(cfg)
             .seed(19)
-            .runtime(Runtime::Threads {
-                workers: 2,
-                affinity: Affinity::None,
-            })
+            .runtime(Runtime::Threads { workers: 2 })
             .build(id)
             .unwrap_or_else(|e| panic!("E19: {id} failed to deploy on threads: {e}"));
         let rep = run_closed_loop(&mut rt, &spec)

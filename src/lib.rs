@@ -65,9 +65,8 @@ pub use fastreg_workload;
 pub mod prelude {
     pub use fastreg::config::ClusterConfig;
     pub use fastreg::harness::{
-        Abd, Affinity, BuildError, Cluster, ClusterBuilder, DynCluster, FastByz, FastCrash,
-        FastRegular, MaxMin, MwmrAbd, MwmrNaiveFast, ProtocolFamily, RegisterOps, Runtime,
-        SimControl, SwsrFast,
+        Abd, BuildError, Cluster, ClusterBuilder, DynCluster, FastByz, FastCrash, FastRegular,
+        MaxMin, MwmrAbd, MwmrNaiveFast, ProtocolFamily, RegisterOps, Runtime, SimControl, SwsrFast,
     };
     pub use fastreg::protocols::registry::{Contract, ProtocolId, UnknownProtocol};
     pub use fastreg::threads::ThreadCluster;

@@ -59,14 +59,7 @@ fn agree(id: ProtocolId, cfg: ClusterConfig) {
     let oracle = completed_on(Runtime::Simnet, id, cfg);
     assert_eq!(oracle, spec().n_ops, "{id:?}: simnet must complete all ops");
     for workers in [1usize, 2, 4] {
-        let rt = completed_on(
-            Runtime::Threads {
-                workers,
-                affinity: Affinity::None,
-            },
-            id,
-            cfg,
-        );
+        let rt = completed_on(Runtime::Threads { workers }, id, cfg);
         assert_eq!(
             rt, oracle,
             "{id:?}: threaded runtime ({workers} workers) disagrees with the simnet oracle"
@@ -118,10 +111,7 @@ fn seeds_and_mixes_agree_on_the_flagship_protocol() {
             report.breakdown.completed
         };
         let sim = run(Runtime::Simnet);
-        let threads = run(Runtime::Threads {
-            workers: 2,
-            affinity: Affinity::None,
-        });
+        let threads = run(Runtime::Threads { workers: 2 });
         assert_eq!(sim, threads, "seed {seed}, write_fraction {write_fraction}");
     }
 }

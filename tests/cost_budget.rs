@@ -158,9 +158,9 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
-    (MIX, 13_189, 8_002_956, 242),
+    (MIX, 12_987, 7_997_098, 242),
     (&[ProtocolId::FastCrash], 13_457, 6_563_874, 242),
-    (&[ProtocolId::Abd], 12_390, 8_505_894, 242),
+    (&[ProtocolId::Abd], 11_906, 8_491_858, 242),
     (&[ProtocolId::FastByz], 14_183, 7_953_954, 242),
 ];
 

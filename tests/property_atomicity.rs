@@ -51,28 +51,15 @@ fn apply_steps(c: &mut Cluster<FastCrash>, steps: &[Step]) {
     for step in steps {
         match step {
             Step::Write => {
-                let idle = c
-                    .world
-                    .with_actor::<fastreg_suite::fastreg::protocols::fast_crash::Writer, _, _>(
-                        c.layout.writer(0),
-                        |w| w.is_idle(),
-                    )
-                    .unwrap_or(false);
-                if idle && !c.world.is_crashed(c.layout.writer(0)) {
+                let writer = c.layout.writer(0);
+                if !c.client_busy(writer.index()) && !c.world.is_crashed(writer) {
                     c.write(next_value);
                     next_value += 1;
                 }
             }
             Step::Read(i) => {
                 let i = i % c.cfg.r;
-                let idle = c
-                    .world
-                    .with_actor::<fastreg_suite::fastreg::protocols::fast_crash::Reader, _, _>(
-                        c.layout.reader(i),
-                        |r| r.is_idle(),
-                    )
-                    .unwrap_or(false);
-                if idle {
+                if !c.client_busy(c.layout.reader(i).index()) {
                     c.read_async(i);
                 }
             }
@@ -170,9 +157,7 @@ proptest! {
                     ctx.writer_key,
                     l.reader(0),
                 )),
-                _ => Box::new(fastreg_suite::fastreg_simnet::byz::ByzActor::new(Box::new(
-                    fastreg_suite::fastreg_simnet::byz::Mute,
-                ))),
+                _ => Box::new(fastreg_suite::fastreg_simnet::byz::Mute::default()),
             }
         };
         let mut c: Cluster<FastByz> = ClusterBuilder::new(cfg)

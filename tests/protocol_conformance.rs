@@ -17,10 +17,7 @@ use fastreg_suite::prelude::*;
 /// counterexample only diverge under concurrency.
 #[test]
 fn every_registered_protocol_round_trips_through_dyn_register_ops() {
-    let threads = Runtime::Threads {
-        workers: 2,
-        affinity: Affinity::None,
-    };
+    let threads = Runtime::Threads { workers: 2 };
     for (id, runtime) in ProtocolId::ALL
         .into_iter()
         .flat_map(|id| [(id, Runtime::Simnet), (id, threads)])
@@ -144,10 +141,7 @@ fn infeasible_configs_are_rejected_at_build_with_a_typed_error() {
 /// them.
 #[test]
 fn more_clients_than_a_seen_set_holds_is_a_typed_build_error() {
-    let threads = Runtime::Threads {
-        workers: 1,
-        affinity: Affinity::None,
-    };
+    let threads = Runtime::Threads { workers: 1 };
     // The smallest feasible deployments with R = 63 and R = 64 readers.
     let crash = |r| ClusterConfig::crash_stop(r + 3, 1, r).unwrap();
     let byz = |r| ClusterConfig::byzantine(2 * r + 4, 1, 1, r).unwrap();
@@ -259,6 +253,64 @@ fn build_unchecked_and_from_cluster_cover_the_escape_hatches() {
     erased.write_sync(9);
     assert_eq!(erased.read(1), RegValue::Val(9));
     erased.check_atomic().unwrap();
+}
+
+/// Quorum rounds of a `(write, read)`: [`Rule::ROUNDS`] of each client
+/// type's rule.
+///
+/// [`Rule::ROUNDS`]: fastreg_suite::fastreg::protocols::round::Rule::ROUNDS
+fn rounds(id: ProtocolId) -> (u32, u32) {
+    use fastreg_suite::fastreg::protocols::mwmr::{abd as mwmr_abd, naive_fast};
+    use fastreg_suite::fastreg::protocols::{
+        abd, fast_byz, fast_crash, fast_regular, maxmin, swsr_fast,
+    };
+    match id {
+        ProtocolId::FastCrash => (fast_crash::Writer::ROUNDS, fast_crash::Reader::ROUNDS),
+        ProtocolId::FastByz => (fast_byz::Writer::ROUNDS, fast_byz::Reader::ROUNDS),
+        ProtocolId::Abd => (<abd::Writer>::ROUNDS, abd::Reader::ROUNDS),
+        ProtocolId::MaxMin => (maxmin::Writer::ROUNDS, maxmin::Reader::ROUNDS),
+        ProtocolId::FastRegular => (fast_regular::Writer::ROUNDS, fast_regular::Reader::ROUNDS),
+        ProtocolId::SwsrFast => (swsr_fast::Writer::ROUNDS, swsr_fast::Reader::ROUNDS),
+        ProtocolId::MwmrAbd => (mwmr_abd::Client::ROUNDS, mwmr_abd::Client::ROUNDS),
+        ProtocolId::MwmrNaiveFast => (naive_fast::Writer::ROUNDS, naive_fast::Reader::ROUNDS),
+    }
+}
+
+/// The round count is checked against the run, not trusted: under
+/// `Constant(1)` delays with nobody faulty, an operation takes 2 ticks and
+/// `2 S` messages per round of its rule. Only the ABD read and both
+/// MWMR-ABD operations take two; max–min's read is one client round in
+/// which the servers wait for each other — 3 ticks, and gossip on top.
+#[test]
+fn every_operation_takes_the_rounds_its_rule_declares() {
+    for id in ProtocolId::ALL {
+        let (write_rounds, read_rounds) = rounds(id);
+        let two_round = matches!(id, ProtocolId::Abd | ProtocolId::MwmrAbd);
+        assert_eq!(read_rounds, if two_round { 2 } else { 1 }, "{id}: read");
+        let mwmr = id == ProtocolId::MwmrAbd;
+        assert_eq!(write_rounds, if mwmr { 2 } else { 1 }, "{id}: write");
+
+        let cfg = id.sample_config();
+        let calm = SimConfig::default().with_delay(DelayModel::Constant(1));
+        let mut c = ClusterBuilder::new(cfg).sim(calm).build(id).unwrap();
+        c.write_sync(1);
+        let sent_by_write = c.messages_sent();
+        c.read(0);
+        let sent_by_read = c.messages_sent() - sent_by_write;
+        let history = c.snapshot();
+        let [write_ticks, read_ticks] =
+            [history.writes().next(), history.reads().next()].map(|op| {
+                let op = op.expect("one of each ran");
+                op.responded_at.expect("complete") - op.invoked_at
+            });
+        assert_eq!(write_ticks, 2 * u64::from(write_rounds), "{id}");
+        if id == ProtocolId::MaxMin {
+            assert_eq!(read_ticks, 3, "{id}: servers wait");
+        } else {
+            assert_eq!(read_ticks, 2 * u64::from(read_rounds), "{id}");
+            assert_eq!(sent_by_read, u64::from(2 * cfg.s * read_rounds), "{id}");
+        }
+    }
 }
 
 /// The network a [`DETERMINISM_PINS`] row runs under.
