@@ -11,12 +11,13 @@
 //! [`CountReader`]: fastreg::protocols::ablation::CountReader
 
 use fastreg::config::ClusterConfig;
+use fastreg::harness::RegisterOps;
 use fastreg::protocols::ablation::count_cluster;
-use fastreg::protocols::fast_crash::Msg;
 use fastreg_atomicity::history::History;
 use fastreg_atomicity::swmr::{check_swmr_atomicity, AtomicityViolation};
 use fastreg_simnet::time::SimTime;
 
+use crate::chain::{exchange, Kind};
 use crate::LbError;
 
 /// The refutation of one threshold.
@@ -80,26 +81,20 @@ pub fn refute_count_predicate(cfg: ClusterConfig, k: u32) -> Result<AblationOutc
 /// times → returns `⊥` after a completed write (condition 2).
 fn completed_write_missed(cfg: ClusterConfig, k: u32) -> History {
     let mut c = count_cluster(cfg, k);
-    let (l, w) = (c.layout, &mut c.world);
-    let s = cfg.s;
-    let t = cfg.t;
+    let (writer, reader) = (c.layout.writer(0), c.layout.reader(0));
+    let (s, t) = (cfg.s, cfg.t);
     // Write completes at servers 0..S−t (messages to the last t stay in
     // transit).
-    w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-    w.deliver_matching(|e| {
-        matches!(e.msg, Msg::Write { .. })
-            && l.server_index(e.to).map(|j| j < s - t).unwrap_or(false)
-    });
-    w.deliver_matching(|e| e.to == l.writer(0));
-    w.advance_to(SimTime::from_ticks(10));
+    c.write(1);
+    exchange(&mut c, writer, Kind::Write, None, |j| j < s - t);
+    c.world.deliver_all_to(writer);
+    c.world.advance_to(SimTime::from_ticks(10));
     // Read quorum: servers t..S (misses servers 0..t of the write set,
     // includes the t servers that never got the write).
-    w.inject(l.reader(0), Msg::InvokeRead);
-    w.deliver_matching(|e| {
-        matches!(e.msg, Msg::Read { .. }) && l.server_index(e.to).map(|j| j >= t).unwrap_or(false)
-    });
-    w.deliver_matching(|e| e.to == l.reader(0));
-    c.history.snapshot()
+    c.read_async(0);
+    exchange(&mut c, reader, Kind::Read, None, |j| j >= t);
+    c.world.deliver_all_to(reader);
+    c.snapshot()
 }
 
 /// Schedule B (`k ≤ S − 2t`): write reaches exactly `k` servers
@@ -108,35 +103,24 @@ fn completed_write_missed(cfg: ClusterConfig, k: u32) -> History {
 /// (condition 4 inversion).
 fn unstable_value_returned(cfg: ClusterConfig, k: u32) -> History {
     let mut c = count_cluster(cfg, k);
-    let (l, w) = (c.layout, &mut c.world);
-    let s = cfg.s;
-    let t = cfg.t;
+    let (writer, r1, r2) = (c.layout.writer(0), c.layout.reader(0), c.layout.reader(1));
+    let (s, t) = (cfg.s, cfg.t);
     // Incomplete write at servers 0..k.
-    w.inject(l.writer(0), Msg::InvokeWrite { value: 1 });
-    w.deliver_matching(|e| {
-        matches!(e.msg, Msg::Write { .. }) && l.server_index(e.to).map(|j| j < k).unwrap_or(false)
-    });
-    w.advance_to(SimTime::from_ticks(10));
+    c.write(1);
+    exchange(&mut c, writer, Kind::Write, None, |j| j < k);
+    c.world.advance_to(SimTime::from_ticks(10));
     // Reader 1 reads from servers 0..S−t (contains all k sightings;
     // k ≤ S − 2t < S − t).
-    w.inject(l.reader(0), Msg::InvokeRead);
-    w.deliver_matching(|e| {
-        e.from == l.reader(0)
-            && matches!(e.msg, Msg::Read { .. })
-            && l.server_index(e.to).map(|j| j < s - t).unwrap_or(false)
-    });
-    w.deliver_matching(|e| e.to == l.reader(0));
-    w.advance_to(SimTime::from_ticks(20));
+    c.read_async(0);
+    exchange(&mut c, r1, Kind::Read, None, |j| j < s - t);
+    c.world.deliver_all_to(r1);
+    c.world.advance_to(SimTime::from_ticks(20));
     // Reader 2 reads from everyone except servers 0..t (misses t of the k
     // sighting servers; sees k − t < k sightings).
-    w.inject(l.reader(1), Msg::InvokeRead);
-    w.deliver_matching(|e| {
-        e.from == l.reader(1)
-            && matches!(e.msg, Msg::Read { .. })
-            && l.server_index(e.to).map(|j| j >= t).unwrap_or(false)
-    });
-    w.deliver_matching(|e| e.to == l.reader(1));
-    c.history.snapshot()
+    c.read_async(1);
+    exchange(&mut c, r2, Kind::Read, None, |j| j >= t);
+    c.world.deliver_all_to(r2);
+    c.snapshot()
 }
 
 #[cfg(test)]

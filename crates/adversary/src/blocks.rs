@@ -1,117 +1,74 @@
-//! Block partitions for the lower-bound constructions.
+//! The block partition of the lower-bound chain.
 //!
-//! §5 partitions the servers into `R + 2` blocks of size ≤ `t`; §6.2 into
-//! `T_1..T_{R+2}` (size ≤ `t`) and `B_1..B_{R+1}` (size ≤ `b`). The
-//! partitions exist exactly in the infeasible regimes — that existence *is*
-//! the feasibility frontier.
+//! §6.2 partitions the servers into `T_1..T_{R+2}` (size ≤ `t`) and
+//! `B_1..B_{R+1}` (size ≤ `b`); §5 is the same partition with every `B_k`
+//! empty (its "`B_k`" are the `T_k` here). The partition exists exactly in
+//! the infeasible regime — that existence *is* the feasibility frontier.
 //!
-//! The proof's predicate arithmetic is most comfortable when the
-//! "surviving" blocks (`B_{R+1}` in §5; `T_{R+1}` and `B_{R+1}` in §6.2)
-//! are as large as possible, so the builders hand out remainder capacity
-//! to those blocks first.
+//! The two models share the shape and the hand-out loop but not the
+//! *order* in which spare servers are handed out, and the order is
+//! observable: it decides which run of the chain violates first in skewed
+//! geometries (E3, E5, E8 pin it). `crash_blocks` and `byz_blocks`
+//! therefore stay two functions, each stating its own order; both give the
+//! "surviving" blocks (`T_{R+1}`, `B_{R+1}`) their extra servers first,
+//! where the predicate arithmetic is most comfortable.
 
 use fastreg::config::ClusterConfig;
 
 use crate::LbError;
 
-/// The §5 partition: blocks `B_1..B_{R+2}` of server indices (0-based:
-/// `blocks[i]` is the paper's `B_{i+1}`).
+/// The partition `T_1..T_{R+2}`, `B_1..B_{R+1}` of the server indices
+/// `0..S`, cut consecutively in that order.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlockPlan {
-    /// `blocks[i]` = server indices of `B_{i+1}`; every block non-empty,
-    /// sizes ≤ `t`, exact cover of `0..S`.
-    pub blocks: Vec<Vec<u32>>,
-}
-
-impl BlockPlan {
-    /// The paper's `B_{k}` (1-based).
-    pub fn b(&self, k: u32) -> &[u32] {
-        &self.blocks[(k - 1) as usize]
-    }
-
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Returns `true` if there are no blocks (never happens for valid
-    /// plans).
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-}
-
-/// Builds the §5 partition for an infeasible crash-stop configuration.
-///
-/// # Errors
-///
-/// * [`LbError::ConfigIsFeasible`] when `S > (R+2)·t` — the partition
-///   cannot exist (blocks of size ≤ t cannot cover S servers), which is
-///   the feasible regime.
-/// * [`LbError::NeedTwoReaders`] / [`LbError::NeedFaults`] per
-///   Proposition 5's hypotheses.
-/// * [`LbError::NoPartition`] when `S < R + 2` (cannot form non-empty
-///   blocks; the paper handles this by shrinking the reader set — callers
-///   should pick `R ≤ S − 2`).
-pub fn crash_blocks(cfg: &ClusterConfig) -> Result<BlockPlan, LbError> {
-    if cfg.t < 1 {
-        return Err(LbError::NeedFaults);
-    }
-    if cfg.r < 2 {
-        return Err(LbError::NeedTwoReaders);
-    }
-    if cfg.fast_feasible() {
-        return Err(LbError::ConfigIsFeasible);
-    }
-    let n_blocks = cfg.r + 2;
-    if cfg.s < n_blocks {
-        return Err(LbError::NoPartition);
-    }
-    // Base size 1 each; hand out the remaining S − (R+2) servers, at most
-    // t−1 extra per block, starting with B_{R+1} (index R), then B_{R+2},
-    // then the rest.
-    let mut sizes = vec![1u32; n_blocks as usize];
-    let mut remaining = cfg.s - n_blocks;
-    let order: Vec<usize> = std::iter::once(n_blocks as usize - 2)
-        .chain(std::iter::once(n_blocks as usize - 1))
-        .chain(0..(n_blocks as usize - 2))
-        .collect();
-    for &i in order.iter().cycle() {
-        if remaining == 0 {
-            break;
-        }
-        if sizes[i] < cfg.t {
-            sizes[i] += 1;
-            remaining -= 1;
-        } else if order.iter().all(|&j| sizes[j] >= cfg.t) {
-            // Full everywhere yet servers remain: infeasible regime check
-            // above should have prevented this.
-            return Err(LbError::NoPartition);
-        }
-    }
-    let mut blocks = Vec::with_capacity(n_blocks as usize);
-    let mut next = 0u32;
-    for &size in &sizes {
-        blocks.push((next..next + size).collect());
-        next += size;
-    }
-    debug_assert_eq!(next, cfg.s);
-    Ok(BlockPlan { blocks })
-}
-
-/// The §6.2 partition: `T_1..T_{R+2}` (size ≤ t) and `B_1..B_{R+1}`
-/// (size ≤ b).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ByzBlockPlan {
-    /// `t_blocks[i]` = the paper's `T_{i+1}`.
+pub struct Partition {
+    /// `t_blocks[k − 1]` = the paper's `T_k`: non-empty, size ≤ `t`.
     pub t_blocks: Vec<Vec<u32>>,
-    /// `b_blocks[i]` = the paper's `B_{i+1}`. May contain empty blocks
-    /// only if `b` capacity is not needed — the builder keeps them
-    /// non-empty whenever possible and `B_{R+1}` always non-empty.
+    /// `b_blocks[k − 1]` = the paper's `B_k`: size ≤ `b`, so all empty in
+    /// the crash-stop model; `B_{R+1}` is non-empty whenever `b ≥ 1`.
     pub b_blocks: Vec<Vec<u32>>,
 }
 
-impl ByzBlockPlan {
+impl Partition {
+    /// Builds the partition for an infeasible configuration, sized the
+    /// §5 way when `cfg.b = 0` and the §6.2 way otherwise.
+    ///
+    /// # Errors
+    ///
+    /// * [`LbError::NeedFaults`] / [`LbError::NeedTwoReaders`] per the
+    ///   hypotheses of Propositions 5 and 10 (`t ≥ 1`, `R ≥ 2`).
+    /// * [`LbError::ConfigIsFeasible`] when `S > (R+2)·t + (R+1)·b` —
+    ///   blocks that small cannot cover `S` servers.
+    /// * [`LbError::NoPartition`] when there are fewer servers than
+    ///   blocks that must be non-empty (the paper handles this by
+    ///   shrinking the reader set — callers should pick a smaller `R`).
+    pub fn of(cfg: &ClusterConfig) -> Result<Self, LbError> {
+        if cfg.t < 1 {
+            return Err(LbError::NeedFaults);
+        }
+        if cfg.r < 2 {
+            return Err(LbError::NeedTwoReaders);
+        }
+        if cfg.fast_feasible() {
+            return Err(LbError::ConfigIsFeasible);
+        }
+        let sizes = if cfg.b == 0 {
+            crash_blocks(cfg)?
+        } else {
+            byz_blocks(cfg)?
+        };
+        debug_assert_eq!(sizes.iter().sum::<u32>(), cfg.s);
+        let mut next = 0u32;
+        let mut blocks = sizes.iter().map(|&size| {
+            next += size;
+            (next - size..next).collect::<Vec<u32>>()
+        });
+        let t_blocks = blocks.by_ref().take(cfg.r as usize + 2).collect();
+        Ok(Partition {
+            t_blocks,
+            b_blocks: blocks.collect(),
+        })
+    }
+
     /// The paper's `T_k` (1-based).
     pub fn t(&self, k: u32) -> &[u32] {
         &self.t_blocks[(k - 1) as usize]
@@ -123,93 +80,57 @@ impl ByzBlockPlan {
     }
 }
 
-/// Builds the §6.2 partition for an infeasible Byzantine configuration.
-///
-/// # Errors
-///
-/// Analogous to [`crash_blocks`], plus [`LbError::NeedByzantine`] when
-/// `b = 0`.
-pub fn byz_blocks(cfg: &ClusterConfig) -> Result<ByzBlockPlan, LbError> {
-    if cfg.t < 1 {
-        return Err(LbError::NeedFaults);
-    }
-    if cfg.b < 1 {
-        return Err(LbError::NeedByzantine);
-    }
-    if cfg.r < 2 {
-        return Err(LbError::NeedTwoReaders);
-    }
-    if cfg.fast_feasible() {
-        return Err(LbError::ConfigIsFeasible);
-    }
-    let nt = (cfg.r + 2) as usize;
-    let nb = (cfg.r + 1) as usize;
-    // Every T block and B_{R+1} must be non-empty; other B blocks should
-    // be non-empty when servers suffice.
-    if (cfg.s as usize) < nt + 1 {
-        return Err(LbError::NoPartition);
-    }
-    let mut t_sizes = vec![1u32; nt];
-    let mut b_sizes = vec![0u32; nb];
-    b_sizes[nb - 1] = 1; // B_{R+1}
-    let mut remaining = cfg.s - (nt as u32) - 1;
-    // Fill order: T_{R+1} to t, B_{R+1} to b, remaining B blocks to 1 then
-    // b, remaining T blocks to t.
-    'outer: loop {
-        let mut progressed = false;
-        if remaining == 0 {
-            break;
-        }
-        if t_sizes[nt - 2] < cfg.t {
-            t_sizes[nt - 2] += 1;
-            remaining -= 1;
-            progressed = true;
-            if remaining == 0 {
-                break;
+/// Grows `sizes` (indexed `T_1..T_{R+2}, B_1..B_{R+1}`) until they sum to
+/// `s`: one server at a time, round-robin over `order`'s `(block, cap)`
+/// slots, skipping blocks at their cap.
+fn hand_out(mut sizes: Vec<u32>, order: &[(usize, u32)], s: u32) -> Result<Vec<u32>, LbError> {
+    let mut spare = s
+        .checked_sub(sizes.iter().sum())
+        .ok_or(LbError::NoPartition)?;
+    while spare > 0 {
+        let before = spare;
+        for &(block, cap) in order {
+            if spare > 0 && sizes[block] < cap {
+                sizes[block] += 1;
+                spare -= 1;
             }
         }
-        if b_sizes[nb - 1] < cfg.b {
-            b_sizes[nb - 1] += 1;
-            remaining -= 1;
-            progressed = true;
-            if remaining == 0 {
-                break;
-            }
-        }
-        for size in b_sizes.iter_mut().take(nb - 1) {
-            if *size < cfg.b {
-                *size += 1;
-                remaining -= 1;
-                progressed = true;
-                if remaining == 0 {
-                    break 'outer;
-                }
-            }
-        }
-        for i in (0..nt).filter(|&i| i != nt - 2) {
-            if t_sizes[i] < cfg.t {
-                t_sizes[i] += 1;
-                remaining -= 1;
-                progressed = true;
-                if remaining == 0 {
-                    break 'outer;
-                }
-            }
-        }
-        if !progressed {
+        if spare == before {
             return Err(LbError::NoPartition);
         }
     }
-    let mut next = 0u32;
-    let mut take = |size: u32| -> Vec<u32> {
-        let v: Vec<u32> = (next..next + size).collect();
-        next += size;
-        v
-    };
-    let t_blocks: Vec<Vec<u32>> = t_sizes.iter().map(|&s| take(s)).collect();
-    let b_blocks: Vec<Vec<u32>> = b_sizes.iter().map(|&s| take(s)).collect();
-    debug_assert_eq!(next, cfg.s);
-    Ok(ByzBlockPlan { t_blocks, b_blocks })
+    Ok(sizes)
+}
+
+/// §5 sizing: every `T_k` starts at one server; the spare ones go to
+/// `T_{R+1}`, `T_{R+2}`, then `T_1..T_R`, round-robin.
+fn crash_blocks(cfg: &ClusterConfig) -> Result<Vec<u32>, LbError> {
+    let nt = cfg.r as usize + 2;
+    let mut sizes = vec![1; nt];
+    sizes.resize(2 * nt - 1, 0);
+    let order: Vec<_> = [nt - 2, nt - 1]
+        .into_iter()
+        .chain(0..nt - 2)
+        .map(|k| (k, cfg.t))
+        .collect();
+    hand_out(sizes, &order, cfg.s)
+}
+
+/// §6.2 sizing: every `T_k` and `B_{R+1}` start at one server; the spare
+/// ones go to `T_{R+1}`, `B_{R+1}`, `B_1..B_R`, then the other `T_k`,
+/// round-robin.
+fn byz_blocks(cfg: &ClusterConfig) -> Result<Vec<u32>, LbError> {
+    let nt = cfg.r as usize + 2;
+    let last_b = 2 * nt - 2;
+    let mut sizes = vec![1; nt];
+    sizes.resize(last_b + 1, 0);
+    sizes[last_b] = 1;
+    let order: Vec<_> = [(nt - 2, cfg.t), (last_b, cfg.b)]
+        .into_iter()
+        .chain((nt..last_b).map(|k| (k, cfg.b)))
+        .chain((0..nt).filter(|&k| k != nt - 2).map(|k| (k, cfg.t)))
+        .collect();
+    hand_out(sizes, &order, cfg.s)
 }
 
 #[cfg(test)]
@@ -220,38 +141,38 @@ mod tests {
     fn canonical_crash_instance() {
         // S = 5, t = 1, R = 3: five singleton blocks.
         let cfg = ClusterConfig::crash_stop(5, 1, 3).unwrap();
-        let plan = crash_blocks(&cfg).unwrap();
-        assert_eq!(plan.len(), 5);
-        assert!(plan.blocks.iter().all(|b| b.len() == 1));
-        let all: Vec<u32> = plan.blocks.iter().flatten().copied().collect();
+        let plan = Partition::of(&cfg).unwrap();
+        assert_eq!(plan.t_blocks.len(), 5);
+        assert!(plan.t_blocks.iter().all(|b| b.len() == 1));
+        let all: Vec<u32> = plan.t_blocks.iter().flatten().copied().collect();
         assert_eq!(all.len(), 5);
     }
 
     #[test]
     fn feasible_config_has_no_partition() {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        assert_eq!(crash_blocks(&cfg), Err(LbError::ConfigIsFeasible));
+        assert_eq!(Partition::of(&cfg), Err(LbError::ConfigIsFeasible));
     }
 
     #[test]
     fn uneven_crash_partition_respects_t() {
-        // S = 7, t = 2, R = 2: 4 blocks, sizes ≤ 2, B3 maximized.
+        // S = 7, t = 2, R = 2: 4 blocks, sizes ≤ 2, T3 maximized.
         let cfg = ClusterConfig::crash_stop(7, 2, 2).unwrap();
         assert!(!cfg.fast_feasible());
-        let plan = crash_blocks(&cfg).unwrap();
-        assert_eq!(plan.len(), 4);
-        assert!(plan.blocks.iter().all(|b| !b.is_empty() && b.len() <= 2));
-        assert_eq!(plan.blocks.iter().map(Vec::len).sum::<usize>(), 7);
-        // B_{R+1} = B3 got an extra first.
-        assert_eq!(plan.b(3).len(), 2);
+        let plan = Partition::of(&cfg).unwrap();
+        assert_eq!(plan.t_blocks.len(), 4);
+        assert!(plan.t_blocks.iter().all(|b| !b.is_empty() && b.len() <= 2));
+        assert_eq!(plan.t_blocks.iter().map(Vec::len).sum::<usize>(), 7);
+        // T_{R+1} = T3 got an extra first.
+        assert_eq!(plan.t(3).len(), 2);
     }
 
     #[test]
     fn hypotheses_are_enforced() {
         let cfg = ClusterConfig::crash_stop(5, 1, 1).unwrap();
-        assert_eq!(crash_blocks(&cfg), Err(LbError::NeedTwoReaders));
+        assert_eq!(Partition::of(&cfg), Err(LbError::NeedTwoReaders));
         let cfg = ClusterConfig::crash_stop(5, 0, 3).unwrap();
-        assert_eq!(crash_blocks(&cfg), Err(LbError::NeedFaults));
+        assert_eq!(Partition::of(&cfg), Err(LbError::NeedFaults));
     }
 
     #[test]
@@ -259,7 +180,7 @@ mod tests {
         // S = 3, t = 1, R = 3: infeasible (3 <= 5t) but only 3 servers for
         // 5 blocks.
         let cfg = ClusterConfig::crash_stop(3, 1, 3).unwrap();
-        assert_eq!(crash_blocks(&cfg), Err(LbError::NoPartition));
+        assert_eq!(Partition::of(&cfg), Err(LbError::NoPartition));
     }
 
     #[test]
@@ -267,7 +188,7 @@ mod tests {
         // S = 7, t = 1, b = 1, R = 2: T1..T4 and B1..B3, all singletons.
         let cfg = ClusterConfig::byzantine(7, 1, 1, 2).unwrap();
         assert!(!cfg.fast_feasible());
-        let plan = byz_blocks(&cfg).unwrap();
+        let plan = Partition::of(&cfg).unwrap();
         assert_eq!(plan.t_blocks.len(), 4);
         assert_eq!(plan.b_blocks.len(), 3);
         let total: usize = plan
@@ -285,20 +206,14 @@ mod tests {
     fn byz_feasible_is_rejected() {
         let cfg = ClusterConfig::byzantine(8, 1, 1, 2).unwrap();
         assert!(cfg.fast_feasible());
-        assert_eq!(byz_blocks(&cfg), Err(LbError::ConfigIsFeasible));
-    }
-
-    #[test]
-    fn byz_requires_b() {
-        let cfg = ClusterConfig::byzantine(5, 1, 0, 3).unwrap();
-        assert_eq!(byz_blocks(&cfg), Err(LbError::NeedByzantine));
+        assert_eq!(Partition::of(&cfg), Err(LbError::ConfigIsFeasible));
     }
 
     #[test]
     fn byz_partition_is_exact_cover() {
         let cfg = ClusterConfig::byzantine(10, 2, 1, 2).unwrap();
         assert!(!cfg.fast_feasible());
-        let plan = byz_blocks(&cfg).unwrap();
+        let plan = Partition::of(&cfg).unwrap();
         let mut all: Vec<u32> = plan
             .t_blocks
             .iter()

@@ -11,11 +11,15 @@
 //!   `wr_i → pr_i → Δpr_i → prA/prB → prC/prD` (Figs. 1, 3, 4) ends in
 //!   `prC`, where reader `r_R` returns the written value `1` and a
 //!   *subsequent* read by `r_1` returns `⊥` — a new/old inversion.
-//!   [`crash_lb`] materializes `prC` against the actual Fig. 2
-//!   implementation and lets the mechanical checker exhibit the violation.
-//! * **§6.2 (arbitrary failures)**: same shape with block partition
-//!   `T_1..T_{R+2}, B_1..B_{R+1}` (Fig. 6) and a *two-faced memory-losing*
-//!   Byzantine block `B_{R+1}`. [`byz_lb`] materializes it.
+//! * **§6.2 (arbitrary failures)**: the same chain over the finer block
+//!   partition `T_1..T_{R+2}, B_1..B_{R+1}` (Fig. 6), with a *two-faced
+//!   memory-losing* Byzantine block `B_i` in each run.
+//!
+//!   The two are one proof, so they are one module: [`chain`] runs the
+//!   chain over one [`Partition`] against the actual Fig. 2 (`b = 0`) or
+//!   Fig. 5 (`b ≥ 1`) implementation — [`run_lower_bound`] picks from the
+//!   configuration — and lets the mechanical checker exhibit the
+//!   violation.
 //! * **§7 (multi-writer)**: no fast MWMR register exists even with
 //!   `t = 1`. [`mwmr_lb`] drives the plausible one-round MWMR protocol
 //!   through the §7 run constructions and exhibits the violation.
@@ -36,16 +40,14 @@
 
 pub mod ablation;
 pub mod blocks;
-pub mod byz_lb;
-pub mod crash_lb;
+pub mod chain;
 pub mod explore;
 pub mod mwmr_lb;
 pub mod search;
 
 pub use ablation::{refute_count_predicate, AblationOutcome};
-pub use blocks::{byz_blocks, crash_blocks, BlockPlan, ByzBlockPlan};
-pub use byz_lb::{run_byz_lb, ByzLbOutcome};
-pub use crash_lb::{run_crash_lb, CrashLbOutcome};
+pub use blocks::Partition;
+pub use chain::{run_lower_bound, LbOutcome};
 pub use explore::{
     default_grid, explore, explore_fast_crash, Cell, CellExpectation, CellOutcome, Counterexample,
     ExploreConfig, ExploreOutcome, ExploreReport, FaultDistribution, Finding, GridPoint, OpScript,
@@ -65,9 +67,6 @@ pub enum LbError {
     NeedTwoReaders,
     /// The proof requires at least one tolerated fault (`t ≥ 1`).
     NeedFaults,
-    /// The Byzantine construction requires `b ≥ 1` (use the crash
-    /// construction otherwise).
-    NeedByzantine,
     /// The block partition could not be formed (e.g. `S < R + 2`: fewer
     /// servers than blocks).
     NoPartition,
@@ -93,7 +92,6 @@ impl std::fmt::Display for LbError {
             }
             LbError::NeedTwoReaders => write!(f, "the construction needs R >= 2"),
             LbError::NeedFaults => write!(f, "the construction needs t >= 1"),
-            LbError::NeedByzantine => write!(f, "the Byzantine construction needs b >= 1"),
             LbError::NoPartition => write!(f, "no valid block partition exists"),
             LbError::DidNotQuiesce { steps, in_transit } => write!(
                 f,

@@ -28,7 +28,9 @@
 //! [`mwmr::abd`]: fastreg::protocols::mwmr::abd
 
 use fastreg::config::ClusterConfig;
-use fastreg::harness::{Cluster, ClusterBuilder, MwmrAbd, MwmrNaiveFast, RegisterOps};
+use fastreg::harness::{
+    Cluster, ClusterBuilder, MwmrAbd, MwmrNaiveFast, ProtocolFamily, RegisterOps,
+};
 use fastreg::protocols::mwmr::naive_fast;
 use fastreg::types::RegValue;
 use fastreg_atomicity::history::History;
@@ -71,6 +73,16 @@ fn settled(r: Result<u64, fastreg_simnet::world::QuiescenceError>) -> Result<u64
     })
 }
 
+/// `r1`'s first read, run to quiescence: what it returned.
+fn first_read<P: ProtocolFamily>(c: &mut Cluster<P>) -> Result<RegValue, LbError> {
+    c.read_async(0);
+    settled(c.try_settle())?;
+    let r1 = c.layout.reader(0).index();
+    Ok(c.snapshot()
+        .nth_completed_read(r1, 0)
+        .expect("a skip-free read completes before the world quiesces"))
+}
+
 /// Executes the §7 refutation with `S` servers (`t = 1`, `W = R = 2`).
 ///
 /// # Errors
@@ -95,7 +107,7 @@ pub fn run_mwmr_lb(s: u32, seed: u64) -> Result<MwmrLbOutcome, LbError> {
     c.write_by(0, 1); // … then w1 writes 1 …
     settled(c.try_settle())?;
     c.world.advance_to(SimTime::from_ticks(200));
-    let sequential_return = c.read(0); // … then r1 reads.
+    let sequential_return = first_read(&mut c)?; // … then r1 reads.
     let history = c.snapshot();
     let linearizable = check_linearizable(&history).unwrap_or(false);
 
@@ -108,7 +120,7 @@ pub fn run_mwmr_lb(s: u32, seed: u64) -> Result<MwmrLbOutcome, LbError> {
     settled(control.try_settle())?;
     control.write_by(0, 1);
     settled(control.try_settle())?;
-    let abd_sequential_return = control.read(0);
+    let abd_sequential_return = first_read(&mut control)?;
     assert_eq!(
         control.check_linearizable(),
         Ok(true),
@@ -118,7 +130,7 @@ pub fn run_mwmr_lb(s: u32, seed: u64) -> Result<MwmrLbOutcome, LbError> {
     // --- The interpolation chain run^1..run^{S+1}. ------------------------
     let mut chain_returns = Vec::with_capacity(s as usize + 1);
     for i in 0..=s {
-        chain_returns.push(chain_run(cfg, seed, i));
+        chain_returns.push(chain_run(cfg, seed, i)?);
     }
 
     Ok(MwmrLbOutcome {
@@ -135,7 +147,7 @@ pub fn run_mwmr_lb(s: u32, seed: u64) -> Result<MwmrLbOutcome, LbError> {
 /// One interpolated run: both writes concurrent; server `s_j` receives
 /// `w1`'s store before `w2`'s iff `j < flip`; then `r1` reads skip-free.
 /// Returns the read's value.
-fn chain_run(cfg: ClusterConfig, seed: u64, flip: u32) -> RegValue {
+fn chain_run(cfg: ClusterConfig, seed: u64, flip: u32) -> Result<RegValue, LbError> {
     let mut c: Cluster<MwmrNaiveFast> = ClusterBuilder::new(cfg)
         .seed(seed)
         .build_typed()
@@ -159,7 +171,7 @@ fn chain_run(cfg: ClusterConfig, seed: u64, flip: u32) -> RegValue {
     c.world
         .deliver_matching(|e| matches!(e.msg, naive_fast::Msg::StoreAck { .. }));
     c.world.advance_to(SimTime::from_ticks(100));
-    c.read(0)
+    first_read(&mut c)
 }
 
 #[cfg(test)]

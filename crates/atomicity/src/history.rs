@@ -333,6 +333,15 @@ impl History {
             .unwrap_or(0)
     }
 
+    /// What the `nth` (0-based, in invocation order) completed read of
+    /// client `proc` returned; `None` if it has completed fewer reads.
+    pub fn nth_completed_read(&self, proc: u32, nth: usize) -> Option<RegValue> {
+        self.reads()
+            .filter(|op| op.proc == proc && op.is_complete())
+            .nth(nth)
+            .and_then(|op| op.returned)
+    }
+
     /// Iterator over completed operations.
     pub fn complete_ops(&self) -> impl Iterator<Item = &Operation> {
         self.ops.iter().filter(|o| o.is_complete())
@@ -482,6 +491,22 @@ mod tests {
         assert_eq!(h.get(w).unwrap().write_value(), Some(5));
         assert_eq!(h.get(r).unwrap().returned, Some(RegValue::Val(5)));
         assert_eq!(h.complete_ops().count(), 2);
+    }
+
+    #[test]
+    fn nth_completed_read_counts_one_clients_completed_reads() {
+        let mut h = History::new();
+        let other = h.invoke_read(2, 0);
+        h.respond(other, Some(RegValue::Val(9)), 1);
+        let first = h.invoke_read(1, 2);
+        h.respond(first, Some(RegValue::Bottom), 3);
+        let second = h.invoke_read(1, 4);
+        assert_eq!(h.nth_completed_read(1, 0), Some(RegValue::Bottom));
+        // The second read is pending: it is not "the second completed".
+        assert_eq!(h.nth_completed_read(1, 1), None);
+        h.respond(second, Some(RegValue::Val(7)), 5);
+        assert_eq!(h.nth_completed_read(1, 1), Some(RegValue::Val(7)));
+        assert_eq!(h.nth_completed_read(3, 0), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fastreg::config::ClusterConfig;
-use fastreg_adversary::{run_byz_lb, run_crash_lb, run_mwmr_lb};
+use fastreg_adversary::{run_lower_bound, run_mwmr_lb};
 
 fn lower_bounds(c: &mut Criterion) {
     let mut g = c.benchmark_group("lower_bounds");
@@ -14,7 +14,7 @@ fn lower_bounds(c: &mut Criterion) {
         let cfg = ClusterConfig::crash_stop(s, t, r).expect("valid");
         g.bench_function(
             BenchmarkId::new("crash_prC", format!("S{s}t{t}R{r}")),
-            |b| b.iter(|| run_crash_lb(cfg, 0).expect("construction applies")),
+            |b| b.iter(|| run_lower_bound(cfg, 0).expect("construction applies")),
         );
     }
 
@@ -22,7 +22,7 @@ fn lower_bounds(c: &mut Criterion) {
         let cfg = ClusterConfig::byzantine(s, t, bz, r).expect("valid");
         g.bench_function(
             BenchmarkId::new("byz_fig6", format!("S{s}t{t}b{bz}R{r}")),
-            |b| b.iter(|| run_byz_lb(cfg, 0).expect("construction applies")),
+            |b| b.iter(|| run_lower_bound(cfg, 0).expect("construction applies")),
         );
     }
 

@@ -945,13 +945,10 @@ pub trait SimControl: RegisterOps {
 ///
 /// Panics if that read did not complete (e.g. too many servers crashed).
 pub(crate) fn nth_read_value(history: &SharedHistory, addr: u32, nth: u64) -> RegValue {
-    let snap = history.snapshot();
-    let op = snap
-        .reads()
-        .filter(|r| r.proc == addr && r.is_complete())
-        .nth(nth as usize)
-        .unwrap_or_else(|| panic!("read by the reader at address {addr} did not complete"));
-    op.returned.expect("complete reads carry a value")
+    history
+        .snapshot()
+        .nth_completed_read(addr, nth as usize)
+        .unwrap_or_else(|| panic!("read by the reader at address {addr} did not complete"))
 }
 
 impl<P: ProtocolFamily> RegisterOps for Cluster<P> {

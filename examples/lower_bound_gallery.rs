@@ -9,8 +9,8 @@
 //!
 //! Run with: `cargo run --example lower_bound_gallery`
 
-use fastreg_suite::fastreg_adversary::crash_lb::run_crash_lb_without_write;
-use fastreg_suite::fastreg_adversary::{run_byz_lb, run_crash_lb, run_mwmr_lb};
+use fastreg_suite::fastreg_adversary::chain::run_lower_bound_without_write;
+use fastreg_suite::fastreg_adversary::{run_lower_bound, run_mwmr_lb};
 use fastreg_suite::prelude::*;
 
 fn main() {
@@ -26,8 +26,8 @@ fn crash_gallery() {
     let cfg = ClusterConfig::crash_stop(5, 1, 3).expect("valid");
     println!("R = 3 ≥ S/t − 2 = 3 → no fast implementation can exist.\n");
 
-    let out = run_crash_lb(cfg, 0).expect("construction applies");
-    println!("block partition B1..B5: {:?}", out.plan.blocks);
+    let out = run_lower_bound(cfg, 0).expect("construction applies");
+    println!("block partition B1..B5: {:?}", out.partition.t_blocks);
     println!("violating run: {}", out.violating_run);
     println!("r_R's read returned      : {}", out.r_last_return);
     println!("r_1's first read returned: {}", out.r1_first_return);
@@ -37,7 +37,7 @@ fn crash_gallery() {
 
     // The indistinguishability at the heart of the proof: r1's view is
     // identical in prB/prD, where the write never happened.
-    let (first, second) = run_crash_lb_without_write(cfg, 0).expect("construction applies");
+    let (first, second) = run_lower_bound_without_write(cfg, 0).expect("construction applies");
     println!("prD (no write at all): r1 returned {first} then {second} — identical views,");
     println!("so no algorithm can have r1 answer differently. QED, executably.\n");
 }
@@ -49,11 +49,11 @@ fn byz_gallery() {
     let cfg = ClusterConfig::byzantine(7, 1, 1, 2).expect("valid");
     println!("S = 7 ≤ (R+2)t + (R+1)b = 7 → no fast implementation.\n");
 
-    let out = run_byz_lb(cfg, 0).expect("construction applies");
-    println!("T-blocks: {:?}", out.plan.t_blocks);
+    let out = run_lower_bound(cfg, 0).expect("construction applies");
+    println!("T-blocks: {:?}", out.partition.t_blocks);
     println!(
         "B-blocks: {:?}  (B3 is two-faced: loses its memory towards r1)",
-        out.plan.b_blocks
+        out.partition.b_blocks
     );
     println!("violating run: {}", out.violating_run);
     println!("r_R's read returned      : {}", out.r_last_return);
