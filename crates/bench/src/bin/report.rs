@@ -66,7 +66,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use fastreg::protocols::registry::ProtocolId;
-use fastreg_workload::experiments as exp;
+use fastreg_workload::experiments::{Experiment, EXPERIMENTS};
 
 /// Minimal JSON string escaping for the experiment titles.
 fn json_escape(s: &str) -> String {
@@ -83,139 +83,69 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-struct Experiment<'a> {
-    id: &'a str,
-    title: &'a str,
-    run: Box<dyn Fn() -> String>,
+/// How a subcommand ends: `Ok` with its exit code, or `Err` with the
+/// code of an early exit already reported on stderr.
+type Outcome = Result<ExitCode, ExitCode>;
+
+/// One subcommand's arguments, read front to back: flag names and their
+/// values. A missing or malformed value is the subcommand's usage error —
+/// its usage line on stderr, exit code 2.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    usage: &'static str,
 }
 
-fn experiments(quick: bool) -> Vec<Experiment<'static>> {
-    let seeds = if quick { 10 } else { 40 };
-    vec![
-        Experiment {
-            id: "e1",
-            title: "E1 — Fig. 2 atomicity under crashes and random schedules",
-            run: Box::new(move || exp::e1_fast_crash_atomicity(seeds).render()),
-        },
-        Experiment {
-            id: "e2",
-            title: "E2 — read/write cost in message delays (fast = 1 round trip)",
-            run: Box::new(|| exp::e2_round_trips().render()),
-        },
-        Experiment {
-            id: "e3",
-            title: "E3 — §5 lower bound: prC violates atomicity iff R ≥ S/t − 2",
-            run: Box::new(|| exp::e3_crash_lower_bound().render()),
-        },
-        Experiment {
-            id: "e4",
-            title: "E4 — Fig. 5 atomicity under the Byzantine behaviour library",
-            run: Box::new(move || exp::e4_byz_atomicity(seeds).render()),
-        },
-        Experiment {
-            id: "e5",
-            title: "E5 — §6.2 lower bound with memory-losing Byzantine servers",
-            run: Box::new(|| exp::e5_byz_lower_bound().render()),
-        },
-        Experiment {
-            id: "e6",
-            title: "E6 — §7: no fast MWMR register (naive candidate refuted)",
-            run: Box::new(|| exp::e6_mwmr().render()),
-        },
-        Experiment {
-            id: "e7",
-            title: "E7 — §8 trade-off: fast regular register vs atomicity",
-            run: Box::new(move || exp::e7_regular_tradeoff(seeds).render()),
-        },
-        Experiment {
-            id: "e8",
-            title: "E8 — feasibility frontier: formula vs experiment",
-            run: Box::new(|| exp::e8_frontier().render()),
-        },
-        Experiment {
-            id: "e9",
-            title: "E9 — read latency distributions across delay models",
-            run: Box::new(|| exp::e9_latency().render()),
-        },
-        Experiment {
-            id: "e10",
-            title: "E10 — predicate internals (witness levels, exact vs brute force)",
-            run: Box::new(|| exp::e10_predicate().render()),
-        },
-        Experiment {
-            id: "e11",
-            title: "E11 — the R = 1 corner: fast single-reader register at t < S/2",
-            run: Box::new(move || exp::e11_single_reader(seeds).render()),
-        },
-        Experiment {
-            id: "e12",
-            title: "E12 — bounded-exhaustive schedule exploration (systematic, not sampled)",
-            run: Box::new(move || exp::e12_exploration(if quick { 800 } else { 4000 }).render()),
-        },
-        Experiment {
-            id: "e13",
-            title:
-                "E13 — ablation: every count-only predicate is refuted (§4's argument for `seen`)",
-            run: Box::new(|| exp::e13_seen_ablation().render()),
-        },
-        Experiment {
-            id: "e14",
-            title: "E14 — scale: closed-loop throughput to 100k ops (event-queue scheduler)",
-            // The full 1k/10k/100k sweep runs in quick mode too — the
-            // point of the experiment is that 100k ops is cheap now.
-            run: Box::new(|| exp::e14_scale(&[1_000, 10_000, 100_000]).render()),
-        },
-        Experiment {
-            id: "e15",
-            title: "E15 — parallel schedule exploration: grid fuzzing with shrunk counterexamples",
-            run: Box::new(move || exp::e15_exploration(if quick { 108 } else { 360 }, 4).render()),
-        },
-        Experiment {
-            id: "e16",
-            title: "E16 — sharded KV store: shards × backend × key-skew, per-key contracts",
-            // The quick headline still issues 10k ops over a 1.5k-key
-            // keyspace — the store's scale floor is part of the contract.
-            run: Box::new(move || exp::e16_store(if quick { 10_000 } else { 40_000 }, 4).render()),
-        },
-        Experiment {
-            id: "e17",
-            title: "E17 — real-threads runtime: closed-loop throughput, post-hoc checking",
-            // The worker sweep always runs 1→4; the 4>1 scaling assert
-            // only arms in full mode off CI (CI containers are 1-core).
-            run: Box::new(move || {
-                let scaling = !quick && std::env::var_os("CI").is_none();
-                exp::e17_rt_throughput(if quick { 400 } else { 5_000 }, &[1, 2, 4], scaling)
-                    .render()
-            }),
-        },
-        Experiment {
-            id: "e18",
-            title: "E18 — checker throughput: streaming vs batch to 1M ops, bounded frontier",
-            // The 1M-op point runs in quick mode too — bounded-memory
-            // streaming at scale is the experiment's claim. The batch
-            // checker is quadratic in reads, so it stops at the cap
-            // (10k quick / 100k full); the >= 5x speedup assert is
-            // conservative because batch throughput only falls with n.
-            run: Box::new(move || {
-                let batch_cap = if quick { 10_000 } else { 100_000 };
-                exp::e18_checker_throughput(&[10_000, 100_000, 1_000_000], batch_cap).render()
-            }),
-        },
-        Experiment {
-            id: "e19",
-            title: "E19 — observability invariants: conservation, balanced spans, byte-stable artifacts",
-            run: Box::new(move || exp::e19_obs_invariants(if quick { 40 } else { 200 }).render()),
-        },
-    ]
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String], usage: &'static str) -> Self {
+        Flags {
+            args: args.iter(),
+            usage,
+        }
+    }
+
+    /// The next argument as it stands.
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    /// The value of the flag just read, or the usage error.
+    fn value(&mut self) -> Result<&'a str, ExitCode> {
+        self.next().ok_or_else(|| self.usage())
+    }
+
+    /// The value of the flag just read, parsed, or the usage error.
+    fn parse<T: std::str::FromStr>(&mut self) -> Result<T, ExitCode> {
+        self.value()?.parse().map_err(|_| self.usage())
+    }
+
+    /// Reports the usage error.
+    fn usage(&self) -> ExitCode {
+        eprintln!("{}", self.usage);
+        ExitCode::from(2)
+    }
 }
 
-fn print_list(experiments: &[Experiment]) {
+/// A registered protocol by name; an unknown name is reported with the
+/// valid ones (exit code 2).
+fn parse_protocol(name: &str) -> Result<ProtocolId, ExitCode> {
+    ProtocolId::parse(name).map_err(|e| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    })
+}
+
+/// Writes an output file; a failure is reported (exit code 2).
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), ExitCode> {
+    std::fs::write(path, contents).map_err(|e| {
+        eprintln!("cannot write '{path}': {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn print_list() {
     println!("experiments:");
-    for e in experiments {
-        let names: Vec<&str> = exp::experiment_protocols(e.id)
-            .iter()
-            .map(|p| p.name())
-            .collect();
+    for e in &EXPERIMENTS {
+        let names: Vec<&str> = e.protocols.iter().map(|p| p.name()).collect();
         println!("  {:<4} {}  [{}]", e.id, e.title, names.join(", "));
     }
     println!("\nregistered protocols:");
@@ -253,7 +183,7 @@ fn coverage_json(coverage: &fastreg_adversary::explore::CoverageReport) -> Strin
 }
 
 /// `report explore` — the schedule-exploration front end.
-fn explore_main(args: &[String]) -> ExitCode {
+fn explore_main(args: &[String]) -> Outcome {
     use fastreg_adversary::explore::{
         default_grid, explore, Counterexample, ExploreConfig, Strategy,
     };
@@ -263,91 +193,62 @@ fn explore_main(args: &[String]) -> ExitCode {
     let mut budget: u32 = 8;
     let mut seed: u64 = 0;
     let mut strategy = Strategy::RandomGrid;
-    let mut out: Option<String> = None;
-    let mut coverage_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut replay: Option<String> = None;
+    let mut out: Option<&str> = None;
+    let mut coverage_out: Option<&str> = None;
+    let mut metrics_out: Option<&str> = None;
+    let mut replay: Option<&str> = None;
     let mut json = false;
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let usage = || {
-            eprintln!(
-                "usage: report explore [--cells N] [--threads N] [--budget OPS] [--seed N] \
-                 [--strategy random-grid|coverage-guided] [--out DIR] [--coverage-out FILE] \
-                 [--metrics-out FILE] [--json] | report explore --replay <file-or-dir> [--json]"
-            );
-            ExitCode::from(2)
-        };
-        macro_rules! numeric_flag {
-            ($target:ident) => {{
-                match it.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => $target = v,
-                    None => return usage(),
-                }
-            }};
-        }
-        match a.as_str() {
-            "--cells" => numeric_flag!(cells),
-            "--threads" => numeric_flag!(threads),
-            "--budget" => numeric_flag!(budget),
-            "--seed" => numeric_flag!(seed),
-            "--strategy" => match it.next().and_then(|v| Strategy::parse(v)) {
-                Some(v) => strategy = v,
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--coverage-out" => match it.next() {
-                Some(v) => coverage_out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(v) => metrics_out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--replay" => match it.next() {
-                Some(v) => replay = Some(v.clone()),
-                None => return usage(),
-            },
+    let mut flags = Flags::new(
+        args,
+        "usage: report explore [--cells N] [--threads N] [--budget OPS] [--seed N] \
+         [--strategy random-grid|coverage-guided] [--out DIR] [--coverage-out FILE] \
+         [--metrics-out FILE] [--json] | report explore --replay <file-or-dir> [--json]",
+    );
+    while let Some(a) = flags.next() {
+        match a {
+            "--cells" => cells = flags.parse()?,
+            "--threads" => threads = flags.parse()?,
+            "--budget" => budget = flags.parse()?,
+            "--seed" => seed = flags.parse()?,
+            "--strategy" => {
+                strategy = Strategy::parse(flags.value()?).ok_or_else(|| flags.usage())?
+            }
+            "--out" => out = Some(flags.value()?),
+            "--coverage-out" => coverage_out = Some(flags.value()?),
+            "--metrics-out" => metrics_out = Some(flags.value()?),
+            "--replay" => replay = Some(flags.value()?),
             "--json" => json = true,
             _ => {
                 eprintln!("unknown explore flag '{a}'");
-                return usage();
+                return Err(flags.usage());
             }
         }
     }
 
     // ---- Replay mode: reproduce a counterexample file or directory. ----
     if let Some(path) = replay {
-        let meta = match std::fs::metadata(&path) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("cannot stat '{path}': {e}");
-                return ExitCode::from(2);
-            }
-        };
+        let meta = std::fs::metadata(path).map_err(|e| {
+            eprintln!("cannot stat '{path}': {e}");
+            ExitCode::from(2)
+        })?;
         let mut files: Vec<String> = if meta.is_dir() {
-            match std::fs::read_dir(&path) {
-                Ok(entries) => entries
-                    .filter_map(|e| e.ok())
-                    .map(|e| e.path().to_string_lossy().into_owned())
-                    .filter(|p| p.ends_with(".txt"))
-                    .collect(),
-                Err(e) => {
-                    eprintln!("cannot read '{path}': {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            let entries = std::fs::read_dir(path).map_err(|e| {
+                eprintln!("cannot read '{path}': {e}");
+                ExitCode::from(2)
+            })?;
+            entries
+                .filter_map(|e| e.ok())
+                .map(|e| e.path().to_string_lossy().into_owned())
+                .filter(|p| p.ends_with(".txt"))
+                .collect()
         } else {
-            vec![path.clone()]
+            vec![path.to_string()]
         };
         files.sort();
         if files.is_empty() {
             eprintln!("'{path}' contains no counterexample (.txt) files");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
         let mut reproduced = 0usize;
         let mut entries: Vec<String> = Vec::new();
@@ -406,11 +307,11 @@ fn explore_main(args: &[String]) -> ExitCode {
         } else {
             println!("{reproduced}/{} counterexamples reproduced", files.len());
         }
-        return if reproduced == files.len() {
+        return Ok(if reproduced == files.len() {
             ExitCode::SUCCESS
         } else {
             ExitCode::from(1)
-        };
+        });
     }
 
     // ---- Explore mode. -------------------------------------------------
@@ -429,17 +330,14 @@ fn explore_main(args: &[String]) -> ExitCode {
 
     // Persist every finding as a replayable counterexample file.
     let mut written: Vec<(usize, String)> = Vec::new();
-    if let Some(dir) = &out {
+    if let Some(dir) = out {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --out dir '{dir}': {e}");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
         for (i, f) in report.findings.iter().enumerate() {
             let path = format!("{dir}/{}", f.counterexample.file_name());
-            if let Err(e) = std::fs::write(&path, f.counterexample.render()) {
-                eprintln!("cannot write '{path}': {e}");
-                return ExitCode::from(2);
-            }
+            write_file(&path, f.counterexample.render())?;
             written.push((i, path));
         }
     }
@@ -447,17 +345,14 @@ fn explore_main(args: &[String]) -> ExitCode {
     // Persist the coverage report as a standalone JSON document. Like
     // the `--json` stream, the bytes carry no wall-clock or thread
     // fields — identical at any `--threads`.
-    if let Some(path) = &coverage_out {
-        if let Err(e) = std::fs::write(path, coverage_json(&report.coverage)) {
-            eprintln!("cannot write '{path}': {e}");
-            return ExitCode::from(2);
-        }
+    if let Some(path) = coverage_out {
+        write_file(path, coverage_json(&report.coverage))?;
     }
 
     // The exploration metrics snapshot: per-verdict cell counters plus
     // the coverage-novelty numbers, rendered through the shared
     // observability registry. Deterministic at any `--threads`.
-    if let Some(path) = &metrics_out {
+    if let Some(path) = metrics_out {
         let mut reg = fastreg_obs::MetricsRegistry::new();
         reg.counter_add("explore.cells", u64::from(cells));
         reg.counter_add("explore.clean", report.clean_count() as u64);
@@ -477,10 +372,7 @@ fn explore_main(args: &[String]) -> ExitCode {
             "explore.coverage.novel_per_1k",
             report.coverage.novel_per_1k(),
         );
-        if let Err(e) = std::fs::write(path, reg.to_json()) {
-            eprintln!("cannot write '{path}': {e}");
-            return ExitCode::from(2);
-        }
+        write_file(path, reg.to_json())?;
     }
 
     if json {
@@ -562,9 +454,9 @@ fn explore_main(args: &[String]) -> ExitCode {
              counterexamples{} replay with `report explore --replay <file>`",
             if out.is_some() { " written;" } else { ":" }
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `report store` — the sharded key–value store front end.
@@ -578,7 +470,7 @@ fn explore_main(args: &[String]) -> ExitCode {
 /// contract (or the store stalled), 2 on usage errors.
 ///
 /// [`ShardedStore`]: fastreg_store::store::ShardedStore
-fn store_main(args: &[String]) -> ExitCode {
+fn store_main(args: &[String]) -> Outcome {
     use fastreg_store::store::StoreBuilder;
     use fastreg_workload::kv::{run_kv_workload, KeyDist, KvWorkloadSpec};
 
@@ -591,65 +483,44 @@ fn store_main(args: &[String]) -> ExitCode {
     let mut put_fraction: f64 = 0.2;
     let mut backends: Vec<ProtocolId> = vec![ProtocolId::FastCrash];
     let mut dist = KeyDist::Uniform;
-    let mut metrics_out: Option<String> = None;
+    let mut metrics_out: Option<&str> = None;
     let mut json = false;
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let usage = || {
-            eprintln!(
-                "usage: report store [--shards N] [--threads N] [--keys N] [--ops N] \
-                 [--clients N] [--seed N] [--put-fraction F] \
-                 [--protocol name[,name…]] [--skew uniform|zipf[:EXP]] \
-                 [--metrics-out FILE] [--json]"
-            );
-            ExitCode::from(2)
-        };
-        macro_rules! numeric_flag {
-            ($target:ident) => {{
-                match it.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => $target = v,
-                    None => return usage(),
-                }
-            }};
-        }
-        match a.as_str() {
-            "--shards" => numeric_flag!(shards),
-            "--threads" => numeric_flag!(threads),
-            "--keys" => numeric_flag!(keys),
-            "--ops" => numeric_flag!(ops),
-            "--clients" => numeric_flag!(clients),
-            "--seed" => numeric_flag!(seed),
+    let mut flags = Flags::new(
+        args,
+        "usage: report store [--shards N] [--threads N] [--keys N] [--ops N] \
+         [--clients N] [--seed N] [--put-fraction F] \
+         [--protocol name[,name…]] [--skew uniform|zipf[:EXP]] \
+         [--metrics-out FILE] [--json]",
+    );
+    while let Some(a) = flags.next() {
+        match a {
+            "--shards" => shards = flags.parse()?,
+            "--threads" => threads = flags.parse()?,
+            "--keys" => keys = flags.parse()?,
+            "--ops" => ops = flags.parse()?,
+            "--clients" => clients = flags.parse()?,
+            "--seed" => seed = flags.parse()?,
             "--put-fraction" => {
                 // Strict like --skew: a typo must be a usage error, not
                 // a silently clamped (or NaN-poisoned) workload mix.
-                match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                match flags.next().and_then(|v| v.parse::<f64>().ok()) {
                     Some(f) if f.is_finite() && (0.0..=1.0).contains(&f) => put_fraction = f,
                     _ => {
                         eprintln!("--put-fraction needs a value in [0, 1]");
-                        return ExitCode::from(2);
+                        return Err(ExitCode::from(2));
                     }
                 }
             }
             "--protocol" => {
-                let Some(v) = it.next() else { return usage() };
-                let mut parsed = Vec::new();
-                for name in v.split(',') {
-                    match ProtocolId::parse(name) {
-                        Ok(id) => parsed.push(id),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::from(2);
-                        }
-                    }
-                }
-                if parsed.is_empty() {
-                    return usage();
-                }
-                backends = parsed;
+                backends = flags
+                    .value()?
+                    .split(',')
+                    .map(parse_protocol)
+                    .collect::<Result<_, _>>()?;
             }
             "--skew" => {
-                let Some(v) = it.next() else { return usage() };
+                let v = flags.value()?;
                 dist = if v == "uniform" {
                     KeyDist::Uniform
                 } else if let Some(rest) = v.strip_prefix("zipf") {
@@ -659,49 +530,43 @@ fn store_main(args: &[String]) -> ExitCode {
                             Ok(x) if x.is_finite() && x >= 0.0 => x,
                             _ => {
                                 eprintln!("invalid zipf exponent '{e}'");
-                                return ExitCode::from(2);
+                                return Err(ExitCode::from(2));
                             }
                         },
                         None => {
                             eprintln!("unknown skew '{v}' (valid: uniform, zipf, zipf:EXP)");
-                            return ExitCode::from(2);
+                            return Err(ExitCode::from(2));
                         }
                     };
                     KeyDist::Zipf { exponent }
                 } else {
                     eprintln!("unknown skew '{v}' (valid: uniform, zipf, zipf:EXP)");
-                    return ExitCode::from(2);
+                    return Err(ExitCode::from(2));
                 };
             }
-            "--metrics-out" => match it.next() {
-                Some(v) => metrics_out = Some(v.clone()),
-                None => return usage(),
-            },
+            "--metrics-out" => metrics_out = Some(flags.value()?),
             "--json" => json = true,
             _ => {
                 eprintln!("unknown store flag '{a}'");
-                return usage();
+                return Err(flags.usage());
             }
         }
     }
     if shards == 0 || keys == 0 || clients == 0 {
         eprintln!("--shards, --keys and --clients must be positive");
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
 
     let cfg = fastreg::config::ClusterConfig::crash_stop(5, 1, 2).expect("statically valid");
-    let store = match StoreBuilder::new(cfg)
+    let store = StoreBuilder::new(cfg)
         .shards(shards)
         .seed(seed)
         .backends(backends.clone())
         .build()
-    {
-        Ok(s) => s,
-        Err(e) => {
+        .map_err(|e| {
             eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+            ExitCode::from(2)
+        })?;
     let spec = KvWorkloadSpec {
         n_ops: ops,
         n_keys: keys,
@@ -713,20 +578,17 @@ fn store_main(args: &[String]) -> ExitCode {
     // fastreg-bench is a sanctioned wall-clock site (lint rule D2).
     #[allow(clippy::disallowed_methods)]
     let start = Instant::now();
-    let (store, report) = match run_kv_workload(store, &spec, threads) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("store run failed: {e}");
-            return ExitCode::from(1);
-        }
-    };
+    let (store, report) = run_kv_workload(store, &spec, threads).map_err(|e| {
+        eprintln!("store run failed: {e}");
+        ExitCode::from(1)
+    })?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let unexpected = report.check.unexpected().count();
 
     // The store metrics snapshot through the shared observability
     // registry: per-shard counters plus the frontend's batching
     // numbers. No wall-clock fields — byte-identical at any --threads.
-    if let Some(path) = &metrics_out {
+    if let Some(path) = metrics_out {
         let mut reg = fastreg_obs::MetricsRegistry::new();
         fastreg_workload::obsrun::record_store_metrics(&store, &mut reg);
         reg.counter_add("store.frontend.ops", report.stats.ops);
@@ -736,10 +598,7 @@ fn store_main(args: &[String]) -> ExitCode {
         reg.gauge_max("store.frontend.max_flush_ops", report.stats.max_flush_ops);
         reg.counter_add("store.puts", report.puts);
         reg.counter_add("store.gets", report.gets);
-        if let Err(e) = std::fs::write(path, reg.to_json()) {
-            eprintln!("cannot write '{path}': {e}");
-            return ExitCode::from(2);
-        }
+        write_file(path, reg.to_json())?;
     }
 
     let backend_names: Vec<&str> = backends.iter().map(|b| b.name()).collect();
@@ -848,9 +707,9 @@ fn store_main(args: &[String]) -> ExitCode {
         eprintln!(
             "{unexpected} key(s) on sound backends violated their contract — protocol or store bug"
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `report trace` — one instrumented run, exported as observability
@@ -863,70 +722,43 @@ fn store_main(args: &[String]) -> ExitCode {
 /// a pure function of the flags: same seed ⇒ same artifacts, and for
 /// the store the `--threads` worker-pool size never leaks into them —
 /// the contract CI pins with `cmp`.
-fn trace_main(args: &[String]) -> ExitCode {
+fn trace_main(args: &[String]) -> Outcome {
     use fastreg_workload::kv::{KeyDist, KvWorkloadSpec};
     use fastreg_workload::{trace_register_run, trace_store_run, WorkloadSpec};
 
-    let mut experiment = String::from("register");
+    let mut experiment = "register";
     let mut protocol = ProtocolId::FastCrash;
     let mut seed: u64 = 0;
     let mut ops: u64 = 200;
     let mut threads: usize = 4;
     let mut shards: u32 = 4;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
+    let mut trace_out: Option<&str> = None;
+    let mut metrics_out: Option<&str> = None;
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let usage = || {
-            eprintln!(
-                "usage: report trace [--experiment register|store] [--protocol <name>] \
-                 [--seed N] [--ops N] [--shards N] [--threads N] \
-                 [--trace-out FILE] [--metrics-out FILE]"
-            );
-            ExitCode::from(2)
-        };
-        macro_rules! numeric_flag {
-            ($target:ident) => {{
-                match it.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => $target = v,
-                    None => return usage(),
-                }
-            }};
-        }
-        match a.as_str() {
-            "--experiment" => match it.next() {
-                Some(v) => experiment = v.clone(),
-                None => return usage(),
-            },
-            "--protocol" => match it.next().map(|v| ProtocolId::parse(v)) {
-                Some(Ok(id)) => protocol = id,
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-                None => return usage(),
-            },
-            "--seed" => numeric_flag!(seed),
-            "--ops" => numeric_flag!(ops),
-            "--threads" => numeric_flag!(threads),
-            "--shards" => numeric_flag!(shards),
-            "--trace-out" => match it.next() {
-                Some(v) => trace_out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(v) => metrics_out = Some(v.clone()),
-                None => return usage(),
-            },
+    let mut flags = Flags::new(
+        args,
+        "usage: report trace [--experiment register|store] [--protocol <name>] \
+         [--seed N] [--ops N] [--shards N] [--threads N] \
+         [--trace-out FILE] [--metrics-out FILE]",
+    );
+    while let Some(a) = flags.next() {
+        match a {
+            "--experiment" => experiment = flags.value()?,
+            "--protocol" => protocol = parse_protocol(flags.value()?)?,
+            "--seed" => seed = flags.parse()?,
+            "--ops" => ops = flags.parse()?,
+            "--threads" => threads = flags.parse()?,
+            "--shards" => shards = flags.parse()?,
+            "--trace-out" => trace_out = Some(flags.value()?),
+            "--metrics-out" => metrics_out = Some(flags.value()?),
             _ => {
                 eprintln!("unknown trace flag '{a}'");
-                return usage();
+                return Err(flags.usage());
             }
         }
     }
 
-    let artifacts = match experiment.as_str() {
+    let run = match experiment {
         "register" => {
             let spec = WorkloadSpec {
                 n_ops: ops,
@@ -934,13 +766,8 @@ fn trace_main(args: &[String]) -> ExitCode {
                 think_time: 1,
                 seed,
             };
-            match trace_register_run(protocol, protocol.sample_config(), seed, &spec) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("trace run failed: {e}");
-                    return ExitCode::from(1);
-                }
-            }
+            trace_register_run(protocol, protocol.sample_config(), seed, &spec)
+                .map_err(|e| e.to_string())
         }
         "store" => {
             let spec = KvWorkloadSpec {
@@ -951,26 +778,25 @@ fn trace_main(args: &[String]) -> ExitCode {
                 dist: KeyDist::Uniform,
                 seed,
             };
-            match trace_store_run(
+            trace_store_run(
                 protocol,
                 protocol.sample_config(),
                 shards,
                 seed,
                 &spec,
                 threads,
-            ) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("trace run failed: {e}");
-                    return ExitCode::from(1);
-                }
-            }
+            )
+            .map_err(|e| e.to_string())
         }
         other => {
             eprintln!("unknown --experiment '{other}' (valid: register, store)");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     };
+    let artifacts = run.map_err(|e| {
+        eprintln!("trace run failed: {e}");
+        ExitCode::from(1)
+    })?;
 
     let trace = artifacts.chrome_trace();
     let metrics = artifacts.metrics_json();
@@ -982,38 +808,20 @@ fn trace_main(args: &[String]) -> ExitCode {
         metrics.len(),
         protocol.name()
     );
-    if let Some(path) = &trace_out {
-        if let Err(e) = std::fs::write(path, &trace) {
-            eprintln!("cannot write '{path}': {e}");
-            return ExitCode::from(2);
-        }
+    if let Some(path) = trace_out {
+        write_file(path, &trace)?;
         println!("wrote {path} (open in Perfetto: https://ui.perfetto.dev)");
     }
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, &metrics) {
-            eprintln!("cannot write '{path}': {e}");
-            return ExitCode::from(2);
-        }
+    if let Some(path) = metrics_out {
+        write_file(path, &metrics)?;
         println!("wrote {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-
-    // The explore, store and trace subcommands own their own flag
-    // spaces.
-    if args.first().map(String::as_str) == Some("explore") {
-        return explore_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("store") {
-        return store_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        return trace_main(&args[1..]);
-    }
-
+/// `report [e1 …] [--protocol <name>] [--quick] [--json] [--list]` —
+/// the experiment suite, read from [`EXPERIMENTS`].
+fn suite_main(args: &[String]) -> Outcome {
     // One parse loop; unknown flags and names are errors, not silent
     // no-ops. Protocol names resolve through the registry.
     let mut quick = false;
@@ -1021,79 +829,63 @@ fn main() -> ExitCode {
     let mut list = false;
     let mut protocol: Option<ProtocolId> = None;
     let mut selected: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut flags = Flags::new(
+        args,
+        "--protocol needs a value; see --list for registered names",
+    );
+    while let Some(a) = flags.next() {
         let Some(rest) = a.strip_prefix("--") else {
             selected.push(a.to_lowercase());
             continue;
         };
         let (name, inline) = match rest.split_once('=') {
-            Some((n, v)) => (n, Some(v.to_string())),
+            Some((n, v)) => (n, Some(v)),
             None => (rest, None),
-        };
-        let mut value = |usage: &str| -> Result<String, ExitCode> {
-            inline
-                .clone()
-                .or_else(|| it.next().cloned())
-                .ok_or_else(|| {
-                    eprintln!("{usage}");
-                    ExitCode::from(2)
-                })
         };
         match name {
             "quick" if inline.is_none() => quick = true,
             "json" if inline.is_none() => json = true,
             "list" if inline.is_none() => list = true,
             "protocol" => {
-                let v = match value("--protocol needs a value; see --list for registered names") {
-                    Ok(v) => v,
-                    Err(code) => return code,
+                let v = match inline {
+                    Some(v) => v,
+                    None => flags.value()?,
                 };
-                match ProtocolId::parse(&v) {
-                    Ok(id) => protocol = Some(id),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                }
+                protocol = Some(parse_protocol(v)?);
             }
             _ => {
                 eprintln!("unknown flag '{a}' (valid: --list, --protocol <name>, --quick, --json)");
-                return ExitCode::from(2);
+                return Err(ExitCode::from(2));
             }
         }
     }
 
-    let experiments = experiments(quick);
-
     // Unknown experiment ids are an error in every mode, --list included.
     for name in &selected {
-        if !experiments.iter().any(|e| e.id == name) {
-            let ids: Vec<&str> = experiments.iter().map(|e| e.id).collect();
+        if !EXPERIMENTS.iter().any(|e| e.id == name) {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
             eprintln!("unknown experiment '{name}' (valid: {})", ids.join(", "));
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     }
 
     if list {
-        print_list(&experiments);
-        return ExitCode::SUCCESS;
+        print_list();
+        return Ok(ExitCode::SUCCESS);
     }
 
-    // The per-experiment protocol lists live beside the experiment
-    // implementations in `fastreg_workload::experiments`.
     let want = |e: &Experiment| {
         (selected.is_empty() || selected.iter().any(|s| s == e.id))
-            && protocol.is_none_or(|p| exp::experiment_protocols(e.id).contains(&p))
+            && protocol.is_none_or(|p| e.protocols.contains(&p))
     };
 
     // Individually valid filters whose intersection is empty (e.g.
     // `--protocol fast-byz e3`) would silently report nothing: refuse.
-    if !experiments.iter().any(&want) {
+    if !EXPERIMENTS.iter().any(&want) {
         let p = protocol.expect("empty selection requires a protocol filter");
-        let matching: Vec<&str> = experiments
+        let matching: Vec<&str> = EXPERIMENTS
             .iter()
-            .filter(|e| exp::experiment_protocols(e.id).contains(&p))
+            .filter(|e| e.protocols.contains(&p))
             .map(|e| e.id)
             .collect();
         eprintln!(
@@ -1101,17 +893,17 @@ fn main() -> ExitCode {
             p.name(),
             matching.join(", ")
         );
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
 
     if json {
-        let entries: Vec<String> = experiments
+        let entries: Vec<String> = EXPERIMENTS
             .iter()
             .filter(|e| want(e))
             .map(|e| {
                 #[allow(clippy::disallowed_methods)]
                 let start = Instant::now();
-                let rendered = (e.run)();
+                let rendered = (e.run)(quick).render();
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 format!(
                     "    {{\n      \"id\": \"{}\",\n      \"title\": \"{}\",\n      \
@@ -1142,14 +934,27 @@ fn main() -> ExitCode {
         println!("{}", entries.join(",\n"));
         println!("  ]");
         println!("}}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    for e in experiments.iter().filter(|e| want(e)) {
+    for e in EXPERIMENTS.iter().filter(|e| want(e)) {
         println!("{}", "=".repeat(72));
         println!("{}", e.title);
         println!("{}", "=".repeat(72));
-        println!("{}", (e.run)());
+        println!("{}", (e.run)(quick).render());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = env::args().skip(1).collect();
+    // The explore, store and trace subcommands own their own flag
+    // spaces.
+    let outcome = match args.first().map(String::as_str) {
+        Some("explore") => explore_main(&args[1..]),
+        Some("store") => store_main(&args[1..]),
+        Some("trace") => trace_main(&args[1..]),
+        _ => suite_main(&args),
+    };
+    outcome.unwrap_or_else(|early| early)
 }

@@ -398,7 +398,7 @@ mod tests {
         let s = scan("let t = Instant::now();\n");
         assert_eq!(check_file("crates/workload/src/metrics.rs", &s).len(), 1);
         assert_eq!(check_file("crates/rt/src/lib.rs", &s).len(), 0);
-        assert_eq!(check_file("crates/bench/src/lib.rs", &s).len(), 0);
+        assert_eq!(check_file("crates/bench/src/bin/report.rs", &s).len(), 0);
         assert_eq!(check_file("crates/core/src/threads.rs", &s).len(), 0);
     }
 

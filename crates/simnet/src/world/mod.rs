@@ -526,40 +526,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         false
     }
 
-    /// Reference implementation of [`World::step_timed`] that rescans the
-    /// whole of `mset` per delivery (the pre-index behaviour). Kept for
-    /// the scheduler-equivalence property suite, which asserts both
-    /// produce byte-identical traces; not meant for production drivers.
-    #[doc(hidden)]
-    pub fn step_timed_reference(&mut self) -> bool {
-        loop {
-            let next = self
-                .mset
-                .iter()
-                .filter(|e| !self.blocked_links.contains(&(e.from, e.to)))
-                .min_by_key(|e| (e.ready_at, e.id))
-                .map(|e| (e.id, e.to, e.ready_at));
-            let Some((id, to, ready_at)) = next else {
-                return false;
-            };
-            if ready_at > self.now {
-                self.now = ready_at;
-            }
-            let env = self.mset.remove(id).expect("selected from mset");
-            if self.is_crashed(to) {
-                self.trace.record(TraceEntry::Drop {
-                    at: self.now,
-                    id,
-                    reason: DropReason::ReceiverCrashed,
-                });
-                self.stats.record_drop();
-                continue;
-            }
-            self.deliver_env(env);
-            return true;
-        }
-    }
-
     /// Runs timed steps until no message is deliverable or the step budget
     /// ([`SimConfig::max_steps`]) is exhausted.
     ///
@@ -602,30 +568,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
             match self.next_ready_deliverable() {
                 Some(t) if t <= deadline => {
                     self.step_timed();
-                    steps += 1;
-                }
-                _ => break,
-            }
-        }
-        self.advance_to(deadline);
-        steps
-    }
-
-    /// Reference implementation of [`World::run_until`] over the linear
-    /// scan (see [`World::step_timed_reference`]); property-test only.
-    #[doc(hidden)]
-    pub fn run_until_reference(&mut self, deadline: SimTime) -> u64 {
-        let mut steps = 0;
-        while steps < self.config.max_steps {
-            let next_ready = self
-                .mset
-                .iter()
-                .filter(|e| !self.is_crashed(e.to) && !self.blocked_links.contains(&(e.from, e.to)))
-                .map(|e| e.ready_at)
-                .min();
-            match next_ready {
-                Some(t) if t <= deadline => {
-                    self.step_timed_reference();
                     steps += 1;
                 }
                 _ => break,
@@ -744,6 +686,9 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         self.outbox_buf = msgs;
     }
 }
+
+#[cfg(test)]
+mod scheduler_equivalence;
 
 #[cfg(test)]
 mod tests {

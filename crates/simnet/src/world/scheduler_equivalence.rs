@@ -21,12 +21,75 @@
 //! The same schedules are the input of the trace-identity relation:
 //! over any two recorded runs, `Trace::digest` (structural, in-process)
 //! is equal exactly when `Trace::fingerprint` (rendered, persistable) is.
+//!
+//! The reference scan is test-only code: it lives here, beside the one
+//! suite that uses it, and reaches the world's private `mset` and
+//! delivery path as a child module of `world`.
+
+use std::fmt;
 
 use proptest::prelude::*;
 
-use fastreg_simnet::delay::DelayModel;
-use fastreg_simnet::prelude::*;
-use fastreg_simnet::runner::SimConfig;
+use crate::delay::DelayModel;
+use crate::prelude::*;
+use crate::runner::SimConfig;
+use crate::trace::DropReason;
+
+impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
+    /// Reference implementation of [`World::step_timed`] that rescans the
+    /// whole of `mset` per delivery (the pre-index behaviour).
+    fn step_timed_reference(&mut self) -> bool {
+        loop {
+            let next = self
+                .mset
+                .iter()
+                .filter(|e| !self.blocked_links.contains(&(e.from, e.to)))
+                .min_by_key(|e| (e.ready_at, e.id))
+                .map(|e| (e.id, e.to, e.ready_at));
+            let Some((id, to, ready_at)) = next else {
+                return false;
+            };
+            if ready_at > self.now {
+                self.now = ready_at;
+            }
+            let env = self.mset.remove(id).expect("selected from mset");
+            if self.is_crashed(to) {
+                self.trace.record(TraceEntry::Drop {
+                    at: self.now,
+                    id,
+                    reason: DropReason::ReceiverCrashed,
+                });
+                self.stats.record_drop();
+                continue;
+            }
+            self.deliver_env(env);
+            return true;
+        }
+    }
+
+    /// Reference implementation of [`World::run_until`] over the linear
+    /// scan.
+    fn run_until_reference(&mut self, deadline: SimTime) -> u64 {
+        let mut steps = 0;
+        while steps < self.config.max_steps {
+            let next_ready = self
+                .mset
+                .iter()
+                .filter(|e| !self.is_crashed(e.to) && !self.blocked_links.contains(&(e.from, e.to)))
+                .map(|e| e.ready_at)
+                .min();
+            match next_ready {
+                Some(t) if t <= deadline => {
+                    self.step_timed_reference();
+                    steps += 1;
+                }
+                _ => break,
+            }
+        }
+        self.advance_to(deadline);
+        steps
+    }
+}
 
 const N: u32 = 4;
 

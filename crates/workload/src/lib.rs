@@ -29,7 +29,9 @@
 //! | E19 | observability invariants | [`experiments::e19_obs_invariants`] |
 //!
 //! Each experiment returns a rendered table (and asserts its own internal
-//! expectations); the `report` binary in `fastreg-bench` prints them.
+//! expectations); [`experiments::EXPERIMENTS`] holds one row per
+//! experiment (id, title, protocols, quick/full parameters), which the
+//! `report` binary in `fastreg-bench` lists, filters and prints.
 //!
 //! The [`driver`] is protocol-agnostic: it takes any `&mut dyn
 //! RegisterOps` (a concrete `Cluster<P>` or a registry-built

@@ -5,8 +5,16 @@
 //! This is the suite that keeps the registry honest: adding a protocol
 //! means registering it, and registering it means passing conformance.
 
+use std::collections::BTreeMap;
+
 use fastreg_suite::fastreg::byz::{CounterAbuser, Forger};
+use fastreg_suite::fastreg::layout::Layout;
+use fastreg_suite::fastreg_atomicity::history::SharedHistory;
+use fastreg_suite::fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_suite::fastreg_simnet::delay::DelayModel;
+use fastreg_suite::fastreg_simnet::id::ProcessId;
+use fastreg_suite::fastreg_simnet::time::SimTime;
+use fastreg_suite::fastreg_simnet::trace::TraceEntry;
 use fastreg_suite::fastreg_workload::driver::{run_closed_loop, WorkloadSpec};
 use fastreg_suite::prelude::*;
 
@@ -464,4 +472,93 @@ fn trace_digests_repeat_at_a_seed_and_move_with_it() {
             assert_ne!(reseeded.1, pinned.1, "{id} under {net:?}: seed-blind");
         }
     }
+}
+
+/// One step of a recorded run: sender, receiver, time, message.
+type Step<M> = (ProcessId, ProcessId, SimTime, M);
+
+/// Records the message tape of a fault-free closed loop on `P`'s sample
+/// configuration — every invocation and delivery, in the order the
+/// simulator made them — then replays it into fresh automata with no
+/// `World` around them, which must complete exactly the operations the
+/// simulated run did. Returns the protocol it checked.
+fn replay_tape<P: ProtocolFamily>() -> ProtocolId {
+    const SEED: u64 = 1;
+    let cfg = P::ID.sample_config();
+    let mut cluster: Cluster<P> = ClusterBuilder::new(cfg).seed(SEED).build_typed().unwrap();
+    let spec = WorkloadSpec {
+        n_ops: 200,
+        write_fraction: 0.1,
+        ..WorkloadSpec::default()
+    };
+    run_closed_loop(&mut cluster, &spec).unwrap_or_else(|e| panic!("{}: {e}", P::ID));
+    let trace = cluster.world.trace();
+    assert_eq!(
+        trace.suppressed(),
+        0,
+        "{}: the tape is the whole run",
+        P::ID
+    );
+    let mut in_transit = BTreeMap::new();
+    let mut tape: Vec<Step<P::Msg>> = Vec::new();
+    for line in trace.lines() {
+        let payload = || {
+            line.payload
+                .expect("sends and injections carry a message")
+                .clone()
+        };
+        match line.entry {
+            TraceEntry::Send { id, .. } => {
+                in_transit.insert(id, payload());
+            }
+            TraceEntry::Inject { at, to } => tape.push((ProcessId::EXTERNAL, to, at, payload())),
+            TraceEntry::Deliver { at, id, from, to } => {
+                tape.push((from, to, at, in_transit.remove(&id).expect("sent first")));
+            }
+            TraceEntry::Crash { .. } | TraceEntry::Drop { .. } => unreachable!("fault-free run"),
+        }
+    }
+
+    // Fresh automata in layout address order, keyed like the recording.
+    let (layout, history) = (Layout::of(&cfg), SharedHistory::new());
+    let mut ctx = P::make_ctx(&cfg, SEED);
+    let mut actors: Vec<Box<dyn Automaton<Msg = P::Msg>>> = Vec::new();
+    for i in 0..cfg.w {
+        actors.push(P::writer(&cfg, layout, i, history.clone(), &mut ctx));
+    }
+    for i in 0..cfg.r {
+        actors.push(P::reader(&cfg, layout, i, history.clone(), &mut ctx));
+    }
+    for j in 0..cfg.s {
+        actors.push(P::server(&cfg, layout, j, &mut ctx));
+    }
+    for (from, to, at, msg) in tape {
+        let mut out = Outbox::with_buffer(to, at, Vec::new());
+        actors[to.index() as usize].on_message(from, msg, &mut out);
+    }
+    let simulated = cluster.history.completed_count();
+    assert!(simulated > 0, "{}", P::ID);
+    assert_eq!(history.completed_count(), simulated, "{}", P::ID);
+    P::ID
+}
+
+/// One tape replay per registry entry, in table order.
+const TAPE_REPLAYS: [fn() -> ProtocolId; 8] = [
+    replay_tape::<FastCrash>,
+    replay_tape::<FastByz>,
+    replay_tape::<Abd>,
+    replay_tape::<MaxMin>,
+    replay_tape::<FastRegular>,
+    replay_tape::<SwsrFast>,
+    replay_tape::<MwmrAbd>,
+    replay_tape::<MwmrNaiveFast>,
+];
+
+/// The automata are the whole protocol: a recorded message tape,
+/// replayed into bare automata, completes exactly the operations the
+/// simulated run did — for every registered protocol.
+#[test]
+fn recorded_message_tapes_replay_into_bare_automata() {
+    let replayed: Vec<ProtocolId> = TAPE_REPLAYS.iter().map(|replay| replay()).collect();
+    assert_eq!(replayed, ProtocolId::ALL);
 }
