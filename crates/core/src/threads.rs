@@ -4,13 +4,37 @@
 //! [`Cluster`](crate::harness::Cluster) uses into a
 //! [`fastreg_rt::ActorPool`] instead of a simulated
 //! [`World`](fastreg_simnet::world::World): actors run on OS threads,
-//! messages are real channel sends, and time is wall-clock microseconds.
-//! It implements the portable [`RegisterOps`] surface — invoke, settle,
-//! snapshot, check — so every generic driver runs unchanged; it does
-//! *not* implement [`SimControl`](crate::harness::SimControl), because
-//! there is no virtual scheduler to step, link to block, or trace to
-//! fingerprint. Runs are nondeterministic; the harvested history is
-//! judged post hoc by the same checkers the simulator uses.
+//! messages are real queue and channel sends, and time is wall-clock
+//! microseconds. It implements the portable [`RegisterOps`] surface —
+//! invoke, settle, snapshot, check — so every generic driver runs
+//! unchanged; it does *not* implement
+//! [`SimControl`](crate::harness::SimControl), because there is no
+//! virtual scheduler to step, link to block, or trace to fingerprint.
+//! Runs are nondeterministic; the harvested history is judged post hoc
+//! by the same checkers the simulator uses.
+//!
+//! ## Completions reach the driver without a lock
+//!
+//! Each client automaton runs inside a wrapper that, after a step that
+//! changed the client's completion count, stores the new count in that
+//! client's `AtomicU64` (release). Every question the driver asks while
+//! operations are in flight — [`client_busy`](RegisterOps::client_busy),
+//! [`ops_completed`](RegisterOps::ops_completed),
+//! [`try_settle`](RegisterOps::try_settle),
+//! [`step_timed`](RegisterOps::step_timed) and the well-formedness gate
+//! before each invocation — reads those counters (acquire) against the
+//! per-client issued counts the driver keeps itself, and never locks the
+//! [`SharedHistory`] the workers record into.
+//!
+//! All waiting goes through one helper: it yields the core until its
+//! condition holds, and gives up after 30 s. A wait that
+//! gives up marks the deployment *stalled*: from then on every client
+//! reads idle, invocations are dropped, `step_timed` reports nothing in
+//! flight and `try_settle` returns the [`QuiescenceError`] — so a driver
+//! runs out its issue loop and meets the error, and nothing on a wait
+//! path panics. [`step_timed`](RegisterOps::step_timed) returns at once
+//! while a client the driver has used is idle (the driver can issue);
+//! otherwise it waits for the next completion.
 //!
 //! Type-erased construction goes through
 //! [`ClusterBuilder::runtime`](crate::harness::ClusterBuilder::runtime)
@@ -19,16 +43,19 @@
 //! [`rt_stats`](ThreadCluster::rt_stats) reachable). Both hand the same
 //! `assemble`d automata to the pool.
 
-use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastreg_atomicity::history::{History, SharedHistory};
 use fastreg_rt::ActorPool;
 pub use fastreg_rt::RtConfig;
+use fastreg_simnet::automaton::{Automaton, Outbox};
+use fastreg_simnet::id::ProcessId;
 use fastreg_simnet::world::QuiescenceError;
 
 use crate::config::ClusterConfig;
-use crate::harness::{assemble, nth_read_value, ProtocolFamily, RegisterOps};
+use crate::harness::{assemble, nth_read_value, Assembly, ProtocolFamily, RegisterOps};
 use crate::layout::Layout;
 use crate::protocols::registry::Contract;
 use crate::types::{RegValue, Value};
@@ -38,6 +65,37 @@ use crate::types::{RegValue, Value};
 /// be single-core and heavily shared.
 const SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// A wait reads the wall clock once per this many polls.
+const POLLS_PER_DEADLINE_CHECK: u64 = 64;
+
+/// A client automaton that publishes its completion count to the driver
+/// after every step that changed it.
+struct Published<M> {
+    client: Box<dyn Automaton<Msg = M>>,
+    history: SharedHistory,
+    addr: u32,
+    completed: Arc<[AtomicU64]>,
+    /// The count last published.
+    published: u64,
+}
+
+impl<M: Clone + std::fmt::Debug + Send + 'static> Automaton for Published<M> {
+    type Msg = M;
+
+    fn on_start(&mut self, out: &mut Outbox<M>) {
+        self.client.on_start(out);
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: M, out: &mut Outbox<M>) {
+        self.client.on_message(from, msg, out);
+        let done = self.history.completed_by(self.addr);
+        if done != self.published {
+            self.published = done;
+            self.completed[self.addr as usize].store(done, Ordering::Release);
+        }
+    }
+}
+
 /// A register deployment running on real OS threads.
 ///
 /// The wall-clock sibling of [`Cluster`](crate::harness::Cluster): same
@@ -46,20 +104,28 @@ const SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// waits on real time rather than stepping a virtual queue.
 ///
 /// Unlike the simulator, the window between injecting an invocation and
-/// the actor recording it is real: the history's `client_busy` flag lags.
-/// The cluster therefore tracks issued counts per client itself and
-/// reports a client busy from the moment of injection — the conservative
-/// flag that keeps closed-loop drivers from double-invoking a client
-/// (the automata assert the paper's well-formedness and would panic).
+/// the actor recording it is real. The cluster therefore tracks issued
+/// counts per client itself and reports a client busy from the moment of
+/// injection until its published completion count catches up — the
+/// conservative flag that keeps closed-loop drivers from double-invoking
+/// a client (the automata assert the paper's well-formedness and would
+/// panic).
 pub struct ThreadCluster<P: ProtocolFamily> {
     cfg: ClusterConfig,
     layout: Layout,
     history: SharedHistory,
     pool: ActorPool<P::Msg>,
+    /// Operations completed per client address, as published by the
+    /// clients' wrappers.
+    completed: Arc<[AtomicU64]>,
+    /// Operations injected per client address.
+    issued_by: Vec<u64>,
     /// Total operations injected.
     issued: u64,
-    /// Operations injected per client address.
-    issued_by: BTreeMap<u32, u64>,
+    /// How long one wait may take before the deployment is stalled.
+    settle_timeout: Duration,
+    /// Set when a wait ran out of time.
+    stalled: bool,
 }
 
 impl<P: ProtocolFamily> ThreadCluster<P> {
@@ -82,13 +148,42 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
             cfg.r
         );
         let parts = assemble::<P>(&cfg, seed, &mut P::reader, &mut P::server);
+        Self::deploy(cfg, parts, rt)
+    }
+
+    /// Hands assembled automata to a pool, each client wrapped to
+    /// publish its completions.
+    fn deploy(cfg: ClusterConfig, parts: Assembly<P>, rt: RtConfig) -> Self {
+        let clients = (cfg.w + cfg.r) as usize;
+        let completed: Arc<[AtomicU64]> = (0..clients).map(|_| AtomicU64::new(0)).collect();
+        let automata = parts
+            .automata
+            .into_iter()
+            .enumerate()
+            .map(|(i, automaton)| -> Box<dyn Automaton<Msg = P::Msg>> {
+                if i < clients {
+                    Box::new(Published {
+                        client: automaton,
+                        history: parts.history.clone(),
+                        addr: i as u32,
+                        completed: Arc::clone(&completed),
+                        published: 0,
+                    })
+                } else {
+                    automaton
+                }
+            })
+            .collect();
         ThreadCluster {
             cfg,
             layout: parts.layout,
             history: parts.history,
-            pool: ActorPool::spawn(parts.automata, rt),
+            pool: ActorPool::spawn(automata, rt),
+            completed,
+            issued_by: vec![0; clients],
             issued: 0,
-            issued_by: BTreeMap::new(),
+            settle_timeout: SETTLE_TIMEOUT,
+            stalled: false,
         }
     }
 
@@ -98,44 +193,81 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
     }
 
     /// A snapshot of the underlying pool's runtime counters (drain
-    /// batches, mailbox-depth high-water proxy, per-actor busy µs) —
-    /// the threads leg of the observability harvest. Wall-clock
-    /// derived and informational only.
+    /// batches, mailbox-depth high-water proxy, busy µs, local and
+    /// remote sends) — the threads leg of the observability harvest.
+    /// Wall-clock derived and informational only.
     pub fn rt_stats(&self) -> fastreg_rt::RtStats {
         self.pool.stats()
     }
 
-    /// Outstanding operations of client `addr` (issued minus completed).
-    fn outstanding(&self, addr: u32) -> u64 {
-        let issued = self.issued_by.get(&addr).copied().unwrap_or(0);
-        issued.saturating_sub(self.history.completed_by(addr))
+    /// Operations client `addr` has completed, as published.
+    fn completed_by(&self, addr: u32) -> u64 {
+        self.completed
+            .get(addr as usize)
+            .map_or(0, |c| c.load(Ordering::Acquire))
     }
 
-    /// Blocks until client `addr` has no outstanding operation — the
-    /// well-formedness gate: the paper's automata assert that a client
-    /// never invokes while an operation is pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the client's outstanding operation does not complete
-    /// within the settle timeout (the deployment is stalled).
+    /// Outstanding operations of client `addr` (issued minus completed).
+    fn outstanding(&self, addr: u32) -> u64 {
+        let issued = self.issued_by.get(addr as usize).copied().unwrap_or(0);
+        issued.saturating_sub(self.completed_by(addr))
+    }
+
+    /// Whether a client the driver has invoked is idle again.
+    fn a_used_client_is_idle(&self) -> bool {
+        self.issued_by
+            .iter()
+            .zip(self.completed.iter())
+            .any(|(&issued, done)| issued > 0 && issued == done.load(Ordering::Acquire))
+    }
+
+    /// The one wait: yields the core until `done` holds and returns the
+    /// polls it took. Gives up — marking the deployment stalled — once
+    /// `settle_timeout` has passed; on a stalled deployment every wait
+    /// fails at once.
     // `threads.rs` is a sanctioned wall-clock site (lint rule D2): settle
     // deadlines on a real-threads deployment are wall deadlines.
     #[allow(clippy::disallowed_methods)]
-    fn await_client_idle(&self, addr: u32) {
-        let deadline = Instant::now() + SETTLE_TIMEOUT;
-        while self.outstanding(addr) > 0 {
-            assert!(
-                Instant::now() < deadline,
-                "client {addr} still busy after {SETTLE_TIMEOUT:?}: deployment stalled"
-            );
+    fn wait(&mut self, done: impl Fn(&Self) -> bool) -> Result<u64, QuiescenceError> {
+        let mut deadline = None;
+        let mut polls = 0u64;
+        loop {
+            if self.stalled {
+                return Err(QuiescenceError {
+                    steps: polls,
+                    in_transit: self.issued.saturating_sub(self.ops_completed()) as usize,
+                });
+            }
+            if done(self) {
+                return Ok(polls);
+            }
+            if polls.is_multiple_of(POLLS_PER_DEADLINE_CHECK) {
+                let now = Instant::now();
+                self.stalled = now >= *deadline.get_or_insert(now + self.settle_timeout);
+            }
+            polls += 1;
             std::thread::yield_now();
         }
     }
 
-    fn record_issue(&mut self, addr: u32) {
+    /// Waits until client `addr` has no outstanding operation — the
+    /// well-formedness gate: the paper's automata assert that a client
+    /// never invokes while an operation is pending. If the wait gives
+    /// up, the deployment is stalled.
+    fn await_client_idle(&mut self, addr: u32) {
+        let _ = self.wait(|c| c.outstanding(addr) == 0);
+    }
+
+    /// Injects `msg` at client `addr` once it is idle; a stalled
+    /// deployment drops the invocation.
+    fn invoke(&mut self, addr: ProcessId, msg: P::Msg) {
+        self.await_client_idle(addr.index());
+        if self.stalled {
+            return;
+        }
         self.issued += 1;
-        *self.issued_by.entry(addr).or_insert(0) += 1;
+        self.issued_by[addr.index() as usize] += 1;
+        self.pool.inject(addr, msg);
     }
 }
 
@@ -153,42 +285,24 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
     }
 
     fn write_by(&mut self, wid: u32, value: Value) {
-        let w = self.layout.writer(wid);
-        self.await_client_idle(w.index());
-        self.record_issue(w.index());
-        self.pool.inject(w, P::invoke_write(value));
+        self.invoke(self.layout.writer(wid), P::invoke_write(value));
     }
 
     fn read_async(&mut self, index: u32) {
-        let r = self.layout.reader(index);
-        self.await_client_idle(r.index());
-        self.record_issue(r.index());
-        self.pool.inject(r, P::invoke_read());
+        self.invoke(self.layout.reader(index), P::invoke_read());
     }
 
-    #[allow(clippy::disallowed_methods)]
     fn try_settle(&mut self) -> Result<u64, QuiescenceError> {
-        let deadline = Instant::now() + SETTLE_TIMEOUT;
-        let mut polls = 0u64;
-        while (self.history.completed_count() as u64) < self.issued {
-            if Instant::now() >= deadline {
-                return Err(QuiescenceError {
-                    steps: polls,
-                    in_transit: (self.issued - self.history.completed_count() as u64) as usize,
-                });
-            }
-            polls += 1;
-            std::thread::yield_now();
-        }
-        Ok(polls)
+        self.wait(|c| c.ops_completed() >= c.issued)
     }
 
     fn read(&mut self, index: u32) -> RegValue {
         let addr = self.layout.reader(index).index();
-        let before = self.history.completed_by(addr);
-        self.read_async(index);
         // Waits for this reader only: other clients' operations may
         // legitimately stay in flight across a read.
+        self.await_client_idle(addr);
+        let before = self.completed_by(addr);
+        self.read_async(index);
         self.await_client_idle(addr);
         nth_read_value(&self.history, addr, before)
     }
@@ -205,11 +319,14 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
     }
 
     fn ops_completed(&self) -> u64 {
-        self.history.completed_count() as u64
+        self.completed
+            .iter()
+            .map(|c| c.load(Ordering::Acquire))
+            .sum()
     }
 
     fn client_busy(&self, proc: u32) -> bool {
-        self.outstanding(proc) > 0
+        !self.stalled && self.outstanding(proc) > 0
     }
 
     fn now_ticks(&self) -> u64 {
@@ -226,14 +343,19 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
     }
 
     fn step_timed(&mut self) -> bool {
-        // The OS is the scheduler: "one step" means yielding it the core
-        // while work remains in flight.
-        if (self.history.completed_count() as u64) < self.issued {
-            std::thread::yield_now();
-            true
-        } else {
-            false
+        // The OS is the scheduler: "one step" means waiting for the next
+        // completion while work remains in flight — unless a client is
+        // already idle, when the driver has an invocation to make.
+        // `before` is read first: a completion landing after it ends the
+        // wait at once instead of being waited for.
+        let before = self.ops_completed();
+        if self.stalled || before >= self.issued {
+            return false;
         }
+        if self.a_used_client_is_idle() {
+            return true;
+        }
+        self.wait(|c| c.ops_completed() != before).is_ok()
     }
 
     fn messages_sent(&self) -> u64 {
@@ -317,5 +439,113 @@ mod tests {
         c.advance_to_ticks(t + 2_000);
         assert!(c.now_ticks() >= t + 2_000);
         assert!(!c.step_timed(), "idle deployment has nothing in flight");
+    }
+
+    /// Polls `cond` until it holds or `SETTLE_TIMEOUT` passes.
+    #[allow(clippy::disallowed_methods)]
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + SETTLE_TIMEOUT;
+        while !cond() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn sends_split_into_local_and_remote_as_placement_dictates() {
+        // S = 5, t = 1, R = 2: writer 0, readers 1 and 2, servers 3..=7.
+        // A fast op is 5 requests and 5 acks between its client and the
+        // servers; a message is remote iff its two ends differ mod w.
+        // At w = 2, worker 0 holds {0, 2, 4, 6} and worker 1 {1, 3, 5, 7}:
+        // the writer and reader 2 share a worker with servers 4 and 6
+        // (4 local, 6 remote each), reader 1 with 3, 5 and 7 (6 local,
+        // 4 remote).
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        for (workers, local, remote) in [(1, 30, 0), (2, 14, 16)] {
+            let mut c: ThreadCluster<FastCrash> =
+                ThreadCluster::spawn(cfg, 7, RtConfig::new(workers));
+            c.write_sync(1);
+            c.read(0);
+            c.read(1);
+            // A client returns on the fourth ack; the fifth may still be
+            // on its way, and every send is counted once it is routed.
+            // Channel jobs: the three injections and the remote sends.
+            let settled = eventually(|| {
+                let s = c.rt_stats();
+                s.local_sends + s.remote_sends == 30 && s.drained_messages == 3 + remote
+            });
+            let s = c.rt_stats();
+            assert!(settled, "workers = {workers}: {s:?}");
+            assert_eq!((s.local_sends, s.remote_sends), (local, remote));
+            assert_eq!(c.messages_sent(), 30);
+        }
+    }
+
+    /// Panics on every message: a process that crashes when first
+    /// addressed.
+    struct Crashes<M>(std::marker::PhantomData<M>);
+
+    impl<M: Clone + std::fmt::Debug + Send + 'static> Automaton for Crashes<M> {
+        type Msg = M;
+        fn on_message(&mut self, _from: ProcessId, _msg: M, _out: &mut Outbox<M>) {
+            panic!("crashes on its first message");
+        }
+    }
+
+    /// A fast-crash deployment whose process at address `crashing`
+    /// panics on its first message.
+    fn with_crashing(
+        cfg: ClusterConfig,
+        crashing: ProcessId,
+        rt: RtConfig,
+    ) -> ThreadCluster<FastCrash> {
+        let mut parts =
+            assemble::<FastCrash>(&cfg, 7, &mut FastCrash::reader, &mut FastCrash::server);
+        parts.automata[crashing.index() as usize] = Box::new(Crashes(std::marker::PhantomData));
+        ThreadCluster::deploy(cfg, parts, rt)
+    }
+
+    #[test]
+    fn a_panicking_server_is_one_crash_the_protocol_tolerates() {
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        for workers in [1, 2] {
+            let mut c = with_crashing(cfg, Layout::of(&cfg).server(0), RtConfig::new(workers));
+            for v in 1..=30 {
+                c.write(v);
+                c.read_async(0);
+                c.read_async(1);
+            }
+            assert_eq!(c.try_settle().map(|_| ()), Ok(()));
+            assert_eq!(c.ops_completed(), 90);
+            c.check_atomic().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_stalled_deployment_stops_issuing_and_reports_the_stall() {
+        // A reader that crashes on its invocation never completes it.
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        let reader = Layout::of(&cfg).reader(0);
+        let mut c = with_crashing(cfg, reader, RtConfig::new(1));
+        c.settle_timeout = Duration::from_millis(100);
+        c.write_sync(1);
+        c.read_async(0);
+        assert!(c.client_busy(reader.index()));
+        // The second invocation waits out the timeout instead of
+        // panicking, and is dropped.
+        c.read_async(0);
+        assert!(
+            !c.client_busy(reader.index()),
+            "a stalled deployment reads idle"
+        );
+        c.write(2);
+        assert!(!c.step_timed());
+        let err = c.try_settle().unwrap_err();
+        assert_eq!(err.in_transit, 1);
+        assert_eq!(c.ops_completed(), 1);
+        assert_eq!(c.ops_recorded(), 2);
     }
 }

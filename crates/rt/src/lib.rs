@@ -6,26 +6,43 @@
 //! repository's *oracle*: deterministic schedules, virtual time, scripted
 //! faults, replayable traces. This crate is the *speed demon*: the same
 //! [`Automaton`] implementations run unchanged on a small pool of OS
-//! threads connected by an unbounded-channel spine, under wall-clock time.
-//! Nothing here knows about register protocols — the pool is generic over
-//! any message alphabet — and nothing here fakes the simulator's controls:
-//! there is no virtual scheduler to randomize, no link to block, no trace
-//! to fingerprint. Runs are nondeterministic; correctness is judged
-//! *post hoc* by handing the harvested operation history to the
-//! workspace's existing checkers.
+//! threads — a run queue per worker, unbounded channels only between
+//! workers — under wall-clock time. Nothing here knows about register
+//! protocols — the pool is generic over any message alphabet — and
+//! nothing here fakes the simulator's controls: there is no virtual
+//! scheduler to randomize, no link to block, no trace to fingerprint.
+//! Runs are nondeterministic; correctness is judged *post hoc* by handing
+//! the harvested operation history to the workspace's existing checkers.
 //!
 //! ## Shape
 //!
 //! [`ActorPool::spawn`] partitions `n` actors over `w ≤ n` worker threads
-//! (actor `i` lives on worker `i mod w`). Each worker owns its actors
-//! exclusively, so a step — receive, mutate state, emit an [`Outbox`] —
-//! is as atomic as under the simulator, and per-sender FIFO order is
-//! preserved by the channels. Worker count 1 degenerates to a serialized
-//! (but still wall-clock) run; worker count `n` is one thread per actor.
+//! (actor `i` lives on worker `i mod w`, in slot `i / w` of that worker's
+//! actor vector). Each worker owns its actors exclusively, so a step —
+//! receive, mutate state, emit an [`Outbox`] — is as atomic as under the
+//! simulator. Worker count 1 degenerates to a serialized (but still
+//! wall-clock) run; worker count `n` is one thread per actor.
 //!
-//! Times reported through [`Outbox::now`] are microseconds since the pool
-//! started, so histories recorded here are directly comparable with
-//! simulated ones (one tick = one microsecond).
+//! A message to an actor on the sending worker goes on that worker's
+//! local run queue; only a message to another worker's actor (or an
+//! [`inject`](ActorPool::inject)ion from outside the pool) crosses a
+//! channel. After each channel job the worker runs its local queue, so
+//! the steps one job sets off on one worker finish before the next job
+//! starts. Per-link FIFO order holds: actor `a` lives on one worker, so
+//! every message on the link `a → b` takes the same one of the two paths
+//! — the local queue when `b` shares `a`'s worker, `b`'s channel
+//! otherwise — and both are FIFO in send order.
+//!
+//! A step reads the wall clock once; that reading is the step's
+//! [`Outbox::now`], in microseconds since the pool started, so histories
+//! recorded here are directly comparable with simulated ones (one tick =
+//! one microsecond). Busy time is measured per drained batch, from its
+//! first step's reading to one more reading at its end.
+//!
+//! An actor whose step panics has crashed: its slot is emptied, that
+//! step's sends are dropped, and so is every later message to it — what
+//! the simulator's crashed receivers do. The pool keeps running;
+//! [`ActorPool::shutdown`] reports the crashed actors.
 //!
 //! ## Example
 //!
@@ -60,12 +77,14 @@
 //! );
 //! pool.inject(ProcessId::new(0), 41);
 //! assert_eq!(rx.recv().unwrap(), 42);
-//! pool.shutdown();
+//! pool.shutdown().unwrap();
 //! ```
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -96,33 +115,78 @@ impl RtConfig {
     }
 }
 
+/// What [`ActorPool::shutdown`] reports about a run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RtError {
+    /// These actors panicked in a step and were dropped from the pool,
+    /// as crashed processes (in id order).
+    ActorPanicked {
+        /// The crashed actors.
+        actors: Vec<ProcessId>,
+    },
+}
+
+impl fmt::Display for RtError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RtError::ActorPanicked { actors } => write!(f, "actors {actors:?} panicked"),
+        }
+    }
+}
+
+impl std::error::Error for RtError {}
+
+/// One message on its way to actor `to`.
+struct Delivery<M> {
+    to: u32,
+    from: ProcessId,
+    msg: M,
+}
+
 enum Job<M> {
-    Deliver { to: u32, from: ProcessId, msg: M },
+    Deliver(Delivery<M>),
     Shutdown,
 }
 
-/// Upper bound on how many queued jobs a worker drains per wakeup.
-/// Bounds the latency penalty any single actor pays to batching while
-/// still amortizing the blocking-recv wakeup across a burst.
+/// Upper bound on how many queued jobs a worker drains per wakeup, and
+/// on how many local deliveries it runs before it looks at its channel
+/// again. Bounds the latency penalty any single actor pays to batching
+/// while still amortizing the blocking-recv wakeup across a burst.
 pub const DRAIN_BATCH_MAX: usize = 256;
 
-/// Shared runtime counters, updated with relaxed atomics on the worker
-/// hot path. Wall-clock derived and scheduling dependent — strictly
-/// informational, never part of a determinism contract (unlike
+/// One worker's runtime counters. Only that worker writes them — a plain
+/// load and store, no read-modify-write — and [`ActorPool::stats`] sums
+/// them. Aligned so two workers' counters never share a cache line.
+/// Wall-clock derived and scheduling dependent — strictly informational,
+/// never part of a determinism contract (unlike
 /// [`SchedStats`](fastreg_simnet::world::SchedStats), its simnet
 /// sibling).
 #[derive(Debug, Default)]
-struct RtCounters {
+#[repr(align(128))]
+struct Counters {
     drained_batches: AtomicU64,
     drained_messages: AtomicU64,
     max_batch: AtomicU64,
     busy_us: AtomicU64,
+    local_sends: AtomicU64,
+    remote_sends: AtomicU64,
+}
+
+/// Adds `n` to a counter only the calling thread writes.
+fn add(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// A snapshot of an [`ActorPool`]'s runtime counters
 /// ([`ActorPool::stats`]).
 ///
-/// The channel spine exposes no queue-length probe, so mailbox depth is
+/// The `drained_*` counters and `max_batch` see the channels only:
+/// injections and cross-worker sends. Deliveries through a worker's
+/// local run queue are counted by `local_sends` and by nothing else, so
+/// messages per batch and wakeups per operation derived from them
+/// exclude local deliveries.
+///
+/// The channels expose no queue-length probe, so mailbox depth is
 /// observed through its consumption: every worker wakeup drains up to
 /// [`DRAIN_BATCH_MAX`] queued jobs in one batch, and the batch length
 /// *is* the backlog that had accumulated — `max_batch` is therefore the
@@ -130,35 +194,40 @@ struct RtCounters {
 /// drain cap).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RtStats {
-    /// Worker wakeups that drained at least one job.
+    /// Worker wakeups that drained at least one channel job.
     pub drained_batches: u64,
-    /// Total jobs drained across all batches.
+    /// Total channel jobs drained across all batches.
     pub drained_messages: u64,
     /// Largest single drain batch (mailbox-depth high-water proxy,
     /// capped at [`DRAIN_BATCH_MAX`]).
     pub max_batch: u64,
-    /// Total microseconds workers spent inside actor steps (`on_start`
-    /// / `on_message` plus routing), summed across workers.
+    /// Total microseconds workers spent running drained batches (actor
+    /// steps, routing and the local deliveries they set off), summed
+    /// across workers.
     pub busy_us: u64,
-    /// Per-actor busy microseconds, indexed by actor id.
-    pub busy_us_by_actor: Vec<u64>,
+    /// Actor-to-actor sends whose receiver is on the sender's worker:
+    /// delivered through that worker's local run queue.
+    pub local_sends: u64,
+    /// Actor-to-actor sends whose receiver is on another worker:
+    /// delivered through that worker's channel.
+    pub remote_sends: u64,
 }
 
 /// A running set of actors partitioned over a pool of worker threads.
 ///
 /// Construct with [`ActorPool::spawn`], drive with [`ActorPool::inject`],
 /// and stop with [`ActorPool::shutdown`] (or just drop the pool — the
-/// destructor shuts it down too). Actor ids are assigned in vector order,
-/// exactly like [`World::add_actor`](fastreg_simnet::world::World), so
-/// the same layout addressing works on both runtimes.
+/// destructor shuts it down too, and never panics). Actor ids are
+/// assigned in vector order, exactly like
+/// [`World::add_actor`](fastreg_simnet::world::World), so the same layout
+/// addressing works on both runtimes.
 pub struct ActorPool<M> {
     senders: Vec<Sender<Job<M>>>,
-    handles: Vec<JoinHandle<()>>,
+    /// Each worker thread returns the actors that panicked on it.
+    handles: Vec<JoinHandle<Vec<ProcessId>>>,
     n_actors: usize,
-    sent: Arc<AtomicU64>,
     clock: Arc<MonoClock>,
-    counters: Arc<RtCounters>,
-    busy_by_actor: Arc<Vec<AtomicU64>>,
+    counters: Arc<[Counters]>,
 }
 
 impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
@@ -167,121 +236,53 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
     /// worker before that worker processes any message.
     // The rt crate is the sanctioned habitat of the wall clock (lint
     // rules D2/D7): real threads need real time for uptime accounting
-    // and busy-time attribution, via the quarantined obs::MonoClock.
+    // and busy-time measurement, via the quarantined obs::MonoClock.
     pub fn spawn(automata: Vec<Box<dyn Automaton<Msg = M>>>, cfg: RtConfig) -> Self {
         let n_actors = automata.len();
         let workers = cfg.workers.clamp(1, n_actors.max(1));
         let clock = Arc::new(MonoClock::new());
-        let sent = Arc::new(AtomicU64::new(0));
-        let counters = Arc::new(RtCounters::default());
-        let busy_by_actor: Arc<Vec<AtomicU64>> =
-            Arc::new((0..n_actors).map(|_| AtomicU64::new(0)).collect());
+        let counters: Arc<[Counters]> = (0..workers).map(|_| Counters::default()).collect();
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..workers).map(|_| unbounded::<Job<M>>()).unzip();
 
-        type Channel<M> = (Sender<Job<M>>, Receiver<Job<M>>);
-        let channels: Vec<Channel<M>> = (0..workers).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<Job<M>>> = channels.iter().map(|(s, _)| s.clone()).collect();
-
-        // Partition the actors: worker w owns actor i iff i mod workers == w.
-        let mut owned: Vec<BTreeMap<u32, Box<dyn Automaton<Msg = M>>>> =
-            (0..workers).map(|_| BTreeMap::new()).collect();
+        // Partition the actors: worker w owns actor i iff i mod workers
+        // == w, in slot i / workers.
+        let mut owned: Vec<Vec<Slot<M>>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, a) in automata.into_iter().enumerate() {
-            owned[i % workers].insert(i as u32, a);
+            owned[i % workers].push(Some(a));
         }
 
-        let mut handles = Vec::with_capacity(workers);
-        for (w, ((_, rx), mut actors)) in channels.into_iter().zip(owned).enumerate() {
-            let peers = senders.clone();
-            let sent = Arc::clone(&sent);
-            let clock = Arc::clone(&clock);
-            let counters = Arc::clone(&counters);
-            let busy_by_actor = Arc::clone(&busy_by_actor);
-            let handle = std::thread::Builder::new()
-                .name(format!("fastreg-rt-{w}"))
-                .spawn(move || {
-                    let now = || SimTime::from_ticks(clock.elapsed_us());
-                    // Routes one step's outbox onto the spine. Sends to a
-                    // worker that already shut down are dropped — the
-                    // same "stays in transit forever" semantics as the
-                    // simulator's closed links.
-                    let route = |me: ProcessId, out: Outbox<M>| {
-                        for (to, msg) in out.into_messages() {
-                            let idx = to.index() as usize;
-                            if idx < n_actors {
-                                sent.fetch_add(1, Ordering::Relaxed);
-                                let _ = peers[idx % workers].send(Job::Deliver {
-                                    to: to.index(),
-                                    from: me,
-                                    msg,
-                                });
-                            }
-                        }
-                    };
-                    // One actor step with busy-time attribution.
-                    let step = |actors: &mut BTreeMap<u32, Box<dyn Automaton<Msg = M>>>,
-                                id: u32,
-                                from: Option<(ProcessId, M)>| {
-                        if let Some(actor) = actors.get_mut(&id) {
-                            let me = ProcessId::new(id);
-                            let t0 = clock.elapsed_us();
-                            let mut out = Outbox::new(me, now());
-                            match from {
-                                Some((from, msg)) => actor.on_message(from, msg, &mut out),
-                                None => actor.on_start(&mut out),
-                            }
-                            route(me, out);
-                            let dt = clock.elapsed_us().saturating_sub(t0);
-                            busy_by_actor[id as usize].fetch_add(dt, Ordering::Relaxed);
-                            counters.busy_us.fetch_add(dt, Ordering::Relaxed);
-                        }
-                    };
-                    let ids: Vec<u32> = actors.keys().copied().collect();
-                    for id in ids {
-                        step(&mut actors, id, None);
-                    }
-                    // Batched drain: one blocking recv per backlog burst,
-                    // then opportunistic try_recv up to the cap. The
-                    // batch length is the observed mailbox depth.
-                    let mut batch: Vec<Job<M>> = Vec::with_capacity(DRAIN_BATCH_MAX);
-                    'run: while let Ok(first) = rx.recv() {
-                        batch.push(first);
-                        while batch.len() < DRAIN_BATCH_MAX {
-                            match rx.try_recv() {
-                                Ok(job) => batch.push(job),
-                                Err(_) => break,
-                            }
-                        }
-                        counters.drained_batches.fetch_add(1, Ordering::Relaxed);
-                        counters
-                            .drained_messages
-                            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        counters
-                            .max_batch
-                            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-                        for job in batch.drain(..) {
-                            match job {
-                                Job::Deliver { to, from, msg } => {
-                                    step(&mut actors, to, Some((from, msg)));
-                                }
-                                // Stop exactly here: jobs drained after
-                                // the Shutdown marker are dropped, same
-                                // as the unbatched loop's semantics.
-                                Job::Shutdown => break 'run,
-                            }
-                        }
-                    }
-                })
-                .expect("spawn rt worker thread");
-            handles.push(handle);
-        }
+        let handles = receivers
+            .into_iter()
+            .zip(owned)
+            .enumerate()
+            .map(|(index, (rx, actors))| {
+                let worker = Worker {
+                    index,
+                    workers,
+                    n_actors,
+                    actors,
+                    local: VecDeque::new(),
+                    peers: senders.clone(),
+                    clock: Arc::clone(&clock),
+                    counters: Arc::clone(&counters),
+                    buf: Vec::new(),
+                    busy_since: None,
+                    panicked: Vec::new(),
+                };
+                std::thread::Builder::new()
+                    .name(format!("fastreg-rt-{index}"))
+                    .spawn(move || worker.run(rx))
+                    .expect("spawn rt worker thread")
+            })
+            .collect();
 
         ActorPool {
             senders,
             handles,
             n_actors,
-            sent,
             clock,
             counters,
-            busy_by_actor,
         }
     }
 
@@ -291,11 +292,11 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
     pub fn inject(&self, to: ProcessId, msg: M) {
         let idx = to.index() as usize;
         if idx < self.n_actors {
-            let _ = self.senders[idx % self.senders.len()].send(Job::Deliver {
+            let _ = self.senders[idx % self.senders.len()].send(Job::Deliver(Delivery {
                 to: to.index(),
                 from: ProcessId::EXTERNAL,
                 msg,
-            });
+            }));
         }
     }
 }
@@ -317,10 +318,12 @@ impl<M> ActorPool<M> {
         self.senders.len()
     }
 
-    /// Total actor-to-actor messages routed so far (injections are not
-    /// counted — they are environment events, not network traffic).
+    /// Total actor-to-actor messages routed so far — local plus remote
+    /// sends (injections are not counted: they are environment events,
+    /// not network traffic).
     pub fn messages_sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
+        let stats = self.stats();
+        stats.local_sends + stats.remote_sends
     }
 
     /// Microseconds elapsed since the pool started — the wall-clock
@@ -330,42 +333,224 @@ impl<M> ActorPool<M> {
     }
 
     /// A snapshot of the pool's runtime counters (drain batches, the
-    /// mailbox-depth high-water proxy, per-actor busy time). Wall-clock
-    /// derived: informational only, never under a byte-identity
-    /// contract.
+    /// mailbox-depth high-water proxy, busy time, local and remote
+    /// sends). Wall-clock derived: informational only, never under a
+    /// byte-identity contract.
     pub fn stats(&self) -> RtStats {
-        RtStats {
-            drained_batches: self.counters.drained_batches.load(Ordering::Relaxed),
-            drained_messages: self.counters.drained_messages.load(Ordering::Relaxed),
-            max_batch: self.counters.max_batch.load(Ordering::Relaxed),
-            busy_us: self.counters.busy_us.load(Ordering::Relaxed),
-            busy_us_by_actor: self
-                .busy_by_actor
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-        }
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        self.counters
+            .iter()
+            .fold(RtStats::default(), |s, c| RtStats {
+                drained_batches: s.drained_batches + load(&c.drained_batches),
+                drained_messages: s.drained_messages + load(&c.drained_messages),
+                max_batch: s.max_batch.max(load(&c.max_batch)),
+                busy_us: s.busy_us + load(&c.busy_us),
+                local_sends: s.local_sends + load(&c.local_sends),
+                remote_sends: s.remote_sends + load(&c.remote_sends),
+            })
     }
 
     /// Stops every worker after it drains the jobs already queued, and
-    /// joins the threads. Dropping the pool does the same.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
+    /// joins the threads. Dropping the pool does the same, discarding
+    /// the report.
+    ///
+    /// # Errors
+    ///
+    /// [`RtError::ActorPanicked`] if any actor's step panicked during
+    /// the run.
+    pub fn shutdown(mut self) -> Result<(), RtError> {
+        self.shutdown_in_place()
     }
 
-    fn shutdown_in_place(&mut self) {
+    fn shutdown_in_place(&mut self) -> Result<(), RtError> {
         for tx in &self.senders {
             let _ = tx.send(Job::Shutdown);
         }
-        for handle in self.handles.drain(..) {
-            handle.join().expect("rt worker thread panicked");
+        let workers = self.senders.len();
+        let mut actors = Vec::new();
+        for (w, handle) in self.handles.drain(..).enumerate() {
+            match handle.join() {
+                Ok(panicked) => actors.extend(panicked),
+                // The worker itself died outside an actor step: every
+                // actor it owned is gone.
+                Err(_) => actors.extend(
+                    (w..self.n_actors)
+                        .step_by(workers)
+                        .map(|i| ProcessId::new(i as u32)),
+                ),
+            }
+        }
+        if actors.is_empty() {
+            Ok(())
+        } else {
+            actors.sort();
+            Err(RtError::ActorPanicked { actors })
         }
     }
 }
 
 impl<M> Drop for ActorPool<M> {
     fn drop(&mut self) {
-        self.shutdown_in_place();
+        let _ = self.shutdown_in_place();
+    }
+}
+
+/// An actor slot; `None` once its actor panicked.
+type Slot<M> = Option<Box<dyn Automaton<Msg = M>>>;
+
+/// One worker thread's state: its actors, its local run queue, and the
+/// channels to every worker (itself included, for injections).
+struct Worker<M> {
+    index: usize,
+    workers: usize,
+    n_actors: usize,
+    /// Actor `i` of this worker is at slot `i / workers`.
+    actors: Vec<Slot<M>>,
+    /// Deliveries between actors of this worker, in send order.
+    local: VecDeque<Delivery<M>>,
+    peers: Vec<Sender<Job<M>>>,
+    clock: Arc<MonoClock>,
+    counters: Arc<[Counters]>,
+    /// The outbox buffer every step borrows.
+    buf: Vec<(ProcessId, M)>,
+    /// The clock reading of the current batch's first step.
+    busy_since: Option<u64>,
+    panicked: Vec<ProcessId>,
+}
+
+impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
+    /// The worker thread: start every actor, then drain the channel in
+    /// batches until a shutdown marker. Returns the actors that panicked.
+    fn run(mut self, rx: Receiver<Job<M>>) -> Vec<ProcessId> {
+        for slot in 0..self.actors.len() {
+            self.step((slot * self.workers + self.index) as u32, None);
+        }
+        self.drain_local();
+        self.end_batch();
+        // Batched drain: one blocking recv per backlog burst, then
+        // opportunistic try_recv up to the cap. The batch length is the
+        // observed mailbox depth. The worker blocks only when its local
+        // queue is empty: a capped local drain leaves work behind.
+        let mut batch: Vec<Job<M>> = Vec::with_capacity(DRAIN_BATCH_MAX);
+        loop {
+            if self.local.is_empty() {
+                match rx.recv() {
+                    Ok(job) => batch.push(job),
+                    Err(_) => break,
+                }
+            }
+            while batch.len() < DRAIN_BATCH_MAX {
+                match rx.try_recv() {
+                    Ok(job) => batch.push(job),
+                    Err(_) => break,
+                }
+            }
+            if !batch.is_empty() {
+                let c = &self.counters[self.index];
+                add(&c.drained_batches, 1);
+                add(&c.drained_messages, batch.len() as u64);
+                if batch.len() as u64 > c.max_batch.load(Ordering::Relaxed) {
+                    c.max_batch.store(batch.len() as u64, Ordering::Relaxed);
+                }
+            }
+            for job in batch.drain(..) {
+                match job {
+                    Job::Deliver(Delivery { to, from, msg }) => {
+                        self.step(to, Some((from, msg)));
+                        self.drain_local();
+                    }
+                    // Stop exactly here: jobs drained after the Shutdown
+                    // marker are dropped.
+                    Job::Shutdown => return self.panicked,
+                }
+            }
+            self.drain_local();
+            self.end_batch();
+        }
+        self.panicked
+    }
+
+    /// Runs queued local deliveries in send order, at most
+    /// [`DRAIN_BATCH_MAX`] of them, so a chain of local sends cannot keep
+    /// the worker from its channel.
+    fn drain_local(&mut self) {
+        for _ in 0..DRAIN_BATCH_MAX {
+            let Some(Delivery { to, from, msg }) = self.local.pop_front() else {
+                return;
+            };
+            self.step(to, Some((from, msg)));
+        }
+    }
+
+    /// One actor step: `on_message`, or `on_start` when `input` is
+    /// `None`. Messages to a crashed actor are dropped; a step that
+    /// panics crashes its actor and sends nothing.
+    fn step(&mut self, to: u32, input: Option<(ProcessId, M)>) {
+        let slot = to as usize / self.workers;
+        let Some(actor) = self.actors[slot].as_mut() else {
+            return;
+        };
+        let now = self.clock.elapsed_us();
+        self.busy_since.get_or_insert(now);
+        let me = ProcessId::new(to);
+        let mut out =
+            Outbox::with_buffer(me, SimTime::from_ticks(now), std::mem::take(&mut self.buf));
+        let stepped = catch_unwind(AssertUnwindSafe(|| match input {
+            Some((from, msg)) => actor.on_message(from, msg, &mut out),
+            None => actor.on_start(&mut out),
+        }));
+        let mut msgs = out.into_messages();
+        if stepped.is_ok() {
+            self.route(me, &mut msgs);
+        } else {
+            self.actors[slot] = None;
+            self.panicked.push(me);
+            msgs.clear();
+        }
+        self.buf = msgs;
+    }
+
+    /// Routes one step's sends: onto the local run queue when the
+    /// receiver is on this worker, onto its worker's channel otherwise.
+    /// Sends to unknown ids, and to a worker that already shut down, are
+    /// dropped — the same "stays in transit forever" semantics as the
+    /// simulator's closed links.
+    fn route(&mut self, from: ProcessId, msgs: &mut Vec<(ProcessId, M)>) {
+        let (mut local, mut remote) = (0, 0);
+        for (to, msg) in msgs.drain(..) {
+            let idx = to.index() as usize;
+            if idx >= self.n_actors {
+                continue;
+            }
+            let delivery = Delivery {
+                to: to.index(),
+                from,
+                msg,
+            };
+            let worker = idx % self.workers;
+            if worker == self.index {
+                self.local.push_back(delivery);
+                local += 1;
+            } else {
+                let _ = self.peers[worker].send(Job::Deliver(delivery));
+                remote += 1;
+            }
+        }
+        let c = &self.counters[self.index];
+        if local > 0 {
+            add(&c.local_sends, local);
+        }
+        if remote > 0 {
+            add(&c.remote_sends, remote);
+        }
+    }
+
+    /// Closes the busy interval the batch's first step opened.
+    fn end_batch(&mut self) {
+        if let Some(since) = self.busy_since.take() {
+            let busy = self.clock.elapsed_us().saturating_sub(since);
+            add(&self.counters[self.index].busy_us, busy);
+        }
     }
 }
 
@@ -373,6 +558,7 @@ impl<M> Drop for ActorPool<M> {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[derive(Clone, Debug)]
     enum Msg {
@@ -411,16 +597,29 @@ mod tests {
         }
     }
 
+    /// Panics on every message.
+    struct Panicker;
+    impl Automaton for Panicker {
+        type Msg = Msg;
+        fn on_message(&mut self, _from: ProcessId, _msg: Msg, _out: &mut Outbox<Msg>) {
+            panic!("this actor crashes on its first message");
+        }
+    }
+
+    fn initiator(peer: u32, expect: usize, done: mpsc::Sender<usize>) -> Box<Initiator> {
+        Box::new(Initiator {
+            peer: ProcessId::new(peer),
+            pongs: 0,
+            expect,
+            done,
+        })
+    }
+
     fn ping_pong(workers: usize) {
         let (tx, rx) = mpsc::channel();
         let pool = ActorPool::spawn(
             vec![
-                Box::new(Initiator {
-                    peer: ProcessId::new(1),
-                    pongs: 0,
-                    expect: 10,
-                    done: tx,
-                }) as Box<dyn Automaton<Msg = Msg>>,
+                initiator(1, 10, tx) as Box<dyn Automaton<Msg = Msg>>,
                 Box::new(Responder),
             ],
             RtConfig::new(workers),
@@ -429,12 +628,12 @@ mod tests {
             pool.inject(ProcessId::new(0), Msg::Ping);
         }
         let pongs = rx
-            .recv_timeout(std::time::Duration::from_secs(30))
+            .recv_timeout(Duration::from_secs(30))
             .expect("all pongs arrive");
         assert_eq!(pongs, 10);
         // 10 pings forwarded + 10 pongs back.
         assert_eq!(pool.messages_sent(), 20);
-        pool.shutdown();
+        assert_eq!(pool.shutdown(), Ok(()));
     }
 
     #[test]
@@ -457,14 +656,14 @@ mod tests {
         assert_eq!(pool.workers(), 2);
         assert_eq!(pool.len(), 2);
         assert!(!pool.is_empty());
-        pool.shutdown();
+        assert_eq!(pool.shutdown(), Ok(()));
     }
 
     #[test]
     fn zero_workers_means_one() {
         let pool: ActorPool<Msg> = ActorPool::spawn(vec![Box::new(Responder)], RtConfig::new(0));
         assert_eq!(pool.workers(), 1);
-        pool.shutdown();
+        assert_eq!(pool.shutdown(), Ok(()));
     }
 
     #[test]
@@ -473,7 +672,7 @@ mod tests {
         assert!(pool.is_empty());
         assert_eq!(pool.workers(), 1);
         pool.inject(ProcessId::new(0), 1); // ignored, no panic
-        pool.shutdown();
+        assert_eq!(pool.shutdown(), Ok(()));
     }
 
     #[test]
@@ -496,15 +695,9 @@ mod tests {
             RtConfig::new(1),
         );
         pool.inject(ProcessId::new(0), ());
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(10)),
-            Ok("start")
-        );
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(10)),
-            Ok("msg")
-        );
-        pool.shutdown();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("start"));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("msg"));
+        assert_eq!(pool.shutdown(), Ok(()));
     }
 
     #[test]
@@ -512,12 +705,7 @@ mod tests {
         let (tx, _rx) = mpsc::channel();
         let pool = ActorPool::spawn(
             vec![
-                Box::new(Initiator {
-                    peer: ProcessId::new(1),
-                    pongs: 0,
-                    expect: 1,
-                    done: tx,
-                }) as Box<dyn Automaton<Msg = Msg>>,
+                initiator(1, 1, tx) as Box<dyn Automaton<Msg = Msg>>,
                 Box::new(Responder),
             ],
             RtConfig::new(2),
@@ -530,12 +718,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let pool = ActorPool::spawn(
             vec![
-                Box::new(Initiator {
-                    peer: ProcessId::new(1),
-                    pongs: 0,
-                    expect: 10,
-                    done: tx,
-                }) as Box<dyn Automaton<Msg = Msg>>,
+                initiator(1, 10, tx) as Box<dyn Automaton<Msg = Msg>>,
                 Box::new(Responder),
             ],
             RtConfig::new(2),
@@ -543,26 +726,117 @@ mod tests {
         for _ in 0..10 {
             pool.inject(ProcessId::new(0), Msg::Ping);
         }
-        rx.recv_timeout(std::time::Duration::from_secs(30))
+        rx.recv_timeout(Duration::from_secs(30))
             .expect("all pongs arrive");
         let stats = pool.stats();
-        // 10 injections + 20 routed messages, all drained in batches.
+        // Two workers, one actor each: every routed message crosses a
+        // channel. 10 injections + 20 routed messages, all drained in
+        // batches.
+        assert_eq!((stats.local_sends, stats.remote_sends), (0, 20));
         assert!(stats.drained_messages >= 30);
         assert!(stats.drained_batches >= 1);
         assert!(stats.drained_batches <= stats.drained_messages);
         assert!(stats.max_batch >= 1);
         assert!(stats.max_batch <= DRAIN_BATCH_MAX as u64);
-        assert_eq!(stats.busy_us_by_actor.len(), 2);
-        pool.shutdown();
+        assert_eq!(pool.shutdown(), Ok(()));
     }
 
     #[test]
     fn clock_ticks_are_monotonic_microseconds() {
         let pool: ActorPool<u32> = ActorPool::spawn(vec![], RtConfig::default());
         let a = pool.now_ticks();
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
         let b = pool.now_ticks();
         assert!(b >= a + 1_000, "2ms sleep advances ≥ 1000 ticks (µs)");
-        pool.shutdown();
+        assert_eq!(pool.shutdown(), Ok(()));
+    }
+
+    #[test]
+    fn a_same_worker_link_and_a_cross_worker_link_both_deliver_in_send_order() {
+        const N: u64 = 500;
+        /// On any message, sends `1..=N` to actor 2 (same worker as
+        /// actor 0 at two workers) and to actor 1 (the other worker).
+        struct Burst;
+        impl Automaton for Burst {
+            type Msg = u64;
+            fn on_message(&mut self, _from: ProcessId, _msg: u64, out: &mut Outbox<u64>) {
+                for v in 1..=N {
+                    out.send(ProcessId::new(2), v);
+                    out.send(ProcessId::new(1), v);
+                }
+            }
+        }
+        /// Reports every value it receives, tagged with its own id.
+        struct Collect(mpsc::Sender<(u32, u64)>);
+        impl Automaton for Collect {
+            type Msg = u64;
+            fn on_message(&mut self, _from: ProcessId, v: u64, out: &mut Outbox<u64>) {
+                let _ = self.0.send((out.this().index(), v));
+            }
+        }
+        let (tx, rx) = mpsc::channel();
+        let pool = ActorPool::spawn(
+            vec![
+                Box::new(Burst) as Box<dyn Automaton<Msg = u64>>,
+                Box::new(Collect(tx.clone())),
+                Box::new(Collect(tx)),
+            ],
+            RtConfig::new(2),
+        );
+        pool.inject(ProcessId::new(0), 0);
+        let mut got: [Vec<u64>; 3] = Default::default();
+        for _ in 0..2 * N {
+            let (who, v) = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("every value arrives");
+            got[who as usize].push(v);
+        }
+        let want: Vec<u64> = (1..=N).collect();
+        assert_eq!(got[1], want, "cross-worker link");
+        assert_eq!(got[2], want, "same-worker link");
+        let stats = pool.stats();
+        assert_eq!((stats.local_sends, stats.remote_sends), (N, N));
+        assert_eq!(pool.messages_sent(), 2 * N);
+        assert_eq!(pool.shutdown(), Ok(()));
+    }
+
+    #[test]
+    fn a_panicking_actor_is_a_crash_reported_at_shutdown() {
+        let (tx, rx) = mpsc::channel();
+        let pool = ActorPool::spawn(
+            vec![
+                initiator(2, 10, tx) as Box<dyn Automaton<Msg = Msg>>,
+                Box::new(Panicker),
+                Box::new(Responder),
+            ],
+            RtConfig::new(2),
+        );
+        // Crashes actor 1; the second message to it is dropped.
+        pool.inject(ProcessId::new(1), Msg::Ping);
+        pool.inject(ProcessId::new(1), Msg::Ping);
+        // The rest of the pool keeps running.
+        for _ in 0..10 {
+            pool.inject(ProcessId::new(0), Msg::Ping);
+        }
+        let pongs = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the survivors keep answering");
+        assert_eq!(pongs, 10);
+        assert_eq!(
+            pool.shutdown(),
+            Err(RtError::ActorPanicked {
+                actors: vec![ProcessId::new(1)]
+            })
+        );
+    }
+
+    #[test]
+    fn dropping_a_pool_while_unwinding_does_not_abort() {
+        let unwound = std::panic::catch_unwind(|| {
+            let pool: ActorPool<Msg> = ActorPool::spawn(vec![Box::new(Panicker)], RtConfig::new(1));
+            pool.inject(ProcessId::new(0), Msg::Ping);
+            panic!("the caller unwinds with the pool alive");
+        });
+        assert!(unwound.is_err());
     }
 }
