@@ -36,6 +36,16 @@
 //! while a client the driver has used is idle (the driver can issue);
 //! otherwise it waits for the next completion.
 //!
+//! ## Worker 0 is the clients' quorum home
+//!
+//! The pool gives each of its last `w − 1` actors a worker of its own
+//! and leaves the rest on worker 0. The deployment lays out writers,
+//! readers, then servers, so worker 0 holds every client and the first
+//! `S − w + 1` servers. While `w − 1 ≤ t` that is a full `S − t` quorum:
+//! a fast operation's request and the acks it waits for never leave
+//! worker 0, and only the servers it does not wait for answer across a
+//! channel.
+//!
 //! Type-erased construction goes through
 //! [`ClusterBuilder::runtime`](crate::harness::ClusterBuilder::runtime)
 //! with [`Runtime::Threads`](crate::harness::Runtime::Threads);
@@ -454,34 +464,52 @@ mod tests {
         true
     }
 
+    /// Runs `write_sync(1)`, `read(0)`, `read(R − 1)` on `workers` and
+    /// asserts how many of the sends took the local run queue and how
+    /// many crossed a channel.
+    fn assert_split<P: ProtocolFamily>(cfg: ClusterConfig, workers: usize, split: (u64, u64)) {
+        let (local, remote) = split;
+        let mut c: ThreadCluster<P> = ThreadCluster::spawn(cfg, 7, RtConfig::new(workers));
+        c.write_sync(1);
+        c.read(0);
+        c.read(cfg.r - 1);
+        // A client returns on its quorum's last ack; the others may still
+        // be on their way, and every send is counted once it is routed.
+        // Channel jobs: the three injections and the remote sends.
+        let settled = eventually(|| {
+            let s = c.rt_stats();
+            s.local_sends + s.remote_sends == local + remote && s.drained_messages == 3 + remote
+        });
+        let s = c.rt_stats();
+        assert!(settled, "{} at workers = {workers}: {s:?}", P::ID);
+        assert_eq!((s.local_sends, s.remote_sends), split, "{}", P::ID);
+        assert_eq!(c.messages_sent(), local + remote);
+    }
+
     #[test]
     fn sends_split_into_local_and_remote_as_placement_dictates() {
-        // S = 5, t = 1, R = 2: writer 0, readers 1 and 2, servers 3..=7.
-        // A fast op is 5 requests and 5 acks between its client and the
-        // servers; a message is remote iff its two ends differ mod w.
-        // At w = 2, worker 0 holds {0, 2, 4, 6} and worker 1 {1, 3, 5, 7}:
-        // the writer and reader 2 share a worker with servers 4 and 6
-        // (4 local, 6 remote each), reader 1 with 3, 5 and 7 (6 local,
-        // 4 remote).
-        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        for (workers, local, remote) in [(1, 30, 0), (2, 14, 16)] {
-            let mut c: ThreadCluster<FastCrash> =
-                ThreadCluster::spawn(cfg, 7, RtConfig::new(workers));
-            c.write_sync(1);
-            c.read(0);
-            c.read(1);
-            // A client returns on the fourth ack; the fifth may still be
-            // on its way, and every send is counted once it is routed.
-            // Channel jobs: the three injections and the remote sends.
-            let settled = eventually(|| {
-                let s = c.rt_stats();
-                s.local_sends + s.remote_sends == 30 && s.drained_messages == 3 + remote
-            });
-            let s = c.rt_stats();
-            assert!(settled, "workers = {workers}: {s:?}");
-            assert_eq!((s.local_sends, s.remote_sends), (local, remote));
-            assert_eq!(c.messages_sent(), 30);
+        // The last w − 1 actors get a worker each; worker 0 keeps the
+        // rest — every client and the first S − w + 1 servers. Every
+        // round is a request and an ack between the client and each
+        // server, so it costs 2 remote messages per server off worker 0.
+        //
+        // fast-crash, S = 5, t = 1, R = 2: writer 0, readers 1 and 2,
+        // servers 3..=7; three one-round ops, 10 messages each. At w = 2
+        // server 7 is alone on worker 1 (2 remote per op); at w = 3
+        // servers 6 and 7 are (4 remote per op).
+        let crash = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        for (workers, local, remote) in [(1, 30, 0), (2, 24, 6), (3, 18, 12)] {
+            assert_split::<FastCrash>(crash, workers, (local, remote));
         }
+        // abd, same deployment: the write is one round, each read two
+        // (query, write-back), so 5 rounds of 10 messages; at w = 2 each
+        // round has 2 remote.
+        assert_split::<Abd>(crash, 2, (40, 10));
+        // fast-byz, S = 6, t = 1, b = 1, R = 1: writer 0, reader 1,
+        // servers 2..=7; three one-round ops (the reader reads twice) of
+        // 12 messages. At w = 2 server 7 is alone on worker 1.
+        let byz = ClusterConfig::byzantine(6, 1, 1, 1).unwrap();
+        assert_split::<FastByz>(byz, 2, (30, 6));
     }
 
     /// Panics on every message: a process that crashes when first

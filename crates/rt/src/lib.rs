@@ -17,11 +17,20 @@
 //! ## Shape
 //!
 //! [`ActorPool::spawn`] partitions `n` actors over `w ≤ n` worker threads
-//! (actor `i` lives on worker `i mod w`, in slot `i / w` of that worker's
-//! actor vector). Each worker owns its actors exclusively, so a step —
+//! by one rule: the last `w − 1` actors get a worker each, and worker 0
+//! keeps the rest. Actor `i` lives on worker `(i + w) − n` (saturating
+//! at 0), in slot `i` of worker 0's actor vector or slot 0 of any other
+//! worker's. Each worker owns its actors exclusively, so a step —
 //! receive, mutate state, emit an [`Outbox`] — is as atomic as under the
 //! simulator. Worker count 1 degenerates to a serialized (but still
 //! wall-clock) run; worker count `n` is one thread per actor.
+//!
+//! The rule is shaped for quorum protocols laid out clients first,
+//! servers last — the workspace's writers, readers, then servers. Worker
+//! 0 then holds every client and the first `S − w + 1` servers. While
+//! `w − 1 ≤ t` that is a full `S − t` quorum: a one-round operation
+//! completes on worker 0's local run queue, and the servers on the other
+//! workers (never on its critical path) answer over channels.
 //!
 //! A message to an actor on the sending worker goes on that worker's
 //! local run queue; only a message to another worker's actor (or an
@@ -231,9 +240,12 @@ pub struct ActorPool<M> {
 }
 
 impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
-    /// Spawns the pool: `automata[i]` becomes actor `ProcessId(i)` owned
-    /// by worker `i mod workers`. Each automaton's `on_start` runs on its
-    /// worker before that worker processes any message.
+    /// Spawns the pool: `automata[i]` becomes actor `ProcessId(i)`. The
+    /// last `workers − 1` actors get a worker each and worker 0 owns the
+    /// rest, so with clients laid out before servers, worker 0 is every
+    /// client's quorum home whenever `workers − 1 ≤ t` (see the crate
+    /// docs). Each automaton's `on_start` runs on its worker before that
+    /// worker processes any message.
     // The rt crate is the sanctioned habitat of the wall clock (lint
     // rules D2/D7): real threads need real time for uptime accounting
     // and busy-time measurement, via the quarantined obs::MonoClock.
@@ -245,11 +257,11 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..workers).map(|_| unbounded::<Job<M>>()).unzip();
 
-        // Partition the actors: worker w owns actor i iff i mod workers
-        // == w, in slot i / workers.
         let mut owned: Vec<Vec<Slot<M>>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, a) in automata.into_iter().enumerate() {
-            owned[i % workers].push(Some(a));
+            let (worker, slot) = place(i, n_actors, workers);
+            debug_assert_eq!(owned[worker].len(), slot);
+            owned[worker].push(Some(a));
         }
 
         let handles = receivers
@@ -292,7 +304,8 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
     pub fn inject(&self, to: ProcessId, msg: M) {
         let idx = to.index() as usize;
         if idx < self.n_actors {
-            let _ = self.senders[idx % self.senders.len()].send(Job::Deliver(Delivery {
+            let (worker, _) = place(idx, self.n_actors, self.senders.len());
+            let _ = self.senders[worker].send(Job::Deliver(Delivery {
                 to: to.index(),
                 from: ProcessId::EXTERNAL,
                 msg,
@@ -374,8 +387,8 @@ impl<M> ActorPool<M> {
                 // The worker itself died outside an actor step: every
                 // actor it owned is gone.
                 Err(_) => actors.extend(
-                    (w..self.n_actors)
-                        .step_by(workers)
+                    (0..self.n_actors)
+                        .filter(|&i| place(i, self.n_actors, workers).0 == w)
                         .map(|i| ProcessId::new(i as u32)),
                 ),
             }
@@ -398,13 +411,21 @@ impl<M> Drop for ActorPool<M> {
 /// An actor slot; `None` once its actor panicked.
 type Slot<M> = Option<Box<dyn Automaton<Msg = M>>>;
 
+/// Where actor `i` of `n` lives on `w` workers: `(worker, slot)`. The
+/// last `w − 1` actors get a worker each (slot 0); worker 0 keeps the
+/// rest, each in the slot of its own id.
+fn place(i: usize, n: usize, w: usize) -> (usize, usize) {
+    let worker = (i + w).saturating_sub(n);
+    (worker, if worker == 0 { i } else { 0 })
+}
+
 /// One worker thread's state: its actors, its local run queue, and the
 /// channels to every worker (itself included, for injections).
 struct Worker<M> {
     index: usize,
     workers: usize,
     n_actors: usize,
-    /// Actor `i` of this worker is at slot `i / workers`.
+    /// Actor `i` of this worker is at the slot [`place`] gives it.
     actors: Vec<Slot<M>>,
     /// Deliveries between actors of this worker, in send order.
     local: VecDeque<Delivery<M>>,
@@ -422,8 +443,10 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
     /// The worker thread: start every actor, then drain the channel in
     /// batches until a shutdown marker. Returns the actors that panicked.
     fn run(mut self, rx: Receiver<Job<M>>) -> Vec<ProcessId> {
-        for slot in 0..self.actors.len() {
-            self.step((slot * self.workers + self.index) as u32, None);
+        for i in 0..self.n_actors {
+            if place(i, self.n_actors, self.workers).0 == self.index {
+                self.step(i as u32, None);
+            }
         }
         self.drain_local();
         self.end_batch();
@@ -486,7 +509,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
     /// `None`. Messages to a crashed actor are dropped; a step that
     /// panics crashes its actor and sends nothing.
     fn step(&mut self, to: u32, input: Option<(ProcessId, M)>) {
-        let slot = to as usize / self.workers;
+        let (_, slot) = place(to as usize, self.n_actors, self.workers);
         let Some(actor) = self.actors[slot].as_mut() else {
             return;
         };
@@ -527,7 +550,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
                 from,
                 msg,
             };
-            let worker = idx % self.workers;
+            let (worker, _) = place(idx, self.n_actors, self.workers);
             if worker == self.index {
                 self.local.push_back(delivery);
                 local += 1;
@@ -754,8 +777,8 @@ mod tests {
     #[test]
     fn a_same_worker_link_and_a_cross_worker_link_both_deliver_in_send_order() {
         const N: u64 = 500;
-        /// On any message, sends `1..=N` to actor 2 (same worker as
-        /// actor 0 at two workers) and to actor 1 (the other worker).
+        /// On any message, sends `1..=N` to actor 2 (alone on the other
+        /// worker at two workers) and to actor 1 (on actor 0's worker).
         struct Burst;
         impl Automaton for Burst {
             type Msg = u64;
@@ -792,12 +815,87 @@ mod tests {
             got[who as usize].push(v);
         }
         let want: Vec<u64> = (1..=N).collect();
-        assert_eq!(got[1], want, "cross-worker link");
-        assert_eq!(got[2], want, "same-worker link");
+        assert_eq!(got[1], want, "same-worker link");
+        assert_eq!(got[2], want, "cross-worker link");
         let stats = pool.stats();
         assert_eq!((stats.local_sends, stats.remote_sends), (N, N));
         assert_eq!(pool.messages_sent(), 2 * N);
         assert_eq!(pool.shutdown(), Ok(()));
+    }
+
+    #[test]
+    fn placement_is_a_bijection_onto_dense_slots_per_worker() {
+        for n in 0..=12 {
+            for w in 1..=n {
+                let mut slots: Vec<Vec<usize>> = vec![Vec::new(); w];
+                for i in 0..n {
+                    let (worker, slot) = place(i, n, w);
+                    slots[worker].push(slot);
+                    if w == 1 {
+                        assert_eq!((worker, slot), (0, i), "n = {n}: w = 1 is the identity");
+                    }
+                    if w == n {
+                        assert_eq!((worker, slot), (i, 0), "n = {n}: w = n is one per worker");
+                    }
+                }
+                for (worker, got) in slots.iter().enumerate() {
+                    let dense: Vec<usize> = (0..got.len()).collect();
+                    assert_eq!(got, &dense, "n = {n}, w = {w}, worker {worker}");
+                    assert!(!got.is_empty(), "n = {n}, w = {w}: worker {worker} is idle");
+                }
+                assert_eq!(
+                    slots[0].len(),
+                    n - w + 1,
+                    "n = {n}, w = {w}: worker 0 keeps the rest"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn injections_and_sends_reach_the_actor_built_with_that_id() {
+        /// A message addressed to actor `.0`, to be forwarded to `.1`.
+        type Hop = (u32, Option<u32>);
+        /// Reports `(id it was built as, id the message was for)`, then
+        /// forwards the message if it has a next hop.
+        struct Tagged {
+            built: u32,
+            seen: mpsc::Sender<(u32, u32)>,
+        }
+        impl Automaton for Tagged {
+            type Msg = Hop;
+            fn on_message(&mut self, _from: ProcessId, (to, next): Hop, out: &mut Outbox<Hop>) {
+                let _ = self.seen.send((self.built, to));
+                if let Some(next) = next {
+                    out.send(ProcessId::new(next), (next, None));
+                }
+            }
+        }
+        const N: u32 = 5;
+        for workers in 1..=N as usize {
+            let (tx, rx) = mpsc::channel();
+            let pool = ActorPool::spawn(
+                (0..N)
+                    .map(|built| {
+                        let seen = tx.clone();
+                        Box::new(Tagged { built, seen }) as Box<dyn Automaton<Msg = Hop>>
+                    })
+                    .collect(),
+                RtConfig::new(workers),
+            );
+            for i in 0..N {
+                for j in 0..N {
+                    pool.inject(ProcessId::new(i), (i, Some(j)));
+                }
+            }
+            for _ in 0..2 * N * N {
+                let (built, to) = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("every message arrives");
+                assert_eq!(built, to, "workers = {workers}");
+            }
+            assert_eq!(pool.shutdown(), Ok(()));
+        }
     }
 
     #[test]
