@@ -6,6 +6,7 @@
 //! while a run executes; checkers consume it afterwards.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -150,11 +151,10 @@ pub enum HistoryEvent {
 
 /// A recorded history of operations, in invocation order.
 ///
-/// Alongside the operation list, the history maintains O(1) completion
-/// counters ([`completed_len`](History::completed_len),
-/// [`has_pending`](History::has_pending)) so closed-loop drivers can poll
-/// for client idleness millions of times per run without cloning or
-/// rescanning the recorded operations.
+/// Alongside the operation list, the history keeps an O(1) completion
+/// count ([`completed_len`](History::completed_len)). Per-client counts
+/// live on the [`SharedHistory`] handle, where a driver reads them
+/// without locking.
 ///
 /// See the crate-level example for typical use.
 #[derive(Clone, Debug, Default)]
@@ -162,11 +162,6 @@ pub struct History {
     ops: Vec<Operation>,
     /// Number of completed operations (maintained by `respond`).
     completed: usize,
-    /// Outstanding (invoked, not yet responded) operations per client,
-    /// indexed by `proc`; grown by `invoke` to the highest `proc` seen.
-    pending_by_proc: Vec<u32>,
-    /// Completed operations per client, indexed like `pending_by_proc`.
-    completed_by_proc: Vec<u64>,
     /// When `Some`, every invoke/respond is also appended here, for
     /// streaming consumers. `None` (the default) costs nothing.
     journal: Option<Vec<HistoryEvent>>,
@@ -242,11 +237,6 @@ impl History {
             responded_at: None,
             returned: None,
         });
-        if self.pending_by_proc.len() <= proc as usize {
-            self.pending_by_proc.resize(proc as usize + 1, 0);
-            self.completed_by_proc.resize(proc as usize + 1, 0);
-        }
-        self.pending_by_proc[proc as usize] += 1;
         if let Some(j) = &mut self.journal {
             j.push(HistoryEvent::Invoked { id, proc, kind, at });
         }
@@ -271,12 +261,9 @@ impl History {
         op.responded_at = Some(at);
         op.returned = returned;
         self.completed += 1;
-        let proc = op.proc;
         if let Some(j) = &mut self.journal {
             j.push(HistoryEvent::Responded { id, returned, at });
         }
-        self.completed_by_proc[proc as usize] += 1;
-        self.pending_by_proc[proc as usize] -= 1;
     }
 
     /// All operations, in invocation order.
@@ -308,29 +295,6 @@ impl History {
     /// O(1).
     pub fn pending_len(&self) -> usize {
         self.ops.len() - self.completed
-    }
-
-    /// Returns `true` if client `proc` has an operation outstanding, in
-    /// O(1) — the incremental form of scanning [`ops`](History::ops) for
-    /// an incomplete entry.
-    pub fn has_pending(&self, proc: u32) -> bool {
-        self.pending_by_proc
-            .get(proc as usize)
-            .is_some_and(|&n| n > 0)
-    }
-
-    /// Number of operations client `proc` has completed, in O(1).
-    ///
-    /// Wall-clock runtimes lean on this: between injecting an invocation
-    /// and the actor recording it there is a real-time window in which
-    /// [`has_pending`](History::has_pending) still reads `false`, so a
-    /// driver that must not double-invoke a client compares its own
-    /// issued count against this monotone completion count instead.
-    pub fn completed_by(&self, proc: u32) -> u64 {
-        self.completed_by_proc
-            .get(proc as usize)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// What the `nth` (0-based, in invocation order) completed read of
@@ -387,92 +351,146 @@ impl History {
 
 /// A cloneable, thread-safe handle to a [`History`] under construction.
 ///
-/// Client automata (which run on simulator steps or on OS threads) each hold
-/// a clone and record through it.
-#[derive(Clone, Debug, Default)]
+/// Client automata (which run on simulator steps or on OS threads) each
+/// hold a clone and record through it. Recording takes a lock; the
+/// questions a driver asks while operations are in flight do not. Each
+/// client the handle counts has an `(invoked, completed)` counter pair,
+/// bumped after its record is written and the lock released, so
+/// [`client_busy`](Self::client_busy), [`completed_by`](Self::completed_by)
+/// and [`completed_count`](Self::completed_count) are plain loads. The
+/// bumps release and the loads acquire: a driver that sees a client's
+/// completed count move finds that operation in the history.
+#[derive(Clone, Debug)]
 pub struct SharedHistory {
-    inner: Arc<Mutex<History>>,
+    history: Arc<Mutex<History>>,
+    /// Invocations recorded per counted client, indexed by `proc`.
+    invoked: Arc<[Counter]>,
+    /// Responses recorded per counted client, indexed by `proc`.
+    completed: Arc<[Counter]>,
+}
+
+/// One client's count. The client's thread bumps it and the driver polls
+/// it, so each count has a cache line of its own.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Counter(AtomicU64);
+
+impl Counter {
+    fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
+    }
 }
 
 impl SharedHistory {
-    /// Creates an empty shared history.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty shared history that counts clients
+    /// `0..clients`. A proc at or beyond `clients` is recorded but not
+    /// counted: it never reads busy and completes nothing.
+    pub fn new(clients: u32) -> Self {
+        SharedHistory {
+            history: Arc::default(),
+            invoked: (0..clients).map(|_| Counter::default()).collect(),
+            completed: (0..clients).map(|_| Counter::default()).collect(),
+        }
     }
 
     /// Creates an empty shared history with room for `n_ops` operations.
+    /// It counts no clients.
     pub fn with_capacity(n_ops: usize) -> Self {
-        SharedHistory {
-            inner: Arc::new(Mutex::new(History::with_capacity(n_ops))),
-        }
+        let history = Self::new(0);
+        history.reserve(n_ops);
+        history
     }
 
     /// Reserves room for at least `additional` more operations.
     pub fn reserve(&self, additional: usize) {
-        self.inner.lock().reserve(additional);
+        self.history.lock().reserve(additional);
     }
 
     /// Turns on event journalling (see [`History::enable_journal`]).
     pub fn enable_journal(&self) {
-        self.inner.lock().enable_journal();
+        self.history.lock().enable_journal();
     }
 
     /// Takes the journalled events accumulated since the last drain (see
     /// [`History::drain_journal`]).
     pub fn drain_journal(&self) -> Vec<HistoryEvent> {
-        self.inner.lock().drain_journal()
+        self.history.lock().drain_journal()
     }
 
     /// Moves the journalled events accumulated since the last drain onto
     /// the end of `into` (see [`History::drain_journal_into`]).
     pub fn drain_journal_into(&self, into: &mut Vec<HistoryEvent>) {
-        self.inner.lock().drain_journal_into(into)
+        self.history.lock().drain_journal_into(into)
     }
 
     /// Records a `write` invocation.
     pub fn invoke_write(&self, proc: u32, value: u64, at: Tick) -> OpId {
-        self.inner.lock().invoke_write(proc, value, at)
+        self.invoke(proc, OpKind::Write { value }, at)
     }
 
     /// Records a `read` invocation.
     pub fn invoke_read(&self, proc: u32, at: Tick) -> OpId {
-        self.inner.lock().invoke_read(proc, at)
+        self.invoke(proc, OpKind::Read, at)
+    }
+
+    fn invoke(&self, proc: u32, kind: OpKind, at: Tick) -> OpId {
+        let id = self.history.lock().invoke(proc, kind, at);
+        if let Some(c) = self.invoked.get(proc as usize) {
+            c.bump();
+        }
+        id
     }
 
     /// Records a response.
     pub fn respond(&self, id: OpId, returned: Option<RegValue>, at: Tick) {
-        self.inner.lock().respond(id, returned, at)
+        let mut h = self.history.lock();
+        h.respond(id, returned, at);
+        let proc = h.ops[id.0].proc as usize;
+        drop(h);
+        if let Some(c) = self.completed.get(proc) {
+            c.bump();
+        }
     }
 
     /// Takes a snapshot of the history so far.
     pub fn snapshot(&self) -> History {
-        self.inner.lock().clone()
+        self.history.lock().clone()
     }
 
     /// Number of operations recorded so far (complete and pending).
     pub fn recorded_count(&self) -> usize {
-        self.inner.lock().len()
+        self.history.lock().len()
     }
 
-    /// Number of completed operations so far — O(1), used by closed-loop
-    /// and wall-clock drivers to wait for completions without cloning the
-    /// history.
+    /// What the `nth` completed read of client `proc` returned (see
+    /// [`History::nth_completed_read`]), looked up in place.
+    pub fn nth_completed_read(&self, proc: u32, nth: usize) -> Option<RegValue> {
+        self.history.lock().nth_completed_read(proc, nth)
+    }
+
+    /// Number of operations the counted clients have completed.
     pub fn completed_count(&self) -> usize {
-        self.inner.lock().completed_len()
+        self.completed.iter().map(Counter::get).sum::<u64>() as usize
     }
 
-    /// Returns `true` while client `proc` has an operation outstanding —
-    /// the driver-facing idleness query (no snapshot, no rescan).
+    /// Returns `true` while client `proc` has an operation outstanding:
+    /// it recorded an invocation that has not responded yet.
     pub fn client_busy(&self, proc: u32) -> bool {
-        self.inner.lock().has_pending(proc)
+        // Completed is loaded first, so it never reads ahead of invoked.
+        self.completed_by(proc) < self.invoked.get(proc as usize).map_or(0, Counter::get)
     }
 
-    /// Number of operations client `proc` has completed — the monotone
-    /// counter wall-clock drivers compare against their own issue counts
-    /// (see [`History::completed_by`] for why `client_busy` alone is not
-    /// enough there).
+    /// Number of operations client `proc` has completed. It only grows,
+    /// so a wall-clock driver, for which an injected invocation is
+    /// outstanding before the client records it, compares its own issue
+    /// count against this instead of asking
+    /// [`client_busy`](Self::client_busy).
     pub fn completed_by(&self, proc: u32) -> u64 {
-        self.inner.lock().completed_by(proc)
+        self.completed.get(proc as usize).map_or(0, Counter::get)
     }
 }
 
@@ -578,16 +596,11 @@ mod tests {
         let mut h = History::new();
         assert_eq!(h.completed_len(), 0);
         assert_eq!(h.pending_len(), 0);
-        assert!(!h.has_pending(0));
         let w = h.invoke_write(0, 1, 0);
         let r = h.invoke_read(1, 0);
         assert_eq!(h.pending_len(), 2);
-        assert!(h.has_pending(0));
-        assert!(h.has_pending(1));
         h.respond(w, None, 2);
         assert_eq!(h.completed_len(), 1);
-        assert!(!h.has_pending(0));
-        assert!(h.has_pending(1));
         h.respond(r, Some(RegValue::Val(1)), 3);
         assert_eq!(h.completed_len(), 2);
         assert_eq!(h.pending_len(), 0);
@@ -597,20 +610,75 @@ mod tests {
 
     #[test]
     fn shared_history_incremental_queries() {
-        let sh = SharedHistory::new();
-        let w = sh.invoke_write(3, 9, 1);
-        assert!(sh.client_busy(3));
+        let sh = SharedHistory::new(5);
+        assert!(!sh.client_busy(0));
+        let w = sh.invoke_write(0, 1, 0);
+        let r = sh.invoke_read(1, 0);
+        assert!(sh.client_busy(0));
+        assert!(sh.client_busy(1));
         assert!(!sh.client_busy(4));
-        assert_eq!(sh.recorded_count(), 1);
+        assert_eq!(sh.recorded_count(), 2);
         assert_eq!(sh.completed_count(), 0);
         sh.respond(w, None, 2);
-        assert!(!sh.client_busy(3));
+        assert!(!sh.client_busy(0));
+        assert!(sh.client_busy(1));
+        assert_eq!((sh.completed_by(0), sh.completed_by(1)), (1, 0));
         assert_eq!(sh.completed_count(), 1);
+        sh.respond(r, Some(RegValue::Val(1)), 3);
+        assert!(!sh.client_busy(1));
+        assert_eq!(sh.completed_count(), 2);
+        assert_eq!(sh.nth_completed_read(1, 0), Some(RegValue::Val(1)));
+    }
+
+    #[test]
+    fn procs_past_the_counted_clients_are_recorded_not_counted() {
+        let sh = SharedHistory::new(2);
+        let op = sh.invoke_read(2, 0);
+        assert!(!sh.client_busy(2));
+        sh.respond(op, Some(RegValue::Bottom), 1);
+        assert_eq!(sh.completed_by(2), 0);
+        assert_eq!(sh.completed_count(), 0);
+        let snap = sh.snapshot();
+        assert_eq!(snap.completed_len(), 1);
+        assert_eq!(snap.get(op).unwrap().proc, 2);
+        assert_eq!(sh.nth_completed_read(2, 0), Some(RegValue::Bottom));
+    }
+
+    #[test]
+    fn clients_on_their_own_threads_are_each_counted_once() {
+        const K: u32 = 4;
+        const M: u64 = 500;
+        let sh = SharedHistory::new(K);
+        // All clients start together, so their records contend.
+        let start = std::sync::Barrier::new(K as usize);
+        std::thread::scope(|s| {
+            for proc in 0..K {
+                let (sh, start) = (sh.clone(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..M {
+                        let op = sh.invoke_write(proc, i, 2 * i);
+                        assert!(sh.client_busy(proc), "busy between invoke and respond");
+                        assert_eq!(sh.completed_by(proc), i);
+                        sh.respond(op, None, 2 * i + 1);
+                        assert!(!sh.client_busy(proc));
+                    }
+                });
+            }
+        });
+        for proc in 0..K {
+            assert_eq!(sh.completed_by(proc), M);
+            assert!(!sh.client_busy(proc));
+        }
+        assert_eq!(sh.completed_count(), (K as u64 * M) as usize);
+        let snap = sh.snapshot();
+        assert_eq!(snap.len(), (K as u64 * M) as usize);
+        assert_eq!(snap.complete_ops().count(), snap.len());
     }
 
     #[test]
     fn shared_history_records_from_clones() {
-        let sh = SharedHistory::new();
+        let sh = SharedHistory::new(1);
         let sh2 = sh.clone();
         let w = sh.invoke_write(0, 9, 1);
         sh2.respond(w, None, 2);

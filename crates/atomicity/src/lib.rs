@@ -60,3 +60,30 @@ pub use regularity::check_swmr_regularity;
 pub use streaming::{replay_events, OnlineChecker, Spec, StreamingChecker, StreamingLinChecker};
 pub use swmr::{check_swmr_atomicity, AtomicityViolation};
 pub use verdict::{UnknownVerdict, Verdict, ViolationKind};
+
+#[cfg(test)]
+mod tests {
+    /// The checkers grade the simulator's runs, so they must not depend
+    /// on it, nor on any other workspace crate that could. The crate's
+    /// only dependency is external, so checking the direct ones covers
+    /// the transitive ones too.
+    #[test]
+    fn the_checker_depends_on_no_workspace_crate() {
+        let manifest = include_str!("../Cargo.toml");
+        let mut section = "";
+        let mut workspace_deps = Vec::new();
+        for line in manifest.lines().map(str::trim) {
+            if let Some(header) = line.strip_prefix('[') {
+                section = header.trim_end_matches(']');
+                // `[dependencies.name]` tables name the dependency.
+                if let Some(name) = section.strip_prefix("dependencies.") {
+                    workspace_deps.push(name);
+                }
+            } else if section == "dependencies" || section.ends_with(".dependencies") {
+                workspace_deps.extend(line.split(['=', '.']).next().map(str::trim));
+            }
+        }
+        workspace_deps.retain(|name| name.starts_with("fastreg"));
+        assert_eq!(workspace_deps, Vec::<&str>::new(), "[dependencies]");
+    }
+}

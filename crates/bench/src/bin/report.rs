@@ -66,22 +66,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use fastreg::protocols::registry::ProtocolId;
+use fastreg_obs::json_escape;
 use fastreg_workload::experiments::{Experiment, EXPERIMENTS};
-
-/// Minimal JSON string escaping for the experiment titles.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// How a subcommand ends: `Ok` with its exit code, or `Err` with the
 /// code of an early exit already reported on stderr.

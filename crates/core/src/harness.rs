@@ -614,7 +614,7 @@ pub(crate) fn assemble<P: ProtocolFamily>(
     server_factory: ServerFactory<'_, P>,
 ) -> Assembly<P> {
     let layout = Layout::of(cfg);
-    let history = SharedHistory::new();
+    let history = SharedHistory::new(cfg.w + cfg.r);
     let mut ctx = P::make_ctx(cfg, seed);
     let mut automata = Vec::with_capacity((cfg.w + cfg.r + cfg.s) as usize);
     for i in 0..cfg.w {
@@ -946,7 +946,6 @@ pub trait SimControl: RegisterOps {
 /// Panics if that read did not complete (e.g. too many servers crashed).
 pub(crate) fn nth_read_value(history: &SharedHistory, addr: u32, nth: u64) -> RegValue {
     history
-        .snapshot()
         .nth_completed_read(addr, nth as usize)
         .unwrap_or_else(|| panic!("read by the reader at address {addr} did not complete"))
 }
@@ -1145,15 +1144,15 @@ pub struct DynCluster {
 }
 
 impl DynCluster {
-    /// Erases a statically built simulated cluster, tagging it with
-    /// `id`.
-    pub fn from_cluster<P>(id: ProtocolId, cluster: Cluster<P>) -> Self
+    /// Erases a statically built simulated cluster, tagging it with the
+    /// protocol it runs, `P::ID`.
+    pub fn from_cluster<P>(cluster: Cluster<P>) -> Self
     where
         P: ProtocolFamily + 'static,
         P::Ctx: Send + 'static,
     {
         DynCluster {
-            id,
+            id: P::ID,
             inner: DynInner::Sim(Box::new(cluster)),
         }
     }
@@ -1483,7 +1482,7 @@ mod tests {
             .sim(SimConfig::default())
             .build_typed()
             .unwrap();
-        let mut typed = DynCluster::from_cluster(ProtocolId::FastCrash, typed);
+        let mut typed = DynCluster::from_cluster(typed);
         let sim = typed
             .sim_control()
             .expect("erased Cluster keeps SimControl");

@@ -285,7 +285,7 @@ mod tests {
 
         let cfg = ClusterConfig::crash_stop(5, 2, 1).unwrap();
         let layout = Layout::of(&cfg);
-        let history = SharedHistory::new();
+        let history = SharedHistory::new(cfg.w + cfg.r);
         let mut reader = Reader::new(cfg, layout, history.clone());
         let me = layout.reader(0);
         let mut step = |from: ProcessId, msg: Msg| {

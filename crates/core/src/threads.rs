@@ -15,16 +15,16 @@
 //!
 //! ## Completions reach the driver without a lock
 //!
-//! Each client automaton runs inside a wrapper that, after a step that
-//! changed the client's completion count, stores the new count in that
-//! client's `AtomicU64` (release). Every question the driver asks while
-//! operations are in flight — [`client_busy`](RegisterOps::client_busy),
+//! The [`SharedHistory`] the clients record into keeps one
+//! `(invoked, completed)` counter pair per client, bumped (release) after
+//! each record. Every question the driver asks while operations are in
+//! flight — [`client_busy`](RegisterOps::client_busy),
 //! [`ops_completed`](RegisterOps::ops_completed),
 //! [`try_settle`](RegisterOps::try_settle),
 //! [`step_timed`](RegisterOps::step_timed) and the well-formedness gate
-//! before each invocation — reads those counters (acquire) against the
-//! per-client issued counts the driver keeps itself, and never locks the
-//! [`SharedHistory`] the workers record into.
+//! before each invocation — loads those completion counters (acquire) and
+//! compares them with the per-client issued counts the driver keeps
+//! itself; none of them takes the history's lock.
 //!
 //! All waiting goes through one helper: it yields the core until its
 //! condition holds, and gives up after 30 s. A wait that
@@ -53,14 +53,11 @@
 //! [`rt_stats`](ThreadCluster::rt_stats) reachable). Both hand the same
 //! `assemble`d automata to the pool.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastreg_atomicity::history::{History, SharedHistory};
 use fastreg_rt::ActorPool;
 pub use fastreg_rt::RtConfig;
-use fastreg_simnet::automaton::{Automaton, Outbox};
 use fastreg_simnet::id::ProcessId;
 use fastreg_simnet::world::QuiescenceError;
 
@@ -78,34 +75,6 @@ const SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// A wait reads the wall clock once per this many polls.
 const POLLS_PER_DEADLINE_CHECK: u64 = 64;
 
-/// A client automaton that publishes its completion count to the driver
-/// after every step that changed it.
-struct Published<M> {
-    client: Box<dyn Automaton<Msg = M>>,
-    history: SharedHistory,
-    addr: u32,
-    completed: Arc<[AtomicU64]>,
-    /// The count last published.
-    published: u64,
-}
-
-impl<M: Clone + std::fmt::Debug + Send + 'static> Automaton for Published<M> {
-    type Msg = M;
-
-    fn on_start(&mut self, out: &mut Outbox<M>) {
-        self.client.on_start(out);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: M, out: &mut Outbox<M>) {
-        self.client.on_message(from, msg, out);
-        let done = self.history.completed_by(self.addr);
-        if done != self.published {
-            self.published = done;
-            self.completed[self.addr as usize].store(done, Ordering::Release);
-        }
-    }
-}
-
 /// A register deployment running on real OS threads.
 ///
 /// The wall-clock sibling of [`Cluster`](crate::harness::Cluster): same
@@ -116,7 +85,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Automaton for Published<M> {
 /// Unlike the simulator, the window between injecting an invocation and
 /// the actor recording it is real. The cluster therefore tracks issued
 /// counts per client itself and reports a client busy from the moment of
-/// injection until its published completion count catches up — the
+/// injection until its completion count catches up — the
 /// conservative flag that keeps closed-loop drivers from double-invoking
 /// a client (the automata assert the paper's well-formedness and would
 /// panic).
@@ -125,9 +94,6 @@ pub struct ThreadCluster<P: ProtocolFamily> {
     layout: Layout,
     history: SharedHistory,
     pool: ActorPool<P::Msg>,
-    /// Operations completed per client address, as published by the
-    /// clients' wrappers.
-    completed: Arc<[AtomicU64]>,
     /// Operations injected per client address.
     issued_by: Vec<u64>,
     /// Total operations injected.
@@ -161,36 +127,14 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
         Self::deploy(cfg, parts, rt)
     }
 
-    /// Hands assembled automata to a pool, each client wrapped to
-    /// publish its completions.
+    /// Hands assembled automata to a pool.
     fn deploy(cfg: ClusterConfig, parts: Assembly<P>, rt: RtConfig) -> Self {
-        let clients = (cfg.w + cfg.r) as usize;
-        let completed: Arc<[AtomicU64]> = (0..clients).map(|_| AtomicU64::new(0)).collect();
-        let automata = parts
-            .automata
-            .into_iter()
-            .enumerate()
-            .map(|(i, automaton)| -> Box<dyn Automaton<Msg = P::Msg>> {
-                if i < clients {
-                    Box::new(Published {
-                        client: automaton,
-                        history: parts.history.clone(),
-                        addr: i as u32,
-                        completed: Arc::clone(&completed),
-                        published: 0,
-                    })
-                } else {
-                    automaton
-                }
-            })
-            .collect();
         ThreadCluster {
             cfg,
             layout: parts.layout,
             history: parts.history,
-            pool: ActorPool::spawn(automata, rt),
-            completed,
-            issued_by: vec![0; clients],
+            pool: ActorPool::spawn(parts.automata, rt),
+            issued_by: vec![0; (cfg.w + cfg.r) as usize],
             issued: 0,
             settle_timeout: SETTLE_TIMEOUT,
             stalled: false,
@@ -210,25 +154,17 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
         self.pool.stats()
     }
 
-    /// Operations client `addr` has completed, as published.
-    fn completed_by(&self, addr: u32) -> u64 {
-        self.completed
-            .get(addr as usize)
-            .map_or(0, |c| c.load(Ordering::Acquire))
-    }
-
     /// Outstanding operations of client `addr` (issued minus completed).
     fn outstanding(&self, addr: u32) -> u64 {
         let issued = self.issued_by.get(addr as usize).copied().unwrap_or(0);
-        issued.saturating_sub(self.completed_by(addr))
+        issued.saturating_sub(self.history.completed_by(addr))
     }
 
     /// Whether a client the driver has invoked is idle again.
     fn a_used_client_is_idle(&self) -> bool {
-        self.issued_by
-            .iter()
-            .zip(self.completed.iter())
-            .any(|(&issued, done)| issued > 0 && issued == done.load(Ordering::Acquire))
+        (0..)
+            .zip(&self.issued_by)
+            .any(|(addr, &issued)| issued > 0 && issued == self.history.completed_by(addr))
     }
 
     /// The one wait: yields the core until `done` holds and returns the
@@ -311,7 +247,7 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
         // Waits for this reader only: other clients' operations may
         // legitimately stay in flight across a read.
         self.await_client_idle(addr);
-        let before = self.completed_by(addr);
+        let before = self.history.completed_by(addr);
         self.read_async(index);
         self.await_client_idle(addr);
         nth_read_value(&self.history, addr, before)
@@ -329,10 +265,7 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
     }
 
     fn ops_completed(&self) -> u64 {
-        self.completed
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .sum()
+        self.history.completed_count() as u64
     }
 
     fn client_busy(&self, proc: u32) -> bool {
@@ -386,6 +319,7 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
 mod tests {
     use super::*;
     use crate::harness::{Abd, FastByz, FastCrash};
+    use fastreg_simnet::automaton::{Automaton, Outbox};
 
     #[test]
     fn fast_crash_over_threads_end_to_end() {

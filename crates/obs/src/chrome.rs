@@ -7,23 +7,7 @@
 //! only, so the bytes are as deterministic as the events.
 
 use crate::event::{Event, Phase};
-
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::json_escape;
 
 /// Renders `events` as Chrome `trace_event` JSON.
 ///
@@ -39,7 +23,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
             out.push(',');
         }
         out.push_str("\n{");
-        out.push_str(&format!("\"name\":\"{}\",", escape(e.name)));
+        out.push_str(&format!("\"name\":\"{}\",", json_escape(e.name)));
         let ph = match e.phase {
             Phase::Begin => "B",
             Phase::End => "E",
@@ -61,7 +45,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\":{v}", escape(k)));
+                out.push_str(&format!("\"{}\":{v}", json_escape(k)));
             }
             out.push('}');
         }

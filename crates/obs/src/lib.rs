@@ -38,3 +38,37 @@ pub use clock::{Clock, LogicalClock, MonoClock};
 pub use event::{merge, spans_balanced, Event, Phase, Recorder};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use summary::LatencyStats;
+
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\` are
+/// backslashed, `\n`, `\t` and `\r` take their short forms, and every
+/// other control character becomes `\u00XX`. The one escape every JSON
+/// writer of the workspace uses (the lint keeps its own, being
+/// dependency-free).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_escape;
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(
+            json_escape("q\"b\\n\nt\tr\r\u{1}é"),
+            r#"q\"b\\n\nt\tr\r\u0001é"#
+        );
+    }
+}

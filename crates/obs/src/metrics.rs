@@ -230,17 +230,7 @@ impl MetricsRegistry {
     /// (sorted keys, integers only — no floats anywhere).
     pub fn to_json(&self) -> String {
         fn quote(s: &str) -> String {
-            let mut out = String::from("\"");
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
+            format!("\"{}\"", crate::json_escape(s))
         }
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {

@@ -80,7 +80,7 @@ pub trait Automaton: Downcast + Send {
 /// The runtime moves the collected messages into the in-transit set after the
 /// step completes — mirroring the paper's atomic step semantics, with one
 /// deliberate exception: a crash fault may be injected *after a prefix of the
-/// sends* ([`CrashMode::AfterSends`](crate::fault::CrashMode::AfterSends)),
+/// sends* ([`CrashState::Armed`](crate::fault::CrashState::Armed)),
 /// because the paper requires algorithms to tolerate a process crashing
 /// mid-broadcast.
 #[derive(Debug)]

@@ -2,7 +2,9 @@
 //!
 //! The paper's crash model (§2.2): a faulty process takes a last step and
 //! then stops; while broadcasting, "the sending process may crash after
-//! sending messages to an arbitrary subset". [`CrashMode`] expresses both.
+//! sending messages to an arbitrary subset". [`CrashState`] holds both:
+//! a process is crashed now, or armed to crash after a prefix of its
+//! next step's sends.
 //!
 //! [`FaultScript`] lifts fault injection from imperative calls to *data*:
 //! an ordered list of [`FaultEvent`]s, each firing when a run's logical
@@ -17,26 +19,16 @@ use std::fmt;
 use crate::id::ProcessId;
 use crate::time::SimTime;
 
-/// How a process crash is injected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashMode {
-    /// Stop immediately: the process takes no further steps; messages it has
-    /// already placed in transit remain in transit.
-    Now,
-    /// Crash during the process's *next* step, after it has emitted exactly
-    /// `k` of that step's messages. The remaining messages of the step are
-    /// lost with the process. This models the mid-broadcast crash the paper
-    /// requires implementations to tolerate.
-    AfterSends(usize),
-}
-
 /// The crash status of a process inside a world.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CrashState {
     /// Taking steps normally.
     #[default]
     Up,
-    /// A [`CrashMode::AfterSends`] fault is armed for the next step.
+    /// Armed to crash during the next step, after that step's first `k`
+    /// sends: the rest of the step's messages are lost with the process
+    /// (the mid-broadcast crash; see
+    /// [`World::arm_crash_after_sends`](crate::world::World::arm_crash_after_sends)).
     Armed(usize),
     /// Crashed (at the given time); takes no further steps.
     Down(SimTime),

@@ -101,7 +101,6 @@ pub mod prelude {
     pub use crate::automaton::{Automaton, Downcast, Outbox};
     pub use crate::delay::DelayModel;
     pub use crate::envelope::{Envelope, MsgId};
-    pub use crate::fault::CrashMode;
     pub use crate::id::ProcessId;
     pub use crate::runner::SimConfig;
     pub use crate::time::SimTime;

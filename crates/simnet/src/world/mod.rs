@@ -185,12 +185,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         self.ready.stats()
     }
 
-    /// The world's seeded random source, for drivers that need reproducible
-    /// randomness coupled to the world seed.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// Borrows the typed state of actor `p`, if it is a `T`.
     ///
     /// Returns `None` if the id is out of range or the actor is not a `T`.
@@ -198,18 +192,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         self.slots
             .get(p.index() as usize)
             .and_then(|s| s.automaton.as_any().downcast_ref::<T>())
-            .map(f)
-    }
-
-    /// Mutably borrows the typed state of actor `p`, if it is a `T`.
-    pub fn with_actor_mut<T: 'static, R, F: FnOnce(&mut T) -> R>(
-        &mut self,
-        p: ProcessId,
-        f: F,
-    ) -> Option<R> {
-        self.slots
-            .get_mut(p.index() as usize)
-            .and_then(|s| s.automaton.as_any_mut().downcast_mut::<T>())
             .map(f)
     }
 
@@ -414,11 +396,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     /// Delivers every in-transit message addressed to `to` (snapshot).
     pub fn deliver_all_to(&mut self, to: ProcessId) -> usize {
         self.deliver_matching(|e| e.to == to)
-    }
-
-    /// Delivers every in-transit message from `from` to `to` (snapshot).
-    pub fn deliver_between(&mut self, from: ProcessId, to: ProcessId) -> usize {
-        self.deliver_matching(|e| e.is_between(from, to))
     }
 
     /// Drops (discards) every in-transit message matching `pred`.

@@ -8,8 +8,6 @@
 //! (explicit, or automatic when the window fills) routes the buffer and
 //! drives the affected shards via [`ShardedStore::apply_batch`].
 
-use fastreg::harness::{BuildError, Runtime};
-
 use crate::kv::KvOp;
 use crate::shard::StoreError;
 use crate::store::{BatchStats, ShardedStore};
@@ -73,33 +71,6 @@ impl BatchedFrontend {
             pending: Vec::new(),
             stats: FrontendStats::default(),
         }
-    }
-
-    /// Runtime-aware constructor for callers that thread a
-    /// [`Runtime`] selection through the whole stack.
-    ///
-    /// What the `runtime` names is the substrate of the *registers
-    /// underneath*, and those are simulated per key — the store's
-    /// determinism contract depends on it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::UnsupportedRuntime`] for anything but
-    /// [`Runtime::Simnet`].
-    pub fn with_runtime(
-        store: ShardedStore,
-        threads: usize,
-        window: usize,
-        runtime: Runtime,
-    ) -> Result<Self, BuildError> {
-        if runtime != Runtime::Simnet {
-            return Err(BuildError::UnsupportedRuntime {
-                runtime,
-                reason: "the batched frontend fans out simulated shards; \
-                         its registers only run on the simnet runtime",
-            });
-        }
-        Ok(BatchedFrontend::new(store, threads, window))
     }
 
     /// The store behind the frontend (read access — mutate through
@@ -211,27 +182,6 @@ mod tests {
         assert_eq!(batch.ops, 2);
         assert_eq!(fe.pending(), 0);
         assert_eq!(fe.stats().flushes, 1);
-    }
-
-    #[test]
-    fn runtime_aware_constructor_rejects_threads() {
-        use crate::store::StoreBuilder;
-        use fastreg::config::ClusterConfig;
-
-        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let store = || StoreBuilder::new(cfg).shards(2).build().unwrap();
-        let requested = Runtime::Threads { workers: 4 };
-        match BatchedFrontend::with_runtime(store(), 2, 8, requested) {
-            Err(BuildError::UnsupportedRuntime { runtime, .. }) => assert_eq!(runtime, requested),
-            Err(other) => panic!("expected UnsupportedRuntime, got {other:?}"),
-            Ok(_) => panic!("threads must be rejected"),
-        }
-        // Simnet goes through and behaves exactly like `new`.
-        let mut fe = BatchedFrontend::with_runtime(store(), 2, 8, Runtime::Simnet).unwrap();
-        fe.submit(KvOp::put(0, 1, 1)).unwrap();
-        let (store, stats) = fe.finish().unwrap();
-        assert_eq!(stats.ops, 1);
-        assert_eq!(store.ops_applied(), 1);
     }
 
     #[test]

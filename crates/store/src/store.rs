@@ -3,7 +3,7 @@
 use std::fmt;
 
 use fastreg::config::ClusterConfig;
-use fastreg::harness::{BuildError, Runtime};
+use fastreg::harness::BuildError;
 use fastreg::protocols::registry::ProtocolId;
 use fastreg_auth::digest::DigestWriter;
 use fastreg_simnet::runner::SimConfig;
@@ -46,7 +46,6 @@ pub struct StoreBuilder {
     backends: Vec<ProtocolId>,
     sim: SimConfig,
     seed: u64,
-    runtime: Runtime,
 }
 
 impl StoreBuilder {
@@ -59,23 +58,7 @@ impl StoreBuilder {
             backends: vec![ProtocolId::FastCrash],
             sim: SimConfig::default(),
             seed: 0,
-            runtime: Runtime::Simnet,
         }
-    }
-
-    /// Selects the execution substrate for the per-key registers.
-    ///
-    /// Only [`Runtime::Simnet`] is supported: the store drives each
-    /// key's register inside its own simulated world (that is what makes
-    /// shard execution deterministic and thread-independent), so
-    /// [`build`](Self::build) rejects [`Runtime::Threads`] with
-    /// [`BuildError::UnsupportedRuntime`] rather than silently changing
-    /// semantics. The method exists so callers can thread one `Runtime`
-    /// value through both builders and get a typed error instead of a
-    /// surprise.
-    pub fn runtime(mut self, runtime: Runtime) -> Self {
-        self.runtime = runtime;
-        self
     }
 
     /// Sets the shard count (keyspace partitions).
@@ -123,18 +106,7 @@ impl StoreBuilder {
     /// Returns [`BuildError::Infeasible`] if any assigned backend's
     /// feasibility predicate rejects the cluster configuration — checked
     /// here, once, so lazy per-key register construction cannot fail.
-    ///
-    /// Returns [`BuildError::UnsupportedRuntime`] if
-    /// [`runtime`](Self::runtime) selected anything but
-    /// [`Runtime::Simnet`].
     pub fn build(self) -> Result<ShardedStore, BuildError> {
-        if self.runtime != Runtime::Simnet {
-            return Err(BuildError::UnsupportedRuntime {
-                runtime: self.runtime,
-                reason: "the sharded store drives per-key simulated worlds; \
-                         only the simnet runtime preserves its determinism contract",
-            });
-        }
         for &id in &self.backends {
             if !id.feasible(&self.cfg) {
                 return Err(BuildError::Infeasible {
@@ -352,29 +324,6 @@ mod tests {
         let store = StoreBuilder::new(cfg)
             .shards(2)
             .protocol(ProtocolId::Abd)
-            .build()
-            .unwrap();
-        assert_eq!(store.n_shards(), 2);
-    }
-
-    #[test]
-    fn builder_rejects_the_threaded_runtime_typed_ly() {
-        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let requested = Runtime::Threads { workers: 2 };
-        let err = StoreBuilder::new(cfg)
-            .shards(2)
-            .runtime(requested)
-            .build()
-            .unwrap_err();
-        let BuildError::UnsupportedRuntime { runtime, reason } = err else {
-            panic!("expected UnsupportedRuntime, got {err:?}");
-        };
-        assert_eq!(runtime, requested);
-        assert!(reason.contains("simnet"));
-        // Explicitly asking for the simnet still builds.
-        let store = StoreBuilder::new(cfg)
-            .shards(2)
-            .runtime(Runtime::Simnet)
             .build()
             .unwrap();
         assert_eq!(store.n_shards(), 2);

@@ -255,9 +255,11 @@ fn build_unchecked_and_from_cluster_cover_the_escape_hatches() {
     // Erasing a statically built cluster preserves behaviour and identity.
     let feasible = ClusterConfig::crash_stop(5, 1, 2).unwrap();
     let typed: Cluster<FastCrash> = ClusterBuilder::new(feasible).seed(3).build_typed().unwrap();
-    let mut erased = DynCluster::from_cluster(ProtocolId::FastCrash, typed);
+    let typed_contract = typed.contract();
+    let mut erased = DynCluster::from_cluster(typed);
     assert_eq!(erased.id(), ProtocolId::FastCrash);
     assert_eq!(erased.name(), "fast-crash");
+    assert_eq!(erased.contract(), typed_contract);
     erased.write_sync(9);
     assert_eq!(erased.read(1), RegValue::Val(9));
     erased.check_atomic().unwrap();
@@ -408,7 +410,7 @@ fn pinned_cluster(id: ProtocolId, net: Net, seed: u64) -> DynCluster {
                     _ => FastByz::server(cfg, layout, index, ctx),
                 }
             });
-            DynCluster::from_cluster(id, typed.expect("simnet"))
+            DynCluster::from_cluster(typed.expect("simnet"))
         }
     }
 }
@@ -520,7 +522,7 @@ fn replay_tape<P: ProtocolFamily>() -> ProtocolId {
     }
 
     // Fresh automata in layout address order, keyed like the recording.
-    let (layout, history) = (Layout::of(&cfg), SharedHistory::new());
+    let (layout, history) = (Layout::of(&cfg), SharedHistory::new(cfg.w + cfg.r));
     let mut ctx = P::make_ctx(&cfg, SEED);
     let mut actors: Vec<Box<dyn Automaton<Msg = P::Msg>>> = Vec::new();
     for i in 0..cfg.w {
