@@ -81,7 +81,7 @@ impl Automaton for SeenInflater {
     type Msg = Msg;
 
     fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        let mut tmp = Outbox::new(out.this(), out.now());
+        let mut tmp = out.scratch();
         self.inner.on_message(from, msg, &mut tmp);
         for (to, reply) in tmp.into_messages() {
             let inflated = match reply {
@@ -191,7 +191,7 @@ impl Automaton for StaleOldest {
                 self.oldest = Some(record.clone());
             }
         }
-        let mut tmp = Outbox::new(out.this(), out.now());
+        let mut tmp = out.scratch();
         self.inner.on_message(from, msg, &mut tmp);
         for (to, reply) in tmp.into_messages() {
             let stale = match (reply, self.oldest.clone()) {
@@ -232,7 +232,7 @@ impl Automaton for CounterAbuser {
     type Msg = Msg;
 
     fn on_message(&mut self, from: ProcessId, msg: Msg, out: &mut Outbox<Msg>) {
-        let mut tmp = Outbox::new(out.this(), out.now());
+        let mut tmp = out.scratch();
         self.inner.on_message(from, msg, &mut tmp);
         for (to, reply) in tmp.into_messages() {
             match reply {
@@ -292,19 +292,19 @@ impl Automaton for TwoFacedLoseWrite {
         let is_write = matches!(msg, Msg::Write { .. });
         // The shadow never sees writes.
         if !is_write {
-            let mut shadow_out = Outbox::new(out.this(), out.now());
+            let mut shadow_out = out.scratch();
             self.shadow.on_message(from, msg.clone(), &mut shadow_out);
             if from == self.victim {
                 for (to, m) in shadow_out.into_messages() {
                     out.send(to, m);
                 }
                 // Keep the honest state in sync for everyone else's view.
-                let mut sink = Outbox::new(out.this(), out.now());
+                let mut sink = out.scratch();
                 self.honest.on_message(from, msg, &mut sink);
                 return;
             }
         }
-        let mut honest_out = Outbox::new(out.this(), out.now());
+        let mut honest_out = out.scratch();
         self.honest.on_message(from, msg, &mut honest_out);
         for (to, m) in honest_out.into_messages() {
             out.send(to, m);
@@ -451,6 +451,55 @@ mod tests {
             let snap = c.snapshot();
             c.check_atomic()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", snap.render()));
+        }
+    }
+
+    /// A wrapper runs its honest server into a scratch of the step's
+    /// outbox: neither asks for the time, so on a wall clock the step
+    /// reads none.
+    #[test]
+    fn a_wrapped_server_step_reads_no_clock() {
+        use fastreg_simnet::automaton::LazyNow;
+        use fastreg_simnet::time::SimTime;
+
+        let cfg = cfg();
+        let layout = Layout::of(&cfg);
+        let ctx = FastByz::make_ctx(&cfg, 7);
+        let (verifier, key) = (&ctx.verifier, ctx.writer_key);
+        let reader = layout.reader(0);
+        let behaviours: Vec<Box<dyn Automaton<Msg = Msg>>> = vec![
+            Box::new(StaleReplayer::new(&cfg)),
+            Box::new(SeenInflater::new(&cfg, layout, verifier.clone(), key)),
+            Box::new(Forger::new()),
+            Box::new(StaleOldest::new(&cfg, layout, verifier.clone(), key)),
+            Box::new(CounterAbuser::new(&cfg, layout, verifier.clone(), key)),
+            // The reader as the victim, and as anyone else.
+            Box::new(TwoFacedLoseWrite::new(
+                &cfg,
+                layout,
+                verifier.clone(),
+                key,
+                reader,
+            )),
+            Box::new(TwoFacedLoseWrite::new(
+                &cfg,
+                layout,
+                verifier.clone(),
+                key,
+                layout.writer(0),
+            )),
+        ];
+        let clock = || SimTime::from_ticks(1);
+        for (i, mut server) in behaviours.into_iter().enumerate() {
+            let now = LazyNow::new(&clock);
+            let mut out = Outbox::with_lazy_now(layout.server(0), &now, Vec::new());
+            let read = Msg::Read {
+                record: SignedRecord::genesis(),
+                r_counter: 1,
+            };
+            server.on_message(reader, read, &mut out);
+            assert!(!out.is_empty(), "behaviour {i} answers");
+            assert_eq!(now.reading(), None, "behaviour {i} read the clock");
         }
     }
 

@@ -168,8 +168,10 @@ impl<R: Rule> Deref for Client<R> {
 impl<R: Rule> Automaton for Client<R> {
     type Msg = R::Msg;
 
+    // `out.now()` is asked only where the history records: on a wall
+    // clock the first ask of a step reads it, and the steps in between
+    // (acks short of a quorum, a second round's request) need no time.
     fn on_message(&mut self, from: ProcessId, msg: R::Msg, out: &mut Outbox<R::Msg>) {
-        let (me, now) = (out.this().index(), out.now().ticks());
         if let Some((kind, request)) = self.rule.request(&msg, self.invoked + 1) {
             let name = match kind {
                 OpKind::Read => "read",
@@ -181,6 +183,7 @@ impl<R: Rule> Automaton for Client<R> {
                 "client invoked {name}() while an operation was pending"
             );
             self.invoked += 1;
+            let (me, now) = (out.this().index(), out.now().ticks());
             let op = match kind {
                 OpKind::Read => self.history.invoke_read(me, now),
                 OpKind::Write { value } => self.history.invoke_write(me, value, now),
@@ -200,7 +203,7 @@ impl<R: Rule> Automaton for Client<R> {
             match self.rule.decide(&self.round) {
                 Decision::Respond(returned) => {
                     self.pending = None;
-                    self.history.respond(op, returned, now);
+                    self.history.respond(op, returned, out.now().ticks());
                 }
                 Decision::Next(request) => {
                     self.round.reset(self.invoked);

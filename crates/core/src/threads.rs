@@ -46,6 +46,17 @@
 //! worker 0, and only the servers it does not wait for answer across a
 //! channel.
 //!
+//! ## Two clock reads per operation
+//!
+//! A step's [`Outbox::now`](fastreg_simnet::automaton::Outbox::now) is
+//! lazy on threads: the pool reads its clock the first time a step asks,
+//! and not at all if it never does. The one client automaton asks only
+//! where it records into the history — the invocation and the response —
+//! so an operation costs two clock reads however many rounds and acks it
+//! takes, and a server step costs none.
+//! [`RtStats::step_clock_reads`](fastreg_rt::RtStats::step_clock_reads)
+//! counts them.
+//!
 //! Type-erased construction goes through
 //! [`ClusterBuilder::runtime`](crate::harness::ClusterBuilder::runtime)
 //! with [`Runtime::Threads`](crate::harness::Runtime::Threads);
@@ -444,6 +455,81 @@ mod tests {
         // 12 messages. At w = 2 server 7 is alone on worker 1.
         let byz = ClusterConfig::byzantine(6, 1, 1, 1).unwrap();
         assert_split::<FastByz>(byz, 2, (30, 6));
+    }
+
+    /// Ten closed-loop rounds of every client on `P`'s sample
+    /// configuration: each client invokes once its previous operation
+    /// completed.
+    fn closed_loop<P: ProtocolFamily>(workers: usize) -> ThreadCluster<P> {
+        let cfg = P::ID.sample_config();
+        let mut c: ThreadCluster<P> = ThreadCluster::spawn(cfg, 7, RtConfig::new(workers));
+        for v in 1..=10 {
+            for wid in 0..cfg.w {
+                c.write_by(wid, v);
+            }
+            for index in 0..cfg.r {
+                c.read_async(index);
+            }
+        }
+        assert_eq!(c.try_settle().map(|_| ()), Ok(()), "{}", P::ID);
+        assert_eq!(c.ops_completed(), 10 * u64::from(cfg.w + cfg.r));
+        c
+    }
+
+    /// A step reads the wall clock only if it asks for the time, and a
+    /// client asks only where it records: the invocation and the response.
+    fn assert_two_clock_reads_per_op<P: ProtocolFamily>() {
+        for workers in [1, 2] {
+            let c = closed_loop::<P>(workers);
+            let want = 2 * c.ops_completed();
+            // The last response's read is counted after its step returns.
+            eventually(|| c.rt_stats().step_clock_reads >= want);
+            let reads = c.rt_stats().step_clock_reads;
+            assert_eq!(reads, want, "{} at workers = {workers}", P::ID);
+        }
+    }
+
+    #[test]
+    fn every_protocol_reads_the_clock_twice_per_operation() {
+        use crate::harness::{FastRegular, MaxMin, MwmrAbd, MwmrNaiveFast, SwsrFast};
+        assert_two_clock_reads_per_op::<FastCrash>();
+        assert_two_clock_reads_per_op::<FastByz>();
+        assert_two_clock_reads_per_op::<Abd>();
+        assert_two_clock_reads_per_op::<MaxMin>();
+        assert_two_clock_reads_per_op::<FastRegular>();
+        assert_two_clock_reads_per_op::<SwsrFast>();
+        assert_two_clock_reads_per_op::<MwmrAbd>();
+        assert_two_clock_reads_per_op::<MwmrNaiveFast>();
+    }
+
+    #[test]
+    fn each_clients_operations_are_stamped_in_real_time_order() {
+        // A lazily read time is read inside the recording step, so one
+        // client's sequential operations never overlap or reorder: each
+        // responds no earlier than it was invoked, and no later than the
+        // client's next invocation.
+        for workers in [1, 2] {
+            let c = closed_loop::<FastCrash>(workers);
+            let history = c.snapshot();
+            for client in 0..c.cfg.w + c.cfg.r {
+                let ops: Vec<_> = history.ops().iter().filter(|o| o.proc == client).collect();
+                assert_eq!(ops.len(), 10, "client {client}");
+                let stamps: Vec<(u64, u64)> = ops
+                    .iter()
+                    .map(|o| (o.invoked_at, o.responded_at.expect("completed")))
+                    .collect();
+                for (i, &(inv, resp)) in stamps.iter().enumerate() {
+                    assert!(inv <= resp, "client {client}, op {i}: {stamps:?}");
+                }
+                for (i, pair) in stamps.windows(2).enumerate() {
+                    assert!(
+                        pair[0].1 <= pair[1].0,
+                        "client {client}, ops {i}, {}: {stamps:?}",
+                        i + 1
+                    );
+                }
+            }
+        }
     }
 
     /// Panics on every message: a process that crashes when first

@@ -442,6 +442,48 @@ mod tests {
         assert_eq!(check_file("crates/workload/src/obsrun.rs", &l).len(), 0);
     }
 
+    /// The `path = "…"` entries of one list in the workspace's
+    /// `clippy.toml`, e.g. `disallowed-methods`.
+    fn clippy_paths(list: &str) -> Vec<String> {
+        let toml = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../clippy.toml");
+        let text = std::fs::read_to_string(toml).expect("the workspace has a clippy.toml");
+        let start = format!("{list} = [");
+        text.lines()
+            .skip_while(|l| !l.starts_with(&start))
+            .skip(1)
+            .take_while(|l| !l.starts_with(']'))
+            .filter(|l| !l.trim_start().starts_with('#'))
+            .filter_map(|l| l.split("path = \"").nth(1)?.split('"').next())
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// `clippy.toml` mirrors D1 and D2 in the editor: every path it
+    /// disallows carries one of the rule's tokens, and every token is
+    /// carried by a path it disallows.
+    #[test]
+    fn clippy_toml_mirrors_the_d1_and_d2_tokens() {
+        for (list, rule, tokens) in [
+            ("disallowed-types", Rule::NondetOrder, D1_TOKENS),
+            ("disallowed-methods", Rule::WallClock, D2_TOKENS),
+        ] {
+            let paths = clippy_paths(list);
+            assert!(!paths.is_empty(), "clippy.toml has no {list}");
+            for path in &paths {
+                assert!(
+                    tokens.iter().any(|t| path.contains(t)),
+                    "clippy.toml's {list} has {path}, which {rule} does not flag"
+                );
+            }
+            for token in tokens {
+                assert!(
+                    paths.iter().any(|p| p.contains(token)),
+                    "{rule} flags {token}, which clippy.toml's {list} does not: {paths:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn allowed_findings_carry_the_reason() {
         let s =

@@ -42,11 +42,15 @@
 //! — the local queue when `b` shares `a`'s worker, `b`'s channel
 //! otherwise — and both are FIFO in send order.
 //!
-//! A step reads the wall clock once; that reading is the step's
-//! [`Outbox::now`], in microseconds since the pool started, so histories
+//! A step reads the wall clock at most once, when it asks: its outbox
+//! carries a [`LazyNow`] over the pool's clock, so the first
+//! [`Outbox::now`] of the step reads it and later calls return that
+//! reading. A register client asks only in the steps that record an
+//! invocation or a response — two per operation — and a server never
+//! does. Readings are microseconds since the pool started, so histories
 //! recorded here are directly comparable with simulated ones (one tick =
-//! one microsecond). Busy time is measured per drained batch, from its
-//! first step's reading to one more reading at its end.
+//! one microsecond). The only other reads are a pair per drained batch,
+//! which measures busy time.
 //!
 //! An actor whose step panics has crashed: its slot is emptied, that
 //! step's sends are dropped, and so is every later message to it — what
@@ -100,7 +104,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fastreg_obs::MonoClock;
-use fastreg_simnet::automaton::{Automaton, Outbox};
+use fastreg_simnet::automaton::{Automaton, LazyNow, Outbox};
 use fastreg_simnet::id::ProcessId;
 use fastreg_simnet::time::SimTime;
 
@@ -179,6 +183,7 @@ struct Counters {
     busy_us: AtomicU64,
     local_sends: AtomicU64,
     remote_sends: AtomicU64,
+    step_clock_reads: AtomicU64,
 }
 
 /// Adds `n` to a counter only the calling thread writes.
@@ -220,6 +225,9 @@ pub struct RtStats {
     /// Actor-to-actor sends whose receiver is on another worker:
     /// delivered through that worker's channel.
     pub remote_sends: u64,
+    /// Actor steps that read the wall clock (asked for
+    /// [`Outbox::now`]); the busy-time reads are not counted.
+    pub step_clock_reads: u64,
 }
 
 /// A running set of actors partitioned over a pool of worker threads.
@@ -279,7 +287,6 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
                     clock: Arc::clone(&clock),
                     counters: Arc::clone(&counters),
                     buf: Vec::new(),
-                    busy_since: None,
                     panicked: Vec::new(),
                 };
                 std::thread::Builder::new()
@@ -360,6 +367,7 @@ impl<M> ActorPool<M> {
                 busy_us: s.busy_us + load(&c.busy_us),
                 local_sends: s.local_sends + load(&c.local_sends),
                 remote_sends: s.remote_sends + load(&c.remote_sends),
+                step_clock_reads: s.step_clock_reads + load(&c.step_clock_reads),
             })
     }
 
@@ -434,8 +442,6 @@ struct Worker<M> {
     counters: Arc<[Counters]>,
     /// The outbox buffer every step borrows.
     buf: Vec<(ProcessId, M)>,
-    /// The clock reading of the current batch's first step.
-    busy_since: Option<u64>,
     panicked: Vec<ProcessId>,
 }
 
@@ -443,13 +449,14 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
     /// The worker thread: start every actor, then drain the channel in
     /// batches until a shutdown marker. Returns the actors that panicked.
     fn run(mut self, rx: Receiver<Job<M>>) -> Vec<ProcessId> {
+        let busy_since = self.clock.elapsed_us();
         for i in 0..self.n_actors {
             if place(i, self.n_actors, self.workers).0 == self.index {
                 self.step(i as u32, None);
             }
         }
         self.drain_local();
-        self.end_batch();
+        self.end_batch(busy_since);
         // Batched drain: one blocking recv per backlog burst, then
         // opportunistic try_recv up to the cap. The batch length is the
         // observed mailbox depth. The worker blocks only when its local
@@ -468,6 +475,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
                     Err(_) => break,
                 }
             }
+            let busy_since = self.clock.elapsed_us();
             if !batch.is_empty() {
                 let c = &self.counters[self.index];
                 add(&c.drained_batches, 1);
@@ -488,7 +496,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
                 }
             }
             self.drain_local();
-            self.end_batch();
+            self.end_batch(busy_since);
         }
         self.panicked
     }
@@ -513,16 +521,18 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
         let Some(actor) = self.actors[slot].as_mut() else {
             return;
         };
-        let now = self.clock.elapsed_us();
-        self.busy_since.get_or_insert(now);
+        let clock = || SimTime::from_ticks(self.clock.elapsed_us());
+        let now = LazyNow::new(&clock);
         let me = ProcessId::new(to);
-        let mut out =
-            Outbox::with_buffer(me, SimTime::from_ticks(now), std::mem::take(&mut self.buf));
+        let mut out = Outbox::with_lazy_now(me, &now, std::mem::take(&mut self.buf));
         let stepped = catch_unwind(AssertUnwindSafe(|| match input {
             Some((from, msg)) => actor.on_message(from, msg, &mut out),
             None => actor.on_start(&mut out),
         }));
         let mut msgs = out.into_messages();
+        if now.reading().is_some() {
+            add(&self.counters[self.index].step_clock_reads, 1);
+        }
         if stepped.is_ok() {
             self.route(me, &mut msgs);
         } else {
@@ -568,12 +578,10 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
         }
     }
 
-    /// Closes the busy interval the batch's first step opened.
-    fn end_batch(&mut self) {
-        if let Some(since) = self.busy_since.take() {
-            let busy = self.clock.elapsed_us().saturating_sub(since);
-            add(&self.counters[self.index].busy_us, busy);
-        }
+    /// Closes the busy interval of a batch that started at `since`.
+    fn end_batch(&self, since: u64) {
+        let busy = self.clock.elapsed_us().saturating_sub(since);
+        add(&self.counters[self.index].busy_us, busy);
     }
 }
 
@@ -762,6 +770,54 @@ mod tests {
         assert!(stats.max_batch >= 1);
         assert!(stats.max_batch <= DRAIN_BATCH_MAX as u64);
         assert_eq!(pool.shutdown(), Ok(()));
+    }
+
+    #[test]
+    fn a_step_reads_the_clock_once_when_it_asks_and_never_otherwise() {
+        /// Asks for the time twice, 2 ms apart, and reports both answers.
+        struct Stamper(mpsc::Sender<(u64, u64)>);
+        impl Automaton for Stamper {
+            type Msg = Msg;
+            fn on_message(&mut self, _from: ProcessId, _msg: Msg, out: &mut Outbox<Msg>) {
+                let first = out.now().ticks();
+                std::thread::sleep(Duration::from_millis(2));
+                let _ = self.0.send((first, out.now().ticks()));
+            }
+        }
+        for workers in [1, 2] {
+            let (tx, rx) = mpsc::channel();
+            let (stamps, stamped) = mpsc::channel();
+            let pool = ActorPool::spawn(
+                vec![
+                    initiator(1, 10, tx) as Box<dyn Automaton<Msg = Msg>>,
+                    Box::new(Responder),
+                    Box::new(Stamper(stamps)),
+                ],
+                RtConfig::new(workers),
+            );
+            for _ in 0..10 {
+                pool.inject(ProcessId::new(0), Msg::Ping);
+            }
+            rx.recv_timeout(Duration::from_secs(30))
+                .expect("all pongs arrive");
+            assert_eq!(pool.stats().step_clock_reads, 0, "echo actors never ask");
+            for _ in 0..3 {
+                pool.inject(ProcessId::new(2), Msg::Ping);
+            }
+            for _ in 0..3 {
+                let (first, second) = stamped
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("every stamp arrives");
+                assert_eq!(first, second, "one reading per step, not one per ask");
+            }
+            // A step's read is counted after the step returns.
+            let deadline = pool.now_ticks() + 30_000_000;
+            while pool.stats().step_clock_reads < 3 && pool.now_ticks() < deadline {
+                std::thread::yield_now();
+            }
+            assert_eq!(pool.stats().step_clock_reads, 3, "workers = {workers}");
+            assert_eq!(pool.shutdown(), Ok(()));
+        }
     }
 
     #[test]

@@ -46,34 +46,9 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-impl<M> Envelope<M> {
-    /// Returns `true` if this message travels between the given pair.
-    pub fn is_between(&self, from: ProcessId, to: ProcessId) -> bool {
-        self.from == from && self.to == to
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn env(from: u32, to: u32) -> Envelope<u8> {
-        Envelope {
-            id: MsgId(0),
-            from: ProcessId::new(from),
-            to: ProcessId::new(to),
-            sent_at: SimTime::ZERO,
-            ready_at: SimTime::ZERO,
-            msg: 0,
-        }
-    }
-
-    #[test]
-    fn is_between_matches_exact_pair() {
-        let e = env(1, 2);
-        assert!(e.is_between(ProcessId::new(1), ProcessId::new(2)));
-        assert!(!e.is_between(ProcessId::new(2), ProcessId::new(1)));
-    }
 
     #[test]
     fn msg_id_formats() {

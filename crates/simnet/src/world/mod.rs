@@ -632,7 +632,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
 
     /// An outbox for a step of `p` now, backed by the world's one buffer
     /// (`absorb_outbox` takes it back).
-    fn lend_outbox(&mut self, p: ProcessId) -> Outbox<M> {
+    fn lend_outbox(&mut self, p: ProcessId) -> Outbox<'static, M> {
         Outbox::with_buffer(p, self.now, std::mem::take(&mut self.outbox_buf))
     }
 
@@ -644,7 +644,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         self.absorb_outbox(p, out);
     }
 
-    fn absorb_outbox(&mut self, p: ProcessId, out: Outbox<M>) {
+    fn absorb_outbox(&mut self, p: ProcessId, out: Outbox<'static, M>) {
         let mut msgs = out.into_messages();
         let slot = &mut self.slots[p.index() as usize];
         if let CrashState::Armed(k) = slot.crash {
