@@ -35,7 +35,7 @@ mod tests {
     use crate::runner::SimConfig;
     use crate::world::World;
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Hash)]
     struct N(u32);
 
     struct Probe {

@@ -50,7 +50,7 @@
 //! ```
 //! use fastreg_simnet::prelude::*;
 //!
-//! #[derive(Clone, Debug)]
+//! #[derive(Clone, Debug, Hash)]
 //! enum Msg { Ping, Pong }
 //!
 //! struct Ponger;

@@ -22,7 +22,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Message delay model for the timed scheduler.
     pub delay: DelayModel,
-    /// Maximum entries kept in the trace.
+    /// Maximum entries kept in the trace. 0 keeps none and digests every
+    /// event instead ([`Trace::disabled`](crate::trace::Trace::disabled)).
     pub trace_capacity: usize,
     /// Step budget for `run_*` loops; exceeded budgets indicate livelock.
     pub max_steps: u64,

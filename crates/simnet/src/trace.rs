@@ -21,9 +21,17 @@
 //!
 //! [`Trace::fingerprint`] hashes the rendered text: a stable format, the
 //! only identity that may be written to a file or pinned in a test.
-//! [`Trace::digest`] hashes the stored entries and messages themselves
-//! through [`std::hash::Hash`] — linear in the events, not in their text,
-//! and valid only for comparing traces inside one process.
+//! [`Trace::digest`] hashes the entries and messages themselves through
+//! [`std::hash::Hash`] — linear in the events, not in their text, and
+//! valid only for comparing traces inside one process.
+//!
+//! A bounded trace digests what it stored, after the run. A trace of
+//! capacity 0 ([`Trace::disabled`]) stores nothing and digests *every*
+//! event instead: each entry and each message is folded into a running
+//! FNV-1a state as it is recorded — no allocation, no clone, no `Debug`
+//! — so its digest identifies the whole run however long it is. A
+//! bounded trace that fills up only counts the rest, and its digest
+//! covers the stored prefix plus that count.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -156,9 +164,11 @@ impl<M: fmt::Debug> fmt::Display for Line<'_, M> {
 /// FNV-1a as a `fmt::Write` sink — rendered text is hashed as it is
 /// produced instead of being collected into a `String` first — and as a
 /// [`Hasher`] for [`Trace::digest`].
+#[derive(Clone, Debug)]
 struct Fnv1a(u64);
 
 impl Fnv1a {
+    const OFFSET_BASIS: Fnv1a = Fnv1a(0xcbf2_9ce4_8422_2325);
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     fn eat(&mut self, bytes: &[u8]) {
@@ -208,7 +218,9 @@ impl Hasher for Fnv1a {
 /// A bounded event log.
 ///
 /// Once `capacity` entries have been recorded, further entries are counted
-/// but not stored, so long random runs cannot exhaust memory.
+/// but not stored, so long random runs cannot exhaust memory. At capacity
+/// 0 nothing is stored and every event is digested as it is recorded
+/// (see [`Trace::digest`]).
 #[derive(Clone, Debug)]
 pub struct Trace<M> {
     entries: Vec<TraceEntry>,
@@ -216,6 +228,8 @@ pub struct Trace<M> {
     payloads: Vec<M>,
     capacity: usize,
     suppressed: u64,
+    /// Capacity 0 only: every entry and message recorded so far, folded.
+    running: Fnv1a,
 }
 
 impl<M> Trace<M> {
@@ -226,10 +240,13 @@ impl<M> Trace<M> {
             payloads: Vec::new(),
             capacity,
             suppressed: 0,
+            running: Fnv1a::OFFSET_BASIS,
         }
     }
 
-    /// Creates a trace that stores nothing (counting only).
+    /// Creates a trace that stores nothing and digests everything: each
+    /// event is counted and folded into [`Trace::digest`] as it is
+    /// recorded, and no message is cloned or formatted.
     pub fn disabled() -> Self {
         Self::with_capacity(0)
     }
@@ -246,32 +263,56 @@ impl<M> Trace<M> {
         room
     }
 
+    /// Folds an unstored event into a digest-only trace's running state.
+    /// Out of line and cold so that a bounded trace's callers, which
+    /// never reach it, keep their hot path as it was.
+    #[cold]
+    #[inline(never)]
+    fn fold<T: Hash>(&mut self, event: T) {
+        event.hash(&mut self.running);
+    }
+
+    /// Records a `Send` / `Inject` entry with its message: a stored entry
+    /// keeps a clone, a digest-only trace folds both, a full one drops
+    /// the message.
+    #[inline]
+    fn push_with(&mut self, entry: TraceEntry, msg: &M)
+    where
+        M: Clone + Hash,
+    {
+        if self.push(entry) {
+            self.payloads.push(msg.clone());
+        } else if self.capacity == 0 {
+            self.fold((entry, msg));
+        }
+    }
+
     /// Records a payload-free entry (or counts it as suppressed when
     /// full). `Send` and `Inject` go through [`Trace::record_send`] and
     /// [`Trace::record_inject`], which keep the message.
     pub fn record(&mut self, entry: TraceEntry) {
         debug_assert!(!entry.carries_payload(), "{entry:?} needs its message");
-        self.push(entry);
+        if !self.push(entry) && self.capacity == 0 {
+            self.fold(entry);
+        }
     }
 
-    /// Records a send; `msg` is cloned only if the entry is stored.
+    /// Records a send; `msg` is cloned only if the entry is stored, and
+    /// hashed only if the trace is digest-only.
     pub fn record_send(&mut self, at: SimTime, id: MsgId, from: ProcessId, to: ProcessId, msg: &M)
     where
-        M: Clone,
+        M: Clone + Hash,
     {
-        if self.push(TraceEntry::Send { at, id, from, to }) {
-            self.payloads.push(msg.clone());
-        }
+        self.push_with(TraceEntry::Send { at, id, from, to }, msg);
     }
 
-    /// Records an injection; `msg` is cloned only if the entry is stored.
+    /// Records an injection; `msg` is cloned only if the entry is stored,
+    /// and hashed only if the trace is digest-only.
     pub fn record_inject(&mut self, at: SimTime, to: ProcessId, msg: &M)
     where
-        M: Clone,
+        M: Clone + Hash,
     {
-        if self.push(TraceEntry::Inject { at, to }) {
-            self.payloads.push(msg.clone());
-        }
+        self.push_with(TraceEntry::Inject { at, to }, msg);
     }
 
     /// The stored entries, in order (without their messages; see
@@ -312,7 +353,7 @@ impl<M> Trace<M> {
         M: fmt::Debug,
     {
         use std::fmt::Write as _;
-        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a::OFFSET_BASIS;
         for line in self.lines() {
             let _ = writeln!(h, "{line}");
         }
@@ -322,7 +363,9 @@ impl<M> Trace<M> {
 
     /// An *in-process* 64-bit identity of the trace: the stored entries,
     /// their messages and the suppressed count through
-    /// [`std::hash::Hash`], no rendering.
+    /// [`std::hash::Hash`], no rendering. At capacity 0 it is instead the
+    /// running fold of every entry and message ever recorded, in order —
+    /// the identity of the whole run, computed while it ran.
     ///
     /// Within one process (same build), equal traces have equal digests,
     /// and unequal traces collide only with the negligible probability
@@ -336,7 +379,10 @@ impl<M> Trace<M> {
     where
         M: Hash,
     {
-        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        if self.capacity == 0 {
+            return self.running.finish();
+        }
+        let mut h = Fnv1a::OFFSET_BASIS;
         self.entries.hash(&mut h);
         self.payloads.hash(&mut h);
         h.write_u64(self.suppressed);
@@ -526,6 +572,58 @@ mod tests {
         );
         assert_ne!(scripted.fingerprint(), crashed.fingerprint());
         assert_ne!(scripted.digest(), crashed.digest());
+    }
+
+    #[test]
+    fn a_disabled_trace_digests_every_event_and_stores_none() {
+        // Sends of `(tick, payload)`, then one delivery at `last`.
+        let run = |sends: &[(u64, u64)], last: u64| {
+            let mut t = Trace::disabled();
+            for (i, &(tick, payload)) in sends.iter().enumerate() {
+                let (at, id) = (SimTime::from_ticks(tick), MsgId(i as u64));
+                t.record_send(at, id, ProcessId::new(0), ProcessId::new(1), &payload);
+            }
+            t.record(TraceEntry::Deliver {
+                at: SimTime::from_ticks(last),
+                id: MsgId(0),
+                from: ProcessId::new(0),
+                to: ProcessId::new(1),
+            });
+            t
+        };
+        let sends = [(1, 10), (1, 11), (2, 12)];
+        let base = run(&sends, 5);
+        assert!(base.entries().is_empty());
+        assert_eq!(base.suppressed(), 4);
+        assert_eq!(base.digest(), run(&sends, 5).digest());
+        assert_ne!(base.digest(), run(&sends, 6).digest(), "last entry's time");
+        let one_payload = [(1, 10), (1, 99), (2, 12)];
+        assert_ne!(base.digest(), run(&one_payload, 5).digest(), "one payload");
+        assert_ne!(
+            base.digest(),
+            run(&sends[..2], 5).digest(),
+            "one send fewer"
+        );
+        assert_ne!(base.digest(), Trace::<u64>::disabled().digest());
+    }
+
+    #[test]
+    fn a_bounded_digest_hashes_entries_then_payloads_then_the_suppressed_count() {
+        let mut t = Trace::with_capacity(3);
+        record_send(&mut t, 1);
+        t.record(TraceEntry::Crash {
+            at: SimTime::from_ticks(2),
+            process: ProcessId::new(2),
+            sent_before_crash: 0,
+        });
+        t.record_inject(SimTime::from_ticks(3), ProcessId::new(1), &"op");
+        record_send(&mut t, 4);
+        assert_eq!(t.suppressed(), 1);
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        t.entries().hash(&mut h);
+        vec!["x", "op"].hash(&mut h);
+        h.write_u64(1);
+        assert_eq!(t.digest(), h.finish());
     }
 
     /// Records `id`'s send to `to` and returns its delivery entry.

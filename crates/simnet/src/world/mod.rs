@@ -11,7 +11,8 @@
 //! One timed delivery costs a heap pop, an O(1) `mset` lookup and
 //! removal, a 32-byte trace entry and the receiver's step; each message
 //! the step emits costs a delay sample, a heap push, an `mset` push and —
-//! while the trace has room — one clone into the trace. No message is
+//! while the trace has room — one clone into the trace (a digest-only
+//! trace, capacity 0, hashes the entry and message instead). No message is
 //! formatted on this path: payloads are rendered by whoever reads the
 //! [`Trace`] (see [`crate::trace`]), and the step's outbox is one buffer
 //! lent out again and again.
@@ -20,6 +21,7 @@ mod mset;
 pub mod sched;
 
 use std::fmt;
+use std::hash::Hash;
 
 use rand::rngs::StdRng;
 use rand::seq::IteratorRandom;
@@ -119,7 +121,7 @@ pub struct World<M> {
     blocked_links: std::collections::HashSet<(ProcessId, ProcessId)>,
 }
 
-impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
+impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     /// Creates an empty world with the given configuration.
     pub fn new(config: SimConfig) -> Self {
         World {
@@ -600,6 +602,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
         let id = MsgId(self.next_msg_id);
         self.next_msg_id += 1;
         let delay = self.config.delay.sample(from, to, &mut self.rng);
+        self.trace.record_send(self.now, id, from, to, &msg);
+        self.stats.record_send();
         let env = Envelope {
             id,
             from,
@@ -608,8 +612,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
             ready_at: self.now + delay,
             msg,
         };
-        self.trace.record_send(self.now, id, from, to, &env.msg);
-        self.stats.record_send();
         self.ready.push(env.ready_at, id);
         self.mset.insert(env);
         id
@@ -672,7 +674,7 @@ mod tests {
     use super::*;
     use crate::delay::DelayModel;
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Hash)]
     enum Msg {
         Hello,
         ReplyAll,

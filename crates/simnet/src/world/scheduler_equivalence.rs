@@ -35,7 +35,7 @@ use crate::prelude::*;
 use crate::runner::SimConfig;
 use crate::trace::DropReason;
 
-impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
+impl<M: Clone + fmt::Debug + std::hash::Hash + Send + 'static> World<M> {
     /// Reference implementation of [`World::step_timed`] that rescans the
     /// whole of `mset` per delivery (the pre-index behaviour).
     fn step_timed_reference(&mut self) -> bool {

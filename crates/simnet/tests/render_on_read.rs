@@ -3,6 +3,9 @@
 //! allocating per entry, and renders byte-for-byte what the eagerly
 //! formatted trace used to.
 //!
+//! A digest-only trace (capacity 0) records without allocating or
+//! formatting at all.
+//!
 //! The message type's `Debug` impl bumps a per-thread counter, and the
 //! test binary's allocator counts per-thread allocations, so both claims
 //! are observed directly rather than inferred from timings.
@@ -42,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 enum Msg {
     Ping(u8),
     Ack { seen: Vec<u32> },
@@ -188,4 +191,55 @@ fn fingerprint_allocates_nothing() {
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(fp, 0xe358_a6de_2a12_a1cc);
     assert_eq!(allocs, 0, "fingerprint allocated {allocs} times");
+}
+
+#[test]
+fn a_digest_only_world_records_without_allocating_or_formatting() {
+    const SENDS: u64 = 10_000;
+    let mut w = World::new(SimConfig {
+        trace_capacity: 0,
+        ..SimConfig::default()
+    });
+    let p: Vec<ProcessId> = (0..2)
+        .map(|_| w.add_actor(Box::new(Node { n: 2 })))
+        .collect();
+    // `Node` ignores an `Ack`; an empty `seen` clones without allocating.
+    let burst = |w: &mut World<Msg>| {
+        for _ in 0..SENDS {
+            w.send_from_external(p[0], p[1], Msg::Ack { seen: Vec::new() });
+        }
+        w.run_until_quiescent().unwrap();
+    };
+    // The first burst grows the in-transit set and the ready queue.
+    burst(&mut w);
+    let (allocs, digest) = (ALLOCS.with(Cell::get), w.trace().digest());
+    burst(&mut w);
+    assert_eq!(ALLOCS.with(Cell::get) - allocs, 0, "recording allocated");
+    assert_eq!(debug_calls(), 0, "recording formatted a message");
+    assert_eq!(w.stats().sent, 2 * SENDS);
+    assert!(w.trace().entries().is_empty());
+    assert_eq!(
+        w.trace().suppressed(),
+        4 * SENDS,
+        "a send and a delivery each"
+    );
+    assert_ne!(w.trace().digest(), digest, "every event reaches the digest");
+}
+
+/// Nothing on the delivery path formats a message: no `format!` outside
+/// the test modules of the world and the trace.
+#[test]
+fn nothing_on_the_delivery_path_calls_format() {
+    for file in ["src/world/mod.rs", "src/trace.rs"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let code = src.split("#[cfg(test)]").next().unwrap_or_default();
+        let hits: Vec<usize> = code
+            .lines()
+            .enumerate()
+            .filter(|(_, line)| line.contains("format!"))
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert!(hits.is_empty(), "{file}: format! on lines {hits:?}");
+    }
 }

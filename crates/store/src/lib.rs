@@ -40,9 +40,12 @@
 //! * The [`frontend::BatchedFrontend`] coalesces an operation stream
 //!   into per-shard batches and drives the hit shards in shard order;
 //!   they share nothing, and the checker's fan-out preserves key order,
-//!   so verdicts, histories and the store fingerprint (in-process trace
-//!   digests; only rendered trace fingerprints may be persisted) are
-//!   **identical at any thread count**.
+//!   so verdicts, histories and the store fingerprint are **identical at
+//!   any thread count**. The fingerprint folds each key's full-run trace
+//!   digest: a key's world stores no trace and hashes every event as it
+//!   happens, so a hot key's millionth event counts as much as its
+//!   first. It is an in-process identity; only rendered trace
+//!   fingerprints may be persisted.
 //! * The [`checker::StoreChecker`] projects the store's global history
 //!   onto per-key sub-histories and grades each with the online checker
 //!   for its shard's contract (atomicity / linearizability /

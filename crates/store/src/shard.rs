@@ -66,7 +66,9 @@ pub struct ShardBatch {
 ///
 /// Registers are created lazily on first access, seeded from
 /// `mix64(store seed, shard index, key)` so every key's simulated world
-/// is deterministic and distinct. A shard is `Send` and owns all its
+/// is deterministic and distinct. Every world runs with trace capacity 0:
+/// it stores no events and digests each one as it is recorded, which is
+/// all [`Shard::fingerprint`] reads. A shard is `Send` and owns all its
 /// state, which is what lets the batched frontend drive disjoint shards
 /// on worker threads without any locking.
 pub struct Shard {
@@ -85,7 +87,8 @@ pub struct Shard {
 
 impl Shard {
     /// A fresh shard. The caller (the store builder) has already
-    /// validated that `protocol` is feasible at `cfg`.
+    /// validated that `protocol` is feasible at `cfg`. `sim`'s trace
+    /// capacity is replaced by 0 (digest only).
     pub(crate) fn new(
         index: u32,
         protocol: ProtocolId,
@@ -97,7 +100,7 @@ impl Shard {
             index,
             protocol,
             cfg,
-            sim,
+            sim: sim.with_trace_capacity(0),
             seed,
             registers: BTreeMap::new(),
             ops_applied: 0,
@@ -149,7 +152,9 @@ impl Shard {
     }
 
     /// An *in-process* identity of everything the shard's registers did:
-    /// FNV-1a over `(key, trace digest)` in key order. Within one process,
+    /// FNV-1a over `(key, trace digest)` in key order, where each key's
+    /// digest covers every event of that key's whole run (its world's
+    /// trace is digest-only, however hot the key). Within one process,
     /// event-identical shard executions have equal fingerprints and any
     /// others differ up to a 64-bit hash collision; the store's
     /// thread-independence guarantee is checked on these. It folds
@@ -357,6 +362,25 @@ mod tests {
         };
         assert_eq!(fp(1), fp(1), "same seed, same world");
         assert_ne!(fp(1), fp(2), "the store seed reaches the registers");
+    }
+
+    #[test]
+    fn the_fingerprint_sees_every_event_of_a_hot_key() {
+        // Far past the 100 000 entries a default trace stores: only the
+        // last put differs, so a digest of a stored prefix would miss it.
+        let run = |last: u64| {
+            let mut s = shard();
+            let puts: Vec<KvOp> = (1..=6_000).map(|v| KvOp::put(0, 1, v)).collect();
+            s.apply(&puts).unwrap();
+            s.apply(&[KvOp::put(0, 1, last)]).unwrap();
+            s.fingerprint()
+        };
+        assert_eq!(run(6_001), run(6_001), "same seed, same run");
+        assert_ne!(
+            run(6_001),
+            run(6_002),
+            "the last put reaches the fingerprint"
+        );
     }
 
     #[test]

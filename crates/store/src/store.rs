@@ -75,7 +75,10 @@ impl StoreBuilder {
     }
 
     /// Replaces the per-register simulation configuration (delay model,
-    /// step budget; the seed inside it is overridden per key).
+    /// step budget). The seed inside it is overridden per key, and the
+    /// trace capacity is forced to 0: a key's world stores no events and
+    /// digests every one, so the store fingerprint covers each key's
+    /// whole run.
     pub fn sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
         self

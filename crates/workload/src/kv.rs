@@ -282,6 +282,53 @@ mod tests {
         assert!(zipf.check.is_clean());
     }
 
+    /// Every run-dependent field `report store --json` prints: the
+    /// fingerprint; completed / incomplete, puts / gets, distinct keys,
+    /// messages, flushes, waves, clean / violating / unexpected keys; and
+    /// each shard's (index, protocol, keys, ops, messages).
+    type Printed = (u64, [u64; 11], Vec<(u32, &'static str, usize, u64, u64)>);
+
+    /// Runs `spec` on `store` at each thread count and returns what
+    /// `report store --json` would print for each.
+    fn printed_at(
+        store: impl Fn() -> ShardedStore,
+        spec: &KvWorkloadSpec,
+        threads: &[usize],
+    ) -> Vec<Printed> {
+        let printed = |threads: usize| {
+            let (store, r) = run_kv_workload(store(), spec, threads).unwrap();
+            let counts = [
+                r.breakdown.completed,
+                r.breakdown.incomplete,
+                r.puts,
+                r.gets,
+                r.distinct_keys,
+                r.messages_sent,
+                r.stats.flushes,
+                r.stats.waves,
+                r.check.clean_count() as u64,
+                r.check.violations().count() as u64,
+                r.check.unexpected().count() as u64,
+            ];
+            let shards = store
+                .shards()
+                .iter()
+                .map(|s| {
+                    let name = s.protocol().name();
+                    (
+                        s.index(),
+                        name,
+                        s.key_count(),
+                        s.ops_applied(),
+                        s.messages_sent(),
+                    )
+                })
+                .collect();
+            (r.fingerprint, counts, shards)
+        };
+        threads.iter().map(|&t| printed(t)).collect()
+    }
+
     #[test]
     fn report_is_deterministic_across_thread_counts() {
         let spec = KvWorkloadSpec {
@@ -292,20 +339,30 @@ mod tests {
             dist: KeyDist::Zipf { exponent: 1.1 },
             seed: 3,
         };
-        let run = |threads: usize| {
-            let (_, r) = run_kv_workload(store(8, 4), &spec, threads).unwrap();
-            (
-                r.fingerprint,
-                r.distinct_keys,
-                r.puts,
-                r.gets,
-                r.messages_sent,
-                r.breakdown.completed,
-            )
+        let runs = printed_at(|| store(8, 4), &spec, &[1, 2, 4]);
+        assert_eq!(runs[1], runs[0]);
+        assert_eq!(runs[2], runs[0]);
+    }
+
+    #[test]
+    fn report_store_defaults_are_thread_count_independent() {
+        // `report store`'s defaults: 8 fast-crash shards of
+        // crash_stop(5, 1, 2) at seed 0; 10 000 ops by 64 clients over
+        // 1 200 uniform keys, 20 % puts.
+        let spec = KvWorkloadSpec {
+            n_ops: 10_000,
+            n_keys: 1_200,
+            n_clients: 64,
+            put_fraction: 0.2,
+            dist: KeyDist::Uniform,
+            seed: 0,
         };
-        let one = run(1);
-        assert_eq!(run(2), one);
-        assert_eq!(run(4), one);
+        let runs = printed_at(|| store(8, 0), &spec, &[1, 2, 4]);
+        let (_, counts, _) = &runs[0];
+        assert_eq!(counts[..2], [10_000, 0], "every op completed");
+        assert_eq!(counts[10], 0, "no unexpected violation");
+        assert_eq!(runs[1], runs[0], "--threads 2 against 1");
+        assert_eq!(runs[2], runs[0], "--threads 4 against 1");
     }
 
     #[test]

@@ -154,14 +154,14 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// 64 clients, 10 % puts) on a fresh store with `threads = 1`, so this
 /// thread's tally sees every shard: routing, per-key world construction,
 /// waves, the global history, per-key checks and the report's
-/// fingerprint. Most of a row is building the worlds. Same ratchet as
-/// [`COST_PINS`].
+/// fingerprint. Most of a row is building the worlds; their traces are
+/// digest-only and store nothing. Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
-    (MIX, 12_017, 8_098_278, 242),
-    (&[ProtocolId::FastCrash], 12_487, 6_665_054, 242),
-    (&[ProtocolId::Abd], 10_936, 8_593_038, 242),
-    (&[ProtocolId::FastByz], 13_213, 8_055_134, 242),
+    (MIX, 9_831, 2_782_454, 242),
+    (&[ProtocolId::FastCrash], 10_470, 2_849_454, 242),
+    (&[ProtocolId::Abd], 8_502, 2_472_798, 242),
+    (&[ProtocolId::FastByz], 11_196, 3_202_478, 242),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more
