@@ -119,12 +119,11 @@ impl Operation {
     }
 }
 
-/// One invocation or response event, as recorded into a [`History`].
+/// One invocation or response event of a [`History`].
 ///
-/// Histories can journal their events (see
-/// [`enable_journal`](History::enable_journal)) so a streaming checker can
-/// consume the run *as it happens* instead of snapshotting the full
-/// operation list at the end.
+/// A recorded history is replayed as its events, in tick order, into
+/// the streaming checkers (see
+/// [`OnlineChecker::on_history`](crate::streaming::OnlineChecker::on_history)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HistoryEvent {
     /// An operation was invoked.
@@ -162,9 +161,6 @@ pub struct History {
     ops: Vec<Operation>,
     /// Number of completed operations (maintained by `respond`).
     completed: usize,
-    /// When `Some`, every invoke/respond is also appended here, for
-    /// streaming consumers. `None` (the default) costs nothing.
-    journal: Option<Vec<HistoryEvent>>,
 }
 
 impl History {
@@ -185,35 +181,6 @@ impl History {
     /// Reserves room for at least `additional` more operations.
     pub fn reserve(&mut self, additional: usize) {
         self.ops.reserve(additional);
-    }
-
-    /// Turns on event journalling: from now on every invoke/respond is
-    /// also appended to an internal event list that
-    /// [`drain_journal`](History::drain_journal) hands out. Idempotent.
-    pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Vec::new());
-        }
-    }
-
-    /// Takes the journalled events accumulated since the last drain.
-    /// Returns an empty vec when journalling was never enabled.
-    pub fn drain_journal(&mut self) -> Vec<HistoryEvent> {
-        match &mut self.journal {
-            Some(j) => std::mem::take(j),
-            None => Vec::new(),
-        }
-    }
-
-    /// Moves the journalled events accumulated since the last drain onto
-    /// the end of `into`. Unlike [`drain_journal`](History::drain_journal)
-    /// both buffers keep their capacity, so a caller that polls with one
-    /// reused buffer stops allocating once the two have grown to the
-    /// burst size.
-    pub fn drain_journal_into(&mut self, into: &mut Vec<HistoryEvent>) {
-        if let Some(j) = &mut self.journal {
-            into.append(j);
-        }
     }
 
     /// Records the invocation of `write(value)` by `proc` at `at`.
@@ -237,9 +204,6 @@ impl History {
             responded_at: None,
             returned: None,
         });
-        if let Some(j) = &mut self.journal {
-            j.push(HistoryEvent::Invoked { id, proc, kind, at });
-        }
         id
     }
 
@@ -261,9 +225,6 @@ impl History {
         op.responded_at = Some(at);
         op.returned = returned;
         self.completed += 1;
-        if let Some(j) = &mut self.journal {
-            j.push(HistoryEvent::Responded { id, returned, at });
-        }
     }
 
     /// All operations, in invocation order.
@@ -408,23 +369,6 @@ impl SharedHistory {
     /// Reserves room for at least `additional` more operations.
     pub fn reserve(&self, additional: usize) {
         self.history.lock().reserve(additional);
-    }
-
-    /// Turns on event journalling (see [`History::enable_journal`]).
-    pub fn enable_journal(&self) {
-        self.history.lock().enable_journal();
-    }
-
-    /// Takes the journalled events accumulated since the last drain (see
-    /// [`History::drain_journal`]).
-    pub fn drain_journal(&self) -> Vec<HistoryEvent> {
-        self.history.lock().drain_journal()
-    }
-
-    /// Moves the journalled events accumulated since the last drain onto
-    /// the end of `into` (see [`History::drain_journal_into`]).
-    pub fn drain_journal_into(&self, into: &mut Vec<HistoryEvent>) {
-        self.history.lock().drain_journal_into(into)
     }
 
     /// Records a `write` invocation.
@@ -688,64 +632,15 @@ mod tests {
     }
 
     #[test]
-    fn journal_captures_events_in_order_and_drains() {
-        let mut h = History::new();
-        // Events before enabling are not journalled.
-        let w0 = h.invoke_write(0, 1, 0);
-        h.respond(w0, None, 1);
-        h.enable_journal();
-        let w = h.invoke_write(0, 5, 2);
-        let r = h.invoke_read(1, 3);
-        h.respond(w, None, 4);
-        let events = h.drain_journal();
-        assert_eq!(
-            events,
-            vec![
-                HistoryEvent::Invoked {
-                    id: w,
-                    proc: 0,
-                    kind: OpKind::Write { value: 5 },
-                    at: 2
-                },
-                HistoryEvent::Invoked {
-                    id: r,
-                    proc: 1,
-                    kind: OpKind::Read,
-                    at: 3
-                },
-                HistoryEvent::Responded {
-                    id: w,
-                    returned: None,
-                    at: 4
-                },
-            ]
-        );
-        // Drained; the next drain only sees new events.
-        h.respond(r, Some(RegValue::Val(5)), 5);
-        let events = h.drain_journal();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], HistoryEvent::Responded { id, .. } if id == r));
-    }
-
-    #[test]
-    fn drain_without_journal_is_empty() {
-        let mut h = History::new();
-        let w = h.invoke_write(0, 1, 0);
-        h.respond(w, None, 1);
-        assert_eq!(h.drain_journal(), vec![]);
-    }
-
-    #[test]
     fn with_capacity_starts_empty() {
         let h = History::with_capacity(1024);
         assert!(h.is_empty());
         let sh = SharedHistory::with_capacity(1024);
         assert_eq!(sh.recorded_count(), 0);
         sh.reserve(16);
-        sh.enable_journal();
         let w = sh.invoke_write(0, 1, 0);
         sh.respond(w, None, 1);
-        assert_eq!(sh.drain_journal().len(), 2);
+        assert_eq!(sh.recorded_count(), 1);
     }
 
     #[test]

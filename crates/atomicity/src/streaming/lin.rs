@@ -105,7 +105,7 @@ impl StreamingLinChecker {
         }
     }
 
-    fn on_event(&mut self, event: &HistoryEvent) {
+    pub(crate) fn on_event(&mut self, event: &HistoryEvent) {
         let at = match event {
             HistoryEvent::Invoked { at, .. } | HistoryEvent::Responded { at, .. } => *at,
         };

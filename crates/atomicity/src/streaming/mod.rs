@@ -6,10 +6,10 @@
 //! [`History`] and return typed witnesses; they are the *oracle*. Every
 //! production verdict — the workload driver's, the store's per-key
 //! check, the explorer's — comes from the one [`OnlineChecker`] here,
-//! which accepts [`HistoryEvent`]s as they happen, keeps only the
-//! *frontier* resident, and answers with the same stable [`Verdict`]
-//! codes (pinned equal to the oracle by the 256-case
-//! `tests/streaming_equivalence.rs` suite).
+//! which replays a recorded history's [`HistoryEvent`]s in tick order
+//! ([`OnlineChecker::on_history`]), keeps only the *frontier* resident,
+//! and answers with the same stable [`Verdict`] codes (pinned equal to
+//! the oracle by the 256-case `tests/streaming_equivalence.rs` suite).
 //!
 //! An [`OnlineChecker`] is built from a [`Spec`] — the consistency
 //! condition to grade against — and wraps one of two engines:
@@ -36,6 +36,7 @@ pub use online::{replay_events, StreamingChecker};
 
 use crate::history::{History, HistoryEvent};
 use crate::verdict::{Verdict, ViolationKind};
+use online::for_each_event;
 
 /// The consistency condition an [`OnlineChecker`] grades a history
 /// against — each defined once in the paper, each checked by one engine.
@@ -51,11 +52,12 @@ pub enum Spec {
 
 /// The online checker: history events in, stable [`Verdict`] out.
 ///
-/// Feed events in nondecreasing tick order — live from
-/// [`History::drain_journal`], or a recorded history through
-/// [`replay_events`] — and read the [`verdict`](OnlineChecker::verdict)
-/// at any point; it treats the events so far as the complete history and
-/// carries the code the batch checker for the same [`Spec`] would emit.
+/// Feed it a recorded history with [`on_history`](OnlineChecker::on_history),
+/// or events in nondecreasing tick order with
+/// [`on_events`](OnlineChecker::on_events), and read the
+/// [`verdict`](OnlineChecker::verdict) at any point; it treats the events
+/// so far as the complete history and carries the code the batch checker
+/// for the same [`Spec`] would emit.
 ///
 /// # Examples
 ///
@@ -103,8 +105,18 @@ impl OnlineChecker {
     /// a fresh checker for `spec`.
     pub fn check(spec: Spec, history: &History) -> Verdict {
         let mut checker = OnlineChecker::new(spec);
-        checker.on_events(&replay_events(history));
+        checker.on_history(history);
         checker.verdict()
+    }
+
+    /// Feeds a recorded history's events one at a time, in
+    /// [`replay_events`] order, without collecting them: the only memory
+    /// the replay adds is its heap of pending responses.
+    pub fn on_history(&mut self, history: &History) {
+        match &mut self.0 {
+            Engine::Swmr(c) => for_each_event(history, |e| c.on_event(&e)),
+            Engine::Lin(c) => for_each_event(history, |e| c.on_event(&e)),
+        }
     }
 
     /// Feeds a batch of events.

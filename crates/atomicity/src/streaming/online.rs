@@ -19,9 +19,10 @@
 //! any past value, so the map must cover all writes — it holds two words
 //! per write, not operations.
 
+use std::cmp::Reverse;
 #[allow(clippy::disallowed_types)]
 use std::collections::HashMap; // fastreg-lint: allow(nondet-order): keyed lookups (value -> write index, value -> parked reads); min-reductions only, never order-dependent
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use crate::history::{History, HistoryEvent, OpKind, RegValue, Tick};
 use crate::verdict::{Verdict, ViolationKind};
@@ -87,10 +88,9 @@ impl TickBag {
 
 /// An incremental SWMR atomicity / regularity checker.
 ///
-/// Feed it the history's events in nondecreasing tick order (either live,
-/// via [`History::drain_journal`](crate::history::History::drain_journal),
-/// or by replaying a recorded history with [`replay_events`]); ask for the
-/// verdict at any point with [`verdict`](StreamingChecker::verdict). The
+/// Feed it the history's events in nondecreasing tick order (a recorded
+/// history replays as [`replay_events`]); ask for the verdict at any
+/// point with [`verdict`](StreamingChecker::verdict). The
 /// verdict treats the events seen so far as the complete history and is
 /// byte-identical in code to running the corresponding batch checker
 /// ([`check_swmr_atomicity`](crate::swmr::check_swmr_atomicity) /
@@ -223,7 +223,7 @@ impl StreamingChecker {
         }
     }
 
-    fn on_event(&mut self, event: &HistoryEvent) {
+    pub(crate) fn on_event(&mut self, event: &HistoryEvent) {
         let at = match event {
             HistoryEvent::Invoked { at, .. } | HistoryEvent::Responded { at, .. } => *at,
         };
@@ -245,8 +245,7 @@ impl StreamingChecker {
     }
 
     /// Feeds a batch of events. Events must arrive in nondecreasing tick
-    /// order (the order both the history journal and [`replay_events`]
-    /// produce).
+    /// order (the order [`replay_events`] produces).
     ///
     /// # Panics
     ///
@@ -615,37 +614,54 @@ impl StreamingChecker {
 }
 
 /// Rebuilds the event stream of a recorded history, in nondecreasing tick
-/// order (invocations before responses at equal ticks, record order within
-/// each) — the order a live journal would have produced.
+/// order: invocations before responses at equal ticks, each in record
+/// order. This is the order [`OnlineChecker::on_history`] feeds, collected.
+///
+/// [`OnlineChecker::on_history`]: crate::streaming::OnlineChecker::on_history
 pub fn replay_events(history: &History) -> Vec<HistoryEvent> {
-    let mut events: Vec<(Tick, u8, usize, HistoryEvent)> = Vec::with_capacity(history.len() * 2);
-    for op in history.ops() {
-        events.push((
-            op.invoked_at,
-            0,
-            op.id.0,
-            HistoryEvent::Invoked {
-                id: op.id,
-                proc: op.proc,
-                kind: op.kind,
-                at: op.invoked_at,
-            },
-        ));
-        if let Some(resp) = op.responded_at {
-            events.push((
-                resp,
-                1,
-                op.id.0,
-                HistoryEvent::Responded {
-                    id: op.id,
-                    returned: op.returned,
-                    at: resp,
-                },
-            ));
+    let mut events = Vec::with_capacity(history.len() + history.completed_len());
+    for_each_event(history, |e| events.push(e));
+    events
+}
+
+/// Calls `f` on each event of `history` in [`replay_events`] order.
+///
+/// One merge: invocations are walked in record order (through a sorted
+/// index only when they are out of tick order, which concurrent
+/// recording threads can produce), and a min-heap of pending responses
+/// keyed `(tick, id)` releases each response before the first invocation
+/// at a later tick. Beyond that index the only memory is the heap,
+/// O(concurrency).
+pub(crate) fn for_each_event(history: &History, mut f: impl FnMut(HistoryEvent)) {
+    let ops = history.ops();
+    let by_tick = (!ops.windows(2).all(|w| w[0].invoked_at <= w[1].invoked_at)).then(|| {
+        // Stable: equal ticks stay in record order.
+        let mut index: Vec<usize> = (0..ops.len()).collect();
+        index.sort_by_key(|&i| ops[i].invoked_at);
+        index
+    });
+    let mut responses: BinaryHeap<Reverse<(Tick, usize)>> = BinaryHeap::new();
+    for n in 0..=ops.len() {
+        let next = (n < ops.len()).then(|| &ops[by_tick.as_ref().map_or(n, |index| index[n])]);
+        while let Some(&Reverse((at, i))) = responses.peek() {
+            if next.is_some_and(|op| at >= op.invoked_at) {
+                break;
+            }
+            responses.pop();
+            let (id, returned) = (ops[i].id, ops[i].returned);
+            f(HistoryEvent::Responded { id, returned, at });
+        }
+        let Some(op) = next else { break };
+        f(HistoryEvent::Invoked {
+            id: op.id,
+            proc: op.proc,
+            kind: op.kind,
+            at: op.invoked_at,
+        });
+        if let Some(at) = op.responded_at {
+            responses.push(Reverse((at, op.id.0)));
         }
     }
-    events.sort_by_key(|&(tick, rank, id, _)| (tick, rank, id));
-    events.into_iter().map(|(_, _, _, e)| e).collect()
 }
 
 #[cfg(test)]
@@ -943,6 +959,100 @@ mod tests {
             "resident ops grew with history: hwm = {}",
             c.high_water_mark()
         );
+    }
+
+    /// The `(tick, rank, id)` sort `replay_events` is pinned to:
+    /// invocations rank before responses at equal ticks.
+    fn sorted_events(history: &History) -> Vec<HistoryEvent> {
+        let mut events: Vec<(Tick, u8, usize, HistoryEvent)> = Vec::new();
+        for op in history.ops() {
+            let (id, at) = (op.id, op.invoked_at);
+            let (proc, kind) = (op.proc, op.kind);
+            events.push((at, 0, id.0, HistoryEvent::Invoked { id, proc, kind, at }));
+            if let Some(at) = op.responded_at {
+                let returned = op.returned;
+                events.push((at, 1, id.0, HistoryEvent::Responded { id, returned, at }));
+            }
+        }
+        events.sort_by_key(|&(tick, rank, id, _)| (tick, rank, id));
+        events.into_iter().map(|(_, _, _, e)| e).collect()
+    }
+
+    /// One generated op: `(proc, is_write, invoked_at, duration,
+    /// completes, returned)`. Ticks are drawn from a small range, so many
+    /// events share a tick.
+    type GenOp = (u32, bool, u64, u64, bool, u64);
+
+    fn gen_ops() -> impl proptest::strategy::Strategy<Value = (Vec<GenOp>, bool)> {
+        use proptest::prelude::*;
+        (
+            proptest::collection::vec(
+                (
+                    0u32..4,
+                    any::<bool>(),
+                    0u64..8,
+                    0u64..4,
+                    any::<bool>(),
+                    0u64..4,
+                ),
+                0..24,
+            ),
+            any::<bool>(),
+        )
+    }
+
+    /// Records `ops` in list order, invocation ticks sorted first when
+    /// `in_tick_order` (the simulator's case) and left as drawn otherwise
+    /// (concurrent recording threads' case). Writes carry distinct values.
+    fn gen_history((mut ops, in_tick_order): (Vec<GenOp>, bool)) -> History {
+        if in_tick_order {
+            ops.sort_by_key(|op| op.2);
+        }
+        let mut h = History::new();
+        let ids: Vec<_> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &(proc, write, at, ..))| match write {
+                true => h.invoke_write(proc, i as u64 + 1, at),
+                false => h.invoke_read(proc, at),
+            })
+            .collect();
+        // Respond in reverse record order: the history must not care.
+        for (&id, &(_, write, at, dur, completes, ret)) in ids.iter().zip(&ops).rev() {
+            let returned = match (write, ret) {
+                (true, _) => None,
+                (false, 0) => Some(RegValue::Bottom),
+                (false, v) => Some(RegValue::Val(v)),
+            };
+            if completes {
+                h.respond(id, returned, at + dur);
+            }
+        }
+        h
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn replay_is_the_tick_rank_id_sort(ops in gen_ops()) {
+            let h = gen_history(ops);
+            proptest::prop_assert_eq!(replay_events(&h), sorted_events(&h), "{}", h.render());
+        }
+
+        #[test]
+        fn on_history_agrees_with_on_events_of_the_replay(ops in gen_ops()) {
+            let h = gen_history(ops);
+            for spec in [Spec::SwmrAtomic, Spec::SwmrRegular, Spec::Linearizable] {
+                let mut streamed = OnlineChecker::new(spec);
+                streamed.on_history(&h);
+                let mut replayed = OnlineChecker::new(spec);
+                replayed.on_events(&replay_events(&h));
+                proptest::prop_assert_eq!(streamed.verdict(), replayed.verdict());
+                proptest::prop_assert_eq!(
+                    streamed.high_water_mark(),
+                    replayed.high_water_mark()
+                );
+            }
+        }
     }
 
     #[test]

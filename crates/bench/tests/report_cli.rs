@@ -179,7 +179,7 @@ fn trace_store_metrics_are_thread_count_independent() {
             "--seed",
             "3",
             "--ops",
-            "120",
+            "400",
             "--shards",
             "4",
             "--threads",
@@ -191,8 +191,11 @@ fn trace_store_metrics_are_thread_count_independent() {
         std::fs::read_to_string(file.path()).unwrap()
     };
     let m1 = TempFile::with_content("store_m1.json", "");
+    let m2 = TempFile::with_content("store_m2.json", "");
     let m4 = TempFile::with_content("store_m4.json", "");
-    assert_eq!(run("1", &m1), run("4", &m4));
+    let t1 = run("1", &m1);
+    assert_eq!(t1, run("2", &m2));
+    assert_eq!(t1, run("4", &m4));
 }
 
 #[test]
@@ -304,6 +307,39 @@ fn explore_coverage_out_writes_the_coverage_document() {
     // are pinned across worker counts too.
     assert_eq!(doc, run("4"));
     let _ = std::fs::remove_file(&path);
+}
+
+/// CI's fuzz-smoke invocation reaches exactly this feature count: the
+/// coverage document carries no thread or wall-clock fields, so drift
+/// means the engine's determinism contract broke or the search changed
+/// on purpose (then re-pin it here).
+#[test]
+fn ci_exploration_sees_the_pinned_feature_count() {
+    let tag = std::process::id();
+    let cov = std::env::temp_dir().join(format!("report_cli_ci_cov_{tag}.json"));
+    let found = std::env::temp_dir().join(format!("report_cli_ci_found_{tag}"));
+    let out = report(&[
+        "explore",
+        "--cells",
+        "144",
+        "--threads",
+        "4",
+        "--budget",
+        "8",
+        "--seed",
+        "5",
+        "--strategy",
+        "coverage-guided",
+        "--coverage-out",
+        cov.to_str().unwrap(),
+        "--out",
+        found.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let doc = std::fs::read_to_string(&cov).unwrap();
+    let _ = std::fs::remove_file(&cov);
+    let _ = std::fs::remove_dir_all(&found);
+    assert!(doc.contains("\"features_seen\": 237,"), "{doc}");
 }
 
 #[test]

@@ -810,29 +810,21 @@ pub trait RegisterOps {
     /// reallocations on multi-million-op runs.
     fn reserve_history(&mut self, _additional: usize) {}
 
-    /// Switches the history to journaling mode so operation events can be
-    /// drained incrementally via
-    /// [`drain_history_events`](RegisterOps::drain_history_events).
-    /// Returns `false` where the runtime does not expose its history —
-    /// callers fall back to replaying a final snapshot.
+    /// Always `false`: no deployment journals its history; a run is
+    /// checked by replaying its snapshot
+    /// ([`OnlineChecker::on_history`]). Kept, default-only, because
+    /// fastbench's traced wrapper overrides it; it goes in the next
+    /// benchmark change.
     fn start_history_journal(&mut self) -> bool {
         false
     }
 
-    /// Drains the events journaled since the last drain (empty when the
-    /// journal was never enabled or the runtime does not expose its
-    /// history). Events come out in record order, ready for the streaming
-    /// checkers.
+    /// Always empty, like
+    /// [`start_history_journal`](RegisterOps::start_history_journal), and
+    /// kept for fastbench until the next benchmark change for the same
+    /// reason.
     fn drain_history_events(&mut self) -> Vec<HistoryEvent> {
         Vec::new()
-    }
-
-    /// [`drain_history_events`](RegisterOps::drain_history_events) onto
-    /// the end of a buffer the caller keeps: a driver that polls after
-    /// every step passes the same `Vec` each time, and deployments that
-    /// own their history move the events over without allocating.
-    fn drain_history_events_into(&mut self, into: &mut Vec<HistoryEvent>) {
-        into.extend(self.drain_history_events());
     }
 
     /// Invokes `write(value)` at writer 0 without settling.
@@ -1019,19 +1011,6 @@ impl<P: ProtocolFamily> RegisterOps for Cluster<P> {
 
     fn reserve_history(&mut self, additional: usize) {
         self.history.reserve(additional);
-    }
-
-    fn start_history_journal(&mut self) -> bool {
-        self.history.enable_journal();
-        true
-    }
-
-    fn drain_history_events(&mut self) -> Vec<HistoryEvent> {
-        self.history.drain_journal()
-    }
-
-    fn drain_history_events_into(&mut self, into: &mut Vec<HistoryEvent>) {
-        self.history.drain_journal_into(into);
     }
 }
 
@@ -1276,18 +1255,6 @@ impl RegisterOps for DynCluster {
 
     fn reserve_history(&mut self, additional: usize) {
         self.ops_mut().reserve_history(additional);
-    }
-
-    fn start_history_journal(&mut self) -> bool {
-        self.ops_mut().start_history_journal()
-    }
-
-    fn drain_history_events(&mut self) -> Vec<HistoryEvent> {
-        self.ops_mut().drain_history_events()
-    }
-
-    fn drain_history_events_into(&mut self, into: &mut Vec<HistoryEvent>) {
-        self.ops_mut().drain_history_events_into(into);
     }
 }
 

@@ -120,7 +120,9 @@ impl Server {
 
     /// Files `report` from server `from` under gather `key`; once the
     /// reader's `Read` and a quorum of reports are in, adopts their max
-    /// and answers the reader — once.
+    /// and answers the reader — once. Once all `S` servers have reported,
+    /// the gather is forgotten: the reader's `Read` has arrived and every
+    /// peer has gossiped once, so no later message names the key.
     fn report(
         &mut self,
         key: (u32, u64),
@@ -135,15 +137,18 @@ impl Server {
             done: false,
         });
         g.started |= started;
-        if !g.reports.offer(from, key.1, report) || !g.started || g.done {
-            return;
+        let answer = g.reports.offer(from, key.1, report) && g.started && !g.done;
+        let max = answer.then(|| {
+            g.done = true;
+            *g.reports
+                .acks()
+                .max_by_key(|(ts, _)| *ts)
+                .expect("quorum nonempty")
+        });
+        if g.reports.acks().count() == self.cfg.s as usize {
+            self.gathers.remove(&key);
         }
-        g.done = true;
-        let (ts, value) = *g
-            .reports
-            .acks()
-            .max_by_key(|(ts, _)| *ts)
-            .expect("quorum nonempty");
+        let Some((ts, value)) = max else { return };
         self.adopt(ts, value);
         out.send(
             self.layout.reader(key.0),
@@ -173,13 +178,11 @@ impl Automaton for Server {
                 let me = self.index;
                 let (ts, value) = (self.ts, self.value);
                 // Broadcast to the other servers.
-                let peers: Vec<ProcessId> = self
-                    .layout
-                    .servers()
-                    .filter(|&p| self.layout.server_index(p) != Some(me))
-                    .collect();
+                let layout = &self.layout;
                 out.broadcast(
-                    peers,
+                    layout
+                        .servers()
+                        .filter(|&p| layout.server_index(p) != Some(me)),
                     Msg::Gossip {
                         reader,
                         op_counter,
@@ -403,5 +406,26 @@ mod tests {
             })
             .count();
         assert_eq!(gossip_from_s0, 4); // one broadcast to 4 peers
+    }
+
+    #[test]
+    fn settled_servers_hold_no_gathers() {
+        let cfg = cfg_majority();
+        let (mut w, l, h) = cluster(cfg, 3);
+        // 50 rounds of one write racing one read per reader: 200 ops.
+        for value in 1..=50 {
+            w.inject(l.writer(0), Msg::InvokeWrite { value });
+            for i in 0..cfg.r {
+                w.inject(l.reader(i), Msg::InvokeRead);
+            }
+            w.run_random_until_quiescent();
+        }
+        let hist = h.snapshot();
+        assert_eq!(hist.complete_ops().count(), 200);
+        check_swmr_atomicity(&hist).unwrap();
+        for s in l.servers() {
+            let held = w.with_actor::<Server, _, _>(s, |s| s.gathers.len());
+            assert_eq!(held, Some(0), "{s:?} still holds gathers");
+        }
     }
 }

@@ -319,11 +319,6 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
     fn reserve_history(&mut self, additional: usize) {
         self.history.reserve(additional);
     }
-
-    // start_history_journal deliberately keeps the default `false`: actor
-    // threads stamp real-time ticks concurrently, so the journal's record
-    // order is not guaranteed to be tick order, which the streaming
-    // checkers require. Callers replay a snapshot instead (sorted).
 }
 
 #[cfg(test)]

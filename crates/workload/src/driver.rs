@@ -12,6 +12,9 @@
 //! which keeps the driver independent of the per-protocol automaton
 //! types *and* keeps per-op cost flat: no [`RegisterOps::snapshot`]
 //! clone, no rescan of the recorded operations, however long the run.
+//! The run is checked once, at the end: its one snapshot is replayed in
+//! tick order into an [`OnlineChecker`] ([`OnlineChecker::on_history`]),
+//! the same way on every runtime.
 
 use std::fmt;
 
@@ -19,8 +22,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fastreg::harness::RegisterOps;
-use fastreg_atomicity::history::{History, HistoryEvent};
-use fastreg_atomicity::streaming::{replay_events, OnlineChecker};
+use fastreg_atomicity::history::History;
+use fastreg_atomicity::streaming::OnlineChecker;
 use fastreg_atomicity::verdict::Verdict;
 use fastreg_simnet::world::QuiescenceError;
 
@@ -61,15 +64,14 @@ pub struct WorkloadReport {
     pub messages_sent: u64,
     /// Virtual time at the end of the run.
     pub duration_ticks: u64,
-    /// Verdict from the [`OnlineChecker`] the driver fed as operations
-    /// settled, graded against the contract the deployment promised
+    /// Verdict from the [`OnlineChecker`] the driver replayed the run's
+    /// history into, graded against the contract the deployment promised
     /// ([`RegisterOps::contract`]). Same codes as running the matching
-    /// batch checker over [`history`](WorkloadReport::history), available
-    /// the moment the run ends.
+    /// batch checker over [`history`](WorkloadReport::history).
     pub streaming_verdict: Verdict,
     /// Peak operation count resident in the streaming checker (the
     /// frontier high-water mark) — bounded by concurrency, not by
-    /// [`n_ops`](WorkloadSpec::n_ops), when the runtime journals events.
+    /// [`n_ops`](WorkloadSpec::n_ops).
     pub checker_high_water_mark: usize,
     /// The recorded history (checked by the caller).
     pub history: History,
@@ -148,13 +150,6 @@ pub fn run_closed_loop(
     let cfg = cluster.cfg();
     let n_readers = cfg.r;
     cluster.reserve_history(spec.n_ops as usize);
-    // Check online where the runtime journals events; otherwise replay
-    // the final snapshot through the same checker at the end.
-    let journaling = cluster.start_history_journal();
-    let mut checker = OnlineChecker::new(cluster.contract().spec(cfg.w));
-    // Journalled events on their way to the checker; one buffer for the
-    // whole run.
-    let mut events: Vec<HistoryEvent> = Vec::new();
     let mut next_value = 1u64;
     let mut issued = 0u64;
     // Earliest time each client may issue again (think time gate), by
@@ -206,15 +201,6 @@ pub fn run_closed_loop(
                 cluster.advance_to_ticks(next_ready);
             }
         }
-        if journaling {
-            // Settled ops leave the journal and enter the checker's
-            // frontier: the *checker* holds O(concurrency) operations,
-            // not O(n_ops). The deployment's history still keeps every
-            // operation — it is returned as `WorkloadReport::history`.
-            cluster.drain_history_events_into(&mut events);
-            checker.on_events(&events);
-            events.clear();
-        }
     }
     cluster
         .try_settle()
@@ -225,12 +211,8 @@ pub fn run_closed_loop(
         })?;
 
     let history = cluster.snapshot();
-    if journaling {
-        cluster.drain_history_events_into(&mut events);
-        checker.on_events(&events);
-    } else {
-        checker.on_events(&replay_events(&history));
-    }
+    let mut checker = OnlineChecker::new(cluster.contract().spec(cfg.w));
+    checker.on_history(&history);
     Ok(WorkloadReport {
         breakdown: OpBreakdown::of(&history),
         messages_sent: cluster.messages_sent(),
@@ -500,39 +482,12 @@ mod tests {
                 &report.history
             ))
         );
-        // The simulated cluster journals, so the checker only ever held
-        // the frontier: a handful of concurrent clients, not 300 ops.
+        // The replay holds only the frontier: a handful of concurrent
+        // clients, not 300 ops.
         assert!(
             report.checker_high_water_mark < 30,
             "frontier grew with history length: hwm = {}",
             report.checker_high_water_mark
-        );
-    }
-
-    #[test]
-    fn replay_fallback_agrees_when_journaling_is_unsupported() {
-        // The Counting wrapper keeps RegisterOps' default (journal-less)
-        // methods, forcing the snapshot-replay path.
-        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(11).build_typed().unwrap();
-        let mut counted = Counting::new(&mut c);
-        let report = run_closed_loop(
-            &mut counted,
-            &WorkloadSpec {
-                n_ops: 60,
-                seed: 13,
-                ..WorkloadSpec::default()
-            },
-        )
-        .expect("quiesces");
-        assert_eq!(
-            report.streaming_verdict,
-            fastreg_atomicity::verdict::Verdict::Clean
-        );
-        assert_eq!(
-            counted.snapshots.get(),
-            1,
-            "fallback must reuse the one snapshot"
         );
     }
 

@@ -1396,7 +1396,7 @@ fn e18_history(n_ops: u64) -> fastreg_atomicity::history::History {
 /// the table's `resident` column is the checker's high-water mark of
 /// simultaneously buffered ops, independent of history length.
 pub fn e18_checker_throughput(sizes: &[u64], batch_cap: u64) -> Table {
-    use fastreg_atomicity::streaming::{replay_events, StreamingChecker};
+    use fastreg_atomicity::streaming::{OnlineChecker, Spec};
     use fastreg_atomicity::verdict::Verdict;
     use std::time::Instant;
 
@@ -1429,8 +1429,8 @@ pub fn e18_checker_throughput(sizes: &[u64], batch_cap: u64) -> Table {
             ops_per_s
         };
         let streaming = grade("streaming", &|| {
-            let mut ck = StreamingChecker::new_atomic();
-            ck.on_events(&replay_events(&h));
+            let mut ck = OnlineChecker::new(Spec::SwmrAtomic);
+            ck.on_history(&h);
             (ck.verdict(), ck.high_water_mark())
         });
         best_stream_ops_per_s = best_stream_ops_per_s.max(streaming);

@@ -68,18 +68,20 @@ const TRACE_CAPACITY: usize = 2_048;
 ///
 /// What is left is per run, not per operation: ≈ 40 allocations (history
 /// reserve, checker maps, the final snapshot and latency breakdown) and
-/// ≈ 270 kB, most of it that snapshot. Max–min is the exception: its
-/// servers build a `Round` per gather.
+/// ≈ 270 kB, most of it that snapshot. The snapshot's replay into the
+/// checker adds only its heap of pending responses. Max–min is the
+/// exception: each server builds a `Round` per gather, and drops it once
+/// all `S` servers have reported.
 #[rustfmt::skip] // one row per line: a table, not code
 const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
-    (ProtocolId::FastCrash, 37, 277_556, 10_000),
-    (ProtocolId::FastByz, 40, 297_236, 12_000),
-    (ProtocolId::Abd, 40, 298_052, 15_260),
-    (ProtocolId::MaxMin, 6_407, 1_036_916, 21_760),
-    (ProtocolId::FastRegular, 36, 265_412, 10_000),
-    (ProtocolId::SwsrFast, 39, 278_916, 10_000),
-    (ProtocolId::MwmrAbd, 36, 268_088, 12_000),
-    (ProtocolId::MwmrNaiveFast, 36, 267_920, 6_000),
+    (ProtocolId::FastCrash, 37, 277_468, 10_000),
+    (ProtocolId::FastByz, 39, 297_060, 12_000),
+    (ProtocolId::Abd, 40, 297_964, 15_260),
+    (ProtocolId::MaxMin, 2_977, 630_268, 21_760),
+    (ProtocolId::FastRegular, 35, 264_860, 10_000),
+    (ProtocolId::SwsrFast, 38, 278_740, 10_000),
+    (ProtocolId::MwmrAbd, 36, 268_000, 12_000),
+    (ProtocolId::MwmrNaiveFast, 36, 267_872, 6_000),
 ];
 
 /// This thread's `(allocations, bytes allocated)` so far.
@@ -158,10 +160,10 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// digest-only and store nothing. Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
-    (MIX, 9_831, 2_782_454, 242),
-    (&[ProtocolId::FastCrash], 10_470, 2_849_454, 242),
-    (&[ProtocolId::Abd], 8_502, 2_472_798, 242),
-    (&[ProtocolId::FastByz], 11_196, 3_202_478, 242),
+    (MIX, 9_598, 2_512_998, 242),
+    (&[ProtocolId::FastCrash], 10_237, 2_579_998, 242),
+    (&[ProtocolId::Abd], 8_268, 2_203_214, 242),
+    (&[ProtocolId::FastByz], 10_963, 2_933_022, 242),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more
