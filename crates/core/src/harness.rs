@@ -89,8 +89,9 @@ use crate::types::{RegValue, Value};
 ///   Virtual time, seeded schedules, scripted faults, replayable traces:
 ///   the oracle. The resulting [`DynCluster`] also exposes
 ///   [`SimControl`] via [`DynCluster::sim_control`].
-/// * [`Runtime::Threads`] — a pool of OS threads connected by channels
-///   (the [`fastreg_rt`] actor runtime). Wall-clock time, real
+/// * [`Runtime::Threads`] — a pool of workers connected by channels,
+///   worker 0 on the caller's thread and each other on an OS thread of
+///   its own (the [`fastreg_rt`] actor runtime). Wall-clock time, real
 ///   parallelism, nondeterministic interleavings: the speed demon.
 ///   Histories are checked post hoc by the same checkers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -798,8 +799,9 @@ pub trait RegisterOps {
     /// Advances virtual time to `ticks`, delivering everything due.
     fn advance_to_ticks(&mut self, ticks: u64);
     /// One step of the timed scheduler; `false` if nothing is in
-    /// transit. On real threads this yields the core to the actor
-    /// threads and reports whether work remains in flight.
+    /// transit. On real threads this runs worker 0 — the caller's thread
+    /// — until the next completion, and reports whether work remains in
+    /// flight.
     fn step_timed(&mut self) -> bool;
     /// Total messages sent so far.
     fn messages_sent(&self) -> u64;

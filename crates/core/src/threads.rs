@@ -26,9 +26,11 @@
 //! compares them with the per-client issued counts the driver keeps
 //! itself; none of them takes the history's lock.
 //!
-//! All waiting goes through one helper: it yields the core until its
-//! condition holds, and gives up after 30 s. A wait that
-//! gives up marks the deployment *stalled*: from then on every client
+//! All waiting goes through one helper, and it waits by working: worker
+//! 0 of the pool is the driver's own thread, so until its condition
+//! holds the helper runs worker 0's queued jobs, and blocks on worker
+//! 0's channel only when none are queued. It gives up after 30 s. A wait
+//! that gives up marks the deployment *stalled*: from then on every client
 //! reads idle, invocations are dropped, `step_timed` reports nothing in
 //! flight and `try_settle` returns the [`QuiescenceError`] — so a driver
 //! runs out its issue loop and meets the error, and nothing on a wait
@@ -36,7 +38,7 @@
 //! while a client the driver has used is idle (the driver can issue);
 //! otherwise it waits for the next completion.
 //!
-//! ## Worker 0 is the clients' quorum home
+//! ## Worker 0 is the clients' quorum home, on the driver's thread
 //!
 //! The pool gives each of its last `w − 1` actors a worker of its own
 //! and leaves the rest on worker 0. The deployment lays out writers,
@@ -44,7 +46,10 @@
 //! `S − w + 1` servers. While `w − 1 ≤ t` that is a full `S − t` quorum:
 //! a fast operation's request and the acks it waits for never leave
 //! worker 0, and only the servers it does not wait for answer across a
-//! channel.
+//! channel. Worker 0 runs on the thread that drives the cluster — a
+//! deployment of `w` workers spawns `w − 1` threads — so an invocation
+//! goes into worker 0's inbox, not across a channel, and the wait that
+//! follows it runs the operation.
 //!
 //! ## Two clock reads per operation
 //!
@@ -85,6 +90,12 @@ const SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A wait reads the wall clock once per this many polls.
 const POLLS_PER_DEADLINE_CHECK: u64 = 64;
+
+/// How long one poll of a wait may block on worker 0's channel when
+/// worker 0 has nothing queued. Bounds how late a wait sees a condition
+/// that worker 0 does not make true — a completion of a client placed on
+/// another worker, or the deadline.
+const HOME_POLL: Duration = Duration::from_millis(1);
 
 /// A register deployment running on real OS threads.
 ///
@@ -152,7 +163,8 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
         }
     }
 
-    /// Number of worker threads actually running.
+    /// Number of workers actually running: worker 0 on the driver's
+    /// thread, and a spawned thread each for the rest.
     pub fn workers(&self) -> usize {
         self.pool.workers()
     }
@@ -178,10 +190,12 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
             .any(|(addr, &issued)| issued > 0 && issued == self.history.completed_by(addr))
     }
 
-    /// The one wait: yields the core until `done` holds and returns the
-    /// polls it took. Gives up — marking the deployment stalled — once
-    /// `settle_timeout` has passed; on a stalled deployment every wait
-    /// fails at once.
+    /// The one wait: runs worker 0 until `done` holds and returns the
+    /// polls it took. Each poll is one [`ActorPool::run_home`] batch, or
+    /// a block of at most [`HOME_POLL`] on worker 0's channel when
+    /// nothing is queued. Gives up — marking the deployment stalled —
+    /// once `settle_timeout` has passed; on a stalled deployment every
+    /// wait fails at once.
     // `threads.rs` is a sanctioned wall-clock site (lint rule D2): settle
     // deadlines on a real-threads deployment are wall deadlines.
     #[allow(clippy::disallowed_methods)]
@@ -203,7 +217,7 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
                 self.stalled = now >= *deadline.get_or_insert(now + self.settle_timeout);
             }
             polls += 1;
-            std::thread::yield_now();
+            self.pool.run_home(HOME_POLL);
         }
     }
 
@@ -288,18 +302,21 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
     }
 
     fn advance_to_ticks(&mut self, ticks: u64) {
-        // Real time advances by itself; sleeping the remainder gives the
-        // actor threads the core — important on single-core hosts.
-        let now = self.pool.now_ticks();
-        if ticks > now {
-            std::thread::sleep(Duration::from_micros(ticks - now));
+        // Real time advances by itself; worker 0 works until then, and
+        // blocks on its channel while it has nothing queued.
+        loop {
+            let now = self.pool.now_ticks();
+            if now >= ticks {
+                return;
+            }
+            self.pool.run_home(Duration::from_micros(ticks - now));
         }
     }
 
     fn step_timed(&mut self) -> bool {
-        // The OS is the scheduler: "one step" means waiting for the next
-        // completion while work remains in flight — unless a client is
-        // already idle, when the driver has an invocation to make.
+        // "One step" means running worker 0 until the next completion
+        // while work remains in flight — unless a client is already
+        // idle, when the driver has an invocation to make.
         // `before` is read first: a completion landing after it ends the
         // wait at once instead of being waited for.
         let before = self.ops_completed();
@@ -326,6 +343,8 @@ mod tests {
     use super::*;
     use crate::harness::{Abd, FastByz, FastCrash};
     use fastreg_simnet::automaton::{Automaton, Outbox};
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     #[test]
     fn fast_crash_over_threads_end_to_end() {
@@ -391,19 +410,6 @@ mod tests {
         assert!(!c.step_timed(), "idle deployment has nothing in flight");
     }
 
-    /// Polls `cond` until it holds or `SETTLE_TIMEOUT` passes.
-    #[allow(clippy::disallowed_methods)]
-    fn eventually(cond: impl Fn() -> bool) -> bool {
-        let deadline = Instant::now() + SETTLE_TIMEOUT;
-        while !cond() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::yield_now();
-        }
-        true
-    }
-
     /// Runs `write_sync(1)`, `read(0)`, `read(R − 1)` on `workers` and
     /// asserts how many of the sends took the local run queue and how
     /// many crossed a channel.
@@ -415,11 +421,14 @@ mod tests {
         c.read(cfg.r - 1);
         // A client returns on its quorum's last ack; the others may still
         // be on their way, and every send is counted once it is routed.
-        // Channel jobs: the three injections and the remote sends.
-        let settled = eventually(|| {
-            let s = c.rt_stats();
-            s.local_sends + s.remote_sends == local + remote && s.drained_messages == 3 + remote
-        });
+        // Mailbox jobs: the three injections (worker 0's inbox) and the
+        // remote sends, which worker 0 drains while the driver waits.
+        let settled = c
+            .wait(|c| {
+                let s = c.rt_stats();
+                s.local_sends + s.remote_sends == local + remote && s.drained_messages == 3 + remote
+            })
+            .is_ok();
         let s = c.rt_stats();
         assert!(settled, "{} at workers = {workers}: {s:?}", P::ID);
         assert_eq!((s.local_sends, s.remote_sends), split, "{}", P::ID);
@@ -475,10 +484,10 @@ mod tests {
     /// client asks only where it records: the invocation and the response.
     fn assert_two_clock_reads_per_op<P: ProtocolFamily>() {
         for workers in [1, 2] {
-            let c = closed_loop::<P>(workers);
+            let mut c = closed_loop::<P>(workers);
             let want = 2 * c.ops_completed();
             // The last response's read is counted after its step returns.
-            eventually(|| c.rt_stats().step_clock_reads >= want);
+            let _ = c.wait(|c| c.rt_stats().step_clock_reads >= want);
             let reads = c.rt_stats().step_clock_reads;
             assert_eq!(reads, want, "{} at workers = {workers}", P::ID);
         }
@@ -549,6 +558,74 @@ mod tests {
             assemble::<FastCrash>(&cfg, 7, &mut FastCrash::reader, &mut FastCrash::server);
         parts.automata[crashing.index() as usize] = Box::new(Crashes(std::marker::PhantomData));
         ThreadCluster::deploy(cfg, parts, rt)
+    }
+
+    /// Runs `inner`, noting the thread each of its steps runs on.
+    struct OnThread<M> {
+        inner: Box<dyn Automaton<Msg = M>>,
+        id: usize,
+        seen: Arc<Mutex<Vec<Vec<ThreadId>>>>,
+    }
+
+    impl<M: Clone + std::fmt::Debug + Send + 'static> OnThread<M> {
+        fn note(&self) {
+            let here = std::thread::current().id();
+            let mut seen = self.seen.lock().unwrap();
+            if !seen[self.id].contains(&here) {
+                seen[self.id].push(here);
+            }
+        }
+    }
+
+    impl<M: Clone + std::fmt::Debug + Send + 'static> Automaton for OnThread<M> {
+        type Msg = M;
+        fn on_start(&mut self, out: &mut Outbox<M>) {
+            self.note();
+            self.inner.on_start(out);
+        }
+        fn on_message(&mut self, from: ProcessId, msg: M, out: &mut Outbox<M>) {
+            self.note();
+            self.inner.on_message(from, msg, out);
+        }
+    }
+
+    #[test]
+    fn worker_0_steps_on_the_thread_that_drives_the_cluster() {
+        // fast-crash, S = 5, t = 1, R = 2: eight actors, the last is
+        // server 7. One write and two reads make every actor step.
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        let n = (cfg.w + cfg.r + cfg.s) as usize;
+        let driver = std::thread::current().id();
+        for workers in [1, 2] {
+            let seen = Arc::new(Mutex::new(vec![Vec::new(); n]));
+            let mut parts =
+                assemble::<FastCrash>(&cfg, 7, &mut FastCrash::reader, &mut FastCrash::server);
+            parts.automata = std::mem::take(&mut parts.automata)
+                .into_iter()
+                .enumerate()
+                .map(|(id, inner)| {
+                    let seen = Arc::clone(&seen);
+                    Box::new(OnThread { inner, id, seen }) as Box<dyn Automaton<Msg = _>>
+                })
+                .collect();
+            let mut c = ThreadCluster::deploy(cfg, parts, RtConfig::new(workers));
+            assert_eq!(c.workers(), workers);
+            c.write_sync(1);
+            c.read(0);
+            c.read(1);
+            // Server 7 may answer after the reads return: wait for all
+            // 3 × 10 sends.
+            assert_eq!(c.wait(|c| c.messages_sent() == 30).map(|_| ()), Ok(()));
+            let seen = seen.lock().unwrap();
+            for (id, threads) in seen.iter().enumerate() {
+                if workers == 2 && id == n - 1 {
+                    assert_eq!(threads.len(), 1, "actor {id}: one worker thread");
+                    assert_ne!(threads[0], driver, "actor {id} is on worker 1");
+                } else {
+                    assert_eq!(threads, &[driver], "actor {id} at workers = {workers}");
+                }
+            }
+        }
     }
 
     #[test]

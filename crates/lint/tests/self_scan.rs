@@ -1,9 +1,10 @@
 //! The self-scan: the shipped workspace must carry zero unannotated
 //! findings. This is the same gate CI enforces via `fastreg-lint
 //! --workspace`; keeping it as a test means `cargo test` alone catches
-//! a regression (e.g. a HashMap seeded into a checker module).
+//! a regression (e.g. a HashMap seeded into a checker module). It also
+//! holds the workspace to one bench harness, fastbench.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use fastreg_lint::{scan_workspace, Config, Rule};
 
@@ -63,5 +64,49 @@ fn scan_actually_covered_the_tree() {
             .any(|f| f.rule == Rule::ObsClockDiscipline),
         "the observability wall-clock leaked outside crates/rt:\n{}",
         report.table()
+    );
+}
+
+/// Every line of a root, `crates/*` or `vendor/*` manifest that declares
+/// a `[[bench]]` target or names criterion, as `path:line: text`.
+fn second_bench_harness_lines(root: &Path) -> Vec<String> {
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for dir in ["crates", "vendor"] {
+        let mut members: Vec<PathBuf> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|entry| entry.unwrap().path().join("Cargo.toml"))
+            .filter(|manifest| manifest.is_file())
+            .collect();
+        members.sort();
+        manifests.extend(members);
+    }
+    let mut hits = Vec::new();
+    for manifest in &manifests {
+        let text = std::fs::read_to_string(manifest).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            if line.contains("[[bench]]") || line.contains("criterion") {
+                let path = manifest.strip_prefix(root).unwrap_or(manifest);
+                hits.push(format!("{}:{}: {line}", path.display(), n + 1));
+            }
+        }
+    }
+    hits
+}
+
+#[test]
+fn fastbench_is_the_one_bench_harness() {
+    // Every performance number is gated by fastbench (benchmark/, a
+    // package outside the workspace); the workspace carries no second
+    // harness.
+    let root = workspace_root();
+    let hits = second_bench_harness_lines(&root);
+    assert!(
+        hits.is_empty(),
+        "a second bench harness: the benchmark is benchmark/ (fastbench)\n{}",
+        hits.join("\n")
+    );
+    assert!(
+        !root.join("vendor/criterion").exists(),
+        "vendor/criterion: the benchmark is benchmark/ (fastbench)"
     );
 }

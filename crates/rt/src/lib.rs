@@ -16,31 +16,42 @@
 //!
 //! ## Shape
 //!
-//! [`ActorPool::spawn`] partitions `n` actors over `w ≤ n` worker threads
-//! by one rule: the last `w − 1` actors get a worker each, and worker 0
-//! keeps the rest. Actor `i` lives on worker `(i + w) − n` (saturating
-//! at 0), in slot `i` of worker 0's actor vector or slot 0 of any other
+//! [`ActorPool::spawn`] partitions `n` actors over `w ≤ n` workers by one
+//! rule: the last `w − 1` actors get a worker each, and worker 0 keeps
+//! the rest. Actor `i` lives on worker `(i + w) − n` (saturating at 0),
+//! in slot `i` of worker 0's actor vector or slot 0 of any other
 //! worker's. Each worker owns its actors exclusively, so a step —
 //! receive, mutate state, emit an [`Outbox`] — is as atomic as under the
 //! simulator. Worker count 1 degenerates to a serialized (but still
-//! wall-clock) run; worker count `n` is one thread per actor.
+//! wall-clock) run; worker count `n` is one worker per actor.
+//!
+//! Worker 0 is the pool owner's thread: only workers `1..w` are spawned
+//! OS threads, so a pool of `w` workers runs `w − 1` threads of its own.
+//! Worker 0's actors, local run queue and channel stay inside the pool,
+//! and they run only when the owner calls [`ActorPool::run_home`] — the
+//! owner's wait *is* worker 0's work. An owner that has to wait for
+//! something worker 0 does not produce blocks in `run_home` on worker
+//! 0's channel, for at most the time it passes.
 //!
 //! The rule is shaped for quorum protocols laid out clients first,
 //! servers last — the workspace's writers, readers, then servers. Worker
 //! 0 then holds every client and the first `S − w + 1` servers. While
 //! `w − 1 ≤ t` that is a full `S − t` quorum: a one-round operation
-//! completes on worker 0's local run queue, and the servers on the other
-//! workers (never on its critical path) answer over channels.
+//! completes on worker 0's local run queue, on the thread that invoked
+//! it, and the servers on the other workers (never on its critical
+//! path) answer over channels.
 //!
 //! A message to an actor on the sending worker goes on that worker's
-//! local run queue; only a message to another worker's actor (or an
-//! [`inject`](ActorPool::inject)ion from outside the pool) crosses a
-//! channel. After each channel job the worker runs its local queue, so
-//! the steps one job sets off on one worker finish before the next job
-//! starts. Per-link FIFO order holds: actor `a` lives on one worker, so
-//! every message on the link `a → b` takes the same one of the two paths
-//! — the local queue when `b` shares `a`'s worker, `b`'s channel
-//! otherwise — and both are FIFO in send order.
+//! local run queue; only a message to another worker's actor crosses a
+//! channel. An [`inject`](ActorPool::inject)ion from outside the pool
+//! crosses one too, unless its actor is on worker 0: then it waits in
+//! worker 0's inbox, a plain queue the owner fills and drains. Each
+//! mailbox job — an inbox job or a channel job — runs with the local
+//! deliveries it sets off before the next job starts. Per-link FIFO
+//! order holds: actor `a` lives on one worker, so every message on the
+//! link `a → b` takes the same one of the paths — the local queue when
+//! `b` shares `a`'s worker, `b`'s channel otherwise, and the inbox for
+//! every injection at a worker-0 actor — and each is FIFO in send order.
 //!
 //! A step reads the wall clock at most once, when it asks: its outbox
 //! carries a [`LazyNow`] over the pool's clock, so the first
@@ -60,11 +71,14 @@
 //! ## Example
 //!
 //! ```
+//! use std::time::{Duration, Instant};
+//!
 //! use fastreg_rt::{ActorPool, RtConfig};
 //! use fastreg_simnet::automaton::{Automaton, Outbox};
 //! use fastreg_simnet::id::ProcessId;
 //!
-//! /// Forwards each value to the next actor, bumping it by one.
+//! /// Forwards each value to the next actor, bumping it by one; the last
+//! /// actor of the chain reports what it got.
 //! struct Relay {
 //!     next: Option<ProcessId>,
 //!     seen: std::sync::mpsc::Sender<u64>,
@@ -81,15 +95,25 @@
 //! }
 //!
 //! let (tx, rx) = std::sync::mpsc::channel();
-//! let pool = ActorPool::spawn(
-//!     vec![
-//!         Box::new(Relay { next: Some(ProcessId::new(1)), seen: tx.clone() }),
-//!         Box::new(Relay { next: None, seen: tx }),
-//!     ],
-//!     RtConfig::new(2),
-//! );
+//! let relay = |next: Option<u32>| -> Box<dyn Automaton<Msg = u64>> {
+//!     let next = next.map(ProcessId::new);
+//!     Box::new(Relay { next, seen: tx.clone() })
+//! };
+//! // Two workers: actors 0 and 1 on worker 0, actor 2 on worker 1. The
+//! // chain 0 → 2 → 1 crosses to worker 1 and back.
+//! let actors = vec![relay(Some(2)), relay(None), relay(Some(1))];
+//! let mut pool = ActorPool::spawn(actors, RtConfig::new(2));
 //! pool.inject(ProcessId::new(0), 41);
-//! assert_eq!(rx.recv().unwrap(), 42);
+//! // Worker 0 runs on this thread: drive it until the value is back.
+//! let deadline = Instant::now() + Duration::from_secs(30);
+//! let got = loop {
+//!     if let Ok(v) = rx.try_recv() {
+//!         break v;
+//!     }
+//!     assert!(Instant::now() < deadline, "the chain stalled");
+//!     pool.run_home(Duration::from_millis(1));
+//! };
+//! assert_eq!(got, 43);
 //! pool.shutdown().unwrap();
 //! ```
 
@@ -101,6 +125,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fastreg_obs::MonoClock;
@@ -111,7 +136,8 @@ use fastreg_simnet::time::SimTime;
 /// Configuration of an [`ActorPool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RtConfig {
-    /// Requested worker threads; clamped to `1..=n_actors` at spawn.
+    /// Requested workers; clamped to `1..=n_actors` at spawn. Worker 0
+    /// runs on the pool owner's thread, each other worker on its own.
     pub workers: usize,
 }
 
@@ -122,7 +148,7 @@ impl Default for RtConfig {
 }
 
 impl RtConfig {
-    /// A pool of `workers` threads.
+    /// A pool of `workers` workers.
     pub fn new(workers: usize) -> Self {
         RtConfig { workers }
     }
@@ -162,7 +188,7 @@ enum Job<M> {
 }
 
 /// Upper bound on how many queued jobs a worker drains per wakeup, and
-/// on how many local deliveries it runs before it looks at its channel
+/// on how many local deliveries it runs before it looks at its mailbox
 /// again. Bounds the latency penalty any single actor pays to batching
 /// while still amortizing the blocking-recv wakeup across a burst.
 pub const DRAIN_BATCH_MAX: usize = 256;
@@ -194,23 +220,24 @@ fn add(counter: &AtomicU64, n: u64) {
 /// A snapshot of an [`ActorPool`]'s runtime counters
 /// ([`ActorPool::stats`]).
 ///
-/// The `drained_*` counters and `max_batch` see the channels only:
-/// injections and cross-worker sends. Deliveries through a worker's
-/// local run queue are counted by `local_sends` and by nothing else, so
-/// messages per batch and wakeups per operation derived from them
-/// exclude local deliveries.
+/// The `drained_*` counters and `max_batch` see the mailboxes only:
+/// injections (worker 0's inbox jobs among them) and cross-worker sends.
+/// Deliveries through a worker's local run queue are counted by
+/// `local_sends` and by nothing else, so messages per batch and wakeups
+/// per operation derived from them exclude local deliveries.
 ///
 /// The channels expose no queue-length probe, so mailbox depth is
-/// observed through its consumption: every worker wakeup drains up to
+/// observed through its consumption: every worker wakeup (on worker 0,
+/// every [`ActorPool::run_home`] that finds work) drains up to
 /// [`DRAIN_BATCH_MAX`] queued jobs in one batch, and the batch length
 /// *is* the backlog that had accumulated — `max_batch` is therefore the
 /// pool's observed mailbox-depth high-water mark (saturating at the
 /// drain cap).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RtStats {
-    /// Worker wakeups that drained at least one channel job.
+    /// Worker wakeups that drained at least one mailbox job.
     pub drained_batches: u64,
-    /// Total channel jobs drained across all batches.
+    /// Total mailbox jobs drained across all batches.
     pub drained_messages: u64,
     /// Largest single drain batch (mailbox-depth high-water proxy,
     /// capped at [`DRAIN_BATCH_MAX`]).
@@ -230,21 +257,27 @@ pub struct RtStats {
     pub step_clock_reads: u64,
 }
 
-/// A running set of actors partitioned over a pool of worker threads.
+/// A running set of actors partitioned over a pool of workers: worker 0
+/// on the owner's thread, the others on threads of their own.
 ///
-/// Construct with [`ActorPool::spawn`], drive with [`ActorPool::inject`],
-/// and stop with [`ActorPool::shutdown`] (or just drop the pool — the
-/// destructor shuts it down too, and never panics). Actor ids are
-/// assigned in vector order, exactly like
+/// Construct with [`ActorPool::spawn`], drive with [`ActorPool::inject`]
+/// and [`ActorPool::run_home`], and stop with [`ActorPool::shutdown`]
+/// (or just drop the pool — the destructor shuts it down too, and never
+/// panics). Actor ids are assigned in vector order, exactly like
 /// [`World::add_actor`](fastreg_simnet::world::World), so the same layout
 /// addressing works on both runtimes.
 pub struct ActorPool<M> {
-    senders: Vec<Sender<Job<M>>>,
-    /// Each worker thread returns the actors that panicked on it.
+    /// Worker 0, run by [`run_home`](ActorPool::run_home). Its `peers`
+    /// are every worker's channel, its own included.
+    home: Worker<M>,
+    /// Worker 0's channel: the other workers' sends to its actors.
+    home_rx: Receiver<Job<M>>,
+    /// Injections at worker 0's actors, in injection order.
+    inbox: VecDeque<Delivery<M>>,
+    /// The buffer every `run_home` batch borrows.
+    batch: Vec<Job<M>>,
+    /// Workers `1..w`; each thread returns the actors that panicked on it.
     handles: Vec<JoinHandle<Vec<ProcessId>>>,
-    n_actors: usize,
-    clock: Arc<MonoClock>,
-    counters: Arc<[Counters]>,
 }
 
 impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
@@ -252,8 +285,9 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
     /// last `workers − 1` actors get a worker each and worker 0 owns the
     /// rest, so with clients laid out before servers, worker 0 is every
     /// client's quorum home whenever `workers − 1 ≤ t` (see the crate
-    /// docs). Each automaton's `on_start` runs on its worker before that
-    /// worker processes any message.
+    /// docs). Workers `1..w` get a thread each, and each automaton's
+    /// `on_start` runs on its worker before that worker processes any
+    /// message — worker 0's on the caller's thread, before this returns.
     // The rt crate is the sanctioned habitat of the wall clock (lint
     // rules D2/D7): real threads need real time for uptime accounting
     // and busy-time measurement, via the quarantined obs::MonoClock.
@@ -272,7 +306,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
             owned[worker].push(Some(a));
         }
 
-        let handles = receivers
+        let mut all = receivers
             .into_iter()
             .zip(owned)
             .enumerate()
@@ -289,53 +323,95 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
                     buf: Vec::new(),
                     panicked: Vec::new(),
                 };
+                (worker, rx)
+            });
+        let (mut home, home_rx) = all.next().expect("a pool has worker 0");
+        let handles = all
+            .map(|(worker, rx)| {
                 std::thread::Builder::new()
-                    .name(format!("fastreg-rt-{index}"))
+                    .name(format!("fastreg-rt-{}", worker.index))
                     .spawn(move || worker.run(rx))
                     .expect("spawn rt worker thread")
             })
             .collect();
+        home.start();
 
         ActorPool {
-            senders,
+            home,
+            home_rx,
+            inbox: VecDeque::new(),
+            batch: Vec::with_capacity(DRAIN_BATCH_MAX),
             handles,
-            n_actors,
-            clock,
-            counters,
         }
     }
 
     /// Sends `msg` to actor `to` from the external environment
     /// ([`ProcessId::EXTERNAL`]) — the entry point operation invocations
-    /// use, exactly like `World::inject`. Unknown ids are ignored.
-    pub fn inject(&self, to: ProcessId, msg: M) {
+    /// use, exactly like `World::inject`. An actor on worker 0 gets it
+    /// through worker 0's inbox, at the next [`run_home`](Self::run_home);
+    /// any other actor through its worker's channel. Unknown ids are
+    /// ignored.
+    pub fn inject(&mut self, to: ProcessId, msg: M) {
         let idx = to.index() as usize;
-        if idx < self.n_actors {
-            let (worker, _) = place(idx, self.n_actors, self.senders.len());
-            let _ = self.senders[worker].send(Job::Deliver(Delivery {
-                to: to.index(),
-                from: ProcessId::EXTERNAL,
-                msg,
-            }));
+        if idx >= self.len() {
+            return;
         }
+        let delivery = Delivery {
+            to: to.index(),
+            from: ProcessId::EXTERNAL,
+            msg,
+        };
+        match place(idx, self.len(), self.workers()).0 {
+            0 => self.inbox.push_back(delivery),
+            worker => {
+                let _ = self.home.peers[worker].send(Job::Deliver(delivery));
+            }
+        }
+    }
+
+    /// Runs one batch of worker 0 on the calling thread and returns how
+    /// many mailbox jobs it held: up to [`DRAIN_BATCH_MAX`] jobs, inbox
+    /// jobs first, then channel jobs, each followed by the local
+    /// deliveries it sets off. If nothing is queued — inbox, channel and
+    /// local run queue all empty — it first blocks on worker 0's channel
+    /// for at most `wait`, and returns 0 if nothing came.
+    pub fn run_home(&mut self, wait: Duration) -> usize {
+        let mut batch = std::mem::take(&mut self.batch);
+        let from_inbox = self.inbox.len().min(DRAIN_BATCH_MAX);
+        batch.extend(self.inbox.drain(..from_inbox).map(Job::Deliver));
+        fill(&self.home_rx, &mut batch);
+        if batch.is_empty() && self.home.local.is_empty() {
+            let Ok(job) = self.home_rx.recv_timeout(wait) else {
+                self.batch = batch;
+                return 0;
+            };
+            batch.push(job);
+            fill(&self.home_rx, &mut batch);
+        }
+        let jobs = batch.len();
+        // Nothing sends worker 0 a shutdown marker: the batch runs whole.
+        self.home.run_batch(&mut batch);
+        self.batch = batch;
+        jobs
     }
 }
 
 impl<M> ActorPool<M> {
     /// Number of actors in the pool.
     pub fn len(&self) -> usize {
-        self.n_actors
+        self.home.n_actors
     }
 
     /// Returns `true` if the pool has no actors.
     pub fn is_empty(&self) -> bool {
-        self.n_actors == 0
+        self.home.n_actors == 0
     }
 
-    /// Number of worker threads actually running (the configured count
-    /// clamped to `1..=len()`).
+    /// Number of workers (the configured count clamped to `1..=len()`):
+    /// worker 0 on the owner's thread, and one spawned thread each for
+    /// the rest.
     pub fn workers(&self) -> usize {
-        self.senders.len()
+        self.home.workers
     }
 
     /// Total actor-to-actor messages routed so far — local plus remote
@@ -349,7 +425,7 @@ impl<M> ActorPool<M> {
     /// Microseconds elapsed since the pool started — the wall-clock
     /// analogue of the simulator's virtual `now`.
     pub fn now_ticks(&self) -> u64 {
-        self.clock.elapsed_us()
+        self.home.clock.elapsed_us()
     }
 
     /// A snapshot of the pool's runtime counters (drain batches, the
@@ -358,7 +434,8 @@ impl<M> ActorPool<M> {
     /// byte-identity contract.
     pub fn stats(&self) -> RtStats {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        self.counters
+        self.home
+            .counters
             .iter()
             .fold(RtStats::default(), |s, c| RtStats {
                 drained_batches: s.drained_batches + load(&c.drained_batches),
@@ -371,32 +448,33 @@ impl<M> ActorPool<M> {
             })
     }
 
-    /// Stops every worker after it drains the jobs already queued, and
-    /// joins the threads. Dropping the pool does the same, discarding
-    /// the report.
+    /// Stops workers `1..w` after each drains the jobs already queued on
+    /// its channel, and joins their threads. Worker 0 runs no further:
+    /// jobs still queued for it are dropped. Dropping the pool does the
+    /// same, discarding the report.
     ///
     /// # Errors
     ///
     /// [`RtError::ActorPanicked`] if any actor's step panicked during
-    /// the run.
+    /// the run, on worker 0 or on any other worker.
     pub fn shutdown(mut self) -> Result<(), RtError> {
         self.shutdown_in_place()
     }
 
     fn shutdown_in_place(&mut self) -> Result<(), RtError> {
-        for tx in &self.senders {
+        for tx in &self.home.peers[1..] {
             let _ = tx.send(Job::Shutdown);
         }
-        let workers = self.senders.len();
-        let mut actors = Vec::new();
-        for (w, handle) in self.handles.drain(..).enumerate() {
+        let (n, workers) = (self.len(), self.workers());
+        let mut actors = std::mem::take(&mut self.home.panicked);
+        for (w, handle) in (1..).zip(self.handles.drain(..)) {
             match handle.join() {
                 Ok(panicked) => actors.extend(panicked),
                 // The worker itself died outside an actor step: every
                 // actor it owned is gone.
                 Err(_) => actors.extend(
-                    (0..self.n_actors)
-                        .filter(|&i| place(i, self.n_actors, workers).0 == w)
+                    (0..n)
+                        .filter(|&i| place(i, n, workers).0 == w)
                         .map(|i| ProcessId::new(i as u32)),
                 ),
             }
@@ -416,6 +494,17 @@ impl<M> Drop for ActorPool<M> {
     }
 }
 
+/// Moves already-queued channel jobs into `batch` until it holds
+/// [`DRAIN_BATCH_MAX`].
+fn fill<M>(rx: &Receiver<Job<M>>, batch: &mut Vec<Job<M>>) {
+    while batch.len() < DRAIN_BATCH_MAX {
+        match rx.try_recv() {
+            Ok(job) => batch.push(job),
+            Err(_) => break,
+        }
+    }
+}
+
 /// An actor slot; `None` once its actor panicked.
 type Slot<M> = Option<Box<dyn Automaton<Msg = M>>>;
 
@@ -427,7 +516,7 @@ fn place(i: usize, n: usize, w: usize) -> (usize, usize) {
     (worker, if worker == 0 { i } else { 0 })
 }
 
-/// One worker thread's state: its actors, its local run queue, and the
+/// One worker's state: its actors, its local run queue, and the
 /// channels to every worker (itself included, for injections).
 struct Worker<M> {
     index: usize,
@@ -446,17 +535,11 @@ struct Worker<M> {
 }
 
 impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
-    /// The worker thread: start every actor, then drain the channel in
-    /// batches until a shutdown marker. Returns the actors that panicked.
+    /// A spawned worker's thread: start every actor, then drain the
+    /// channel in batches until a shutdown marker. Returns the actors
+    /// that panicked.
     fn run(mut self, rx: Receiver<Job<M>>) -> Vec<ProcessId> {
-        let busy_since = self.clock.elapsed_us();
-        for i in 0..self.n_actors {
-            if place(i, self.n_actors, self.workers).0 == self.index {
-                self.step(i as u32, None);
-            }
-        }
-        self.drain_local();
-        self.end_batch(busy_since);
+        self.start();
         // Batched drain: one blocking recv per backlog burst, then
         // opportunistic try_recv up to the cap. The batch length is the
         // observed mailbox depth. The worker blocks only when its local
@@ -469,36 +552,53 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
                     Err(_) => break,
                 }
             }
-            while batch.len() < DRAIN_BATCH_MAX {
-                match rx.try_recv() {
-                    Ok(job) => batch.push(job),
-                    Err(_) => break,
-                }
+            fill(&rx, &mut batch);
+            if !self.run_batch(&mut batch) {
+                break;
             }
-            let busy_since = self.clock.elapsed_us();
-            if !batch.is_empty() {
-                let c = &self.counters[self.index];
-                add(&c.drained_batches, 1);
-                add(&c.drained_messages, batch.len() as u64);
-                if batch.len() as u64 > c.max_batch.load(Ordering::Relaxed) {
-                    c.max_batch.store(batch.len() as u64, Ordering::Relaxed);
-                }
-            }
-            for job in batch.drain(..) {
-                match job {
-                    Job::Deliver(Delivery { to, from, msg }) => {
-                        self.step(to, Some((from, msg)));
-                        self.drain_local();
-                    }
-                    // Stop exactly here: jobs drained after the Shutdown
-                    // marker are dropped.
-                    Job::Shutdown => return self.panicked,
-                }
-            }
-            self.drain_local();
-            self.end_batch(busy_since);
         }
         self.panicked
+    }
+
+    /// Runs every actor's `on_start`, and the local deliveries they set
+    /// off.
+    fn start(&mut self) {
+        let busy_since = self.clock.elapsed_us();
+        for i in 0..self.n_actors {
+            if place(i, self.n_actors, self.workers).0 == self.index {
+                self.step(i as u32, None);
+            }
+        }
+        self.drain_local();
+        self.end_batch(busy_since);
+    }
+
+    /// Runs one batch of mailbox jobs, each followed by the local
+    /// deliveries it sets off, then what is left on the local run queue,
+    /// and records the batch's busy time and counters. Returns `false`
+    /// at a shutdown marker: the jobs after it are dropped.
+    fn run_batch(&mut self, batch: &mut Vec<Job<M>>) -> bool {
+        let busy_since = self.clock.elapsed_us();
+        if !batch.is_empty() {
+            let c = &self.counters[self.index];
+            add(&c.drained_batches, 1);
+            add(&c.drained_messages, batch.len() as u64);
+            if batch.len() as u64 > c.max_batch.load(Ordering::Relaxed) {
+                c.max_batch.store(batch.len() as u64, Ordering::Relaxed);
+            }
+        }
+        for job in batch.drain(..) {
+            match job {
+                Job::Deliver(Delivery { to, from, msg }) => {
+                    self.step(to, Some((from, msg)));
+                    self.drain_local();
+                }
+                Job::Shutdown => return false,
+            }
+        }
+        self.drain_local();
+        self.end_batch(busy_since);
+        true
     }
 
     /// Runs queued local deliveries in send order, at most
@@ -646,9 +746,39 @@ mod tests {
         })
     }
 
+    /// Runs worker 0 on this thread until `done` holds; gives up after
+    /// 30 s. Returns whether `done` held.
+    fn drive<M: Clone + std::fmt::Debug + Send + 'static>(
+        pool: &mut ActorPool<M>,
+        mut done: impl FnMut(&ActorPool<M>) -> bool,
+    ) -> bool {
+        let deadline = pool.now_ticks() + 30_000_000;
+        while !done(pool) {
+            if pool.now_ticks() >= deadline {
+                return false;
+            }
+            pool.run_home(Duration::from_millis(1));
+        }
+        true
+    }
+
+    /// Drives worker 0 until `rx` yields a value, and returns it.
+    fn recv<M: Clone + std::fmt::Debug + Send + 'static, T>(
+        pool: &mut ActorPool<M>,
+        rx: &mpsc::Receiver<T>,
+    ) -> T {
+        let mut got = None;
+        let arrived = drive(pool, |_| {
+            got = got.take().or_else(|| rx.try_recv().ok());
+            got.is_some()
+        });
+        assert!(arrived, "nothing arrived within 30 s");
+        got.expect("arrived")
+    }
+
     fn ping_pong(workers: usize) {
         let (tx, rx) = mpsc::channel();
-        let pool = ActorPool::spawn(
+        let mut pool = ActorPool::spawn(
             vec![
                 initiator(1, 10, tx) as Box<dyn Automaton<Msg = Msg>>,
                 Box::new(Responder),
@@ -658,10 +788,7 @@ mod tests {
         for _ in 0..10 {
             pool.inject(ProcessId::new(0), Msg::Ping);
         }
-        let pongs = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("all pongs arrive");
-        assert_eq!(pongs, 10);
+        assert_eq!(recv(&mut pool, &rx), 10, "all pongs arrive");
         // 10 pings forwarded + 10 pongs back.
         assert_eq!(pool.messages_sent(), 20);
         assert_eq!(pool.shutdown(), Ok(()));
@@ -699,10 +826,11 @@ mod tests {
 
     #[test]
     fn empty_pool_spawns_and_shuts_down() {
-        let pool: ActorPool<u32> = ActorPool::spawn(vec![], RtConfig::default());
+        let mut pool: ActorPool<u32> = ActorPool::spawn(vec![], RtConfig::default());
         assert!(pool.is_empty());
         assert_eq!(pool.workers(), 1);
         pool.inject(ProcessId::new(0), 1); // ignored, no panic
+        assert_eq!(pool.run_home(Duration::ZERO), 0);
         assert_eq!(pool.shutdown(), Ok(()));
     }
 
@@ -721,13 +849,13 @@ mod tests {
             }
         }
         let (tx, rx) = mpsc::channel();
-        let pool = ActorPool::spawn(
+        let mut pool = ActorPool::spawn(
             vec![Box::new(Starter { tx }) as Box<dyn Automaton<Msg = ()>>],
             RtConfig::new(1),
         );
         pool.inject(ProcessId::new(0), ());
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("start"));
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("msg"));
+        assert_eq!(recv(&mut pool, &rx), "start");
+        assert_eq!(recv(&mut pool, &rx), "msg");
         assert_eq!(pool.shutdown(), Ok(()));
     }
 
@@ -747,7 +875,7 @@ mod tests {
     #[test]
     fn stats_count_drained_jobs() {
         let (tx, rx) = mpsc::channel();
-        let pool = ActorPool::spawn(
+        let mut pool = ActorPool::spawn(
             vec![
                 initiator(1, 10, tx) as Box<dyn Automaton<Msg = Msg>>,
                 Box::new(Responder),
@@ -757,12 +885,11 @@ mod tests {
         for _ in 0..10 {
             pool.inject(ProcessId::new(0), Msg::Ping);
         }
-        rx.recv_timeout(Duration::from_secs(30))
-            .expect("all pongs arrive");
+        recv(&mut pool, &rx);
         let stats = pool.stats();
         // Two workers, one actor each: every routed message crosses a
-        // channel. 10 injections + 20 routed messages, all drained in
-        // batches.
+        // channel. 10 injections (worker 0's inbox jobs) + 20 routed
+        // messages, all drained in batches.
         assert_eq!((stats.local_sends, stats.remote_sends), (0, 20));
         assert!(stats.drained_messages >= 30);
         assert!(stats.drained_batches >= 1);
@@ -787,7 +914,7 @@ mod tests {
         for workers in [1, 2] {
             let (tx, rx) = mpsc::channel();
             let (stamps, stamped) = mpsc::channel();
-            let pool = ActorPool::spawn(
+            let mut pool = ActorPool::spawn(
                 vec![
                     initiator(1, 10, tx) as Box<dyn Automaton<Msg = Msg>>,
                     Box::new(Responder),
@@ -798,23 +925,17 @@ mod tests {
             for _ in 0..10 {
                 pool.inject(ProcessId::new(0), Msg::Ping);
             }
-            rx.recv_timeout(Duration::from_secs(30))
-                .expect("all pongs arrive");
+            recv(&mut pool, &rx);
             assert_eq!(pool.stats().step_clock_reads, 0, "echo actors never ask");
             for _ in 0..3 {
                 pool.inject(ProcessId::new(2), Msg::Ping);
             }
             for _ in 0..3 {
-                let (first, second) = stamped
-                    .recv_timeout(Duration::from_secs(30))
-                    .expect("every stamp arrives");
+                let (first, second) = recv(&mut pool, &stamped);
                 assert_eq!(first, second, "one reading per step, not one per ask");
             }
             // A step's read is counted after the step returns.
-            let deadline = pool.now_ticks() + 30_000_000;
-            while pool.stats().step_clock_reads < 3 && pool.now_ticks() < deadline {
-                std::thread::yield_now();
-            }
+            drive(&mut pool, |p| p.stats().step_clock_reads >= 3);
             assert_eq!(pool.stats().step_clock_reads, 3, "workers = {workers}");
             assert_eq!(pool.shutdown(), Ok(()));
         }
@@ -854,7 +975,7 @@ mod tests {
             }
         }
         let (tx, rx) = mpsc::channel();
-        let pool = ActorPool::spawn(
+        let mut pool = ActorPool::spawn(
             vec![
                 Box::new(Burst) as Box<dyn Automaton<Msg = u64>>,
                 Box::new(Collect(tx.clone())),
@@ -865,9 +986,7 @@ mod tests {
         pool.inject(ProcessId::new(0), 0);
         let mut got: [Vec<u64>; 3] = Default::default();
         for _ in 0..2 * N {
-            let (who, v) = rx
-                .recv_timeout(Duration::from_secs(30))
-                .expect("every value arrives");
+            let (who, v) = recv(&mut pool, &rx);
             got[who as usize].push(v);
         }
         let want: Vec<u64> = (1..=N).collect();
@@ -930,7 +1049,7 @@ mod tests {
         const N: u32 = 5;
         for workers in 1..=N as usize {
             let (tx, rx) = mpsc::channel();
-            let pool = ActorPool::spawn(
+            let mut pool = ActorPool::spawn(
                 (0..N)
                     .map(|built| {
                         let seen = tx.clone();
@@ -945,9 +1064,7 @@ mod tests {
                 }
             }
             for _ in 0..2 * N * N {
-                let (built, to) = rx
-                    .recv_timeout(Duration::from_secs(30))
-                    .expect("every message arrives");
+                let (built, to) = recv(&mut pool, &rx);
                 assert_eq!(built, to, "workers = {workers}");
             }
             assert_eq!(pool.shutdown(), Ok(()));
@@ -957,7 +1074,7 @@ mod tests {
     #[test]
     fn a_panicking_actor_is_a_crash_reported_at_shutdown() {
         let (tx, rx) = mpsc::channel();
-        let pool = ActorPool::spawn(
+        let mut pool = ActorPool::spawn(
             vec![
                 initiator(2, 10, tx) as Box<dyn Automaton<Msg = Msg>>,
                 Box::new(Panicker),
@@ -972,10 +1089,7 @@ mod tests {
         for _ in 0..10 {
             pool.inject(ProcessId::new(0), Msg::Ping);
         }
-        let pongs = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("the survivors keep answering");
-        assert_eq!(pongs, 10);
+        assert_eq!(recv(&mut pool, &rx), 10, "the survivors keep answering");
         assert_eq!(
             pool.shutdown(),
             Err(RtError::ActorPanicked {
@@ -987,8 +1101,11 @@ mod tests {
     #[test]
     fn dropping_a_pool_while_unwinding_does_not_abort() {
         let unwound = std::panic::catch_unwind(|| {
-            let pool: ActorPool<Msg> = ActorPool::spawn(vec![Box::new(Panicker)], RtConfig::new(1));
+            let mut pool: ActorPool<Msg> =
+                ActorPool::spawn(vec![Box::new(Panicker)], RtConfig::new(1));
             pool.inject(ProcessId::new(0), Msg::Ping);
+            // The actor crashes on this thread, before the caller panics.
+            assert_eq!(pool.run_home(Duration::ZERO), 1);
             panic!("the caller unwinds with the pool alive");
         });
         assert!(unwound.is_err());

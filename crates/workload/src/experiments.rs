@@ -165,12 +165,11 @@ pub static EXPERIMENTS: [Experiment; 19] = [
         id: "e17",
         title: "E17 — real-threads runtime: closed-loop throughput, post-hoc checking",
         protocols: &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId::FastByz],
-        // The worker sweep always runs 1→4; the 4>1 scaling assert only
-        // arms in full mode off CI (CI containers are 1-core).
-        run: |quick| {
-            let scaling = !quick && std::env::var_os("CI").is_none();
-            e17_rt_throughput(if quick { 400 } else { 5_000 }, &[1, 2, 4], scaling)
-        },
+        // The worker sweep always runs 1→4. Extra workers host only
+        // servers off the clients' critical path, so the table reports
+        // throughput per worker count and asserts no relation between
+        // them.
+        run: |quick| e17_rt_throughput(if quick { 400 } else { 5_000 }, &[1, 2, 4]),
     },
     Experiment {
         id: "e18",
@@ -1272,12 +1271,8 @@ pub fn e16_store(headline_ops: u64, threads: usize) -> Table {
 /// the harvested wall-clock histories judged post hoc by the same
 /// checkers the simulator uses. Reports throughput (ops/s) and
 /// operation-latency percentiles (µs) across a worker-count sweep.
-///
-/// `assert_scaling` additionally requires the widest sweep point to beat
-/// the 1-worker baseline on throughput for at least one protocol — only
-/// meaningful on a multi-core host, so callers keep it off in CI and in
-/// quick mode (CI containers here are single-core).
-pub fn e17_rt_throughput(n_ops: u64, workers: &[usize], assert_scaling: bool) -> Table {
+/// Every row must complete every operation with an atomic history.
+pub fn e17_rt_throughput(n_ops: u64, workers: &[usize]) -> Table {
     use fastreg::harness::Runtime;
     use std::time::Instant;
 
@@ -1295,7 +1290,6 @@ pub fn e17_rt_throughput(n_ops: u64, workers: &[usize], assert_scaling: bool) ->
         "msgs/op",
         "verdict",
     ]);
-    let mut scaled_up = false;
     let row = EXPERIMENTS
         .iter()
         .find(|e| e.id == "e17")
@@ -1306,7 +1300,6 @@ pub fn e17_rt_throughput(n_ops: u64, workers: &[usize], assert_scaling: bool) ->
         } else {
             cfg
         };
-        let mut baseline_ops_per_s = None;
         for &w in workers {
             let mut c = ClusterBuilder::new(cfg)
                 .seed(17)
@@ -1335,11 +1328,6 @@ pub fn e17_rt_throughput(n_ops: u64, workers: &[usize], assert_scaling: bool) ->
             check_swmr_atomicity(&rep.history)
                 .unwrap_or_else(|v| panic!("E17: {id} not atomic at workers={w}: {v}"));
             let ops_per_s = n_ops as f64 / wall_s.max(1e-9);
-            match baseline_ops_per_s {
-                None => baseline_ops_per_s = Some(ops_per_s),
-                Some(base) if ops_per_s > base => scaled_up = true,
-                Some(_) => {}
-            }
             let fmt_lat = |l: &Option<crate::metrics::LatencyStats>| {
                 l.as_ref()
                     .map(|s| format!("{}/{}", s.p50, s.p95))
@@ -1359,11 +1347,6 @@ pub fn e17_rt_throughput(n_ops: u64, workers: &[usize], assert_scaling: bool) ->
             ]);
         }
     }
-    assert!(
-        !assert_scaling || scaled_up,
-        "E17: no protocol's throughput improved over the 1-worker baseline \
-         (expected on a multi-core host; disable the scaling assert on 1 core)"
-    );
     table
 }
 
