@@ -6,7 +6,9 @@
 //! verdict code the batch checker would emit on the history seen so far:
 //!
 //! * the *frontier*: open writes, pending reads, and reads *parked* on a
-//!   value that has not been written yet;
+//!   value that has not been written yet — each a small vector searched
+//!   by linear scan, since it holds at most one operation per client
+//!   (plus the rare parked read);
 //! * a bounded *settled summary*: a staircase of undominated
 //!   `(response, write-index)` pairs for new/old-inversion detection, a
 //!   deque of recent write response ticks for the latest-preceding-write
@@ -21,8 +23,8 @@
 
 use std::cmp::Reverse;
 #[allow(clippy::disallowed_types)]
-use std::collections::HashMap; // fastreg-lint: allow(nondet-order): keyed lookups (value -> write index, value -> parked reads); min-reductions only, never order-dependent
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::HashMap; // fastreg-lint: allow(nondet-order): keyed lookup (value -> write index), never iterated
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::history::{History, HistoryEvent, OpKind, RegValue, Tick};
 use crate::verdict::{Verdict, ViolationKind};
@@ -39,6 +41,7 @@ enum Mode {
 /// A write that has been invoked but not yet responded.
 #[derive(Clone, Copy, Debug)]
 struct OpenWrite {
+    id: usize,
     /// If a later write was invoked while this one was open, this write
     /// must respond at or before that tick (the batch checker's
     /// `a.resp <= b.inv` sequentiality rule) — or the writes are
@@ -49,41 +52,10 @@ struct OpenWrite {
 /// A completed read whose returned value has not been written yet.
 #[derive(Clone, Copy, Debug)]
 struct ParkedRead {
+    value: u64,
     id: usize,
     inv: Tick,
     resp: Tick,
-}
-
-/// A tick multiset with O(log n) insert/remove and O(log n) minimum,
-/// used for the frontier thresholds (minimum pending-read invocation,
-/// minimum parked-read invocation/response).
-#[derive(Clone, Debug, Default)]
-struct TickBag {
-    counts: BTreeMap<Tick, usize>,
-}
-
-impl TickBag {
-    fn add(&mut self, t: Tick) {
-        *self.counts.entry(t).or_insert(0) += 1;
-    }
-
-    fn remove(&mut self, t: Tick) {
-        match self.counts.entry(t) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                }
-            }
-            std::collections::btree_map::Entry::Vacant(_) => {
-                unreachable!("removing a tick that was never added")
-            }
-        }
-    }
-
-    fn min(&self) -> Option<Tick> {
-        self.counts.keys().next().copied()
-    }
 }
 
 /// An incremental SWMR atomicity / regularity checker.
@@ -126,7 +98,8 @@ pub struct StreamingChecker {
     /// `id` of the most recently invoked write (bound target for the
     /// sequentiality check).
     last_write: Option<usize>,
-    open_writes: BTreeMap<usize, OpenWrite>,
+    /// In invocation order (one entry unless the writes are malformed).
+    open_writes: Vec<OpenWrite>,
     /// value → 1-based write index, over *all* writes seen. Deliberately
     /// unpruned (see module docs).
     #[allow(clippy::disallowed_types)]
@@ -140,16 +113,13 @@ pub struct StreamingChecker {
     write_resps_pruned: usize,
 
     // -- reader state ----------------------------------------------------
-    /// Pending reads: id → invocation tick.
-    pending_reads: BTreeMap<usize, Tick>,
-    pending_invs: TickBag,
-    /// Completed reads parked on a not-yet-written value, keyed by value.
-    #[allow(clippy::disallowed_types)]
-    // fastreg-lint: allow(nondet-order): keyed lookup at write-invocation time; the only iteration is a min-by-OpId reduction
-    parked: HashMap<u64, Vec<ParkedRead>>,
-    parked_count: usize,
-    parked_invs: TickBag,
-    parked_resps: TickBag,
+    /// Pending reads `(id, invocation tick)` in invocation order, so the
+    /// first holds the minimum invocation tick (removals keep the order).
+    pending_reads: Vec<(usize, Tick)>,
+    /// Completed reads parked on a not-yet-written value, in response
+    /// order, so the first holds the minimum response tick (removals
+    /// keep the order).
+    parked: Vec<ParkedRead>,
 
     // -- condition-4 summary (atomic mode only) --------------------------
     /// Undominated `(response tick, write index)` pairs of resolved reads,
@@ -188,7 +158,7 @@ impl StreamingChecker {
         Self::new(Mode::Regular)
     }
 
-    // The two HashMap constructions mirror the annotated field types.
+    // The HashMap construction mirrors the annotated field type.
     #[allow(clippy::disallowed_types)]
     fn new(mode: Mode) -> Self {
         StreamingChecker {
@@ -197,18 +167,13 @@ impl StreamingChecker {
             writer_proc: None,
             writes_invoked: 0,
             last_write: None,
-            open_writes: BTreeMap::new(),
+            open_writes: Vec::new(),
             // fastreg-lint: allow(nondet-order): empty constructor for the field annotated above
             value_index: HashMap::new(),
             write_resps: VecDeque::new(),
             write_resps_pruned: 0,
-            pending_reads: BTreeMap::new(),
-            pending_invs: TickBag::default(),
-            // fastreg-lint: allow(nondet-order): empty constructor for the field annotated above
-            parked: HashMap::new(),
-            parked_count: 0,
-            parked_invs: TickBag::default(),
-            parked_resps: TickBag::default(),
+            pending_reads: Vec::new(),
+            parked: Vec::new(),
             staircase: Vec::new(),
             base_max: None,
             retained: Vec::new(),
@@ -273,7 +238,7 @@ impl StreamingChecker {
         // invocation. If it is still open, bound it (first bound wins: the
         // batch rule compares adjacent writes).
         if let Some(prev) = self.last_write {
-            if let Some(open) = self.open_writes.get_mut(&prev) {
+            if let Some(open) = self.open_writes.iter_mut().find(|open| open.id == prev) {
                 if open.bound.is_none() {
                     open.bound = Some(at);
                 }
@@ -284,18 +249,18 @@ impl StreamingChecker {
         if self.value_index.insert(value, k).is_some() {
             self.duplicate = true;
         }
-        self.open_writes.insert(id, OpenWrite { bound: None });
+        self.open_writes.push(OpenWrite { id, bound: None });
         self.last_write = Some(id);
         // This write's value may resolve parked reads — but not below the
         // duplicate flag (the value→index map is ambiguous from here on).
+        // Each leaves the frontier just before it resolves, in park order.
         if !self.duplicate {
-            if let Some(parked) = self.parked.remove(&value) {
-                for p in parked {
-                    self.parked_count -= 1;
-                    self.parked_invs.remove(p.inv);
-                    self.parked_resps.remove(p.resp);
-                    self.resolve_parked(p, k, at);
-                }
+            let parked = self.parked.len();
+            while let Some(i) = self.parked.iter().position(|p| p.value == value) {
+                let p = self.parked.remove(i);
+                self.resolve_parked(p, k, at);
+            }
+            if self.parked.len() < parked {
                 self.after_parked_change();
             }
         }
@@ -305,16 +270,15 @@ impl StreamingChecker {
         if self.malformed || self.duplicate {
             return;
         }
-        self.pending_reads.insert(id, at);
-        self.pending_invs.add(at);
+        self.pending_reads.push((id, at));
     }
 
     fn on_responded(&mut self, id: usize, returned: Option<RegValue>, at: Tick) {
         if self.malformed {
             return;
         }
-        if let Some(open) = self.open_writes.remove(&id) {
-            if let Some(b) = open.bound {
+        if let Some(i) = self.open_writes.iter().position(|open| open.id == id) {
+            if let Some(b) = self.open_writes.remove(i).bound {
                 if at > b {
                     self.malformed = true;
                     return;
@@ -323,14 +287,14 @@ impl StreamingChecker {
             self.write_resps.push_back(at);
             return;
         }
-        let Some(inv) = self.pending_reads.remove(&id) else {
+        let Some(i) = self.pending_reads.iter().position(|&(read, _)| read == id) else {
             assert!(
                 self.duplicate,
                 "response for op{id} whose invocation was never fed"
             );
             return;
         };
-        self.pending_invs.remove(inv);
+        let (_, inv) = self.pending_reads.remove(i);
         if self.duplicate {
             return;
         }
@@ -350,13 +314,12 @@ impl StreamingChecker {
                 None => {
                     // Park: the value may be written later; if it never is,
                     // the verdict reports it as unwritten.
-                    self.parked
-                        .entry(v)
-                        .or_default()
-                        .push(ParkedRead { id, inv, resp: at });
-                    self.parked_count += 1;
-                    self.parked_invs.add(inv);
-                    self.parked_resps.add(at);
+                    self.parked.push(ParkedRead {
+                        value: v,
+                        id,
+                        inv,
+                        resp: at,
+                    });
                     return;
                 }
             },
@@ -450,7 +413,7 @@ impl StreamingChecker {
     /// read is parked (a parked read `p` only pairs with reads invoked
     /// strictly after `p`'s response).
     fn retain_for_parked(&mut self, inv: Tick, k: usize) {
-        if let Some(min_resp) = self.parked_resps.min() {
+        if let Some(min_resp) = self.parked.first().map(|p| p.resp) {
             if inv > min_resp {
                 self.retained.push((inv, k));
             }
@@ -458,7 +421,7 @@ impl StreamingChecker {
     }
 
     fn after_parked_change(&mut self) {
-        match self.parked_resps.min() {
+        match self.parked.first().map(|p| p.resp) {
             None => self.retained.clear(),
             Some(min_resp) => self.retained.retain(|&(inv, _)| inv > min_resp),
         }
@@ -496,7 +459,10 @@ impl StreamingChecker {
     /// resolve with their recorded invocation, parked reads with theirs:
     /// the minimum of those bounds every query tick still to come.
     fn prune(&mut self) {
-        let pending_min = self.pending_invs.min().unwrap_or(Tick::MAX);
+        let pending_min = self
+            .pending_reads
+            .first()
+            .map_or(Tick::MAX, |&(_, inv)| inv);
         let resp_threshold = self.last_tick.min(pending_min);
         while self
             .write_resps
@@ -507,7 +473,8 @@ impl StreamingChecker {
             self.write_resps_pruned += 1;
         }
         if self.mode == Mode::Atomic {
-            let stair_threshold = resp_threshold.min(self.parked_invs.min().unwrap_or(Tick::MAX));
+            let parked_min = self.parked.iter().map(|p| p.inv).min();
+            let stair_threshold = resp_threshold.min(parked_min.unwrap_or(Tick::MAX));
             let idx = self
                 .staircase
                 .partition_point(|&(r, _)| r < stair_threshold);
@@ -525,7 +492,7 @@ impl StreamingChecker {
     pub fn resident_ops(&self) -> usize {
         self.open_writes.len()
             + self.pending_reads.len()
-            + self.parked_count
+            + self.parked.len()
             + self.staircase.len()
             + self.retained.len()
             + self.write_resps.len()
@@ -571,8 +538,7 @@ impl StreamingChecker {
     pub fn verdict(&self) -> Verdict {
         // An open write bounded by a later write's invocation can no
         // longer respond in time: the batch sequentiality check fails.
-        let malformed =
-            self.malformed || self.open_writes.values().any(|open| open.bound.is_some());
+        let malformed = self.malformed || self.open_writes.iter().any(|open| open.bound.is_some());
         if malformed {
             return Verdict::Violation(ViolationKind::MalformedWrites);
         }
@@ -581,7 +547,7 @@ impl StreamingChecker {
         }
         match self.mode {
             Mode::Atomic => {
-                if self.unwritten || self.parked_count > 0 {
+                if self.unwritten || !self.parked.is_empty() {
                     Verdict::Violation(ViolationKind::UnwrittenValue)
                 } else if self.missed {
                     Verdict::Violation(ViolationKind::MissedPrecedingWrite)
@@ -597,7 +563,7 @@ impl StreamingChecker {
                 // Batch regularity reports the first bad read in record
                 // order; a still-parked read is bad (unwritten value).
                 let mut cand = self.first_bad;
-                let parked_min = self.parked.values().flatten().map(|p| p.id).min();
+                let parked_min = self.parked.iter().map(|p| p.id).min();
                 if let Some(id) = parked_min {
                     match cand {
                         Some((prev, _)) if prev <= id => {}
@@ -961,6 +927,142 @@ mod tests {
         );
     }
 
+    /// The most operations the SWMR checker held resident on `h`.
+    fn atomic_high_water(h: &History) -> usize {
+        let mut c = StreamingChecker::new_atomic();
+        c.on_events(&replay_events(h));
+        c.high_water_mark()
+    }
+
+    /// 120 reads, all pairwise concurrent, responding in reverse order
+    /// around an open write: the frontier holds every one of them, so
+    /// its linear scans run at far more than a workload's concurrency.
+    #[test]
+    fn hundreds_of_overlapping_reads_match_batch() {
+        const READS: u64 = 120;
+        // (write 2 completes, the odd read's return, a late read's
+        // invocation and return): clean, missed, unwritten, inversion.
+        let variants = [
+            (true, None, None),
+            (true, Some(RegValue::Bottom), None),
+            (true, Some(RegValue::Val(99)), None),
+            (false, None, Some((300, RegValue::Val(1)))),
+        ];
+        let mut seen = Vec::new();
+        for (w2_completes, odd, late) in variants {
+            let mut h = History::new();
+            w(&mut h, 1, 0, 1);
+            let mut reads = Vec::new();
+            let mut w2 = None;
+            for i in 0..READS {
+                let at = 2 + i / 2;
+                if at == 30 && w2.is_none() {
+                    w2 = Some(h.invoke_write(0, 2, 30));
+                }
+                reads.push(h.invoke_read(1 + i as u32, at));
+            }
+            for (i, &rd) in reads.iter().enumerate().rev() {
+                let ret = match (i, odd) {
+                    (60, Some(odd)) => odd,
+                    _ => RegValue::Val(1 + i as u64 % 2),
+                };
+                h.respond(rd, Some(ret), 300 - i as u64);
+            }
+            if w2_completes {
+                h.respond(w2.expect("invoked"), None, 200);
+            }
+            if let Some((at, ret)) = late {
+                r(&mut h, 0xFFFF, ret, at, at + 1);
+            }
+            assert_matches_batch(&h);
+            assert!(atomic_high_water(&h) >= READS as usize);
+            seen.push(online_atomic(&h));
+        }
+        use ViolationKind::*;
+        let want = [
+            Verdict::Clean,
+            Verdict::Violation(MissedPrecedingWrite),
+            Verdict::Violation(UnwrittenValue),
+            Verdict::Violation(NewOldInversion),
+        ];
+        assert_eq!(seen, want);
+    }
+
+    /// 100 reads that return values not yet written park, and the
+    /// writes that resolve them arrive late and in several steps, so
+    /// parked reads sit beside resolved ones the inversion check keeps.
+    #[test]
+    fn reads_parked_then_resolved_late_match_batch() {
+        const READS: u64 = 100;
+        for (writes, pending) in [(10, 0), (10, 40), (7, 0), (7, 40)] {
+            let mut h = History::new();
+            w(&mut h, 100, 0, 1);
+            let ids: Vec<_> = (0..READS)
+                .map(|i| h.invoke_read(1 + i as u32, 2 + i))
+                .collect();
+            // All but the last `pending` reads respond before any write
+            // of their value: they park. Values 1..=10, so with only 7
+            // writes some never resolve.
+            let (early, late) = ids.split_at((READS - pending) as usize);
+            for (i, &rd) in early.iter().enumerate() {
+                let v = 1 + i as u64 % 10;
+                h.respond(rd, Some(RegValue::Val(v)), 200 + i as u64);
+            }
+            let mut c = StreamingChecker::new_atomic();
+            c.on_events(&replay_events(&h));
+            assert_eq!(c.violation(), None, "parked reads prove nothing yet");
+            let mut t = 400;
+            for v in 1..=writes {
+                w(&mut h, v, t, t + 1);
+                t += 10;
+            }
+            // The still-pending reads return the newest value.
+            for &rd in late {
+                h.respond(rd, Some(RegValue::Val(writes)), t);
+                t += 1;
+            }
+            assert_matches_batch(&h);
+            assert!(atomic_high_water(&h) >= early.len());
+            let want = match (writes, pending) {
+                (7, _) => ViolationKind::UnwrittenValue,
+                _ => ViolationKind::ReadFromFuture,
+            };
+            assert_eq!(online_atomic(&h), Verdict::Violation(want));
+        }
+    }
+
+    /// An open write bounded by the next write's invocation, with 110
+    /// reads pending across the bound: responding at the bound is well
+    /// formed, after it or never is not.
+    #[test]
+    fn bounded_open_write_under_many_pending_reads_matches_batch() {
+        const READS: u64 = 110;
+        for w1_resp in [Some(120), Some(121), None] {
+            let mut h = History::new();
+            let w1 = h.invoke_write(0, 1, 0);
+            let reads: Vec<_> = (0..READS)
+                .map(|i| h.invoke_read(1 + i as u32, 1 + i))
+                .collect();
+            let w2 = h.invoke_write(0, 2, 120);
+            if let Some(at) = w1_resp {
+                h.respond(w1, None, at);
+            }
+            for (i, &rd) in reads.iter().enumerate() {
+                let ret = [RegValue::Bottom, RegValue::Val(1), RegValue::Val(2)][i % 3];
+                h.respond(rd, Some(ret), 130 + i as u64);
+            }
+            h.respond(w2, None, 300);
+            assert_matches_batch(&h);
+            assert!(atomic_high_water(&h) >= READS as usize);
+            let want = match w1_resp {
+                Some(120) => Verdict::Clean,
+                _ => Verdict::Violation(ViolationKind::MalformedWrites),
+            };
+            assert_eq!(online_atomic(&h), want);
+            assert_eq!(online_regular(&h), want);
+        }
+    }
+
     /// The `(tick, rank, id)` sort `replay_events` is pinned to:
     /// invocations rank before responses at equal ticks.
     fn sorted_events(history: &History) -> Vec<HistoryEvent> {
@@ -1029,6 +1131,73 @@ mod tests {
             }
         }
         h
+    }
+
+    /// One read of [`high_concurrency_history`]: `(invoked_at, duration,
+    /// completes, choice)`. `choice` picks the value relative to `k`, the
+    /// newest write invoked by the read's response: `k` itself (always
+    /// legal) below 12, then `k − 1` (stale unless write `k` overlaps),
+    /// `k + 1` (not written yet, while `k < 5`) and ⊥. Only every
+    /// `stride`-th read makes the choice; the others return `k`.
+    type GenRead = (u64, u64, bool, u64);
+
+    /// Five sequential writes of values 1..=5, one every 12 ticks (each
+    /// may overrun the next invocation), and 100+ reads from distinct
+    /// clients over the same 60 ticks, most of them long enough to
+    /// overlap one another.
+    fn high_concurrency_history(writes: &[u64], reads: &[GenRead], stride: usize) -> History {
+        let mut h = History::new();
+        let mut events: Vec<(u64, Option<usize>)> = (0..writes.len())
+            .map(|j| (j as u64 * 12, None))
+            .chain(reads.iter().enumerate().map(|(i, r)| (r.0, Some(i))))
+            .collect();
+        events.sort_by_key(|&(at, _)| at);
+        for (at, read) in events {
+            match read {
+                None => {
+                    let j = (at / 12) as usize;
+                    let id = h.invoke_write(0, j as u64 + 1, at);
+                    h.respond(id, None, at + writes[j]);
+                }
+                Some(i) => {
+                    let (_, dur, completes, choice) = reads[i];
+                    let id = h.invoke_read(1 + i as u32, at);
+                    let newest = writes.len() as u64;
+                    let k = ((at + dur) / 12 + 1).min(newest);
+                    let choice = if i % stride == 0 { choice } else { 0 };
+                    let returned = match choice {
+                        12..14 if k > 1 => RegValue::Val(k - 1),
+                        14 if k < newest => RegValue::Val(k + 1),
+                        15 => RegValue::Bottom,
+                        _ => RegValue::Val(k),
+                    };
+                    if completes {
+                        h.respond(id, Some(returned), at + dur);
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The online checker against both batch checkers where its
+        /// frontier vectors are longest.
+        #[test]
+        fn high_concurrency_histories_match_batch(
+            writes in proptest::collection::vec(1u64..14, 5..=5),
+            reads in proptest::collection::vec(
+                (0u64..60, 0u64..80, proptest::prelude::any::<bool>(), 0u64..16),
+                100..160,
+            ),
+            stride in 1usize..80,
+        ) {
+            let h = high_concurrency_history(&writes, &reads, stride);
+            proptest::prop_assert_eq!(online_atomic(&h), batch_atomic(&h));
+            proptest::prop_assert_eq!(online_regular(&h), batch_regular(&h));
+        }
     }
 
     proptest::proptest! {

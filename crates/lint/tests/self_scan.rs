@@ -2,7 +2,8 @@
 //! findings. This is the same gate CI enforces via `fastreg-lint
 //! --workspace`; keeping it as a test means `cargo test` alone catches
 //! a regression (e.g. a HashMap seeded into a checker module). It also
-//! holds the workspace to one bench harness, fastbench.
+//! holds the workspace to one bench harness, fastbench, to one quorum
+//! round and client automaton, and to one lower-bound chain.
 
 use std::path::{Path, PathBuf};
 
@@ -108,5 +109,104 @@ fn fastbench_is_the_one_bench_harness() {
     assert!(
         !root.join("vendor/criterion").exists(),
         "vendor/criterion: the benchmark is benchmark/ (fastbench)"
+    );
+}
+
+/// The `.rs` files under `dir`, recursively, sorted.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            files.push(path);
+        }
+    }
+    files.sort();
+    files
+}
+
+/// `path:line: text` for each line of `files` before the file's first
+/// `#[cfg(test)]` that contains one of `patterns(file)`.
+fn non_test_hits(
+    root: &Path,
+    files: &[PathBuf],
+    patterns: impl Fn(&Path) -> Vec<&'static str>,
+) -> Vec<String> {
+    let mut hits = Vec::new();
+    for file in files {
+        let banned = patterns(file);
+        let text = std::fs::read_to_string(file).unwrap();
+        let non_test = text
+            .lines()
+            .take_while(|line| !line.contains("#[cfg(test)]"));
+        for (n, line) in non_test.enumerate() {
+            if banned.iter().any(|pattern| line.contains(pattern)) {
+                let path = file.strip_prefix(root).unwrap_or(file);
+                hits.push(format!("{}:{}: {line}", path.display(), n + 1));
+            }
+        }
+    }
+    hits
+}
+
+#[test]
+fn the_quorum_round_and_the_client_automaton_exist_once() {
+    // Non-test code of the protocol layer: the quorum comparison, the
+    // per-server ack container and the history's invoke_* / respond
+    // calls only in protocols/round.rs, whose Client<R> is every client
+    // automaton; and nowhere, Byzantine behaviours included, an ordered
+    // set of clients or a cloned `seen` (it is a Copy mask).
+    let root = workspace_root();
+    let mut files = rust_files(&root.join("crates/core/src/protocols"));
+    files.push(root.join("crates/core/src/byz.rs"));
+    let hits = non_test_hits(&root, &files, |file| {
+        let mut banned = vec!["BTreeSet<ClientId>", "seen.clone()"];
+        if !file.ends_with("round.rs") && !file.ends_with("byz.rs") {
+            banned.extend([
+                ">= quorum",
+                "acks: BTree",
+                "invoke_read(",
+                "invoke_write(",
+                ".respond(",
+            ]);
+        }
+        banned
+    });
+    assert!(
+        hits.is_empty(),
+        "the quorum round and the client automaton are protocols/round.rs; `seen` is a ClientSet\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn the_lower_bound_chain_exists_once() {
+    // §5 and §6.2 are one proof over one partition: no second driver
+    // file, one place that builds the memory-losing server, and a chain
+    // module that scripts its deliveries through its helper (the two
+    // forked files had 24 `deliver_matching(` calls between them).
+    let root = workspace_root();
+    let src = root.join("crates/adversary/src");
+    for fork in ["crash_lb.rs", "byz_lb.rs"] {
+        assert!(
+            !src.join(fork).exists(),
+            "crates/adversary/src/{fork}: the chain is crates/adversary/src/chain.rs"
+        );
+    }
+    let liars = non_test_hits(&root, &rust_files(&src), |_| vec!["TwoFacedLoseWrite::new"]);
+    assert!(
+        liars.len() <= 1,
+        "the memory-losing server is built in more than one place:\n{}",
+        liars.join("\n")
+    );
+    let deliveries = non_test_hits(&root, &[src.join("chain.rs")], |_| {
+        vec!["deliver_matching("]
+    });
+    assert!(
+        deliveries.len() <= 12,
+        "chain.rs scripts more than 12 deliveries by hand:\n{}",
+        deliveries.join("\n")
     );
 }

@@ -22,8 +22,8 @@
 //!   Two driving styles coexist:
 //!   - **timed**: each message gets a delivery time from a [`delay::DelayModel`]
 //!     and steps fire in virtual-time order ([`run_until_quiescent`](world::World::run_until_quiescent)),
-//!     popped from an indexed event queue ([`world::sched`]) in O(log n)
-//!     per step;
+//!     popped from an indexed event queue ([`world::sched`]) in O(1) per
+//!     step while messages are ready in send order, O(log n) otherwise;
 //!   - **scripted**: a driver (test or adversary) picks exactly which
 //!     in-transit messages are delivered and when ([`deliver`](world::World::deliver),
 //!     [`deliver_set`](world::World::deliver_set)), which is how the paper's lower-bound partial

@@ -4,13 +4,16 @@
 //! in-transit set `mset` (every envelope, addressable by id — the
 //! scripted/adversarial API works on this; a send-ordered window, see
 //! the `mset` module) and the [`sched::ReadyQueue`] index the *timed*
-//! scheduler pops from in O(log n) per step. Both driving styles funnel
-//! into one internal delivery path, so traces, statistics and actor
-//! steps are identical whichever style (or mix) drives a run.
+//! scheduler pops from: a FIFO run of the messages ready in send order
+//! (all of them under a constant delay), O(1) per step, beside a heap for
+//! the rest, O(log n). Both driving styles funnel into one internal
+//! delivery path, so traces, statistics and actor steps are identical
+//! whichever style (or mix) drives a run.
 //!
-//! One timed delivery costs a heap pop, an O(1) `mset` lookup and
-//! removal, a 32-byte trace entry and the receiver's step; each message
-//! the step emits costs a delay sample, a heap push, an `mset` push and —
+//! One timed delivery costs an index pop, one O(1) `mset` removal (plus
+//! a lookup of the envelope's link first, only while some link is
+//! blocked), a 32-byte trace entry and the receiver's step; each message
+//! the step emits costs a delay sample, an index push, an `mset` push and —
 //! while the trace has room — one clone into the trace (a digest-only
 //! trace, capacity 0, hashes the entry and message instead). No message is
 //! formatted on this path: payloads are rendered by whoever reads the
@@ -451,8 +454,8 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     /// addressed to a live receiver), without delivering or dropping
     /// anything. Entries popped while peeking are re-queued.
     fn next_ready_deliverable(&mut self) -> Option<SimTime> {
-        // Fast path: the heap top is usually live, so peek without the
-        // pop/re-push round trip (and its scratch Vec).
+        // Fast path: the smallest index entry is usually live, so peek
+        // without the pop/re-push round trip (and its scratch Vec).
         if let Some((ready_at, id)) = self.ready.peek() {
             if let Some(env) = self.mset.get(id) {
                 if !self.blocked_links.contains(&(env.from, env.to)) && !self.is_crashed(env.to) {
@@ -482,14 +485,30 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     ///
     /// Returns `false` if nothing was deliverable.
     ///
-    /// This pops the [`sched::ReadyQueue`] index — O(log n) in the
-    /// in-transit pool size — rather than scanning `mset`.
+    /// This pops the [`sched::ReadyQueue`] index — O(1) when messages are
+    /// ready in send order, O(log n) in the in-transit pool size
+    /// otherwise — rather than scanning `mset`, and looks the popped id
+    /// up in `mset` once (twice while some link is blocked).
     pub fn step_timed(&mut self) -> bool {
-        while let Some((id, ready_at)) = self.pop_next_unblocked() {
+        while let Some((ready_at, id)) = self.ready.pop() {
+            // The link is read before the removal only while some link
+            // is blocked; otherwise the removal is the validity check.
+            if !self.blocked_links.is_empty() {
+                let Some(env) = self.mset.get(id) else {
+                    continue; // stale: already delivered or dropped
+                };
+                let link = (env.from, env.to);
+                if self.blocked_links.contains(&link) {
+                    self.ready.park(link, (ready_at, id));
+                    continue;
+                }
+            }
+            let Some(env) = self.mset.remove(id) else {
+                continue; // stale: already delivered or dropped
+            };
             if ready_at > self.now {
                 self.now = ready_at;
             }
-            let env = self.mset.remove(id).expect("validated by pop");
             if self.is_crashed(env.to) {
                 self.trace.record(TraceEntry::Drop {
                     at: self.now,

@@ -5,19 +5,33 @@
 //! because scripted/adversarial delivery must be able to address *any*
 //! message — that is the power the paper's lower-bound adversary has. The *timed* scheduler, on the
 //! other hand, only ever needs the earliest deliverable envelope, so the
-//! world additionally maintains a [`ReadyQueue`]: a binary min-heap of
+//! world additionally maintains a [`ReadyQueue`]: an index of
 //! `(ready_at, MsgId)` entries plus a per-link parking table for blocked
 //! links.
 //!
+//! ## A FIFO run beside a heap
+//!
+//! The index is two ordered containers. An entry greater than every
+//! entry pushed before it (the common case: under
+//! `DelayModel::Constant` every send is ready in send order) goes to the
+//! back of a `VecDeque` *run*, which stays sorted by construction; any
+//! other entry — a non-constant delay that lands before an earlier send,
+//! a [`heal`](ReadyQueue::heal) re-push, a re-queue after a peek — goes
+//! to a binary min-heap. [`pop`](ReadyQueue::pop) and
+//! [`peek`](ReadyQueue::peek) take the smaller of the run's front and
+//! the heap's top. Keys are unique (ids are never reused), so the pop
+//! order is the one a single heap would give, and an in-order schedule
+//! costs O(1) per push and pop.
+//!
 //! ## Lazy invalidation
 //!
-//! Heap entries are never removed eagerly; each entry is validated when
-//! it reaches the top of the heap:
+//! Index entries are never removed eagerly; each entry is validated when
+//! it is popped:
 //!
 //! * **Scripted removals** ([`deliver`](super::World::deliver),
 //!   [`deliver_set`](super::World::deliver_set),
 //!   [`drop_matching`](super::World::drop_matching), …) take the
-//!   envelope out of `mset` and leave the heap entry behind; a popped
+//!   envelope out of `mset` and leave the index entry behind; a popped
 //!   entry whose id is no longer in `mset` is stale and is discarded.
 //! * **Crashed receivers** are handled by the popping scheduler itself:
 //!   the envelope is dropped from `mset` with a trace entry, exactly as
@@ -33,22 +47,21 @@
 //! message is a tombstone or gone from the window altogether (trimmed
 //! off its front, or squeezed out by a compaction), and a lookup answers
 //! "not in transit" for all three alike. Every envelope in `mset` is
-//! indexed by exactly one live heap or parked entry, which makes a
-//! timed step O(log n) amortized instead of an O(n) scan per delivery.
+//! indexed by exactly one live run, heap or parked entry, which makes a
+//! timed step O(1) when sends are ready in send order and O(log n)
+//! amortized otherwise, instead of an O(n) scan per delivery.
 //!
 //! The index is maintained on *every* send, including in runs driven
 //! purely by scripted or random delivery that never pop it — a small
-//! constant cost per message (a heap push, plus one stale pop if a
-//! timed step later skims the entry). Tiny worlds with in-transit pools
-//! of a dozen envelopes pay that constant without the asymptotic
-//! benefit; fastbench's `simnet.readyqueue_ns` row measures that
-//! constant (one push + pop) at each workload's pool depth, and the
-//! test-only linear scan the index replaced survives as the oracle of
-//! the scheduler-equivalence suite.
+//! constant cost per message (a push, plus one stale pop if a timed
+//! step later skims the entry). fastbench's `simnet.readyqueue_ns` row
+//! measures that constant (one push + pop) at each workload's pool
+//! depth, and the test-only linear scan the index replaced survives as
+//! the oracle of the scheduler-equivalence suite.
 
 use std::cmp::Reverse;
 #[allow(clippy::disallowed_types)]
-use std::collections::{BinaryHeap, HashMap}; // fastreg-lint: allow(nondet-order): parking table, keyed access only
+use std::collections::{BinaryHeap, HashMap, VecDeque}; // fastreg-lint: allow(nondet-order): parking table, keyed access only
 use std::fmt;
 
 use crate::envelope::MsgId;
@@ -75,20 +88,26 @@ pub struct SchedStats {
     pub popped: u64,
     /// Entries parked on a blocked link.
     pub parked: u64,
-    /// Entries released back into the heap by [`ReadyQueue::heal`].
+    /// Entries released back into the index by [`ReadyQueue::heal`].
     pub healed: u64,
-    /// High-water mark of the heap length (index depth, not exact
-    /// queue depth: stale entries count until skimmed).
+    /// High-water mark of the index depth — run plus heap, parked
+    /// entries excluded (not exact queue depth: stale entries count
+    /// until skimmed).
     pub heap_high_water: u64,
 }
 
-/// The timed scheduler's index over `mset`: a min-heap keyed by
-/// `(ready_at, MsgId)` with a parking table for blocked links.
+/// The timed scheduler's index over `mset`: a sorted FIFO run and a
+/// min-heap, both keyed by `(ready_at, MsgId)`, with a parking table for
+/// blocked links.
 ///
-/// See the [module docs](self) for the invalidation rules.
+/// See the [module docs](self) for the push rule and the invalidation
+/// rules.
 #[derive(Debug, Default)]
 #[allow(clippy::disallowed_types)]
 pub struct ReadyQueue {
+    /// Entries pushed in increasing key order; strictly increasing.
+    run: VecDeque<ReadyEntry>,
+    /// Every other entry.
     heap: BinaryHeap<Reverse<ReadyEntry>>,
     // Keyed entry/remove only — never iterated. Entries released by
     // `heal` re-enter the heap, whose (ready_at, MsgId) keys are unique,
@@ -106,15 +125,25 @@ impl ReadyQueue {
 
     /// Indexes a (new or re-validated) in-transit message.
     pub fn push(&mut self, ready_at: SimTime, id: MsgId) {
-        self.heap.push(Reverse((ready_at, id)));
+        let entry = (ready_at, id);
+        if self.run.back().is_none_or(|&last| last < entry) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
         self.stats.pushed += 1;
-        self.stats.heap_high_water = self.stats.heap_high_water.max(self.heap.len() as u64);
+        let depth = (self.run.len() + self.heap.len()) as u64;
+        self.stats.heap_high_water = self.stats.heap_high_water.max(depth);
     }
 
     /// Pops the entry with the smallest `(ready_at, id)`, stale entries
     /// included — the caller validates against `mset`.
     pub fn pop(&mut self) -> Option<ReadyEntry> {
-        let entry = self.heap.pop().map(|Reverse(entry)| entry);
+        let entry = if self.run_first() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(entry)| entry)
+        };
         if entry.is_some() {
             self.stats.popped += 1;
         }
@@ -124,11 +153,24 @@ impl ReadyQueue {
     /// The entry [`pop`](Self::pop) would return, without removing it.
     /// The same caveat applies: the entry may be stale.
     pub fn peek(&self) -> Option<ReadyEntry> {
-        self.heap.peek().map(|&Reverse(entry)| entry)
+        if self.run_first() {
+            self.run.front().copied()
+        } else {
+            self.heap.peek().map(|&Reverse(entry)| entry)
+        }
+    }
+
+    /// Whether the smallest entry is the run's front (`false` when the
+    /// run is empty).
+    fn run_first(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(Reverse(heap))) => run < heap,
+            (run, _) => run.is_some(),
+        }
     }
 
     /// Parks an entry popped while its link was blocked; it stays out of
-    /// the heap until [`heal`](Self::heal) releases the link.
+    /// the index until [`heal`](Self::heal) releases the link.
     pub fn park(&mut self, link: Link, entry: ReadyEntry) {
         self.parked.entry(link).or_default().push(entry);
         self.stats.parked += 1;
@@ -249,6 +291,97 @@ mod tests {
         // Pop on an empty heap is not an operation.
         assert_eq!(q.pop(), None);
         assert_eq!(q.stats().popped, 3);
+    }
+
+    /// One step of the differential test below.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Pushes a fresh id ready at this tick.
+        Push(u64),
+        Pop,
+        Peek,
+        /// Pops, and parks the entry on link `(0, k)`.
+        PopPark(u8),
+        /// Heals link `(0, k)`.
+        Heal(u8),
+    }
+
+    fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u64..24).prop_map(Op::Push),
+            Just(Op::Pop),
+            Just(Op::Peek),
+            (0u8..3).prop_map(Op::PopPark),
+            (0u8..3).prop_map(Op::Heal),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The run-plus-heap queue against a plain `BinaryHeap` oracle
+        /// with its own parking table: every pop and peek answers the
+        /// same entry, and the stats (the high-water mark as the
+        /// oracle's heap length) agree after every operation.
+        #[test]
+        fn ready_queue_matches_a_binary_heap_oracle(
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+            ticks_grow in proptest::prelude::any::<bool>(),
+        ) {
+            use std::collections::BTreeMap;
+
+            let mut q = ReadyQueue::new();
+            let mut heap: BinaryHeap<Reverse<ReadyEntry>> = BinaryHeap::new();
+            let mut parked: BTreeMap<u8, Vec<ReadyEntry>> = BTreeMap::new();
+            let mut want = SchedStats::default();
+            let mut next_id = 0;
+            let mut base = 0;
+            for op in &ops {
+                match *op {
+                    Op::Push(t) => {
+                        // Growing ticks keep every push in order, as a
+                        // constant delay does; only heals reach the heap.
+                        let at = if ticks_grow { base + t / 8 } else { t };
+                        base = at;
+                        next_id += 1;
+                        q.push(SimTime::from_ticks(at), MsgId(next_id));
+                        heap.push(Reverse(entry(at, next_id)));
+                        want.pushed += 1;
+                    }
+                    Op::Pop => {
+                        let got = heap.pop().map(|Reverse(e)| e);
+                        want.popped += u64::from(got.is_some());
+                        proptest::prop_assert_eq!(q.pop(), got);
+                    }
+                    Op::Peek => {
+                        proptest::prop_assert_eq!(q.peek(), heap.peek().map(|&Reverse(e)| e));
+                    }
+                    Op::PopPark(k) => {
+                        let got = heap.pop().map(|Reverse(e)| e);
+                        proptest::prop_assert_eq!(q.pop(), got);
+                        if let Some(e) = got {
+                            want.popped += 1;
+                            want.parked += 1;
+                            parked.entry(k).or_default().push(e);
+                            q.park((ProcessId::new(0), ProcessId::new(k as u32)), e);
+                        }
+                    }
+                    Op::Heal(k) => {
+                        for e in parked.remove(&k).unwrap_or_default() {
+                            heap.push(Reverse(e));
+                            want.pushed += 1;
+                            want.healed += 1;
+                        }
+                        q.heal((ProcessId::new(0), ProcessId::new(k as u32)));
+                    }
+                }
+                want.heap_high_water = want.heap_high_water.max(heap.len() as u64);
+                proptest::prop_assert_eq!(q.stats(), want, "after {:?}", op);
+            }
+            while let Some(Reverse(e)) = heap.pop() {
+                proptest::prop_assert_eq!(q.pop(), Some(e));
+            }
+            proptest::prop_assert_eq!(q.pop(), None);
+        }
     }
 
     #[test]

@@ -4,11 +4,18 @@
 //! Two worlds with the same seed and actors are driven by the same
 //! random command sequence — injections, timed steps, deadline runs,
 //! scripted deliveries and drops, crashes, blocked/healed links — with
-//! one world using the O(log n) heap scheduler (`step_timed`,
-//! `run_until`, `run_until_quiescent`) and the other the pre-index
-//! linear scan (`step_timed_reference`, `run_until_reference`). The
-//! traces must be byte-identical and the clocks, statistics and
-//! in-transit pools equal, for every schedule proptest generates.
+//! one world using the indexed scheduler (`step_timed`, `run_until`,
+//! `run_until_quiescent`) and the other the pre-index linear scan
+//! (`step_timed_reference`, `run_until_reference`). The traces must be
+//! byte-identical and the clocks, statistics and in-transit pools equal,
+//! for every schedule proptest generates.
+//!
+//! Every property runs under three delay shapes, so each part of the
+//! index is the one doing the work somewhere: `Constant(1)` keeps every
+//! send in the index's FIFO run, `Spike` (mostly 1 tick, sometimes 9)
+//! interleaves the run with a few heap entries, and `Uniform { 1, 25 }`
+//! sends most entries to the heap. Heals and `run_until`'s re-queues
+//! reach the heap under all three.
 //!
 //! The command set is also the adversarial workout of the in-transit
 //! window behind `mset`: newest-first scripted deliveries and
@@ -175,14 +182,27 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     ]
 }
 
-fn world_of(seed: u64) -> World<Msg> {
-    world_with(seed, SimConfig::default().trace_capacity)
+/// The delay shapes every property runs under (see the module docs).
+fn delay_strategy() -> impl Strategy<Value = DelayModel> {
+    prop_oneof![
+        Just(DelayModel::Constant(1)),
+        Just(DelayModel::Spike {
+            base: 1,
+            spike_prob: 0.1,
+            spike: 9,
+        }),
+        Just(DelayModel::Uniform { lo: 1, hi: 25 }),
+    ]
 }
 
-fn world_with(seed: u64, trace_capacity: usize) -> World<Msg> {
+fn world_of(seed: u64, delay: &DelayModel) -> World<Msg> {
+    world_with(seed, delay, SimConfig::default().trace_capacity)
+}
+
+fn world_with(seed: u64, delay: &DelayModel, trace_capacity: usize) -> World<Msg> {
     let mut w = World::new(SimConfig {
         seed,
-        delay: DelayModel::Uniform { lo: 1, hi: 25 },
+        delay: delay.clone(),
         max_steps: 100_000,
         trace_capacity,
     });
@@ -290,16 +310,18 @@ fn observe(w: &World<Msg>) -> (String, u64, u64, u64, u64, u64, Vec<MsgId>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    // 256 cases per delay shape on average.
+    #![proptest_config(ProptestConfig::with_cases(768))]
 
-    /// ≥ 200 random schedules: heap scheduler ≡ linear-scan reference.
+    /// ≥ 600 random schedules: indexed scheduler ≡ linear-scan reference.
     #[test]
     fn heap_and_linear_scan_schedulers_are_trace_identical(
         seed in 0u64..10_000,
+        delay in delay_strategy(),
         cmds in proptest::collection::vec(cmd_strategy(), 1..60),
     ) {
-        let mut heap_world = world_of(seed);
-        let mut scan_world = world_of(seed);
+        let mut heap_world = world_of(seed, &delay);
+        let mut scan_world = world_of(seed, &delay);
         for cmd in &cmds {
             apply(&mut heap_world, cmd, false);
             apply(&mut scan_world, cmd, true);
@@ -329,9 +351,10 @@ proptest! {
     #[test]
     fn conservation_under_mixed_driving(
         seed in 0u64..10_000,
+        delay in delay_strategy(),
         cmds in proptest::collection::vec(cmd_strategy(), 1..60),
     ) {
-        let mut w = world_of(seed);
+        let mut w = world_of(seed, &delay);
         for cmd in &cmds {
             apply(&mut w, cmd, false);
         }
@@ -349,12 +372,13 @@ proptest! {
     fn digest_and_fingerprint_agree_on_every_pair_of_runs(
         seed in 0u64..10_000,
         other_seed in 0u64..10_000,
+        delay in delay_strategy(),
         cmds in proptest::collection::vec(cmd_strategy(), 1..60),
         cut in 0usize..60,
         capacity in prop_oneof![Just(8usize), Just(64), Just(100_000)],
     ) {
         let run = |seed: u64, cmds: &[Cmd]| {
-            let mut w = world_with(seed, capacity);
+            let mut w = world_with(seed, &delay, capacity);
             for cmd in cmds {
                 apply(&mut w, cmd, false);
             }
