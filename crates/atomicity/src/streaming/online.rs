@@ -10,10 +10,9 @@
 //!   by linear scan, since it holds at most one operation per client
 //!   (plus the rare parked read);
 //! * a bounded *settled summary*: a staircase of undominated
-//!   `(response, write-index)` pairs for new/old-inversion detection, a
-//!   deque of recent write response ticks for the latest-preceding-write
-//!   count, and (only while reads are parked) the resolved reads a parked
-//!   read could still invert against.
+//!   `(response, write-index)` pairs for new/old-inversion detection, and
+//!   a deque of recent write response ticks for the latest-preceding-write
+//!   count.
 //!
 //! Everything behind the frontier is pruned, so peak resident *operation*
 //! count is O(frontier), not O(history). The one intentionally unbounded
@@ -128,9 +127,6 @@ pub struct StreamingChecker {
     /// Maximum write index folded off the staircase front (entries that
     /// precede every read that can still resolve).
     base_max: Option<usize>,
-    /// Resolved reads a still-parked read could yet invert against:
-    /// `(invocation tick, write index)`, kept only while reads are parked.
-    retained: Vec<(Tick, usize)>,
 
     // -- outcome ---------------------------------------------------------
     malformed: bool,
@@ -176,7 +172,6 @@ impl StreamingChecker {
             parked: Vec::new(),
             staircase: Vec::new(),
             base_max: None,
-            retained: Vec::new(),
             malformed: false,
             duplicate: false,
             unwritten: false,
@@ -255,13 +250,9 @@ impl StreamingChecker {
         // duplicate flag (the value→index map is ambiguous from here on).
         // Each leaves the frontier just before it resolves, in park order.
         if !self.duplicate {
-            let parked = self.parked.len();
             while let Some(i) = self.parked.iter().position(|p| p.value == value) {
                 let p = self.parked.remove(i);
                 self.resolve_parked(p, k, at);
-            }
-            if self.parked.len() < parked {
-                self.after_parked_change();
             }
         }
     }
@@ -345,7 +336,6 @@ impl StreamingChecker {
                 if k >= 1 {
                     self.stair_insert(resp, k);
                 }
-                self.retain_for_parked(inv, k);
             }
             Mode::Regular => {
                 // Legal iff k is the last preceding write, or ⊥ with no
@@ -363,29 +353,20 @@ impl StreamingChecker {
     /// Such a read can never miss a preceding write (`k` exceeds every
     /// write that precedes it), but it *precedes the write* — condition
     /// (3) — whenever it responded strictly before `t_w`.
+    ///
+    /// It needs no inversion check of its own. No read can have
+    /// returned an index newer than `k`, the newest write. A later read
+    /// it could invert against was invoked after its response, so if
+    /// that read was fed before `t_w`, the read responded before `t_w`:
+    /// `future` is set, and it outranks `inversion`. Reads fed after
+    /// `t_w` meet this one on the staircase.
     fn resolve_parked(&mut self, p: ParkedRead, k: usize, t_w: Tick) {
         match self.mode {
             Mode::Atomic => {
                 if p.resp < t_w {
                     self.future = true;
                 }
-                if let Some(q) = self.stair_query(p.inv) {
-                    if q > k {
-                        self.inversion = true;
-                    }
-                }
-                // Reads resolved after this one parked may be inversion
-                // partners in the other direction: rd2 invoked after this
-                // read's response, returning an older index.
-                if self
-                    .retained
-                    .iter()
-                    .any(|&(inv2, k2)| inv2 > p.resp && k2 < k)
-                {
-                    self.inversion = true;
-                }
                 self.stair_insert(p.resp, k);
-                self.retain_for_parked(p.inv, k);
             }
             Mode::Regular => {
                 if p.resp < t_w {
@@ -406,24 +387,6 @@ impl StreamingChecker {
         match self.first_bad {
             Some((prev, _)) if prev <= id => {}
             _ => self.first_bad = Some((id, kind)),
-        }
-    }
-
-    /// Records a resolved read for the forward inversion check while any
-    /// read is parked (a parked read `p` only pairs with reads invoked
-    /// strictly after `p`'s response).
-    fn retain_for_parked(&mut self, inv: Tick, k: usize) {
-        if let Some(min_resp) = self.parked.first().map(|p| p.resp) {
-            if inv > min_resp {
-                self.retained.push((inv, k));
-            }
-        }
-    }
-
-    fn after_parked_change(&mut self) {
-        match self.parked.first().map(|p| p.resp) {
-            None => self.retained.clear(),
-            Some(min_resp) => self.retained.retain(|&(inv, _)| inv > min_resp),
         }
     }
 
@@ -494,7 +457,6 @@ impl StreamingChecker {
             + self.pending_reads.len()
             + self.parked.len()
             + self.staircase.len()
-            + self.retained.len()
             + self.write_resps.len()
     }
 
@@ -817,6 +779,40 @@ mod tests {
             online_atomic(&h),
             Verdict::Violation(ViolationKind::ReadFromFuture)
         );
+    }
+
+    #[test]
+    fn a_parked_read_resolved_at_its_response_tick_joins_the_staircase() {
+        // Fed with the read's response before the write invoked at the
+        // same tick: the parked read resolves at `p.resp == t_w`, which
+        // is concurrent, not a future read. A later read that returns
+        // the older value is a new/old inversion, and only the resolved
+        // read's staircase entry can show it.
+        let mut h = History::new();
+        w(&mut h, 1, 0, 1);
+        let rd1 = h.invoke_read(1, 2);
+        h.respond(rd1, Some(RegValue::Val(2)), 5);
+        let w2 = h.invoke_write(0, 2, 5);
+        r(&mut h, 2, RegValue::Val(1), 6, 7);
+        h.respond(w2, None, 10);
+        assert_eq!(
+            batch_atomic(&h),
+            Verdict::Violation(ViolationKind::NewOldInversion)
+        );
+        let mut events = replay_events(&h);
+        // Replay order puts the invocation at tick 5 first; swap it
+        // behind the response.
+        let at_5: Vec<usize> = (0..events.len())
+            .filter(|&i| match events[i] {
+                HistoryEvent::Invoked { at, .. } | HistoryEvent::Responded { at, .. } => at == 5,
+            })
+            .collect();
+        assert!(matches!(events[at_5[0]], HistoryEvent::Invoked { .. }));
+        events.swap(at_5[0], at_5[1]);
+        let mut c = StreamingChecker::new_atomic();
+        c.on_events(&events);
+        assert_eq!(c.violation(), Some(ViolationKind::NewOldInversion));
+        assert_eq!(c.verdict(), batch_atomic(&h));
     }
 
     #[test]

@@ -29,13 +29,16 @@
 //! All waiting goes through one helper, and it waits by working: worker
 //! 0 of the pool is the driver's own thread, so until its condition
 //! holds the helper runs worker 0's queued jobs, and blocks on worker
-//! 0's channel only when none are queued. It gives up after 30 s. A wait
-//! that gives up marks the deployment *stalled*: from then on every client
-//! reads idle, invocations are dropped, `step_timed` reports nothing in
-//! flight and `try_settle` returns the [`QuiescenceError`] — so a driver
-//! runs out its issue loop and meets the error, and nothing on a wait
-//! path panics. [`step_timed`](RegisterOps::step_timed) returns at once
-//! while a client the driver has used is idle (the driver can issue);
+//! 0's channel only when none are queued. It gives up after 30 s, timed
+//! on the pool's clock from its first poll that did not finish the
+//! wait, so a wait that one batch of worker 0 satisfies — the common
+//! case under a closed loop — reads no clock at all. A wait that gives
+//! up marks the deployment *stalled*: from then on every client reads
+//! idle, invocations are dropped, `step_timed` reports nothing in flight
+//! and `try_settle` returns the [`QuiescenceError`] — so a driver runs
+//! out its issue loop and meets the error, and nothing on a wait path
+//! panics. [`step_timed`](RegisterOps::step_timed) returns at once while
+//! a client the driver has used is idle (the driver can issue);
 //! otherwise it waits for the next completion.
 //!
 //! ## Worker 0 is the clients' quorum home, on the driver's thread
@@ -69,7 +72,7 @@
 //! [`rt_stats`](ThreadCluster::rt_stats) reachable). Both hand the same
 //! `assemble`d automata to the pool.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fastreg_atomicity::history::{History, SharedHistory};
 use fastreg_rt::ActorPool;
@@ -88,7 +91,8 @@ use crate::types::{RegValue, Value};
 /// be single-core and heavily shared.
 const SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A wait reads the wall clock once per this many polls.
+/// A wait that one poll did not finish reads the pool's clock after its
+/// first poll, and once per this many polls from then on.
 const POLLS_PER_DEADLINE_CHECK: u64 = 64;
 
 /// How long one poll of a wait may block on worker 0's channel when
@@ -195,10 +199,9 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
     /// a block of at most [`HOME_POLL`] on worker 0's channel when
     /// nothing is queued. Gives up — marking the deployment stalled —
     /// once `settle_timeout` has passed; on a stalled deployment every
-    /// wait fails at once.
-    // `threads.rs` is a sanctioned wall-clock site (lint rule D2): settle
-    // deadlines on a real-threads deployment are wall deadlines.
-    #[allow(clippy::disallowed_methods)]
+    /// wait fails at once. The deadline comes from the pool's clock,
+    /// read first after a poll that did not finish the wait, so a wait
+    /// one batch satisfies reads no clock.
     fn wait(&mut self, done: impl Fn(&Self) -> bool) -> Result<u64, QuiescenceError> {
         let mut deadline = None;
         let mut polls = 0u64;
@@ -212,9 +215,10 @@ impl<P: ProtocolFamily> ThreadCluster<P> {
             if done(self) {
                 return Ok(polls);
             }
-            if polls.is_multiple_of(POLLS_PER_DEADLINE_CHECK) {
-                let now = Instant::now();
-                self.stalled = now >= *deadline.get_or_insert(now + self.settle_timeout);
+            if polls % POLLS_PER_DEADLINE_CHECK == 1 {
+                let now = self.pool.now_ticks();
+                let timeout = self.settle_timeout.as_micros() as u64;
+                self.stalled = now >= *deadline.get_or_insert(now + timeout);
             }
             polls += 1;
             self.pool.run_home(HOME_POLL);

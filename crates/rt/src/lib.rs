@@ -33,6 +33,15 @@
 //! something worker 0 does not produce blocks in `run_home` on worker
 //! 0's channel, for at most the time it passes.
 //!
+//! A spawned worker with nothing queued polls its channel before it
+//! parks: it tries it [`POLL_TRIES`] times, spinning and yielding its
+//! core at a fixed interval, and only then blocks in a receive. So a
+//! worker that gets a message every few microseconds stays awake, and
+//! its senders do not pay to wake it; an idle one parks once the tries
+//! run out. It polls only while the host has a core for every thread
+//! of the pool (`workers ≤` [`std::thread::available_parallelism`],
+//! read once at spawn); on fewer cores every worker parks at once.
+//!
 //! The rule is shaped for quorum protocols laid out clients first,
 //! servers last — the workspace's writers, readers, then servers. Worker
 //! 0 then holds every client and the first `S − w + 1` servers. While
@@ -121,6 +130,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -190,8 +200,23 @@ enum Job<M> {
 /// Upper bound on how many queued jobs a worker drains per wakeup, and
 /// on how many local deliveries it runs before it looks at its mailbox
 /// again. Bounds the latency penalty any single actor pays to batching
-/// while still amortizing the blocking-recv wakeup across a burst.
+/// while still amortizing a wakeup across a burst.
 pub const DRAIN_BATCH_MAX: usize = 256;
+
+/// How many times a spawned worker with nothing queued tries its channel
+/// before it parks in a blocking receive, when the host has a core for
+/// every thread of the pool (with fewer cores it parks at once). Counted
+/// in tries, not time: a worker that keeps getting work every few
+/// microseconds never parks, so a sender rarely pays to wake it, and an
+/// idle one parks soon after (the tries took about 1 ms on a 2-core
+/// x86-64 VM). Worker 0 does not poll: it runs on the owner's thread,
+/// and [`ActorPool::run_home`] blocks for the time its caller passes.
+pub const POLL_TRIES: u32 = 1 << 14;
+
+/// A polling worker yields its core once per this many tries (under a
+/// microsecond of spinning), so other threads on a shared host still get
+/// it.
+const TRIES_PER_YIELD: u32 = 1 << 4;
 
 /// One worker's runtime counters. Only that worker writes them — a plain
 /// load and store, no read-modify-write — and [`ActorPool::stats`] sums
@@ -228,19 +253,22 @@ fn add(counter: &AtomicU64, n: u64) {
 ///
 /// The channels expose no queue-length probe, so mailbox depth is
 /// observed through its consumption: every worker wakeup (on worker 0,
-/// every [`ActorPool::run_home`] that finds work) drains up to
+/// every [`ActorPool::run_home`] that finds work; on a spawned worker,
+/// every job it finds by polling or by blocking) drains up to
 /// [`DRAIN_BATCH_MAX`] queued jobs in one batch, and the batch length
 /// *is* the backlog that had accumulated — `max_batch` is therefore the
 /// pool's observed mailbox-depth high-water mark (saturating at the
-/// drain cap).
+/// drain cap). A batch a spawned worker catches while polling counts as
+/// a wakeup, though the worker never slept.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RtStats {
-    /// Worker wakeups that drained at least one mailbox job.
+    /// Worker wakeups that drained at least one mailbox job; a batch a
+    /// spawned worker caught while polling counts as one.
     pub drained_batches: u64,
     /// Total mailbox jobs drained across all batches.
     pub drained_messages: u64,
     /// Largest single drain batch (mailbox-depth high-water proxy,
-    /// capped at [`DRAIN_BATCH_MAX`]).
+    /// capped at [`DRAIN_BATCH_MAX`]); polled batches included.
     pub max_batch: u64,
     /// Total microseconds workers spent running drained batches (actor
     /// steps, routing and the local deliveries they set off), summed
@@ -288,12 +316,24 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
     /// docs). Workers `1..w` get a thread each, and each automaton's
     /// `on_start` runs on its worker before that worker processes any
     /// message — worker 0's on the caller's thread, before this returns.
+    pub fn spawn(automata: Vec<Box<dyn Automaton<Msg = M>>>, cfg: RtConfig) -> Self {
+        let workers = cfg.workers.clamp(1, automata.len().max(1));
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::spawn_polling(automata, workers, poll_tries(workers, cores))
+    }
+
+    /// [`spawn`](Self::spawn) over `workers` (already clamped), whose
+    /// spawned workers try their channels `poll_tries` times before they
+    /// park.
     // The rt crate is the sanctioned habitat of the wall clock (lint
     // rules D2/D7): real threads need real time for uptime accounting
     // and busy-time measurement, via the quarantined obs::MonoClock.
-    pub fn spawn(automata: Vec<Box<dyn Automaton<Msg = M>>>, cfg: RtConfig) -> Self {
+    fn spawn_polling(
+        automata: Vec<Box<dyn Automaton<Msg = M>>>,
+        workers: usize,
+        poll_tries: u32,
+    ) -> Self {
         let n_actors = automata.len();
-        let workers = cfg.workers.clamp(1, n_actors.max(1));
         let clock = Arc::new(MonoClock::new());
         let counters: Arc<[Counters]> = (0..workers).map(|_| Counters::default()).collect();
         let (senders, receivers): (Vec<_>, Vec<_>) =
@@ -330,7 +370,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
             .map(|(worker, rx)| {
                 std::thread::Builder::new()
                     .name(format!("fastreg-rt-{}", worker.index))
-                    .spawn(move || worker.run(rx))
+                    .spawn(move || worker.run(rx, poll_tries))
                     .expect("spawn rt worker thread")
             })
             .collect();
@@ -505,6 +545,38 @@ fn fill<M>(rx: &Receiver<Job<M>>, batch: &mut Vec<Job<M>>) {
     }
 }
 
+/// How many times each spawned worker of a pool of `workers` threads on
+/// `cores` cores tries its channel before it parks: [`POLL_TRIES`] while
+/// every thread has a core of its own, and none on a host with fewer
+/// cores. There a polling worker can hold the core that the thread with
+/// work needs: with polling, E17's four-worker rows on two cores ran
+/// anywhere from 2× faster to 4× slower than without, run to run.
+fn poll_tries(workers: usize, cores: usize) -> u32 {
+    if workers <= cores {
+        POLL_TRIES
+    } else {
+        0
+    }
+}
+
+/// The next job on a spawned worker's channel: tried up to `poll_tries`
+/// times — spinning, and yielding the core every [`TRIES_PER_YIELD`]
+/// tries — before the worker parks in a blocking receive. `None` once
+/// every sender is gone.
+fn next_job<M>(rx: &Receiver<Job<M>>, poll_tries: u32) -> Option<Job<M>> {
+    for tries in 1..=poll_tries {
+        if let Ok(job) = rx.try_recv() {
+            return Some(job);
+        }
+        if tries % TRIES_PER_YIELD == 0 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+    rx.recv().ok()
+}
+
 /// An actor slot; `None` once its actor panicked.
 type Slot<M> = Option<Box<dyn Automaton<Msg = M>>>;
 
@@ -538,18 +610,19 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
     /// A spawned worker's thread: start every actor, then drain the
     /// channel in batches until a shutdown marker. Returns the actors
     /// that panicked.
-    fn run(mut self, rx: Receiver<Job<M>>) -> Vec<ProcessId> {
+    fn run(mut self, rx: Receiver<Job<M>>, poll_tries: u32) -> Vec<ProcessId> {
         self.start();
-        // Batched drain: one blocking recv per backlog burst, then
-        // opportunistic try_recv up to the cap. The batch length is the
-        // observed mailbox depth. The worker blocks only when its local
-        // queue is empty: a capped local drain leaves work behind.
+        // Batched drain: one wait per backlog burst (polled, then
+        // blocking), then opportunistic try_recv up to the cap. The batch
+        // length is the observed mailbox depth. The worker waits only
+        // when its local queue is empty: a capped local drain leaves work
+        // behind.
         let mut batch: Vec<Job<M>> = Vec::with_capacity(DRAIN_BATCH_MAX);
         loop {
             if self.local.is_empty() {
-                match rx.recv() {
-                    Ok(job) => batch.push(job),
-                    Err(_) => break,
+                match next_job(&rx, poll_tries) {
+                    Some(job) => batch.push(job),
+                    None => break,
                 }
             }
             fill(&rx, &mut batch);
@@ -996,6 +1069,74 @@ mod tests {
         assert_eq!((stats.local_sends, stats.remote_sends), (N, N));
         assert_eq!(pool.messages_sent(), 2 * N);
         assert_eq!(pool.shutdown(), Ok(()));
+    }
+
+    #[test]
+    fn a_parked_worker_wakes_and_a_polling_worker_keeps_link_order() {
+        // A pool polls only with a core for each of its threads.
+        assert_eq!(poll_tries(2, 2), POLL_TRIES);
+        assert_eq!(poll_tries(2, 1), 0);
+        assert_eq!(poll_tries(4, 2), 0);
+        const BURST: u64 = 200;
+        /// Forwards every value to actor 0.
+        struct Forward;
+        impl Automaton for Forward {
+            type Msg = u64;
+            fn on_message(&mut self, _from: ProcessId, v: u64, out: &mut Outbox<u64>) {
+                out.send(ProcessId::new(0), v);
+            }
+        }
+        /// Reports `(sender, value)` for every value it receives.
+        struct Report(mpsc::Sender<(u32, u64)>);
+        impl Automaton for Report {
+            type Msg = u64;
+            fn on_message(&mut self, from: ProcessId, v: u64, _out: &mut Outbox<u64>) {
+                let _ = self.0.send((from.index(), v));
+            }
+        }
+        for workers in [2, 4] {
+            // Actor 0 on worker 0, and one forwarder on each spawned worker.
+            let (tx, rx) = mpsc::channel();
+            let mut actors: Vec<Box<dyn Automaton<Msg = u64>>> = vec![Box::new(Report(tx))];
+            actors.extend((1..workers).map(|_| Box::new(Forward) as Box<dyn Automaton<Msg = u64>>));
+            // Polling whatever this host's cores: the test is about the
+            // polled path and the park after it.
+            let mut pool = ActorPool::spawn_polling(actors, workers, POLL_TRIES);
+            let forwarders: Vec<u32> = (1..workers as u32).collect();
+            // Idle far longer than the poll budget: every spawned worker
+            // has parked, and a message must wake it.
+            std::thread::sleep(Duration::from_millis(20));
+            for &a in &forwarders {
+                pool.inject(ProcessId::new(a), 0);
+            }
+            let mut woke: Vec<u32> = forwarders
+                .iter()
+                .map(|_| recv(&mut pool, &rx))
+                .map(|(from, v)| {
+                    assert_eq!(v, 0, "workers = {workers}");
+                    from
+                })
+                .collect();
+            woke.sort_unstable();
+            assert_eq!(woke, forwarders, "workers = {workers}");
+            // Each worker has just run a batch and polls again: a burst
+            // sent now is caught polling, and each link stays in order.
+            for v in 1..=BURST {
+                for &a in &forwarders {
+                    pool.inject(ProcessId::new(a), v);
+                }
+            }
+            let mut got = vec![Vec::new(); workers];
+            for _ in 0..BURST * forwarders.len() as u64 {
+                let (from, v) = recv(&mut pool, &rx);
+                got[from as usize].push(v);
+            }
+            let want: Vec<u64> = (1..=BURST).collect();
+            for &a in &forwarders {
+                assert_eq!(got[a as usize], want, "workers = {workers}, actor {a}");
+            }
+            assert_eq!(pool.shutdown(), Ok(()));
+        }
     }
 
     #[test]

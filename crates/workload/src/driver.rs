@@ -15,6 +15,13 @@
 //! The run is checked once, at the end: its one snapshot is replayed in
 //! tick order into an [`OnlineChecker`] ([`OnlineChecker::on_history`]),
 //! the same way on every runtime.
+//!
+//! The loop reads the cluster's clock only where a think-time gate can
+//! close. With a think time, that is once per iteration; at think time 0
+//! every gate is always open, so it reads the clock only to jump a
+//! stalled run forward (nothing issuable, nothing in transit). The
+//! report's `duration_ticks` is one more read. On threads each read is a
+//! wall-clock read.
 
 use std::fmt;
 
@@ -161,9 +168,12 @@ pub fn run_closed_loop(
     fn is_idle(cluster: &dyn RegisterOps, ready_at: &[u64], proc: u32, now: u64) -> bool {
         !cluster.client_busy(proc) && ready_at[proc as usize] <= now
     }
+    // At think time 0 no gate ever closes: every gate and `now` stay at
+    // 0, so issuing reads no clock.
+    let gated = spec.think_time > 0;
 
     while issued < spec.n_ops {
-        let now = cluster.now_ticks();
+        let now = if gated { cluster.now_ticks() } else { 0 };
         let mut progressed = false;
         // Writer.
         if rng.gen_bool(spec.write_fraction.clamp(0.0, 1.0))
@@ -187,6 +197,7 @@ pub fn run_closed_loop(
         if !progressed {
             // Nothing issuable: advance the network a bit.
             if !cluster.step_timed() {
+                let now = if gated { now } else { cluster.now_ticks() };
                 // Nothing in transit either: jump past think times. Only
                 // *future* ready times count — gates already in the past
                 // belong to clients the schedule simply didn't pick, and
@@ -240,6 +251,7 @@ mod tests {
         advances: u64,
         steps: u64,
         snapshots: std::cell::Cell<u64>,
+        clock_reads: std::cell::Cell<u64>,
     }
 
     impl<'a> Counting<'a> {
@@ -249,6 +261,7 @@ mod tests {
                 advances: 0,
                 steps: 0,
                 snapshots: std::cell::Cell::new(0),
+                clock_reads: std::cell::Cell::new(0),
             }
         }
     }
@@ -286,6 +299,7 @@ mod tests {
             self.inner.client_busy(proc)
         }
         fn now_ticks(&self) -> u64 {
+            self.clock_reads.set(self.clock_reads.get() + 1);
             self.inner.now_ticks()
         }
         fn advance_to_ticks(&mut self, ticks: u64) {
@@ -389,6 +403,42 @@ mod tests {
             1,
             "exactly one snapshot — the final report — regardless of n_ops"
         );
+    }
+
+    #[test]
+    fn the_loop_reads_the_clock_only_where_a_gate_can_close() {
+        use fastreg::harness::Runtime;
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        let spec = |think_time| WorkloadSpec {
+            n_ops: 300,
+            write_fraction: 0.2,
+            think_time,
+            seed: 6,
+        };
+        let build = |runtime| {
+            ClusterBuilder::new(cfg)
+                .seed(6)
+                .runtime(runtime)
+                .build(ProtocolId::FastCrash)
+                .unwrap()
+        };
+        // Think time 0 opens every gate: the one read is the report's
+        // `duration_ticks`, on either runtime.
+        for runtime in [Runtime::Simnet, Runtime::Threads { workers: 1 }] {
+            let mut c = build(runtime);
+            let mut counted = Counting::new(&mut c);
+            let report = run_closed_loop(&mut counted, &spec(0)).expect("quiesces");
+            assert_eq!(report.breakdown.completed, 300, "{runtime}");
+            assert_eq!(counted.clock_reads.get(), 1, "{runtime}");
+        }
+        // Think time 1: one read per iteration — an issue, or a step when
+        // nothing was issuable — and one for the report.
+        let mut c = build(Runtime::Simnet);
+        let mut counted = Counting::new(&mut c);
+        let report = run_closed_loop(&mut counted, &spec(1)).expect("quiesces");
+        assert_eq!(report.breakdown.completed, 300);
+        assert!(counted.steps > 0, "the fixture must step");
+        assert_eq!(counted.clock_reads.get(), 300 + counted.steps + 1);
     }
 
     #[test]

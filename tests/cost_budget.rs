@@ -74,12 +74,12 @@ const TRACE_CAPACITY: usize = 2_048;
 /// all `S` servers have reported.
 #[rustfmt::skip] // one row per line: a table, not code
 const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
-    (ProtocolId::FastCrash, 36, 276_860, 10_000),
-    (ProtocolId::FastByz, 38, 296_452, 12_000),
-    (ProtocolId::Abd, 39, 297_356, 15_260),
-    (ProtocolId::MaxMin, 2_976, 629_660, 21_760),
-    (ProtocolId::FastRegular, 35, 264_380, 10_000),
-    (ProtocolId::SwsrFast, 37, 278_132, 10_000),
+    (ProtocolId::FastCrash, 36, 276_836, 10_000),
+    (ProtocolId::FastByz, 38, 296_428, 12_000),
+    (ProtocolId::Abd, 39, 297_332, 15_260),
+    (ProtocolId::MaxMin, 2_976, 629_636, 21_760),
+    (ProtocolId::FastRegular, 35, 264_356, 10_000),
+    (ProtocolId::SwsrFast, 37, 278_108, 10_000),
     (ProtocolId::MwmrAbd, 36, 268_000, 12_000),
     (ProtocolId::MwmrNaiveFast, 36, 267_872, 6_000),
 ];
@@ -160,10 +160,10 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// digest-only and store nothing. Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
-    (MIX, 9_377, 2_415_102, 242),
-    (&[ProtocolId::FastCrash], 10_016, 2_482_102, 242),
-    (&[ProtocolId::Abd], 8_047, 2_105_318, 242),
-    (&[ProtocolId::FastByz], 10_742, 2_835_126, 242),
+    (MIX, 9_377, 2_409_294, 242),
+    (&[ProtocolId::FastCrash], 10_016, 2_476_294, 242),
+    (&[ProtocolId::Abd], 8_047, 2_099_510, 242),
+    (&[ProtocolId::FastByz], 10_742, 2_829_318, 242),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more
