@@ -17,10 +17,11 @@ use rand::{Rng, SeedableRng};
 
 use fastreg::config::ClusterConfig;
 use fastreg::harness::{ClusterBuilder, RegisterOps, SimControl};
-use fastreg::protocols::registry::{Contract, ProtocolId};
-use fastreg_atomicity::streaming::OnlineChecker;
+use fastreg::protocols::registry::ProtocolId;
 use fastreg_atomicity::verdict::Verdict;
 use fastreg_simnet::fault::{FaultEvent, FaultKind, FaultScript};
+
+use super::engine::GridPoint;
 
 /// The fault-schedule family a cell draws from — one axis of the
 /// exploration grid, in the spirit of swarm testing: different families
@@ -120,11 +121,6 @@ pub struct CellOutcome {
     pub fingerprint: u64,
     /// Operations issued (invoked; completion depends on the schedule).
     pub ops_issued: u64,
-    /// `true` when the schedule was abandoned at the first proven
-    /// violation (see [`Cell::run_early_exit`]) instead of running to
-    /// completion. Early-exited fingerprints identify the truncated run,
-    /// not the full one.
-    pub early_exited: bool,
     /// The rendered history — populated only for violations, where a
     /// human will want to look.
     pub history: Option<String>,
@@ -142,12 +138,12 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl Cell {
-    /// Whether a violation in this cell is a bug or the sought prize.
-    pub fn expectation(&self) -> CellExpectation {
-        if self.protocol.feasible(&self.cfg) && self.protocol.contract() != Contract::Unsound {
-            CellExpectation::Clean
-        } else {
-            CellExpectation::MayViolate
+    /// The grid point (protocol × configuration) this cell runs — what
+    /// its [`expectation`](GridPoint::expectation) depends on.
+    pub fn point(&self) -> GridPoint {
+        GridPoint {
+            protocol: self.protocol,
+            cfg: self.cfg,
         }
     }
 
@@ -253,20 +249,6 @@ impl Cell {
         self.run_with(&self.generate_faults())
     }
 
-    /// Runs the cell like [`Cell::run`], but abandons the schedule at
-    /// the first *proven* violation (first-violation mode). A clean run
-    /// is byte-identical to [`Cell::run`]'s, while a violating run
-    /// returns as soon as the violation is provable, with
-    /// [`early_exited`](CellOutcome::early_exited) set.
-    pub fn run_early_exit(&self) -> CellOutcome {
-        self.run_with_early_exit(&self.generate_faults())
-    }
-
-    /// [`Cell::run_early_exit`] under an explicit fault script.
-    pub fn run_with_early_exit(&self, faults: &FaultScript) -> CellOutcome {
-        self.run_with_mode(faults, true)
-    }
-
     /// Runs the cell under an explicit fault script (the replay and
     /// shrink entry point).
     ///
@@ -279,10 +261,6 @@ impl Cell {
     /// final drain, so parked messages surface late like the paper's
     /// `prA`).
     pub fn run_with(&self, faults: &FaultScript) -> CellOutcome {
-        self.run_with_mode(faults, false)
-    }
-
-    fn run_with_mode(&self, faults: &FaultScript, early_exit: bool) -> CellOutcome {
         let mut cluster = ClusterBuilder::new(self.cfg)
             .seed(self.seed)
             .build_unchecked(self.protocol);
@@ -296,20 +274,6 @@ impl Cell {
         let mut next_value = 1u64;
         let mut issued = 0u64;
         let mut writer_armed = false;
-        // Every run is checked by replaying its history into the one
-        // online checker at the end. With `early_exit`, each poll also
-        // re-checks the history so far, and a proven violation ends the
-        // schedule.
-        let spec = cluster.contract().spec(self.cfg.w);
-        let poll = |cluster: &mut dyn SimControl, issued: u64| {
-            if !early_exit {
-                return None;
-            }
-            let mut checker = OnlineChecker::new(spec);
-            checker.on_history(&cluster.snapshot());
-            let kind = checker.proven()?;
-            Some(outcome(cluster, Verdict::Violation(kind), issued, true))
-        };
 
         // --- Phase 1: interleave ops, faults and deliveries. ------------
         for round in 0..self.rounds() {
@@ -377,16 +341,10 @@ impl Cell {
             if rng.gen_bool(0.5) {
                 cluster.step_random();
             }
-            if let Some(out) = poll(&mut *cluster, issued) {
-                return out;
-            }
         }
 
         // --- Phase 2: drain everything deliverable. ---------------------
         cluster.run_random_until_quiescent();
-        if let Some(out) = poll(&mut *cluster, issued) {
-            return out;
-        }
 
         // --- Phase 3: expose — sequential reads under the partition. ----
         for i in 0..self.cfg.r {
@@ -396,9 +354,6 @@ impl Cell {
                 cluster.read_async(i);
                 cluster.run_random_until_quiescent();
             }
-            if let Some(out) = poll(&mut *cluster, issued) {
-                return out;
-            }
         }
 
         // --- Phase 4: heal scripted blocks; parked messages surface. ----
@@ -407,23 +362,19 @@ impl Cell {
         }
         cluster.run_random_until_quiescent();
 
-        let verdict = OnlineChecker::check(spec, &cluster.snapshot());
-        outcome(&*cluster, verdict, issued, false)
+        // Every run is checked by replaying its history into the one
+        // online checker.
+        let verdict = cluster.contract_verdict(cluster.contract());
+        outcome(&*cluster, verdict, issued)
     }
 }
 
-/// Harvests a run's outcome from the finished (or abandoned) world.
-fn outcome(
-    cluster: &dyn SimControl,
-    verdict: Verdict,
-    ops_issued: u64,
-    early_exited: bool,
-) -> CellOutcome {
+/// Harvests a run's outcome from the finished world.
+fn outcome(cluster: &dyn SimControl, verdict: Verdict, ops_issued: u64) -> CellOutcome {
     CellOutcome {
         verdict,
         fingerprint: cluster.trace_fingerprint(),
         ops_issued,
-        early_exited,
         history: (!verdict.is_clean()).then(|| cluster.snapshot().render()),
         signals: RunSignals {
             reorder_depth: cluster.max_reorder_depth(),
@@ -476,10 +427,14 @@ mod tests {
     #[test]
     fn feasible_cells_expect_clean_and_stay_clean() {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        let point = GridPoint {
+            protocol: ProtocolId::FastCrash,
+            cfg,
+        };
+        assert_eq!(point.expectation(), CellExpectation::Clean);
         for seed in 0..12u64 {
             for dist in FaultDistribution::ALL {
                 let c = cell(ProtocolId::FastCrash, cfg, seed, dist);
-                assert_eq!(c.expectation(), CellExpectation::Clean);
                 let out = c.run();
                 assert!(
                     out.verdict.is_clean(),
@@ -492,61 +447,16 @@ mod tests {
 
     #[test]
     fn infeasible_and_unsound_cells_expect_violations() {
-        let beyond = ClusterConfig::crash_stop(5, 1, 3).unwrap();
-        let c = cell(
-            ProtocolId::FastCrash,
-            beyond,
-            0,
-            FaultDistribution::Partitioned,
-        );
-        assert_eq!(c.expectation(), CellExpectation::MayViolate);
-        let mwmr = ClusterConfig::mwmr(3, 1, 2, 2).unwrap();
-        let c = cell(ProtocolId::MwmrNaiveFast, mwmr, 0, FaultDistribution::Calm);
-        assert_eq!(c.expectation(), CellExpectation::MayViolate);
-    }
-
-    #[test]
-    fn early_exit_is_identical_on_clean_cells() {
-        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        for dist in FaultDistribution::ALL {
-            let c = cell(ProtocolId::FastCrash, cfg, 21, dist);
-            let full = c.run();
-            let fast = c.run_early_exit();
-            assert!(full.verdict.is_clean(), "{dist}: fixture must be clean");
-            assert!(!fast.early_exited, "{dist}");
-            assert_eq!(full.verdict, fast.verdict, "{dist}");
-            assert_eq!(
-                full.fingerprint, fast.fingerprint,
-                "{dist}: the early-exit checks must not perturb the schedule"
-            );
-        }
-    }
-
-    #[test]
-    fn early_exit_abandons_a_violating_schedule() {
-        // The unsound MWMR candidate violates on the calm schedule; the
-        // early-exit run must stop with a proven violation.
-        let mwmr = ClusterConfig::mwmr(3, 1, 2, 2).unwrap();
-        let mut tripped = false;
-        for seed in 0..16u64 {
-            let c = cell(
-                ProtocolId::MwmrNaiveFast,
-                mwmr,
-                seed,
-                FaultDistribution::Calm,
-            );
-            let fast = c.run_early_exit();
-            if fast.early_exited {
-                assert!(fast.verdict.is_proven_violation());
-                assert!(fast.history.is_some(), "violations carry the history");
-                assert!(
-                    !c.run().verdict.is_clean(),
-                    "seed {seed}: the full run must also violate"
-                );
-                tripped = true;
-            }
-        }
-        assert!(tripped, "no seed tripped the wire");
+        let beyond = GridPoint {
+            protocol: ProtocolId::FastCrash,
+            cfg: ClusterConfig::crash_stop(5, 1, 3).unwrap(),
+        };
+        assert_eq!(beyond.expectation(), CellExpectation::MayViolate);
+        let unsound = GridPoint {
+            protocol: ProtocolId::MwmrNaiveFast,
+            cfg: ClusterConfig::mwmr(3, 1, 2, 2).unwrap(),
+        };
+        assert_eq!(unsound.expectation(), CellExpectation::MayViolate);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! counterexample bytes at any thread count.
 
 use fastreg::config::ClusterConfig;
-use fastreg::protocols::registry::ProtocolId;
+use fastreg::protocols::registry::{Contract, ProtocolId};
 use fastreg_simnet::fault::FaultScript;
 use fastreg_simnet::threaded::map_ordered;
 
@@ -36,6 +36,38 @@ pub struct GridPoint {
     pub protocol: ProtocolId,
     /// The configuration to deploy it on (possibly beyond its bound).
     pub cfg: ClusterConfig,
+}
+
+impl GridPoint {
+    /// Whether a violation at this point is a bug or the sought prize.
+    pub fn expectation(&self) -> CellExpectation {
+        if self.protocol.feasible(&self.cfg) && self.protocol.contract() != Contract::Unsound {
+            CellExpectation::Clean
+        } else {
+            CellExpectation::MayViolate
+        }
+    }
+}
+
+/// The cell that (grid point, fault distribution) pair `pair` expands to
+/// at `seed` — the one place a pair index becomes a [`Cell`], shared by
+/// [`ExploreConfig::cell_list`] and the coverage-guided planner.
+///
+/// Pair `q` is grid point `q % grid.len()` under distribution
+/// `(q / grid.len()) % 4`, so every point is visited before any
+/// distribution repeats. An empty grid expands to no cell.
+pub(crate) fn pair_cell(grid: &[GridPoint], pair: usize, seed: u64, ops: u32) -> Option<Cell> {
+    if grid.is_empty() {
+        return None;
+    }
+    let point = grid[pair % grid.len()];
+    Some(Cell {
+        protocol: point.protocol,
+        cfg: point.cfg,
+        seed,
+        ops,
+        dist: FaultDistribution::ALL[(pair / grid.len()) % FaultDistribution::ALL.len()],
+    })
 }
 
 /// The default exploration grid: every registered protocol on its
@@ -68,13 +100,6 @@ pub struct ExploreConfig {
     pub ops: u32,
     /// Base seed; each cell's seed is derived from this and its index.
     pub base_seed: u64,
-    /// Run cells in first-violation mode ([`Cell::run_early_exit`]):
-    /// doomed schedules are abandoned the moment a violation is proven
-    /// instead of running to completion. Verdict *codes* and findings
-    /// are unchanged (violating cells are re-run in full before
-    /// shrinking, so counterexample bytes still replay); only
-    /// early-exited fingerprints differ. Off by default.
-    pub early_exit: bool,
     /// How the schedule space is traversed (defaults to
     /// [`Strategy::RandomGrid`]; see [`Strategy::CoverageGuided`] for
     /// the search upgrade).
@@ -90,7 +115,6 @@ impl Default for ExploreConfig {
             threads: 1,
             ops: 8,
             base_seed: 0,
-            early_exit: false,
             strategy: Strategy::default(),
             grid: default_grid(),
         }
@@ -106,20 +130,17 @@ impl ExploreConfig {
     /// Cell `i` takes grid point `i % grid.len()`, fault distribution
     /// `(i / grid.len()) % 4`, and seed `splitmix64(base_seed ⊕ i)`:
     /// every (point, distribution) pair is covered before any is
-    /// repeated with a fresh replicate seed.
+    /// repeated with a fresh replicate seed. An empty grid expands to no
+    /// cells.
     pub fn cell_list(&self) -> Vec<Cell> {
         (0..self.cells as usize)
-            .map(|i| {
-                let point = self.grid[i % self.grid.len()];
-                let dist =
-                    FaultDistribution::ALL[(i / self.grid.len()) % FaultDistribution::ALL.len()];
-                Cell {
-                    protocol: point.protocol,
-                    cfg: point.cfg,
-                    seed: splitmix64(self.base_seed ^ (i as u64)),
-                    ops: self.ops,
-                    dist,
-                }
+            .map_while(|i| {
+                pair_cell(
+                    &self.grid,
+                    i,
+                    splitmix64(self.base_seed ^ (i as u64)),
+                    self.ops,
+                )
             })
             .collect()
     }
@@ -189,13 +210,9 @@ impl ExploreReport {
 }
 
 /// Runs one batch of jobs on the ordered worker pool.
-fn run_jobs(jobs: &[Job], threads: usize, early_exit: bool) -> Vec<CellOutcome> {
-    map_ordered(jobs.to_vec(), threads, move |_, job| {
-        if early_exit {
-            job.cell.run_with_early_exit(&job.faults)
-        } else {
-            job.cell.run_with(&job.faults)
-        }
+fn run_jobs(jobs: &[Job], threads: usize) -> Vec<CellOutcome> {
+    map_ordered(jobs.to_vec(), threads, |_, job| {
+        job.cell.run_with(&job.faults)
     })
 }
 
@@ -220,21 +237,15 @@ pub fn explore(config: &ExploreConfig) -> ExploreReport {
                     faults: cell.generate_faults(),
                 })
                 .collect();
-            let outcomes = run_jobs(&jobs, config.threads, config.early_exit);
+            let outcomes = run_jobs(&jobs, config.threads);
             for (job, out) in jobs.iter().zip(&outcomes) {
                 tracker.observe(&cell_features(&job.cell, &job.faults, out));
             }
             (jobs, outcomes)
         }
-        Strategy::CoverageGuided { energy, pool } => {
-            let mut scheduler = CoverageScheduler::new(
-                &config.grid,
-                config.ops,
-                config.base_seed,
-                config.cells,
-                energy,
-                pool,
-            );
+        Strategy::CoverageGuided => {
+            let mut scheduler =
+                CoverageScheduler::new(&config.grid, config.ops, config.base_seed, config.cells);
             let mut jobs: Vec<Job> = Vec::with_capacity(config.cells as usize);
             let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(config.cells as usize);
             loop {
@@ -242,7 +253,7 @@ pub fn explore(config: &ExploreConfig) -> ExploreReport {
                 if batch.is_empty() {
                     break;
                 }
-                let batch_outcomes = run_jobs(&batch, config.threads, config.early_exit);
+                let batch_outcomes = run_jobs(&batch, config.threads);
                 scheduler.fold(&batch, &batch_outcomes, &mut tracker);
                 jobs.extend(batch);
                 outcomes.extend(batch_outcomes);
@@ -267,19 +278,10 @@ pub fn explore(config: &ExploreConfig) -> ExploreReport {
         violating,
         config.threads,
         |_, (cell_index, job, outcome)| {
-            // Shrinking compares against full-run identities, so an
-            // early-exited outcome (truncated fingerprint) is refreshed
-            // with one complete run first. Proven violations are
-            // monotone in the event stream: the full run still violates.
-            let outcome = if outcome.early_exited {
-                job.cell.run_with(&job.faults)
-            } else {
-                outcome
-            };
             let (counterexample, stats) = shrink(&job.cell, &job.faults, &outcome);
             Finding {
                 cell_index,
-                expectation: job.cell.expectation(),
+                expectation: job.cell.point().expectation(),
                 counterexample,
                 shrink: stats,
             }
@@ -311,7 +313,6 @@ mod tests {
             threads,
             ops: 6,
             base_seed: 0xe15,
-            early_exit: false,
             strategy: Strategy::RandomGrid,
             grid: default_grid(),
         }
@@ -335,41 +336,6 @@ mod tests {
                 "counterexample bytes must not depend on the thread count"
             );
         }
-    }
-
-    #[test]
-    fn early_exit_mode_finds_the_same_violations() {
-        let full = explore(&small_config(2));
-        let fast = explore(&ExploreConfig {
-            early_exit: true,
-            ..small_config(2)
-        });
-        assert_eq!(full.cells.len(), fast.cells.len());
-        for (a, b) in full.cells.iter().zip(&fast.cells) {
-            // Verdicts agree whenever the fast run completed; an
-            // early-exited cell instead carries some proven violation of
-            // a prefix of the same schedule.
-            if b.outcome.early_exited {
-                assert!(b.outcome.verdict.is_proven_violation());
-                assert!(
-                    !a.outcome.verdict.is_clean(),
-                    "early exit fired on a schedule whose full run is clean"
-                );
-            } else {
-                assert_eq!(a.outcome.verdict, b.outcome.verdict);
-                assert_eq!(a.outcome.fingerprint, b.outcome.fingerprint);
-            }
-        }
-        // The packaged findings are byte-identical: shrinking starts from
-        // a refreshed full run either way.
-        assert_eq!(full.findings.len(), fast.findings.len());
-        for (a, b) in full.findings.iter().zip(&fast.findings) {
-            assert_eq!(a.cell_index, b.cell_index);
-            assert_eq!(a.counterexample.render(), b.counterexample.render());
-        }
-        // Whether any cell actually trips mid-schedule depends on where
-        // in the run its violation becomes provable — the cell-level
-        // tests pin that; here only the equivalence above is load-bearing.
     }
 
     #[test]
@@ -406,7 +372,7 @@ mod tests {
     #[test]
     fn coverage_guided_exploration_is_thread_count_independent() {
         let config = |threads| ExploreConfig {
-            strategy: Strategy::coverage(),
+            strategy: Strategy::CoverageGuided,
             ..small_config(threads)
         };
         let one = explore(&config(1));
@@ -430,7 +396,7 @@ mod tests {
     #[test]
     fn coverage_guided_findings_replay_and_stay_sound() {
         let report = explore(&ExploreConfig {
-            strategy: Strategy::coverage(),
+            strategy: Strategy::CoverageGuided,
             ..small_config(2)
         });
         assert_eq!(
@@ -464,6 +430,20 @@ mod tests {
             random.coverage.saturation.last().map(|p| p.features),
             Some(random.coverage.features_seen)
         );
+    }
+
+    #[test]
+    fn an_empty_grid_explores_nothing_under_either_strategy() {
+        for strategy in [Strategy::RandomGrid, Strategy::CoverageGuided] {
+            let report = explore(&ExploreConfig {
+                strategy,
+                grid: vec![],
+                ..small_config(2)
+            });
+            assert!(report.cells.is_empty(), "{strategy}");
+            assert!(report.findings.is_empty(), "{strategy}");
+            assert_eq!(report.coverage.features_seen, 0, "{strategy}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! concurrently invoked operations, it walks the tree of all delivery
 //! orders (each tree node = choice of which in-transit message is
 //! delivered next, each delivery at a fresh tick so precedence is sharp)
-//! and checks every complete schedule's history for atomicity.
+//! and grades every complete schedule's history against the protocol's
+//! contract with the same online checker as the randomized engine.
 //!
 //! On feasible configurations this is a machine-checked ∀-schedules
 //! statement up to the budget — the strongest evidence short of a proof
@@ -15,7 +16,6 @@
 
 use fastreg::config::ClusterConfig;
 use fastreg::harness::{Cluster, ClusterBuilder, FastCrash, RegisterOps};
-use fastreg_atomicity::swmr::check_swmr_atomicity;
 use fastreg_simnet::envelope::MsgId;
 use fastreg_simnet::time::SimTime;
 
@@ -83,9 +83,9 @@ pub fn explore_fast_crash(cfg: ClusterConfig, script: &OpScript, budget: u64) ->
         let (cluster, pending) = replay(cfg, script, &path);
         if pending.is_empty() {
             schedules += 1;
-            let history = cluster.snapshot();
-            if let Err(e) = check_swmr_atomicity(&history) {
-                violation = Some((path, format!("{e}\n{}", history.render())));
+            let verdict = cluster.contract_verdict(cluster.contract());
+            if !verdict.is_clean() {
+                violation = Some((path, format!("{verdict}\n{}", cluster.snapshot().render())));
                 break;
             }
             continue;

@@ -8,11 +8,14 @@
 //!
 //! * [`engine`] — a multi-threaded, deterministic exploration engine
 //!   that fans a (protocol × configuration × fault-distribution × seed)
-//!   grid of [`cell::Cell`]s across a worker pool, runs each cell as an
-//!   independent simulated world with randomized crash/block/delay
-//!   injection, and checks every history against the protocol's declared
-//!   contract. Same inputs ⇒ identical verdicts and counterexample
-//!   bytes, at any thread count.
+//!   grid of [`cell::Cell`]s across a worker pool, runs each cell to
+//!   completion as an independent simulated world with randomized
+//!   crash/block/delay injection, and checks every history against the
+//!   protocol's declared contract. Same inputs ⇒ identical verdicts and
+//!   counterexample bytes, at any thread count. [`engine::explore`] is
+//!   the one entry point of the randomized search: `report explore`, E15
+//!   and — on a one-point grid — the feasible-side checks of E1, E3 and
+//!   E8 all call it.
 //! * [`mod@coverage`] / [`mod@mutate`] / [`mod@strategy`] — the search
 //!   upgrade: stable run signals (verdict codes, trace shape, predicate
 //!   witness levels, message-reorder depth, fault-script shape) hash
@@ -20,7 +23,7 @@
 //!   retained and [`mutate::mutate`]d; and
 //!   [`strategy::Strategy::CoverageGuided`] plans each batch toward the
 //!   pairs still producing novelty. [`strategy::Strategy::RandomGrid`]
-//!   keeps PR 4's uniform sampling as the control baseline.
+//!   keeps uniform sampling as the control baseline.
 //! * [`mod@shrink`] — greedy minimization of a violating cell: fault events
 //!   are removed and the op budget lowered while the violation persists.
 //! * [`counterexample`] — the serialized, replayable form: protocol +

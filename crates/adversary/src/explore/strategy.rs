@@ -6,7 +6,7 @@
 //! remaining budget where the [`CoverageMap`] says new behavior keeps
 //! appearing — fresh seeds on protocol×config×distribution pairs with
 //! low coverage saturation, and [`mutate`]d variants of the scripts that
-//! produced novel features (the pool), each given `energy` tries.
+//! produced novel features (the pool), `ENERGY` tries per pick.
 //!
 //! Determinism contract: batches are *planned* between `map_ordered`
 //! fan-outs from state folded in job order, and every random choice
@@ -23,9 +23,9 @@ use rand::{Rng, SeedableRng};
 
 use fastreg_simnet::fault::FaultScript;
 
-use super::cell::{splitmix64, Cell, CellOutcome, FaultDistribution};
+use super::cell::{splitmix64, Cell, CellExpectation, CellOutcome, FaultDistribution};
 use super::coverage::{behavior_features, script_features, CoverageTracker};
-use super::engine::GridPoint;
+use super::engine::{pair_cell, GridPoint};
 use super::mutate::mutate;
 
 /// How the engine traverses the schedule space.
@@ -36,39 +36,26 @@ pub enum Strategy {
     #[default]
     RandomGrid,
     /// Coverage-guided search: keep a bounded pool of coverage-novel
-    /// fault scripts, mutate each selected script `energy` times, and
+    /// fault scripts (64), mutate each selected script twice, and
     /// prioritize grid pairs whose coverage is still growing.
-    CoverageGuided {
-        /// Mutants scheduled per selected pool entry.
-        energy: u32,
-        /// Pool capacity (coverage-novel scripts retained).
-        pool: usize,
-    },
+    CoverageGuided,
 }
 
 impl Strategy {
-    /// The coverage-guided strategy at its default knobs.
-    pub fn coverage() -> Strategy {
-        Strategy::CoverageGuided {
-            energy: 2,
-            pool: 64,
-        }
-    }
-
     /// The stable name (CLI flags, reports, tables).
     pub fn name(&self) -> &'static str {
         match self {
             Strategy::RandomGrid => "random-grid",
-            Strategy::CoverageGuided { .. } => "coverage-guided",
+            Strategy::CoverageGuided => "coverage-guided",
         }
     }
 
     /// Parses a CLI name. Accepts `random` / `random-grid` and
-    /// `coverage` / `coverage-guided` (the latter at default knobs).
+    /// `coverage` / `coverage-guided`.
     pub fn parse(name: &str) -> Option<Strategy> {
         match name {
             "random" | "random-grid" => Some(Strategy::RandomGrid),
-            "coverage" | "coverage-guided" => Some(Strategy::coverage()),
+            "coverage" | "coverage-guided" => Some(Strategy::CoverageGuided),
             _ => None,
         }
     }
@@ -109,9 +96,13 @@ const FRESH_SALT: u64 = 0x5eed_f4e5_0000_0004;
 /// Jobs planned per post-pilot batch. Fixed (never derived from the
 /// thread count): batch boundaries are part of the deterministic plan.
 const BATCH_JOBS: u32 = 32;
+/// Mutants scheduled per selected pool entry.
+const ENERGY: u32 = 2;
+/// Pool capacity: coverage-novel scripts retained for mutation.
+const POOL: usize = 64;
 /// Probability (out of 100) that a selected pair with pool entries
 /// spends its slot on mutants rather than a fresh seed. Kept well below
-/// half — and each mutate slot costs `energy` jobs, so the *job*-level
+/// half — and each mutate slot costs `ENERGY` jobs, so the *job*-level
 /// mutant share is higher than this number reads: fresh replicate seeds
 /// explore new *schedules*, mutants only new scripts on a retained
 /// schedule, and the violating corners need schedule diversity most.
@@ -146,8 +137,6 @@ pub(crate) struct CoverageScheduler {
     ops: u32,
     base_seed: u64,
     total: u32,
-    energy: u32,
-    pool_cap: usize,
     scheduled: u32,
     batch_index: u64,
     pool: Vec<PoolEntry>,
@@ -160,64 +149,43 @@ pub(crate) struct CoverageScheduler {
 }
 
 impl CoverageScheduler {
-    pub fn new(
-        grid: &[GridPoint],
-        ops: u32,
-        base_seed: u64,
-        total: u32,
-        energy: u32,
-        pool_cap: usize,
-    ) -> Self {
+    pub fn new(grid: &[GridPoint], ops: u32, base_seed: u64, total: u32) -> Self {
         let pairs = grid.len() * FaultDistribution::ALL.len();
-        let mut scheduler = CoverageScheduler {
+        let pair_prior = (0..pairs)
+            .map(|q| match grid[q % grid.len()].expectation() {
+                CellExpectation::MayViolate => HUNT_PRIOR,
+                CellExpectation::Clean => 1,
+            })
+            .collect();
+        CoverageScheduler {
             points: grid.to_vec(),
             ops,
             base_seed,
             total,
-            energy: energy.max(1),
-            pool_cap: pool_cap.max(1),
             scheduled: 0,
             batch_index: 0,
             pool: Vec::new(),
             pair_runs: vec![0; pairs],
             pair_score: vec![0; pairs],
-            pair_prior: vec![1; pairs],
+            pair_prior,
             pair_found: vec![false; pairs],
             mutant_counter: 0,
             fresh_counter: 0,
-        };
-        for q in 0..pairs {
-            // Expectation depends on protocol, config and contract only
-            // — any seed identifies the pair.
-            if scheduler.cell_for(q, 0).expectation() == super::cell::CellExpectation::MayViolate {
-                scheduler.pair_prior[q] = HUNT_PRIOR;
-            }
         }
-        scheduler
     }
 
     fn pairs(&self) -> usize {
         self.pair_runs.len()
     }
 
-    /// The cell a pair index and seed expand to. Pair indexing mirrors
-    /// [`ExploreConfig::cell_list`]: pair `q` is grid point
-    /// `q % grid.len()`, distribution `(q / grid.len()) % 4` — so the
-    /// pilot batch *is* the first `pairs` cells of the random grid,
-    /// seeds included.
+    /// The cell a pair index and seed expand to — [`pair_cell`], the
+    /// expansion [`ExploreConfig::cell_list`] uses, so the pilot batch
+    /// *is* the first `pairs` cells of the random grid, seeds included.
+    /// Only called for `pair < pairs`, which is empty on an empty grid.
     ///
     /// [`ExploreConfig::cell_list`]: super::engine::ExploreConfig::cell_list
     fn cell_for(&self, pair: usize, seed: u64) -> Cell {
-        let point = self.points[pair % self.points.len()];
-        let dist =
-            FaultDistribution::ALL[(pair / self.points.len()) % FaultDistribution::ALL.len()];
-        Cell {
-            protocol: point.protocol,
-            cfg: point.cfg,
-            seed,
-            ops: self.ops,
-            dist,
-        }
+        pair_cell(&self.points, pair, seed, self.ops).expect("pair indices exist on a grid")
     }
 
     /// Plans the next batch of jobs; empty when the budget is spent.
@@ -256,10 +224,10 @@ impl CoverageScheduler {
                     .filter(|&i| self.pool[i].pair == q)
                     .collect();
                 if !entries.is_empty() && rng.gen_range(0..100u32) < MUTATE_PCT {
-                    // Frontier: spend `energy` mutants on one retained
+                    // Frontier: spend `ENERGY` mutants on one retained
                     // script of this pair.
                     let entry = self.pool[entries[rng.gen_range(0..entries.len())]].clone();
-                    for _ in 0..self.energy {
+                    for _ in 0..ENERGY {
                         if jobs.len() >= budget {
                             break;
                         }
@@ -352,7 +320,7 @@ impl CoverageScheduler {
                     faults: job.faults.clone(),
                     novelty: novel,
                 });
-                if self.pool.len() > self.pool_cap {
+                if self.pool.len() > POOL {
                     // Evict the least novel entry (first among ties —
                     // the oldest), keeping eviction deterministic.
                     let evict = self
@@ -378,13 +346,13 @@ mod tests {
     fn strategy_names_round_trip_through_parse() {
         assert_eq!(Strategy::parse("random"), Some(Strategy::RandomGrid));
         assert_eq!(Strategy::parse("random-grid"), Some(Strategy::RandomGrid));
-        assert_eq!(Strategy::parse("coverage"), Some(Strategy::coverage()));
+        assert_eq!(Strategy::parse("coverage"), Some(Strategy::CoverageGuided));
         assert_eq!(
             Strategy::parse("coverage-guided"),
-            Some(Strategy::coverage())
+            Some(Strategy::CoverageGuided)
         );
         assert_eq!(Strategy::parse("solver"), None);
-        for s in [Strategy::RandomGrid, Strategy::coverage()] {
+        for s in [Strategy::RandomGrid, Strategy::CoverageGuided] {
             assert_eq!(Strategy::parse(s.name()), Some(s));
         }
     }
@@ -393,7 +361,7 @@ mod tests {
     fn pilot_batch_mirrors_the_random_grid_prefix() {
         let grid = default_grid();
         let pairs = grid.len() * FaultDistribution::ALL.len();
-        let mut sched = CoverageScheduler::new(&grid, 6, 0xe15, 100, 4, 64);
+        let mut sched = CoverageScheduler::new(&grid, 6, 0xe15, 100);
         let pilot = sched.next_batch();
         assert_eq!(pilot.len(), pairs);
         let reference = crate::explore::engine::ExploreConfig {
@@ -417,7 +385,7 @@ mod tests {
         let grid = default_grid();
         let total = 90u32;
         let plan = |_: ()| {
-            let mut sched = CoverageScheduler::new(&grid, 6, 7, total, 4, 64);
+            let mut sched = CoverageScheduler::new(&grid, 6, 7, total);
             let mut tracker = CoverageTracker::new(total);
             let mut all: Vec<Job> = Vec::new();
             loop {

@@ -25,16 +25,16 @@
 //!   through the §7 run constructions and exhibits the violation.
 //!
 //! On the feasible side of each bound, the constructions are impossible to
-//! set up (the block partition does not exist) and [`search`]'s randomized
-//! adversarial schedules find no violation — together the two directions
-//! trace the paper's exact feasibility frontier (experiment E8).
+//! set up (the block partition does not exist) and [`explore()`] — the
+//! schedule-exploration engine, here on a one-point grid — finds no
+//! violation under randomized adversarial schedules: together the two
+//! directions trace the paper's exact feasibility frontier (experiment E8).
 //!
-//! The scripted constructions and the randomized search are both built on
-//! [`mod@explore`], the schedule-exploration subsystem: a parallel,
-//! deterministic engine that hunts violations across a protocol ×
-//! configuration × fault-distribution grid, shrinks what it finds, and
-//! serializes each violation as a replayable counterexample file (the
-//! committed `corpus/` regression suite).
+//! [`mod@explore`] is the one schedule search: a parallel, deterministic
+//! engine that hunts violations across a protocol × configuration ×
+//! fault-distribution grid, shrinks what it finds, and serializes each
+//! violation as a replayable counterexample file (the committed `corpus/`
+//! regression suite).
 
 #![warn(missing_docs)]
 
@@ -43,7 +43,6 @@ pub mod blocks;
 pub mod chain;
 pub mod explore;
 pub mod mwmr_lb;
-pub mod search;
 
 pub use ablation::{refute_count_predicate, AblationOutcome};
 pub use blocks::Partition;
@@ -54,7 +53,6 @@ pub use explore::{
     ReplayOutcome,
 };
 pub use mwmr_lb::{run_mwmr_lb, MwmrLbOutcome};
-pub use search::{random_adversarial_search, SearchOutcome};
 
 /// Errors common to the lower-bound constructions.
 #[derive(Clone, Debug, PartialEq, Eq)]

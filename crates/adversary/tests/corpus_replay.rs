@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use fastreg_adversary::explore::{Cell, CellExpectation, Counterexample};
+use fastreg_adversary::explore::{CellExpectation, Counterexample};
 
 /// The workspace-root `corpus/` directory.
 fn corpus_dir() -> PathBuf {
@@ -78,9 +78,8 @@ fn every_corpus_entry_is_an_expected_violation() {
     // unsound protocols). A sound feasible violation would be a protocol
     // bug and must never be quietly archived here.
     for (name, cx) in corpus() {
-        let cell: Cell = cx.cell();
         assert_eq!(
-            cell.expectation(),
+            cx.cell().point().expectation(),
             CellExpectation::MayViolate,
             "{name}: a sound feasible cell violating is a bug, not corpus material"
         );

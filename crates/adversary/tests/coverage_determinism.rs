@@ -20,7 +20,6 @@ fn config(strategy: Strategy, threads: usize) -> ExploreConfig {
         threads,
         ops: 6,
         base_seed: 0xc0_7e4a6e,
-        early_exit: true,
         strategy,
         ..Default::default()
     }
@@ -43,7 +42,7 @@ fn feature_set(report: &ExploreReport) -> BTreeSet<u64> {
 
 #[test]
 fn feature_sets_and_report_bytes_are_worker_count_independent() {
-    for strategy in [Strategy::RandomGrid, Strategy::coverage()] {
+    for strategy in [Strategy::RandomGrid, Strategy::CoverageGuided] {
         let baseline = explore(&config(strategy, 1));
         for threads in [2usize, 4] {
             let run = explore(&config(strategy, threads));
@@ -67,7 +66,7 @@ fn feature_sets_and_report_bytes_are_worker_count_independent() {
 
 #[test]
 fn two_engine_instances_at_the_same_seed_agree_byte_for_byte() {
-    for strategy in [Strategy::RandomGrid, Strategy::coverage()] {
+    for strategy in [Strategy::RandomGrid, Strategy::CoverageGuided] {
         let a = explore(&config(strategy, 4));
         let b = explore(&config(strategy, 4));
         assert_eq!(feature_set(&a), feature_set(&b));
@@ -87,7 +86,7 @@ fn the_engine_fold_matches_an_independent_refold() {
     // The report's headline number must equal what an outside observer
     // computes from the published (cell, faults, outcome) triples — the
     // engine cannot count features its report does not expose.
-    for strategy in [Strategy::RandomGrid, Strategy::coverage()] {
+    for strategy in [Strategy::RandomGrid, Strategy::CoverageGuided] {
         let report = explore(&config(strategy, 2));
         assert_eq!(
             report.coverage.features_seen,
@@ -102,7 +101,7 @@ fn sharded_map_merge_equals_the_sequential_fold() {
     // Merging per-chunk maps (any partition) reproduces the sequential
     // map — the property that makes per-worker accumulation safe if the
     // fold ever shards.
-    let report = explore(&config(Strategy::coverage(), 4));
+    let report = explore(&config(Strategy::CoverageGuided, 4));
     let sequential = refold(&report);
     for chunk_size in [1usize, 7, 24] {
         let mut merged = CoverageMap::new();

@@ -27,7 +27,6 @@ fn cells_to_inversion(strategy: Strategy, base_seed: u64) -> usize {
         threads: 4,
         ops: 6,
         base_seed,
-        early_exit: true,
         strategy,
         ..Default::default()
     };
@@ -58,7 +57,7 @@ fn coverage_guided_beats_random_grid_to_the_section_5_inversion() {
             .collect()
     };
     let random = sample(Strategy::RandomGrid);
-    let coverage = sample(Strategy::coverage());
+    let coverage = sample(Strategy::CoverageGuided);
     println!("random-grid     cells-to-inversion: {random:?}");
     println!("coverage-guided cells-to-inversion: {coverage:?}");
 

@@ -200,7 +200,7 @@ impl StreamingLinChecker {
         self.hwm
     }
 
-    /// The outcome proven so far, if any (sticky): the early-exit signal.
+    /// The outcome proven so far, if any (sticky).
     pub fn violation(&self) -> Option<ViolationKind> {
         self.terminal
     }
@@ -473,7 +473,7 @@ mod tests {
             online_lin(&h),
             Verdict::Violation(ViolationKind::CheckerLimit)
         );
-        // The terminal outcome is sticky and early-exitable.
+        // The terminal outcome is sticky.
         let mut c = StreamingLinChecker::new();
         c.on_events(&crate::streaming::online::replay_events(&h));
         assert_eq!(c.violation(), Some(ViolationKind::CheckerLimit));

@@ -35,7 +35,7 @@ pub use lin::StreamingLinChecker;
 pub use online::{replay_events, StreamingChecker};
 
 use crate::history::{History, HistoryEvent};
-use crate::verdict::{Verdict, ViolationKind};
+use crate::verdict::Verdict;
 use online::for_each_event;
 
 /// The consistency condition an [`OnlineChecker`] grades a history
@@ -130,20 +130,6 @@ impl OnlineChecker {
             Engine::Swmr(c) => c.on_events(events),
             Engine::Lin(c) => c.on_events(events),
         }
-    }
-
-    /// The violation *proven* so far, if any — the early-exit signal. A
-    /// `Some` is final: no further event can clean it (unlike
-    /// [`verdict`](OnlineChecker::verdict), which also counts reads
-    /// still waiting for their value to be written). Never
-    /// [`CheckerLimit`](ViolationKind::CheckerLimit): that is the oracle
-    /// giving up, not a proof.
-    pub fn proven(&self) -> Option<ViolationKind> {
-        let kind = match &self.0 {
-            Engine::Swmr(c) => c.violation(),
-            Engine::Lin(c) => c.violation(),
-        }?;
-        (kind != ViolationKind::CheckerLimit).then_some(kind)
     }
 
     /// The verdict for the events seen so far, treated as the complete

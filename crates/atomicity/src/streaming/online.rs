@@ -466,7 +466,7 @@ impl StreamingChecker {
         self.hwm
     }
 
-    /// The violation *proven so far*, if any — the early-exit signal.
+    /// The violation *proven so far*, if any.
     ///
     /// Unlike [`verdict`](StreamingChecker::verdict) this never counts a
     /// still-parked read (its value may yet be written), so a `Some` here
@@ -873,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_fires_on_proven_violation() {
+    fn a_read_missing_a_completed_write_is_a_proven_violation() {
         let mut c = StreamingChecker::new_atomic();
         let mut h = History::new();
         w(&mut h, 1, 0, 1);

@@ -52,7 +52,8 @@
 //!
 //! Exploration is deterministic: the same `--cells`/`--budget`/`--seed`
 //! produce identical verdicts and identical counterexample bytes at any
-//! `--threads`.
+//! `--threads`. Every cell runs its schedule to completion, so its
+//! fingerprint and coverage features are those of the full run.
 //!
 //! Protocol names are resolved through the runtime registry
 //! (`fastreg::protocols::registry`); unknown experiment or protocol
@@ -306,7 +307,6 @@ fn explore_main(args: &[String]) -> Outcome {
         threads,
         ops: budget,
         base_seed: seed,
-        early_exit: true,
         strategy,
         grid: default_grid(),
     };

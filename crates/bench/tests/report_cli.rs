@@ -339,7 +339,7 @@ fn ci_exploration_sees_the_pinned_feature_count() {
     let doc = std::fs::read_to_string(&cov).unwrap();
     let _ = std::fs::remove_file(&cov);
     let _ = std::fs::remove_dir_all(&found);
-    assert!(doc.contains("\"features_seen\": 237,"), "{doc}");
+    assert!(doc.contains("\"features_seen\": 238,"), "{doc}");
 }
 
 #[test]

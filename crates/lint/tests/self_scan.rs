@@ -210,3 +210,27 @@ fn the_lower_bound_chain_exists_once() {
         deliveries.join("\n")
     );
 }
+
+#[test]
+fn cell_expansion_exists_once() {
+    // A (grid point, fault distribution) pair becomes a cell in one
+    // function, `pair_cell` in explore/engine.rs, which both the random
+    // grid and the coverage-guided planner call: no second schedule
+    // search picks a distribution by indexing the list itself.
+    let root = workspace_root();
+    let mut files = rust_files(&root.join("src"));
+    files.extend(rust_files(&root.join("examples")));
+    files.extend(
+        rust_files(&root.join("crates"))
+            .into_iter()
+            .filter(|file| !file.components().any(|c| c.as_os_str() == "tests")),
+    );
+    let hits = non_test_hits(&root, &files, |_| vec!["FaultDistribution::ALL["]);
+    let home = "crates/adversary/src/explore/engine.rs:";
+    assert!(
+        hits.len() == 1 && hits[0].starts_with(home),
+        "cells are expanded once, by pair_cell in {home} (found {} sites)\n{}",
+        hits.len(),
+        hits.join("\n")
+    );
+}

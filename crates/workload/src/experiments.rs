@@ -17,7 +17,8 @@ use fastreg::predicate::{predicate_witness, predicate_witness_bruteforce, Predic
 use fastreg::protocols::registry::ProtocolId;
 use fastreg::protocols::{abd, fast_crash};
 use fastreg::types::{ClientId, ClientSet, RegValue};
-use fastreg_adversary::{random_adversarial_search, run_lower_bound, run_mwmr_lb, LbError};
+use fastreg_adversary::explore::{explore, ExploreConfig, ExploreReport, GridPoint, Strategy};
+use fastreg_adversary::{run_lower_bound, run_mwmr_lb, LbError};
 use fastreg_atomicity::regularity::check_swmr_regularity;
 use fastreg_atomicity::swmr::check_swmr_atomicity;
 use fastreg_simnet::byz::Mute;
@@ -197,6 +198,37 @@ pub static EXPERIMENTS: [Experiment; 19] = [
     },
 ];
 
+/// Randomized adversarial schedules against Fig. 2 on a feasible `cfg`:
+/// the explorer on a one-point grid, `cells` cells of `ops` operations
+/// cycling through every fault distribution. Panics with the shrunk,
+/// replayable counterexample if any cell violates atomicity.
+fn feasible_fast_crash_search(
+    experiment: &str,
+    cfg: ClusterConfig,
+    base_seed: u64,
+    cells: u32,
+    ops: u32,
+) -> ExploreReport {
+    let report = explore(&ExploreConfig {
+        cells,
+        threads: 1,
+        ops,
+        base_seed,
+        strategy: Strategy::RandomGrid,
+        grid: vec![GridPoint {
+            protocol: ProtocolId::FastCrash,
+            cfg,
+        }],
+    });
+    if let Some(f) = report.unexpected().next() {
+        panic!(
+            "{experiment}: {cfg:?} violated atomicity:\n{}",
+            f.counterexample.render()
+        );
+    }
+    report
+}
+
 /// E1 — Fig. 2 stays atomic under random schedules, crashes and
 /// mid-broadcast writer crashes, across feasible configurations.
 pub fn e1_fast_crash_atomicity(seeds: u64) -> Table {
@@ -211,19 +243,14 @@ pub fn e1_fast_crash_atomicity(seeds: u64) -> Table {
     ] {
         let cfg = ClusterConfig::crash_stop(s, t, r).expect("valid");
         assert!(cfg.fast_feasible(), "E1 configs must be feasible");
-        let out = random_adversarial_search(cfg, 0x0e1, seeds, 10);
-        assert!(
-            out.is_clean(),
-            "E1: ({s},{t},{r}) violated atomicity:\n{}",
-            out.first_violation.map(|v| v.1).unwrap_or_default()
-        );
+        let report = feasible_fast_crash_search("E1", cfg, 0x0e1, seeds as u32, 10);
         table.row(vec![
             s.to_string(),
             t.to_string(),
             r.to_string(),
-            out.runs.to_string(),
+            report.cells.len().to_string(),
             "10".into(),
-            out.violations.to_string(),
+            report.unexpected().count().to_string(),
         ]);
     }
     table
@@ -323,8 +350,7 @@ pub fn e3_crash_lower_bound() -> Table {
                 ]);
             }
             Err(LbError::ConfigIsFeasible) => {
-                let search = random_adversarial_search(cfg, 0x0e3, 30, 8);
-                assert!(search.is_clean(), "feasible config must stay atomic");
+                let search = feasible_fast_crash_search("E3", cfg, 0x0e3, 30, 8);
                 table.row(vec![
                     s.to_string(),
                     t.to_string(),
@@ -333,7 +359,7 @@ pub fn e3_crash_lower_bound() -> Table {
                     "impossible (no block partition)".into(),
                     "-".into(),
                     "-".into(),
-                    format!("atomic in {} random runs", search.runs),
+                    format!("atomic in {} random runs", search.cells.len()),
                 ]);
             }
             Err(e) => {
@@ -609,8 +635,9 @@ pub fn e8_frontier() -> Table {
         let formula = cfg.fast_feasible();
         let experiment: Option<bool> = if formula {
             if b == 0 {
-                let search = random_adversarial_search(cfg, 0x0e8, 15, 8);
-                Some(search.is_clean())
+                // A violation panics with its counterexample.
+                feasible_fast_crash_search("E8", cfg, 0x0e8, 15, 8);
+                Some(true)
             } else {
                 // Feasible Byzantine point: behaviour matrix must be clean.
                 Some((0..5).all(|seed| byz_run_is_atomic(cfg, seed, BehaviourKind::TwoFaced)))
@@ -1011,17 +1038,14 @@ pub fn e14_scale(sizes: &[u64]) -> Table {
 /// registered protocol on its canonical feasible configuration plus the
 /// seeded hunting grounds (Fig. 2 past the fast bound, the unsound
 /// one-round MWMR). The same budget is spent twice — once per traversal
-/// [`Strategy`](fastreg_adversary::explore::Strategy) — so the table
-/// shows how the coverage-guided search reallocates cells toward the
-/// hunting grounds while the paper's soundness direction holds under
-/// both. The experiment asserts the two directions the paper proves:
+/// [`Strategy`] — so the table shows how the coverage-guided search
+/// reallocates cells toward the hunting grounds while the paper's
+/// soundness direction holds under both. The experiment asserts the two directions the paper proves:
 /// sound feasible cells never violate, and the hunting grounds *do*
 /// yield violations — each one shrunk and replay-verified before the
 /// table is rendered.
 pub fn e15_exploration(cells: u32, threads: usize) -> Table {
-    use fastreg_adversary::explore::{
-        default_grid, explore, Cell, CellExpectation, ExploreConfig, FaultDistribution, Strategy,
-    };
+    use fastreg_adversary::explore::{default_grid, CellExpectation};
 
     let mut table = Table::new(vec![
         "strategy",
@@ -1033,13 +1057,12 @@ pub fn e15_exploration(cells: u32, threads: usize) -> Table {
         "violations",
         "min shrunk faults",
     ]);
-    for strategy in [Strategy::RandomGrid, Strategy::coverage()] {
+    for strategy in [Strategy::RandomGrid, Strategy::CoverageGuided] {
         let config = ExploreConfig {
             cells,
             threads,
             ops: 8,
             base_seed: 0xe15,
-            early_exit: false,
             strategy,
             grid: default_grid(),
         };
@@ -1078,15 +1101,7 @@ pub fn e15_exploration(cells: u32, threads: usize) -> Table {
                 .iter()
                 .filter(|f| here(&report.cells[f.cell_index].cell))
                 .collect();
-            let expectation = match (Cell {
-                protocol: point.protocol,
-                cfg: point.cfg,
-                seed: 0,
-                ops: 1,
-                dist: FaultDistribution::Calm,
-            })
-            .expectation()
-            {
+            let expectation = match point.expectation() {
                 CellExpectation::Clean => "must stay clean",
                 CellExpectation::MayViolate => "hunting",
             };

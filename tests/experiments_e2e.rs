@@ -2,9 +2,24 @@
 //!
 //! Each experiment function asserts its own qualitative expectations
 //! internally (e.g. "the feasible side finds no violation", "prC
-//! violates"); these tests additionally sanity-check the rendered tables.
+//! violates"); these tests additionally sanity-check the rendered tables,
+//! and compare the deterministic ones byte for byte with their goldens
+//! under `tests/golden/`.
 
 use fastreg_suite::fastreg_workload::experiments as exp;
+
+/// Asserts that `rendered` is the committed golden table: the golden's
+/// text after its one-line header, which states the re-pin rule.
+fn assert_golden(rendered: &str, golden: &str) {
+    let (_header, table) = golden
+        .split_once('\n')
+        .expect("a golden opens with its header line");
+    assert!(
+        rendered == table,
+        "table differs from its golden under tests/golden/ — a deliberate change \
+         re-pins the golden and says so\n--- rendered\n{rendered}\n--- golden\n{table}"
+    );
+}
 
 #[test]
 fn e1_fast_crash_atomicity_is_clean() {
@@ -12,6 +27,7 @@ fn e1_fast_crash_atomicity_is_clean() {
     assert_eq!(t.len(), 6);
     let s = t.render();
     assert!(s.lines().skip(2).all(|l| l.trim_end().ends_with('0')));
+    assert_golden(&s, include_str!("golden/e1.txt"));
 }
 
 #[test]
@@ -28,6 +44,7 @@ fn e3_lower_bound_both_sides() {
     let s = exp::e3_crash_lower_bound().render();
     assert!(s.contains("ATOMICITY VIOLATED"));
     assert!(s.contains("atomic in"));
+    assert_golden(&s, include_str!("golden/e3.txt"));
 }
 
 #[test]
@@ -65,6 +82,7 @@ fn e8_frontier_agrees_everywhere() {
     for line in s.lines().skip(2) {
         assert!(line.trim_end().ends_with("yes"), "row: {line}");
     }
+    assert_golden(&s, include_str!("golden/e8.txt"));
 }
 
 #[test]
@@ -96,6 +114,7 @@ fn e15_exploration_finds_violations_only_where_the_paper_allows_them() {
             "clean row with a counterexample: {line}"
         );
     }
+    assert_golden(&s, include_str!("golden/e15.txt"));
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! Integration tests for the feasibility frontier: both directions of the
 //! paper's iff, at and around the bound.
 
-use fastreg_suite::fastreg_adversary::{
-    random_adversarial_search, run_lower_bound, run_mwmr_lb, LbError,
-};
+use fastreg_suite::fastreg_adversary::explore::{explore, ExploreConfig, GridPoint, Strategy};
+use fastreg_suite::fastreg_adversary::{run_lower_bound, run_mwmr_lb, LbError};
 use fastreg_suite::fastreg_auth::digest::fnv1a;
 use fastreg_suite::prelude::*;
 
@@ -78,7 +77,19 @@ fn crash_bound_is_tight_at_s5_t1() {
     // S = 5, t = 1: R = 2 fast, R = 3 not — the paper's running example.
     let feasible = ClusterConfig::crash_stop(5, 1, 2).unwrap();
     assert!(feasible.fast_feasible());
-    assert!(random_adversarial_search(feasible, 1, 25, 10).is_clean());
+    let search = explore(&ExploreConfig {
+        cells: 25,
+        threads: 1,
+        ops: 10,
+        base_seed: 1,
+        strategy: Strategy::RandomGrid,
+        grid: vec![GridPoint {
+            protocol: ProtocolId::FastCrash,
+            cfg: feasible,
+        }],
+    });
+    assert_eq!(search.cells.len(), 25);
+    assert_eq!(search.unexpected().count(), 0);
 
     let infeasible = ClusterConfig::crash_stop(5, 1, 3).unwrap();
     assert!(!infeasible.fast_feasible());
