@@ -200,11 +200,6 @@ impl StreamingLinChecker {
         self.hwm
     }
 
-    /// The outcome proven so far, if any (sticky).
-    pub fn violation(&self) -> Option<ViolationKind> {
-        self.terminal
-    }
-
     /// The verdict for the events seen so far, treated as the complete
     /// history. Identical in code to
     /// [`Verdict::from_linearizable`](crate::verdict::Verdict::from_linearizable)
@@ -473,9 +468,12 @@ mod tests {
             online_lin(&h),
             Verdict::Violation(ViolationKind::CheckerLimit)
         );
-        // The terminal outcome is sticky.
+        // The terminal outcome is sticky: a later, sequential write
+        // does not clear it.
+        let late = h.invoke_write(0, 99, 200);
+        h.respond(late, None, 201);
         let mut c = StreamingLinChecker::new();
         c.on_events(&crate::streaming::online::replay_events(&h));
-        assert_eq!(c.violation(), Some(ViolationKind::CheckerLimit));
+        assert_eq!(c.verdict(), Verdict::Violation(ViolationKind::CheckerLimit));
     }
 }

@@ -466,35 +466,6 @@ impl StreamingChecker {
         self.hwm
     }
 
-    /// The violation *proven so far*, if any.
-    ///
-    /// Unlike [`verdict`](StreamingChecker::verdict) this never counts a
-    /// still-parked read (its value may yet be written), so a `Some` here
-    /// is final: no further events can clean it. The kind may still be
-    /// *upgraded* by later events (e.g. a duplicate overtaken by a
-    /// malformed-writes discovery), so prefix kinds can differ from the
-    /// full-history verdict.
-    pub fn violation(&self) -> Option<ViolationKind> {
-        if self.malformed {
-            Some(ViolationKind::MalformedWrites)
-        } else if self.duplicate {
-            Some(ViolationKind::DuplicateWrittenValue)
-        } else if self.unwritten {
-            Some(ViolationKind::UnwrittenValue)
-        } else if self.missed {
-            Some(ViolationKind::MissedPrecedingWrite)
-        } else if self.future {
-            Some(ViolationKind::ReadFromFuture)
-        } else if self.inversion {
-            Some(ViolationKind::NewOldInversion)
-        } else {
-            match self.mode {
-                Mode::Atomic => None,
-                Mode::Regular => self.first_bad.map(|(_, kind)| kind),
-            }
-        }
-    }
-
     /// The verdict for the events seen so far, treated as the complete
     /// history — byte-identical in code to the batch checker's.
     pub fn verdict(&self) -> Verdict {
@@ -811,7 +782,10 @@ mod tests {
         events.swap(at_5[0], at_5[1]);
         let mut c = StreamingChecker::new_atomic();
         c.on_events(&events);
-        assert_eq!(c.violation(), Some(ViolationKind::NewOldInversion));
+        assert_eq!(
+            c.verdict(),
+            Verdict::Violation(ViolationKind::NewOldInversion)
+        );
         assert_eq!(c.verdict(), batch_atomic(&h));
     }
 
@@ -849,9 +823,7 @@ mod tests {
         let rd = h.invoke_read(1, 0);
         h.respond(rd, Some(RegValue::Val(7)), 1);
         c.on_events(&replay_events(&h));
-        // Parked, not proven: the write may still arrive.
-        assert_eq!(c.violation(), None);
-        // But the verdict (history-complete reading) says unwritten.
+        // Read as a complete history, the parked read is unwritten.
         assert_eq!(
             c.verdict(),
             Verdict::Violation(ViolationKind::UnwrittenValue)
@@ -868,7 +840,6 @@ mod tests {
             returned: None,
             at: 2,
         });
-        assert_eq!(c.violation(), None);
         assert_eq!(c.verdict(), Verdict::Clean);
     }
 
@@ -879,7 +850,10 @@ mod tests {
         w(&mut h, 1, 0, 1);
         r(&mut h, 1, RegValue::Bottom, 2, 3);
         c.on_events(&replay_events(&h));
-        assert_eq!(c.violation(), Some(ViolationKind::MissedPrecedingWrite));
+        assert_eq!(
+            c.verdict(),
+            Verdict::Violation(ViolationKind::MissedPrecedingWrite)
+        );
     }
 
     #[test]
@@ -1004,9 +978,6 @@ mod tests {
                 let v = 1 + i as u64 % 10;
                 h.respond(rd, Some(RegValue::Val(v)), 200 + i as u64);
             }
-            let mut c = StreamingChecker::new_atomic();
-            c.on_events(&replay_events(&h));
-            assert_eq!(c.violation(), None, "parked reads prove nothing yet");
             let mut t = 400;
             for v in 1..=writes {
                 w(&mut h, v, t, t + 1);

@@ -9,7 +9,6 @@
 //! report --protocol fast-byz  # only experiments exercising that protocol
 //! report --list               # list experiments and registered protocols
 //! report --quick              # smaller seed counts (CI-friendly)
-//! report --json               # machine-readable per-experiment wall times
 //!
 //! report explore --cells 64 --threads 4 --budget 8 --seed 0 --out found/
 //!                             # fan the exploration grid across a worker
@@ -57,14 +56,12 @@
 //!
 //! Protocol names are resolved through the runtime registry
 //! (`fastreg::protocols::registry`); unknown experiment or protocol
-//! names exit with code 2 and list the valid ones. `--json` emits one
-//! JSON document with the wall-clock time of each selected experiment
-//! (informational: the gated perf ledger is `fastbench`, under
-//! `benchmark/`).
+//! names exit with code 2 and list the valid ones. No table and no
+//! subcommand reads a clock, so the output is a function of the
+//! arguments; throughput is measured by `fastbench`, under `benchmark/`.
 
 use std::env;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use fastreg::protocols::registry::ProtocolId;
 use fastreg_obs::json_escape;
@@ -448,7 +445,7 @@ fn explore_main(args: &[String]) -> Outcome {
 /// `report store` — the sharded key–value store front end.
 ///
 /// Runs one closed-loop KV workload against a [`ShardedStore`] and
-/// prints throughput, routing and per-key verdict statistics. The
+/// prints completion, routing and per-key verdict statistics. The
 /// `--json` document carries **no wall-clock fields**, so its bytes are
 /// identical at any `--threads` — the determinism contract CI pins.
 ///
@@ -561,14 +558,10 @@ fn store_main(args: &[String]) -> Outcome {
         dist,
         seed,
     };
-    // fastreg-bench is a sanctioned wall-clock site (lint rule D2).
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now();
     let (store, report) = run_kv_workload(store, &spec, threads).map_err(|e| {
         eprintln!("store run failed: {e}");
         ExitCode::from(1)
     })?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let unexpected = report.check.unexpected().count();
 
     // The store metrics snapshot through the shared observability
@@ -654,13 +647,8 @@ fn store_main(args: &[String]) -> Outcome {
             backend_names.join(", ")
         );
         println!(
-            "  ops:        {} completed, {} incomplete ({} puts / {} gets) in {wall_ms:.1} ms \
-             ({:.0} ops/ms)",
-            report.breakdown.completed,
-            report.breakdown.incomplete,
-            report.puts,
-            report.gets,
-            ops as f64 / wall_ms.max(0.001)
+            "  ops:        {} completed, {} incomplete ({} puts / {} gets)",
+            report.breakdown.completed, report.breakdown.incomplete, report.puts, report.gets
         );
         println!(
             "  routing:    {} distinct keys, {} flushes, {} settle waves, {:.1} msgs/op",
@@ -805,13 +793,12 @@ fn trace_main(args: &[String]) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `report [e1 …] [--protocol <name>] [--quick] [--json] [--list]` —
+/// `report [e1 …] [--protocol <name>] [--quick] [--list]` —
 /// the experiment suite, read from [`EXPERIMENTS`].
 fn suite_main(args: &[String]) -> Outcome {
     // One parse loop; unknown flags and names are errors, not silent
     // no-ops. Protocol names resolve through the registry.
     let mut quick = false;
-    let mut json = false;
     let mut list = false;
     let mut protocol: Option<ProtocolId> = None;
     let mut selected: Vec<String> = Vec::new();
@@ -830,7 +817,6 @@ fn suite_main(args: &[String]) -> Outcome {
         };
         match name {
             "quick" if inline.is_none() => quick = true,
-            "json" if inline.is_none() => json = true,
             "list" if inline.is_none() => list = true,
             "protocol" => {
                 let v = match inline {
@@ -840,7 +826,7 @@ fn suite_main(args: &[String]) -> Outcome {
                 protocol = Some(parse_protocol(v)?);
             }
             _ => {
-                eprintln!("unknown flag '{a}' (valid: --list, --protocol <name>, --quick, --json)");
+                eprintln!("unknown flag '{a}' (valid: --list, --protocol <name>, --quick)");
                 return Err(ExitCode::from(2));
             }
         }
@@ -880,47 +866,6 @@ fn suite_main(args: &[String]) -> Outcome {
             matching.join(", ")
         );
         return Err(ExitCode::from(2));
-    }
-
-    if json {
-        let entries: Vec<String> = EXPERIMENTS
-            .iter()
-            .filter(|e| want(e))
-            .map(|e| {
-                #[allow(clippy::disallowed_methods)]
-                let start = Instant::now();
-                let rendered = (e.run)(quick).render();
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                format!(
-                    "    {{\n      \"id\": \"{}\",\n      \"title\": \"{}\",\n      \
-                     \"wall_ms\": {:.3},\n      \"table_lines\": {}\n    }}",
-                    json_escape(e.id),
-                    json_escape(e.title),
-                    wall_ms,
-                    rendered.lines().count()
-                )
-            })
-            .collect();
-        let mut reproduce = Vec::new();
-        if quick {
-            reproduce.push("--quick".to_string());
-        }
-        if let Some(p) = protocol {
-            reproduce.push(format!("--protocol {}", p.name()));
-        }
-        reproduce.extend(selected.iter().cloned());
-        reproduce.push("--json".to_string());
-        println!("{{");
-        println!(
-            "  \"generated_by\": \"cargo run --release -p fastreg-bench --bin report -- {}\",",
-            json_escape(&reproduce.join(" "))
-        );
-        println!("  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
-        println!("  \"experiments\": [");
-        println!("{}", entries.join(",\n"));
-        println!("  ]");
-        println!("}}");
-        return Ok(ExitCode::SUCCESS);
     }
 
     for e in EXPERIMENTS.iter().filter(|e| want(e)) {

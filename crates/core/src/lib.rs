@@ -16,7 +16,7 @@
 //!
 //! * [`config`] — cluster parameters and the feasibility predicates.
 //! * [`types`] — timestamps, client ids, the two-tag value scheme.
-//! * [`quorum`] — the counting machinery (`S − a·t − (a−1)·b`, blocks).
+//! * [`quorum`] — the predicates' message-set sizes (`S − a·t − (a−1)·b`).
 //! * [`predicate`] — the fast-read safety predicate (Fig. 2/5 line 19).
 //! * [`layout`] — role ↔ address mapping.
 //! * [`protocols`] — Fig. 2, Fig. 5, ABD, max–min, fast regular, MWMR,

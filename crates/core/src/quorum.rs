@@ -1,13 +1,10 @@
-//! Quorum arithmetic and the lower-bound block partition.
+//! Quorum arithmetic: the predicates' message-set sizes.
 //!
-//! All of the paper's counting arguments use a handful of quantities:
-//! `S − t` (the most replies an operation can wait for), `S − a·t` (the
-//! crash predicate's size family), `S − a·t − (a−1)·b` (the Byzantine
-//! predicate's size family), and the partition of servers into `R + 2`
-//! blocks of size ≤ `t` used by the lower-bound proofs (§5). This module
-//! centralizes them.
-
-use crate::config::ClusterConfig;
+//! The fast read's predicate (Figs. 2 and 5) needs a message set of
+//! `S − a·t` servers at witness level `a` under crashes, and of
+//! `S − a·t − (a−1)·b` under Byzantine faults. The lower-bound proofs'
+//! partition of the servers into blocks (§5, §6.2) lives with the
+//! constructions that use it, in `fastreg_adversary::blocks`.
 
 /// Required size of the message set `MS` for witness level `a` in the
 /// crash-stop predicate (Fig. 2 line 19): `S − a·t`.
@@ -25,43 +22,6 @@ pub fn crash_ms_size(s: u32, t: u32, a: u32) -> Option<u32> {
 pub fn byz_ms_size(s: u32, t: u32, b: u32, a: u32) -> Option<u32> {
     let need = s as i64 - (a as i64) * (t as i64) - ((a - 1) as i64) * (b as i64);
     (need >= 1).then_some(need as u32)
-}
-
-/// Partitions server indices `0..s` into `n_blocks` contiguous blocks, each
-/// of size at most `ceil(s / n_blocks)`, non-empty when `s ≥ n_blocks`.
-///
-/// For the crash lower bound the paper needs `R + 2` blocks of size `≤ t`,
-/// which exist exactly when `R ≥ S/t − 2` — i.e. the infeasible regime the
-/// proof assumes. This helper builds the proof's `B_1, …, B_{R+2}`.
-///
-/// # Panics
-///
-/// Panics if `n_blocks` is zero.
-pub fn partition_into_blocks(s: u32, n_blocks: u32) -> Vec<Vec<u32>> {
-    assert!(n_blocks > 0, "cannot partition into zero blocks");
-    let mut blocks = vec![Vec::new(); n_blocks as usize];
-    // Spread as evenly as possible: the first (s % n) blocks get one extra.
-    let base = s / n_blocks;
-    let extra = s % n_blocks;
-    let mut next = 0u32;
-    for (i, block) in blocks.iter_mut().enumerate() {
-        let size = base + u32::from((i as u32) < extra);
-        for _ in 0..size {
-            block.push(next);
-            next += 1;
-        }
-    }
-    blocks
-}
-
-/// Checks that a partition is usable for the crash lower-bound proof:
-/// `R + 2` non-empty blocks, each of size at most `t`.
-pub fn blocks_valid_for_crash_lb(cfg: &ClusterConfig, blocks: &[Vec<u32>]) -> bool {
-    blocks.len() == (cfg.r + 2) as usize
-        && blocks
-            .iter()
-            .all(|b| !b.is_empty() && b.len() <= cfg.t as usize)
-        && blocks.iter().map(|b| b.len() as u32).sum::<u32>() == cfg.s
 }
 
 #[cfg(test)]
@@ -83,57 +43,5 @@ mod tests {
         for a in 1..5 {
             assert_eq!(byz_ms_size(10, 2, 0, a), crash_ms_size(10, 2, a));
         }
-    }
-
-    #[test]
-    fn partition_covers_exactly_once() {
-        for (s, n) in [(5u32, 5u32), (7, 3), (10, 4), (3, 5)] {
-            let blocks = partition_into_blocks(s, n);
-            assert_eq!(blocks.len(), n as usize);
-            let mut all: Vec<u32> = blocks.iter().flatten().copied().collect();
-            all.sort();
-            assert_eq!(all, (0..s).collect::<Vec<_>>(), "s={s} n={n}");
-        }
-    }
-
-    #[test]
-    fn partition_is_balanced() {
-        let blocks = partition_into_blocks(7, 3);
-        let sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![3, 2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero blocks")]
-    fn partition_rejects_zero_blocks() {
-        partition_into_blocks(3, 0);
-    }
-
-    #[test]
-    fn lb_partition_exists_exactly_in_infeasible_regime() {
-        // S = 5, t = 1: R = 3 hits R >= S/t - 2, so 5 blocks of size <= 1
-        // exist. R = 2 is feasible and 4 blocks of size <= 1 cannot cover 5
-        // servers.
-        let cfg3 = ClusterConfig::crash_stop(5, 1, 3).unwrap();
-        let blocks = partition_into_blocks(5, 5);
-        assert!(blocks_valid_for_crash_lb(&cfg3, &blocks));
-
-        let cfg2 = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let blocks = partition_into_blocks(5, 4);
-        assert!(!blocks_valid_for_crash_lb(&cfg2, &blocks));
-    }
-
-    #[test]
-    fn lb_partition_requires_exact_cover() {
-        let cfg = ClusterConfig::crash_stop(5, 1, 3).unwrap();
-        // Wrong number of blocks.
-        assert!(!blocks_valid_for_crash_lb(
-            &cfg,
-            &partition_into_blocks(5, 4)
-        ));
-        // A block too large.
-        let mut blocks = partition_into_blocks(5, 5);
-        blocks[0].push(99);
-        assert!(!blocks_valid_for_crash_lb(&cfg, &blocks));
     }
 }

@@ -3,7 +3,7 @@
 //! | id | code | invariant |
 //! |----|------|-----------|
 //! | D1 | `nondet-order` | no `HashMap`/`HashSet` in modules that feed verdicts, traces, fingerprints or counterexample bytes |
-//! | D2 | `wall-clock` | `Instant::now`/`SystemTime` only in the real-threads runtime (`crates/rt`) and the bench crate |
+//! | D2 | `wall-clock` | no `Instant::now`/`SystemTime` anywhere; the one wall-clock source, `MonoClock::new`, carries a waiver |
 //! | D3 | `substrate-isolation` | simnet-only controls (`SimControl` & friends, fault-script types) never referenced from the threads substrate |
 //! | D4 | `panic-hygiene` | no `settle()`/bare `unwrap()` in non-test protocol/checker library code |
 //! | D5 | `registry-completeness` | every `ProtocolId` variant is exercised by `tests/protocol_conformance.rs` (its wiring is the protocol table's job, enforced by the compiler) |
@@ -26,7 +26,7 @@ use crate::scanner::{find_token, Scanned};
 pub enum Rule {
     /// D1: nondeterministic iteration order on a verdict-feeding path.
     NondetOrder,
-    /// D2: wall-clock reads outside the sanctioned runtime/bench sites.
+    /// D2: a wall-clock read.
     WallClock,
     /// D3: simnet-only steering referenced from the threads substrate.
     SubstrateIsolation,
@@ -86,7 +86,10 @@ impl Rule {
                 "no HashMap/HashSet where iteration order can reach a verdict, trace, \
                  fingerprint or counterexample"
             }
-            Rule::WallClock => "Instant::now/SystemTime only in crates/rt and crates/bench",
+            Rule::WallClock => {
+                "no Instant::now/SystemTime: time comes from the simulated clock or \
+                 from MonoClock, the one waived wall-clock source"
+            }
             Rule::SubstrateIsolation => {
                 "SimControl-only methods and fault-script types must not be referenced \
                  from the threads substrate"
@@ -166,12 +169,6 @@ fn d1_scope(p: &str) -> bool {
         || p == "crates/workload/src/driver.rs"
 }
 
-/// D2 exemptions: the sanctioned wall-clock sites (real-threads runtime
-/// and measurement surfaces).
-fn d2_exempt(p: &str) -> bool {
-    p.starts_with("crates/rt/") || p.starts_with("crates/bench/")
-}
-
 /// D3 scope: the threads substrate, which must stay steerable-free.
 fn d3_scope(p: &str) -> bool {
     p.starts_with("crates/rt/") || p == "crates/core/src/threads.rs"
@@ -228,9 +225,7 @@ pub fn check_file(path: &str, scanned: &Scanned) -> Vec<Finding> {
     if d1_scope(path) {
         rules.push((Rule::NondetOrder, D1_TOKENS, false));
     }
-    if !d2_exempt(path) {
-        rules.push((Rule::WallClock, D2_TOKENS, false));
-    }
+    rules.push((Rule::WallClock, D2_TOKENS, false));
     if d3_scope(path) {
         rules.push((Rule::SubstrateIsolation, D3_TOKENS, false));
     }
@@ -389,11 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn d2_exempts_the_runtime_sites() {
+    fn d2_applies_to_every_path() {
         let s = scan("let t = Instant::now();\n");
         assert_eq!(check_file("crates/workload/src/metrics.rs", &s).len(), 1);
-        assert_eq!(check_file("crates/rt/src/lib.rs", &s).len(), 0);
-        assert_eq!(check_file("crates/bench/src/bin/report.rs", &s).len(), 0);
+        // The runtime reads time through MonoClock; the bench crate reads
+        // none.
+        assert_eq!(check_file("crates/rt/src/lib.rs", &s).len(), 1);
+        assert_eq!(check_file("crates/bench/src/bin/report.rs", &s).len(), 1);
         // ThreadCluster reads time through its pool's clock.
         assert_eq!(check_file("crates/core/src/threads.rs", &s).len(), 1);
     }

@@ -61,7 +61,9 @@ fn d2_positive_gates() {
 }
 
 #[test]
-fn d2_negative_exempts_runtime_and_bench() {
+fn d2_negative_ignores_comments_and_strings() {
+    // The runtime and the bench crate get no exemption: only mentions
+    // outside code pass.
     let r = scan("d2/neg");
     assert_eq!(r.findings, vec![], "{}", r.table());
     assert_eq!(r.files_scanned, 2);

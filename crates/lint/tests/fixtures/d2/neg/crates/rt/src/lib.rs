@@ -1,6 +1,10 @@
-use std::time::Instant;
+//! A deadline in a doc example is not a clock read:
+//!
+//! ```
+//! let deadline = std::time::Instant::now();
+//! ```
 
-pub fn deadline_check() -> u128 {
-    let start = Instant::now();
-    start.elapsed().as_nanos()
+pub fn elapsed_us(clock: &MonoClock) -> u64 {
+    // Instant::now() is called once, inside MonoClock::new.
+    clock.elapsed_us()
 }

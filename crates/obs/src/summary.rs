@@ -28,7 +28,7 @@ impl LatencyStats {
     ///
     /// Percentiles are the nearest-rank-below order statistic
     /// (`sorted[floor((n-1)·p)]`) — the historical definition the
-    /// E16/E17 tables pin.
+    /// E9/E16 tables pin.
     pub fn from_latencies(mut lat: Vec<u64>) -> Option<Self> {
         if lat.is_empty() {
             return None;

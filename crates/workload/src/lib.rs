@@ -21,11 +21,11 @@
 //! | E11 | §1 single-reader corner | [`experiments::e11_single_reader`] |
 //! | E12 | exhaustive schedule exploration | [`experiments::e12_exploration`] |
 //! | E13 | seen-set ablation | [`experiments::e13_seen_ablation`] |
-//! | E14 | closed-loop scale | [`experiments::e14_scale`] |
+//! | E14 | closed-loop scale, bounded checker frontier | [`experiments::e14_scale`] |
 //! | E15 | parallel schedule exploration | [`experiments::e15_exploration`] |
 //! | E16 | sharded KV store sweep | [`experiments::e16_store`] |
-//! | E17 | real-threads runtime throughput | [`experiments::e17_rt_throughput`] |
-//! | E18 | checker throughput & memory | [`experiments::e18_checker_throughput`] |
+//! | E17 | real-threads runtime runs (µs-tick verdicts) | [`experiments::e17_rt_runs`] |
+//! | E18 | checker memory | [`experiments::e18_checker_memory`] |
 //! | E19 | observability invariants | [`experiments::e19_obs_invariants`] |
 //!
 //! Each experiment returns a rendered table (and asserts its own internal
