@@ -20,8 +20,8 @@
 
 use fastreg::config::ClusterConfig;
 use fastreg::protocols::registry::{Contract, ProtocolId};
+use fastreg_rt::threaded::map_ordered;
 use fastreg_simnet::fault::FaultScript;
-use fastreg_simnet::threaded::map_ordered;
 
 use super::cell::{splitmix64, Cell, CellExpectation, CellOutcome, FaultDistribution};
 use super::counterexample::Counterexample;

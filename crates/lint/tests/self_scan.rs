@@ -47,9 +47,9 @@ fn scan_actually_covered_the_tree() {
         "expected the annotated HashMap in the SWMR checker to be reported as allowed:\n{}",
         report.table()
     );
-    // D6: every OS thread in the shipped tree is created by crates/rt or
-    // simnet/src/threaded.rs, so the scan sees no thread-spawn findings
-    // at all — not even allowed ones.
+    // D6: every OS thread in the shipped tree is created by crates/rt,
+    // so the scan sees no thread-spawn findings at all — not even
+    // allowed ones.
     assert!(
         !report.findings.iter().any(|f| f.rule == Rule::ThreadSpawn),
         "raw thread creation leaked outside the sanctioned substrates:\n{}",

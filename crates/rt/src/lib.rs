@@ -77,6 +77,19 @@
 //! the simulator's crashed receivers do. The pool keeps running;
 //! [`ActorPool::shutdown`] reports the crashed actors.
 //!
+//! ## Threads for other work
+//!
+//! This crate is the workspace's one home for OS threads (lint rule D6
+//! exempts `crates/rt/` and nothing else). Besides the actor pool,
+//! [`threaded`] holds the two fan-out tools for work that is not
+//! automata, both with results independent of the thread count:
+//! [`threaded::map_ordered`], scoped threads spawned per call over
+//! items that may borrow, and [`threaded::Crew`], helper threads kept
+//! for a crew's life over owned items — the sharded store's shards, one
+//! fixed worker each. They are two tools because a long-lived thread
+//! cannot hold a borrow; a crew waits for work by the same polling rule
+//! as a spawned pool worker.
+//!
 //! ## Example
 //!
 //! ```
@@ -127,6 +140,8 @@
 //! ```
 
 #![warn(missing_docs)]
+
+pub mod threaded;
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -318,8 +333,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
     /// message — worker 0's on the caller's thread, before this returns.
     pub fn spawn(automata: Vec<Box<dyn Automaton<Msg = M>>>, cfg: RtConfig) -> Self {
         let workers = cfg.workers.clamp(1, automata.len().max(1));
-        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        Self::spawn_polling(automata, workers, poll_tries(workers, cores))
+        Self::spawn_polling(automata, workers, poll_tries(workers, available_cores()))
     }
 
     /// [`spawn`](Self::spawn) over `workers` (already clamped), whose
@@ -545,6 +559,14 @@ fn fill<M>(rx: &Receiver<Job<M>>, batch: &mut Vec<Job<M>>) {
     }
 }
 
+/// The host's cores as [`std::thread::available_parallelism`] counts
+/// them (1 if it cannot tell): what [`ActorPool::spawn`] reads once per
+/// pool, and a [`Crew`](threaded::Crew)'s owner once per crew, to decide
+/// whether waiting threads may poll.
+pub fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 /// How many times each spawned worker of a pool of `workers` threads on
 /// `cores` cores tries its channel before it parks: [`POLL_TRIES`] while
 /// every thread has a core of its own, and none on a host with fewer
@@ -559,11 +581,12 @@ fn poll_tries(workers: usize, cores: usize) -> u32 {
     }
 }
 
-/// The next job on a spawned worker's channel: tried up to `poll_tries`
-/// times — spinning, and yielding the core every [`TRIES_PER_YIELD`]
-/// tries — before the worker parks in a blocking receive. `None` once
-/// every sender is gone.
-fn next_job<M>(rx: &Receiver<Job<M>>, poll_tries: u32) -> Option<Job<M>> {
+/// The next job on a spawned worker's channel (or, in a
+/// [`Crew`](threaded::Crew), on a helper's or the waiting caller's):
+/// tried up to `poll_tries` times — spinning, and yielding the core
+/// every [`TRIES_PER_YIELD`] tries — before the worker parks in a
+/// blocking receive. `None` once every sender is gone.
+fn next_job<J>(rx: &Receiver<J>, poll_tries: u32) -> Option<J> {
     for tries in 1..=poll_tries {
         if let Ok(job) = rx.try_recv() {
             return Some(job);

@@ -4,8 +4,8 @@
 //! A step `<p, M>` delivers a message set `M`; the automaton atomically
 //! updates its state and emits output messages through an [`Outbox`]. The
 //! same automaton type runs unchanged under the discrete-event
-//! [`World`](crate::world::World) and the wall-clock
-//! [`threaded`](crate::threaded) runtime.
+//! [`World`](crate::world::World) and the wall-clock threads runtime
+//! (`fastreg_rt`).
 
 use std::any::Any;
 use std::cell::Cell;

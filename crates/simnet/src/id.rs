@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// The transport-level address of a process in a [`World`](crate::world::World)
-/// or a [`threaded`](crate::threaded) runtime.
+/// or on the threads runtime (`fastreg_rt`).
 ///
 /// Identifiers are assigned densely from zero in the order actors are added.
 /// Protocol-level role mappings (writer, reader *i*, server *j*) are layered

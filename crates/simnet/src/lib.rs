@@ -2,7 +2,8 @@
 //!
 //! A deterministic discrete-event simulator of the asynchronous
 //! message-passing model used by *How Fast can a Distributed Atomic Read
-//! be?* (PODC 2004), plus the workspace's order-preserving worker pool.
+//! be?* (PODC 2004). It spawns no threads: fanning independent worlds out
+//! over threads is `fastreg_rt::threaded`'s job.
 //!
 //! ## The model
 //!
@@ -42,8 +43,6 @@
 //! * [`byz`] holds the protocol-agnostic Byzantine actor, [`byz::Mute`].
 //! * [`trace::Trace`] records every send/deliver/crash for debugging and for
 //!   rendering the proof constructions.
-//! * [`threaded`] hosts [`threaded::map_ordered`], the order-preserving
-//!   worker pool independent simulated worlds are fanned out over.
 //!
 //! ## Example
 //!
@@ -91,7 +90,6 @@ pub mod fault;
 pub mod id;
 pub mod runner;
 pub mod stats;
-pub mod threaded;
 pub mod time;
 pub mod trace;
 pub mod world;

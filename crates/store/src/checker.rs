@@ -16,7 +16,7 @@ use fastreg::protocols::registry::{Contract, ProtocolId};
 use fastreg_atomicity::history::{History, OpKind, Operation};
 use fastreg_atomicity::streaming::OnlineChecker;
 use fastreg_atomicity::verdict::Verdict;
-use fastreg_simnet::threaded::map_ordered;
+use fastreg_rt::threaded::map_ordered;
 
 use crate::kv::Key;
 use crate::store::ShardedStore;
@@ -216,8 +216,9 @@ impl StoreChecker {
         let router = store.router();
         let w = store.cfg().w;
         // Resolve shard/contract metadata up front so the workers only
-        // touch plain data, not the store.
-        let items: Vec<(KeyVerdict, History)> = history
+        // touch plain data, not the store; each job rebuilds its own
+        // key's history, so no more than one per worker is alive at once.
+        let items: Vec<(KeyVerdict, Vec<&Operation>)> = history
             .per_key_ops()
             .into_iter()
             .map(|(key, ops)| {
@@ -231,11 +232,11 @@ impl StoreChecker {
                     contract,
                     verdict: Verdict::Clean,
                 };
-                (seed, rebuild(ops.into_iter()))
+                (seed, ops)
             })
             .collect();
-        let per_key = map_ordered(items, threads, move |_, (seed, sub)| KeyVerdict {
-            verdict: OnlineChecker::check(seed.contract.spec(w), &sub),
+        let per_key = map_ordered(items, threads, move |_, (seed, ops)| KeyVerdict {
+            verdict: OnlineChecker::check(seed.contract.spec(w), &rebuild(ops.into_iter())),
             ..seed
         });
         StoreCheckReport { per_key }

@@ -59,7 +59,9 @@ pub struct BatchedFrontend {
 
 impl BatchedFrontend {
     /// A frontend over `store`, flushing automatically once `window` ops
-    /// are pending; `threads` goes to [`ShardedStore::apply_batch`].
+    /// are pending. Every flush goes to [`ShardedStore::apply_batch`]
+    /// with `threads`, which flushes the shards on up to that many
+    /// workers without changing any result.
     ///
     /// A zero `window` is treated as 1 (flush per op — the unbatched
     /// degenerate mode, useful as a baseline).

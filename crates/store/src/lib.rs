@@ -17,8 +17,8 @@
 //!       Router │shard_of(k)│               │     (shards share
 //!              ▼           ▼               ▼      nothing; each
 //!         ┌─────────┐ ┌─────────┐    ┌─────────┐  applies its own
-//!         │ Shard 0 │ │ Shard 1 │ …  │ Shard S │  sub-batch, in
-//!         │fast-crash│ │  abd    │    │fast-byz │  shard order)
+//!         │ Shard 0 │ │ Shard 1 │ …  │ Shard S │  sub-batch, shard
+//!         │fast-crash│ │  abd    │    │fast-byz │  i on worker i mod w)
 //!         └────┬────┘ └────┬────┘    └────┬────┘
 //!              │ one DynCluster per key   │
 //!              ▼           ▼              ▼
@@ -38,10 +38,13 @@
 //!   — shards may run *different* protocols behind one router
 //!   (heterogeneous backends).
 //! * The [`frontend::BatchedFrontend`] coalesces an operation stream
-//!   into per-shard batches and drives the hit shards in shard order;
-//!   they share nothing, and the checker's fan-out preserves key order,
-//!   so verdicts, histories and the store fingerprint are **identical at
-//!   any thread count**. The fingerprint folds each key's full-run trace
+//!   into per-shard batches, and every flush runs the hit shards on `w =
+//!   min(threads, cores, shards)` workers: the caller's thread and `w −
+//!   1` helper threads the store keeps for its life
+//!   ([`fastreg_rt::threaded::Crew`]), shard `i` always on worker `i mod
+//!   w`. Shards share nothing, and the checker's fan-out preserves key
+//!   order, so verdicts, histories and the store fingerprint are
+//!   **identical at any thread count**. The fingerprint folds each key's full-run trace
 //!   digest: a key's world stores no trace and hashes every event as it
 //!   happens, so a hot key's millionth event counts as much as its
 //!   first. It is an in-process identity; only rendered trace

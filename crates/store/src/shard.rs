@@ -194,6 +194,13 @@ impl Shard {
         self.apply_staged()
     }
 
+    /// [`apply_staged`](Shard::apply_staged) if anything is staged, and
+    /// `None` otherwise: the step the store's crew runs on every shard
+    /// of a flush.
+    pub(crate) fn flush(&mut self) -> Option<Result<ShardBatch, StoreError>> {
+        (!self.staged.is_empty()).then(|| self.apply_staged())
+    }
+
     /// [`apply`](Shard::apply) to the staged sub-batch, which it empties.
     pub(crate) fn apply_staged(&mut self) -> Result<ShardBatch, StoreError> {
         // Stable: keys ascending, submission order within a key.

@@ -6,6 +6,7 @@ use fastreg::config::ClusterConfig;
 use fastreg::harness::BuildError;
 use fastreg::protocols::registry::ProtocolId;
 use fastreg_auth::digest::DigestWriter;
+use fastreg_rt::threaded::Crew;
 use fastreg_simnet::runner::SimConfig;
 
 use crate::checker::KvHistory;
@@ -129,6 +130,7 @@ impl StoreBuilder {
             router: Router::new(self.shards),
             shards,
             cfg: self.cfg,
+            crew: Crew::new(Shard::flush, fastreg_rt::available_cores()),
         })
     }
 }
@@ -162,9 +164,9 @@ impl BatchStats {
 /// * each [`Shard`] owns one independent register deployment per key,
 ///   built from the shard's [`ProtocolId`] backend;
 /// * [`apply_batch`](ShardedStore::apply_batch) routes a batch of
-///   [`KvOp`]s and drives the affected shards, which share nothing, in
-///   shard order — a thread count never changes results (checked on
-///   [`fingerprint`](ShardedStore::fingerprint)s);
+///   [`KvOp`]s and drives the affected shards, which share nothing, each
+///   on its fixed worker thread — a thread count never changes results
+///   (checked on [`fingerprint`](ShardedStore::fingerprint)s);
 /// * [`global_history`](ShardedStore::global_history) harvests every
 ///   register's recorded operations into one key-tagged history for the
 ///   [`StoreChecker`](crate::checker::StoreChecker).
@@ -172,6 +174,9 @@ pub struct ShardedStore {
     router: Router,
     shards: Vec<Shard>,
     cfg: ClusterConfig,
+    /// Flushes shard `i` on worker `i mod w`; its helpers live as long
+    /// as the store.
+    crew: Crew<Shard, Option<Result<ShardBatch, StoreError>>>,
 }
 
 impl ShardedStore {
@@ -233,37 +238,42 @@ impl ShardedStore {
     ///
     /// Ops are grouped per shard by the router, **preserving submission
     /// order within each shard**; each hit shard then applies its
-    /// sub-batch independently (see [`Shard::apply`] for the per-key wave
-    /// semantics), in shard order, so the stats and any error are a
-    /// function of the ops alone.
+    /// sub-batch (see [`Shard::apply`] for the per-key wave semantics).
     ///
-    /// The shards are driven one after another on the calling thread,
-    /// whatever `_threads` says. A flush hands a shard tens of
-    /// microseconds of work (measured: 8 sub-batches of ≈ 8 ops), less
-    /// than handing it to another thread costs — to threads spawned per
-    /// batch or to helpers parked between batches, both measured slower.
-    /// The parameter stays for the callers that carry a thread count
-    /// (it still sizes the [`StoreChecker`](crate::checker::StoreChecker)'s
-    /// fan-out); shards share nothing, so a fan-out can return here
-    /// without changing a result.
+    /// The shards are flushed on `w = min(threads, cores, shards)`
+    /// workers, with the host's cores read once per store: worker 0 is
+    /// the calling thread, and workers `1..w` are threads the store
+    /// spawns at its first flush and keeps for its life. Shard `i` is
+    /// always flushed by worker `i mod w`, moved there for the flush and
+    /// back. Shards share nothing, so the shards, the stats, the error,
+    /// every key's history and the [`fingerprint`](Self::fingerprint)
+    /// are the same at any `threads`; at `w = 1` (one core, or `threads
+    /// ≤ 1`) nothing is spawned and the caller flushes every shard.
     ///
     /// # Errors
     ///
     /// Returns the first (by shard order) [`StoreError`] if any shard
     /// stalled; later shards of the same batch still ran.
-    pub fn apply_batch(&mut self, ops: &[KvOp], _threads: usize) -> Result<BatchStats, StoreError> {
+    pub fn apply_batch(&mut self, ops: &[KvOp], threads: usize) -> Result<BatchStats, StoreError> {
         for op in ops {
             let shard = self.router.shard_of(op.key) as usize;
             self.shards[shard].staged.push(*op);
         }
         let (mut stats, mut stalled) = (BatchStats::default(), None);
-        for shard in self.shards.iter_mut().filter(|s| !s.staged.is_empty()) {
-            match shard.apply_staged() {
+        for flushed in self.crew.run(&mut self.shards, threads).flatten() {
+            match flushed {
                 Ok(batch) => stats.absorb(&batch),
                 Err(e) => stalled = stalled.or(Some(e)),
             }
         }
         stalled.map_or(Ok(stats), Err)
+    }
+
+    /// Replaces the store's crew with one that believes the host has
+    /// `cores` cores, so tests reach `w > 1` on any host.
+    #[cfg(test)]
+    pub(crate) fn claim_cores(&mut self, cores: usize) {
+        self.crew = Crew::new(Shard::flush, cores);
     }
 
     /// Harvests every register's recorded operations into one key-tagged
@@ -289,7 +299,7 @@ impl fmt::Debug for ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::KvOp;
+    use crate::kv::{Key, KvOp};
 
     fn small_store(shards: u32) -> ShardedStore {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
@@ -371,41 +381,60 @@ mod tests {
 
     #[test]
     fn results_are_identical_at_any_thread_count() {
-        let fingerprints: Vec<u64> = [1usize, 2, 4, 8]
-            .into_iter()
-            .map(|threads| {
-                let mut store = small_store(8);
-                for chunk in mixed_ops(120).chunks(30) {
-                    store.apply_batch(chunk, threads).unwrap();
-                }
-                store.fingerprint()
-            })
-            .collect();
-        assert!(
-            fingerprints.windows(2).all(|w| w[0] == w[1]),
-            "thread count changed the store's execution: {fingerprints:?}"
-        );
+        // Four claimed cores, so threads 2, 4 and 8 really spawn helpers
+        // on any host (8 is clamped to w = 4).
+        let ops = mixed_ops(120);
+        let run = |threads: usize| {
+            let mut store = small_store(8);
+            store.claim_cores(4);
+            let stats: Vec<BatchStats> = (ops.chunks(30))
+                .map(|chunk| store.apply_batch(chunk, threads).unwrap())
+                .collect();
+            assert_eq!(store.crew.workers(), threads.min(4));
+            let shards = store.shards();
+            let per_shard: Vec<(u32, u64)> = (shards.iter())
+                .map(|s| (s.index(), s.ops_applied()))
+                .collect();
+            let histories: Vec<(Key, String)> = (shards.iter())
+                .flat_map(|s| {
+                    s.keys()
+                        .map(move |k| (k, s.key_history(k).unwrap().render()))
+                })
+                .collect();
+            (stats, per_shard, histories, store.fingerprint())
+        };
+        let one = run(1);
+        assert_eq!(one.2.len(), 13, "every key has a history");
+        for threads in [2, 4, 8] {
+            assert_eq!(run(threads), one, "threads = {threads}");
+        }
     }
 
     #[test]
     fn a_stalled_batch_reports_the_first_shard_and_keeps_every_shard() {
         // A 1-step budget cannot settle any key, so every hit shard
-        // stalls; the report must be the lowest-indexed one at any thread
-        // count, the later shards still ran, and nothing stays staged.
+        // stalls; the report must be the lowest-indexed one at any worker
+        // count (four claimed cores: a stall on a helper's shard comes
+        // back too), the later shards still ran, and nothing stays staged.
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
         let ops = mixed_ops(40);
-        for threads in [1, 4] {
+        let mut first = None;
+        for threads in [1, 2, 4] {
             let mut store = StoreBuilder::new(cfg)
                 .shards(8)
                 .sim(SimConfig::default().with_max_steps(1))
                 .build()
                 .unwrap();
+            store.claim_cores(4);
             let first_hit = (ops.iter().map(|op| store.router().shard_of(op.key)))
                 .min()
                 .unwrap();
-            let StoreError::ShardStalled { shard, .. } =
-                store.apply_batch(&ops, threads).unwrap_err();
+            let err = store.apply_batch(&ops, threads).unwrap_err();
+            assert_eq!(store.crew.workers(), threads);
+            let StoreError::ShardStalled { shard, .. } = err;
             assert_eq!(shard, first_hit, "threads = {threads}");
+            let shown = first.get_or_insert_with(|| err.to_string());
+            assert_eq!(*shown, err.to_string(), "threads = {threads}");
             let order: Vec<u32> = store.shards().iter().map(Shard::index).collect();
             assert_eq!(order, (0..8).collect::<Vec<_>>(), "threads = {threads}");
             // Nothing is left staged: the next batch starts clean.

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use fastreg_simnet::threaded::map_ordered;
+use fastreg_rt::threaded::map_ordered;
 use fastreg_store::router::Router;
 
 proptest! {

@@ -1550,45 +1550,6 @@ mod tests {
     }
 
     #[test]
-    fn e2_runs_and_orders_protocols() {
-        let t = e2_round_trips();
-        assert_eq!(t.len(), 3);
-        let s = t.render();
-        // Protocol names come from the registry now.
-        assert!(s.contains(ProtocolId::FastCrash.name()));
-        assert!(s.contains(ProtocolId::MaxMin.name()));
-        assert!(s.contains(ProtocolId::Abd.name()));
-    }
-
-    #[test]
-    fn e3_covers_both_sides_of_the_bound() {
-        let t = e3_crash_lower_bound();
-        let s = t.render();
-        assert!(s.contains("ATOMICITY VIOLATED"));
-        assert!(s.contains("impossible (no block partition)"));
-    }
-
-    #[test]
-    fn e5_runs() {
-        let s = e5_byz_lower_bound().render();
-        assert!(s.contains("ATOMICITY VIOLATED"));
-        assert!(s.contains("construction impossible"));
-    }
-
-    #[test]
-    fn e6_runs() {
-        let s = e6_mwmr().render();
-        assert!(s.contains("false"));
-    }
-
-    #[test]
-    fn e10_runs() {
-        let s = e10_predicate().render();
-        assert!(s.contains("witness level"));
-        assert!(s.contains("300/300"));
-    }
-
-    #[test]
     fn e15_explores_both_directions_deterministically() {
         let t = e15_exploration(144, 2);
         // One row per (strategy, default-grid point): 2 strategies ×
@@ -1619,31 +1580,5 @@ mod tests {
         assert!(s.contains("zipf(1.2)"));
         assert!(s.contains("clean"));
         assert!(s.contains("uniform"));
-    }
-
-    #[test]
-    fn e19_holds_invariants_for_every_protocol() {
-        let t = e19_obs_invariants(40);
-        // One row per registered protocol plus the rt-counters row.
-        assert_eq!(t.len(), ProtocolId::ALL.len() + 1);
-        let s = t.render();
-        for id in ProtocolId::ALL {
-            assert!(s.contains(id.name()), "e19 must cover {}", id.name());
-        }
-        assert!(s.contains("balanced"));
-        assert!(s.contains("rt-counters"));
-    }
-
-    #[test]
-    fn e18_compares_checkers_at_ci_sizes() {
-        // CI-sized: batch runs only at the small size; the frontier
-        // bound inside the experiment still arms at both.
-        let t = e18_checker_memory(&[9_000, 60_000], 9_000);
-        // streaming per size, batch at the small size.
-        assert_eq!(t.len(), 3);
-        let s = t.render();
-        assert!(s.contains("streaming"));
-        assert!(s.contains("batch"));
-        assert!(s.contains("clean"));
     }
 }

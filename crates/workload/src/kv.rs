@@ -126,8 +126,11 @@ impl KvReport {
     }
 }
 
-/// Runs a closed-loop KV workload against `store`, driving shards on
-/// `threads` worker threads, and checks every key's contract.
+/// Runs a closed-loop KV workload against `store` and checks every
+/// key's contract. `threads` sizes both fan-outs: the store flushes its
+/// shards on up to `threads` workers (each shard on a fixed one, see
+/// [`ShardedStore::apply_batch`]), and the checker grades keys on up to
+/// `threads` scoped threads. The report is the same at any `threads`.
 ///
 /// Put values are globally unique (`1, 2, 3, …`), so every per-key
 /// sub-history stays checkable by the SWMR machinery (distinct written
@@ -188,7 +191,7 @@ pub fn run_kv_workload(
     // Per-key checks run concurrently on the same worker-thread budget
     // that drove the shards (the report is thread-count independent).
     let check = StoreChecker::check_streaming(&store, &global, threads);
-    let breakdown = OpBreakdown::of(&global.latency_history());
+    let breakdown = OpBreakdown::of_ops(global.records().iter().map(|r| &r.op));
     let report = KvReport {
         stats,
         check,

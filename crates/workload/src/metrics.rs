@@ -7,7 +7,7 @@
 //! The tests below pin its outputs (p50/p95/mean on known inputs)
 //! unchanged across the migration.
 
-use fastreg_atomicity::history::{History, OpKind};
+use fastreg_atomicity::history::{History, OpKind, Operation};
 
 pub use fastreg_obs::LatencyStats;
 
@@ -27,10 +27,17 @@ pub struct OpBreakdown {
 impl OpBreakdown {
     /// Computes the breakdown of a history.
     pub fn of(history: &History) -> Self {
+        Self::of_ops(history.ops())
+    }
+
+    /// Computes the breakdown of recorded operations, in any order: each
+    /// latency is its own op's interval, so no history needs rebuilding
+    /// first (the store's key-tagged records are read in place).
+    pub fn of_ops<'a>(ops: impl IntoIterator<Item = &'a Operation>) -> Self {
         let mut reads = Vec::new();
         let mut writes = Vec::new();
         let mut incomplete = 0;
-        for op in history.ops() {
+        for op in ops {
             match op.responded_at {
                 Some(resp) => {
                     let lat = resp - op.invoked_at;

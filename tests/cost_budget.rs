@@ -156,14 +156,17 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// 64 clients, 10 % puts) on a fresh store with `threads = 1`, so this
 /// thread's tally sees every shard: routing, per-key world construction,
 /// waves, the global history, per-key checks and the report's
-/// fingerprint. Most of a row is building the worlds; their traces are
-/// digest-only and store nothing. Same ratchet as [`COST_PINS`].
+/// fingerprint (`threads = 1` is also `w = 1`: the store's crew spawns no
+/// helper, and flushes every shard on this thread). Most of a row is
+/// building the worlds; their traces are digest-only and store nothing.
+/// The latency breakdown reads the global history's records in place.
+/// Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
-    (MIX, 9_377, 2_409_294, 242),
-    (&[ProtocolId::FastCrash], 10_016, 2_476_294, 242),
-    (&[ProtocolId::Abd], 8_047, 2_099_510, 242),
-    (&[ProtocolId::FastByz], 10_742, 2_829_318, 242),
+    (MIX, 9_369, 2_246_718, 242),
+    (&[ProtocolId::FastCrash], 10_008, 2_313_718, 242),
+    (&[ProtocolId::Abd], 8_039, 1_936_934, 242),
+    (&[ProtocolId::FastByz], 10_734, 2_666_742, 242),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more

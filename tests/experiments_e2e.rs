@@ -10,6 +10,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use fastreg_suite::fastreg_workload::experiments::{self as exp, EXPERIMENTS};
+use fastreg_suite::prelude::ProtocolId;
 
 /// The table of experiment `id` at the parameters its golden pins,
 /// rendered once per test run. The pins are the `--quick` parameters,
@@ -90,6 +91,7 @@ fn e1_fast_crash_atomicity_is_clean() {
 fn e2_round_trip_structure() {
     // Protocol name column comes from the registry's kebab-case names.
     let s = rendered("e2");
+    assert_eq!(rows(s).count(), 3);
     assert!(s.contains("fast-crash"));
     assert!(s.contains("max-min"));
     assert!(s.contains("abd"));
@@ -100,6 +102,7 @@ fn e3_lower_bound_both_sides() {
     let s = rendered("e3");
     assert!(s.contains("ATOMICITY VIOLATED"));
     assert!(s.contains("atomic in"));
+    assert!(s.contains("impossible (no block partition)"));
 }
 
 #[test]
@@ -144,7 +147,9 @@ fn e9_latency_distributions() {
 
 #[test]
 fn e10_predicate_internals() {
-    assert!(rendered("e10").contains("witness level"));
+    let s = rendered("e10");
+    assert!(s.contains("witness level"));
+    assert!(s.contains("300/300"));
 }
 
 #[test]
@@ -192,4 +197,28 @@ fn e16_store_sweep_serves_a_keyspace_with_clean_per_key_verdicts() {
     assert!(s.contains("mixed"), "heterogeneous backends swept");
     assert!(s.contains("zipf(1.2)"), "skewed keyspace swept");
     assert!(s.contains("clean"), "per-key verdict column rendered");
+}
+
+#[test]
+fn e18_streaming_holds_a_bounded_frontier_where_batch_holds_every_op() {
+    // Streaming at both sizes, batch at the small one only; the
+    // experiment itself asserts the resident bound and that the two
+    // checkers agree.
+    let s = rendered("e18");
+    assert_eq!(rows(s).count(), 3);
+    assert_eq!(rows(s).filter(|l| l.contains("streaming")).count(), 2);
+    assert_eq!(rows(s).filter(|l| l.contains("batch")).count(), 1);
+    assert!(rows(s).all(|l| l.trim_end().ends_with("clean")));
+}
+
+#[test]
+fn e19_holds_the_obs_invariants_for_every_protocol() {
+    // One row per registered protocol plus the rt-counters row.
+    let s = rendered("e19");
+    assert_eq!(rows(s).count(), ProtocolId::ALL.len() + 1);
+    for id in ProtocolId::ALL {
+        assert!(s.contains(id.name()), "e19 must cover {}", id.name());
+    }
+    assert!(s.contains("balanced"));
+    assert!(s.contains("rt-counters"));
 }
