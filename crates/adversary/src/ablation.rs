@@ -2,13 +2,13 @@
 //! executed).
 //!
 //! For every threshold `k ∈ [1, S]`, the count-only variant of the Fig. 2
-//! reader ([`CountReader`]) is driven into an atomicity violation by one
+//! reader ([`count_cluster`]) is driven into an atomicity violation by one
 //! of two scripted schedules — *in a configuration where the real
 //! protocol is provably correct*. This is the ablation that justifies the
 //! `seen` sets: no amount of counting servers alone can be safe; the
 //! predicate must know which *clients* have seen the evidence.
 //!
-//! [`CountReader`]: fastreg::protocols::ablation::CountReader
+//! [`count_cluster`]: fastreg::protocols::ablation::count_cluster
 
 use fastreg::config::ClusterConfig;
 use fastreg::harness::RegisterOps;

@@ -41,7 +41,7 @@ impl Partition {
     /// * [`LbError::NoPartition`] when there are fewer servers than
     ///   blocks that must be non-empty (the paper handles this by
     ///   shrinking the reader set — callers should pick a smaller `R`).
-    pub fn of(cfg: &ClusterConfig) -> Result<Self, LbError> {
+    pub(crate) fn of(cfg: &ClusterConfig) -> Result<Self, LbError> {
         if cfg.t < 1 {
             return Err(LbError::NeedFaults);
         }
@@ -70,12 +70,12 @@ impl Partition {
     }
 
     /// The paper's `T_k` (1-based).
-    pub fn t(&self, k: u32) -> &[u32] {
+    pub(crate) fn t(&self, k: u32) -> &[u32] {
         &self.t_blocks[(k - 1) as usize]
     }
 
     /// The paper's `B_k` (1-based).
-    pub fn b(&self, k: u32) -> &[u32] {
+    pub(crate) fn b(&self, k: u32) -> &[u32] {
         &self.b_blocks[(k - 1) as usize]
     }
 }

@@ -53,7 +53,7 @@ impl FaultDistribution {
     ];
 
     /// The stable name (counterexample provenance, tables).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultDistribution::Calm => "calm",
             FaultDistribution::Crashy => "crashy",

@@ -34,7 +34,7 @@ use fastreg_simnet::fault::FaultScript;
 use super::cell::{Cell, FaultDistribution};
 
 /// The on-disk format version this module reads and writes.
-pub const FORMAT_HEADER: &str = "fastreg-counterexample v1";
+pub(crate) const FORMAT_HEADER: &str = "fastreg-counterexample v1";
 
 /// A serialized, replayable violating run.
 #[derive(Clone, Debug)]
@@ -132,7 +132,7 @@ impl Counterexample {
         )
     }
 
-    /// Renders the stable text form ([`FORMAT_HEADER`] first line).
+    /// Renders the stable text form (`FORMAT_HEADER` first line).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();

@@ -24,7 +24,7 @@ use super::cell::{Cell, CellOutcome};
 
 /// FNV-1a over a stable textual feature key — the deterministic feature
 /// hasher. 64-bit, no per-process state, identical on every platform.
-pub fn feature_hash(key: &str) -> u64 {
+pub(crate) fn feature_hash(key: &str) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -71,7 +71,7 @@ fn kind_verb(kind: FaultKind) -> &'static str {
 /// * `witness/…` — each predicate witness level per protocol, with its
 ///   log-bucketed occurrence count: how degraded the quorum state the
 ///   readers decided from was.
-pub fn behavior_features(cell: &Cell, outcome: &CellOutcome) -> Vec<u64> {
+pub(crate) fn behavior_features(cell: &Cell, outcome: &CellOutcome) -> Vec<u64> {
     let proto = cell.protocol.name();
     let dist = cell.dist.name();
     let mut features = Vec::with_capacity(4 + outcome.signals.witness_levels.len());
@@ -102,7 +102,7 @@ pub fn behavior_features(cell: &Cell, outcome: &CellOutcome) -> Vec<u64> {
 /// *not* feed the traversal score: the mutator manufactures new shapes
 /// on every call, so rewarding shape novelty would let any mutated pair
 /// feed itself budget regardless of what its runs do.
-pub fn script_features(cell: &Cell, faults: &FaultScript) -> Vec<u64> {
+pub(crate) fn script_features(cell: &Cell, faults: &FaultScript) -> Vec<u64> {
     let dist = cell.dist.name();
     let mut features = Vec::with_capacity(2 + faults.len());
     let mut push = |key: String| features.push(feature_hash(&key));
@@ -120,7 +120,7 @@ pub fn script_features(cell: &Cell, faults: &FaultScript) -> Vec<u64> {
 }
 
 /// The full feature set of one cell run:
-/// [`behavior_features`] ++ [`script_features`].
+/// the behavior features ++ the fault-script features.
 pub fn cell_features(cell: &Cell, faults: &FaultScript, outcome: &CellOutcome) -> Vec<u64> {
     let mut features = behavior_features(cell, outcome);
     features.extend(script_features(cell, faults));
@@ -158,7 +158,7 @@ impl CoverageMap {
     }
 
     /// Whether the feature has been seen.
-    pub fn contains(&self, feature: u64) -> bool {
+    pub(crate) fn contains(&self, feature: u64) -> bool {
         self.hits.contains_key(&feature)
     }
 
@@ -240,7 +240,7 @@ impl CoverageReport {
 /// Accumulates coverage in cell order and samples the saturation curve —
 /// the engine's fold target.
 #[derive(Clone, Debug)]
-pub struct CoverageTracker {
+pub(crate) struct CoverageTracker {
     map: CoverageMap,
     cells_seen: u32,
     window: u32,
@@ -250,7 +250,7 @@ pub struct CoverageTracker {
 impl CoverageTracker {
     /// A tracker for a run of `total_cells`, sampling the curve every
     /// `total_cells / 8` cells (clamped to `1..=1000`).
-    pub fn new(total_cells: u32) -> Self {
+    pub(crate) fn new(total_cells: u32) -> Self {
         CoverageTracker {
             map: CoverageMap::new(),
             cells_seen: 0,
@@ -260,7 +260,7 @@ impl CoverageTracker {
     }
 
     /// Records one run's features; returns how many were novel.
-    pub fn observe(&mut self, features: &[u64]) -> usize {
+    pub(crate) fn observe(&mut self, features: &[u64]) -> usize {
         let novel = self.map.observe(features);
         self.cells_seen += 1;
         if self.cells_seen.is_multiple_of(self.window) {
@@ -273,13 +273,13 @@ impl CoverageTracker {
     }
 
     /// The map accumulated so far.
-    pub fn map(&self) -> &CoverageMap {
+    pub(crate) fn map(&self) -> &CoverageMap {
         &self.map
     }
 
     /// Finalizes into a [`CoverageReport`] (appending the final curve
     /// point if the last window was partial).
-    pub fn finish(mut self, strategy: &'static str) -> CoverageReport {
+    pub(crate) fn finish(mut self, strategy: &'static str) -> CoverageReport {
         if self.curve.last().map(|p| p.cells) != Some(self.cells_seen) && self.cells_seen > 0 {
             self.curve.push(SaturationPoint {
                 cells: self.cells_seen,

@@ -9,7 +9,7 @@
 //! * a violation in a **sound, feasible** cell is a protocol bug — the
 //!   engine reports it as `unexpected` and callers should fail loudly;
 //! * a violation in a cell **beyond the bound** (or on a known-unsound
-//!   protocol) is the prize: it is shrunk ([`shrink`]) and packaged as a
+//!   protocol) is the prize: it is shrunk and packaged as a
 //!   replayable [`Counterexample`].
 //!
 //! Determinism is load-bearing: cell seeds derive from `(base_seed,
@@ -132,7 +132,7 @@ impl ExploreConfig {
     /// every (point, distribution) pair is covered before any is
     /// repeated with a fresh replicate seed. An empty grid expands to no
     /// cells.
-    pub fn cell_list(&self) -> Vec<Cell> {
+    pub(crate) fn cell_list(&self) -> Vec<Cell> {
         (0..self.cells as usize)
             .map_while(|i| {
                 pair_cell(

@@ -20,7 +20,7 @@
 //!   upgrade: stable run signals (verdict codes, trace shape, predicate
 //!   witness levels, message-reorder depth, fault-script shape) hash
 //!   into a [`coverage::CoverageMap`]; coverage-novel scripts are
-//!   retained and [`mutate::mutate`]d; and
+//!   retained and mutated; and
 //!   [`strategy::Strategy::CoverageGuided`] plans each batch toward the
 //!   pairs still producing novelty. [`strategy::Strategy::RandomGrid`]
 //!   keeps uniform sampling as the control baseline.
@@ -47,12 +47,8 @@ pub mod strategy;
 
 pub use cell::{Cell, CellExpectation, CellOutcome, FaultDistribution, RunSignals};
 pub use counterexample::{Counterexample, CounterexampleParseError, ReplayOutcome};
-pub use coverage::{
-    behavior_features, cell_features, feature_hash, script_features, CoverageMap, CoverageReport,
-    SaturationPoint,
-};
+pub use coverage::{cell_features, CoverageMap, CoverageReport, SaturationPoint};
 pub use engine::{default_grid, explore, ExploreConfig, ExploreReport, Finding, GridPoint};
 pub use exhaustive::{explore_fast_crash, ExploreOutcome, OpScript};
-pub use mutate::mutate;
-pub use shrink::{shrink, ShrinkStats};
+pub use shrink::ShrinkStats;
 pub use strategy::Strategy;

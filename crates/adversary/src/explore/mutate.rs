@@ -1,6 +1,6 @@
 //! Fault-script mutation: the move generator of coverage-guided search.
 //!
-//! A coverage-novel script is worth exploring *around*: [`mutate`]
+//! A coverage-novel script is worth exploring *around*: `mutate`
 //! derives a variant by inserting, removing, swapping or retiming a few
 //! events. The mutation rng is seeded from the cell salt and the variant
 //! counter only — never from the schedule rng — so a mutated script
@@ -9,7 +9,7 @@
 //! only the scripted faults differ. That is the same independence
 //! contract [`Cell::generate_faults`] documents, which is why mutants
 //! shrink and serialize through the existing
-//! [`shrink`](super::shrink::shrink) / [`Counterexample`] machinery
+//! shrink / [`Counterexample`] machinery
 //! without any special casing.
 //!
 //! [`Counterexample`]: super::counterexample::Counterexample
@@ -36,7 +36,7 @@ const MAX_EVENTS: usize = 64;
 /// on every machine. Applies one to three of the four moves — insert a
 /// random event, remove one, swap two (application order within a round
 /// is semantic), retime one to a different round.
-pub fn mutate(cell: &Cell, base: &FaultScript, variant: u64) -> FaultScript {
+pub(crate) fn mutate(cell: &Cell, base: &FaultScript, variant: u64) -> FaultScript {
     let mut rng = StdRng::seed_from_u64(splitmix64(
         cell.seed ^ MUTATION_SALT ^ splitmix64(variant.wrapping_add(1)),
     ));

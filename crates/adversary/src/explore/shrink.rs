@@ -52,7 +52,7 @@ pub struct ShrinkStats {
 ///
 /// Panics if `outcome` is not a proven violation (there is nothing to
 /// shrink).
-pub fn shrink(
+pub(crate) fn shrink(
     cell: &Cell,
     faults: &FaultScript,
     outcome: &CellOutcome,

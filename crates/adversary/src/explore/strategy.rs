@@ -5,7 +5,7 @@
 //! the search upgrade: run the same grid once as a pilot, then spend the
 //! remaining budget where the [`CoverageMap`] says new behavior keeps
 //! appearing — fresh seeds on protocol×config×distribution pairs with
-//! low coverage saturation, and [`mutate`]d variants of the scripts that
+//! low coverage saturation, and mutated variants of the scripts that
 //! produced novel features (the pool), `ENERGY` tries per pick.
 //!
 //! Determinism contract: batches are *planned* between `map_ordered`
@@ -50,12 +50,11 @@ impl Strategy {
         }
     }
 
-    /// Parses a CLI name. Accepts `random` / `random-grid` and
-    /// `coverage` / `coverage-guided`.
+    /// Parses a CLI name: the inverse of [`Strategy::name`].
     pub fn parse(name: &str) -> Option<Strategy> {
         match name {
-            "random" | "random-grid" => Some(Strategy::RandomGrid),
-            "coverage" | "coverage-guided" => Some(Strategy::CoverageGuided),
+            "random-grid" => Some(Strategy::RandomGrid),
+            "coverage-guided" => Some(Strategy::CoverageGuided),
             _ => None,
         }
     }
@@ -149,7 +148,7 @@ pub(crate) struct CoverageScheduler {
 }
 
 impl CoverageScheduler {
-    pub fn new(grid: &[GridPoint], ops: u32, base_seed: u64, total: u32) -> Self {
+    pub(crate) fn new(grid: &[GridPoint], ops: u32, base_seed: u64, total: u32) -> Self {
         let pairs = grid.len() * FaultDistribution::ALL.len();
         let pair_prior = (0..pairs)
             .map(|q| match grid[q % grid.len()].expectation() {
@@ -189,7 +188,7 @@ impl CoverageScheduler {
     }
 
     /// Plans the next batch of jobs; empty when the budget is spent.
-    pub fn next_batch(&mut self) -> Vec<Job> {
+    pub(crate) fn next_batch(&mut self) -> Vec<Job> {
         let remaining = self.total - self.scheduled;
         if remaining == 0 {
             return Vec::new();
@@ -294,7 +293,12 @@ impl CoverageScheduler {
     /// halving accumulator — `score/2 + gained` per run of the pair —
     /// so a saturated pair falls back to its prior within a few runs
     /// instead of coasting on history.
-    pub fn fold(&mut self, jobs: &[Job], outcomes: &[CellOutcome], tracker: &mut CoverageTracker) {
+    pub(crate) fn fold(
+        &mut self,
+        jobs: &[Job],
+        outcomes: &[CellOutcome],
+        tracker: &mut CoverageTracker,
+    ) {
         for (job, out) in jobs.iter().zip(outcomes) {
             let behavior = behavior_features(&job.cell, out);
             let novel = behavior
@@ -344,14 +348,14 @@ mod tests {
 
     #[test]
     fn strategy_names_round_trip_through_parse() {
-        assert_eq!(Strategy::parse("random"), Some(Strategy::RandomGrid));
         assert_eq!(Strategy::parse("random-grid"), Some(Strategy::RandomGrid));
-        assert_eq!(Strategy::parse("coverage"), Some(Strategy::CoverageGuided));
         assert_eq!(
             Strategy::parse("coverage-guided"),
             Some(Strategy::CoverageGuided)
         );
-        assert_eq!(Strategy::parse("solver"), None);
+        for rejected in ["random", "coverage", "solver"] {
+            assert_eq!(Strategy::parse(rejected), None, "{rejected}");
+        }
         for s in [Strategy::RandomGrid, Strategy::CoverageGuided] {
             assert_eq!(Strategy::parse(s.name()), Some(s));
         }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 /// Ticks of the run clock (virtual or wall-clock microseconds).
-pub type Tick = u64;
+pub(crate) type Tick = u64;
 
 /// A register value: the initial `⊥` or a written value.
 ///
@@ -97,7 +97,7 @@ impl Operation {
 
     /// Returns `true` if `self` precedes `other`: `self`'s response is
     /// before `other`'s invocation (§3.1).
-    pub fn precedes(&self, other: &Operation) -> bool {
+    pub(crate) fn precedes(&self, other: &Operation) -> bool {
         match self.responded_at {
             Some(r) => r < other.invoked_at,
             None => false,
@@ -106,16 +106,8 @@ impl Operation {
 
     /// Returns `true` if the operations are concurrent (neither precedes
     /// the other).
-    pub fn concurrent_with(&self, other: &Operation) -> bool {
+    pub(crate) fn concurrent_with(&self, other: &Operation) -> bool {
         !self.precedes(other) && !other.precedes(self)
-    }
-
-    /// The written value, if this is a write.
-    pub fn write_value(&self) -> Option<u64> {
-        match self.kind {
-            OpKind::Write { value } => Some(value),
-            OpKind::Read => None,
-        }
     }
 }
 
@@ -151,7 +143,7 @@ pub enum HistoryEvent {
 /// A recorded history of operations, in invocation order.
 ///
 /// Alongside the operation list, the history keeps an O(1) completion
-/// count ([`completed_len`](History::completed_len)). Per-client counts
+/// count (`completed_len`). Per-client counts
 /// live on the [`SharedHistory`] handle, where a driver reads them
 /// without locking.
 ///
@@ -179,7 +171,7 @@ impl History {
     }
 
     /// Reserves room for at least `additional` more operations.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.ops.reserve(additional);
     }
 
@@ -194,7 +186,7 @@ impl History {
     }
 
     /// Records an invocation.
-    pub fn invoke(&mut self, proc: u32, kind: OpKind, at: Tick) -> OpId {
+    pub(crate) fn invoke(&mut self, proc: u32, kind: OpKind, at: Tick) -> OpId {
         let id = OpId(self.ops.len());
         self.ops.push(Operation {
             id,
@@ -233,7 +225,8 @@ impl History {
     }
 
     /// Looks up one operation.
-    pub fn get(&self, id: OpId) -> Option<&Operation> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, id: OpId) -> Option<&Operation> {
         self.ops.get(id.0)
     }
 
@@ -248,14 +241,8 @@ impl History {
     }
 
     /// Number of completed operations, in O(1).
-    pub fn completed_len(&self) -> usize {
+    pub(crate) fn completed_len(&self) -> usize {
         self.completed
-    }
-
-    /// Number of operations still pending (invoked, not responded), in
-    /// O(1).
-    pub fn pending_len(&self) -> usize {
-        self.ops.len() - self.completed
     }
 
     /// What the `nth` (0-based, in invocation order) completed read of
@@ -450,7 +437,7 @@ mod tests {
         let r = h.invoke_read(1, 4);
         h.respond(r, Some(RegValue::Val(5)), 6);
         assert_eq!(h.len(), 2);
-        assert_eq!(h.get(w).unwrap().write_value(), Some(5));
+        assert_eq!(h.get(w).unwrap().kind, OpKind::Write { value: 5 });
         assert_eq!(h.get(r).unwrap().returned, Some(RegValue::Val(5)));
         assert_eq!(h.complete_ops().count(), 2);
     }
@@ -539,15 +526,12 @@ mod tests {
     fn incremental_counters_track_invoke_and_respond() {
         let mut h = History::new();
         assert_eq!(h.completed_len(), 0);
-        assert_eq!(h.pending_len(), 0);
         let w = h.invoke_write(0, 1, 0);
         let r = h.invoke_read(1, 0);
-        assert_eq!(h.pending_len(), 2);
         h.respond(w, None, 2);
         assert_eq!(h.completed_len(), 1);
         h.respond(r, Some(RegValue::Val(1)), 3);
         assert_eq!(h.completed_len(), 2);
-        assert_eq!(h.pending_len(), 0);
         // The counters agree with the scan they replace.
         assert_eq!(h.completed_len(), h.complete_ops().count());
     }

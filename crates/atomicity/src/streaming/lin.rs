@@ -189,14 +189,8 @@ impl StreamingLinChecker {
         self.max_resp = 0;
     }
 
-    /// Buffered operations currently resident (the open epoch).
-    pub fn resident_ops(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// The highest value [`resident_ops`](StreamingLinChecker::resident_ops)
-    /// has reached.
-    pub fn high_water_mark(&self) -> usize {
+    /// The most operations the open epoch has buffered at once.
+    pub(crate) fn high_water_mark(&self) -> usize {
         self.hwm
     }
 

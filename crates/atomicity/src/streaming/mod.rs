@@ -6,7 +6,7 @@
 //! [`History`] and return typed witnesses; they are the *oracle*. Every
 //! production verdict — the workload driver's, the store's per-key
 //! check, the explorer's — comes from the one [`OnlineChecker`] here,
-//! which replays a recorded history's [`HistoryEvent`]s in tick order
+//! which replays a recorded history's `HistoryEvent`s in tick order
 //! ([`OnlineChecker::on_history`]), keeps only the *frontier* resident,
 //! and answers with the same stable [`Verdict`] codes (pinned equal to
 //! the oracle by the 256-case `tests/streaming_equivalence.rs` suite).
@@ -34,7 +34,7 @@ pub mod online;
 pub use lin::StreamingLinChecker;
 pub use online::{replay_events, StreamingChecker};
 
-use crate::history::{History, HistoryEvent};
+use crate::history::History;
 use crate::verdict::Verdict;
 use online::for_each_event;
 
@@ -54,7 +54,7 @@ pub enum Spec {
 ///
 /// Feed it a recorded history with [`on_history`](OnlineChecker::on_history),
 /// or events in nondecreasing tick order with
-/// [`on_events`](OnlineChecker::on_events), and read the
+/// `on_events`, and read the
 /// [`verdict`](OnlineChecker::verdict) at any point; it treats the events
 /// so far as the complete history and carries the code the batch checker
 /// for the same [`Spec`] would emit.
@@ -125,7 +125,8 @@ impl OnlineChecker {
     ///
     /// Panics if an event's tick precedes an already-seen event's, or on
     /// a response for an operation whose invocation was never fed.
-    pub fn on_events(&mut self, events: &[HistoryEvent]) {
+    #[cfg(test)]
+    pub(crate) fn on_events(&mut self, events: &[crate::history::HistoryEvent]) {
         match &mut self.0 {
             Engine::Swmr(c) => c.on_events(events),
             Engine::Lin(c) => c.on_events(events),

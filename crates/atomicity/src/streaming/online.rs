@@ -150,7 +150,7 @@ impl StreamingChecker {
     }
 
     /// Creates a checker for Lamport *regularity*.
-    pub fn new_regular() -> Self {
+    pub(crate) fn new_regular() -> Self {
         Self::new(Mode::Regular)
     }
 
@@ -452,7 +452,7 @@ impl StreamingChecker {
     /// Operations (and per-operation summary entries) currently resident.
     /// This is what the frontier bounds; see the module docs for the one
     /// deliberate exception (the value→index map).
-    pub fn resident_ops(&self) -> usize {
+    pub(crate) fn resident_ops(&self) -> usize {
         self.open_writes.len()
             + self.pending_reads.len()
             + self.parked.len()
@@ -460,9 +460,9 @@ impl StreamingChecker {
             + self.write_resps.len()
     }
 
-    /// The highest value [`resident_ops`](StreamingChecker::resident_ops)
+    /// The highest value `resident_ops`
     /// has reached.
-    pub fn high_water_mark(&self) -> usize {
+    pub(crate) fn high_water_mark(&self) -> usize {
         self.hwm
     }
 

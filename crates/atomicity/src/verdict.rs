@@ -46,7 +46,7 @@ pub enum ViolationKind {
 
 impl ViolationKind {
     /// Every kind, in a stable order (for enumeration in tests/docs).
-    pub const ALL: [ViolationKind; 9] = [
+    pub(crate) const ALL: [ViolationKind; 9] = [
         ViolationKind::DuplicateWrittenValue,
         ViolationKind::MalformedWrites,
         ViolationKind::UnwrittenValue,
@@ -59,7 +59,7 @@ impl ViolationKind {
     ];
 
     /// The stable kebab-case code (what counterexample files store).
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             ViolationKind::DuplicateWrittenValue => "duplicate-written-value",
             ViolationKind::MalformedWrites => "malformed-writes",

@@ -72,7 +72,7 @@ impl DigestWriter {
 
     /// Feeds a length-prefixed byte string (unambiguous for variable-width
     /// payloads).
-    pub fn write_len_prefixed(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_len_prefixed(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
         self.write_bytes(bytes);
     }

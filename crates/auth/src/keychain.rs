@@ -10,13 +10,6 @@ use std::sync::Arc;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeyId(u32);
 
-impl KeyId {
-    /// The dense index of the key within its keychain.
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
 impl fmt::Debug for KeyId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "key{}", self.0)
@@ -35,7 +28,8 @@ pub struct Signature {
 
 impl Signature {
     /// The key this signature claims to be from.
-    pub fn key(&self) -> KeyId {
+    #[cfg(test)]
+    pub(crate) fn key(&self) -> KeyId {
         self.key
     }
 }
@@ -91,12 +85,14 @@ impl Keychain {
     }
 
     /// Number of keys issued.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.secrets.len()
     }
 
     /// Returns `true` if no keys have been issued.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.secrets.is_empty()
     }
 }

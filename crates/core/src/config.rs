@@ -133,7 +133,7 @@ impl ClusterConfig {
 
     /// The quorum size `S − t`: the most replies any operation may wait
     /// for without risking non-termination.
-    pub fn quorum(&self) -> u32 {
+    pub(crate) fn quorum(&self) -> u32 {
         self.s - self.t
     }
 
@@ -186,12 +186,6 @@ impl ClusterConfig {
     /// `t < S/2`, irrespective of `R`.
     pub fn fast_regular_feasible(&self) -> bool {
         self.w == 1 && 2 * self.t < self.s
-    }
-
-    /// Returns the config with a different reader count.
-    pub fn with_readers(mut self, r: u32) -> Self {
-        self.r = r;
-        self
     }
 }
 
@@ -281,16 +275,14 @@ mod tests {
             (4, 1, 0),
         ] {
             let base = ClusterConfig::byzantine(s, t, b, 0).unwrap();
+            let with_readers = |r| ClusterConfig { r, ..base };
             match base.max_fast_readers() {
                 Some(max_r) => {
-                    assert!(base.with_readers(max_r).fast_feasible(), "({s},{t},{b})");
-                    assert!(
-                        !base.with_readers(max_r + 1).fast_feasible(),
-                        "({s},{t},{b})"
-                    );
+                    assert!(with_readers(max_r).fast_feasible(), "({s},{t},{b})");
+                    assert!(!with_readers(max_r + 1).fast_feasible(), "({s},{t},{b})");
                 }
                 None => {
-                    assert!(!base.with_readers(0).fast_feasible());
+                    assert!(!with_readers(0).fast_feasible());
                 }
             }
         }

@@ -73,12 +73,12 @@ impl Layout {
     }
 
     /// All server addresses, in index order.
-    pub fn servers(&self) -> impl Iterator<Item = ProcessId> + '_ {
+    pub(crate) fn servers(&self) -> impl Iterator<Item = ProcessId> + '_ {
         (0..self.s).map(|j| self.server(j))
     }
 
     /// All reader addresses, in index order.
-    pub fn readers(&self) -> impl Iterator<Item = ProcessId> + '_ {
+    pub(crate) fn readers(&self) -> impl Iterator<Item = ProcessId> + '_ {
         (0..self.r).map(|i| self.reader(i))
     }
 
@@ -111,7 +111,7 @@ impl Layout {
 
     /// The paper's `pid` of a client address (writer → 0, reader `r_i` → i),
     /// if it is a client. Only meaningful for SWMR layouts (`W = 1`).
-    pub fn client_pid(&self, p: ProcessId) -> Option<ClientId> {
+    pub(crate) fn client_pid(&self, p: ProcessId) -> Option<ClientId> {
         match self.role_of(p) {
             Some(Role::Writer) => Some(ClientId::WRITER),
             Some(Role::Reader(i)) => Some(ClientId::reader(i)),

@@ -80,7 +80,7 @@ pub struct Server {
 
 impl Server {
     /// Creates a server holding `(ts0, ⊥)`.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -124,7 +124,7 @@ impl Automaton for Server {
 }
 
 /// The part of an alphabet the one-round timestamp [`Writer`] speaks.
-pub trait WriteAlphabet: Clone + std::fmt::Debug + Send + 'static {
+pub(crate) trait WriteAlphabet: Clone + std::fmt::Debug + Send + 'static {
     /// The value of an `InvokeWrite`.
     fn invoked_write(&self) -> Option<Value>;
     /// Writer → servers: store `(ts, value)`.

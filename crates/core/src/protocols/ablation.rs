@@ -4,7 +4,7 @@
 //! the number of servers, *as well as the number of readers*, that have
 //! seen the most recent timestamp" — which is why Fig. 2's servers
 //! maintain `seen` sets at all. This module makes that argument
-//! executable: [`CountReader`] is the Fig. 2 reader with the predicate
+//! executable: `CountReader` is the Fig. 2 reader with the predicate
 //! replaced by a bare count threshold `k` ("return `maxTS` iff at least
 //! `k` acks carry it"), over the unchanged Fig. 2 writer and servers.
 //!
@@ -30,7 +30,7 @@ use crate::types::{TaggedValue, Timestamp};
 
 /// The rule of a Fig. 2 reader whose predicate is `|maxTSmsg| ≥ k` —
 /// deliberately ignoring `seen`. Exists to be refuted.
-pub struct CountRule {
+pub(crate) struct CountRule {
     /// The count threshold under ablation.
     pub k: u32,
     /// Adopted timestamp (still written back, as in Fig. 2).
@@ -40,11 +40,11 @@ pub struct CountRule {
 }
 
 /// A Fig. 2 reader deciding by [`CountRule`].
-pub type CountReader = Client<CountRule>;
+pub(crate) type CountReader = Client<CountRule>;
 
 impl CountReader {
     /// Creates a count-threshold reader.
-    pub fn new(cfg: ClusterConfig, layout: Layout, k: u32, history: SharedHistory) -> Self {
+    pub(crate) fn new(cfg: ClusterConfig, layout: Layout, k: u32, history: SharedHistory) -> Self {
         let rule = CountRule {
             k,
             max_ts: Timestamp::ZERO,
@@ -54,7 +54,7 @@ impl CountReader {
     }
 }
 
-/// Fig. 2 with every reader a [`CountReader`] of threshold `k`, over the
+/// Fig. 2 with every reader a `CountReader` of threshold `k`, over the
 /// unchanged writer and servers.
 pub fn count_cluster(cfg: ClusterConfig, k: u32) -> Cluster<FastCrash> {
     ClusterBuilder::new(cfg).simulated(

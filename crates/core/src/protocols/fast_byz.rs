@@ -49,7 +49,7 @@ pub struct SignedRecord {
 
 impl SignedRecord {
     /// The unsigned initial record `(ts0, ⟨⊥|⊥⟩)`.
-    pub fn genesis() -> Self {
+    pub(crate) fn genesis() -> Self {
         SignedRecord {
             ts: Timestamp::ZERO,
             tags: TaggedValue::INITIAL,
@@ -76,7 +76,7 @@ impl SignedRecord {
     }
 
     /// Signs a record with the writer's handle.
-    pub fn signed(ts: Timestamp, tags: TaggedValue, signer: &SignerHandle) -> Self {
+    pub(crate) fn signed(ts: Timestamp, tags: TaggedValue, signer: &SignerHandle) -> Self {
         SignedRecord {
             ts,
             tags,
@@ -86,7 +86,7 @@ impl SignedRecord {
 
     /// Checks authenticity: the genesis record is valid unsigned; anything
     /// else must carry a valid writer signature over `(ts, tags)`.
-    pub fn is_valid(&self, verifier: &Verifier, writer_key: KeyId) -> bool {
+    pub(crate) fn is_valid(&self, verifier: &Verifier, writer_key: KeyId) -> bool {
         match &self.sig {
             None => self.ts == Timestamp::ZERO && self.tags == TaggedValue::INITIAL,
             Some(sig) => verifier.verify(writer_key, Self::payload_digest(self.ts, self.tags), sig),
@@ -155,7 +155,12 @@ pub struct Server {
 
 impl Server {
     /// Creates a server in its initial state.
-    pub fn new(cfg: &ClusterConfig, layout: Layout, verifier: Verifier, writer_key: KeyId) -> Self {
+    pub(crate) fn new(
+        cfg: &ClusterConfig,
+        layout: Layout,
+        verifier: Verifier,
+        writer_key: KeyId,
+    ) -> Self {
         Server {
             layout,
             verifier,
@@ -239,7 +244,7 @@ pub type Writer = Client<WriteRule>;
 
 impl Writer {
     /// Creates the writer holding the signing key.
-    pub fn new(
+    pub(crate) fn new(
         cfg: ClusterConfig,
         layout: Layout,
         history: SharedHistory,
@@ -323,7 +328,7 @@ pub type Reader = Client<ReadRule>;
 
 impl Reader {
     /// Creates reader `index` (0-based).
-    pub fn new(
+    pub(crate) fn new(
         cfg: ClusterConfig,
         layout: Layout,
         index: u32,

@@ -103,7 +103,7 @@ pub struct Server {
 
 impl Server {
     /// Creates a server in its initial state (line 25).
-    pub fn new(cfg: &ClusterConfig, layout: Layout) -> Self {
+    pub(crate) fn new(cfg: &ClusterConfig, layout: Layout) -> Self {
         Server {
             layout,
             ts: Timestamp::ZERO,
@@ -247,7 +247,7 @@ pub type Reader = Client<ReadRule>;
 
 impl Reader {
     /// Creates a reader in its initial state (line 11).
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
+    pub(crate) fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
         let rule = ReadRule {
             cfg,
             max_ts: Timestamp::ZERO,
@@ -495,11 +495,11 @@ mod tests {
         );
         // Finally deliver the stale r_counter = 1 read to s0: the server
         // must ignore it entirely — no reply is sent.
-        let before = w.pending_len();
+        let before = w.pending().count();
         let delivered =
             w.deliver_matching(|e| e.to == s0 && matches!(e.msg, Msg::Read { r_counter: 1, .. }));
         assert_eq!(delivered, 1);
-        assert_eq!(w.pending_len(), before - 1); // consumed, nothing emitted
+        assert_eq!(w.pending().count(), before - 1); // consumed, nothing emitted
         assert_eq!(
             w.with_actor::<Server, _, _>(s0, |s| s.counter[1]).unwrap(),
             2

@@ -70,7 +70,7 @@ pub struct Server {
 
 impl Server {
     /// Creates a server holding `(ts0, ⊥)`.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -100,7 +100,7 @@ pub struct Server {
 
 impl Server {
     /// Creates server `index` holding `(ts0, ⊥)`.
-    pub fn new(cfg: ClusterConfig, layout: Layout, index: u32) -> Self {
+    pub(crate) fn new(cfg: ClusterConfig, layout: Layout, index: u32) -> Self {
         Server {
             cfg,
             layout,
@@ -242,7 +242,12 @@ pub type Reader = Client<MinTs>;
 
 impl Reader {
     /// Creates reader `index` in its initial state.
-    pub fn new(cfg: ClusterConfig, layout: Layout, index: u32, history: SharedHistory) -> Self {
+    pub(crate) fn new(
+        cfg: ClusterConfig,
+        layout: Layout,
+        index: u32,
+        history: SharedHistory,
+    ) -> Self {
         Client::with_rule(cfg, layout, history, MinTs { index })
     }
 }

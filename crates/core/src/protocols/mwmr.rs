@@ -80,7 +80,7 @@ pub mod abd {
 
     impl Server {
         /// Creates a server holding `(ts0, ⊥)`.
-        pub fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Self::default()
         }
     }
@@ -131,7 +131,7 @@ pub mod abd {
 
     impl Client {
         /// Creates writer `wid`, or a reader if `None`.
-        pub fn new(
+        pub(crate) fn new(
             cfg: ClusterConfig,
             layout: Layout,
             wid: Option<u32>,
@@ -254,7 +254,7 @@ pub mod naive_fast {
 
     impl Server {
         /// Creates a server holding `(ts0, ⊥)`.
-        pub fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Self::default()
         }
     }
@@ -295,7 +295,12 @@ pub mod naive_fast {
 
     impl Writer {
         /// Creates writer `wid`.
-        pub fn new(cfg: ClusterConfig, layout: Layout, wid: u32, history: SharedHistory) -> Self {
+        pub(crate) fn new(
+            cfg: ClusterConfig,
+            layout: Layout,
+            wid: u32,
+            history: SharedHistory,
+        ) -> Self {
             Client::with_rule(cfg, layout, history, LocalSeq { wid })
         }
     }

@@ -30,7 +30,7 @@ use crate::layout::Layout;
 use crate::types::RegValue;
 
 /// The acks of one broadcast: one slot per server, filled by
-/// [`offer`](Round::offer) and read back in server-index order.
+/// `offer` and read back in server-index order.
 pub struct Round<A> {
     tag: u64,
     quorum: u32,
@@ -41,7 +41,7 @@ pub struct Round<A> {
 impl<A> Round<A> {
     /// An empty round for a deployment of `cfg.s` servers whose acks must
     /// echo `tag` (a read counter or a write timestamp).
-    pub fn new(cfg: &ClusterConfig, tag: u64) -> Self {
+    pub(crate) fn new(cfg: &ClusterConfig, tag: u64) -> Self {
         Round {
             tag,
             quorum: cfg.quorum(),
@@ -52,14 +52,14 @@ impl<A> Round<A> {
 
     /// Empties the round for the next broadcast, whose acks must echo
     /// `tag`; the slots are kept, so a client's rounds allocate once.
-    pub fn reset(&mut self, tag: u64) {
+    pub(crate) fn reset(&mut self, tag: u64) {
         self.tag = tag;
         self.answered = 0;
         self.slots.fill_with(|| None);
     }
 
     /// The tag an ack must echo to answer this round's broadcast.
-    pub fn tag(&self) -> u64 {
+    pub(crate) fn tag(&self) -> u64 {
         self.tag
     }
 
@@ -71,7 +71,7 @@ impl<A> Round<A> {
     /// # Panics
     ///
     /// Panics if `server` is not a server index of the deployment.
-    pub fn offer(&mut self, server: u32, tag: u64, ack: A) -> bool {
+    pub(crate) fn offer(&mut self, server: u32, tag: u64, ack: A) -> bool {
         if tag != self.tag {
             return false;
         }
@@ -82,7 +82,7 @@ impl<A> Round<A> {
     }
 
     /// The acks held, in server-index order.
-    pub fn acks(&self) -> impl Iterator<Item = &A> {
+    pub(crate) fn acks(&self) -> impl Iterator<Item = &A> {
         self.slots.iter().flatten()
     }
 }
@@ -138,7 +138,12 @@ impl<R: Rule> Client<R> {
     pub const ROUNDS: u32 = R::ROUNDS;
 
     /// A client in its initial state, deciding by `rule`.
-    pub fn with_rule(cfg: ClusterConfig, layout: Layout, history: SharedHistory, rule: R) -> Self {
+    pub(crate) fn with_rule(
+        cfg: ClusterConfig,
+        layout: Layout,
+        history: SharedHistory,
+        rule: R,
+    ) -> Self {
         Client {
             layout,
             history,
@@ -152,7 +157,7 @@ impl<R: Rule> Client<R> {
 
 impl<R: Rule + Default> Client<R> {
     /// A client in its initial state, for rules that need no parameters.
-    pub fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
+    pub(crate) fn new(cfg: ClusterConfig, layout: Layout, history: SharedHistory) -> Self {
         Self::with_rule(cfg, layout, history, R::default())
     }
 }

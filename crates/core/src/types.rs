@@ -12,7 +12,7 @@ pub struct Timestamp(pub u64);
 
 impl Timestamp {
     /// The initial timestamp.
-    pub const ZERO: Timestamp = Timestamp(0);
+    pub(crate) const ZERO: Timestamp = Timestamp(0);
 }
 
 impl fmt::Debug for Timestamp {
@@ -38,11 +38,6 @@ pub struct WTimestamp {
     pub wid: u32,
 }
 
-impl WTimestamp {
-    /// The initial multi-writer timestamp.
-    pub const ZERO: WTimestamp = WTimestamp { seq: 0, wid: 0 };
-}
-
 impl fmt::Debug for WTimestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ts{}.{}", self.seq, self.wid)
@@ -66,7 +61,7 @@ impl ClientId {
     }
 
     /// Returns `true` if this is the writer.
-    pub fn is_writer(self) -> bool {
+    pub(crate) fn is_writer(self) -> bool {
         self.0 == 0
     }
 }
@@ -104,7 +99,7 @@ impl ClientSet {
     /// Panics if `client` is not below [`CAPACITY`](Self::CAPACITY);
     /// building a deployment of a `seen`-keeping protocol rejects such
     /// populations first.
-    pub fn insert(&mut self, client: ClientId) {
+    pub(crate) fn insert(&mut self, client: ClientId) {
         assert!(
             client.0 < Self::CAPACITY,
             "{client:?} does not fit a {}-client set",
@@ -114,24 +109,24 @@ impl ClientSet {
     }
 
     /// Removes `client`, if it is a member.
-    pub fn remove(&mut self, client: ClientId) {
+    pub(crate) fn remove(&mut self, client: ClientId) {
         if client.0 < Self::CAPACITY {
             self.0 &= !(1 << client.0);
         }
     }
 
     /// Returns `true` if `client` is a member.
-    pub fn contains(self, client: ClientId) -> bool {
+    pub(crate) fn contains(self, client: ClientId) -> bool {
         client.0 < Self::CAPACITY && self.0 & (1 << client.0) != 0
     }
 
     /// Returns `true` if every member of `other` is a member.
-    pub fn is_superset(self, other: ClientSet) -> bool {
+    pub(crate) fn is_superset(self, other: ClientSet) -> bool {
         self.0 & other.0 == other.0
     }
 
     /// The members of either set.
-    pub fn union(self, other: ClientSet) -> ClientSet {
+    pub(crate) fn union(self, other: ClientSet) -> ClientSet {
         ClientSet(self.0 | other.0)
     }
 
@@ -195,13 +190,13 @@ pub struct TaggedValue {
 
 impl TaggedValue {
     /// Tags for the initial state (`⊥`, `⊥`) at `Timestamp::ZERO`.
-    pub const INITIAL: TaggedValue = TaggedValue {
+    pub(crate) const INITIAL: TaggedValue = TaggedValue {
         cur: RegValue::Bottom,
         prev: RegValue::Bottom,
     };
 
     /// Tags for a write of `cur` whose predecessor wrote `prev`.
-    pub fn new(cur: RegValue, prev: RegValue) -> Self {
+    pub(crate) fn new(cur: RegValue, prev: RegValue) -> Self {
         TaggedValue { cur, prev }
     }
 }

@@ -31,7 +31,7 @@ impl Value {
     }
 
     /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -64,7 +64,7 @@ impl Value {
 }
 
 /// Escapes `s` as a JSON string literal (quotes included).
-pub fn quote(s: &str) -> String {
+pub(crate) fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -54,7 +54,7 @@ impl Rule {
 
     /// Stable kebab-case code — the name used in allow annotations and
     /// `--json` output.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             Rule::NondetOrder => "nondet-order",
             Rule::WallClock => "wall-clock",
@@ -67,7 +67,7 @@ impl Rule {
     }
 
     /// Short id (`D1`..`D7`).
-    pub fn id(self) -> &'static str {
+    pub(crate) fn id(self) -> &'static str {
         match self {
             Rule::NondetOrder => "D1",
             Rule::WallClock => "D2",
@@ -108,13 +108,13 @@ impl Rule {
             Rule::ObsClockDiscipline => {
                 "the observability wall-clock (MonoClock) is constructed only \
                  inside crates/rt — simnet-side instrumentation must use \
-                 LogicalClock so artifacts stay deterministic"
+                 simulated ticks so artifacts stay deterministic"
             }
         }
     }
 
     /// Parses a rule code (the kebab-case name).
-    pub fn from_code(s: &str) -> Option<Rule> {
+    pub(crate) fn from_code(s: &str) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| r.code() == s)
     }
 }
@@ -145,7 +145,7 @@ pub struct Finding {
 
 impl Finding {
     /// True if the finding carries a justification and does not gate.
-    pub fn is_allowed(&self) -> bool {
+    pub(crate) fn is_allowed(&self) -> bool {
         self.allowed.is_some()
     }
 }
@@ -194,7 +194,7 @@ fn d6_exempt(p: &str) -> bool {
 /// wall-clock source itself) and `crates/rt` is the one substrate
 /// allowed to construct it. Everywhere else a `MonoClock` mention is a
 /// determinism leak: simnet-side instrumentation must run on
-/// `LogicalClock` ticks so trace and metrics bytes stay a pure function
+/// simulated ticks so trace and metrics bytes stay a pure function
 /// of the seed.
 fn d7_exempt(p: &str) -> bool {
     p.starts_with("crates/rt/") || p.starts_with("crates/obs/")
@@ -219,7 +219,7 @@ const D6_TOKENS: &[&str] = &["thread::spawn", "thread::Builder"];
 const D7_TOKENS: &[&str] = &["MonoClock"];
 
 /// Applies the per-line rules D1–D4 to one scanned file.
-pub fn check_file(path: &str, scanned: &Scanned) -> Vec<Finding> {
+pub(crate) fn check_file(path: &str, scanned: &Scanned) -> Vec<Finding> {
     let mut rules: Vec<(Rule, &[&str], bool)> = Vec::new(); // (rule, tokens, skip_test_lines)
     if d1_scope(path) {
         rules.push((Rule::NondetOrder, D1_TOKENS, false));
@@ -282,7 +282,7 @@ fn snippet_of(raw: &str) -> String {
 /// `registry` is the scanned `crates/core/src/protocols/registry.rs`;
 /// `conformance` is the scanned `tests/protocol_conformance.rs` (or
 /// `None` if that file is missing, which fails every variant).
-pub fn check_registry(
+pub(crate) fn check_registry(
     registry_path: &str,
     registry: &Scanned,
     conformance: Option<&Scanned>,
@@ -309,7 +309,7 @@ pub fn check_registry(
 /// The number of `ProtocolId` variants seen by [`check_registry`] —
 /// exposed so the self-scan can assert the cross-file rule actually
 /// parsed the enum.
-pub fn count_enum_variants(registry: &Scanned) -> usize {
+pub(crate) fn count_enum_variants(registry: &Scanned) -> usize {
     enum_variants(registry, "ProtocolId").len()
 }
 

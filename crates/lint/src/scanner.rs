@@ -44,7 +44,7 @@ pub struct Scanned {
 impl Scanned {
     /// The reason given by a `fastreg-lint: allow(<rule>)` annotation
     /// covering `line`, if any.
-    pub fn allow_reason(&self, line: usize, rule_code: &str) -> Option<&str> {
+    pub(crate) fn allow_reason(&self, line: usize, rule_code: &str) -> Option<&str> {
         self.allows
             .iter()
             .find(|(l, code, _)| *l == line && code == rule_code)
@@ -54,7 +54,7 @@ impl Scanned {
     /// True if the whole stripped file contains `needle` as an
     /// identifier-bounded token (cross-file rules use this on other
     /// files).
-    pub fn contains_token(&self, needle: &str) -> bool {
+    pub(crate) fn contains_token(&self, needle: &str) -> bool {
         self.lines.iter().any(|l| find_token(&l.code, needle))
     }
 }
@@ -84,7 +84,7 @@ pub fn scan(text: &str) -> Scanned {
 
 /// True if `code` contains `token` outside any identifier: the
 /// characters adjacent to the match must not be `[A-Za-z0-9_]`.
-pub fn find_token(code: &str, token: &str) -> bool {
+pub(crate) fn find_token(code: &str, token: &str) -> bool {
     let bytes = code.as_bytes();
     let tok = token.as_bytes();
     let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
@@ -259,20 +259,26 @@ fn prev_is_ident(b: &[u8], i: usize) -> bool {
 }
 
 /// Marks every line inside a `#[cfg(test)]`-gated brace block (the
-/// attribute line and the opening-brace line included).
+/// attribute line and the opening-brace line included). A gated item
+/// with no body, such as `mod x;` or `use y;`, marks only its own lines.
 fn mark_test_regions(code_lines: &[&str]) -> Vec<bool> {
     let mut marks = vec![false; code_lines.len()];
     let mut depth: i64 = 0;
-    let mut pending = false; // saw #[cfg(test)], waiting for its `{`
+    let mut pending = false; // saw #[cfg(test)], waiting for its `{` or `;`
+    let mut nesting = 0; // `(` / `[` open since the attribute
     let mut region_floor: Option<i64> = None;
     for (i, line) in code_lines.iter().enumerate() {
         let compact: String = line.chars().filter(|c| !c.is_whitespace()).collect();
         if compact.contains("#[cfg(test)]") {
             pending = true;
+            nesting = 0;
         }
         let starts_inside = region_floor.is_some() || pending;
         for ch in line.chars() {
             match ch {
+                '(' | '[' => nesting += 1,
+                ')' | ']' => nesting -= 1,
+                ';' if pending && nesting == 0 => pending = false,
                 '{' => {
                     if pending {
                         region_floor = Some(depth);
@@ -372,6 +378,16 @@ mod tests {
         let marks: Vec<bool> = s.lines.iter().map(|l| l.in_test).collect();
         // The trailing newline yields a final empty line.
         assert_eq!(marks, vec![false, true, true, true, true, false, false]);
+    }
+
+    #[test]
+    fn a_gated_item_without_a_body_marks_only_itself() {
+        let src = "#[cfg(test)]\nmod helpers;\npub enum Kept {\n    A,\n}\n#[cfg(test)]\nfn t(x: [u8; 2]) {\n}\n";
+        let marks: Vec<bool> = scan(src).lines.iter().map(|l| l.in_test).collect();
+        assert_eq!(
+            marks,
+            vec![true, true, false, false, false, true, true, true, false]
+        );
     }
 
     #[test]

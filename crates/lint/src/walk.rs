@@ -11,17 +11,17 @@ use std::path::{Path, PathBuf};
 /// Directory names never descended into: vendored dependencies, build
 /// output, committed counterexample corpora and VCS/CI metadata are not
 /// workspace sources.
-pub const SKIP_DIRS: &[&str] = &["vendor", "target", "corpus", "found"];
+pub(crate) const SKIP_DIRS: &[&str] = &["vendor", "target", "corpus", "found"];
 
 /// Directory name skipped by default and re-included by
 /// `--include-tests`: integration-test trees may legitimately use
 /// wall-clock timeouts and panicking assertions.
-pub const TEST_DIR: &str = "tests";
+pub(crate) const TEST_DIR: &str = "tests";
 
 /// Collects every `.rs` file under `root`, returned as **sorted,
 /// root-relative** paths with `/` separators.
 ///
-/// Skips [`SKIP_DIRS`], hidden directories (`.git`, `.github`, …) and —
+/// Skips `SKIP_DIRS`, hidden directories (`.git`, `.github`, …) and —
 /// unless `include_tests` — any directory named `tests`.
 ///
 /// # Errors
@@ -62,7 +62,7 @@ fn descend(dir: &Path, rel: &Path, include_tests: bool, out: &mut Vec<String>) -
 }
 
 /// Renders a relative path with `/` separators regardless of platform.
-pub fn normalize(rel: &Path) -> String {
+pub(crate) fn normalize(rel: &Path) -> String {
     rel.iter()
         .map(|c| c.to_string_lossy())
         .collect::<Vec<_>>()

@@ -1,70 +1,14 @@
-//! Time sources for instrumentation, split by substrate.
+//! The instrumentation wall clock, quarantined to one substrate.
 //!
 //! The workspace's determinism contract (lint rule D2) forbids wall
 //! clocks anywhere a verdict, trace or fingerprint is computed. Yet
-//! instrumentation needs *some* notion of time. The resolution is two
-//! clock types with disjoint legal habitats:
-//!
-//! - [`LogicalClock`] — driven by simnet ticks (or any other
-//!   deterministic counter). The only clock legal outside `crates/rt`;
-//!   lint rule D7 (`obs-clock-discipline`) enforces this.
-//! - [`MonoClock`] — monotonic microseconds since construction. Only
-//!   constructible inside `crates/rt` (the real-threads substrate,
-//!   where wall time is already quarantined by D2's exemption), or
-//!   under a written-reason `fastreg-lint: allow(obs-clock-discipline)`
-//!   annotation.
-//!
-//! Both implement [`Clock`], so instrumentation code is written once
-//! against the trait and inherits whichever determinism class its
-//! substrate provides.
-
-use std::cell::Cell;
-
-/// A monotonic tick source for stamping [`crate::Event`]s.
-///
-/// Implementations must be monotonic non-decreasing; nothing else is
-/// assumed. On simnet the unit is the simulated tick; on the threaded
-/// runtime it is the microsecond.
-pub trait Clock {
-    /// The current time in this clock's ticks.
-    fn now_ticks(&self) -> u64;
-}
-
-/// A deterministic clock advanced explicitly by its owner.
-///
-/// On simnet the driver calls [`LogicalClock::advance_to`] with the
-/// world's current tick before recording; the clock never observes the
-/// host. Same seed ⇒ same tick sequence ⇒ same trace bytes.
-#[derive(Debug, Default)]
-pub struct LogicalClock {
-    now: Cell<u64>,
-}
-
-impl LogicalClock {
-    /// A clock starting at tick 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the clock to exactly `ticks` (may move backwards; use
-    /// [`LogicalClock::advance_to`] to enforce monotonicity).
-    pub fn set(&self, ticks: u64) {
-        self.now.set(ticks);
-    }
-
-    /// Advances the clock to `ticks` if that is later than now.
-    pub fn advance_to(&self, ticks: u64) {
-        if ticks > self.now.get() {
-            self.now.set(ticks);
-        }
-    }
-}
-
-impl Clock for LogicalClock {
-    fn now_ticks(&self) -> u64 {
-        self.now.get()
-    }
-}
+//! the real-threads runtime needs *some* notion of time. Simnet-side
+//! instrumentation stamps events with simulated ticks; [`MonoClock`] —
+//! monotonic microseconds since construction — is constructible only
+//! inside `crates/rt` (the real-threads substrate, where wall time is
+//! already quarantined by D2's exemption), or under a written-reason
+//! `fastreg-lint: allow(obs-clock-discipline)` annotation. Lint rule D7
+//! (`obs-clock-discipline`) enforces this.
 
 /// Monotonic wall-clock microseconds since construction. **rt-only.**
 ///
@@ -99,33 +43,15 @@ impl Default for MonoClock {
     }
 }
 
-impl Clock for MonoClock {
-    fn now_ticks(&self) -> u64 {
-        self.elapsed_us()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn logical_clock_is_owner_driven() {
-        let c = LogicalClock::new();
-        assert_eq!(c.now_ticks(), 0);
-        c.advance_to(7);
-        assert_eq!(c.now_ticks(), 7);
-        c.advance_to(3); // never moves backwards via advance_to
-        assert_eq!(c.now_ticks(), 7);
-        c.set(3); // set may rewind (fresh runs restart at 0)
-        assert_eq!(c.now_ticks(), 3);
-    }
-
-    #[test]
     fn mono_clock_is_monotonic() {
         let c = MonoClock::new();
-        let a = c.now_ticks();
-        let b = c.now_ticks();
+        let a = c.elapsed_us();
+        let b = c.elapsed_us();
         assert!(b >= a);
     }
 }

@@ -7,10 +7,10 @@
 //! the hot paths it exists to illuminate. So this crate is built
 //! around a hard determinism contract:
 //!
-//! - **Clocks are explicit** ([`clock`]): [`LogicalClock`] carries
-//!   simnet ticks and is the only clock legal outside `crates/rt`;
-//!   [`MonoClock`] (monotonic µs) is quarantined to the real-threads
-//!   runtime by lint rule D7 (`obs-clock-discipline`).
+//! - **Clocks are explicit** ([`clock`]): simulated ticks are the only
+//!   time legal outside `crates/rt`; [`MonoClock`] (monotonic µs) is
+//!   quarantined to the real-threads runtime by lint rule D7
+//!   (`obs-clock-discipline`).
 //! - **Events merge deterministically** ([`event`]): per-thread
 //!   [`Recorder`] buffers merge by `(time, track, lane, seq)` — never
 //!   by host arrival order — and [`chrome_trace`] renders the merged
@@ -34,7 +34,7 @@ pub mod metrics;
 pub mod summary;
 
 pub use chrome::chrome_trace;
-pub use clock::{Clock, LogicalClock, MonoClock};
+pub use clock::MonoClock;
 pub use event::{merge, spans_balanced, Event, Phase, Recorder};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use summary::LatencyStats;

@@ -40,12 +40,13 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The bucket index a value falls into.
-    pub fn bucket_of(v: u64) -> usize {
+    pub(crate) fn bucket_of(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -63,17 +64,17 @@ impl Histogram {
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -82,7 +83,7 @@ impl Histogram {
     }
 
     /// Largest sample, or 0 if empty.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
@@ -124,7 +125,7 @@ impl Histogram {
     }
 
     /// The non-empty buckets as `(index, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -169,7 +170,8 @@ impl MetricsRegistry {
     }
 
     /// Reads a gauge (0 if never touched).
-    pub fn gauge(&self, name: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> u64 {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
@@ -204,7 +206,8 @@ impl MetricsRegistry {
     }
 
     /// Renders a human-readable snapshot (sorted, integer-only).
-    pub fn render(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
             out.push_str(&format!("counter  {k} = {v}\n"));

@@ -34,7 +34,7 @@
 //! 0's channel, for at most the time it passes.
 //!
 //! A spawned worker with nothing queued polls its channel before it
-//! parks: it tries it [`POLL_TRIES`] times, spinning and yielding its
+//! parks: it tries it `POLL_TRIES` times, spinning and yielding its
 //! core at a fixed interval, and only then blocks in a receive. So a
 //! worker that gets a message every few microseconds stays awake, and
 //! its senders do not pay to wake it; an idle one parks once the tries
@@ -216,7 +216,7 @@ enum Job<M> {
 /// on how many local deliveries it runs before it looks at its mailbox
 /// again. Bounds the latency penalty any single actor pays to batching
 /// while still amortizing a wakeup across a burst.
-pub const DRAIN_BATCH_MAX: usize = 256;
+pub(crate) const DRAIN_BATCH_MAX: usize = 256;
 
 /// How many times a spawned worker with nothing queued tries its channel
 /// before it parks in a blocking receive, when the host has a core for
@@ -226,7 +226,7 @@ pub const DRAIN_BATCH_MAX: usize = 256;
 /// idle one parks soon after (the tries took about 1 ms on a 2-core
 /// x86-64 VM). Worker 0 does not poll: it runs on the owner's thread,
 /// and [`ActorPool::run_home`] blocks for the time its caller passes.
-pub const POLL_TRIES: u32 = 1 << 14;
+pub(crate) const POLL_TRIES: u32 = 1 << 14;
 
 /// A polling worker yields its core once per this many tries (under a
 /// microsecond of spinning), so other threads on a shared host still get
@@ -270,7 +270,7 @@ fn add(counter: &AtomicU64, n: u64) {
 /// observed through its consumption: every worker wakeup (on worker 0,
 /// every [`ActorPool::run_home`] that finds work; on a spawned worker,
 /// every job it finds by polling or by blocking) drains up to
-/// [`DRAIN_BATCH_MAX`] queued jobs in one batch, and the batch length
+/// `DRAIN_BATCH_MAX` queued jobs in one batch, and the batch length
 /// *is* the backlog that had accumulated — `max_batch` is therefore the
 /// pool's observed mailbox-depth high-water mark (saturating at the
 /// drain cap). A batch a spawned worker catches while polling counts as
@@ -283,7 +283,7 @@ pub struct RtStats {
     /// Total mailbox jobs drained across all batches.
     pub drained_messages: u64,
     /// Largest single drain batch (mailbox-depth high-water proxy,
-    /// capped at [`DRAIN_BATCH_MAX`]); polled batches included.
+    /// capped at `DRAIN_BATCH_MAX`); polled batches included.
     pub max_batch: u64,
     /// Total microseconds workers spent running drained batches (actor
     /// steps, routing and the local deliveries they set off), summed
@@ -424,7 +424,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
     }
 
     /// Runs one batch of worker 0 on the calling thread and returns how
-    /// many mailbox jobs it held: up to [`DRAIN_BATCH_MAX`] jobs, inbox
+    /// many mailbox jobs it held: up to `DRAIN_BATCH_MAX` jobs, inbox
     /// jobs first, then channel jobs, each followed by the local
     /// deliveries it sets off. If nothing is queued — inbox, channel and
     /// local run queue all empty — it first blocks on worker 0's channel
@@ -452,12 +452,13 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
 
 impl<M> ActorPool<M> {
     /// Number of actors in the pool.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.home.n_actors
     }
 
     /// Returns `true` if the pool has no actors.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.home.n_actors == 0
     }
 

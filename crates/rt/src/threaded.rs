@@ -164,7 +164,7 @@ impl<T, R> Drop for Helper<T, R> {
 /// everything.
 ///
 /// A helper waits for work by rt's polling rule (it tries its channel
-/// [`POLL_TRIES`](crate::POLL_TRIES) times, yielding its core every 16
+/// `POLL_TRIES` times, yielding its core every 16
 /// tries, then parks), and so does the caller waiting for a helper: a
 /// crew run every few microseconds never parks, and an idle crew stops
 /// spinning within about a millisecond.

@@ -135,7 +135,7 @@ enum StepTime<'t> {
 /// The runtime moves the collected messages into the in-transit set after the
 /// step completes — mirroring the paper's atomic step semantics, with one
 /// deliberate exception: a crash fault may be injected *after a prefix of the
-/// sends* ([`CrashState::Armed`](crate::fault::CrashState::Armed)),
+/// sends* (`CrashState::Armed`),
 /// because the paper requires algorithms to tolerate a process crashing
 /// mid-broadcast.
 ///
@@ -220,7 +220,8 @@ impl<'t, M> Outbox<'t, M> {
     }
 
     /// Number of messages queued so far in this step.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.msgs.len()
     }
 

@@ -99,17 +99,6 @@ impl DelayModel {
             }
         }
     }
-
-    /// The smallest delay this model can produce (used for quiescence
-    /// reasoning and bench reporting).
-    pub fn min_delay(&self) -> u64 {
-        match self {
-            DelayModel::Constant(d) => *d,
-            DelayModel::Uniform { lo, .. } => *lo,
-            DelayModel::Spike { base, spike, .. } => (*base).min(*spike),
-            DelayModel::TwoZone { near, far, .. } => (*near).min(*far),
-        }
-    }
 }
 
 impl Default for DelayModel {
@@ -204,30 +193,6 @@ mod tests {
         assert_eq!(d.sample(ProcessId::new(0), ProcessId::new(1), &mut r), 1);
         assert_eq!(d.sample(ProcessId::new(0), ProcessId::new(2), &mut r), 50);
         assert_eq!(d.sample(ProcessId::new(2), ProcessId::new(0), &mut r), 50);
-    }
-
-    #[test]
-    fn min_delay_per_model() {
-        assert_eq!(DelayModel::Constant(4).min_delay(), 4);
-        assert_eq!(DelayModel::Uniform { lo: 2, hi: 9 }.min_delay(), 2);
-        assert_eq!(
-            DelayModel::Spike {
-                base: 3,
-                spike_prob: 0.1,
-                spike: 2
-            }
-            .min_delay(),
-            2
-        );
-        assert_eq!(
-            DelayModel::TwoZone {
-                far_members: vec![],
-                near: 1,
-                far: 9
-            }
-            .min_delay(),
-            1
-        );
     }
 
     #[test]

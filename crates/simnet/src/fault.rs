@@ -2,7 +2,7 @@
 //!
 //! The paper's crash model (§2.2): a faulty process takes a last step and
 //! then stops; while broadcasting, "the sending process may crash after
-//! sending messages to an arbitrary subset". [`CrashState`] holds both:
+//! sending messages to an arbitrary subset". `CrashState` holds both:
 //! a process is crashed now, or armed to crash after a prefix of its
 //! next step's sends.
 //!
@@ -21,7 +21,7 @@ use crate::time::SimTime;
 
 /// The crash status of a process inside a world.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CrashState {
+pub(crate) enum CrashState {
     /// Taking steps normally.
     #[default]
     Up,
@@ -36,16 +36,8 @@ pub enum CrashState {
 
 impl CrashState {
     /// Returns `true` if the process can still take steps.
-    pub fn is_up(self) -> bool {
+    pub(crate) fn is_up(self) -> bool {
         !matches!(self, CrashState::Down(_))
-    }
-
-    /// Returns the crash time, if crashed.
-    pub fn crashed_at(self) -> Option<SimTime> {
-        match self {
-            CrashState::Down(t) => Some(t),
-            _ => None,
-        }
     }
 }
 
@@ -277,7 +269,7 @@ mod tests {
     fn default_is_up() {
         let s = CrashState::default();
         assert!(s.is_up());
-        assert_eq!(s.crashed_at(), None);
+        assert_eq!(s, CrashState::Up);
     }
 
     #[test]
@@ -289,7 +281,6 @@ mod tests {
     fn down_reports_time() {
         let s = CrashState::Down(SimTime::from_ticks(5));
         assert!(!s.is_up());
-        assert_eq!(s.crashed_at(), Some(SimTime::from_ticks(5)));
     }
 
     fn sample_script() -> FaultScript {

@@ -27,8 +27,8 @@
 //!     step while messages are ready in send order, O(log n) otherwise;
 //!   - **scripted**: a driver (test or adversary) picks exactly which
 //!     in-transit messages are delivered and when ([`deliver`](world::World::deliver),
-//!     [`deliver_set`](world::World::deliver_set)), which is how the paper's lower-bound partial
-//!     runs are constructed.
+//!     [`deliver_matching`](world::World::deliver_matching)), which is how the paper's
+//!     lower-bound partial runs are constructed.
 //!
 //!   Both styles converge on one internal delivery path (trace entry,
 //!   statistics, receiver step), so a run that mixes them — deliver a few

@@ -23,7 +23,7 @@ pub struct SimConfig {
     /// Message delay model for the timed scheduler.
     pub delay: DelayModel,
     /// Maximum entries kept in the trace. 0 keeps none and digests every
-    /// event instead ([`Trace::disabled`](crate::trace::Trace::disabled)).
+    /// event instead.
     pub trace_capacity: usize,
     /// Step budget for `run_*` loops; exceeded budgets indicate livelock.
     pub max_steps: u64,
@@ -45,12 +45,6 @@ impl SimConfig {
     /// Returns the config with a different trace capacity.
     pub fn with_trace_capacity(mut self, cap: usize) -> Self {
         self.trace_capacity = cap;
-        self
-    }
-
-    /// Returns the config with a different step budget.
-    pub fn with_max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
         self
     }
 }
@@ -75,12 +69,10 @@ mod tests {
         let cfg = SimConfig::default()
             .with_seed(9)
             .with_delay(DelayModel::Constant(3))
-            .with_trace_capacity(10)
-            .with_max_steps(500);
+            .with_trace_capacity(10);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.delay, DelayModel::Constant(3));
         assert_eq!(cfg.trace_capacity, 10);
-        assert_eq!(cfg.max_steps, 500);
     }
 
     #[test]

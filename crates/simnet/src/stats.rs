@@ -19,28 +19,28 @@ pub struct NetStats {
 
 impl NetStats {
     /// Creates zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records a send.
-    pub fn record_send(&mut self) {
+    pub(crate) fn record_send(&mut self) {
         self.sent += 1;
     }
 
     /// Records a delivery (one message, one step of its receiver).
-    pub fn record_delivery(&mut self) {
+    pub(crate) fn record_delivery(&mut self) {
         self.delivered += 1;
         self.steps += 1;
     }
 
     /// Records a dropped message.
-    pub fn record_drop(&mut self) {
+    pub(crate) fn record_drop(&mut self) {
         self.dropped += 1;
     }
 
     /// Records an injected step (environment invocation).
-    pub fn record_injection(&mut self) {
+    pub(crate) fn record_injection(&mut self) {
         self.steps += 1;
     }
 

@@ -41,7 +41,8 @@ impl SimTime {
 
     /// Saturating difference in ticks (`self - earlier`, or 0 if `earlier`
     /// is later than `self`).
-    pub fn since(self, earlier: SimTime) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
 }

@@ -26,7 +26,7 @@
 //! valid only for comparing traces inside one process.
 //!
 //! A bounded trace digests what it stored, after the run. A trace of
-//! capacity 0 ([`Trace::disabled`]) stores nothing and digests *every*
+//! capacity 0 stores nothing and digests *every*
 //! event instead: each entry and each message is folded into a running
 //! FNV-1a state as it is recorded — no allocation, no clone, no `Debug`
 //! — so its digest identifies the whole run however long it is. A
@@ -107,7 +107,8 @@ pub enum DropReason {
 
 impl TraceEntry {
     /// The time at which this event occurred.
-    pub fn at(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn at(&self) -> SimTime {
         match self {
             TraceEntry::Send { at, .. }
             | TraceEntry::Deliver { at, .. }
@@ -234,7 +235,7 @@ pub struct Trace<M> {
 
 impl<M> Trace<M> {
     /// Creates a trace that stores at most `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Trace {
             entries: Vec::new(),
             payloads: Vec::new(),
@@ -242,13 +243,6 @@ impl<M> Trace<M> {
             suppressed: 0,
             running: Fnv1a::OFFSET_BASIS,
         }
-    }
-
-    /// Creates a trace that stores nothing and digests everything: each
-    /// event is counted and folded into [`Trace::digest`] as it is
-    /// recorded, and no message is cloned or formatted.
-    pub fn disabled() -> Self {
-        Self::with_capacity(0)
     }
 
     /// Stores `entry` if there is room, otherwise counts it as suppressed;
@@ -288,9 +282,9 @@ impl<M> Trace<M> {
     }
 
     /// Records a payload-free entry (or counts it as suppressed when
-    /// full). `Send` and `Inject` go through [`Trace::record_send`] and
-    /// [`Trace::record_inject`], which keep the message.
-    pub fn record(&mut self, entry: TraceEntry) {
+    /// full). `Send` and `Inject` go through `Trace::record_send` and
+    /// `Trace::record_inject`, which keep the message.
+    pub(crate) fn record(&mut self, entry: TraceEntry) {
         debug_assert!(!entry.carries_payload(), "{entry:?} needs its message");
         if !self.push(entry) && self.capacity == 0 {
             self.fold(entry);
@@ -299,8 +293,14 @@ impl<M> Trace<M> {
 
     /// Records a send; `msg` is cloned only if the entry is stored, and
     /// hashed only if the trace is digest-only.
-    pub fn record_send(&mut self, at: SimTime, id: MsgId, from: ProcessId, to: ProcessId, msg: &M)
-    where
+    pub(crate) fn record_send(
+        &mut self,
+        at: SimTime,
+        id: MsgId,
+        from: ProcessId,
+        to: ProcessId,
+        msg: &M,
+    ) where
         M: Clone + Hash,
     {
         self.push_with(TraceEntry::Send { at, id, from, to }, msg);
@@ -308,7 +308,7 @@ impl<M> Trace<M> {
 
     /// Records an injection; `msg` is cloned only if the entry is stored,
     /// and hashed only if the trace is digest-only.
-    pub fn record_inject(&mut self, at: SimTime, to: ProcessId, msg: &M)
+    pub(crate) fn record_inject(&mut self, at: SimTime, to: ProcessId, msg: &M)
     where
         M: Clone + Hash,
     {
@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn disabled_stores_nothing() {
-        let mut t = Trace::disabled();
+        let mut t = Trace::with_capacity(0);
         record_send(&mut t, 1);
         t.record_inject(SimTime::ZERO, ProcessId::new(0), &"op");
         assert!(t.entries().is_empty());
@@ -578,7 +578,7 @@ mod tests {
     fn a_disabled_trace_digests_every_event_and_stores_none() {
         // Sends of `(tick, payload)`, then one delivery at `last`.
         let run = |sends: &[(u64, u64)], last: u64| {
-            let mut t = Trace::disabled();
+            let mut t = Trace::with_capacity(0);
             for (i, &(tick, payload)) in sends.iter().enumerate() {
                 let (at, id) = (SimTime::from_ticks(tick), MsgId(i as u64));
                 t.record_send(at, id, ProcessId::new(0), ProcessId::new(1), &payload);
@@ -604,7 +604,7 @@ mod tests {
             run(&sends[..2], 5).digest(),
             "one send fewer"
         );
-        assert_ne!(base.digest(), Trace::<u64>::disabled().digest());
+        assert_ne!(base.digest(), Trace::<u64>::with_capacity(0).digest());
     }
 
     #[test]

@@ -48,16 +48,6 @@ pub use sched::{QuiescenceError, SchedStats};
 pub enum DeliverError {
     /// No in-transit message has the requested id.
     UnknownMessage(MsgId),
-    /// The message is in transit, but to another receiver than the one a
-    /// [`World::deliver_set`] step names.
-    WrongReceiver {
-        /// The offending message.
-        id: MsgId,
-        /// The receiver the step was for.
-        expected: ProcessId,
-        /// The receiver the message is addressed to.
-        actual: ProcessId,
-    },
     /// The receiver has crashed and cannot take a step.
     ReceiverCrashed(ProcessId),
 }
@@ -66,11 +56,6 @@ impl fmt::Display for DeliverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeliverError::UnknownMessage(id) => write!(f, "no in-transit message {id}"),
-            DeliverError::WrongReceiver {
-                id,
-                expected,
-                actual,
-            } => write!(f, "message {id} is addressed to {actual}, not {expected}"),
             DeliverError::ReceiverCrashed(p) => write!(f, "receiver {p} has crashed"),
         }
     }
@@ -92,10 +77,10 @@ struct Slot<M> {
 ///   deliver messages in virtual-time order according to the configured
 ///   [`DelayModel`](crate::delay::DelayModel), popping from the
 ///   [`sched::ReadyQueue`] index.
-/// * **Scripted**: [`World::deliver`], [`World::deliver_set`],
-///   [`World::deliver_matching`] give a driver complete control over which
-///   messages are delivered and which stay in transit — exactly the power
-///   the paper's lower-bound adversary has. Scripted removals leave their
+/// * **Scripted**: [`World::deliver`] and [`World::deliver_matching`]
+///   give a driver complete control over which messages are delivered
+///   and which stay in transit — exactly the power the paper's
+///   lower-bound adversary has. Scripted removals leave their
 ///   index entries behind; the timed scheduler discards them lazily (see
 ///   the [`sched`] docs for the invalidation rules).
 ///
@@ -157,11 +142,6 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
         self.slots[id.index() as usize].automaton.on_start(&mut out);
         self.absorb_outbox(id, out);
         id
-    }
-
-    /// Number of actors in the world.
-    pub fn num_actors(&self) -> usize {
-        self.slots.len()
     }
 
     /// All actor ids, in insertion order.
@@ -235,13 +215,6 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
             .unwrap_or(false)
     }
 
-    /// Crash time of `p`, if it crashed.
-    pub fn crashed_at(&self, p: ProcessId) -> Option<SimTime> {
-        self.slots
-            .get(p.index() as usize)
-            .and_then(|s| s.crash.crashed_at())
-    }
-
     // ------------------------------------------------------------ partitions
 
     /// Blocks the directed link `from → to`: messages on it (current and
@@ -280,11 +253,6 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
         }
     }
 
-    /// Returns `true` if the directed link is currently blocked.
-    pub fn is_link_blocked(&self, from: ProcessId, to: ProcessId) -> bool {
-        self.blocked_links.contains(&(from, to))
-    }
-
     // ----------------------------------------------------------- injections
 
     /// Injects a message from the environment into `to`, executing one step
@@ -316,7 +284,8 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     }
 
     /// Number of in-transit messages.
-    pub fn pending_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_len(&self) -> usize {
         self.mset.len()
     }
 
@@ -343,42 +312,6 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
         }
         let env = self.mset.remove(id).expect("looked up above");
         self.deliver_env(env);
-        Ok(())
-    }
-
-    /// Delivers a set of messages to one receiver as a single step
-    /// `<to, M>` (the paper allows steps to consume message sets).
-    ///
-    /// # Errors
-    ///
-    /// Fails without delivering anything if any id is unknown
-    /// ([`DeliverError::UnknownMessage`]), any message is not addressed to
-    /// `to` ([`DeliverError::WrongReceiver`]), or `to` has crashed.
-    pub fn deliver_set(&mut self, to: ProcessId, ids: &[MsgId]) -> Result<(), DeliverError> {
-        if self.is_crashed(to) {
-            return Err(DeliverError::ReceiverCrashed(to));
-        }
-        for id in ids {
-            match self.mset.get(*id) {
-                None => return Err(DeliverError::UnknownMessage(*id)),
-                Some(e) if e.to != to => {
-                    return Err(DeliverError::WrongReceiver {
-                        id: *id,
-                        expected: to,
-                        actual: e.to,
-                    })
-                }
-                Some(_) => {}
-            }
-        }
-        for id in ids {
-            // Receiver may crash mid-set via an armed fault; remaining
-            // messages then stay in transit, matching the model.
-            if self.is_crashed(to) {
-                break;
-            }
-            self.deliver(*id).expect("validated above");
-        }
         Ok(())
     }
 
@@ -435,6 +368,7 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     /// Pops the next valid, unblocked index entry: stale entries (scripted
     /// removals, drops) are discarded, entries on blocked links are parked
     /// until [`World::heal_link`].
+    #[cfg(test)]
     fn pop_next_unblocked(&mut self) -> Option<(MsgId, SimTime)> {
         while let Some((ready_at, id)) = self.ready.pop() {
             let Some(env) = self.mset.get(id) else {
@@ -453,6 +387,7 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     /// Earliest ready time among deliverable messages (unblocked *and*
     /// addressed to a live receiver), without delivering or dropping
     /// anything. Entries popped while peeking are re-queued.
+    #[cfg(test)]
     fn next_ready_deliverable(&mut self) -> Option<SimTime> {
         // Fast path: the smallest index entry is usually live, so peek
         // without the pop/re-push round trip (and its scratch Vec).
@@ -560,7 +495,8 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     /// before `deadline`. The clock never passes `deadline`.
     ///
     /// Returns the number of steps taken.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut steps = 0;
         while steps < self.config.max_steps {
             match self.next_ready_deliverable() {
@@ -812,7 +748,7 @@ mod tests {
         assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 0);
         assert_eq!(w.stats().dropped, 1);
         assert!(w.is_crashed(ids[1]));
-        assert!(w.crashed_at(ids[1]).is_some());
+        assert!(w.is_crashed(ids[1]));
     }
 
     #[test]
@@ -856,38 +792,6 @@ mod tests {
         w.inject(ids[0], Msg::ReplyAll);
         assert_eq!(w.pending_len(), 0);
         assert!(w.is_crashed(ids[0]));
-    }
-
-    #[test]
-    fn deliver_set_is_all_or_nothing_on_validation() {
-        let (mut w, ids) = world_of(3);
-        w.inject(ids[0], Msg::ReplyAll);
-        let all: Vec<MsgId> = w.pending().map(|e| e.id).collect();
-        // Mixed receivers: must fail, naming the message that is in
-        // transit but addressed elsewhere — and deliver nothing.
-        let err = w.deliver_set(ids[1], &all).unwrap_err();
-        assert_eq!(
-            err,
-            DeliverError::WrongReceiver {
-                id: all[1],
-                expected: ids[1],
-                actual: ids[2],
-            }
-        );
-        assert_eq!(err.to_string(), "message m1 is addressed to p2, not p1");
-        assert_eq!(w.pending_len(), 2);
-        assert_eq!(w.stats().delivered, 0);
-        assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 0);
-        // An id that is not in transit at all is still `UnknownMessage`.
-        assert_eq!(
-            w.deliver_set(ids[1], &[all[0], MsgId(99)]),
-            Err(DeliverError::UnknownMessage(MsgId(99)))
-        );
-        assert_eq!(w.stats().delivered, 0);
-        // Correct receiver: ok.
-        let to1 = w.pending_ids_matching(|e| e.to == ids[1]);
-        w.deliver_set(ids[1], &to1).unwrap();
-        assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 1);
     }
 
     #[test]
@@ -1019,7 +923,6 @@ mod tests {
         let (w, ids) = world_of(3);
         let listed: Vec<ProcessId> = w.actor_ids().collect();
         assert_eq!(listed, ids);
-        assert_eq!(w.num_actors(), 3);
     }
 
     #[test]
@@ -1033,7 +936,6 @@ mod tests {
         assert_eq!(steps, 2);
         assert_eq!(w.pending_len(), 1);
         assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 0);
-        assert!(w.is_link_blocked(ids[0], ids[1]));
 
         // Healing releases the parked message.
         w.heal_link(ids[0], ids[1]);

@@ -16,9 +16,9 @@
 //! `DelayModel::Constant` every send is ready in send order) goes to the
 //! back of a `VecDeque` *run*, which stays sorted by construction; any
 //! other entry — a non-constant delay that lands before an earlier send,
-//! a [`heal`](ReadyQueue::heal) re-push, a re-queue after a peek — goes
+//! a `heal` re-push, a re-queue after a peek — goes
 //! to a binary min-heap. [`pop`](ReadyQueue::pop) and
-//! [`peek`](ReadyQueue::peek) take the smaller of the run's front and
+//! `peek` take the smaller of the run's front and
 //! the heap's top. Keys are unique (ids are never reused), so the pop
 //! order is the one a single heap would give, and an in-order schedule
 //! costs O(1) per push and pop.
@@ -29,7 +29,6 @@
 //! it is popped:
 //!
 //! * **Scripted removals** ([`deliver`](super::World::deliver),
-//!   [`deliver_set`](super::World::deliver_set),
 //!   [`drop_matching`](super::World::drop_matching), …) take the
 //!   envelope out of `mset` and leave the index entry behind; a popped
 //!   entry whose id is no longer in `mset` is stale and is discarded.
@@ -37,7 +36,7 @@
 //!   the envelope is dropped from `mset` with a trace entry, exactly as
 //!   the linear scan used to do.
 //! * **Blocked links** park the popped entry in the per-link side
-//!   table; [`ReadyQueue::heal`] re-pushes everything parked on a link
+//!   table; `ReadyQueue::heal` re-pushes everything parked on a link
 //!   when it is unblocked. A parked entry can itself go stale (scripted
 //!   delivery outranks blocks), so re-pushed entries are re-validated on
 //!   their next pop.
@@ -69,11 +68,11 @@ use crate::id::ProcessId;
 use crate::time::SimTime;
 
 /// A directed link `from → to`.
-pub type Link = (ProcessId, ProcessId);
+pub(crate) type Link = (ProcessId, ProcessId);
 
 /// One ready-queue entry: the earliest delivery time of a message plus
 /// its id as the (send-order) tie-breaker.
-pub type ReadyEntry = (SimTime, MsgId);
+pub(crate) type ReadyEntry = (SimTime, MsgId);
 
 /// Deterministic counters over a [`ReadyQueue`]'s lifetime, harvested
 /// by the observability layer. Every field is driven by scheduler
@@ -82,13 +81,13 @@ pub type ReadyEntry = (SimTime, MsgId);
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Entries indexed ([`ReadyQueue::push`]), re-pushes from
-    /// [`ReadyQueue::heal`] included.
+    /// `ReadyQueue::heal` included.
     pub pushed: u64,
     /// Entries popped for validation (stale entries included).
     pub popped: u64,
     /// Entries parked on a blocked link.
     pub parked: u64,
-    /// Entries released back into the index by [`ReadyQueue::heal`].
+    /// Entries released back into the index by `ReadyQueue::heal`.
     pub healed: u64,
     /// High-water mark of the index depth — run plus heap, parked
     /// entries excluded (not exact queue depth: stale entries count
@@ -152,7 +151,8 @@ impl ReadyQueue {
 
     /// The entry [`pop`](Self::pop) would return, without removing it.
     /// The same caveat applies: the entry may be stale.
-    pub fn peek(&self) -> Option<ReadyEntry> {
+    #[cfg(test)]
+    pub(crate) fn peek(&self) -> Option<ReadyEntry> {
         if self.run_first() {
             self.run.front().copied()
         } else {
@@ -171,13 +171,13 @@ impl ReadyQueue {
 
     /// Parks an entry popped while its link was blocked; it stays out of
     /// the index until [`heal`](Self::heal) releases the link.
-    pub fn park(&mut self, link: Link, entry: ReadyEntry) {
+    pub(crate) fn park(&mut self, link: Link, entry: ReadyEntry) {
         self.parked.entry(link).or_default().push(entry);
         self.stats.parked += 1;
     }
 
     /// Re-indexes everything parked on `link` (no-op if nothing is).
-    pub fn heal(&mut self, link: Link) {
+    pub(crate) fn heal(&mut self, link: Link) {
         if let Some(entries) = self.parked.remove(&link) {
             for entry in entries {
                 self.stats.healed += 1;
@@ -189,7 +189,7 @@ impl ReadyQueue {
     }
 
     /// The lifetime counters (see [`SchedStats`]).
-    pub fn stats(&self) -> SchedStats {
+    pub(crate) fn stats(&self) -> SchedStats {
         self.stats
     }
 }

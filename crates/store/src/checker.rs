@@ -36,8 +36,8 @@ pub struct KvRecord {
 ///
 /// Assembled by [`ShardedStore::global_history`]. Cross-key timestamps
 /// are **not** comparable (each key runs in its own simulated world), so
-/// the only meaningful consumers are per-key: [`KvHistory::project`]
-/// rebuilds the checkable [`History`] of one key.
+/// the only meaningful consumers are per-key: the store checker rebuilds
+/// the checkable [`History`] of each key.
 #[derive(Clone, Debug, Default)]
 pub struct KvHistory {
     records: Vec<KvRecord>,
@@ -87,13 +87,13 @@ impl KvHistory {
     /// Projects the sub-history of `key`: the register [`History`]
     /// containing exactly the operations that addressed `key`, in
     /// invocation order — the input the per-register checkers expect.
-    pub fn project(&self, key: Key) -> History {
+    #[cfg(test)]
+    pub(crate) fn project(&self, key: Key) -> History {
         rebuild(self.records.iter().filter(|r| r.key == key).map(|r| &r.op))
     }
 
-    /// Groups the records per key in **one pass** — the bulk form of
-    /// [`project`](KvHistory::project) the checker uses, linear in the
-    /// record count instead of `O(keys × records)`.
+    /// Groups the records per key in **one pass**, linear in the record
+    /// count instead of `O(keys × records)`.
     fn per_key_ops(&self) -> BTreeMap<Key, Vec<&Operation>> {
         let mut groups: BTreeMap<Key, Vec<&Operation>> = BTreeMap::new();
         for r in &self.records {
@@ -105,8 +105,8 @@ impl KvHistory {
     /// Flattens every record of every key into one register [`History`]
     /// for **latency accounting only**: the per-op intervals are valid
     /// (each comes from its own key's world), cross-key times are not —
-    /// never feed the result to a consistency checker; that is what
-    /// [`project`](KvHistory::project) is for.
+    /// never feed the result to a consistency checker, which takes one
+    /// key's history at a time.
     pub fn latency_history(&self) -> History {
         rebuild(self.records.iter().map(|r| &r.op))
     }
@@ -114,7 +114,7 @@ impl KvHistory {
 
 /// Rebuilds recorded operations into a register [`History`] (invocation
 /// order restored by sorting on the interval endpoints) — the one
-/// shared invoke/respond loop behind [`KvHistory::project`] and
+/// shared invoke/respond loop behind the per-key histories and
 /// [`KvHistory::latency_history`].
 fn rebuild<'a>(ops: impl Iterator<Item = &'a Operation>) -> History {
     let mut ops: Vec<&Operation> = ops.collect();
@@ -153,7 +153,7 @@ impl KeyVerdict {
     /// bug; on an [`Contract::Unsound`] backend it is the sought
     /// counterexample — mirroring the exploration engine's
     /// expected/unexpected split.
-    pub fn is_unexpected(&self) -> bool {
+    pub(crate) fn is_unexpected(&self) -> bool {
         self.verdict.is_proven_violation() && self.contract != Contract::Unsound
     }
 }

@@ -77,17 +77,20 @@ impl BatchedFrontend {
 
     /// The store behind the frontend (read access — mutate through
     /// operations).
-    pub fn store(&self) -> &ShardedStore {
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &ShardedStore {
         &self.store
     }
 
     /// Counters so far.
-    pub fn stats(&self) -> FrontendStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> FrontendStats {
         self.stats
     }
 
     /// Operations buffered but not yet flushed.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.pending.len()
     }
 
@@ -111,7 +114,7 @@ impl BatchedFrontend {
     ///
     /// Propagates the store's [`StoreError`] (first stalled shard, in
     /// shard order).
-    pub fn flush(&mut self) -> Result<BatchStats, StoreError> {
+    pub(crate) fn flush(&mut self) -> Result<BatchStats, StoreError> {
         if self.pending.is_empty() {
             return Ok(BatchStats::default());
         }
@@ -224,7 +227,7 @@ mod tests {
                 .into_iter()
                 .map(|k| {
                     let h = global.project(k);
-                    let last = h.writes().filter_map(|o| o.write_value()).last();
+                    let last = h.writes().last().map(|o| o.kind);
                     (k, h.complete_ops().count(), h.len(), last)
                 })
                 .collect::<Vec<_>>()

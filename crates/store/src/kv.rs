@@ -58,11 +58,6 @@ impl KvOp {
             kind: KvOpKind::Put { value },
         }
     }
-
-    /// Returns `true` for puts.
-    pub fn is_put(&self) -> bool {
-        matches!(self.kind, KvOpKind::Put { .. })
-    }
 }
 
 impl fmt::Display for KvOp {
@@ -82,8 +77,6 @@ mod tests {
     fn constructors_and_display() {
         let g = KvOp::get(3, 17);
         let p = KvOp::put(0, 17, 9);
-        assert!(!g.is_put());
-        assert!(p.is_put());
         assert_eq!(g.to_string(), "c3:get(17)");
         assert_eq!(p.to_string(), "c0:put(17, 9)");
     }

@@ -101,7 +101,7 @@ pub use checker::{KeyVerdict, KvHistory, KvRecord, StoreCheckReport, StoreChecke
 pub use frontend::{BatchedFrontend, FrontendStats};
 pub use kv::{Key, KvOp, KvOpKind};
 pub use router::Router;
-pub use shard::{Shard, ShardBatch, StoreError};
+pub use shard::{Shard, StoreError};
 pub use store::{BatchStats, ShardedStore, StoreBuilder};
 
 /// Commonly used items, re-exported for examples and tests.
@@ -110,6 +110,6 @@ pub mod prelude {
     pub use crate::frontend::{BatchedFrontend, FrontendStats};
     pub use crate::kv::{Key, KvOp, KvOpKind};
     pub use crate::router::Router;
-    pub use crate::shard::{Shard, ShardBatch, StoreError};
+    pub use crate::shard::{Shard, StoreError};
     pub use crate::store::{BatchStats, ShardedStore, StoreBuilder};
 }

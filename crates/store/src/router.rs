@@ -54,7 +54,8 @@ impl Router {
     }
 
     /// Number of shards routed over.
-    pub fn shards(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn shards(&self) -> u32 {
         self.shards
     }
 

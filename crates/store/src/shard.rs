@@ -50,7 +50,7 @@ impl std::error::Error for StoreError {
 
 /// What one [`Shard::apply`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardBatch {
+pub(crate) struct ShardBatch {
     /// Operations applied.
     pub ops: u64,
     /// Distinct keys the batch touched.
@@ -68,7 +68,7 @@ pub struct ShardBatch {
 /// `mix64(store seed, shard index, key)` so every key's simulated world
 /// is deterministic and distinct. Every world runs with trace capacity 0:
 /// it stores no events and digests each one as it is recorded, which is
-/// all [`Shard::fingerprint`] reads. A shard is `Send` and owns all its
+/// all `Shard::fingerprint` reads. A shard is `Send` and owns all its
 /// state, which is what lets the batched frontend drive disjoint shards
 /// on worker threads without any locking.
 pub struct Shard {
@@ -119,11 +119,6 @@ impl Shard {
         self.protocol
     }
 
-    /// The per-key cluster configuration.
-    pub fn cfg(&self) -> ClusterConfig {
-        self.cfg
-    }
-
     /// Operations applied over the shard's lifetime.
     pub fn ops_applied(&self) -> u64 {
         self.ops_applied
@@ -160,7 +155,7 @@ impl Shard {
     /// thread-independence guarantee is checked on these. It folds
     /// [`SimControl::trace_digest`](fastreg::harness::SimControl::trace_digest),
     /// not the rendered trace fingerprint: never write it to a file or a pin.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut digest = DigestWriter::new();
         for (key, cluster) in &self.registers {
             digest.write_u64(*key);
@@ -172,8 +167,22 @@ impl Shard {
         digest.finish()
     }
 
-    /// Applies a batch of operations, all of which must route to this
-    /// shard.
+    /// Stages `ops`, all of which must route to this shard, and applies
+    /// them.
+    #[cfg(test)]
+    pub(crate) fn apply(&mut self, ops: &[KvOp]) -> Result<ShardBatch, StoreError> {
+        self.staged.extend_from_slice(ops);
+        self.apply_staged()
+    }
+
+    /// [`apply_staged`](Shard::apply_staged) if anything is staged, and
+    /// `None` otherwise: the step the store's crew runs on every shard
+    /// of a flush.
+    pub(crate) fn flush(&mut self) -> Option<Result<ShardBatch, StoreError>> {
+        (!self.staged.is_empty()).then(|| self.apply_staged())
+    }
+
+    /// Applies the staged sub-batch, which it empties.
     ///
     /// Ops are grouped per key (preserving submission order within each
     /// key) and each key group is driven *concurrently inside its
@@ -189,19 +198,6 @@ impl Shard {
     ///
     /// Returns [`StoreError::ShardStalled`] if any key's world exhausts
     /// its step budget before quiescing.
-    pub fn apply(&mut self, ops: &[KvOp]) -> Result<ShardBatch, StoreError> {
-        self.staged.extend_from_slice(ops);
-        self.apply_staged()
-    }
-
-    /// [`apply_staged`](Shard::apply_staged) if anything is staged, and
-    /// `None` otherwise: the step the store's crew runs on every shard
-    /// of a flush.
-    pub(crate) fn flush(&mut self) -> Option<Result<ShardBatch, StoreError>> {
-        (!self.staged.is_empty()).then(|| self.apply_staged())
-    }
-
-    /// [`apply`](Shard::apply) to the staged sub-batch, which it empties.
     pub(crate) fn apply_staged(&mut self) -> Result<ShardBatch, StoreError> {
         // Stable: keys ascending, submission order within a key.
         self.staged.sort_by_key(|op| op.key);
@@ -395,7 +391,10 @@ mod tests {
         // A starvation-level step budget: the settle after injecting the
         // put cannot drain the write broadcast.
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
-        let sim = SimConfig::default().with_max_steps(1);
+        let sim = SimConfig {
+            max_steps: 1,
+            ..SimConfig::default()
+        };
         let mut s = Shard::new(3, ProtocolId::FastCrash, cfg, sim, 1);
         let err = s
             .apply(&[KvOp::put(0, 42, 1)])

@@ -37,7 +37,7 @@ use crate::shard::{Shard, ShardBatch, StoreError};
 ///     .seed(7)
 ///     .protocol(ProtocolId::FastCrash)
 ///     .build()?;
-/// assert_eq!(store.n_shards(), 4);
+/// assert_eq!(store.shards().len(), 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -80,7 +80,8 @@ impl StoreBuilder {
     /// trace capacity is forced to 0: a key's world stores no events and
     /// digests every one, so the store fingerprint covers each key's
     /// whole run.
-    pub fn sim(mut self, sim: SimConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
         self
     }
@@ -180,25 +181,14 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Starts a [`StoreBuilder`] (convenience alias for
-    /// [`StoreBuilder::new`]).
-    pub fn builder(cfg: ClusterConfig) -> StoreBuilder {
-        StoreBuilder::new(cfg)
-    }
-
     /// The store's router.
     pub fn router(&self) -> Router {
         self.router
     }
 
     /// The per-key cluster configuration.
-    pub fn cfg(&self) -> ClusterConfig {
+    pub(crate) fn cfg(&self) -> ClusterConfig {
         self.cfg
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> u32 {
-        self.shards.len() as u32
     }
 
     /// The shards, in index order.
@@ -222,7 +212,7 @@ impl ShardedStore {
     }
 
     /// An *in-process* identity of everything the store did: FNV-1a over
-    /// the [`Shard::fingerprint`]s in shard order. Two runs of one process
+    /// the `Shard::fingerprint`s in shard order. Two runs of one process
     /// with equal fingerprints executed event-identical simulated
     /// histories — the value the "same results at any thread count"
     /// guarantee is checked on. Compare it, never persist it.
@@ -238,7 +228,8 @@ impl ShardedStore {
     ///
     /// Ops are grouped per shard by the router, **preserving submission
     /// order within each shard**; each hit shard then applies its
-    /// sub-batch (see [`Shard::apply`] for the per-key wave semantics).
+    /// sub-batch in per-key waves, at most one operation outstanding per
+    /// process.
     ///
     /// The shards are flushed on `w = min(threads, cores, shards)`
     /// workers, with the host's cores read once per store: worker 0 is
@@ -339,7 +330,7 @@ mod tests {
             .protocol(ProtocolId::Abd)
             .build()
             .unwrap();
-        assert_eq!(store.n_shards(), 2);
+        assert_eq!(store.shards().len(), 2);
     }
 
     #[test]
@@ -422,7 +413,10 @@ mod tests {
         for threads in [1, 2, 4] {
             let mut store = StoreBuilder::new(cfg)
                 .shards(8)
-                .sim(SimConfig::default().with_max_steps(1))
+                .sim(SimConfig {
+                    max_steps: 1,
+                    ..SimConfig::default()
+                })
                 .build()
                 .unwrap();
             store.claim_cores(4);

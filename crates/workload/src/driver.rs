@@ -489,7 +489,10 @@ mod tests {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
         let mut c = ClusterBuilder::new(cfg)
             .seed(8)
-            .sim(SimConfig::default().with_max_steps(4))
+            .sim(SimConfig {
+                max_steps: 4,
+                ..SimConfig::default()
+            })
             .build(ProtocolId::FastCrash)
             .unwrap();
         let err = run_closed_loop(

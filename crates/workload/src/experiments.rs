@@ -255,7 +255,7 @@ pub fn e1_fast_crash_atomicity(seeds: u64) -> Table {
 /// E2 — read cost in message delays: fast = 2, max–min = 3, ABD = 4
 /// (writes: 2 everywhere except MWMR). Unit-delay network makes the round
 /// structure exact.
-pub fn e2_round_trips() -> Table {
+pub(crate) fn e2_round_trips() -> Table {
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
     let spec = WorkloadSpec {
         n_ops: 60,
@@ -311,7 +311,7 @@ pub fn e2_round_trips() -> Table {
 /// E3 — the §5 lower bound: exactly at/beyond `R ≥ S/t − 2`, the scripted
 /// `prC` run produces a new/old inversion; below it, the construction is
 /// impossible and random search finds nothing.
-pub fn e3_crash_lower_bound() -> Table {
+pub(crate) fn e3_crash_lower_bound() -> Table {
     let mut table = Table::new(vec![
         "S",
         "t",
@@ -377,7 +377,7 @@ pub fn e3_crash_lower_bound() -> Table {
 
 /// E4 — Fig. 5 stays atomic against the malicious-server behaviour
 /// library in feasible Byzantine configurations.
-pub fn e4_byz_atomicity(seeds: u64) -> Table {
+pub(crate) fn e4_byz_atomicity(seeds: u64) -> Table {
     let cfg = ClusterConfig::byzantine(6, 1, 1, 1).expect("valid");
     assert!(cfg.fast_feasible());
     let mut table = Table::new(vec!["behaviour", "runs", "violations"]);
@@ -470,7 +470,7 @@ fn byz_run_is_atomic(cfg: ClusterConfig, seed: u64, kind: BehaviourKind) -> bool
 }
 
 /// E5 — the §6.2 lower bound with memory-losing Byzantine servers.
-pub fn e5_byz_lower_bound() -> Table {
+pub(crate) fn e5_byz_lower_bound() -> Table {
     let mut table = Table::new(vec![
         "S",
         "t",
@@ -522,7 +522,7 @@ pub fn e5_byz_lower_bound() -> Table {
 /// E6 — §7: the one-round MWMR candidate violates atomicity on the
 /// sequential two-writer pattern; the two-round MWMR ABD baseline is
 /// correct on the same pattern.
-pub fn e6_mwmr() -> Table {
+pub(crate) fn e6_mwmr() -> Table {
     let mut table = Table::new(vec![
         "S",
         "naive fast read",
@@ -556,7 +556,7 @@ pub fn e6_mwmr() -> Table {
 /// E7 — §8's trade-off: the fast *regular* register serves unboundedly
 /// many readers at `t < S/2` (far beyond the atomic fast bound) and stays
 /// regular, but exhibits real new/old inversions — the price of speed.
-pub fn e7_regular_tradeoff(seeds: u64) -> Table {
+pub(crate) fn e7_regular_tradeoff(seeds: u64) -> Table {
     let cfg = ClusterConfig::crash_stop(5, 2, 6).expect("valid");
     assert!(!cfg.fast_feasible(), "far beyond the atomic fast bound");
     assert!(cfg.fast_regular_feasible());
@@ -613,7 +613,7 @@ pub fn e7_regular_tradeoff(seeds: u64) -> Table {
 /// clean vs. scripted violation) must agree with the closed form
 /// `S > (R+2)t + (R+1)b` at every grid point where the construction's
 /// hypotheses hold.
-pub fn e8_frontier() -> Table {
+pub(crate) fn e8_frontier() -> Table {
     let mut table = Table::new(vec!["S", "t", "b", "R", "formula", "experiment", "agree?"]);
     let mut grid: Vec<(u32, u32, u32, u32)> = Vec::new();
     for s in [5u32, 6, 7, 8, 9, 10, 12] {
@@ -667,7 +667,7 @@ pub fn e8_frontier() -> Table {
 /// E9 — simulated latency distributions under non-trivial delay models:
 /// the fast read's advantage persists (roughly 2× vs ABD) across delay
 /// shapes.
-pub fn e9_latency() -> Table {
+pub(crate) fn e9_latency() -> Table {
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
     let spec = WorkloadSpec {
         n_ops: 120,
@@ -733,7 +733,7 @@ pub fn e9_latency() -> Table {
 
 /// E10 — predicate internals: which witness level `a` justifies fast
 /// reads in practice, and exact-vs-bruteforce agreement.
-pub fn e10_predicate() -> Table {
+pub(crate) fn e10_predicate() -> Table {
     // Witness histogram over a concurrent workload. The typed builder
     // keeps static dispatch: the histogram needs typed actor access.
     let cfg = ClusterConfig::crash_stop(7, 1, 4).expect("valid");
@@ -818,7 +818,7 @@ pub fn e10_predicate() -> Table {
 /// (Proposition 5 needs `R ≥ 2`): the §1 single-reader trick gives a fast
 /// register at plain majority resilience `t < S/2`, strictly weaker than
 /// the general protocol's `S > 3t`.
-pub fn e11_single_reader(seeds: u64) -> Table {
+pub(crate) fn e11_single_reader(seeds: u64) -> Table {
     let mut table = Table::new(vec![
         "S",
         "t",
@@ -867,7 +867,7 @@ pub fn e11_single_reader(seeds: u64) -> Table {
 /// E12 — bounded-exhaustive schedule exploration: systematically
 /// enumerated delivery interleavings (not just random samples) find no
 /// violation of the Fig. 2 protocol in the feasible regime.
-pub fn e12_exploration(budget: u64) -> Table {
+pub(crate) fn e12_exploration(budget: u64) -> Table {
     use fastreg_adversary::{explore_fast_crash, OpScript};
     let mut table = Table::new(vec![
         "S",
@@ -930,7 +930,7 @@ pub fn e12_exploration(budget: u64) -> Table {
 /// threshold `k` is refuted by a scripted schedule, in a configuration
 /// where the real Fig. 2 protocol is provably safe. The `seen` sets are
 /// not an optimization; they are load-bearing.
-pub fn e13_seen_ablation() -> Table {
+pub(crate) fn e13_seen_ablation() -> Table {
     use fastreg_adversary::refute_count_predicate;
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
     assert!(cfg.fast_feasible(), "the real protocol is safe here");
@@ -1144,7 +1144,7 @@ pub fn e15_exploration(cells: u32, threads: usize) -> Table {
 /// Asserts, per row: every issued op completed, zero per-key contract
 /// violations (all backends here are sound), and — on the headline row —
 /// ≥ 1000 distinct keys actually served.
-pub fn e16_store(headline_ops: u64, threads: usize) -> Table {
+pub(crate) fn e16_store(headline_ops: u64, threads: usize) -> Table {
     use crate::kv::{run_kv_workload, KeyDist, KvWorkloadSpec};
     use fastreg_store::store::StoreBuilder;
 
@@ -1282,7 +1282,7 @@ pub fn e16_store(headline_ops: u64, threads: usize) -> Table {
 /// is judged at µs precision, so it is weaker than the same verdict on
 /// simnet, whose ticks order every event. Throughput per worker count is
 /// fastbench's to measure.
-pub fn e17_rt_runs(n_ops: u64, workers: &[usize]) -> Table {
+pub(crate) fn e17_rt_runs(n_ops: u64, workers: &[usize]) -> Table {
     use fastreg::harness::Runtime;
 
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
@@ -1407,7 +1407,7 @@ pub fn e18_checker_memory(sizes: &[u64], batch_cap: u64) -> Table {
 /// seed. On the real-threads runtime wall time is an input, so the
 /// contract weakens to completion plus actor-pool counter sanity
 /// (every op's messages were drained through the mailboxes).
-pub fn e19_obs_invariants(n_ops: u64) -> Table {
+pub(crate) fn e19_obs_invariants(n_ops: u64) -> Table {
     use crate::obsrun::trace_register_run;
     use fastreg::harness::Runtime;
     use fastreg::threads::{RtConfig, ThreadCluster};

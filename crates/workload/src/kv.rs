@@ -274,7 +274,7 @@ mod tests {
         let hottest = global
             .keys()
             .into_iter()
-            .map(|k| global.project(k).len())
+            .map(|k| global.records().iter().filter(|r| r.key == k).count())
             .max()
             .unwrap() as f64;
         let mean = global.len() as f64 / zipf.distinct_keys as f64;

@@ -33,7 +33,7 @@ impl OpBreakdown {
     /// Computes the breakdown of recorded operations, in any order: each
     /// latency is its own op's interval, so no history needs rebuilding
     /// first (the store's key-tagged records are read in place).
-    pub fn of_ops<'a>(ops: impl IntoIterator<Item = &'a Operation>) -> Self {
+    pub(crate) fn of_ops<'a>(ops: impl IntoIterator<Item = &'a Operation>) -> Self {
         let mut reads = Vec::new();
         let mut writes = Vec::new();
         let mut incomplete = 0;

@@ -18,9 +18,9 @@
 //!
 //! | track | contents | lanes |
 //! |---|---|---|
-//! | [`TRACK_NET`] | message flight spans, injections, crashes, drops | receiver process |
-//! | [`TRACK_OPS`] | operation spans (`op.read` / `op.write`) | client process |
-//! | [`TRACK_STORE_BASE`]` + shard` | per-key op spans of a sharded-store run | client process |
+//! | `TRACK_NET` | message flight spans, injections, crashes, drops | receiver process |
+//! | `TRACK_OPS` | operation spans (`op.read` / `op.write`) | client process |
+//! | `TRACK_STORE_BASE`` + shard` | per-key op spans of a sharded-store run | client process |
 
 use std::collections::BTreeMap;
 
@@ -37,11 +37,11 @@ use crate::driver::{run_closed_loop, DriverError, WorkloadSpec};
 use crate::kv::{run_kv_workload, KvWorkloadSpec};
 
 /// Track (Chrome pid) of simnet network events.
-pub const TRACK_NET: u32 = 0;
+pub(crate) const TRACK_NET: u32 = 0;
 /// Track (Chrome pid) of register operation spans.
-pub const TRACK_OPS: u32 = 1;
+pub(crate) const TRACK_OPS: u32 = 1;
 /// First store track: shard `s` renders as track `TRACK_STORE_BASE + s`.
-pub const TRACK_STORE_BASE: u32 = 16;
+pub(crate) const TRACK_STORE_BASE: u32 = 16;
 
 /// What an instrumented run yields: the merged deterministic event
 /// stream plus the metrics snapshot.
@@ -71,7 +71,7 @@ impl ObsArtifacts {
 /// per delivered message (send → deliver, on the receiver's lane),
 /// instants for injections, crashes, drops, and sends that never
 /// resolved within the retained trace.
-pub fn events_from_trace(entries: &[TraceEntry]) -> Vec<Event> {
+pub(crate) fn events_from_trace(entries: &[TraceEntry]) -> Vec<Event> {
     fn rec(lanes: &mut BTreeMap<u32, Recorder>, lane: u32) -> &mut Recorder {
         lanes
             .entry(lane)
@@ -125,7 +125,7 @@ pub fn events_from_trace(entries: &[TraceEntry]) -> Vec<Event> {
 /// Derives operation spans from a history onto `track`: completed ops
 /// become balanced `op.read` / `op.write` Begin/End pairs on the
 /// client's lane, incomplete ops an `op.incomplete` instant.
-pub fn events_from_history(history: &History, track: u32) -> Vec<Event> {
+pub(crate) fn events_from_history(history: &History, track: u32) -> Vec<Event> {
     let mut lanes: BTreeMap<u32, Recorder> = BTreeMap::new();
     for op in history.ops() {
         let rec = lanes
@@ -152,7 +152,7 @@ pub fn events_from_history(history: &History, track: u32) -> Vec<Event> {
 /// Records a history's per-kind latencies into `reg`: log2 histograms
 /// (`<prefix>.read` / `<prefix>.write`) plus exact summary gauges via
 /// [`LatencyStats::record`].
-pub fn record_history_metrics(history: &History, reg: &mut MetricsRegistry, prefix: &str) {
+pub(crate) fn record_history_metrics(history: &History, reg: &mut MetricsRegistry, prefix: &str) {
     let mut reads = Vec::new();
     let mut writes = Vec::new();
     let mut incomplete = 0u64;
@@ -185,7 +185,7 @@ pub fn record_history_metrics(history: &History, reg: &mut MetricsRegistry, pref
 
 /// Harvests a simulated deployment's network + scheduler counters into
 /// `reg` (the `net.*` and `sched.*` namespaces).
-pub fn record_sim_metrics(sim: &dyn SimControl, reg: &mut MetricsRegistry) {
+pub(crate) fn record_sim_metrics(sim: &dyn SimControl, reg: &mut MetricsRegistry) {
     let net = sim.net_stats();
     reg.counter_add("net.sent", net.sent);
     reg.counter_add("net.delivered", net.delivered);

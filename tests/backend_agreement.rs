@@ -9,13 +9,17 @@
 //!   ops-completed counts, zero incomplete);
 //! * both histories pass the unmodified post-hoc checkers cleanly.
 //!
+//! The two clean verdicts are not equally strong. A threaded history is
+//! stamped in microsecond ticks, so two operations inside one
+//! microsecond are concurrent to the checker, and a stale read among
+//! them would pass; simnet's ticks order every event. A clean rt verdict
+//! is therefore the weaker claim (E17 says the same).
+//!
 //! What is deliberately NOT compared: trace fingerprints and latency.
 //! Real time is nondeterministic — the OS interleaves the actors
 //! differently on every run — so the threaded runtime has no replayable
 //! fingerprint at all (that is the whole reason `SimControl` is a
-//! separate trait). Verdict codes, by contrast, must not vary: a sound
-//! protocol is atomic under *every* schedule, including the ones real
-//! hardware picks.
+//! separate trait).
 
 use fastreg_suite::fastreg_workload::driver::{run_closed_loop, WorkloadSpec};
 use fastreg_suite::prelude::*;
