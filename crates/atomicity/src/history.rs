@@ -392,9 +392,12 @@ impl SharedHistory {
         self.history.lock().clone()
     }
 
-    /// Number of operations recorded so far (complete and pending).
-    pub fn recorded_count(&self) -> usize {
-        self.history.lock().len()
+    /// Runs `f` on the history so far, in place, under its lock: a
+    /// reader that copies only what it keeps, where a
+    /// [`snapshot`](Self::snapshot) clones every operation. `f` must not
+    /// record into this history.
+    pub fn inspect<R>(&self, f: impl FnOnce(&History) -> R) -> R {
+        f(&self.history.lock())
     }
 
     /// What the `nth` completed read of client `proc` returned (see
@@ -545,7 +548,7 @@ mod tests {
         assert!(sh.client_busy(0));
         assert!(sh.client_busy(1));
         assert!(!sh.client_busy(4));
-        assert_eq!(sh.recorded_count(), 2);
+        assert_eq!(sh.inspect(History::len), 2);
         assert_eq!(sh.completed_count(), 0);
         sh.respond(w, None, 2);
         assert!(!sh.client_busy(0));
@@ -620,11 +623,11 @@ mod tests {
         let h = History::with_capacity(1024);
         assert!(h.is_empty());
         let sh = SharedHistory::with_capacity(1024);
-        assert_eq!(sh.recorded_count(), 0);
+        assert_eq!(sh.inspect(History::len), 0);
         sh.reserve(16);
         let w = sh.invoke_write(0, 1, 0);
         sh.respond(w, None, 1);
-        assert_eq!(sh.recorded_count(), 1);
+        assert_eq!(sh.inspect(History::len), 1);
     }
 
     #[test]

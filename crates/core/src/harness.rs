@@ -760,6 +760,12 @@ pub trait RegisterOps {
     /// ([`ops_completed`](RegisterOps::ops_completed),
     /// [`client_busy`](RegisterOps::client_busy)) instead.
     fn snapshot(&self) -> History;
+    /// Runs `f` on the recorded history in place: one read under the
+    /// history's lock, and no copy unless `f` makes one. The default
+    /// reads a [`snapshot`](RegisterOps::snapshot).
+    fn inspect_history(&self, f: &mut dyn FnMut(&History)) {
+        f(&self.snapshot());
+    }
     /// Number of operations recorded so far (complete and pending) —
     /// O(1), no snapshot.
     fn ops_recorded(&self) -> u64;
@@ -983,8 +989,12 @@ impl<P: ProtocolFamily> RegisterOps for Cluster<P> {
         self.history.snapshot()
     }
 
+    fn inspect_history(&self, f: &mut dyn FnMut(&History)) {
+        self.history.inspect(|h| f(h));
+    }
+
     fn ops_recorded(&self) -> u64 {
-        self.history.recorded_count() as u64
+        self.history.inspect(History::len) as u64
     }
 
     fn ops_completed(&self) -> u64 {
@@ -1227,6 +1237,10 @@ impl RegisterOps for DynCluster {
         self.ops().snapshot()
     }
 
+    fn inspect_history(&self, f: &mut dyn FnMut(&History)) {
+        self.ops().inspect_history(f);
+    }
+
     fn ops_recorded(&self) -> u64 {
         self.ops().ops_recorded()
     }
@@ -1277,6 +1291,53 @@ mod tests {
         c.write_sync(2);
         assert_eq!(c.read(1), RegValue::Val(2));
         c.check_atomic().unwrap();
+    }
+
+    /// The timed scheduler's counters on a fixed fast-crash run under the
+    /// default `Constant(1)` delay: every send joins the in-transit
+    /// window's run, so the heap takes only heal re-pushes. One parked
+    /// write request is healed mid-run, and a crashed server makes
+    /// drops.
+    #[test]
+    fn sched_stats_count_one_push_per_send_and_one_pop_per_step() {
+        let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
+        let mut c: Cluster<FastCrash> = typed(cfg, 7);
+        c.write_sync(1);
+        assert_eq!(c.read(0), RegValue::Val(1));
+        let sched = c.sched_counters();
+        let net = c.net_stats();
+        assert_eq!(sched.pushed, net.sent);
+        assert_eq!(sched.popped, net.delivered + net.dropped);
+        assert_eq!(sched.heap_pushed, 0, "no send reaches the heap");
+
+        // S − t servers still answer across one blocked link.
+        let (writer, server) = (c.layout.writer(0), c.layout.server(0));
+        c.world.block_link(writer, server);
+        c.write_sync(2);
+        c.world.heal_link(writer, server);
+        c.world.crash(c.layout.server(4));
+        for v in 3..=5 {
+            c.write_sync(v);
+            assert_eq!(c.read(v as u32 % 2), RegValue::Val(v));
+        }
+        c.settle();
+        let sched = c.sched_counters();
+        let net = c.net_stats();
+        assert!(net.dropped > 0 && sched.parked > 0);
+        assert_eq!(sched.pushed, net.sent + sched.healed);
+        assert_eq!(sched.popped, net.delivered + net.dropped + sched.parked);
+        assert_eq!(sched.heap_pushed, sched.healed, "only heals reach the heap");
+        assert_eq!(
+            sched,
+            fastreg_simnet::world::SchedStats {
+                pushed: 85,
+                popped: 85,
+                parked: 1,
+                healed: 1,
+                heap_high_water: 6,
+                heap_pushed: 1,
+            }
+        );
     }
 
     #[test]

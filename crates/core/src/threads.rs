@@ -286,11 +286,15 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
         self.history.snapshot()
     }
 
+    fn inspect_history(&self, f: &mut dyn FnMut(&History)) {
+        self.history.inspect(|h| f(h));
+    }
+
     fn ops_recorded(&self) -> u64 {
         // Issued is the honest count here: an injected invocation is an
         // operation the environment started, even if the actor has not
         // recorded it yet.
-        self.issued.max(self.history.recorded_count() as u64)
+        self.issued.max(self.history.inspect(History::len) as u64)
     }
 
     fn ops_completed(&self) -> u64 {

@@ -32,7 +32,7 @@ const SURFACE_PINS: &[(&str, usize)] = &[
     ("lint", 24),
     ("obs", 32),
     ("rt", 19),
-    ("simnet", 97),
+    ("simnet", 95),
     ("store", 55),
     ("workload", 28),
 ];
@@ -74,11 +74,6 @@ const ORACLES: &[(&str, &str, &str)] = &[
         "simnet",
         "World::actor_ids",
         "lists a world's actors for cross_protocol.rs's partitions",
-    ),
-    (
-        "simnet",
-        "World::heal_partition",
-        "heals cross_protocol.rs's partitions",
     ),
 ];
 

@@ -3,22 +3,25 @@
 //! Delivery is organized around two data structures: the authoritative
 //! in-transit set `mset` (every envelope, addressable by id — the
 //! scripted/adversarial API works on this; a send-ordered window, see
-//! the `mset` module) and the [`sched::ReadyQueue`] index the *timed*
-//! scheduler pops from: a FIFO run of the messages ready in send order
-//! (all of them under a constant delay), O(1) per step, beside a heap for
-//! the rest, O(log n). Both driving styles funnel into one internal
-//! delivery path, so traces, statistics and actor steps are identical
-//! whichever style (or mix) drives a run.
+//! the `mset` module) and the [`sched::ReadyQueue`]. The window is also
+//! the *timed* scheduler's FIFO run: a send ready after every earlier
+//! one on the run (all of them under a constant delay) is only appended
+//! to the window, O(1) per step; the queue's heap holds the rest,
+//! O(log n). Both driving styles funnel into one internal delivery path,
+//! so traces, statistics and actor steps are identical whichever style
+//! (or mix) drives a run.
 //!
-//! One timed delivery costs an index pop, one O(1) `mset` removal (plus
-//! a lookup of the envelope's link first, only while some link is
-//! blocked), a 32-byte trace entry and the receiver's step; each message
-//! the step emits costs a delay sample, an index push, an `mset` push and —
+//! One timed delivery of an in-order send costs a look at the run's
+//! front and the heap's top, taking the envelope out of its window slot
+//! (no id lookup), a 32-byte trace entry and the receiver's step; each
+//! message the step emits costs a delay sample, a window push and —
 //! while the trace has room — one clone into the trace (a digest-only
-//! trace, capacity 0, hashes the entry and message instead). No message is
-//! formatted on this path: payloads are rendered by whoever reads the
-//! [`Trace`] (see [`crate::trace`]), and the step's outbox is one buffer
-//! lent out again and again.
+//! trace, capacity 0, hashes the entry and message instead). An
+//! out-of-order send adds a heap push and, when popped, one O(1) id
+//! lookup. While some link is blocked, the popped envelope's link is
+//! checked too. No message is formatted on this path: payloads are
+//! rendered by whoever reads the [`Trace`] (see [`crate::trace`]), and
+//! the step's outbox is one buffer lent out again and again.
 
 mod mset;
 pub mod sched;
@@ -75,20 +78,21 @@ struct Slot<M> {
 ///
 /// * **Timed**: [`World::run_until_quiescent`] and [`World::step_timed`]
 ///   deliver messages in virtual-time order according to the configured
-///   [`DelayModel`](crate::delay::DelayModel), popping from the
-///   [`sched::ReadyQueue`] index.
+///   [`DelayModel`](crate::delay::DelayModel), taking the earlier of
+///   the in-transit window's FIFO run and the [`sched::ReadyQueue`].
 /// * **Scripted**: [`World::deliver`] and [`World::deliver_matching`]
 ///   give a driver complete control over which messages are delivered
 ///   and which stay in transit — exactly the power the paper's
-///   lower-bound adversary has. Scripted removals leave their
-///   index entries behind; the timed scheduler discards them lazily (see
-///   the [`sched`] docs for the invalidation rules).
+///   lower-bound adversary has. Scripted removals leave any heap
+///   entries behind; the timed scheduler discards them lazily (see the
+///   [`sched`] docs for the invalidation rules).
 ///
 /// See the crate-level docs for an end-to-end example.
 pub struct World<M> {
     slots: Vec<Slot<M>>,
     mset: InTransit<M>,
-    /// The timed scheduler's index over `mset` (lazy invalidation).
+    /// The timed scheduler's index of what `mset`'s run does not hold
+    /// (lazy invalidation).
     ready: ReadyQueue,
     /// The one outbox buffer: lent to each actor step, drained into
     /// `mset`, and taken back with its capacity.
@@ -164,8 +168,8 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
         &self.stats
     }
 
-    /// Lifetime counters of the timed scheduler's ready-queue index
-    /// (pushes, pops, parks, heals, heap high-water).
+    /// Lifetime counters of the timed scheduler (pushes, pops, parks,
+    /// heals, high-water, heap pushes).
     pub fn sched_stats(&self) -> sched::SchedStats {
         self.ready.stats()
     }
@@ -226,31 +230,10 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     }
 
     /// Unblocks a directed link; messages parked on it become deliverable
-    /// again (their index entries are re-queued).
+    /// again (their entries are re-queued in the heap).
     pub fn heal_link(&mut self, from: ProcessId, to: ProcessId) {
         self.blocked_links.remove(&(from, to));
-        self.ready.heal((from, to));
-    }
-
-    /// Partitions two groups of processes from each other in both
-    /// directions.
-    pub fn partition(&mut self, group_a: &[ProcessId], group_b: &[ProcessId]) {
-        for &a in group_a {
-            for &b in group_b {
-                self.block_link(a, b);
-                self.block_link(b, a);
-            }
-        }
-    }
-
-    /// Heals a two-group partition.
-    pub fn heal_partition(&mut self, group_a: &[ProcessId], group_b: &[ProcessId]) {
-        for &a in group_a {
-            for &b in group_b {
-                self.heal_link(a, b);
-                self.heal_link(b, a);
-            }
-        }
+        self.ready.heal((from, to), self.mset.run_len());
     }
 
     // ----------------------------------------------------------- injections
@@ -302,15 +285,15 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     /// Fails if the id is unknown or the receiver has crashed (a crashed
     /// process takes no steps; the message would stay in transit).
     pub fn deliver(&mut self, id: MsgId) -> Result<(), DeliverError> {
-        let to = self
+        let slot = self
             .mset
-            .get(id)
-            .map(|e| e.to)
+            .slot_of(id)
             .ok_or(DeliverError::UnknownMessage(id))?;
+        let to = self.mset.at(slot).to;
         if self.is_crashed(to) {
             return Err(DeliverError::ReceiverCrashed(to));
         }
-        let env = self.mset.remove(id).expect("looked up above");
+        let env = self.mset.take(slot);
         self.deliver_env(env);
         Ok(())
     }
@@ -365,50 +348,59 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
 
     // -------------------------------------------------------- timed running
 
-    /// Pops the next valid, unblocked index entry: stale entries (scripted
-    /// removals, drops) are discarded, entries on blocked links are parked
-    /// until [`World::heal_link`].
-    #[cfg(test)]
-    fn pop_next_unblocked(&mut self) -> Option<(MsgId, SimTime)> {
-        while let Some((ready_at, id)) = self.ready.pop() {
-            let Some(env) = self.mset.get(id) else {
-                continue; // stale: already delivered or dropped
+    /// Takes the next entry off the schedule — the smaller of the run's
+    /// first envelope and the heap's top — and returns its `mset` slot.
+    /// Stale heap entries (scripted removals, drops) are discarded, and
+    /// entries on blocked links are parked until [`World::heal_link`],
+    /// so the slot holds an in-transit envelope on an open link.
+    fn next_unblocked(&mut self) -> Option<usize> {
+        loop {
+            let run = self
+                .mset
+                .run_front()
+                .filter(|&(_, key)| self.ready.peek().is_none_or(|top| key < top));
+            let slot = if let Some((slot, _)) = run {
+                self.ready.count_run_pop();
+                slot
+            } else {
+                let (_, id) = self.ready.pop()?;
+                match self.mset.slot_of(id) {
+                    Some(slot) => slot,
+                    None => continue, // stale: already delivered or dropped
+                }
             };
-            let link = (env.from, env.to);
-            if self.blocked_links.contains(&link) {
-                self.ready.park(link, (ready_at, id));
-                continue;
+            if !self.blocked_links.is_empty() {
+                let env = self.mset.at(slot);
+                let (link, entry) = ((env.from, env.to), (env.ready_at, env.id));
+                if self.blocked_links.contains(&link) {
+                    self.mset.leave_run(slot);
+                    self.ready.park(link, entry);
+                    continue;
+                }
             }
-            return Some((id, ready_at));
+            return Some(slot);
         }
-        None
     }
 
     /// Earliest ready time among deliverable messages (unblocked *and*
     /// addressed to a live receiver), without delivering or dropping
-    /// anything. Entries popped while peeking are re-queued.
+    /// anything. Entries taken off the schedule while peeking are
+    /// re-queued in the heap.
     #[cfg(test)]
     fn next_ready_deliverable(&mut self) -> Option<SimTime> {
-        // Fast path: the smallest index entry is usually live, so peek
-        // without the pop/re-push round trip (and its scratch Vec).
-        if let Some((ready_at, id)) = self.ready.peek() {
-            if let Some(env) = self.mset.get(id) {
-                if !self.blocked_links.contains(&(env.from, env.to)) && !self.is_crashed(env.to) {
-                    return Some(ready_at);
-                }
-            }
-        }
-        let mut popped: Vec<(SimTime, MsgId)> = Vec::new();
+        let mut taken: Vec<(SimTime, MsgId)> = Vec::new();
         let mut found = None;
-        while let Some((id, ready_at)) = self.pop_next_unblocked() {
-            popped.push((ready_at, id));
-            let to = self.mset.get(id).expect("validated by pop").to;
+        while let Some(slot) = self.next_unblocked() {
+            self.mset.leave_run(slot);
+            let env = self.mset.at(slot);
+            let (ready_at, to) = (env.ready_at, env.to);
+            taken.push((ready_at, env.id));
             if !self.is_crashed(to) {
                 found = Some(ready_at);
                 break;
             }
         }
-        for (ready_at, id) in popped {
+        for (ready_at, id) in taken {
             self.ready.push(ready_at, id);
         }
         found
@@ -420,34 +412,21 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
     ///
     /// Returns `false` if nothing was deliverable.
     ///
-    /// This pops the [`sched::ReadyQueue`] index — O(1) when messages are
+    /// This takes the earlier of the in-transit window's run front and
+    /// the [`sched::ReadyQueue`]'s heap top — O(1) when messages are
     /// ready in send order, O(log n) in the in-transit pool size
-    /// otherwise — rather than scanning `mset`, and looks the popped id
-    /// up in `mset` once (twice while some link is blocked).
+    /// otherwise — rather than scanning `mset`. A run envelope comes out
+    /// of its slot with no id lookup; a heap entry costs one.
     pub fn step_timed(&mut self) -> bool {
-        while let Some((ready_at, id)) = self.ready.pop() {
-            // The link is read before the removal only while some link
-            // is blocked; otherwise the removal is the validity check.
-            if !self.blocked_links.is_empty() {
-                let Some(env) = self.mset.get(id) else {
-                    continue; // stale: already delivered or dropped
-                };
-                let link = (env.from, env.to);
-                if self.blocked_links.contains(&link) {
-                    self.ready.park(link, (ready_at, id));
-                    continue;
-                }
-            }
-            let Some(env) = self.mset.remove(id) else {
-                continue; // stale: already delivered or dropped
-            };
-            if ready_at > self.now {
-                self.now = ready_at;
+        while let Some(slot) = self.next_unblocked() {
+            let env = self.mset.take(slot);
+            if env.ready_at > self.now {
+                self.now = env.ready_at;
             }
             if self.is_crashed(env.to) {
                 self.trace.record(TraceEntry::Drop {
                     at: self.now,
-                    id,
+                    id: env.id,
                     reason: DropReason::ReceiverCrashed,
                 });
                 self.stats.record_drop();
@@ -567,15 +546,16 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
             ready_at: self.now + delay,
             msg,
         };
-        self.ready.push(env.ready_at, id);
-        self.mset.insert(env);
+        let entry = (env.ready_at, id);
+        let on_run = self.mset.insert(env);
+        self.ready.schedule(entry, on_run, self.mset.run_len());
         id
     }
 
     /// The single delivery path shared by the timed, random and scripted
     /// styles: trace, stats, then the receiver's step. The envelope must
-    /// already be out of `mset` (any index entry left behind for it is
-    /// handled by lazy invalidation).
+    /// already be out of `mset` (any heap or parked entry left behind for
+    /// it is handled by lazy invalidation).
     fn deliver_env(&mut self, env: Envelope<M>) {
         self.trace.record(TraceEntry::Deliver {
             at: self.now,
@@ -715,8 +695,8 @@ mod tests {
 
     #[test]
     fn timed_steps_skip_entries_invalidated_by_scripted_delivery() {
-        // Scripted delivery leaves stale index entries behind; the timed
-        // scheduler must discard them and still deliver everything else.
+        // Scripted delivery leaves a tombstone on the run; the timed
+        // scheduler must skip it and still deliver everything else.
         let (mut w, ids) = world_of(3);
         w.inject(ids[0], Msg::ReplyAll);
         let to2 = w.pending_ids_matching(|e| e.to == ids[2]);
@@ -851,8 +831,8 @@ mod tests {
 
     #[test]
     fn run_until_peek_does_not_lose_or_drop_messages() {
-        // The deadline peek pops index entries to find the next
-        // deliverable message; everything popped must be re-queued, and
+        // The deadline peek takes entries off the schedule to find the
+        // next deliverable message; everything taken must be re-queued, and
         // messages to crashed receivers must be neither delivered nor
         // dropped by the peek itself.
         let mut w: World<Msg> = World::new(SimConfig {
@@ -959,8 +939,8 @@ mod tests {
 
     #[test]
     fn heal_after_scripted_delivery_discards_the_stale_parked_entry() {
-        // Force-deliver across a blocked link (the index entry is
-        // parked), then heal: the re-queued entry is stale and must be
+        // Force-deliver across a blocked link (the run entry is parked),
+        // then heal: the re-queued entry is stale and must be
         // skipped without a double delivery.
         let (mut w, ids) = world_of(2);
         w.block_link(ids[0], ids[1]);
@@ -979,14 +959,26 @@ mod tests {
     #[test]
     fn partition_and_heal_groups() {
         let (mut w, ids) = world_of(4);
-        w.partition(&[ids[0], ids[1]], &[ids[2], ids[3]]);
+        let links: Vec<(ProcessId, ProcessId)> = [ids[0], ids[1]]
+            .into_iter()
+            .flat_map(|a| {
+                [ids[2], ids[3]]
+                    .into_iter()
+                    .flat_map(move |b| [(a, b), (b, a)])
+            })
+            .collect();
+        for &(a, b) in &links {
+            w.block_link(a, b);
+        }
         w.inject(ids[0], Msg::ReplyAll);
         w.run_until_quiescent().expect("quiesces");
         // Hellos reached only the same-side peer.
         assert_eq!(w.with_actor::<Node, _, _>(ids[1], |n| n.hellos).unwrap(), 1);
         assert_eq!(w.with_actor::<Node, _, _>(ids[2], |n| n.hellos).unwrap(), 0);
         assert_eq!(w.with_actor::<Node, _, _>(ids[3], |n| n.hellos).unwrap(), 0);
-        w.heal_partition(&[ids[0], ids[1]], &[ids[2], ids[3]]);
+        for &(a, b) in &links {
+            w.heal_link(a, b);
+        }
         w.run_until_quiescent().expect("quiesces");
         assert_eq!(w.with_actor::<Node, _, _>(ids[2], |n| n.hellos).unwrap(), 1);
         assert_eq!(w.with_actor::<Node, _, _>(ids[3], |n| n.hellos).unwrap(), 1);

@@ -4,63 +4,55 @@
 //! `mset` (a send-ordered window of envelopes with O(1) lookup by id)
 //! because scripted/adversarial delivery must be able to address *any*
 //! message — that is the power the paper's lower-bound adversary has. The *timed* scheduler, on the
-//! other hand, only ever needs the earliest deliverable envelope, so the
-//! world additionally maintains a [`ReadyQueue`]: an index of
-//! `(ready_at, MsgId)` entries plus a per-link parking table for blocked
-//! links.
+//! other hand, only ever needs the earliest deliverable envelope.
 //!
-//! ## A FIFO run beside a heap
+//! ## The window is the run; the [`ReadyQueue`] holds the rest
 //!
-//! The index is two ordered containers. An entry greater than every
-//! entry pushed before it (the common case: under
-//! `DelayModel::Constant` every send is ready in send order) goes to the
-//! back of a `VecDeque` *run*, which stays sorted by construction; any
-//! other entry — a non-constant delay that lands before an earlier send,
-//! a `heal` re-push, a re-queue after a peek — goes
-//! to a binary min-heap. [`pop`](ReadyQueue::pop) and
-//! `peek` take the smaller of the run's front and
-//! the heap's top. Keys are unique (ids are never reused), so the pop
-//! order is the one a single heap would give, and an in-order schedule
-//! costs O(1) per push and pop.
+//! A send whose `(ready_at, MsgId)` key is greater than the newest key
+//! on the window's FIFO run joins that run (every send under
+//! `DelayModel::Constant`) and is indexed nowhere else: the window
+//! already stores it in send order, which is then ready order (see the
+//! `mset` module). The [`ReadyQueue`] holds only what is out of order:
+//! a shorter delay that lands before an earlier send, a `heal`
+//! re-push, or an entry parked on a blocked link. A timed step takes the
+//! smaller of the run's first live envelope and the heap's top. Keys
+//! are unique (ids are never reused), so the pop order is the one a
+//! single heap over every send would give, and an in-order schedule
+//! costs O(1) per send and step with no heap and no id lookup.
 //!
 //! ## Lazy invalidation
 //!
-//! Index entries are never removed eagerly; each entry is validated when
-//! it is popped:
+//! Heap and parked entries are never removed eagerly; each is validated
+//! when it is popped:
 //!
 //! * **Scripted removals** ([`deliver`](super::World::deliver),
 //!   [`drop_matching`](super::World::drop_matching), …) take the
-//!   envelope out of `mset` and leave the index entry behind; a popped
-//!   entry whose id is no longer in `mset` is stale and is discarded.
+//!   envelope out of `mset` and leave any heap entry behind; a popped
+//!   entry whose id is no longer in `mset` is stale and is discarded. A
+//!   removed run envelope is a tombstone the run skips.
 //! * **Crashed receivers** are handled by the popping scheduler itself:
 //!   the envelope is dropped from `mset` with a trace entry, exactly as
 //!   the linear scan used to do.
-//! * **Blocked links** park the popped entry in the per-link side
-//!   table; `ReadyQueue::heal` re-pushes everything parked on a link
-//!   when it is unblocked. A parked entry can itself go stale (scripted
-//!   delivery outranks blocks), so re-pushed entries are re-validated on
-//!   their next pop.
+//! * **Blocked links** park the popped entry (from the run or the heap)
+//!   in the per-link side table; `ReadyQueue::heal` re-pushes everything
+//!   parked on a link into the heap when it is unblocked. A parked entry
+//!   can itself go stale (scripted delivery outranks blocks), so
+//!   re-pushed entries are re-validated on their next pop.
 //!
 //! `ready_at` is immutable per envelope and [`MsgId`]s are never reused,
 //! so "id still live in `mset`" is a complete validity check: a removed
 //! message is a tombstone or gone from the window altogether (trimmed
 //! off its front, or squeezed out by a compaction), and a lookup answers
-//! "not in transit" for all three alike. Every envelope in `mset` is
-//! indexed by exactly one live run, heap or parked entry, which makes a
-//! timed step O(1) when sends are ready in send order and O(log n)
-//! amortized otherwise, instead of an O(n) scan per delivery.
-//!
-//! The index is maintained on *every* send, including in runs driven
-//! purely by scripted or random delivery that never pop it — a small
-//! constant cost per message (a push, plus one stale pop if a timed
-//! step later skims the entry). fastbench's `simnet.readyqueue_ns` row
-//! measures that constant (one push + pop) at each workload's pool
-//! depth, and the test-only linear scan the index replaced survives as
-//! the oracle of the scheduler-equivalence suite.
+//! "not in transit" for all three alike. Every envelope in `mset` is on
+//! the run or indexed by exactly one live heap or parked entry, which
+//! makes a timed step O(1) when sends are ready in send order and
+//! O(log n) amortized otherwise, instead of an O(n) scan per delivery.
+//! The test-only linear scan this replaced survives as the oracle of
+//! the scheduler-equivalence suite.
 
 use std::cmp::Reverse;
 #[allow(clippy::disallowed_types)]
-use std::collections::{BinaryHeap, HashMap, VecDeque}; // fastreg-lint: allow(nondet-order): parking table, keyed access only
+use std::collections::{BinaryHeap, HashMap}; // fastreg-lint: allow(nondet-order): parking table, keyed access only
 use std::fmt;
 
 use crate::envelope::MsgId;
@@ -74,29 +66,35 @@ pub(crate) type Link = (ProcessId, ProcessId);
 /// its id as the (send-order) tie-breaker.
 pub(crate) type ReadyEntry = (SimTime, MsgId);
 
-/// Deterministic counters over a [`ReadyQueue`]'s lifetime, harvested
+/// Deterministic counters over the timed scheduler's lifetime, harvested
 /// by the observability layer. Every field is driven by scheduler
 /// operations — which on simnet are a pure function of the seed — so
 /// the snapshot is identical across runs and worker counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Entries indexed ([`ReadyQueue::push`]), re-pushes from
-    /// `ReadyQueue::heal` included.
+    /// Entries scheduled: every send (onto the window's run or into the
+    /// heap) and every re-push from `ReadyQueue::heal`.
     pub pushed: u64,
-    /// Entries popped for validation (stale entries included).
+    /// Entries taken off the schedule: run envelopes and heap entries
+    /// popped for delivery, a crashed-receiver drop or parking, and
+    /// stale heap entries. A run envelope removed by scripted delivery
+    /// is skipped, not popped.
     pub popped: u64,
     /// Entries parked on a blocked link.
     pub parked: u64,
-    /// Entries released back into the index by `ReadyQueue::heal`.
+    /// Entries released back into the heap by `ReadyQueue::heal`.
     pub healed: u64,
-    /// High-water mark of the index depth — run plus heap, parked
-    /// entries excluded (not exact queue depth: stale entries count
-    /// until skimmed).
+    /// High-water mark of the scheduled depth — run envelopes plus heap
+    /// entries, parked entries excluded (not exact queue depth: stale
+    /// heap entries count until skimmed).
     pub heap_high_water: u64,
+    /// Entries the heap took: out-of-order sends and heal re-pushes
+    /// (0 for a run under a constant delay with no heal).
+    pub heap_pushed: u64,
 }
 
-/// The timed scheduler's index over `mset`: a sorted FIFO run and a
-/// min-heap, both keyed by `(ready_at, MsgId)`, with a parking table for
+/// The timed scheduler's index of what the window's run does not hold:
+/// a min-heap keyed by `(ready_at, MsgId)`, with a parking table for
 /// blocked links.
 ///
 /// See the [module docs](self) for the push rule and the invalidation
@@ -104,9 +102,6 @@ pub struct SchedStats {
 #[derive(Debug, Default)]
 #[allow(clippy::disallowed_types)]
 pub struct ReadyQueue {
-    /// Entries pushed in increasing key order; strictly increasing.
-    run: VecDeque<ReadyEntry>,
-    /// Every other entry.
     heap: BinaryHeap<Reverse<ReadyEntry>>,
     // Keyed entry/remove only — never iterated. Entries released by
     // `heal` re-enter the heap, whose (ready_at, MsgId) keys are unique,
@@ -122,27 +117,31 @@ impl ReadyQueue {
         Self::default()
     }
 
-    /// Indexes a (new or re-validated) in-transit message.
+    /// Indexes a (new or re-validated) in-transit message in the heap.
     pub fn push(&mut self, ready_at: SimTime, id: MsgId) {
-        let entry = (ready_at, id);
-        if self.run.back().is_none_or(|&last| last < entry) {
-            self.run.push_back(entry);
-        } else {
+        self.schedule((ready_at, id), false, 0);
+    }
+
+    /// Counts a send, and indexes it unless it joined the window's run;
+    /// `run_len` is the run's live length after the send.
+    pub(crate) fn schedule(&mut self, entry: ReadyEntry, on_run: bool, run_len: usize) {
+        if !on_run {
             self.heap.push(Reverse(entry));
+            self.stats.heap_pushed += 1;
         }
         self.stats.pushed += 1;
-        let depth = (self.run.len() + self.heap.len()) as u64;
+        self.note_depth(run_len);
+    }
+
+    fn note_depth(&mut self, run_len: usize) {
+        let depth = (run_len + self.heap.len()) as u64;
         self.stats.heap_high_water = self.stats.heap_high_water.max(depth);
     }
 
-    /// Pops the entry with the smallest `(ready_at, id)`, stale entries
-    /// included — the caller validates against `mset`.
+    /// Pops the heap's smallest `(ready_at, id)`, stale entries included
+    /// — the caller validates against `mset`.
     pub fn pop(&mut self) -> Option<ReadyEntry> {
-        let entry = if self.run_first() {
-            self.run.pop_front()
-        } else {
-            self.heap.pop().map(|Reverse(entry)| entry)
-        };
+        let entry = self.heap.pop().map(|Reverse(entry)| entry);
         if entry.is_some() {
             self.stats.popped += 1;
         }
@@ -151,39 +150,29 @@ impl ReadyQueue {
 
     /// The entry [`pop`](Self::pop) would return, without removing it.
     /// The same caveat applies: the entry may be stale.
-    #[cfg(test)]
     pub(crate) fn peek(&self) -> Option<ReadyEntry> {
-        if self.run_first() {
-            self.run.front().copied()
-        } else {
-            self.heap.peek().map(|&Reverse(entry)| entry)
-        }
+        self.heap.peek().map(|&Reverse(entry)| entry)
     }
 
-    /// Whether the smallest entry is the run's front (`false` when the
-    /// run is empty).
-    fn run_first(&self) -> bool {
-        match (self.run.front(), self.heap.peek()) {
-            (Some(run), Some(Reverse(heap))) => run < heap,
-            (run, _) => run.is_some(),
-        }
+    /// Counts a run envelope taken off the schedule.
+    pub(crate) fn count_run_pop(&mut self) {
+        self.stats.popped += 1;
     }
 
     /// Parks an entry popped while its link was blocked; it stays out of
-    /// the index until [`heal`](Self::heal) releases the link.
+    /// the schedule until [`heal`](Self::heal) releases the link.
     pub(crate) fn park(&mut self, link: Link, entry: ReadyEntry) {
         self.parked.entry(link).or_default().push(entry);
         self.stats.parked += 1;
     }
 
-    /// Re-indexes everything parked on `link` (no-op if nothing is).
-    pub(crate) fn heal(&mut self, link: Link) {
+    /// Re-indexes everything parked on `link` into the heap (no-op if
+    /// nothing is); `run_len` is the window run's live length.
+    pub(crate) fn heal(&mut self, link: Link, run_len: usize) {
         if let Some(entries) = self.parked.remove(&link) {
             for entry in entries {
                 self.stats.healed += 1;
-                // Via `push` so re-indexing counts and the high-water
-                // mark stays accurate.
-                self.push(entry.0, entry.1);
+                self.schedule(entry, false, run_len);
             }
         }
     }
@@ -258,11 +247,11 @@ mod tests {
         q.park(link, entry(4, 7));
         q.park(link, entry(2, 8));
         assert_eq!(q.pop(), None, "parked entries are out of the heap");
-        q.heal(link);
+        q.heal(link, 0);
         assert_eq!(q.pop(), Some(entry(2, 8)));
         assert_eq!(q.pop(), Some(entry(4, 7)));
         // Healing an unknown link is a no-op.
-        q.heal((ProcessId::new(5), ProcessId::new(6)));
+        q.heal((ProcessId::new(5), ProcessId::new(6)), 0);
         assert_eq!(q.pop(), None);
     }
 
@@ -275,7 +264,7 @@ mod tests {
         assert_eq!(q.stats().heap_high_water, 2);
         let popped = q.pop().unwrap();
         q.park(link, popped);
-        q.heal(link);
+        q.heal(link, 0);
         q.pop();
         q.pop();
         assert_eq!(
@@ -286,11 +275,34 @@ mod tests {
                 parked: 1,
                 healed: 1,
                 heap_high_water: 2,
+                heap_pushed: 3,
             }
         );
         // Pop on an empty heap is not an operation.
         assert_eq!(q.pop(), None);
         assert_eq!(q.stats().popped, 3);
+    }
+
+    #[test]
+    fn a_send_on_the_run_is_counted_but_not_indexed() {
+        let mut q = ReadyQueue::new();
+        q.schedule(entry(1, 1), true, 1);
+        q.schedule(entry(2, 2), true, 2);
+        q.schedule(entry(1, 3), false, 2);
+        assert_eq!(q.pop(), Some(entry(1, 3)), "only the heap entry");
+        assert_eq!(q.pop(), None);
+        q.count_run_pop();
+        assert_eq!(
+            q.stats(),
+            SchedStats {
+                pushed: 3,
+                popped: 2,
+                parked: 0,
+                healed: 0,
+                heap_high_water: 3, // two on the run, one in the heap
+                heap_pushed: 1,
+            }
+        );
     }
 
     /// One step of the differential test below.
@@ -318,14 +330,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The run-plus-heap queue against a plain `BinaryHeap` oracle
-        /// with its own parking table: every pop and peek answers the
-        /// same entry, and the stats (the high-water mark as the
-        /// oracle's heap length) agree after every operation.
+        /// The queue against a plain `BinaryHeap` oracle with its own
+        /// parking table: every pop and peek answers the same entry, and
+        /// the stats (the high-water mark as the oracle's heap length)
+        /// agree after every operation.
         #[test]
         fn ready_queue_matches_a_binary_heap_oracle(
             ops in proptest::collection::vec(op_strategy(), 1..120),
-            ticks_grow in proptest::prelude::any::<bool>(),
         ) {
             use std::collections::BTreeMap;
 
@@ -334,18 +345,14 @@ mod tests {
             let mut parked: BTreeMap<u8, Vec<ReadyEntry>> = BTreeMap::new();
             let mut want = SchedStats::default();
             let mut next_id = 0;
-            let mut base = 0;
             for op in &ops {
                 match *op {
-                    Op::Push(t) => {
-                        // Growing ticks keep every push in order, as a
-                        // constant delay does; only heals reach the heap.
-                        let at = if ticks_grow { base + t / 8 } else { t };
-                        base = at;
+                    Op::Push(at) => {
                         next_id += 1;
                         q.push(SimTime::from_ticks(at), MsgId(next_id));
                         heap.push(Reverse(entry(at, next_id)));
                         want.pushed += 1;
+                        want.heap_pushed += 1;
                     }
                     Op::Pop => {
                         let got = heap.pop().map(|Reverse(e)| e);
@@ -370,8 +377,9 @@ mod tests {
                             heap.push(Reverse(e));
                             want.pushed += 1;
                             want.healed += 1;
+                            want.heap_pushed += 1;
                         }
-                        q.heal((ProcessId::new(0), ProcessId::new(k as u32)));
+                        q.heal((ProcessId::new(0), ProcessId::new(k as u32)), 0);
                     }
                 }
                 want.heap_high_water = want.heap_high_water.max(heap.len() as u64);

@@ -11,11 +11,16 @@
 //! for every schedule proptest generates.
 //!
 //! Every property runs under three delay shapes, so each part of the
-//! index is the one doing the work somewhere: `Constant(1)` keeps every
-//! send in the index's FIFO run, `Spike` (mostly 1 tick, sometimes 9)
-//! interleaves the run with a few heap entries, and `Uniform { 1, 25 }`
-//! sends most entries to the heap. Heals and `run_until`'s re-queues
-//! reach the heap under all three.
+//! scheduler is the one doing the work somewhere: `Constant(1)` keeps
+//! every send on the in-transit window's FIFO run, `Spike` (mostly 1
+//! tick, sometimes 9) interleaves the run with a few heap entries, and
+//! `Uniform { 1, 25 }` sends most entries to the heap. Heals and
+//! `run_until`'s re-queues reach the heap under all three, and a delay
+//! burst swaps in an uneven delay for a few sends mid-run. One more
+//! property holds a `Constant(1)` run to the reference around a fixed
+//! middle that mixes the two kinds of traffic: a `Uniform` burst, a
+//! block → heal, scripted delivery of the window's second envelope and
+//! a crashed receiver at the window's front.
 //!
 //! The command set is also the adversarial workout of the in-transit
 //! window behind `mset`: newest-first scripted deliveries and
@@ -162,6 +167,18 @@ enum Cmd {
         b: u8,
         burst: u8,
     },
+    /// Sends `sends` messages under an uneven delay (`Spike` or
+    /// `Uniform`), one timed step after each, then restores the world's
+    /// delay: the later sends' keys fall behind the run's newest.
+    DelayBurst {
+        spike: bool,
+        sends: u8,
+    },
+    /// Scripted delivery of the window's second envelope.
+    DeliverSecond,
+    /// Crashes the receiver of the window's front envelope, then takes
+    /// timed steps.
+    CrashFront(u8),
 }
 
 fn cmd_strategy() -> impl Strategy<Value = Cmd> {
@@ -179,6 +196,33 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
         (0u8..2).prop_map(Cmd::DropEveryOther),
         (0u8..8, 1u8..6).prop_map(|(p, steps)| Cmd::CrashThenStep { p, steps }),
         (0u8..8, 0u8..8, 1u8..12).prop_map(|(a, b, burst)| Cmd::BlockBurstHeal { a, b, burst }),
+        (any::<bool>(), 1u8..8).prop_map(|(spike, sends)| Cmd::DelayBurst { spike, sends }),
+        Just(Cmd::DeliverSecond),
+        (1u8..6).prop_map(Cmd::CrashFront),
+    ]
+}
+
+/// The fixed middle of the mixed-order property: in-order traffic, an
+/// out-of-order burst, a block → heal under traffic, scripted delivery
+/// of the window's second envelope and a crashed receiver at its front.
+fn mixed_shapes() -> [Cmd; 9] {
+    [
+        Cmd::Inject { p: 0, hops: 2 },
+        Cmd::StepTimed(3),
+        Cmd::DelayBurst {
+            spike: false,
+            sends: 6,
+        },
+        Cmd::Inject { p: 1, hops: 1 },
+        Cmd::StepTimed(4),
+        Cmd::BlockBurstHeal {
+            a: 2,
+            b: 3,
+            burst: 5,
+        },
+        Cmd::DeliverSecond,
+        Cmd::CrashFront(3),
+        Cmd::Quiesce,
     ]
 }
 
@@ -294,6 +338,36 @@ fn apply(w: &mut World<Msg>, cmd: &Cmd, reference: bool) {
             }
             w.heal_link(a, b);
         }
+        Cmd::DelayBurst { spike, sends } => {
+            let uneven = if spike {
+                DelayModel::Spike {
+                    base: 1,
+                    spike_prob: 0.5,
+                    spike: 9,
+                }
+            } else {
+                DelayModel::Uniform { lo: 1, hi: 25 }
+            };
+            let restore = std::mem::replace(&mut w.config.delay, uneven);
+            for i in 0..sends {
+                w.send_from_external(pid(i), pid(i + 1), Msg::Ping(0));
+                steps(w, 1, reference);
+            }
+            w.config.delay = restore;
+        }
+        Cmd::DeliverSecond => {
+            let second = w.pending().nth(1).map(|e| e.id);
+            if let Some(id) = second {
+                let _ = w.deliver(id);
+            }
+        }
+        Cmd::CrashFront(k) => {
+            let front = w.pending().next().map(|e| e.to);
+            if let Some(to) = front {
+                w.crash(to);
+            }
+            steps(w, k, reference);
+        }
     }
 }
 
@@ -309,6 +383,73 @@ fn observe(w: &World<Msg>) -> (String, u64, u64, u64, u64, u64, Vec<MsgId>) {
     )
 }
 
+/// Drives the indexed scheduler and the linear-scan reference through
+/// `cmds` from the same seed; after every command both worlds must agree
+/// on the trace and on `pending()`, which must be in send order, and at
+/// rest on clock, statistics and pool.
+fn assert_trace_identical(
+    seed: u64,
+    delay: &DelayModel,
+    cmds: &[Cmd],
+) -> Result<(), TestCaseError> {
+    let mut heap_world = world_of(seed, delay);
+    let mut scan_world = world_of(seed, delay);
+    for cmd in cmds {
+        apply(&mut heap_world, cmd, false);
+        apply(&mut scan_world, cmd, true);
+        let pending: Vec<MsgId> = heap_world.pending().map(|e| e.id).collect();
+        prop_assert!(
+            pending.windows(2).all(|w| w[0] < w[1]),
+            "send order after {:?}",
+            cmd
+        );
+        prop_assert_eq!(pending.len(), heap_world.pending_len());
+        prop_assert!(
+            scan_world.pending().map(|e| e.id).eq(pending),
+            "pools after {:?}",
+            cmd
+        );
+        prop_assert_eq!(
+            heap_world.trace().render(),
+            scan_world.trace().render(),
+            "traces diverged at {:?}",
+            cmd
+        );
+    }
+    // Finish every run deterministically so pools compare at rest.
+    while heap_world.step_timed() {}
+    while scan_world.step_timed_reference() {}
+    let heap_obs = observe(&heap_world);
+    let scan_obs = observe(&scan_world);
+    prop_assert_eq!(&heap_obs.0, &scan_obs.0, "traces diverged under {:?}", cmds);
+    prop_assert_eq!(heap_obs, scan_obs);
+    Ok(())
+}
+
+/// The fixed middle does what it is there for: over a few seeds, the
+/// heap takes entries, the run serves pops, a link parks an entry and a
+/// crashed receiver drops one.
+#[test]
+fn the_mixed_shapes_reach_the_heap_the_run_parking_and_drops() {
+    let (mut heap_pushed, mut popped, mut parked, mut dropped) = (0, 0, 0, 0);
+    for seed in 0..16 {
+        let mut w = world_of(seed, &DelayModel::Constant(1));
+        for cmd in &mixed_shapes() {
+            apply(&mut w, cmd, false);
+        }
+        let s = w.sched_stats();
+        heap_pushed += s.heap_pushed;
+        popped += s.popped;
+        parked += s.parked;
+        dropped += w.stats().dropped;
+    }
+    assert!(heap_pushed > 0, "no entry reached the heap");
+    // A heap entry is popped at most once; the rest came off the run.
+    assert!(popped > heap_pushed, "the run served no pop");
+    assert!(parked > 0, "no entry was parked");
+    assert!(dropped > 0, "no crashed receiver dropped a message");
+}
+
 proptest! {
     // 256 cases per delay shape on average.
     #![proptest_config(ProptestConfig::with_cases(768))]
@@ -320,29 +461,19 @@ proptest! {
         delay in delay_strategy(),
         cmds in proptest::collection::vec(cmd_strategy(), 1..60),
     ) {
-        let mut heap_world = world_of(seed, &delay);
-        let mut scan_world = world_of(seed, &delay);
-        for cmd in &cmds {
-            apply(&mut heap_world, cmd, false);
-            apply(&mut scan_world, cmd, true);
-            let pending: Vec<MsgId> = heap_world.pending().map(|e| e.id).collect();
-            prop_assert!(pending.windows(2).all(|w| w[0] < w[1]), "send order after {:?}", cmd);
-            prop_assert_eq!(pending.len(), heap_world.pending_len());
-            prop_assert!(scan_world.pending().map(|e| e.id).eq(pending), "pools after {:?}", cmd);
-            prop_assert_eq!(
-                heap_world.trace().render(),
-                scan_world.trace().render(),
-                "traces diverged at {:?}",
-                cmd
-            );
-        }
-        // Finish every run deterministically so pools compare at rest.
-        while heap_world.step_timed() {}
-        while scan_world.step_timed_reference() {}
-        let heap_obs = observe(&heap_world);
-        let scan_obs = observe(&scan_world);
-        prop_assert_eq!(&heap_obs.0, &scan_obs.0, "traces diverged under {:?}", cmds);
-        prop_assert_eq!(heap_obs, scan_obs);
+        assert_trace_identical(seed, &delay, &cmds)?;
+    }
+
+    /// In-order and out-of-order traffic in one `Constant(1)` run: random
+    /// commands around [`mixed_shapes`], indexed scheduler ≡ reference.
+    #[test]
+    fn in_order_and_out_of_order_traffic_mix_in_one_run(
+        seed in 0u64..10_000,
+        prefix in proptest::collection::vec(cmd_strategy(), 0..20),
+        suffix in proptest::collection::vec(cmd_strategy(), 0..20),
+    ) {
+        let cmds: Vec<Cmd> = prefix.into_iter().chain(mixed_shapes()).chain(suffix).collect();
+        assert_trace_identical(seed, &DelayModel::Constant(1), &cmds)?;
     }
 
     /// The mixed-driving invariant in its sharpest form: scripted

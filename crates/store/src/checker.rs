@@ -44,17 +44,18 @@ pub struct KvHistory {
 }
 
 impl KvHistory {
-    /// Harvests the global history of `store`.
+    /// Harvests the global history of `store`: each key's history is
+    /// read in place and each operation copied once, into records
+    /// reserved up front (one per applied operation).
     pub(crate) fn harvest(store: &ShardedStore) -> Self {
-        let mut records = Vec::new();
+        let mut records = Vec::with_capacity(store.ops_applied() as usize);
         for shard in store.shards() {
-            for key in shard.keys() {
-                let h = shard.key_history(key).expect("key listed by the shard");
+            shard.for_each_history(|key, h| {
                 records.extend(h.ops().iter().map(|op| KvRecord {
                     key,
                     op: op.clone(),
                 }));
-            }
+            });
         }
         KvHistory { records }
     }
@@ -283,6 +284,7 @@ mod tests {
         let store = driven_store();
         let global = store.global_history();
         assert_eq!(global.len(), 60);
+        assert_eq!(global.records.capacity(), 60, "reserved once, exactly");
         assert!(!global.is_empty());
         let keys = global.keys();
         assert_eq!(keys, (0..9).collect::<Vec<_>>());

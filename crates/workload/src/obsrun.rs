@@ -197,6 +197,7 @@ pub(crate) fn record_sim_metrics(sim: &dyn SimControl, reg: &mut MetricsRegistry
     reg.counter_add("sched.popped", sched.popped);
     reg.counter_add("sched.parked", sched.parked);
     reg.counter_add("sched.healed", sched.healed);
+    reg.counter_add("sched.heap_pushed", sched.heap_pushed);
     reg.gauge_max("sched.heap_high_water", sched.heap_high_water);
     reg.gauge_max("net.reorder_depth", sim.max_reorder_depth());
 }

@@ -74,14 +74,14 @@ const TRACE_CAPACITY: usize = 2_048;
 /// all `S` servers have reported.
 #[rustfmt::skip] // one row per line: a table, not code
 const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
-    (ProtocolId::FastCrash, 36, 276_836, 10_000),
-    (ProtocolId::FastByz, 38, 296_428, 12_000),
-    (ProtocolId::Abd, 39, 297_332, 15_260),
-    (ProtocolId::MaxMin, 2_976, 629_636, 21_760),
-    (ProtocolId::FastRegular, 35, 264_356, 10_000),
-    (ProtocolId::SwsrFast, 37, 278_108, 10_000),
-    (ProtocolId::MwmrAbd, 36, 268_000, 12_000),
-    (ProtocolId::MwmrNaiveFast, 36, 267_872, 6_000),
+    (ProtocolId::FastCrash, 36, 276_820, 10_000),
+    (ProtocolId::FastByz, 37, 296_284, 12_000),
+    (ProtocolId::Abd, 38, 297_060, 15_260),
+    (ProtocolId::MaxMin, 2_976, 629_620, 21_760),
+    (ProtocolId::FastRegular, 35, 264_340, 10_000),
+    (ProtocolId::SwsrFast, 36, 277_964, 10_000),
+    (ProtocolId::MwmrAbd, 35, 267_872, 12_000),
+    (ProtocolId::MwmrNaiveFast, 35, 267_744, 6_000),
 ];
 
 /// This thread's `(allocations, bytes allocated)` so far.
@@ -163,10 +163,10 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
-    (MIX, 9_369, 2_246_718, 242),
-    (&[ProtocolId::FastCrash], 10_008, 2_313_718, 242),
-    (&[ProtocolId::Abd], 8_039, 1_936_934, 242),
-    (&[ProtocolId::FastByz], 10_734, 2_666_742, 242),
+    (MIX, 8_613, 2_002_958, 242),
+    (&[ProtocolId::FastCrash], 9_252, 2_069_958, 242),
+    (&[ProtocolId::Abd], 7_283, 1_693_174, 242),
+    (&[ProtocolId::FastByz], 9_978, 2_422_982, 242),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more

@@ -2,6 +2,7 @@
 //! SWMR protocol must agree on results wherever both protocols are in
 //! their feasible regime.
 
+use fastreg_suite::fastreg_simnet::id::ProcessId;
 use fastreg_suite::prelude::*;
 
 /// Drives the same deterministic op sequence and returns the read values.
@@ -100,6 +101,15 @@ fn crashed_quorum_minus_one_still_serves() {
     assert_eq!(c.read(1), RegValue::Val(5));
 }
 
+/// Every directed link between the two groups, both ways: blocking them
+/// partitions the groups, healing them heals the partition.
+fn links_between(group_a: &[ProcessId], group_b: &[ProcessId]) -> Vec<(ProcessId, ProcessId)> {
+    group_a
+        .iter()
+        .flat_map(|&a| group_b.iter().flat_map(move |&b| [(a, b), (b, a)]))
+        .collect()
+}
+
 #[test]
 fn partitioned_minority_does_not_block_fast_register() {
     // Partition t = 1 server away from everyone; the register keeps
@@ -108,14 +118,19 @@ fn partitioned_minority_does_not_block_fast_register() {
     let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(11).build_typed().unwrap();
     let isolated = c.layout.server(4);
     let everyone: Vec<_> = c.world.actor_ids().filter(|&p| p != isolated).collect();
-    c.world.partition(&[isolated], &everyone);
+    let links = links_between(&[isolated], &everyone);
+    for &(a, b) in &links {
+        c.world.block_link(a, b);
+    }
 
     c.write_sync(1);
     assert_eq!(c.read(0), RegValue::Val(1));
     c.write_sync(2);
     assert_eq!(c.read(1), RegValue::Val(2));
 
-    c.world.heal_partition(&[isolated], &everyone);
+    for &(a, b) in &links {
+        c.world.heal_link(a, b);
+    }
     c.settle();
     // The healed server received the parked writes.
     let ts = c
@@ -137,14 +152,19 @@ fn partition_of_more_than_t_servers_stalls_but_stays_safe() {
     let mut c: Cluster<FastCrash> = ClusterBuilder::new(cfg).seed(12).build_typed().unwrap();
     let cut: Vec<_> = vec![c.layout.server(3), c.layout.server(4)];
     let rest: Vec<_> = c.world.actor_ids().filter(|p| !cut.contains(p)).collect();
-    c.world.partition(&cut, &rest);
+    let links = links_between(&cut, &rest);
+    for &(a, b) in &links {
+        c.world.block_link(a, b);
+    }
 
     c.write(1);
     c.settle(); // drains what it can; the write stays pending
     let pending_writes = c.snapshot().writes().filter(|w| !w.is_complete()).count();
     assert_eq!(pending_writes, 1);
 
-    c.world.heal_partition(&cut, &rest);
+    for &(a, b) in &links {
+        c.world.heal_link(a, b);
+    }
     c.settle();
     assert!(c.snapshot().writes().all(|w| w.is_complete()));
     assert_eq!(c.read(0), RegValue::Val(1));
