@@ -760,12 +760,6 @@ pub trait RegisterOps {
     /// ([`ops_completed`](RegisterOps::ops_completed),
     /// [`client_busy`](RegisterOps::client_busy)) instead.
     fn snapshot(&self) -> History;
-    /// Runs `f` on the recorded history in place: one read under the
-    /// history's lock, and no copy unless `f` makes one. The default
-    /// reads a [`snapshot`](RegisterOps::snapshot).
-    fn inspect_history(&self, f: &mut dyn FnMut(&History)) {
-        f(&self.snapshot());
-    }
     /// Number of operations recorded so far (complete and pending) —
     /// O(1), no snapshot.
     fn ops_recorded(&self) -> u64;
@@ -987,10 +981,6 @@ impl<P: ProtocolFamily> RegisterOps for Cluster<P> {
 
     fn snapshot(&self) -> History {
         self.history.snapshot()
-    }
-
-    fn inspect_history(&self, f: &mut dyn FnMut(&History)) {
-        self.history.inspect(|h| f(h));
     }
 
     fn ops_recorded(&self) -> u64 {
@@ -1235,10 +1225,6 @@ impl RegisterOps for DynCluster {
 
     fn snapshot(&self) -> History {
         self.ops().snapshot()
-    }
-
-    fn inspect_history(&self, f: &mut dyn FnMut(&History)) {
-        self.ops().inspect_history(f);
     }
 
     fn ops_recorded(&self) -> u64 {

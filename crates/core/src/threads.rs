@@ -286,10 +286,6 @@ impl<P: ProtocolFamily> RegisterOps for ThreadCluster<P> {
         self.history.snapshot()
     }
 
-    fn inspect_history(&self, f: &mut dyn FnMut(&History)) {
-        self.history.inspect(|h| f(h));
-    }
-
     fn ops_recorded(&self) -> u64 {
         // Issued is the honest count here: an injected invocation is an
         // operation the environment started, even if the actor has not

@@ -33,7 +33,7 @@ const SURFACE_PINS: &[(&str, usize)] = &[
     ("obs", 32),
     ("rt", 19),
     ("simnet", 95),
-    ("store", 55),
+    ("store", 54),
     ("workload", 28),
 ];
 

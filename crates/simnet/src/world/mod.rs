@@ -382,30 +382,6 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
         }
     }
 
-    /// Earliest ready time among deliverable messages (unblocked *and*
-    /// addressed to a live receiver), without delivering or dropping
-    /// anything. Entries taken off the schedule while peeking are
-    /// re-queued in the heap.
-    #[cfg(test)]
-    fn next_ready_deliverable(&mut self) -> Option<SimTime> {
-        let mut taken: Vec<(SimTime, MsgId)> = Vec::new();
-        let mut found = None;
-        while let Some(slot) = self.next_unblocked() {
-            self.mset.leave_run(slot);
-            let env = self.mset.at(slot);
-            let (ready_at, to) = (env.ready_at, env.to);
-            taken.push((ready_at, env.id));
-            if !self.is_crashed(to) {
-                found = Some(ready_at);
-                break;
-            }
-        }
-        for (ready_at, id) in taken {
-            self.ready.push(ready_at, id);
-        }
-        found
-    }
-
     /// Delivers the next message in virtual-time order, advancing the clock
     /// to its ready time. Messages to crashed receivers are dropped (they
     /// would never be consumed).
@@ -468,26 +444,6 @@ impl<M: Clone + fmt::Debug + Hash + Send + 'static> World<M> {
             });
         }
         Ok(steps)
-    }
-
-    /// Runs timed steps while the next deliverable message is ready at or
-    /// before `deadline`. The clock never passes `deadline`.
-    ///
-    /// Returns the number of steps taken.
-    #[cfg(test)]
-    pub(crate) fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut steps = 0;
-        while steps < self.config.max_steps {
-            match self.next_ready_deliverable() {
-                Some(t) if t <= deadline => {
-                    self.step_timed();
-                    steps += 1;
-                }
-                _ => break,
-            }
-        }
-        self.advance_to(deadline);
-        steps
     }
 
     /// Delivers one uniformly random deliverable in-transit message,
@@ -811,49 +767,6 @@ mod tests {
         // Ack goes back with another 10 ticks of delay.
         w.run_until_quiescent().expect("quiesces");
         assert_eq!(w.now(), SimTime::from_ticks(20));
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut w: World<Msg> = World::new(SimConfig {
-            delay: DelayModel::Constant(10),
-            ..SimConfig::default()
-        });
-        let a = w.add_actor(Box::new(Node::new(2)));
-        let b = w.add_actor(Box::new(Node::new(2)));
-        w.send_from_external(a, b, Msg::Hello);
-        let steps = w.run_until(SimTime::from_ticks(5));
-        assert_eq!(steps, 0);
-        assert_eq!(w.now(), SimTime::from_ticks(5));
-        let steps = w.run_until(SimTime::from_ticks(10));
-        assert_eq!(steps, 1);
-    }
-
-    #[test]
-    fn run_until_peek_does_not_lose_or_drop_messages() {
-        // The deadline peek takes entries off the schedule to find the
-        // next deliverable message; everything taken must be re-queued, and
-        // messages to crashed receivers must be neither delivered nor
-        // dropped by the peek itself.
-        let mut w: World<Msg> = World::new(SimConfig {
-            delay: DelayModel::Constant(10),
-            ..SimConfig::default()
-        });
-        let a = w.add_actor(Box::new(Node::new(3)));
-        let b = w.add_actor(Box::new(Node::new(3)));
-        let c = w.add_actor(Box::new(Node::new(3)));
-        w.send_from_external(a, b, Msg::Hello); // ready at 10
-        w.crash(b);
-        w.advance_to(SimTime::from_ticks(15));
-        w.send_from_external(a, c, Msg::Hello); // ready at 25
-        assert_eq!(w.run_until(SimTime::from_ticks(20)), 0);
-        assert_eq!(w.stats().dropped, 0, "peek must not drop");
-        assert_eq!(w.pending_len(), 2, "peek must not lose messages");
-        // Past the deadline, the crashed receiver's message is dropped on
-        // the way to the live one.
-        assert_eq!(w.run_until(SimTime::from_ticks(30)), 1);
-        assert_eq!(w.stats().dropped, 1);
-        assert_eq!(w.with_actor::<Node, _, _>(c, |n| n.hellos).unwrap(), 1);
     }
 
     #[test]

@@ -2,25 +2,24 @@
 //! observationally identical to the reference linear-scan scheduler.
 //!
 //! Two worlds with the same seed and actors are driven by the same
-//! random command sequence — injections, timed steps, deadline runs,
-//! scripted deliveries and drops, crashes, blocked/healed links — with
-//! one world using the indexed scheduler (`step_timed`, `run_until`,
-//! `run_until_quiescent`) and the other the pre-index linear scan
-//! (`step_timed_reference`, `run_until_reference`). The traces must be
-//! byte-identical and the clocks, statistics and in-transit pools equal,
-//! for every schedule proptest generates.
+//! random command sequence — injections, timed steps, scripted
+//! deliveries and drops, crashes, blocked/healed links — with one world
+//! using the indexed scheduler (`step_timed`, `run_until_quiescent`) and
+//! the other the pre-index linear scan (`step_timed_reference`). The
+//! traces must be byte-identical and the clocks, statistics and
+//! in-transit pools equal, for every schedule proptest generates.
 //!
 //! Every property runs under three delay shapes, so each part of the
 //! scheduler is the one doing the work somewhere: `Constant(1)` keeps
 //! every send on the in-transit window's FIFO run, `Spike` (mostly 1
 //! tick, sometimes 9) interleaves the run with a few heap entries, and
-//! `Uniform { 1, 25 }` sends most entries to the heap. Heals and
-//! `run_until`'s re-queues reach the heap under all three, and a delay
-//! burst swaps in an uneven delay for a few sends mid-run. One more
-//! property holds a `Constant(1)` run to the reference around a fixed
-//! middle that mixes the two kinds of traffic: a `Uniform` burst, a
-//! block → heal, scripted delivery of the window's second envelope and
-//! a crashed receiver at the window's front.
+//! `Uniform { 1, 25 }` sends most entries to the heap. Heals reach the
+//! heap under all three, and a delay burst swaps in an uneven delay for
+//! a few sends mid-run. One more property holds a `Constant(1)` run to
+//! the reference around a fixed middle that mixes the two kinds of
+//! traffic: a `Uniform` burst, a block → heal, scripted delivery of the
+//! window's second envelope and a crashed receiver at the window's
+//! front.
 //!
 //! The command set is also the adversarial workout of the in-transit
 //! window behind `mset`: newest-first scripted deliveries and
@@ -78,29 +77,6 @@ impl<M: Clone + fmt::Debug + std::hash::Hash + Send + 'static> World<M> {
             return true;
         }
     }
-
-    /// Reference implementation of [`World::run_until`] over the linear
-    /// scan.
-    fn run_until_reference(&mut self, deadline: SimTime) -> u64 {
-        let mut steps = 0;
-        while steps < self.config.max_steps {
-            let next_ready = self
-                .mset
-                .iter()
-                .filter(|e| !self.is_crashed(e.to) && !self.blocked_links.contains(&(e.from, e.to)))
-                .map(|e| e.ready_at)
-                .min();
-            match next_ready {
-                Some(t) if t <= deadline => {
-                    self.step_timed_reference();
-                    steps += 1;
-                }
-                _ => break,
-            }
-        }
-        self.advance_to(deadline);
-        steps
-    }
 }
 
 const N: u32 = 4;
@@ -144,7 +120,6 @@ enum Cmd {
         hops: u8,
     },
     StepTimed(u8),
-    RunUntil(u8),
     DeliverNth(u8),
     DropNth(u8),
     Crash(u8),
@@ -185,7 +160,6 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     prop_oneof![
         (0u8..8, 0u8..3).prop_map(|(p, hops)| Cmd::Inject { p, hops }),
         (1u8..5).prop_map(Cmd::StepTimed),
-        (0u8..40).prop_map(Cmd::RunUntil),
         (0u8..32).prop_map(Cmd::DeliverNth),
         (0u8..32).prop_map(Cmd::DropNth),
         (0u8..8).prop_map(Cmd::Crash),
@@ -280,14 +254,6 @@ fn apply(w: &mut World<Msg>, cmd: &Cmd, reference: bool) {
     match *cmd {
         Cmd::Inject { p, hops } => w.inject(pid(p), Msg::Ping(hops)),
         Cmd::StepTimed(k) => steps(w, k, reference),
-        Cmd::RunUntil(k) => {
-            let deadline = w.now() + k as u64;
-            if reference {
-                w.run_until_reference(deadline);
-            } else {
-                w.run_until(deadline);
-            }
-        }
         Cmd::DeliverNth(i) => {
             let ids = w.pending_ids_matching(|_| true);
             if !ids.is_empty() {

@@ -1,16 +1,14 @@
-//! Per-key contract checking: projecting the store's global history onto
-//! per-key sub-histories and running the register checker on each.
+//! Per-key contract checking: each key's recorded history, graded by the
+//! register checker for its shard's contract.
 //!
 //! The store's correctness claim is *per key*: every key is one atomic
 //! (or regular) register, whatever the interleaving of operations across
-//! keys. The [`StoreChecker`] makes that checkable with the machinery
-//! the repository already trusts: it projects the key-tagged
-//! [`KvHistory`] onto one [`History`] per key and grades each with the
-//! [`OnlineChecker`] for the [`Spec`](fastreg_atomicity::streaming::Spec)
-//! its shard's protocol promised ([`Contract::spec`]), in the stable
-//! [`Verdict`] codes of `fastreg_atomicity::verdict`.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! keys. Each key's register records its own [`History`], and the
+//! [`KvHistory`] holds those histories as they were recorded. The
+//! [`StoreChecker`] grades each one with the [`OnlineChecker`] for the
+//! [`Spec`](fastreg_atomicity::streaming::Spec) its shard's protocol
+//! promised ([`Contract::spec`]), in the stable [`Verdict`] codes of
+//! `fastreg_atomicity::verdict`.
 
 use fastreg::protocols::registry::{Contract, ProtocolId};
 use fastreg_atomicity::history::{History, OpKind, Operation};
@@ -21,102 +19,66 @@ use fastreg_rt::threaded::map_ordered;
 use crate::kv::Key;
 use crate::store::ShardedStore;
 
-/// One recorded operation, tagged with the key it addressed.
-#[derive(Clone, Debug)]
-pub struct KvRecord {
-    /// The key.
-    pub key: Key,
-    /// The recorded register operation (times are ticks of the key's own
-    /// simulated world — comparable within the key only).
-    pub op: Operation,
-}
-
-/// The store's global operation history: every register operation of
-/// every key, tagged with its key.
+/// The store's operation history: each key's recorded register
+/// [`History`], in key order.
 ///
-/// Assembled by [`ShardedStore::global_history`]. Cross-key timestamps
-/// are **not** comparable (each key runs in its own simulated world), so
-/// the only meaningful consumers are per-key: the store checker rebuilds
-/// the checkable [`History`] of each key.
+/// Harvested by [`ShardedStore::global_history`], one snapshot per key.
+/// Times are ticks of each key's own simulated world, so they compare
+/// within a key only: a consistency checker takes one key's history at a
+/// time.
 #[derive(Clone, Debug, Default)]
 pub struct KvHistory {
-    records: Vec<KvRecord>,
+    per_key: Vec<(Key, History)>,
 }
 
 impl KvHistory {
-    /// Harvests the global history of `store`: each key's history is
-    /// read in place and each operation copied once, into records
-    /// reserved up front (one per applied operation).
+    /// Snapshots every key's history through
+    /// [`Shard::key_history`](crate::shard::Shard::key_history), sorted
+    /// by key.
     pub(crate) fn harvest(store: &ShardedStore) -> Self {
-        let mut records = Vec::with_capacity(store.ops_applied() as usize);
+        let mut per_key = Vec::with_capacity(store.distinct_keys() as usize);
         for shard in store.shards() {
-            shard.for_each_history(|key, h| {
-                records.extend(h.ops().iter().map(|op| KvRecord {
-                    key,
-                    op: op.clone(),
-                }));
-            });
+            per_key.extend(shard.keys().map(|key| {
+                let h = shard.key_history(key).expect("a served key has a history");
+                (key, h)
+            }));
         }
-        KvHistory { records }
+        per_key.sort_unstable_by_key(|&(key, _)| key);
+        KvHistory { per_key }
     }
 
-    /// All records, in `(shard, key, invocation)` order.
-    pub fn records(&self) -> &[KvRecord] {
-        &self.records
+    /// Each key's history, in key order.
+    pub fn histories(&self) -> impl Iterator<Item = (Key, &History)> {
+        self.per_key.iter().map(|(key, h)| (*key, h))
+    }
+
+    /// Every recorded operation, key by key (times compare within a key
+    /// only).
+    pub fn ops(&self) -> impl Iterator<Item = &Operation> {
+        self.per_key.iter().flat_map(|(_, h)| h.ops())
     }
 
     /// Number of recorded operations.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.per_key.iter().map(|(_, h)| h.len()).sum()
     }
 
     /// Returns `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.per_key.iter().all(|(_, h)| h.is_empty())
     }
 
-    /// The distinct keys appearing in the history, in key order.
-    pub fn keys(&self) -> Vec<Key> {
-        self.records
-            .iter()
-            .map(|r| r.key)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect()
-    }
-
-    /// Projects the sub-history of `key`: the register [`History`]
-    /// containing exactly the operations that addressed `key`, in
-    /// invocation order — the input the per-register checkers expect.
-    #[cfg(test)]
-    pub(crate) fn project(&self, key: Key) -> History {
-        rebuild(self.records.iter().filter(|r| r.key == key).map(|r| &r.op))
-    }
-
-    /// Groups the records per key in **one pass**, linear in the record
-    /// count instead of `O(keys × records)`.
-    fn per_key_ops(&self) -> BTreeMap<Key, Vec<&Operation>> {
-        let mut groups: BTreeMap<Key, Vec<&Operation>> = BTreeMap::new();
-        for r in &self.records {
-            groups.entry(r.key).or_default().push(&r.op);
-        }
-        groups
-    }
-
-    /// Flattens every record of every key into one register [`History`]
-    /// for **latency accounting only**: the per-op intervals are valid
-    /// (each comes from its own key's world), cross-key times are not —
-    /// never feed the result to a consistency checker, which takes one
-    /// key's history at a time.
+    /// Flattens every operation of every key into one register
+    /// [`History`] for **latency accounting only**: the per-op intervals
+    /// are valid (each comes from its own key's world), cross-key times
+    /// are not — never feed the result to a consistency checker.
     pub fn latency_history(&self) -> History {
-        rebuild(self.records.iter().map(|r| &r.op))
+        rebuild(self.ops())
     }
 }
 
 /// Rebuilds recorded operations into a register [`History`] (invocation
-/// order restored by sorting on the interval endpoints) — the one
-/// shared invoke/respond loop behind the per-key histories and
-/// [`KvHistory::latency_history`].
+/// order restored by sorting on the interval endpoints).
 fn rebuild<'a>(ops: impl Iterator<Item = &'a Operation>) -> History {
     let mut ops: Vec<&Operation> = ops.collect();
     ops.sort_by_key(|op| (op.invoked_at, op.responded_at));
@@ -133,7 +95,7 @@ fn rebuild<'a>(ops: impl Iterator<Item = &'a Operation>) -> History {
     h
 }
 
-/// The verdict of checking one key's sub-history against its shard's
+/// The verdict of checking one key's history against its shard's
 /// contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyVerdict {
@@ -167,7 +129,7 @@ pub struct StoreCheckReport {
 }
 
 impl StoreCheckReport {
-    /// Keys whose sub-history satisfied their contract.
+    /// Keys whose history satisfied their contract.
     pub fn clean_count(&self) -> usize {
         self.per_key.iter().filter(|k| k.verdict.is_clean()).count()
     }
@@ -196,19 +158,19 @@ impl StoreCheckReport {
 pub struct StoreChecker;
 
 impl StoreChecker {
-    /// Harvests the store's global history and checks every key's
-    /// sub-history: `check_streaming(store, &store.global_history(), 1)`.
+    /// Harvests the store's per-key histories and checks each one:
+    /// `check_streaming(store, &store.global_history(), 1)`.
     pub fn check(store: &ShardedStore) -> StoreCheckReport {
         Self::check_streaming(store, &store.global_history(), 1)
     }
 
-    /// Projects `history` per key and checks each sub-history against
-    /// the contract of the shard (of `store`) owning that key, fanning
-    /// the keys across `threads` [`map_ordered`] workers. The report is
-    /// identical at any `threads` value.
+    /// Checks each key's history in `history` against the contract of
+    /// the shard (of `store`) owning that key, fanning the keys across
+    /// `threads` [`map_ordered`] workers. The report is identical at any
+    /// `threads` value.
     ///
-    /// Taking the history as an argument lets tests feed hand-built
-    /// histories through the very same projection path.
+    /// Taking the history as an argument lets tests feed doctored
+    /// histories through the very same path.
     pub fn check_streaming(
         store: &ShardedStore,
         history: &KvHistory,
@@ -217,27 +179,24 @@ impl StoreChecker {
         let router = store.router();
         let w = store.cfg().w;
         // Resolve shard/contract metadata up front so the workers only
-        // touch plain data, not the store; each job rebuilds its own
-        // key's history, so no more than one per worker is alive at once.
-        let items: Vec<(KeyVerdict, Vec<&Operation>)> = history
-            .per_key_ops()
-            .into_iter()
-            .map(|(key, ops)| {
+        // touch plain data, not the store.
+        let items: Vec<(KeyVerdict, &History)> = history
+            .histories()
+            .map(|(key, h)| {
                 let shard_index = router.shard_of(key);
                 let shard = &store.shards()[shard_index as usize];
-                let contract = shard.protocol().contract();
                 let seed = KeyVerdict {
                     key,
                     shard: shard_index,
                     protocol: shard.protocol(),
-                    contract,
+                    contract: shard.protocol().contract(),
                     verdict: Verdict::Clean,
                 };
-                (seed, ops)
+                (seed, h)
             })
             .collect();
-        let per_key = map_ordered(items, threads, move |_, (seed, ops)| KeyVerdict {
-            verdict: OnlineChecker::check(seed.contract.spec(w), &rebuild(ops.into_iter())),
+        let per_key = map_ordered(items, threads, move |_, (seed, h)| KeyVerdict {
+            verdict: OnlineChecker::check(seed.contract.spec(w), h),
             ..seed
         });
         StoreCheckReport { per_key }
@@ -249,6 +208,7 @@ mod tests {
     use super::*;
     use fastreg::config::ClusterConfig;
     use fastreg_atomicity::history::RegValue;
+    use fastreg_atomicity::regularity::check_swmr_regularity;
     use fastreg_atomicity::swmr::check_swmr_atomicity;
     use fastreg_atomicity::verdict::ViolationKind;
 
@@ -256,11 +216,16 @@ mod tests {
     use crate::store::StoreBuilder;
 
     fn driven_store() -> ShardedStore {
+        driven_store_with(4, vec![ProtocolId::FastCrash, ProtocolId::Abd])
+    }
+
+    /// `shards` shards cycling `backends`, driven by 60 ops over 9 keys.
+    fn driven_store_with(shards: u32, backends: Vec<ProtocolId>) -> ShardedStore {
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
         let mut store = StoreBuilder::new(cfg)
-            .shards(4)
+            .shards(shards)
             .seed(3)
-            .backends(vec![ProtocolId::FastCrash, ProtocolId::Abd])
+            .backends(backends)
             .build()
             .unwrap();
         let ops: Vec<KvOp> = (0..60)
@@ -279,27 +244,42 @@ mod tests {
         store
     }
 
+    fn keys(history: &KvHistory) -> Vec<Key> {
+        history.histories().map(|(key, _)| key).collect()
+    }
+
+    /// `h` with its first completed read rebuilt to return `value`, or
+    /// `None` if no read completed.
+    fn doctor(h: &History, value: u64) -> Option<History> {
+        let mut ops = h.ops().to_vec();
+        let read = ops
+            .iter_mut()
+            .find(|op| op.kind == OpKind::Read && op.responded_at.is_some())?;
+        read.returned = Some(RegValue::Val(value));
+        Some(rebuild(ops.iter()))
+    }
+
     #[test]
     fn projection_partitions_the_global_history() {
         let store = driven_store();
         let global = store.global_history();
         assert_eq!(global.len(), 60);
-        assert_eq!(global.records.capacity(), 60, "reserved once, exactly");
+        assert_eq!(global.per_key.capacity(), 9, "reserved once, exactly");
         assert!(!global.is_empty());
-        let keys = global.keys();
-        assert_eq!(keys, (0..9).collect::<Vec<_>>());
-        let per_key_total: usize = keys.iter().map(|&k| global.project(k).len()).sum();
-        assert_eq!(per_key_total, global.len(), "projection loses nothing");
-        // A projected sub-history matches the shard's own record.
-        for &key in &keys {
+        assert_eq!(keys(&global), (0..9).collect::<Vec<_>>());
+        let per_key_total: usize = global.histories().map(|(_, h)| h.len()).sum();
+        assert_eq!(per_key_total, global.len(), "the harvest loses nothing");
+        assert_eq!(global.ops().count(), global.len());
+        // Each key's history is the shard's own record.
+        for (key, h) in global.histories() {
             let shard = &store.shards()[store.router().shard_of(key) as usize];
             assert_eq!(
-                global.project(key).render(),
+                h.render(),
                 shard.key_history(key).unwrap().render(),
                 "key {key}"
             );
         }
-        assert_eq!(global.project(999).len(), 0, "unknown keys are empty");
+        assert!(!keys(&global).contains(&999), "unknown keys are absent");
     }
 
     #[test]
@@ -314,9 +294,9 @@ mod tests {
         );
         assert_eq!(report.clean_count(), 9);
         assert_eq!(report.unexpected().count(), 0);
-        // The projection-based verdicts agree with running the batch
-        // oracle on each live register's own record (every backend here
-        // is single-writer atomic).
+        // The streaming verdicts agree with running the batch oracle on
+        // each live register's own record (every backend here is
+        // single-writer atomic).
         for kv in &report.per_key {
             let shard = &store.shards()[kv.shard as usize];
             let h = shard.key_history(kv.key).unwrap();
@@ -330,10 +310,19 @@ mod tests {
         Verdict::from_atomicity(&check_swmr_atomicity(h))
     }
 
+    /// The batch oracle of a single-writer `contract`.
+    fn batch_oracle(contract: Contract, h: &History) -> Verdict {
+        match contract {
+            Contract::Atomic => batch_atomic(h),
+            Contract::Regular => Verdict::from_regularity(&check_swmr_regularity(h)),
+            Contract::Unsound => unreachable!("no unsound backend here"),
+        }
+    }
+
     #[test]
     fn verdict_for_dispatches_per_contract() {
-        // One shard per contract; each hand-built history is replayed
-        // onto one key of every shard.
+        // One shard per contract; each hand-built history is recorded
+        // on one key of every shard.
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();
         let store = StoreBuilder::new(cfg)
             .shards(3)
@@ -345,17 +334,14 @@ mod tests {
             .build()
             .unwrap();
         let verdicts = |h: &History| {
-            let mut records = Vec::new();
-            for shard in 0..3 {
-                let key = (0..).find(|&k| store.router().shard_of(k) == shard);
-                let key = key.expect("every shard owns some key");
-                let tagged = h.ops().iter().map(|op| KvRecord {
-                    key,
-                    op: op.clone(),
-                });
-                records.extend(tagged);
-            }
-            let report = StoreChecker::check_streaming(&store, &KvHistory { records }, 1);
+            let mut per_key: Vec<(Key, History)> = (0..3)
+                .map(|shard| {
+                    let key = (0..).find(|&k| store.router().shard_of(k) == shard);
+                    (key.expect("every shard owns some key"), h.clone())
+                })
+                .collect();
+            per_key.sort_unstable_by_key(|&(key, _)| key);
+            let report = StoreChecker::check_streaming(&store, &KvHistory { per_key }, 1);
             let of = |c| report.per_key.iter().find(|kv| kv.contract == c).unwrap();
             [Contract::Atomic, Contract::Regular, Contract::Unsound].map(|c| of(c).verdict)
         };
@@ -401,18 +387,14 @@ mod tests {
         let global = store.global_history();
         // And on a doctored (violating) history too.
         let mut doctored = global.clone();
-        for r in &mut doctored.records {
-            if r.op.kind == OpKind::Read && r.op.responded_at.is_some() {
-                r.op.returned = Some(RegValue::Val(424_242));
-                break;
-            }
-        }
+        let (_, h) = doctored
+            .per_key
+            .iter_mut()
+            .find(|(_, h)| h.complete_ops().any(|op| op.kind == OpKind::Read))
+            .expect("some key has a completed read");
+        *h = doctor(h, 424_242).unwrap();
         for (history, clean) in [(&global, true), (&doctored, false)] {
-            let batch: Vec<Verdict> = history
-                .keys()
-                .iter()
-                .map(|&key| batch_atomic(&history.project(key)))
-                .collect();
+            let batch: Vec<Verdict> = history.histories().map(|(_, h)| batch_atomic(h)).collect();
             assert_eq!(batch.iter().all(|v| v.is_clean()), clean);
             for threads in [1, 2, 4] {
                 let streamed = StoreChecker::check_streaming(&store, history, threads);
@@ -420,32 +402,69 @@ mod tests {
                 assert_eq!(verdicts, batch, "threads = {threads}");
             }
         }
+
+        // Regular and Byzantine shards: each key is graded by its own
+        // contract, and doctoring one key per shard flips exactly those.
+        let store = driven_store_with(2, vec![ProtocolId::FastRegular, ProtocolId::FastByz]);
+        let global = store.global_history();
+        let mut doctored = global.clone();
+        let mut victims = Vec::new();
+        for shard in store.shards() {
+            let (key, h) = doctored
+                .per_key
+                .iter_mut()
+                .filter(|(key, _)| store.router().shard_of(*key) == shard.index())
+                .find(|(_, h)| h.complete_ops().any(|op| op.kind == OpKind::Read))
+                .expect("every shard serves a key with a completed read");
+            *h = doctor(h, 424_242).unwrap();
+            victims.push(*key);
+        }
+        victims.sort_unstable();
+        assert_eq!(victims.len(), 2);
+        for threads in [1, 2, 4] {
+            let clean = StoreChecker::check_streaming(&store, &global, threads);
+            for kv in &clean.per_key {
+                let shard = &store.shards()[kv.shard as usize];
+                let h = shard.key_history(kv.key).unwrap();
+                assert_eq!(kv.verdict, batch_oracle(kv.contract, &h), "key {}", kv.key);
+                assert!(kv.verdict.is_clean(), "key {}", kv.key);
+            }
+            let contracts: Vec<Contract> = clean.per_key.iter().map(|kv| kv.contract).collect();
+            assert!(
+                contracts.contains(&Contract::Regular) && contracts.contains(&Contract::Atomic)
+            );
+
+            let report = StoreChecker::check_streaming(&store, &doctored, threads);
+            let oracle: Vec<Verdict> = report
+                .per_key
+                .iter()
+                .zip(doctored.histories())
+                .map(|(kv, (_, h))| batch_oracle(kv.contract, h))
+                .collect();
+            let verdicts: Vec<Verdict> = report.per_key.iter().map(|kv| kv.verdict).collect();
+            assert_eq!(verdicts, oracle, "threads = {threads}");
+            let flipped: Vec<Key> = report.violations().map(|kv| kv.key).collect();
+            assert_eq!(flipped, victims, "threads = {threads}");
+        }
     }
 
     #[test]
     fn doctored_histories_surface_per_key_violations() {
-        // Take a real store, then check a *doctored* global history in
-        // which one key's read returns a never-written value: only that
-        // key's verdict flips, and it is flagged unexpected (sound
-        // backend).
+        // Take a real store, then check a *doctored* history in which
+        // one key's read returns a never-written value: only that key's
+        // verdict flips, and it is flagged unexpected (sound backend).
         let store = driven_store();
         let mut global = store.global_history();
         // Key 1 receives only gets in `driven_store` (every i ≡ 1 mod 9
         // has i % 3 ≠ 0), so a doctored unwritten return is unambiguous.
         let victim = 1;
-        assert!(global.keys().contains(&victim));
-        let mut doctored = false;
-        for r in &mut global.records {
-            if r.key == victim
-                && r.op.kind == OpKind::Read
-                && r.op.responded_at.is_some()
-                && !doctored
-            {
-                r.op.returned = Some(RegValue::Val(999_999));
-                doctored = true;
-            }
-        }
-        assert!(doctored, "found a completed read to doctor");
+        assert!(keys(&global).contains(&victim));
+        let (_, h) = global
+            .per_key
+            .iter_mut()
+            .find(|(key, _)| *key == victim)
+            .unwrap();
+        *h = doctor(h, 999_999).expect("found a completed read to doctor");
         let report = StoreChecker::check_streaming(&store, &global, 1);
         let bad: Vec<_> = report.violations().collect();
         assert_eq!(bad.len(), 1);

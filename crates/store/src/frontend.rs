@@ -221,12 +221,10 @@ mod tests {
                 fe.submit(op).unwrap();
             }
             let (store, _) = fe.finish().unwrap();
-            let global = store.global_history();
-            global
-                .keys()
-                .into_iter()
-                .map(|k| {
-                    let h = global.project(k);
+            store
+                .global_history()
+                .histories()
+                .map(|(k, h)| {
                     let last = h.writes().last().map(|o| o.kind);
                     (k, h.complete_ops().count(), h.len(), last)
                 })

@@ -25,8 +25,8 @@
 //!        key → [W|R|S…] simulated register deployments
 //!                          │
 //!                 ┌────────▼────────┐
-//!                 │  StoreChecker   │  global history → per-key
-//!                 └─────────────────┘  sub-histories → verdicts
+//!                 │  StoreChecker   │  each key's recorded history
+//!                 └─────────────────┘  → its contract's verdict
 //! ```
 //!
 //! * [`router::Router`] hash-partitions the keyspace: a pure, stable
@@ -49,11 +49,11 @@
 //!   happens, so a hot key's millionth event counts as much as its
 //!   first. It is an in-process identity; only rendered trace
 //!   fingerprints may be persisted.
-//! * The [`checker::StoreChecker`] projects the store's global history
-//!   onto per-key sub-histories and grades each with the online checker
-//!   for its shard's contract (atomicity / linearizability /
-//!   regularity), reporting stable
-//!   [`Verdict`](fastreg_atomicity::verdict::Verdict) codes — every
+//! * The [`checker::StoreChecker`] takes each key's history as its
+//!   register recorded it and grades it with the online checker for its
+//!   shard's contract (atomicity / linearizability / regularity),
+//!   reporting stable [`Verdict`](fastreg_atomicity::verdict::Verdict)
+//!   codes — every
 //!   registry protocol instantly becomes a KV backend with its contract
 //!   checked per key.
 //!
@@ -97,7 +97,7 @@ pub mod router;
 pub mod shard;
 pub mod store;
 
-pub use checker::{KeyVerdict, KvHistory, KvRecord, StoreCheckReport, StoreChecker};
+pub use checker::{KeyVerdict, KvHistory, StoreCheckReport, StoreChecker};
 pub use frontend::{BatchedFrontend, FrontendStats};
 pub use kv::{Key, KvOp, KvOpKind};
 pub use router::Router;

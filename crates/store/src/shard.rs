@@ -146,14 +146,6 @@ impl Shard {
         self.registers.get(&key).map(|c| c.snapshot())
     }
 
-    /// Runs `f` on each key's operation history in place, in key order
-    /// (times are ticks of that key's own world).
-    pub(crate) fn for_each_history(&self, mut f: impl FnMut(Key, &History)) {
-        for (&key, cluster) in &self.registers {
-            cluster.inspect_history(&mut |h| f(key, h));
-        }
-    }
-
     /// An *in-process* identity of everything the shard's registers did:
     /// FNV-1a over `(key, trace digest)` in key order, where each key's
     /// digest covers every event of that key's whole run (its world's

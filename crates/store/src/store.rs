@@ -168,8 +168,8 @@ impl BatchStats {
 ///   [`KvOp`]s and drives the affected shards, which share nothing, each
 ///   on its fixed worker thread — a thread count never changes results
 ///   (checked on [`fingerprint`](ShardedStore::fingerprint)s);
-/// * [`global_history`](ShardedStore::global_history) harvests every
-///   register's recorded operations into one key-tagged history for the
+/// * [`global_history`](ShardedStore::global_history) snapshots each
+///   key's recorded history for the
 ///   [`StoreChecker`](crate::checker::StoreChecker).
 pub struct ShardedStore {
     router: Router,
@@ -267,10 +267,9 @@ impl ShardedStore {
         self.crew = Crew::new(Shard::flush, cores);
     }
 
-    /// Harvests every register's recorded operations into one key-tagged
-    /// [`KvHistory`] — the input of the
-    /// [`StoreChecker`](crate::checker::StoreChecker)'s per-key
-    /// projection.
+    /// Snapshots each key's recorded history into a [`KvHistory`], in
+    /// key order — the input of the
+    /// [`StoreChecker`](crate::checker::StoreChecker).
     pub fn global_history(&self) -> KvHistory {
         KvHistory::harvest(self)
     }

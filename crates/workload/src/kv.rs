@@ -4,13 +4,12 @@
 //! This is the multi-object sibling of [`run_closed_loop`]
 //! (one register, one history): a population of simulated clients issues
 //! `get`/`put` operations over a keyspace, the store's
-//! [`BatchedFrontend`] coalesces them per shard, and the per-key
-//! contract is checked at the end through the
-//! [`StoreChecker`]'s history projection. The loop is *closed at round
-//! granularity*: each client has at most one operation per round in
-//! flight (the frontend window equals the client count, so every round
-//! is one flush), the KV analogue of the register driver's
-//! one-outstanding-op-per-client discipline.
+//! [`BatchedFrontend`] coalesces them per shard, and the [`StoreChecker`]
+//! checks each key's recorded history against its contract at the end.
+//! The loop is *closed at round granularity*: each client has at most
+//! one operation per round in flight (the frontend window equals the
+//! client count, so every round is one flush), the KV analogue of the
+//! register driver's one-outstanding-op-per-client discipline.
 //!
 //! Key skew comes from the vendored
 //! [`WeightedIndex`] sampler:
@@ -93,7 +92,7 @@ impl Default for KvWorkloadSpec {
 pub struct KvReport {
     /// Frontend counters (ops, flushes, per-shard batches, waves).
     pub stats: FrontendStats,
-    /// Per-key contract verdicts from the [`StoreChecker`] projection.
+    /// Per-key contract verdicts from the [`StoreChecker`].
     pub check: StoreCheckReport,
     /// Latency breakdown over every operation of every key (ticks of
     /// each key's own world — valid per op, aggregated across keys).
@@ -132,8 +131,8 @@ impl KvReport {
 /// [`ShardedStore::apply_batch`]), and the checker grades keys on up to
 /// `threads` scoped threads. The report is the same at any `threads`.
 ///
-/// Put values are globally unique (`1, 2, 3, …`), so every per-key
-/// sub-history stays checkable by the SWMR machinery (distinct written
+/// Put values are globally unique (`1, 2, 3, …`), so every key's
+/// history stays checkable by the SWMR machinery (distinct written
 /// values). The run consumes the store and hands it back in the result,
 /// so callers can keep layering workloads onto the same keyspace.
 ///
@@ -191,7 +190,7 @@ pub fn run_kv_workload(
     // Per-key checks run concurrently on the same worker-thread budget
     // that drove the shards (the report is thread-count independent).
     let check = StoreChecker::check_streaming(&store, &global, threads);
-    let breakdown = OpBreakdown::of_ops(global.records().iter().map(|r| &r.op));
+    let breakdown = OpBreakdown::of_ops(global.ops());
     let report = KvReport {
         stats,
         check,
@@ -271,12 +270,7 @@ mod tests {
         );
         // The hottest key under zipf carries far more than the mean.
         let global = zstore.global_history();
-        let hottest = global
-            .keys()
-            .into_iter()
-            .map(|k| global.records().iter().filter(|r| r.key == k).count())
-            .max()
-            .unwrap() as f64;
+        let hottest = global.histories().map(|(_, h)| h.len()).max().unwrap() as f64;
         let mean = global.len() as f64 / zipf.distinct_keys as f64;
         assert!(
             hottest > 4.0 * mean,

@@ -31,8 +31,8 @@ impl OpBreakdown {
     }
 
     /// Computes the breakdown of recorded operations, in any order: each
-    /// latency is its own op's interval, so no history needs rebuilding
-    /// first (the store's key-tagged records are read in place).
+    /// latency is its own op's interval, so the store's per-key
+    /// histories are read in place.
     pub(crate) fn of_ops<'a>(ops: impl IntoIterator<Item = &'a Operation>) -> Self {
         let mut reads = Vec::new();
         let mut writes = Vec::new();

@@ -297,34 +297,30 @@ pub fn trace_store_run(
     let global = store.global_history();
     let mut latencies = Vec::new();
     let mut lanes: BTreeMap<(u32, u32), Recorder> = BTreeMap::new();
-    for record in global.records() {
-        let shard = router.shard_of(record.key);
+    for (key, h) in global.histories() {
+        let shard = router.shard_of(key);
         let track = TRACK_STORE_BASE + shard;
-        let op = &record.op;
-        let rec = lanes
-            .entry((track, op.proc))
-            .or_insert_with(|| Recorder::new(track, op.proc));
-        let name = match op.kind {
-            OpKind::Read => "kv.get",
-            OpKind::Write { .. } => "kv.put",
-        };
-        match op.responded_at {
-            Some(resp) => {
-                rec.complete(
-                    op.invoked_at,
-                    resp - op.invoked_at,
-                    name,
-                    &[("key", record.key)],
-                );
-                latencies.push(resp - op.invoked_at);
+        metrics.counter_add(&format!("store.shard{shard}.ops"), h.len() as u64);
+        for op in h.ops() {
+            let rec = lanes
+                .entry((track, op.proc))
+                .or_insert_with(|| Recorder::new(track, op.proc));
+            let name = match op.kind {
+                OpKind::Read => "kv.get",
+                OpKind::Write { .. } => "kv.put",
+            };
+            match op.responded_at {
+                Some(resp) => {
+                    rec.complete(op.invoked_at, resp - op.invoked_at, name, &[("key", key)]);
+                    latencies.push(resp - op.invoked_at);
+                }
+                None => rec.instant(op.invoked_at, "kv.incomplete", &[("key", key)]),
             }
-            None => rec.instant(op.invoked_at, "kv.incomplete", &[("key", record.key)]),
+            metrics.observe(
+                "store.lat",
+                op.responded_at.map_or(0, |r| r - op.invoked_at),
+            );
         }
-        metrics.counter_add(&format!("store.shard{shard}.ops"), 1);
-        metrics.observe(
-            "store.lat",
-            op.responded_at.map_or(0, |r| r - op.invoked_at),
-        );
     }
     if let Some(s) = LatencyStats::from_latencies(latencies) {
         s.record(&mut metrics, "store.lat");

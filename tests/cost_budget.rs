@@ -155,18 +155,18 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// operations of the `store_zipf` shape (8 shards, 1 500 keys, Zipf 1.2,
 /// 64 clients, 10 % puts) on a fresh store with `threads = 1`, so this
 /// thread's tally sees every shard: routing, per-key world construction,
-/// waves, the global history, per-key checks and the report's
+/// waves, one history snapshot per key, per-key checks and the report's
 /// fingerprint (`threads = 1` is also `w = 1`: the store's crew spawns no
 /// helper, and flushes every shard on this thread). Most of a row is
 /// building the worlds; their traces are digest-only and store nothing.
-/// The latency breakdown reads the global history's records in place.
+/// The checks and the latency breakdown read the snapshots in place.
 /// Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
-    (MIX, 8_613, 2_002_958, 242),
-    (&[ProtocolId::FastCrash], 9_252, 2_069_958, 242),
-    (&[ProtocolId::Abd], 7_283, 1_693_174, 242),
-    (&[ProtocolId::FastByz], 9_978, 2_422_982, 242),
+    (MIX, 8_213, 1_781_694, 242),
+    (&[ProtocolId::FastCrash], 8_852, 1_848_694, 242),
+    (&[ProtocolId::Abd], 6_883, 1_471_910, 242),
+    (&[ProtocolId::FastByz], 9_578, 2_201_718, 242),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more
