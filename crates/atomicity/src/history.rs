@@ -310,11 +310,49 @@ impl History {
 /// completed count move finds that operation in the history.
 #[derive(Clone, Debug)]
 pub struct SharedHistory {
-    history: Arc<Mutex<History>>,
+    history: Arc<Mutex<Recorded>>,
     /// Invocations recorded per counted client, indexed by `proc`.
     invoked: Arc<[Counter]>,
     /// Responses recorded per counted client, indexed by `proc`.
     completed: Arc<[Counter]>,
+}
+
+/// What a [`SharedHistory`] holds: the history it records into, or,
+/// once [`freeze`](SharedHistory::freeze) has handed it out, that
+/// history shared until the next record takes it back (copying it only
+/// if a frozen handle is still alive).
+#[derive(Debug)]
+enum Recorded {
+    Live(History),
+    Frozen(Arc<History>),
+}
+
+impl Default for Recorded {
+    fn default() -> Self {
+        Recorded::Live(History::default())
+    }
+}
+
+impl Recorded {
+    fn get(&self) -> &History {
+        match self {
+            Recorded::Live(h) => h,
+            Recorded::Frozen(h) => h,
+        }
+    }
+
+    fn live(&mut self) -> &mut History {
+        if let Recorded::Frozen(_) = self {
+            let Recorded::Frozen(h) = std::mem::take(self) else {
+                unreachable!("matched above")
+            };
+            *self = Recorded::Live(Arc::unwrap_or_clone(h));
+        }
+        match self {
+            Recorded::Live(h) => h,
+            Recorded::Frozen(_) => unreachable!("thawed above"),
+        }
+    }
 }
 
 /// One client's count. The client's thread bumps it and the driver polls
@@ -355,7 +393,7 @@ impl SharedHistory {
 
     /// Reserves room for at least `additional` more operations.
     pub fn reserve(&self, additional: usize) {
-        self.history.lock().reserve(additional);
+        self.history.lock().live().reserve(additional);
     }
 
     /// Records a `write` invocation.
@@ -369,7 +407,7 @@ impl SharedHistory {
     }
 
     fn invoke(&self, proc: u32, kind: OpKind, at: Tick) -> OpId {
-        let id = self.history.lock().invoke(proc, kind, at);
+        let id = self.history.lock().live().invoke(proc, kind, at);
         if let Some(c) = self.invoked.get(proc as usize) {
             c.bump();
         }
@@ -378,10 +416,11 @@ impl SharedHistory {
 
     /// Records a response.
     pub fn respond(&self, id: OpId, returned: Option<RegValue>, at: Tick) {
-        let mut h = self.history.lock();
+        let mut guard = self.history.lock();
+        let h = guard.live();
         h.respond(id, returned, at);
         let proc = h.ops[id.0].proc as usize;
-        drop(h);
+        drop(guard);
         if let Some(c) = self.completed.get(proc) {
             c.bump();
         }
@@ -389,7 +428,22 @@ impl SharedHistory {
 
     /// Takes a snapshot of the history so far.
     pub fn snapshot(&self) -> History {
-        self.history.lock().clone()
+        self.history.lock().get().clone()
+    }
+
+    /// The history so far, shared rather than copied: for a history that
+    /// is done recording, such as a store key's once its run is over. It
+    /// costs no copy; the next record into this handle copies the history
+    /// back out, if the returned one is still alive by then.
+    pub fn freeze(&self) -> Arc<History> {
+        let mut guard = self.history.lock();
+        if let Recorded::Live(h) = &mut *guard {
+            *guard = Recorded::Frozen(Arc::new(std::mem::take(h)));
+        }
+        match &*guard {
+            Recorded::Frozen(h) => Arc::clone(h),
+            Recorded::Live(_) => unreachable!("frozen above"),
+        }
     }
 
     /// Runs `f` on the history so far, in place, under its lock: a
@@ -397,13 +451,7 @@ impl SharedHistory {
     /// [`snapshot`](Self::snapshot) clones every operation. `f` must not
     /// record into this history.
     pub fn inspect<R>(&self, f: impl FnOnce(&History) -> R) -> R {
-        f(&self.history.lock())
-    }
-
-    /// What the `nth` completed read of client `proc` returned (see
-    /// [`History::nth_completed_read`]), looked up in place.
-    pub fn nth_completed_read(&self, proc: u32, nth: usize) -> Option<RegValue> {
-        self.history.lock().nth_completed_read(proc, nth)
+        f(self.history.lock().get())
     }
 
     /// Number of operations the counted clients have completed.
@@ -558,7 +606,10 @@ mod tests {
         sh.respond(r, Some(RegValue::Val(1)), 3);
         assert!(!sh.client_busy(1));
         assert_eq!(sh.completed_count(), 2);
-        assert_eq!(sh.nth_completed_read(1, 0), Some(RegValue::Val(1)));
+        assert_eq!(
+            sh.inspect(|h| h.nth_completed_read(1, 0)),
+            Some(RegValue::Val(1))
+        );
     }
 
     #[test]
@@ -572,7 +623,10 @@ mod tests {
         let snap = sh.snapshot();
         assert_eq!(snap.completed_len(), 1);
         assert_eq!(snap.get(op).unwrap().proc, 2);
-        assert_eq!(sh.nth_completed_read(2, 0), Some(RegValue::Bottom));
+        assert_eq!(
+            sh.inspect(|h| h.nth_completed_read(2, 0)),
+            Some(RegValue::Bottom)
+        );
     }
 
     #[test]
@@ -616,6 +670,43 @@ mod tests {
         let snap = sh.snapshot();
         assert_eq!(snap.len(), 1);
         assert!(snap.get(w).unwrap().is_complete());
+    }
+
+    #[test]
+    fn a_frozen_history_is_shared_until_the_next_record() {
+        let sh = SharedHistory::new(1);
+        let w = sh.invoke_write(0, 9, 1);
+        sh.respond(w, None, 2);
+        let frozen = sh.freeze();
+        assert!(
+            Arc::ptr_eq(&frozen, &sh.freeze()),
+            "a second freeze shares too"
+        );
+        assert_eq!(frozen.render(), sh.snapshot().render());
+        assert_eq!(sh.inspect(History::len), 1);
+
+        // Recording goes on in a copy; the frozen history stays as it was.
+        let r = sh.invoke_read(0, 3);
+        sh.respond(r, Some(RegValue::Val(9)), 4);
+        assert_eq!(frozen.len(), 1);
+        assert_eq!(sh.inspect(History::len), 2);
+        assert_eq!(
+            sh.inspect(|h| h.nth_completed_read(0, 0)),
+            Some(RegValue::Val(9))
+        );
+        assert!(!Arc::ptr_eq(&frozen, &sh.freeze()));
+
+        // With no frozen handle left, the next record takes it back as is.
+        let again = sh.freeze();
+        let at = again.ops().as_ptr();
+        drop(again);
+        sh.invoke_read(0, 5);
+        assert_eq!(
+            sh.inspect(|h| h.ops().as_ptr()),
+            at,
+            "moved back, not copied"
+        );
+        assert_eq!(sh.inspect(History::len), 3);
     }
 
     #[test]

@@ -940,7 +940,7 @@ pub trait SimControl: RegisterOps {
 /// Panics if that read did not complete (e.g. too many servers crashed).
 pub(crate) fn nth_read_value(history: &SharedHistory, addr: u32, nth: u64) -> RegValue {
     history
-        .nth_completed_read(addr, nth as usize)
+        .inspect(|h| h.nth_completed_read(addr, nth as usize))
         .unwrap_or_else(|| panic!("read by the reader at address {addr} did not complete"))
 }
 
@@ -1141,11 +1141,6 @@ impl DynCluster {
     /// The protocol this cluster runs.
     pub fn id(&self) -> ProtocolId {
         self.id
-    }
-
-    /// The protocol's registered name.
-    pub fn name(&self) -> &'static str {
-        self.id.name()
     }
 
     /// The simulator-only control surface, if this deployment runs on
@@ -1528,7 +1523,7 @@ mod tests {
             .seed(9)
             .build(ProtocolId::FastCrash)
             .unwrap();
-        assert_eq!(dynamic.name(), "fast-crash");
+        assert_eq!(dynamic.id().name(), "fast-crash");
         assert_eq!(dynamic.id(), ProtocolId::FastCrash);
         for v in 1..=3u64 {
             stat.write_sync(v);

@@ -188,7 +188,14 @@ impl<R: Rule> Automaton for Client<R> {
                 "client invoked {name}() while an operation was pending"
             );
             self.invoked += 1;
-            let (me, now) = (out.this().index(), out.now().ticks());
+            // The history's `proc` is the layout-relative index, so a
+            // register placed as a block of a larger world records the
+            // same procs as one that owns its world.
+            let me = self
+                .layout
+                .local(out.this())
+                .expect("a client of its own layout");
+            let now = out.now().ticks();
             let op = match kind {
                 OpKind::Read => self.history.invoke_read(me, now),
                 OpKind::Write { value } => self.history.invoke_write(me, value, now),

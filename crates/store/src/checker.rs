@@ -10,6 +10,8 @@
 //! promised ([`Contract::spec`]), in the stable [`Verdict`] codes of
 //! `fastreg_atomicity::verdict`.
 
+use std::sync::Arc;
+
 use fastreg::protocols::registry::{Contract, ProtocolId};
 use fastreg_atomicity::history::{History, OpKind, Operation};
 use fastreg_atomicity::streaming::OnlineChecker;
@@ -22,26 +24,24 @@ use crate::store::ShardedStore;
 /// The store's operation history: each key's recorded register
 /// [`History`], in key order.
 ///
-/// Harvested by [`ShardedStore::global_history`], one snapshot per key.
-/// Times are ticks of each key's own simulated world, so they compare
-/// within a key only: a consistency checker takes one key's history at a
-/// time.
+/// Harvested by [`ShardedStore::global_history`]: each key's history is
+/// shared with its register, not copied.
+/// Times are ticks of the key's shard's world: they compare across the
+/// keys of one shard, not across shards. A consistency checker takes one
+/// key's history at a time.
 #[derive(Clone, Debug, Default)]
 pub struct KvHistory {
-    per_key: Vec<(Key, History)>,
+    per_key: Vec<(Key, Arc<History>)>,
 }
 
 impl KvHistory {
-    /// Snapshots every key's history through
-    /// [`Shard::key_history`](crate::shard::Shard::key_history), sorted
-    /// by key.
+    /// Shares every key's history through
+    /// [`Shard::frozen_histories`](crate::shard::Shard::frozen_histories),
+    /// sorted by key.
     pub(crate) fn harvest(store: &ShardedStore) -> Self {
         let mut per_key = Vec::with_capacity(store.distinct_keys() as usize);
         for shard in store.shards() {
-            per_key.extend(shard.keys().map(|key| {
-                let h = shard.key_history(key).expect("a served key has a history");
-                (key, h)
-            }));
+            per_key.extend(shard.frozen_histories());
         }
         per_key.sort_unstable_by_key(|&(key, _)| key);
         KvHistory { per_key }
@@ -49,11 +49,11 @@ impl KvHistory {
 
     /// Each key's history, in key order.
     pub fn histories(&self) -> impl Iterator<Item = (Key, &History)> {
-        self.per_key.iter().map(|(key, h)| (*key, h))
+        self.per_key.iter().map(|(key, h)| (*key, &**h))
     }
 
-    /// Every recorded operation, key by key (times compare within a key
-    /// only).
+    /// Every recorded operation, key by key (times compare within a
+    /// shard only).
     pub fn ops(&self) -> impl Iterator<Item = &Operation> {
         self.per_key.iter().flat_map(|(_, h)| h.ops())
     }
@@ -70,8 +70,9 @@ impl KvHistory {
 
     /// Flattens every operation of every key into one register
     /// [`History`] for **latency accounting only**: the per-op intervals
-    /// are valid (each comes from its own key's world), cross-key times
-    /// are not — never feed the result to a consistency checker.
+    /// are valid (each comes from its key's shard's world), cross-shard
+    /// times are not, and ops of different keys do not form one register
+    /// — never feed the result to a consistency checker.
     pub fn latency_history(&self) -> History {
         rebuild(self.ops())
     }
@@ -334,10 +335,10 @@ mod tests {
             .build()
             .unwrap();
         let verdicts = |h: &History| {
-            let mut per_key: Vec<(Key, History)> = (0..3)
+            let mut per_key: Vec<(Key, Arc<History>)> = (0..3)
                 .map(|shard| {
                     let key = (0..).find(|&k| store.router().shard_of(k) == shard);
-                    (key.expect("every shard owns some key"), h.clone())
+                    (key.expect("every shard owns some key"), Arc::new(h.clone()))
                 })
                 .collect();
             per_key.sort_unstable_by_key(|&(key, _)| key);
@@ -392,7 +393,7 @@ mod tests {
             .iter_mut()
             .find(|(_, h)| h.complete_ops().any(|op| op.kind == OpKind::Read))
             .expect("some key has a completed read");
-        *h = doctor(h, 424_242).unwrap();
+        *h = Arc::new(doctor(h, 424_242).unwrap());
         for (history, clean) in [(&global, true), (&doctored, false)] {
             let batch: Vec<Verdict> = history.histories().map(|(_, h)| batch_atomic(h)).collect();
             assert_eq!(batch.iter().all(|v| v.is_clean()), clean);
@@ -416,7 +417,7 @@ mod tests {
                 .filter(|(key, _)| store.router().shard_of(*key) == shard.index())
                 .find(|(_, h)| h.complete_ops().any(|op| op.kind == OpKind::Read))
                 .expect("every shard serves a key with a completed read");
-            *h = doctor(h, 424_242).unwrap();
+            *h = Arc::new(doctor(h, 424_242).unwrap());
             victims.push(*key);
         }
         victims.sort_unstable();
@@ -464,7 +465,7 @@ mod tests {
             .iter_mut()
             .find(|(key, _)| *key == victim)
             .unwrap();
-        *h = doctor(h, 999_999).expect("found a completed read to doctor");
+        *h = Arc::new(doctor(h, 999_999).expect("found a completed read to doctor"));
         let report = StoreChecker::check_streaming(&store, &global, 1);
         let bad: Vec<_> = report.violations().collect();
         assert_eq!(bad.len(), 1);

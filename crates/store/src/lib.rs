@@ -20,9 +20,9 @@
 //!         │ Shard 0 │ │ Shard 1 │ …  │ Shard S │  sub-batch, shard
 //!         │fast-crash│ │  abd    │    │fast-byz │  i on worker i mod w)
 //!         └────┬────┘ └────┬────┘    └────┬────┘
-//!              │ one DynCluster per key   │
+//!              │ one World per shard      │
 //!              ▼           ▼              ▼
-//!        key → [W|R|S…] simulated register deployments
+//!     [k₁: W|R|S][k₂: W|R|S]…  each key a block of actors
 //!                          │
 //!                 ┌────────▼────────┐
 //!                 │  StoreChecker   │  each key's recorded history
@@ -31,12 +31,15 @@
 //!
 //! * [`router::Router`] hash-partitions the keyspace: a pure, stable
 //!   `key → shard` map (splitmix64-mixed, pinned by property tests).
-//! * Each [`shard::Shard`] owns an independent register deployment
-//!   ([`DynCluster`](fastreg::harness::DynCluster)) **per key**, built
-//!   through [`ClusterBuilder`](fastreg::harness::ClusterBuilder) from
-//!   the shard's [`ProtocolId`](fastreg::protocols::registry::ProtocolId)
-//!   — shards may run *different* protocols behind one router
-//!   (heterogeneous backends).
+//! * Each [`shard::Shard`] owns **one simulated world** for its
+//!   [`ProtocolId`](fastreg::protocols::registry::ProtocolId) — shards
+//!   may run *different* protocols behind one router (heterogeneous
+//!   backends). Each key it serves is a register in that world: the
+//!   key's first op adds its `W + R + S` automata as a block of actors,
+//!   addressed through a [`Layout`](fastreg::layout::Layout) based at the
+//!   block's first address, recording into a history of the key's own.
+//!   A flush injects the first wave of every key, settles the world once,
+//!   then the next wave, so one settle serves every key of the batch.
 //! * The [`frontend::BatchedFrontend`] coalesces an operation stream
 //!   into per-shard batches, and every flush runs the hit shards on `w =
 //!   min(threads, cores, shards)` workers: the caller's thread and `w −
@@ -44,11 +47,11 @@
 //!   ([`fastreg_rt::threaded::Crew`]), shard `i` always on worker `i mod
 //!   w`. Shards share nothing, and the checker's fan-out preserves key
 //!   order, so verdicts, histories and the store fingerprint are
-//!   **identical at any thread count**. The fingerprint folds each key's full-run trace
-//!   digest: a key's world stores no trace and hashes every event as it
-//!   happens, so a hot key's millionth event counts as much as its
-//!   first. It is an in-process identity; only rendered trace
-//!   fingerprints may be persisted.
+//!   **identical at any thread count**. The fingerprint folds each
+//!   shard world's full-run trace digest: a shard's world stores no
+//!   trace and hashes every event as it happens, so a hot key's
+//!   millionth event counts as much as its first. It is an in-process
+//!   identity; only rendered trace fingerprints may be persisted.
 //! * The [`checker::StoreChecker`] takes each key's history as its
 //!   register recorded it and grades it with the online checker for its
 //!   shard's contract (atomicity / linearizability / regularity),
@@ -91,11 +94,14 @@
 #![warn(missing_docs)]
 
 pub mod checker;
+#[cfg(test)]
+mod equivalence;
 pub mod frontend;
 pub mod kv;
 pub mod router;
 pub mod shard;
 pub mod store;
+mod world;
 
 pub use checker::{KeyVerdict, KvHistory, StoreCheckReport, StoreChecker};
 pub use frontend::{BatchedFrontend, FrontendStats};

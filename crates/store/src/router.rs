@@ -4,7 +4,7 @@ use crate::kv::Key;
 
 /// The finalizing mix of splitmix64 — a measured, well-dispersing 64-bit
 /// permutation. Shared by the router (key → shard) and the shard layer
-/// (per-key register seeds), and **stable by contract**: changing these
+/// (shard world and per-key register seeds), and **stable by contract**: changing these
 /// constants would silently re-partition every existing keyspace, so they
 /// are pinned by tests.
 pub(crate) fn mix64(mut z: u64) -> u64 {

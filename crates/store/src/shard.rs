@@ -1,29 +1,32 @@
-//! One shard: an independent slice of the keyspace, one register
-//! deployment per key.
+//! One shard: an independent slice of the keyspace, one simulated world
+//! in which each key it has served is a register.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use fastreg::config::ClusterConfig;
-use fastreg::harness::{ClusterBuilder, DynCluster, RegisterOps};
 use fastreg::protocols::registry::ProtocolId;
 use fastreg_atomicity::history::History;
-use fastreg_auth::digest::DigestWriter;
+use fastreg_simnet::id::ProcessId;
 use fastreg_simnet::runner::SimConfig;
 use fastreg_simnet::world::QuiescenceError;
 
 use crate::kv::{Key, KvOp, KvOpKind};
 use crate::router::mix64;
+use crate::world::{shard_world, Register, ShardWorld};
 
 /// A store operation that could not complete.
 #[derive(Clone, Debug)]
 pub enum StoreError {
-    /// A key's register deployment stopped making progress (step budget
-    /// exhausted with messages still in transit).
+    /// A shard's world stopped making progress (step budget exhausted
+    /// with messages still in transit) while it settled a wave.
     ShardStalled {
         /// The shard that stalled.
         shard: u32,
-        /// The key whose register was being driven.
+        /// The first key, in key order, with an operation still
+        /// outstanding when the world gave up (the first key of the
+        /// stalled wave, if only late replies were left in transit).
         key: Key,
         /// The scheduler's account of the stall.
         source: QuiescenceError,
@@ -55,40 +58,56 @@ pub(crate) struct ShardBatch {
     pub ops: u64,
     /// Distinct keys the batch touched.
     pub keys: u64,
-    /// Settle waves run (≥ `keys`; more when a batch carried conflicting
-    /// ops by one client on one key).
+    /// Settle waves run: one per wave of the batch's most-split key (a
+    /// key's ops split when one client has two ops on it).
     pub waves: u64,
 }
 
+/// The seed of `key`'s register on shard `index` of a store seeded with
+/// `seed`: what builds its protocol context (the Byzantine protocol's
+/// keys).
+pub(crate) fn key_seed(seed: u64, index: u32, key: Key) -> u64 {
+    mix64(seed ^ mix64(key ^ ((index as u64) << 32)))
+}
+
 /// One shard of a [`ShardedStore`](crate::store::ShardedStore): a
-/// [`ProtocolId`] backend, a cluster configuration, and one independent
-/// register deployment ([`DynCluster`]) per key it has served.
+/// [`ProtocolId`] backend, a cluster configuration, and one simulated
+/// world in which every key the shard has served is a register.
 ///
-/// Registers are created lazily on first access, seeded from
-/// `mix64(store seed, shard index, key)` so every key's simulated world
-/// is deterministic and distinct. Every world runs with trace capacity 0:
-/// it stores no events and digests each one as it is recorded, which is
-/// all `Shard::fingerprint` reads. A shard is `Send` and owns all its
-/// state, which is what lets the batched frontend drive disjoint shards
-/// on worker threads without any locking.
+/// The world is built on the shard's first operation, and a key's
+/// register on the key's first operation: its `W + R + S` automata join
+/// the world as one block of actors, built from the seed
+/// `mix64(store seed, shard index, key)` and recording into a history of
+/// the key's own. The world runs with trace capacity 0: it stores no
+/// events and digests each one as it is recorded, which is all
+/// `Shard::fingerprint` reads. A shard is `Send` and owns all its state,
+/// which is what lets the store flush disjoint shards on worker threads
+/// without any locking.
 pub struct Shard {
     index: u32,
     protocol: ProtocolId,
     cfg: ClusterConfig,
     sim: SimConfig,
     seed: u64,
-    registers: BTreeMap<Key, DynCluster>,
+    world: Option<Box<dyn ShardWorld>>,
+    registers: BTreeMap<Key, Register>,
     ops_applied: u64,
     /// The routed sub-batch `apply_staged` consumes; its capacity outlives the batch.
     pub(crate) staged: Vec<KvOp>,
-    /// Client processes (by layout index) with an op in the current wave.
+    /// The staged ops tagged with their wave and the client process
+    /// that runs them, in injection order; its capacity outlives the
+    /// batch.
+    waves: Vec<(u32, ProcessId, KvOp)>,
+    /// Client processes (by layout index) with an op in the current wave
+    /// of the key being split.
     busy: Vec<bool>,
 }
 
 impl Shard {
     /// A fresh shard. The caller (the store builder) has already
     /// validated that `protocol` is feasible at `cfg`. `sim`'s trace
-    /// capacity is replaced by 0 (digest only).
+    /// capacity is replaced by 0 (digest only), and its seed by one
+    /// drawn from `seed` and `index`.
     pub(crate) fn new(
         index: u32,
         protocol: ProtocolId,
@@ -100,11 +119,15 @@ impl Shard {
             index,
             protocol,
             cfg,
-            sim: sim.with_trace_capacity(0),
+            sim: sim
+                .with_trace_capacity(0)
+                .with_seed(mix64(seed ^ ((index as u64) << 32))),
             seed,
+            world: None,
             registers: BTreeMap::new(),
             ops_applied: 0,
             staged: Vec::new(),
+            waves: Vec::new(),
             busy: vec![false; (cfg.w + cfg.r) as usize],
         }
     }
@@ -134,37 +157,37 @@ impl Shard {
         self.registers.len()
     }
 
-    /// Total messages sent across all of the shard's registers.
+    /// Total messages sent in the shard's world, by every key's register.
     pub fn messages_sent(&self) -> u64 {
-        self.registers.values().map(|c| c.messages_sent()).sum()
+        self.world.as_ref().map_or(0, |w| w.messages_sent())
     }
 
     /// Snapshot of one key's operation history (`None` if the key was
-    /// never touched). Times are ticks of *that key's* simulated world —
-    /// comparable within the key, not across keys.
+    /// never touched). Times are ticks of the shard's world: comparable
+    /// across the keys of this shard, not across shards.
     pub fn key_history(&self, key: Key) -> Option<History> {
-        self.registers.get(&key).map(|c| c.snapshot())
+        self.registers.get(&key).map(|r| r.history.snapshot())
+    }
+
+    /// Every key's history, in key order, shared with its register
+    /// ([`SharedHistory::freeze`](fastreg_atomicity::history::SharedHistory::freeze)):
+    /// no copy, and a later op on the key copies its history back out
+    /// only while a frozen one is still held.
+    pub(crate) fn frozen_histories(&self) -> impl Iterator<Item = (Key, Arc<History>)> + '_ {
+        (self.registers.iter()).map(|(&key, r)| (key, r.history.freeze()))
     }
 
     /// An *in-process* identity of everything the shard's registers did:
-    /// FNV-1a over `(key, trace digest)` in key order, where each key's
-    /// digest covers every event of that key's whole run (its world's
-    /// trace is digest-only, however hot the key). Within one process,
-    /// event-identical shard executions have equal fingerprints and any
-    /// others differ up to a 64-bit hash collision; the store's
-    /// thread-independence guarantee is checked on these. It folds
-    /// [`SimControl::trace_digest`](fastreg::harness::SimControl::trace_digest),
-    /// not the rendered trace fingerprint: never write it to a file or a pin.
+    /// its world's trace digest, which covers every event of the whole
+    /// run (the trace is digest-only, however hot a key). Within one
+    /// process, event-identical shard executions have equal fingerprints
+    /// and any others differ up to a 64-bit hash collision; the store's
+    /// thread-independence guarantee is checked on these. It is the
+    /// structural [`Trace::digest`](fastreg_simnet::trace::Trace::digest),
+    /// not the rendered trace fingerprint: never write it to a file or a
+    /// pin. A shard that never ran reads 0.
     pub(crate) fn fingerprint(&self) -> u64 {
-        let mut digest = DigestWriter::new();
-        for (key, cluster) in &self.registers {
-            digest.write_u64(*key);
-            let sim = cluster
-                .sim_control_ref()
-                .expect("store registers run on the simnet runtime");
-            digest.write_u64(sim.trace_digest());
-        }
-        digest.finish()
+        self.world.as_ref().map_or(0, |w| w.trace_digest())
     }
 
     /// Stages `ops`, all of which must route to this shard, and applies
@@ -185,30 +208,37 @@ impl Shard {
     /// Applies the staged sub-batch, which it empties.
     ///
     /// Ops are grouped per key (preserving submission order within each
-    /// key) and each key group is driven *concurrently inside its
-    /// register's simulated world*: every op is injected asynchronously,
-    /// in **waves** that keep at most one operation outstanding per
-    /// process (puts at writer `client % W`, gets at reader
-    /// `client % R`), then the world settles. Concurrent gets and puts on
+    /// key), and each key's group is split into **waves** that keep at
+    /// most one operation outstanding per process (puts at writer
+    /// `client % W`, gets at reader `client % R`): an op whose process
+    /// already has one in the key's current wave opens the key's next
+    /// wave. Then wave 0 of every key is injected and the shard's world
+    /// settles once, then wave 1, and so on. Concurrent gets and puts on
     /// one key therefore genuinely overlap — this is where a fast-read
-    /// backend earns its single round trip — while the recorded history
-    /// stays well-formed for the checkers.
+    /// backend earns its single round trip — while every key's recorded
+    /// history stays well-formed for the checkers.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::ShardStalled`] if any key's world exhausts
-    /// its step budget before quiescing.
+    /// Returns [`StoreError::ShardStalled`] if the world exhausts its
+    /// step budget before quiescing.
     pub(crate) fn apply_staged(&mut self) -> Result<ShardBatch, StoreError> {
         // Stable: keys ascending, submission order within a key.
         self.staged.sort_by_key(|op| op.key);
         let result = self.drive();
         self.staged.clear();
+        self.waves.clear();
         result
     }
 
-    /// Drives the staged ops, sorted by key, one run of equal keys at a time.
+    /// Drives the staged ops, sorted by key: builds the registers of new
+    /// keys, tags every op with its wave, then injects and settles one
+    /// wave at a time.
     fn drive(&mut self) -> Result<ShardBatch, StoreError> {
-        let (index, protocol, cfg, seed) = (self.index, self.protocol, self.cfg, self.seed);
+        let (index, cfg, seed) = (self.index, self.cfg, self.seed);
+        let world = self
+            .world
+            .get_or_insert_with(|| shard_world(self.protocol, self.sim.clone()));
         let mut batch = ShardBatch {
             ops: self.staged.len() as u64,
             keys: 0,
@@ -217,48 +247,64 @@ impl Shard {
         for kops in self.staged.chunk_by(|a, b| a.key == b.key) {
             let key = kops[0].key;
             batch.keys += 1;
-            let cluster = self.registers.entry(key).or_insert_with(|| {
-                ClusterBuilder::new(cfg)
-                    .sim(self.sim.clone())
-                    // Created on first access; this seed wins over `sim.seed`.
-                    .seed(mix64(seed ^ mix64(key ^ ((index as u64) << 32))))
-                    .build(protocol)
-                    .expect("the store builder validated feasibility")
-            });
-            let settle = |cluster: &mut DynCluster| {
-                cluster
-                    .try_settle()
-                    .map_err(|source| StoreError::ShardStalled {
-                        shard: index,
-                        key,
-                        source,
-                    })
-            };
+            let layout = (self.registers.entry(key))
+                .or_insert_with(|| world.add_register(&cfg, key_seed(seed, index, key)))
+                .layout;
             self.busy.fill(false);
+            let mut wave = 0;
             for op in kops {
-                let proc = match op.kind {
-                    KvOpKind::Put { .. } => op.client % cfg.w,
-                    KvOpKind::Get => cfg.w + op.client % cfg.r,
-                } as usize;
+                // The client process that runs `op`: its layout index,
+                // and its address in the world.
+                let (proc, at) = match op.kind {
+                    KvOpKind::Put { .. } => {
+                        let i = op.client % cfg.w;
+                        (i, layout.writer(i))
+                    }
+                    KvOpKind::Get => {
+                        let i = op.client % cfg.r;
+                        (cfg.w + i, layout.reader(i))
+                    }
+                };
+                let proc = proc as usize;
                 if self.busy[proc] {
-                    // This process already has an op in flight: close the
-                    // wave so the history stays well-formed.
-                    settle(cluster)?;
-                    batch.waves += 1;
+                    // This process already has an op in this wave: the
+                    // key's next wave, so its history stays well-formed.
+                    wave += 1;
                     self.busy.fill(false);
                 }
                 self.busy[proc] = true;
+                self.waves.push((wave, at, *op));
+            }
+        }
+        // Stable: wave by wave, keys ascending and submission order
+        // within each.
+        self.waves.sort_by_key(|&(wave, ..)| wave);
+        for wave in self.waves.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, at, op) in wave {
                 match op.kind {
-                    KvOpKind::Put { value } => cluster.write_by(op.client % cfg.w, value),
-                    KvOpKind::Get => cluster.read_async(op.client % cfg.r),
+                    KvOpKind::Put { value } => world.invoke_write(at, value),
+                    KvOpKind::Get => world.invoke_read(at),
                 }
             }
-            settle(cluster)?;
+            world.settle().map_err(|source| StoreError::ShardStalled {
+                shard: index,
+                key: first_outstanding(&self.registers, &cfg).unwrap_or(wave[0].2.key),
+                source,
+            })?;
             batch.waves += 1;
         }
         self.ops_applied += batch.ops;
         Ok(batch)
     }
+}
+
+/// The first key, in key order, whose register has an operation
+/// outstanding (none, if only late replies were left in transit).
+fn first_outstanding(registers: &BTreeMap<Key, Register>, cfg: &ClusterConfig) -> Option<Key> {
+    let outstanding = |r: &Register| (0..cfg.w + cfg.r).any(|p| r.history.client_busy(p));
+    (registers.iter())
+        .find(|(_, r)| outstanding(r))
+        .map(|(&key, _)| key)
 }
 
 impl fmt::Debug for Shard {
@@ -328,6 +374,27 @@ mod tests {
         assert_eq!(h.writes().count(), 2);
         assert_eq!(h.reads().count(), 1);
         assert!(h.complete_ops().count() == 3, "every op completed");
+
+        // Two keys split into two waves each share the world's two
+        // settles; a third key's one wave rides in the first.
+        let b = s
+            .apply(&[
+                KvOp::put(0, 7, 3),
+                KvOp::put(0, 8, 4),
+                KvOp::put(0, 7, 5),
+                KvOp::get(0, 9),
+                KvOp::put(0, 8, 6),
+            ])
+            .unwrap();
+        assert_eq!((b.ops, b.keys, b.waves), (5, 3, 2));
+        for (key, ops) in [(7, 2), (8, 2), (9, 1)] {
+            let h = s.key_history(key).unwrap();
+            assert_eq!(h.complete_ops().count(), ops, "key {key}");
+        }
+        // Ticks are the shard world's: key 8's second put starts where
+        // key 7's does, once the first wave settled.
+        let second_put = |key| s.key_history(key).unwrap().ops()[1].invoked_at;
+        assert_eq!(second_put(7), second_put(8));
     }
 
     #[test]
@@ -352,8 +419,8 @@ mod tests {
 
     #[test]
     fn distinct_seeds_give_distinct_worlds() {
-        // Under a randomized delay model the store seed must reach each
-        // key's world (at constant delay the timed schedule is the same
+        // Under a randomized delay model the store seed must reach the
+        // shard's world (at constant delay the timed schedule is the same
         // for every seed, so a constant-delay variant would be vacuous).
         use fastreg_simnet::delay::DelayModel;
         let cfg = ClusterConfig::crash_stop(5, 1, 2).unwrap();

@@ -18,7 +18,7 @@ use crate::shard::{Shard, ShardBatch, StoreError};
 ///
 /// Mirrors the cluster-level
 /// [`ClusterBuilder`](fastreg::harness::ClusterBuilder): collect the
-/// keyspace partitioning (shard count), the per-key cluster
+/// keyspace partitioning (shard count), the per-key register
 /// configuration, the backend protocol(s) and the simulation settings,
 /// then [`build`](StoreBuilder::build) — which validates every backend's
 /// feasibility predicate *up front*, so no per-key register construction
@@ -68,18 +68,18 @@ impl StoreBuilder {
         self
     }
 
-    /// Sets the store seed (per-key register worlds derive theirs from
-    /// it).
+    /// Sets the store seed (each shard's world and each key's register
+    /// derive theirs from it).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Replaces the per-register simulation configuration (delay model,
-    /// step budget). The seed inside it is overridden per key, and the
-    /// trace capacity is forced to 0: a key's world stores no events and
-    /// digests every one, so the store fingerprint covers each key's
-    /// whole run.
+    /// Replaces the shards' simulation configuration (delay model, step
+    /// budget per settle). The seed inside it is overridden per shard,
+    /// and the trace capacity is forced to 0: a shard's world stores no
+    /// events and digests every one, so the store fingerprint covers
+    /// every key's whole run.
     #[cfg(test)]
     pub(crate) fn sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
@@ -162,8 +162,8 @@ impl BatchStats {
 /// single-register deployments.
 ///
 /// * the [`Router`] maps each key to its owning shard (stable, pure);
-/// * each [`Shard`] owns one independent register deployment per key,
-///   built from the shard's [`ProtocolId`] backend;
+/// * each [`Shard`] owns one simulated world of the shard's
+///   [`ProtocolId`] backend, in which each key it serves is a register;
 /// * [`apply_batch`](ShardedStore::apply_batch) routes a batch of
 ///   [`KvOp`]s and drives the affected shards, which share nothing, each
 ///   on its fixed worker thread — a thread count never changes results
@@ -206,7 +206,7 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.key_count() as u64).sum()
     }
 
-    /// Total messages sent across every register of every shard.
+    /// Total messages sent in every shard's world.
     pub fn messages_sent(&self) -> u64 {
         self.shards.iter().map(Shard::messages_sent).sum()
     }
@@ -228,8 +228,9 @@ impl ShardedStore {
     ///
     /// Ops are grouped per shard by the router, **preserving submission
     /// order within each shard**; each hit shard then applies its
-    /// sub-batch in per-key waves, at most one operation outstanding per
-    /// process.
+    /// sub-batch in waves, at most one operation outstanding per process
+    /// of each key's register and one settle of the shard's world per
+    /// wave.
     ///
     /// The shards are flushed on `w = min(threads, cores, shards)`
     /// workers, with the host's cores read once per store: worker 0 is
@@ -267,9 +268,9 @@ impl ShardedStore {
         self.crew = Crew::new(Shard::flush, cores);
     }
 
-    /// Snapshots each key's recorded history into a [`KvHistory`], in
-    /// key order — the input of the
-    /// [`StoreChecker`](crate::checker::StoreChecker).
+    /// Each key's recorded history in a [`KvHistory`], in key order —
+    /// the input of the [`StoreChecker`](crate::checker::StoreChecker).
+    /// The histories are shared with the keys' registers, not copied.
     pub fn global_history(&self) -> KvHistory {
         KvHistory::harvest(self)
     }

@@ -95,7 +95,7 @@ pub struct KvReport {
     /// Per-key contract verdicts from the [`StoreChecker`].
     pub check: StoreCheckReport,
     /// Latency breakdown over every operation of every key (ticks of
-    /// each key's own world — valid per op, aggregated across keys).
+    /// the key's shard's world — valid per op, aggregated across keys).
     pub breakdown: OpBreakdown,
     /// Distinct keys actually touched.
     pub distinct_keys: u64,

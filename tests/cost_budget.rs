@@ -15,7 +15,8 @@
 //!
 //! [`KV_COST_PINS`] charges the sharded store the same way: 1 000 KV
 //! operations of fastbench's `store_zipf` shape on one thread, per
-//! backend mix, and holds `ShardedStore::fingerprint()` to zero allocations.
+//! backend mix, plus the bytes the store still holds per key afterwards,
+//! and holds `ShardedStore::fingerprint()` to zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,11 +28,13 @@ use fastreg_suite::prelude::*;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting this thread's allocations and their
-/// sizes. `realloc` is the trait's default (allocate, copy, free), so a
-/// growing `Vec` is charged its new size each time it grows.
+/// The system allocator, counting this thread's allocations, their sizes
+/// and the sizes it frees. `realloc` is the trait's default (allocate,
+/// copy, free), so a growing `Vec` is charged its new size each time it
+/// grows.
 struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -47,6 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: `ptr` was returned by `System.alloc` above with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -87,6 +91,11 @@ const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
 /// This thread's `(allocations, bytes allocated)` so far.
 fn tally() -> (u64, u64) {
     (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// Bytes this thread has allocated and not freed.
+fn live() -> u64 {
+    BYTES.with(Cell::get) - FREED.with(Cell::get)
 }
 
 /// Warms a deployment of `id` up, then charges one [`OPS`]-op closed loop.
@@ -151,27 +160,33 @@ fn per_op_costs_are_pinned_for_every_protocol() {
 /// each backend alone.
 const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId::FastByz];
 
-/// `(backends, allocations, bytes allocated, worlds built)` of [`OPS`] KV
-/// operations of the `store_zipf` shape (8 shards, 1 500 keys, Zipf 1.2,
-/// 64 clients, 10 % puts) on a fresh store with `threads = 1`, so this
-/// thread's tally sees every shard: routing, per-key world construction,
-/// waves, one history snapshot per key, per-key checks and the report's
-/// fingerprint (`threads = 1` is also `w = 1`: the store's crew spawns no
-/// helper, and flushes every shard on this thread). Most of a row is
-/// building the worlds; their traces are digest-only and store nothing.
-/// The checks and the latency breakdown read the snapshots in place.
-/// Same ratchet as [`COST_PINS`].
+/// `(backends, allocations, bytes allocated, worlds built, bytes retained
+/// per key)` of [`OPS`] KV operations of the `store_zipf` shape (8
+/// shards, 1 500 keys, Zipf 1.2, 64 clients, 10 % puts; 242 keys served)
+/// on a fresh store with `threads = 1`, so this thread's tally sees every
+/// shard: routing, world and register construction, waves, the history
+/// harvest, per-key checks and the report's fingerprint
+/// (`threads = 1` is also `w = 1`: the store's crew spawns no helper, and
+/// flushes every shard on this thread). Most of a row is building each
+/// key's register, a block of actors in its shard's world; the worlds'
+/// traces are digest-only and store nothing. The harvest shares each
+/// key's recorded operations rather than copying them, and the checks
+/// and the latency breakdown read them in place. A shard builds its one world at its first operation,
+/// so worlds built count the shards that served a key. Bytes retained
+/// are what the store still holds once the report is dropped — every
+/// key's automata, history and place in its world — divided by the keys
+/// served. Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
-const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64); 4] = [
-    (MIX, 8_213, 1_781_694, 242),
-    (&[ProtocolId::FastCrash], 8_852, 1_848_694, 242),
-    (&[ProtocolId::Abd], 6_883, 1_471_910, 242),
-    (&[ProtocolId::FastByz], 9_578, 2_201_718, 242),
+const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64, u64); 4] = [
+    (MIX, 6_394, 1_203_694, 8, 3_466),
+    (&[ProtocolId::FastCrash], 7_033, 1_278_630, 8, 3_788),
+    (&[ProtocolId::Abd], 5_065, 985_686, 8, 2_607),
+    (&[ProtocolId::FastByz], 7_759, 1_464_230, 8, 4_463),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more
 /// `ShardedStore::fingerprint()` on the result must allocate nothing.
-fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64) {
+fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64, u64) {
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
     let store = StoreBuilder::new(cfg)
         .shards(8)
@@ -187,7 +202,7 @@ fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64) {
         dist: KeyDist::Zipf { exponent: 1.2 },
         seed: 0xC057,
     };
-    let before = tally();
+    let (before, held_before) = (tally(), live());
     let run = run_kv_workload(store, &spec, 1);
     let after = tally();
     let (store, report) = run.unwrap_or_else(|e| panic!("{backends:?}: {e}"));
@@ -196,7 +211,12 @@ fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64) {
     let fingerprint = store.fingerprint();
     assert_eq!(tally(), after, "{backends:?}: fingerprint() allocated");
     assert_eq!(fingerprint, report.fingerprint, "{backends:?}");
-    (after.0 - before.0, after.1 - before.1, report.distinct_keys)
+    let keys = report.distinct_keys;
+    drop(report);
+    let retained = live() - held_before;
+    let worlds = store.shards().iter().filter(|s| s.key_count() > 0).count();
+    let (allocs, bytes) = (after.0 - before.0, after.1 - before.1);
+    (allocs, bytes, worlds as u64, retained / keys)
 }
 
 #[test]
@@ -204,13 +224,13 @@ fn per_op_costs_are_pinned_for_the_store() {
     let measured: Vec<_> = KV_COST_PINS
         .iter()
         .map(|&(backends, ..)| {
-            let (allocs, bytes, worlds) = measure_kv(backends);
-            (backends, allocs, bytes, worlds)
+            let (allocs, bytes, worlds, retained) = measure_kv(backends);
+            (backends, allocs, bytes, worlds, retained)
         })
         .collect();
     assert_eq!(
         measured, KV_COST_PINS,
-        "(backends, allocations, bytes, worlds built) per {OPS} KV ops"
+        "(backends, allocations, bytes, worlds built, bytes retained per key) per {OPS} KV ops"
     );
 }
 

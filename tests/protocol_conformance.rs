@@ -258,7 +258,7 @@ fn build_unchecked_and_from_cluster_cover_the_escape_hatches() {
     let typed_contract = typed.contract();
     let mut erased = DynCluster::from_cluster(typed);
     assert_eq!(erased.id(), ProtocolId::FastCrash);
-    assert_eq!(erased.name(), "fast-crash");
+    assert_eq!(erased.id().name(), "fast-crash");
     assert_eq!(erased.contract(), typed_contract);
     erased.write_sync(9);
     assert_eq!(erased.read(1), RegValue::Val(9));
