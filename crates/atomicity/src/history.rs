@@ -7,9 +7,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Ticks of the run clock (virtual or wall-clock microseconds).
 pub(crate) type Tick = u64;
@@ -302,7 +300,7 @@ impl History {
 /// Client automata (which run on simulator steps or on OS threads) each
 /// hold a clone and record through it. Recording takes a lock; the
 /// questions a driver asks while operations are in flight do not. Each
-/// client the handle counts has an `(invoked, completed)` counter pair,
+/// client the handle counts has an `(invoked, completed)` count pair,
 /// bumped after its record is written and the lock released, so
 /// [`client_busy`](Self::client_busy), [`completed_by`](Self::completed_by)
 /// and [`completed_count`](Self::completed_count) are plain loads. The
@@ -311,10 +309,9 @@ impl History {
 #[derive(Clone, Debug)]
 pub struct SharedHistory {
     history: Arc<Mutex<Recorded>>,
-    /// Invocations recorded per counted client, indexed by `proc`.
-    invoked: Arc<[Counter]>,
-    /// Responses recorded per counted client, indexed by `proc`.
-    completed: Arc<[Counter]>,
+    /// Invocations and responses recorded per counted client, indexed
+    /// by `proc`.
+    counts: Arc<[Counts]>,
 }
 
 /// What a [`SharedHistory`] holds: the history it records into, or,
@@ -355,20 +352,21 @@ impl Recorded {
     }
 }
 
-/// One client's count. The client's thread bumps it and the driver polls
-/// it, so each count has a cache line of its own.
+/// One client's counts. The client's thread bumps both and the driver
+/// polls them, so each client has a cache line of its own.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct Counter(AtomicU64);
+struct Counts {
+    invoked: AtomicU64,
+    completed: AtomicU64,
+}
 
-impl Counter {
-    fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
+fn bump(count: &AtomicU64) {
+    count.fetch_add(1, Ordering::Release);
+}
 
-    fn get(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
+fn get(count: &AtomicU64) -> u64 {
+    count.load(Ordering::Acquire)
 }
 
 impl SharedHistory {
@@ -378,8 +376,7 @@ impl SharedHistory {
     pub fn new(clients: u32) -> Self {
         SharedHistory {
             history: Arc::default(),
-            invoked: (0..clients).map(|_| Counter::default()).collect(),
-            completed: (0..clients).map(|_| Counter::default()).collect(),
+            counts: (0..clients).map(|_| Counts::default()).collect(),
         }
     }
 
@@ -393,7 +390,7 @@ impl SharedHistory {
 
     /// Reserves room for at least `additional` more operations.
     pub fn reserve(&self, additional: usize) {
-        self.history.lock().live().reserve(additional);
+        self.lock().live().reserve(additional);
     }
 
     /// Records a `write` invocation.
@@ -407,28 +404,28 @@ impl SharedHistory {
     }
 
     fn invoke(&self, proc: u32, kind: OpKind, at: Tick) -> OpId {
-        let id = self.history.lock().live().invoke(proc, kind, at);
-        if let Some(c) = self.invoked.get(proc as usize) {
-            c.bump();
+        let id = self.lock().live().invoke(proc, kind, at);
+        if let Some(c) = self.counts(proc) {
+            bump(&c.invoked);
         }
         id
     }
 
     /// Records a response.
     pub fn respond(&self, id: OpId, returned: Option<RegValue>, at: Tick) {
-        let mut guard = self.history.lock();
+        let mut guard = self.lock();
         let h = guard.live();
         h.respond(id, returned, at);
-        let proc = h.ops[id.0].proc as usize;
+        let proc = h.ops[id.0].proc;
         drop(guard);
-        if let Some(c) = self.completed.get(proc) {
-            c.bump();
+        if let Some(c) = self.counts(proc) {
+            bump(&c.completed);
         }
     }
 
     /// Takes a snapshot of the history so far.
     pub fn snapshot(&self) -> History {
-        self.history.lock().get().clone()
+        self.lock().get().clone()
     }
 
     /// The history so far, shared rather than copied: for a history that
@@ -436,7 +433,7 @@ impl SharedHistory {
     /// costs no copy; the next record into this handle copies the history
     /// back out, if the returned one is still alive by then.
     pub fn freeze(&self) -> Arc<History> {
-        let mut guard = self.history.lock();
+        let mut guard = self.lock();
         if let Recorded::Live(h) = &mut *guard {
             *guard = Recorded::Frozen(Arc::new(std::mem::take(h)));
         }
@@ -451,19 +448,19 @@ impl SharedHistory {
     /// [`snapshot`](Self::snapshot) clones every operation. `f` must not
     /// record into this history.
     pub fn inspect<R>(&self, f: impl FnOnce(&History) -> R) -> R {
-        f(self.history.lock().get())
+        f(self.lock().get())
     }
 
     /// Number of operations the counted clients have completed.
     pub fn completed_count(&self) -> usize {
-        self.completed.iter().map(Counter::get).sum::<u64>() as usize
+        self.counts.iter().map(|c| get(&c.completed)).sum::<u64>() as usize
     }
 
     /// Returns `true` while client `proc` has an operation outstanding:
     /// it recorded an invocation that has not responded yet.
     pub fn client_busy(&self, proc: u32) -> bool {
         // Completed is loaded first, so it never reads ahead of invoked.
-        self.completed_by(proc) < self.invoked.get(proc as usize).map_or(0, Counter::get)
+        self.completed_by(proc) < self.counts(proc).map_or(0, |c| get(&c.invoked))
     }
 
     /// Number of operations client `proc` has completed. It only grows,
@@ -472,7 +469,21 @@ impl SharedHistory {
     /// count against this instead of asking
     /// [`client_busy`](Self::client_busy).
     pub fn completed_by(&self, proc: u32) -> u64 {
-        self.completed.get(proc as usize).map_or(0, Counter::get)
+        self.counts(proc).map_or(0, |c| get(&c.completed))
+    }
+
+    /// The recorded history, locked. Poisoning is ignored: a record
+    /// panics before it writes or not at all (an invoke is one push, a
+    /// respond checks before it stores), so a client that panicked while
+    /// recording leaves a valid history and does not stop the others.
+    fn lock(&self) -> MutexGuard<'_, Recorded> {
+        self.history.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Client `proc`'s counts; `None` for a proc the handle does not
+    /// count.
+    fn counts(&self, proc: u32) -> Option<&Counts> {
+        self.counts.get(proc as usize)
     }
 }
 

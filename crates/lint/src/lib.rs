@@ -21,65 +21,40 @@
 //! The annotation covers its own line when it trails code, otherwise
 //! the next code line below it (skipping `#[...]` attribute lines).
 //!
-//! Scanning the workspace from a test or tool:
+//! The gate is a tier-1 test: `tests/self_scan.rs` scans the workspace
+//! and fails, printing [`Report::table`], on any unannotated finding.
+//! Scanning a tree:
 //!
 //! ```
-//! use fastreg_lint::{scan_workspace, Config};
+//! use fastreg_lint::scan_workspace;
 //! # let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
 //! #     .join("tests/fixtures/d1/neg");
-//! let report = scan_workspace(&Config::new(&fixture)).unwrap();
+//! let report = scan_workspace(&fixture).unwrap();
 //! assert_eq!(report.unannotated().count(), 0);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod rules;
 pub mod scanner;
 pub mod walk;
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 pub use rules::{Finding, Rule};
-
-/// What to scan and how.
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// The workspace root (rule scopes are relative to it).
-    pub root: PathBuf,
-    /// Also descend into `tests/` directories (off by default: test
-    /// trees may legitimately use wall-clock timeouts and panics).
-    pub include_tests: bool,
-    /// Restrict the per-line rules to these root-relative paths (files
-    /// or directories). Empty means the whole workspace. The cross-file
-    /// registry rule (D5) runs only on whole-workspace scans.
-    pub paths: Vec<PathBuf>,
-}
-
-impl Config {
-    /// A whole-workspace scan rooted at `root`.
-    pub fn new(root: &Path) -> Self {
-        Config {
-            root: root.to_path_buf(),
-            include_tests: false,
-            paths: Vec::new(),
-        }
-    }
-}
 
 /// The outcome of a scan: every finding (allowed ones included), plus
 /// enough metadata for the self-scan to assert the scan actually
 /// covered the tree.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 pub struct Report {
     /// All findings, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Number of `ProtocolId` variants the cross-file registry rule
-    /// (D5) parsed; 0 when D5 did not run (path-scoped scan or missing
-    /// registry file).
+    /// (D5) parsed; 0 when the tree has no registry file.
     pub registry_variants: usize,
 }
 
@@ -135,149 +110,43 @@ impl Report {
         ));
         out
     }
-
-    /// Serializes the report as stable, deterministic JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"fastreg_lint\": 1,\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"registry_variants\": {},\n",
-            self.registry_variants
-        ));
-        out.push_str(&format!("  \"total\": {},\n", self.findings.len()));
-        out.push_str(&format!("  \"allowed\": {},\n", self.allowed().count()));
-        out.push_str(&format!(
-            "  \"unannotated\": {},\n",
-            self.unannotated().count()
-        ));
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"rule\": {}, ", json::quote(f.rule.code())));
-            out.push_str(&format!("\"id\": {}, ", json::quote(f.rule.id())));
-            out.push_str(&format!("\"file\": {}, ", json::quote(&f.file)));
-            out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"snippet\": {}, ", json::quote(&f.snippet)));
-            out.push_str(&format!("\"allowed\": {}", f.allowed.is_some()));
-            if let Some(reason) = &f.allowed {
-                out.push_str(&format!(", \"reason\": {}", json::quote(reason)));
-            }
-            out.push('}');
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Parses a report back from [`Report::to_json`] output — the
-    /// schema round-trip used by tests and downstream tooling.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first schema violation.
-    pub fn from_json(text: &str) -> Result<Report, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("missing key '{k}'"));
-        if field("fastreg_lint")?.as_u64() != Some(1) {
-            return Err("unsupported fastreg_lint version".to_string());
-        }
-        let files_scanned = field("files_scanned")?
-            .as_u64()
-            .ok_or("files_scanned: not a number")? as usize;
-        let registry_variants = field("registry_variants")?
-            .as_u64()
-            .ok_or("registry_variants: not a number")? as usize;
-        let mut findings = Vec::new();
-        for (i, f) in field("findings")?
-            .as_array()
-            .ok_or("findings: not an array")?
-            .iter()
-            .enumerate()
-        {
-            let get = |k: &str| {
-                f.get(k)
-                    .ok_or_else(|| format!("finding {i}: missing '{k}'"))
-            };
-            let rule_code = get("rule")?.as_str().ok_or("rule: not a string")?;
-            let rule = Rule::from_code(rule_code)
-                .ok_or_else(|| format!("finding {i}: unknown rule '{rule_code}'"))?;
-            let allowed = if get("allowed")?.as_bool().ok_or("allowed: not a bool")? {
-                Some(
-                    get("reason")?
-                        .as_str()
-                        .ok_or("reason: not a string")?
-                        .to_string(),
-                )
-            } else {
-                None
-            };
-            findings.push(Finding {
-                rule,
-                file: get("file")?
-                    .as_str()
-                    .ok_or("file: not a string")?
-                    .to_string(),
-                line: get("line")?.as_u64().ok_or("line: not a number")? as usize,
-                snippet: get("snippet")?
-                    .as_str()
-                    .ok_or("snippet: not a string")?
-                    .to_string(),
-                allowed,
-            });
-        }
-        Ok(Report {
-            findings,
-            files_scanned,
-            registry_variants,
-        })
-    }
 }
 
-/// Runs the analyzer over `cfg` and returns the sorted report.
+/// Scans every workspace source under `root` (see [`walk::rust_files`])
+/// with the per-line rules, runs the cross-file registry rule (D5), and
+/// returns the sorted report.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the walk and file reads (a missing root
 /// or unreadable file is an error, findings are not).
-pub fn scan_workspace(cfg: &Config) -> io::Result<Report> {
-    let files = if cfg.paths.is_empty() {
-        walk::rust_files(&cfg.root, cfg.include_tests)?
-    } else {
-        explicit_files(cfg)?
-    };
+pub fn scan_workspace(root: &Path) -> io::Result<Report> {
+    let files = walk::rust_files(root)?;
 
     let mut findings = Vec::new();
     for rel in &files {
-        let text = std::fs::read_to_string(cfg.root.join(rel))?;
+        let text = std::fs::read_to_string(root.join(rel))?;
         let scanned = scanner::scan(&text);
         findings.extend(rules::check_file(rel, &scanned));
     }
 
     let mut registry_variants = 0;
-    if cfg.paths.is_empty() {
-        let registry_rel = "crates/core/src/protocols/registry.rs";
-        let registry_path = cfg.root.join(registry_rel);
-        if registry_path.is_file() {
-            let registry = scanner::scan(&std::fs::read_to_string(&registry_path)?);
-            let conformance_path = cfg.root.join("tests/protocol_conformance.rs");
-            let conformance = if conformance_path.is_file() {
-                Some(scanner::scan(&std::fs::read_to_string(&conformance_path)?))
-            } else {
-                None
-            };
-            registry_variants = rules::count_enum_variants(&registry);
-            findings.extend(rules::check_registry(
-                registry_rel,
-                &registry,
-                conformance.as_ref(),
-            ));
-        }
+    let registry_rel = "crates/core/src/protocols/registry.rs";
+    let registry_path = root.join(registry_rel);
+    if registry_path.is_file() {
+        let registry = scanner::scan(&std::fs::read_to_string(&registry_path)?);
+        let conformance_path = root.join("tests/protocol_conformance.rs");
+        let conformance = if conformance_path.is_file() {
+            Some(scanner::scan(&std::fs::read_to_string(&conformance_path)?))
+        } else {
+            None
+        };
+        registry_variants = rules::count_enum_variants(&registry);
+        findings.extend(rules::check_registry(
+            registry_rel,
+            &registry,
+            conformance.as_ref(),
+        ));
     }
 
     findings.sort_by(|a, b| {
@@ -288,42 +157,4 @@ pub fn scan_workspace(cfg: &Config) -> io::Result<Report> {
         files_scanned: files.len(),
         registry_variants,
     })
-}
-
-/// Resolves `cfg.paths` (files or directories, root-relative or
-/// absolute under the root) to the sorted list of `.rs` files.
-fn explicit_files(cfg: &Config) -> io::Result<Vec<String>> {
-    let mut out = Vec::new();
-    for p in &cfg.paths {
-        let abs = if p.is_absolute() {
-            p.clone()
-        } else {
-            cfg.root.join(p)
-        };
-        let rel = abs.strip_prefix(&cfg.root).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "path {} is outside the root {}",
-                    p.display(),
-                    cfg.root.display()
-                ),
-            )
-        })?;
-        if abs.is_dir() {
-            for sub in walk::rust_files(&abs, cfg.include_tests)? {
-                out.push(format!("{}/{}", walk::normalize(rel), sub));
-            }
-        } else if abs.is_file() {
-            out.push(walk::normalize(rel));
-        } else {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no such file or directory: {}", p.display()),
-            ));
-        }
-    }
-    out.sort();
-    out.dedup();
-    Ok(out)
 }

@@ -53,7 +53,7 @@ impl Rule {
     ];
 
     /// Stable kebab-case code — the name used in allow annotations and
-    /// `--json` output.
+    /// in the report table.
     pub(crate) fn code(self) -> &'static str {
         match self {
             Rule::NondetOrder => "nondet-order",
@@ -77,45 +77,6 @@ impl Rule {
             Rule::ThreadSpawn => "D6",
             Rule::ObsClockDiscipline => "D7",
         }
-    }
-
-    /// One-line statement of the invariant (shown by `--list-rules`).
-    pub fn summary(self) -> &'static str {
-        match self {
-            Rule::NondetOrder => {
-                "no HashMap/HashSet where iteration order can reach a verdict, trace, \
-                 fingerprint or counterexample"
-            }
-            Rule::WallClock => {
-                "no Instant::now/SystemTime: time comes from the simulated clock or \
-                 from MonoClock, the one waived wall-clock source"
-            }
-            Rule::SubstrateIsolation => {
-                "SimControl-only methods and fault-script types must not be referenced \
-                 from the threads substrate"
-            }
-            Rule::PanicHygiene => {
-                "no settle()/bare unwrap() in non-test protocol/checker library code"
-            }
-            Rule::RegistryCompleteness => {
-                "every ProtocolId variant needs a tests/protocol_conformance.rs \
-                 appearance (the protocol table already forces its wiring to compile)"
-            }
-            Rule::ThreadSpawn => {
-                "thread::spawn/thread::Builder only in crates/rt — everything \
-                 else goes through the runtime or its ordered fan-outs"
-            }
-            Rule::ObsClockDiscipline => {
-                "the observability wall-clock (MonoClock) is constructed only \
-                 inside crates/rt — simnet-side instrumentation must use \
-                 simulated ticks so artifacts stay deterministic"
-            }
-        }
-    }
-
-    /// Parses a rule code (the kebab-case name).
-    pub(crate) fn from_code(s: &str) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| r.code() == s)
     }
 }
 
@@ -362,13 +323,12 @@ mod tests {
 
     #[test]
     fn rule_codes_round_trip() {
-        for rule in Rule::ALL {
-            assert_eq!(Rule::from_code(rule.code()), Some(rule));
-            assert!(rule.id().starts_with('D'));
-            assert!(!rule.summary().is_empty());
-            assert!(format!("{rule}").contains(rule.code()));
+        for (n, rule) in Rule::ALL.into_iter().enumerate() {
+            assert_eq!(rule.id(), format!("D{}", n + 1));
+            assert_eq!(format!("{rule}"), format!("{} {}", rule.id(), rule.code()));
+            let same_code = Rule::ALL.into_iter().filter(|r| r.code() == rule.code());
+            assert_eq!(same_code.count(), 1, "{rule}: its code is not unique");
         }
-        assert_eq!(Rule::from_code("no-such-rule"), None);
     }
 
     #[test]

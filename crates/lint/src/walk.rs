@@ -1,41 +1,37 @@
 //! Deterministic discovery of the Rust sources to scan.
 //!
 //! The walk is *sorted* at every directory level, so the file list — and
-//! therefore the finding order, the table and the `--json` bytes — is
-//! identical across runs, machines and filesystems (`read_dir` order is
-//! explicitly unspecified). Pinned by `tests/walk_determinism.rs`.
+//! therefore the finding order and the table's bytes — is identical
+//! across runs, machines and filesystems (`read_dir` order is explicitly
+//! unspecified). Pinned by `tests/walk_determinism.rs`.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Directory names never descended into: vendored dependencies, build
-/// output, committed counterexample corpora and VCS/CI metadata are not
-/// workspace sources.
-pub(crate) const SKIP_DIRS: &[&str] = &["vendor", "target", "corpus", "found"];
-
-/// Directory name skipped by default and re-included by
-/// `--include-tests`: integration-test trees may legitimately use
-/// wall-clock timeouts and panicking assertions.
-pub(crate) const TEST_DIR: &str = "tests";
+/// output and committed counterexample corpora are not workspace
+/// sources, and integration-test trees may legitimately use wall-clock
+/// timeouts and panicking assertions.
+const SKIP_DIRS: &[&str] = &["vendor", "target", "corpus", "found", "tests"];
 
 /// Collects every `.rs` file under `root`, returned as **sorted,
 /// root-relative** paths with `/` separators.
 ///
-/// Skips `SKIP_DIRS`, hidden directories (`.git`, `.github`, …) and —
-/// unless `include_tests` — any directory named `tests`.
+/// Skips `SKIP_DIRS` (any directory named `tests` among them) and hidden
+/// directories (`.git`, `.github`, …).
 ///
 /// # Errors
 ///
 /// Propagates the underlying `read_dir` errors; a missing `root` is an
 /// error, an empty tree is `Ok(vec![])`.
-pub fn rust_files(root: &Path, include_tests: bool) -> io::Result<Vec<String>> {
+pub fn rust_files(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
-    descend(root, Path::new(""), include_tests, &mut out)?;
+    descend(root, Path::new(""), &mut out)?;
     out.sort();
     Ok(out)
 }
 
-fn descend(dir: &Path, rel: &Path, include_tests: bool, out: &mut Vec<String>) -> io::Result<()> {
+fn descend(dir: &Path, rel: &Path, out: &mut Vec<String>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .map(|e| e.map(|e| e.path()))
         .collect::<io::Result<_>>()?;
@@ -50,10 +46,7 @@ fn descend(dir: &Path, rel: &Path, include_tests: bool, out: &mut Vec<String>) -
             if name.starts_with('.') || SKIP_DIRS.contains(&name) {
                 continue;
             }
-            if name == TEST_DIR && !include_tests {
-                continue;
-            }
-            descend(&path, &rel_child, include_tests, out)?;
+            descend(&path, &rel_child, out)?;
         } else if name.ends_with(".rs") {
             out.push(normalize(&rel_child));
         }
@@ -62,7 +55,7 @@ fn descend(dir: &Path, rel: &Path, include_tests: bool, out: &mut Vec<String>) -
 }
 
 /// Renders a relative path with `/` separators regardless of platform.
-pub(crate) fn normalize(rel: &Path) -> String {
+fn normalize(rel: &Path) -> String {
     rel.iter()
         .map(|c| c.to_string_lossy())
         .collect::<Vec<_>>()

@@ -6,13 +6,13 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use fastreg_lint::{scan_workspace, Config, Report, Rule};
+use fastreg_lint::{scan_workspace, Report, Rule};
 
 fn scan(fixture: &str) -> Report {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(fixture);
-    scan_workspace(&Config::new(&root)).unwrap_or_else(|e| panic!("scan {fixture}: {e}"))
+    scan_workspace(&root).unwrap_or_else(|e| panic!("scan {fixture}: {e}"))
 }
 
 #[test]
@@ -26,6 +26,17 @@ fn d1_positive_gates() {
     }
     assert_eq!(gating[0].line, 1);
     assert_eq!(gating[1].line, 3);
+    // The table is the self-scan's failure message: it names the rule,
+    // the file and line, and that the finding gates.
+    let table = r.table();
+    for needle in [
+        "D1 nondet-order",
+        "crates/atomicity/src/lib.rs:1 ",
+        "crates/atomicity/src/lib.rs:3 ",
+        "FINDING",
+    ] {
+        assert!(table.contains(needle), "no {needle:?} in:\n{table}");
+    }
 }
 
 #[test]

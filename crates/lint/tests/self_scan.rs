@@ -1,13 +1,14 @@
 //! The self-scan: the shipped workspace must carry zero unannotated
-//! findings. This is the same gate CI enforces via `fastreg-lint
-//! --workspace`; keeping it as a test means `cargo test` alone catches
-//! a regression (e.g. a HashMap seeded into a checker module). It also
-//! holds the workspace to one bench harness, fastbench, to one quorum
-//! round and client automaton, and to one lower-bound chain.
+//! findings. This test is the lint's gate: `cargo test` alone catches a
+//! regression (e.g. a HashMap seeded into a checker module), and its
+//! failure message is the findings table, naming each rule, file and
+//! line. It also holds the workspace to one bench harness, fastbench,
+//! to one quorum round and client automaton, and to one lower-bound
+//! chain.
 
 use std::path::{Path, PathBuf};
 
-use fastreg_lint::{scan_workspace, Config, Rule};
+use fastreg_lint::{scan_workspace, Rule};
 
 fn workspace_root() -> PathBuf {
     // crates/lint -> crates -> workspace root.
@@ -16,7 +17,7 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn workspace_has_zero_unannotated_findings() {
-    let report = scan_workspace(&Config::new(&workspace_root())).unwrap();
+    let report = scan_workspace(&workspace_root()).unwrap();
     assert_eq!(
         report.unannotated().count(),
         0,
@@ -27,7 +28,7 @@ fn workspace_has_zero_unannotated_findings() {
 
 #[test]
 fn scan_actually_covered_the_tree() {
-    let report = scan_workspace(&Config::new(&workspace_root())).unwrap();
+    let report = scan_workspace(&workspace_root()).unwrap();
     assert!(
         report.files_scanned >= 80,
         "only {} files scanned — walk regression?",

@@ -1,6 +1,6 @@
 //! The directory walk must be deterministic (sorted, repeatable — never
 //! `read_dir` order) and must skip `vendor/`, `target/`, corpus dirs,
-//! hidden dirs, and — unless `--include-tests` — `tests/` trees.
+//! hidden dirs and `tests/` trees.
 
 use std::path::PathBuf;
 
@@ -12,7 +12,7 @@ fn walk_root() -> PathBuf {
 
 #[test]
 fn sorted_and_repeatable() {
-    let first = walk::rust_files(&walk_root(), false).unwrap();
+    let first = walk::rust_files(&walk_root()).unwrap();
     assert_eq!(
         first,
         vec!["crates/z/src/a.rs", "src/b.rs", "src/lib.rs"],
@@ -22,20 +22,6 @@ fn sorted_and_repeatable() {
     resorted.sort();
     assert_eq!(first, resorted, "walk output is not sorted");
     for _ in 0..3 {
-        assert_eq!(walk::rust_files(&walk_root(), false).unwrap(), first);
+        assert_eq!(walk::rust_files(&walk_root()).unwrap(), first);
     }
-}
-
-#[test]
-fn include_tests_adds_the_tests_tree() {
-    let files = walk::rust_files(&walk_root(), true).unwrap();
-    assert_eq!(
-        files,
-        vec![
-            "crates/z/src/a.rs",
-            "src/b.rs",
-            "src/lib.rs",
-            "tests/integration.rs"
-        ]
-    );
 }

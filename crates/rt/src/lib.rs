@@ -148,11 +148,11 @@ use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use fastreg_obs::MonoClock;
 use fastreg_simnet::automaton::{Automaton, LazyNow, Outbox};
 use fastreg_simnet::id::ProcessId;
@@ -351,7 +351,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ActorPool<M> {
         let clock = Arc::new(MonoClock::new());
         let counters: Arc<[Counters]> = (0..workers).map(|_| Counters::default()).collect();
         let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| unbounded::<Job<M>>()).unzip();
+            (0..workers).map(|_| channel::<Job<M>>()).unzip();
 
         let mut owned: Vec<Vec<Slot<M>>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, a) in automata.into_iter().enumerate() {

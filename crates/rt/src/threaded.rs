@@ -17,10 +17,9 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::{next_job, poll_tries};
 
@@ -264,8 +263,8 @@ impl<T: Send + 'static, R: Send + 'static> Crew<T, R> {
         self.helpers.truncate(w - 1);
         let tries = poll_tries(w, self.cores);
         while self.helpers.len() < w - 1 {
-            let (jobs, job_rx) = unbounded::<Option<Load<T, R>>>();
-            let (done_tx, done) = unbounded();
+            let (jobs, job_rx) = channel::<Option<Load<T, R>>>();
+            let (done_tx, done) = channel();
             let step = self.step;
             let handle = std::thread::Builder::new()
                 .name(format!("fastreg-crew-{}", self.helpers.len() + 1))

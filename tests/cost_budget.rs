@@ -178,10 +178,10 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// served. Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64, u64); 4] = [
-    (MIX, 6_394, 1_203_694, 8, 3_466),
-    (&[ProtocolId::FastCrash], 7_033, 1_278_630, 8, 3_788),
-    (&[ProtocolId::Abd], 5_065, 985_686, 8, 2_607),
-    (&[ProtocolId::FastByz], 7_759, 1_464_230, 8, 4_463),
+    (MIX, 6_152, 1_123_438, 8, 3_134),
+    (&[ProtocolId::FastCrash], 6_791, 1_198_374, 8, 3_456),
+    (&[ProtocolId::Abd], 4_823, 905_430, 8, 2_275),
+    (&[ProtocolId::FastByz], 7_517, 1_383_974, 8, 4_132),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more
