@@ -3,7 +3,9 @@
 //! A history is the sequence of invocation and response events of read and
 //! write operations, in run order (§3 of the paper). Clients record into a
 //! [`History`] (usually through the thread-safe [`SharedHistory`] handle)
-//! while a run executes; checkers consume it afterwards.
+//! while a run executes; checkers consume it afterwards, from a
+//! [`snapshot`](SharedHistory::snapshot) that shares the recorded
+//! operations rather than copying them.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,12 +147,90 @@ pub enum HistoryEvent {
 /// live on the [`SharedHistory`] handle, where a driver reads them
 /// without locking.
 ///
+/// The operation list is either owned or shared. A
+/// [`SharedHistory::snapshot`] shares it with the handle it was taken
+/// from, so a run's recorded computation is kept once however many
+/// snapshots read it, and `clone` of a shared history copies nothing.
+/// The next record into a shared list takes it back: by a move if no
+/// other history shares it any more, by one copy otherwise, which
+/// leaves the other holders' operations as they were. Recording into an
+/// owned list is a plain push, with no reference count touched.
+///
 /// See the crate-level example for typical use.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct History {
-    ops: Vec<Operation>,
+    ops: Ops,
     /// Number of completed operations (maintained by `respond`).
     completed: usize,
+}
+
+/// Where a [`History`] keeps its operations.
+#[derive(Clone)]
+enum Ops {
+    /// Recording: only this history holds them.
+    Owned(Vec<Operation>),
+    /// Shared with the snapshots taken since the last record.
+    Shared(Arc<Vec<Operation>>),
+}
+
+impl Default for Ops {
+    fn default() -> Self {
+        Ops::Owned(Vec::new())
+    }
+}
+
+impl Ops {
+    fn as_slice(&self) -> &[Operation] {
+        match self {
+            Ops::Owned(ops) => ops,
+            Ops::Shared(ops) => ops,
+        }
+    }
+
+    /// The operations, owned: a shared list is taken back first.
+    #[inline]
+    fn owned(&mut self) -> &mut Vec<Operation> {
+        if let Ops::Shared(_) = self {
+            self.take_back();
+        }
+        match self {
+            Ops::Owned(ops) => ops,
+            Ops::Shared(_) => unreachable!("taken back above"),
+        }
+    }
+
+    /// Turns a shared list owned again: moved out if nothing else holds
+    /// it, else copied once, with the same spare room for recording.
+    #[cold]
+    #[inline(never)]
+    fn take_back(&mut self) {
+        if let Ops::Shared(shared) = std::mem::take(self) {
+            *self = Ops::Owned(Arc::try_unwrap(shared).unwrap_or_else(|shared| {
+                let mut ops = Vec::with_capacity(shared.capacity());
+                ops.extend_from_slice(&shared);
+                ops
+            }));
+        }
+    }
+
+    /// Another handle on the list, which is shared from now on.
+    fn share(&mut self) -> Ops {
+        if let Ops::Owned(ops) = self {
+            *self = Ops::Shared(Arc::new(std::mem::take(ops)));
+        }
+        self.clone()
+    }
+}
+
+/// The derived form, as if the operations were a plain list: whether
+/// they are shared does not show.
+impl fmt::Debug for History {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("History")
+            .field("ops", &self.ops())
+            .field("completed", &self.completed)
+            .finish()
+    }
 }
 
 impl History {
@@ -163,14 +243,23 @@ impl History {
     /// large closed-loop runs record without reallocating mid-flight.
     pub fn with_capacity(n_ops: usize) -> Self {
         History {
-            ops: Vec::with_capacity(n_ops),
+            ops: Ops::Owned(Vec::with_capacity(n_ops)),
             ..History::default()
         }
     }
 
     /// Reserves room for at least `additional` more operations.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.ops.reserve(additional);
+        self.ops.owned().reserve(additional);
+    }
+
+    /// A history with the same operations that shares them with `self`
+    /// instead of copying them (see [`History`]).
+    fn share(&mut self) -> History {
+        History {
+            ops: self.ops.share(),
+            completed: self.completed,
+        }
     }
 
     /// Records the invocation of `write(value)` by `proc` at `at`.
@@ -185,8 +274,9 @@ impl History {
 
     /// Records an invocation.
     pub(crate) fn invoke(&mut self, proc: u32, kind: OpKind, at: Tick) -> OpId {
-        let id = OpId(self.ops.len());
-        self.ops.push(Operation {
+        let ops = self.ops.owned();
+        let id = OpId(ops.len());
+        ops.push(Operation {
             id,
             proc,
             kind,
@@ -205,7 +295,7 @@ impl History {
     /// Panics if the id is unknown, the operation already responded, or the
     /// response time precedes the invocation.
     pub fn respond(&mut self, id: OpId, returned: Option<RegValue>, at: Tick) {
-        let op = &mut self.ops[id.0];
+        let op = &mut self.ops.owned()[id.0];
         assert!(op.responded_at.is_none(), "double response for {id:?}");
         assert!(
             at >= op.invoked_at,
@@ -219,23 +309,23 @@ impl History {
 
     /// All operations, in invocation order.
     pub fn ops(&self) -> &[Operation] {
-        &self.ops
+        self.ops.as_slice()
     }
 
     /// Looks up one operation.
     #[cfg(test)]
     pub(crate) fn get(&self, id: OpId) -> Option<&Operation> {
-        self.ops.get(id.0)
+        self.ops().get(id.0)
     }
 
     /// Number of operations (complete and incomplete).
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.ops().len()
     }
 
     /// Returns `true` if no operations were recorded.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.ops().is_empty()
     }
 
     /// Number of completed operations, in O(1).
@@ -254,26 +344,26 @@ impl History {
 
     /// Iterator over completed operations.
     pub fn complete_ops(&self) -> impl Iterator<Item = &Operation> {
-        self.ops.iter().filter(|o| o.is_complete())
+        self.ops().iter().filter(|o| o.is_complete())
     }
 
     /// Iterator over all writes, in invocation order.
     pub fn writes(&self) -> impl Iterator<Item = &Operation> {
-        self.ops
+        self.ops()
             .iter()
             .filter(|o| matches!(o.kind, OpKind::Write { .. }))
     }
 
     /// Iterator over all reads, in invocation order.
     pub fn reads(&self) -> impl Iterator<Item = &Operation> {
-        self.ops.iter().filter(|o| matches!(o.kind, OpKind::Read))
+        self.ops().iter().filter(|o| matches!(o.kind, OpKind::Read))
     }
 
     /// Renders the history one operation per line (for failure reports).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        for op in &self.ops {
+        for op in self.ops() {
             let interval = match op.responded_at {
                 Some(r) => format!("[{}, {}]", op.invoked_at, r),
                 None => format!("[{}, …)", op.invoked_at),
@@ -306,50 +396,16 @@ impl History {
 /// and [`completed_count`](Self::completed_count) are plain loads. The
 /// bumps release and the loads acquire: a driver that sees a client's
 /// completed count move finds that operation in the history.
+///
+/// A [`snapshot`](Self::snapshot) copies nothing: it shares the recorded
+/// operations, and the next record copies them once only if that
+/// snapshot is still alive (see [`History`]).
 #[derive(Clone, Debug)]
 pub struct SharedHistory {
-    history: Arc<Mutex<Recorded>>,
+    history: Arc<Mutex<History>>,
     /// Invocations and responses recorded per counted client, indexed
     /// by `proc`.
     counts: Arc<[Counts]>,
-}
-
-/// What a [`SharedHistory`] holds: the history it records into, or,
-/// once [`freeze`](SharedHistory::freeze) has handed it out, that
-/// history shared until the next record takes it back (copying it only
-/// if a frozen handle is still alive).
-#[derive(Debug)]
-enum Recorded {
-    Live(History),
-    Frozen(Arc<History>),
-}
-
-impl Default for Recorded {
-    fn default() -> Self {
-        Recorded::Live(History::default())
-    }
-}
-
-impl Recorded {
-    fn get(&self) -> &History {
-        match self {
-            Recorded::Live(h) => h,
-            Recorded::Frozen(h) => h,
-        }
-    }
-
-    fn live(&mut self) -> &mut History {
-        if let Recorded::Frozen(_) = self {
-            let Recorded::Frozen(h) = std::mem::take(self) else {
-                unreachable!("matched above")
-            };
-            *self = Recorded::Live(Arc::unwrap_or_clone(h));
-        }
-        match self {
-            Recorded::Live(h) => h,
-            Recorded::Frozen(_) => unreachable!("thawed above"),
-        }
-    }
 }
 
 /// One client's counts. The client's thread bumps both and the driver
@@ -390,7 +446,7 @@ impl SharedHistory {
 
     /// Reserves room for at least `additional` more operations.
     pub fn reserve(&self, additional: usize) {
-        self.lock().live().reserve(additional);
+        self.lock().reserve(additional);
     }
 
     /// Records a `write` invocation.
@@ -404,7 +460,7 @@ impl SharedHistory {
     }
 
     fn invoke(&self, proc: u32, kind: OpKind, at: Tick) -> OpId {
-        let id = self.lock().live().invoke(proc, kind, at);
+        let id = self.lock().invoke(proc, kind, at);
         if let Some(c) = self.counts(proc) {
             bump(&c.invoked);
         }
@@ -413,42 +469,29 @@ impl SharedHistory {
 
     /// Records a response.
     pub fn respond(&self, id: OpId, returned: Option<RegValue>, at: Tick) {
-        let mut guard = self.lock();
-        let h = guard.live();
+        let mut h = self.lock();
         h.respond(id, returned, at);
-        let proc = h.ops[id.0].proc;
-        drop(guard);
+        let proc = h.ops()[id.0].proc;
+        drop(h);
         if let Some(c) = self.counts(proc) {
             bump(&c.completed);
         }
     }
 
-    /// Takes a snapshot of the history so far.
+    /// The history so far, sharing its operations with this handle
+    /// rather than copying them: the next record into the handle copies
+    /// them once if the snapshot is still alive by then, and moves them
+    /// back otherwise.
     pub fn snapshot(&self) -> History {
-        self.lock().get().clone()
-    }
-
-    /// The history so far, shared rather than copied: for a history that
-    /// is done recording, such as a store key's once its run is over. It
-    /// costs no copy; the next record into this handle copies the history
-    /// back out, if the returned one is still alive by then.
-    pub fn freeze(&self) -> Arc<History> {
-        let mut guard = self.lock();
-        if let Recorded::Live(h) = &mut *guard {
-            *guard = Recorded::Frozen(Arc::new(std::mem::take(h)));
-        }
-        match &*guard {
-            Recorded::Frozen(h) => Arc::clone(h),
-            Recorded::Live(_) => unreachable!("frozen above"),
-        }
+        self.lock().share()
     }
 
     /// Runs `f` on the history so far, in place, under its lock: a
-    /// reader that copies only what it keeps, where a
-    /// [`snapshot`](Self::snapshot) clones every operation. `f` must not
-    /// record into this history.
+    /// reader that leaves the operations owned, where a
+    /// [`snapshot`](Self::snapshot) shares them until the next record.
+    /// `f` must not record into this history.
     pub fn inspect<R>(&self, f: impl FnOnce(&History) -> R) -> R {
-        f(self.lock().get())
+        f(&self.lock())
     }
 
     /// Number of operations the counted clients have completed.
@@ -476,7 +519,7 @@ impl SharedHistory {
     /// panics before it writes or not at all (an invoke is one push, a
     /// respond checks before it stores), so a client that panicked while
     /// recording leaves a valid history and does not stop the others.
-    fn lock(&self) -> MutexGuard<'_, Recorded> {
+    fn lock(&self) -> MutexGuard<'_, History> {
         self.history.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -683,41 +726,70 @@ mod tests {
         assert!(snap.get(w).unwrap().is_complete());
     }
 
+    /// Where `sh`'s recorded operations live.
+    fn live_ops(sh: &SharedHistory) -> *const Operation {
+        sh.inspect(|h| h.ops().as_ptr())
+    }
+
     #[test]
-    fn a_frozen_history_is_shared_until_the_next_record() {
+    fn a_snapshot_shares_the_recorded_operations() {
         let sh = SharedHistory::new(1);
+        sh.reserve(8);
         let w = sh.invoke_write(0, 9, 1);
         sh.respond(w, None, 2);
-        let frozen = sh.freeze();
-        assert!(
-            Arc::ptr_eq(&frozen, &sh.freeze()),
-            "a second freeze shares too"
+        let at = live_ops(&sh);
+        let snap = sh.snapshot();
+        assert_eq!(snap.ops().as_ptr(), at, "shared, not copied");
+        assert_eq!(
+            sh.snapshot().ops().as_ptr(),
+            at,
+            "a second snapshot shares too"
         );
-        assert_eq!(frozen.render(), sh.snapshot().render());
-        assert_eq!(sh.inspect(History::len), 1);
+        assert_eq!(snap.clone().ops().as_ptr(), at, "so does a clone of one");
+        assert_eq!(live_ops(&sh), at, "reading records nothing");
+        assert_eq!((snap.len(), snap.completed_len()), (1, 1));
+    }
 
-        // Recording goes on in a copy; the frozen history stays as it was.
+    #[test]
+    fn a_record_under_a_live_snapshot_copies_once_and_leaves_it_as_it_was() {
+        let sh = SharedHistory::new(1);
+        sh.reserve(8);
+        let w = sh.invoke_write(0, 9, 1);
+        sh.respond(w, None, 2);
+        let snap = sh.snapshot();
+        let shared = snap.ops().as_ptr();
+        let before = snap.render();
+
         let r = sh.invoke_read(0, 3);
+        let copy = live_ops(&sh);
+        assert_ne!(copy, shared, "the record went into a copy");
         sh.respond(r, Some(RegValue::Val(9)), 4);
-        assert_eq!(frozen.len(), 1);
-        assert_eq!(sh.inspect(History::len), 2);
+        sh.invoke_read(0, 5);
+        assert_eq!(live_ops(&sh), copy, "one copy, with the room reserved");
+        assert_eq!(sh.inspect(History::len), 3);
         assert_eq!(
             sh.inspect(|h| h.nth_completed_read(0, 0)),
             Some(RegValue::Val(9))
         );
-        assert!(!Arc::ptr_eq(&frozen, &sh.freeze()));
 
-        // With no frozen handle left, the next record takes it back as is.
-        let again = sh.freeze();
-        let at = again.ops().as_ptr();
-        drop(again);
-        sh.invoke_read(0, 5);
+        assert_eq!(snap.ops().as_ptr(), shared);
         assert_eq!(
-            sh.inspect(|h| h.ops().as_ptr()),
-            at,
-            "moved back, not copied"
+            (snap.render(), snap.len(), snap.completed_len()),
+            (before, 1, 1)
         );
-        assert_eq!(sh.inspect(History::len), 3);
+    }
+
+    #[test]
+    fn a_record_after_the_snapshot_is_dropped_copies_nothing() {
+        let sh = SharedHistory::new(1);
+        sh.reserve(8);
+        let w = sh.invoke_write(0, 9, 1);
+        sh.respond(w, None, 2);
+        let at = live_ops(&sh);
+        drop(sh.snapshot());
+        sh.invoke_read(0, 3);
+        assert_eq!(live_ops(&sh), at, "moved back, not copied");
+        assert_eq!(sh.inspect(History::len), 2);
     }
 
     #[test]

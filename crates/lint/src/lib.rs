@@ -69,35 +69,29 @@ impl Report {
         self.findings.iter().filter(|f| f.is_allowed())
     }
 
-    /// Renders the human-readable findings table plus a summary line.
+    /// Renders the gating findings, one row each, plus a summary line
+    /// that also counts the allowed ones: a failing gate names its
+    /// faults without listing every waiver around them.
     pub fn table(&self) -> String {
         let mut out = String::new();
-        if !self.findings.is_empty() {
-            let loc_width = self
-                .findings
-                .iter()
-                .map(|f| f.file.chars().count() + 1 + f.line.to_string().len())
-                .max()
-                .unwrap_or(0);
-            let rule_width = Rule::ALL
-                .iter()
-                .map(|r| r.to_string().len())
-                .max()
-                .unwrap_or(0);
-            for f in &self.findings {
-                let status = match &f.allowed {
-                    Some(reason) => format!("allowed: {reason}"),
-                    None => "FINDING".to_string(),
-                };
-                let loc = format!("{}:{}", f.file, f.line);
-                out.push_str(&format!(
-                    "{:<rule_width$}  {:<loc_width$}  {}\n    {}\n",
-                    f.rule.to_string(),
-                    loc,
-                    status,
-                    f.snippet,
-                ));
-            }
+        let loc_width = self
+            .unannotated()
+            .map(|f| f.file.chars().count() + 1 + f.line.to_string().len())
+            .max()
+            .unwrap_or(0);
+        let rule_width = Rule::ALL
+            .iter()
+            .map(|r| r.to_string().len())
+            .max()
+            .unwrap_or(0);
+        for f in self.unannotated() {
+            let loc = format!("{}:{}", f.file, f.line);
+            out.push_str(&format!(
+                "{:<rule_width$}  {:<loc_width$}  FINDING\n    {}\n",
+                f.rule.to_string(),
+                loc,
+                f.snippet,
+            ));
         }
         let gating = self.unannotated().count();
         let allowed = self.findings.len() - gating;

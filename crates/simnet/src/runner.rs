@@ -1,6 +1,7 @@
 //! Simulation configuration.
 
 use crate::delay::DelayModel;
+use crate::trace::DEFAULT_CAPACITY;
 
 /// Configuration for a [`World`](crate::world::World).
 ///
@@ -22,8 +23,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Message delay model for the timed scheduler.
     pub delay: DelayModel,
-    /// Maximum entries kept in the trace. 0 keeps none and digests every
-    /// event instead.
+    /// Maximum entries kept in the trace; later events are only counted.
+    /// The default, 16 384, holds every run that is rendered or pinned
+    /// whole; a reader of longer runs asks for more (`usize::MAX` stores
+    /// every event). 0 keeps none and digests every event instead.
     pub trace_capacity: usize,
     /// Step budget for `run_*` loops; exceeded budgets indicate livelock.
     pub max_steps: u64,
@@ -54,7 +57,7 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0,
             delay: DelayModel::default(),
-            trace_capacity: 100_000,
+            trace_capacity: DEFAULT_CAPACITY,
             max_steps: 10_000_000,
         }
     }

@@ -453,11 +453,19 @@ impl<M> Trace<M> {
     }
 }
 
+/// The number of entries a trace stores unless its world asks for
+/// another bound: [`Trace::default`] and `SimConfig::default()`'s
+/// `trace_capacity`. Far above the longest run anything renders whole
+/// (a 64-op pinned closed loop stays under 3 000 events), and small
+/// enough that a long benchmark run stores a short prefix, not a clone
+/// of every message it sent.
+pub(crate) const DEFAULT_CAPACITY: usize = 16_384;
+
 impl<M> Default for Trace<M> {
-    /// A generous default bound suitable for unit tests and the gallery
-    /// example.
+    /// A trace bounded at 16 384 entries: room for the unit tests, the
+    /// pinned runs and the gallery example.
     fn default() -> Self {
-        Self::with_capacity(100_000)
+        Self::with_capacity(DEFAULT_CAPACITY)
     }
 }
 

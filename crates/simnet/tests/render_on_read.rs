@@ -130,11 +130,14 @@ fn stored_payloads(w: &World<Msg>) -> u64 {
         .count() as u64
 }
 
-const DEFAULT_CAPACITY: usize = 100_000;
+/// The trace bound of a default world.
+fn default_capacity() -> usize {
+    SimConfig::default().trace_capacity
+}
 
 #[test]
 fn recording_formats_nothing_and_each_read_formats_each_stored_payload_once() {
-    for (capacity, stored) in [(DEFAULT_CAPACITY, 20), (2, 2), (0, 0)] {
+    for (capacity, stored) in [(default_capacity(), 20), (2, 2), (0, 0)] {
         let w = mixed_world(capacity);
         assert_eq!(debug_calls(), 0, "a message was formatted while recording");
         assert_eq!(w.stats().sent, 17);
@@ -176,7 +179,7 @@ fn render_and_fingerprint_match_the_eagerly_formatted_trace() {
     assert_eq!(w.trace().fingerprint(), 0x86eb_a751_8f70_d564);
     // The unbounded run (39 entries, `ReceiverCrashed` drops included)
     // and the empty one, by fingerprint.
-    let full = mixed_world(DEFAULT_CAPACITY);
+    let full = mixed_world(default_capacity());
     assert!(full.trace().render().contains("(ReceiverCrashed)"));
     assert_eq!(full.trace().fingerprint(), 0xe358_a6de_2a12_a1cc);
     assert_eq!(mixed_world(0).trace().fingerprint(), 0x6c7e_c1f5_a963_1742);
@@ -184,7 +187,7 @@ fn render_and_fingerprint_match_the_eagerly_formatted_trace() {
 
 #[test]
 fn fingerprint_allocates_nothing() {
-    let w = mixed_world(DEFAULT_CAPACITY);
+    let w = mixed_world(default_capacity());
     assert_eq!(w.trace().entries().len(), 39);
     let before = ALLOCS.with(Cell::get);
     let fp = w.trace().fingerprint();

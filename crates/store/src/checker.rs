@@ -10,8 +10,6 @@
 //! promised ([`Contract::spec`]), in the stable [`Verdict`] codes of
 //! `fastreg_atomicity::verdict`.
 
-use std::sync::Arc;
-
 use fastreg::protocols::registry::{Contract, ProtocolId};
 use fastreg_atomicity::history::{History, OpKind, Operation};
 use fastreg_atomicity::streaming::OnlineChecker;
@@ -25,23 +23,25 @@ use crate::store::ShardedStore;
 /// [`History`], in key order.
 ///
 /// Harvested by [`ShardedStore::global_history`]: each key's history is
-/// shared with its register, not copied.
+/// a [`SharedHistory::snapshot`](fastreg_atomicity::history::SharedHistory::snapshot)
+/// of its register's, which shares the recorded operations instead of
+/// copying them.
 /// Times are ticks of the key's shard's world: they compare across the
 /// keys of one shard, not across shards. A consistency checker takes one
 /// key's history at a time.
 #[derive(Clone, Debug, Default)]
 pub struct KvHistory {
-    per_key: Vec<(Key, Arc<History>)>,
+    per_key: Vec<(Key, History)>,
 }
 
 impl KvHistory {
-    /// Shares every key's history through
-    /// [`Shard::frozen_histories`](crate::shard::Shard::frozen_histories),
-    /// sorted by key.
+    /// Every key's history through
+    /// [`Shard::histories`](crate::shard::Shard::histories), sorted by
+    /// key.
     pub(crate) fn harvest(store: &ShardedStore) -> Self {
         let mut per_key = Vec::with_capacity(store.distinct_keys() as usize);
         for shard in store.shards() {
-            per_key.extend(shard.frozen_histories());
+            per_key.extend(shard.histories());
         }
         per_key.sort_unstable_by_key(|&(key, _)| key);
         KvHistory { per_key }
@@ -49,7 +49,7 @@ impl KvHistory {
 
     /// Each key's history, in key order.
     pub fn histories(&self) -> impl Iterator<Item = (Key, &History)> {
-        self.per_key.iter().map(|(key, h)| (*key, &**h))
+        self.per_key.iter().map(|(key, h)| (*key, h))
     }
 
     /// Every recorded operation, key by key (times compare within a
@@ -335,10 +335,10 @@ mod tests {
             .build()
             .unwrap();
         let verdicts = |h: &History| {
-            let mut per_key: Vec<(Key, Arc<History>)> = (0..3)
+            let mut per_key: Vec<(Key, History)> = (0..3)
                 .map(|shard| {
                     let key = (0..).find(|&k| store.router().shard_of(k) == shard);
-                    (key.expect("every shard owns some key"), Arc::new(h.clone()))
+                    (key.expect("every shard owns some key"), h.clone())
                 })
                 .collect();
             per_key.sort_unstable_by_key(|&(key, _)| key);
@@ -393,7 +393,7 @@ mod tests {
             .iter_mut()
             .find(|(_, h)| h.complete_ops().any(|op| op.kind == OpKind::Read))
             .expect("some key has a completed read");
-        *h = Arc::new(doctor(h, 424_242).unwrap());
+        *h = doctor(h, 424_242).unwrap();
         for (history, clean) in [(&global, true), (&doctored, false)] {
             let batch: Vec<Verdict> = history.histories().map(|(_, h)| batch_atomic(h)).collect();
             assert_eq!(batch.iter().all(|v| v.is_clean()), clean);
@@ -417,7 +417,7 @@ mod tests {
                 .filter(|(key, _)| store.router().shard_of(*key) == shard.index())
                 .find(|(_, h)| h.complete_ops().any(|op| op.kind == OpKind::Read))
                 .expect("every shard serves a key with a completed read");
-            *h = Arc::new(doctor(h, 424_242).unwrap());
+            *h = doctor(h, 424_242).unwrap();
             victims.push(*key);
         }
         victims.sort_unstable();
@@ -465,7 +465,7 @@ mod tests {
             .iter_mut()
             .find(|(key, _)| *key == victim)
             .unwrap();
-        *h = Arc::new(doctor(h, 999_999).expect("found a completed read to doctor"));
+        *h = doctor(h, 999_999).expect("found a completed read to doctor");
         let report = StoreChecker::check_streaming(&store, &global, 1);
         let bad: Vec<_> = report.violations().collect();
         assert_eq!(bad.len(), 1);

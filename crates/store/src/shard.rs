@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use fastreg::config::ClusterConfig;
 use fastreg::protocols::registry::ProtocolId;
@@ -78,7 +77,8 @@ pub(crate) fn key_seed(seed: u64, index: u32, key: Key) -> u64 {
 /// register on the key's first operation: its `W + R + S` automata join
 /// the world as one block of actors, built from the seed
 /// `mix64(store seed, shard index, key)` and recording into a history of
-/// the key's own. The world runs with trace capacity 0: it stores no
+/// the key's own, which [`Shard::key_history`] and the store's harvest
+/// share rather than copy. The world runs with trace capacity 0: it stores no
 /// events and digests each one as it is recorded, which is all
 /// `Shard::fingerprint` reads. A shard is `Send` and owns all its state,
 /// which is what lets the store flush disjoint shards on worker threads
@@ -164,17 +164,19 @@ impl Shard {
 
     /// Snapshot of one key's operation history (`None` if the key was
     /// never touched). Times are ticks of the shard's world: comparable
-    /// across the keys of this shard, not across shards.
+    /// across the keys of this shard, not across shards. The snapshot
+    /// shares the key's recorded operations
+    /// ([`SharedHistory::snapshot`](fastreg_atomicity::history::SharedHistory::snapshot)):
+    /// no copy, and a later op on the key copies them once only while
+    /// the snapshot is still held.
     pub fn key_history(&self, key: Key) -> Option<History> {
         self.registers.get(&key).map(|r| r.history.snapshot())
     }
 
-    /// Every key's history, in key order, shared with its register
-    /// ([`SharedHistory::freeze`](fastreg_atomicity::history::SharedHistory::freeze)):
-    /// no copy, and a later op on the key copies its history back out
-    /// only while a frozen one is still held.
-    pub(crate) fn frozen_histories(&self) -> impl Iterator<Item = (Key, Arc<History>)> + '_ {
-        (self.registers.iter()).map(|(&key, r)| (key, r.history.freeze()))
+    /// Every key's history snapshot, in key order, as
+    /// [`key_history`](Self::key_history) takes it.
+    pub(crate) fn histories(&self) -> impl Iterator<Item = (Key, History)> + '_ {
+        (self.registers.iter()).map(|(&key, r)| (key, r.history.snapshot()))
     }
 
     /// An *in-process* identity of everything the shard's registers did:

@@ -29,6 +29,7 @@ use fastreg::harness::{ClusterBuilder, SimControl};
 use fastreg::protocols::registry::ProtocolId;
 use fastreg_atomicity::history::{History, OpKind};
 use fastreg_obs::{Event, LatencyStats, MetricsRegistry, Recorder};
+use fastreg_simnet::runner::SimConfig;
 use fastreg_simnet::trace::TraceEntry;
 use fastreg_store::store::StoreBuilder;
 use fastreg_store::ShardedStore;
@@ -207,7 +208,9 @@ pub(crate) fn record_sim_metrics(sim: &dyn SimControl, reg: &mut MetricsRegistry
 /// Builds the deployment, drives [`run_closed_loop`], then derives the
 /// event stream (network track + operation track) and the metrics
 /// snapshot (`net.*`, `sched.*`, `ops.*`, `checker.*`). Deterministic:
-/// same `(protocol, cfg, seed, spec)` ⇒ byte-identical artifacts.
+/// same `(protocol, cfg, seed, spec)` ⇒ byte-identical artifacts. The
+/// world's trace stores every event however long the run, so every
+/// delivered message becomes a span.
 ///
 /// # Errors
 ///
@@ -224,6 +227,7 @@ pub fn trace_register_run(
     spec: &WorkloadSpec,
 ) -> Result<ObsArtifacts, DriverError> {
     let mut cluster = ClusterBuilder::new(cfg)
+        .sim(SimConfig::default().with_trace_capacity(usize::MAX))
         .seed(seed)
         .build(protocol)
         .unwrap_or_else(|e| panic!("trace_register_run: infeasible config for {protocol}: {e}"));
@@ -390,6 +394,29 @@ mod tests {
         assert_eq!(m.counter("ops.completed"), 60);
         assert!(m.histogram("ops.read").is_some());
         assert!(m.counter("sched.pushed") >= m.counter("net.sent"));
+    }
+
+    /// A run far past the default trace bound still becomes one span per
+    /// delivered message: a bounded trace would lose the tail's
+    /// deliveries and leave their sends unresolved.
+    #[test]
+    fn a_long_register_run_keeps_every_message() {
+        let spec = WorkloadSpec {
+            n_ops: 5_000,
+            ..spec()
+        };
+        let a = trace_register_run(ProtocolId::FastCrash, cfg(), 7, &spec).unwrap();
+        let m = &a.metrics;
+        assert_eq!(m.counter("ops.completed"), 5_000);
+        let recorded = m.counter("net.sent") + m.counter("net.steps");
+        assert!(
+            recorded > 100_000,
+            "{recorded} events: not past the bound a trace once had"
+        );
+        let named = |name: &str| a.events.iter().filter(|e| e.name == name).count() as u64;
+        assert_eq!(named("msg"), m.counter("net.delivered"));
+        assert_eq!(named("msg.unresolved"), 0);
+        assert_eq!(named("inject"), 5_000);
     }
 
     #[test]

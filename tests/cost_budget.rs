@@ -72,20 +72,22 @@ const TRACE_CAPACITY: usize = 2_048;
 ///
 /// What is left is per run, not per operation: ≈ 40 allocations (history
 /// reserve, checker maps, the final snapshot and latency breakdown) and
-/// ≈ 270 kB, most of it that snapshot. The snapshot's replay into the
-/// checker adds only its heap of pending responses. Max–min is the
+/// ≈ 160 kB, most of it the history's reserve for the run (1 512
+/// operations of 72 B). The final snapshot shares the recorded
+/// operations, so it costs one reference-counted handle, not a copy;
+/// its replay into the checker adds only its heap of pending responses. Max–min is the
 /// exception: each server builds a `Round` per gather, and drops it once
 /// all `S` servers have reported.
 #[rustfmt::skip] // one row per line: a table, not code
 const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
-    (ProtocolId::FastCrash, 36, 276_820, 10_000),
-    (ProtocolId::FastByz, 37, 296_284, 12_000),
-    (ProtocolId::Abd, 38, 297_060, 15_260),
-    (ProtocolId::MaxMin, 2_976, 629_620, 21_760),
-    (ProtocolId::FastRegular, 35, 264_340, 10_000),
-    (ProtocolId::SwsrFast, 36, 277_964, 10_000),
-    (ProtocolId::MwmrAbd, 35, 267_872, 12_000),
-    (ProtocolId::MwmrNaiveFast, 35, 267_744, 6_000),
+    (ProtocolId::FastCrash, 36, 167_996, 10_000),
+    (ProtocolId::FastByz, 37, 187_460, 12_000),
+    (ProtocolId::Abd, 38, 188_236, 15_260),
+    (ProtocolId::MaxMin, 2_976, 520_796, 21_760),
+    (ProtocolId::FastRegular, 35, 155_516, 10_000),
+    (ProtocolId::SwsrFast, 36, 169_140, 10_000),
+    (ProtocolId::MwmrAbd, 35, 159_048, 12_000),
+    (ProtocolId::MwmrNaiveFast, 35, 158_920, 6_000),
 ];
 
 /// This thread's `(allocations, bytes allocated)` so far.
@@ -170,18 +172,19 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// flushes every shard on this thread). Most of a row is building each
 /// key's register, a block of actors in its shard's world; the worlds'
 /// traces are digest-only and store nothing. The harvest shares each
-/// key's recorded operations rather than copying them, and the checks
-/// and the latency breakdown read them in place. A shard builds its one world at its first operation,
+/// key's recorded operations rather than copying them (one
+/// reference-counted handle per key), and the checks and the latency
+/// breakdown read them in place. A shard builds its one world at its first operation,
 /// so worlds built count the shards that served a key. Bytes retained
 /// are what the store still holds once the report is dropped — every
 /// key's automata, history and place in its world — divided by the keys
 /// served. Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64, u64); 4] = [
-    (MIX, 6_152, 1_123_438, 8, 3_134),
-    (&[ProtocolId::FastCrash], 6_791, 1_198_374, 8, 3_456),
-    (&[ProtocolId::Abd], 4_823, 905_430, 8, 2_275),
-    (&[ProtocolId::FastByz], 7_517, 1_383_974, 8, 4_132),
+    (MIX, 6_152, 1_127_310, 8, 3_126),
+    (&[ProtocolId::FastCrash], 6_791, 1_202_246, 8, 3_448),
+    (&[ProtocolId::Abd], 4_823, 909_302, 8, 2_267),
+    (&[ProtocolId::FastByz], 7_517, 1_387_846, 8, 4_124),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more

@@ -447,6 +447,29 @@ fn fixed_seed_runs_are_pinned_for_every_protocol() {
     }
 }
 
+/// No pinned fingerprint covers a truncated trace: under the default
+/// trace bound every pin row's run stores every event it made — one per
+/// send, step, drop and crash — and suppresses none.
+#[test]
+fn every_pinned_run_fits_the_default_trace_bound() {
+    for (id, net, ..) in DETERMINISM_PINS {
+        let mut c = pinned_cluster(id, net, 0xD5);
+        run_closed_loop(&mut c, &pinned_loop()).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let sim = c.sim_control_ref().expect("simnet is the default runtime");
+        let entries = sim.trace_entries();
+        let crashes = entries
+            .iter()
+            .filter(|e| matches!(e, TraceEntry::Crash { .. }))
+            .count() as u64;
+        let net_stats = sim.net_stats();
+        assert_eq!(
+            entries.len() as u64,
+            net_stats.sent + net_stats.steps + net_stats.dropped + crashes,
+            "{id} under {net:?}: the trace suppressed events"
+        );
+    }
+}
+
 /// The in-process trace digest stands in for the pinned, rendered
 /// fingerprint wherever two runs of one process are compared: over every
 /// pin row's deployment it repeats exactly at a fixed seed, and — where
