@@ -488,7 +488,7 @@ mod tests {
             let before = prefix::<P>(cfg, &partition, 0, cfg.r + 1, true).snapshot();
             let after = prc::<P>(cfg, &partition, 0, true);
             assert_eq!(after.len(), before.len() + 1, "{cfg:?}");
-            for (old, new) in before.ops().iter().zip(after.ops()) {
+            for (old, new) in before.ops().zip(after.ops()) {
                 if old.proc == r1 {
                     assert!(!old.is_complete() && new.is_complete(), "{cfg:?}");
                     assert_eq!((old.id, old.invoked_at), (new.id, new.invoked_at));
@@ -496,7 +496,7 @@ mod tests {
                     assert_eq!(old, new, "{cfg:?}");
                 }
             }
-            assert_eq!(after.ops()[before.len()].proc, r1, "{cfg:?}");
+            assert_eq!(after.ops().last().map(|op| op.proc), Some(r1), "{cfg:?}");
         }
         check::<FastCrash>(crash_canonical());
         check::<FastCrash>(ClusterConfig::crash_stop(8, 2, 2).unwrap());

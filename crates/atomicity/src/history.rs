@@ -5,7 +5,8 @@
 //! [`History`] (usually through the thread-safe [`SharedHistory`] handle)
 //! while a run executes; checkers consume it afterwards, from a
 //! [`snapshot`](SharedHistory::snapshot) that shares the recorded
-//! operations rather than copying them.
+//! operations rather than copying them. Each operation is recorded as
+//! one 32-byte record and read back as an [`Operation`] view.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,9 +73,14 @@ impl fmt::Debug for OpId {
 }
 
 /// One read or write operation with its interval and outcome.
+///
+/// A [`History`] does not store `Operation`s: it stores a 32-byte record
+/// per operation, and [`History::ops`] builds this view from each record
+/// as it is read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Operation {
-    /// The operation's id within the history.
+    /// The operation's id within the history: its place in invocation
+    /// order.
     pub id: OpId,
     /// The invoking client (abstract process number; the recording layer
     /// decides the numbering).
@@ -140,15 +146,90 @@ pub enum HistoryEvent {
     },
 }
 
+/// How a [`History`] stores one operation: 32 bytes, where an
+/// [`Operation`] takes 72. The id is the record's index, and one value
+/// word holds a write's value or a read's returned value (an operation
+/// has at most one of them).
+#[derive(Clone, Copy)]
+pub(crate) struct Record {
+    /// When the operation was invoked.
+    pub(crate) invoked_at: Tick,
+    /// When it responded, or [`PENDING`].
+    responded_at: Tick,
+    /// A write's value, or the value a read returned when
+    /// [`RETURNED_VALUE`] is set.
+    value: u64,
+    /// The invoking client.
+    pub(crate) proc: u32,
+    /// [`WRITE`], [`RETURNED_BOTTOM`], [`RETURNED_VALUE`].
+    flags: u32,
+}
+
+/// `Record::responded_at` of an operation that has not responded.
+const PENDING: Tick = Tick::MAX;
+/// `Record::flags`: the operation is a write (else a read).
+const WRITE: u32 = 1;
+/// `Record::flags`: the read returned ⊥.
+const RETURNED_BOTTOM: u32 = 1 << 1;
+/// `Record::flags`: the read returned `Record::value`.
+const RETURNED_VALUE: u32 = 1 << 2;
+
+impl Record {
+    /// Read or write.
+    #[inline]
+    pub(crate) fn kind(&self) -> OpKind {
+        if self.flags & WRITE != 0 {
+            OpKind::Write { value: self.value }
+        } else {
+            OpKind::Read
+        }
+    }
+
+    /// When the operation responded; `None` while it is pending.
+    #[inline]
+    pub(crate) fn responded_at(&self) -> Option<Tick> {
+        (self.responded_at != PENDING).then_some(self.responded_at)
+    }
+
+    /// What a read returned; `None` for a write, a pending read, or a
+    /// read that responded with no value.
+    #[inline]
+    pub(crate) fn returned(&self) -> Option<RegValue> {
+        if self.flags & RETURNED_VALUE != 0 {
+            Some(RegValue::Val(self.value))
+        } else if self.flags & RETURNED_BOTTOM != 0 {
+            Some(RegValue::Bottom)
+        } else {
+            None
+        }
+    }
+
+    /// The record as the public view of operation `id`.
+    #[inline]
+    fn view(&self, id: usize) -> Operation {
+        Operation {
+            id: OpId(id),
+            proc: self.proc,
+            kind: self.kind(),
+            invoked_at: self.invoked_at,
+            responded_at: self.responded_at(),
+            returned: self.returned(),
+        }
+    }
+}
+
 /// A recorded history of operations, in invocation order.
 ///
-/// Alongside the operation list, the history keeps an O(1) completion
-/// count (`completed_len`). Per-client counts
-/// live on the [`SharedHistory`] handle, where a driver reads them
-/// without locking.
+/// Each operation is one 32-byte record in a single `Vec`; an
+/// operation's id is its record's index. [`ops`](Self::ops) and the
+/// filtered iterators read the records as [`Operation`] views, built by
+/// value as they are read, so reading allocates nothing. Alongside the
+/// records, the history keeps an O(1) completion count
+/// (`completed_len`). Per-client counts live on the [`SharedHistory`]
+/// handle, where a driver reads them without locking.
 ///
-/// The operation list is either owned or shared. A
-/// [`SharedHistory::snapshot`] shares it with the handle it was taken
+/// The records are either owned or shared. A
+/// [`SharedHistory::snapshot`] shares them with the handle it was taken
 /// from, so a run's recorded computation is kept once however many
 /// snapshots read it, and `clone` of a shared history copies nothing.
 /// The next record into a shared list takes it back: by a move if no
@@ -164,13 +245,13 @@ pub struct History {
     completed: usize,
 }
 
-/// Where a [`History`] keeps its operations.
+/// Where a [`History`] keeps its records.
 #[derive(Clone)]
 enum Ops {
     /// Recording: only this history holds them.
-    Owned(Vec<Operation>),
+    Owned(Vec<Record>),
     /// Shared with the snapshots taken since the last record.
-    Shared(Arc<Vec<Operation>>),
+    Shared(Arc<Vec<Record>>),
 }
 
 impl Default for Ops {
@@ -180,16 +261,16 @@ impl Default for Ops {
 }
 
 impl Ops {
-    fn as_slice(&self) -> &[Operation] {
+    fn as_slice(&self) -> &[Record] {
         match self {
             Ops::Owned(ops) => ops,
             Ops::Shared(ops) => ops,
         }
     }
 
-    /// The operations, owned: a shared list is taken back first.
+    /// The records, owned: a shared list is taken back first.
     #[inline]
-    fn owned(&mut self) -> &mut Vec<Operation> {
+    fn owned(&mut self) -> &mut Vec<Record> {
         if let Ops::Shared(_) = self {
             self.take_back();
         }
@@ -222,12 +303,21 @@ impl Ops {
     }
 }
 
-/// The derived form, as if the operations were a plain list: whether
-/// they are shared does not show.
+/// The derived form, as if the history held a plain list of
+/// [`Operation`]s: neither the records nor their sharing show.
 impl fmt::Debug for History {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// The views, printed as a slice of them would be.
+        struct Views<'a>(&'a History);
+
+        impl fmt::Debug for Views<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.ops()).finish()
+            }
+        }
+
         f.debug_struct("History")
-            .field("ops", &self.ops())
+            .field("ops", &Views(self))
             .field("completed", &self.completed)
             .finish()
     }
@@ -274,15 +364,18 @@ impl History {
 
     /// Records an invocation.
     pub(crate) fn invoke(&mut self, proc: u32, kind: OpKind, at: Tick) -> OpId {
+        let (flags, value) = match kind {
+            OpKind::Write { value } => (WRITE, value),
+            OpKind::Read => (0, 0),
+        };
         let ops = self.ops.owned();
         let id = OpId(ops.len());
-        ops.push(Operation {
-            id,
-            proc,
-            kind,
+        ops.push(Record {
             invoked_at: at,
-            responded_at: None,
-            returned: None,
+            responded_at: PENDING,
+            value,
+            proc,
+            flags,
         });
         id
     }
@@ -292,40 +385,63 @@ impl History {
     ///
     /// # Panics
     ///
-    /// Panics if the id is unknown, the operation already responded, or the
-    /// response time precedes the invocation.
+    /// Panics if the id is unknown, the operation already responded, the
+    /// response time precedes the invocation or is `Tick::MAX`, or a
+    /// write responds with a value.
     pub fn respond(&mut self, id: OpId, returned: Option<RegValue>, at: Tick) {
         let op = &mut self.ops.owned()[id.0];
-        assert!(op.responded_at.is_none(), "double response for {id:?}");
+        assert!(op.responded_at == PENDING, "double response for {id:?}");
         assert!(
             at >= op.invoked_at,
             "response at {at} precedes invocation at {}",
             op.invoked_at
         );
-        op.responded_at = Some(at);
-        op.returned = returned;
+        assert!(at != PENDING, "response at {at}, the pending mark");
+        match returned {
+            None => {}
+            Some(_) if op.flags & WRITE != 0 => {
+                panic!("{id:?} is a write: a write responds with no value")
+            }
+            Some(RegValue::Bottom) => op.flags |= RETURNED_BOTTOM,
+            Some(RegValue::Val(v)) => {
+                op.flags |= RETURNED_VALUE;
+                op.value = v;
+            }
+        }
+        op.responded_at = at;
         self.completed += 1;
     }
 
-    /// All operations, in invocation order.
-    pub fn ops(&self) -> &[Operation] {
+    /// The records, in invocation order: operation `i` is `records()[i]`.
+    pub(crate) fn records(&self) -> &[Record] {
         self.ops.as_slice()
+    }
+
+    /// All operations, in invocation order, as views built by value from
+    /// their records (see [`History`]); reading allocates nothing.
+    pub fn ops(
+        &self,
+    ) -> impl ExactSizeIterator<Item = Operation> + DoubleEndedIterator + Clone + '_ {
+        self.records()
+            .iter()
+            .enumerate()
+            .map(|(id, record)| record.view(id))
     }
 
     /// Looks up one operation.
     #[cfg(test)]
-    pub(crate) fn get(&self, id: OpId) -> Option<&Operation> {
-        self.ops().get(id.0)
+    pub(crate) fn get(&self, id: OpId) -> Option<Operation> {
+        self.records().get(id.0).map(|record| record.view(id.0))
     }
 
     /// Number of operations (complete and incomplete).
     pub fn len(&self) -> usize {
-        self.ops().len()
+        self.records().len()
     }
 
     /// Returns `true` if no operations were recorded.
     pub fn is_empty(&self) -> bool {
-        self.ops().is_empty()
+        self.records().is_empty()
     }
 
     /// Number of completed operations, in O(1).
@@ -336,27 +452,27 @@ impl History {
     /// What the `nth` (0-based, in invocation order) completed read of
     /// client `proc` returned; `None` if it has completed fewer reads.
     pub fn nth_completed_read(&self, proc: u32, nth: usize) -> Option<RegValue> {
-        self.reads()
-            .filter(|op| op.proc == proc && op.is_complete())
+        self.records()
+            .iter()
+            .filter(|op| op.proc == proc && op.flags & WRITE == 0 && op.responded_at != PENDING)
             .nth(nth)
-            .and_then(|op| op.returned)
+            .and_then(Record::returned)
     }
 
     /// Iterator over completed operations.
-    pub fn complete_ops(&self) -> impl Iterator<Item = &Operation> {
-        self.ops().iter().filter(|o| o.is_complete())
+    pub fn complete_ops(&self) -> impl Iterator<Item = Operation> + '_ {
+        self.ops().filter(Operation::is_complete)
     }
 
     /// Iterator over all writes, in invocation order.
-    pub fn writes(&self) -> impl Iterator<Item = &Operation> {
+    pub fn writes(&self) -> impl Iterator<Item = Operation> + '_ {
         self.ops()
-            .iter()
             .filter(|o| matches!(o.kind, OpKind::Write { .. }))
     }
 
     /// Iterator over all reads, in invocation order.
-    pub fn reads(&self) -> impl Iterator<Item = &Operation> {
-        self.ops().iter().filter(|o| matches!(o.kind, OpKind::Read))
+    pub fn reads(&self) -> impl Iterator<Item = Operation> + '_ {
+        self.ops().filter(|o| matches!(o.kind, OpKind::Read))
     }
 
     /// Renders the history one operation per line (for failure reports).
@@ -397,9 +513,11 @@ impl History {
 /// bumps release and the loads acquire: a driver that sees a client's
 /// completed count move finds that operation in the history.
 ///
-/// A [`snapshot`](Self::snapshot) copies nothing: it shares the recorded
-/// operations, and the next record copies them once only if that
-/// snapshot is still alive (see [`History`]).
+/// An invoke is one push of a 32-byte record, and a respond one
+/// in-place update of it, both under the lock. A
+/// [`snapshot`](Self::snapshot) copies nothing: it shares the records,
+/// and the next record copies them once only if that snapshot is still
+/// alive (see [`History`]).
 #[derive(Clone, Debug)]
 pub struct SharedHistory {
     history: Arc<Mutex<History>>,
@@ -471,7 +589,7 @@ impl SharedHistory {
     pub fn respond(&self, id: OpId, returned: Option<RegValue>, at: Tick) {
         let mut h = self.lock();
         h.respond(id, returned, at);
-        let proc = h.ops()[id.0].proc;
+        let proc = h.records()[id.0].proc;
         drop(h);
         if let Some(c) = self.counts(proc) {
             bump(&c.completed);
@@ -572,11 +690,7 @@ mod tests {
         h.respond(b, Some(RegValue::Val(1)), 8);
         let c = h.invoke_read(2, 7);
         // c is pending.
-        let (a, b, c) = (
-            h.get(a).unwrap().clone(),
-            h.get(b).unwrap().clone(),
-            h.get(c).unwrap().clone(),
-        );
+        let (a, b, c) = (h.get(a).unwrap(), h.get(b).unwrap(), h.get(c).unwrap());
         assert!(a.precedes(&b));
         assert!(!b.precedes(&a));
         assert!(b.concurrent_with(&c));
@@ -594,7 +708,7 @@ mod tests {
         h.respond(a, Some(RegValue::Bottom), 5);
         let b = h.invoke_read(1, 5);
         h.respond(b, Some(RegValue::Bottom), 6);
-        let (a, b) = (h.get(a).unwrap().clone(), h.get(b).unwrap().clone());
+        let (a, b) = (h.get(a).unwrap(), h.get(b).unwrap());
         assert!(!a.precedes(&b));
         assert!(a.concurrent_with(&b));
     }
@@ -727,8 +841,8 @@ mod tests {
     }
 
     /// Where `sh`'s recorded operations live.
-    fn live_ops(sh: &SharedHistory) -> *const Operation {
-        sh.inspect(|h| h.ops().as_ptr())
+    fn live_ops(sh: &SharedHistory) -> *const Record {
+        sh.inspect(|h| h.records().as_ptr())
     }
 
     #[test]
@@ -739,13 +853,17 @@ mod tests {
         sh.respond(w, None, 2);
         let at = live_ops(&sh);
         let snap = sh.snapshot();
-        assert_eq!(snap.ops().as_ptr(), at, "shared, not copied");
+        assert_eq!(snap.records().as_ptr(), at, "shared, not copied");
         assert_eq!(
-            sh.snapshot().ops().as_ptr(),
+            sh.snapshot().records().as_ptr(),
             at,
             "a second snapshot shares too"
         );
-        assert_eq!(snap.clone().ops().as_ptr(), at, "so does a clone of one");
+        assert_eq!(
+            snap.clone().records().as_ptr(),
+            at,
+            "so does a clone of one"
+        );
         assert_eq!(live_ops(&sh), at, "reading records nothing");
         assert_eq!((snap.len(), snap.completed_len()), (1, 1));
     }
@@ -757,7 +875,7 @@ mod tests {
         let w = sh.invoke_write(0, 9, 1);
         sh.respond(w, None, 2);
         let snap = sh.snapshot();
-        let shared = snap.ops().as_ptr();
+        let shared = snap.records().as_ptr();
         let before = snap.render();
 
         let r = sh.invoke_read(0, 3);
@@ -772,7 +890,7 @@ mod tests {
             Some(RegValue::Val(9))
         );
 
-        assert_eq!(snap.ops().as_ptr(), shared);
+        assert_eq!(snap.records().as_ptr(), shared);
         assert_eq!(
             (snap.render(), snap.len(), snap.completed_len()),
             (before, 1, 1)
@@ -809,6 +927,177 @@ mod tests {
         assert_eq!(format!("{}", RegValue::Bottom), "⊥");
         assert_eq!(format!("{}", RegValue::Val(3)), "3");
         assert_eq!(RegValue::from(3u64), RegValue::Val(3));
+    }
+
+    #[test]
+    fn a_record_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 32);
+    }
+
+    #[test]
+    fn a_write_reads_back_its_value_through_its_view() {
+        let mut h = History::new();
+        let w = h.invoke_write(3, 41, 1);
+        let pending = h.get(w).unwrap();
+        assert_eq!(pending.kind, OpKind::Write { value: 41 });
+        assert_eq!((pending.responded_at, pending.returned), (None, None));
+        h.respond(w, None, 2);
+        let done = h.get(w).unwrap();
+        assert_eq!(
+            done,
+            Operation {
+                id: w,
+                proc: 3,
+                kind: OpKind::Write { value: 41 },
+                invoked_at: 1,
+                responded_at: Some(2),
+                returned: None,
+            }
+        );
+    }
+
+    #[test]
+    fn a_bottom_return_is_not_a_missing_one() {
+        let mut h = History::new();
+        let bottom = h.invoke_read(1, 0);
+        let nothing = h.invoke_read(2, 0);
+        let zero = h.invoke_read(1, 0);
+        h.respond(bottom, Some(RegValue::Bottom), 1);
+        h.respond(nothing, None, 1);
+        h.respond(zero, Some(RegValue::Val(0)), 2);
+        let returned: Vec<_> = h.ops().map(|op| op.returned).collect();
+        assert_eq!(
+            returned,
+            [Some(RegValue::Bottom), None, Some(RegValue::Val(0))]
+        );
+        assert_eq!(h.nth_completed_read(1, 0), Some(RegValue::Bottom));
+        assert_eq!(h.nth_completed_read(1, 1), Some(RegValue::Val(0)));
+        assert_eq!(h.nth_completed_read(2, 0), None);
+        assert!(h.get(nothing).unwrap().is_complete());
+    }
+
+    #[test]
+    fn a_pending_read_has_no_response_and_no_value() {
+        let mut h = History::new();
+        let r = h.invoke_read(0, 7);
+        let op = h.get(r).unwrap();
+        assert_eq!((op.kind, op.invoked_at), (OpKind::Read, 7));
+        assert_eq!((op.responded_at, op.returned), (None, None));
+        assert!(!op.is_complete());
+        assert_eq!(h.complete_ops().count(), 0);
+        assert_eq!(h.nth_completed_read(0, 0), None);
+        h.respond(r, Some(RegValue::Val(5)), 9);
+        let op = h.get(r).unwrap();
+        assert_eq!(
+            (op.responded_at, op.returned),
+            (Some(9), Some(RegValue::Val(5)))
+        );
+    }
+
+    #[test]
+    fn views_count_both_ways() {
+        let mut h = History::new();
+        let ids: Vec<_> = (0..5).map(|i| h.invoke_read(i, u64::from(i))).collect();
+        let ops = h.ops();
+        assert_eq!(ops.len(), 5);
+        let backwards: Vec<_> = ops.rev().map(|op| op.id).collect();
+        assert_eq!(backwards, ids.into_iter().rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn views_under_a_live_snapshot_stay_as_they_were() {
+        let sh = SharedHistory::new(2);
+        let w = sh.invoke_write(0, 9, 1);
+        let r = sh.invoke_read(1, 2);
+        let snap = sh.snapshot();
+        let before: Vec<_> = snap.ops().collect();
+        sh.respond(w, None, 3);
+        sh.respond(r, Some(RegValue::Val(9)), 4);
+        sh.invoke_read(1, 5);
+        assert_eq!(
+            snap.ops().collect::<Vec<_>>(),
+            before,
+            "the snapshot's views"
+        );
+        assert!(before.iter().all(|op| !op.is_complete()));
+        let live = sh.snapshot();
+        let live: Vec<_> = live.ops().collect();
+        assert_eq!(live.len(), 3);
+        assert_eq!(live[0].responded_at, Some(3));
+        assert_eq!(live[1].returned, Some(RegValue::Val(9)));
+        assert_eq!(live[2].responded_at, None);
+    }
+
+    #[test]
+    fn debug_prints_the_views_as_a_list_of_operations() {
+        let mut h = History::new();
+        let w = h.invoke_write(0, 5, 1);
+        h.respond(w, None, 2);
+        h.invoke_read(1, 3);
+        let ops: Vec<Operation> = h.ops().collect();
+        assert_eq!(
+            format!("{h:?}"),
+            format!("History {{ ops: {ops:?}, completed: 1 }}")
+        );
+        assert!(format!("{h:?}").starts_with(
+            "History { ops: [Operation { id: op0, proc: 0, kind: Write { value: 5 }, \
+             invoked_at: 1, responded_at: Some(2), returned: None }"
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "a write responds with no value")]
+    fn a_write_responding_with_a_value_panics() {
+        let mut h = History::new();
+        let w = h.invoke_write(0, 1, 0);
+        h.respond(w, Some(RegValue::Val(1)), 1);
+    }
+
+    /// `(proc, is_write, invoked_at, duration, response)`: response 0
+    /// leaves the op pending; for a read 1 returns nothing, 2 returns
+    /// ⊥ and `v ≥ 3` returns `v − 3`.
+    type GenOp = (u32, bool, u64, u64, u64);
+
+    proptest::proptest! {
+        #[test]
+        fn a_history_rebuilt_from_its_views_renders_the_same(
+            ops in proptest::collection::vec(
+                (0u32..4, proptest::prelude::any::<bool>(), 0u64..50, 0u64..20, 0u64..8),
+                0..40,
+            ),
+        ) {
+            let ops: Vec<GenOp> = ops;
+            let mut original = History::new();
+            for (i, &(proc, write, at, dur, response)) in ops.iter().enumerate() {
+                let id = if write {
+                    original.invoke_write(proc, i as u64, at)
+                } else {
+                    original.invoke_read(proc, at)
+                };
+                let returned = match response {
+                    0 => continue,
+                    _ if write => None,
+                    1 => None,
+                    2 => Some(RegValue::Bottom),
+                    v => Some(RegValue::Val(v - 3)),
+                };
+                original.respond(id, returned, at + dur);
+            }
+            let mut rebuilt = History::new();
+            for op in original.ops() {
+                let id = match op.kind {
+                    OpKind::Write { value } => rebuilt.invoke_write(op.proc, value, op.invoked_at),
+                    OpKind::Read => rebuilt.invoke_read(op.proc, op.invoked_at),
+                };
+                proptest::prop_assert_eq!(id, op.id);
+                if let Some(at) = op.responded_at {
+                    rebuilt.respond(id, op.returned, at);
+                }
+            }
+            proptest::prop_assert_eq!(rebuilt.render(), original.render());
+            proptest::prop_assert_eq!(format!("{rebuilt:?}"), format!("{original:?}"));
+            proptest::prop_assert_eq!(format!("{rebuilt:#?}"), format!("{original:#?}"));
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl std::error::Error for LinCheckError {}
 /// assert_eq!(check_linearizable(&h), Ok(true));
 /// ```
 pub fn check_linearizable(history: &History) -> Result<bool, LinCheckError> {
-    let ops: Vec<&Operation> = history.ops().iter().collect();
+    let ops: Vec<Operation> = history.ops().collect();
     if ops.len() >= 64 {
         return Err(LinCheckError::TooManyOps { found: ops.len() });
     }
@@ -85,7 +85,7 @@ pub fn check_linearizable(history: &History) -> Result<bool, LinCheckError> {
     let mut preds: Vec<u64> = vec![0; n];
     for i in 0..n {
         for j in 0..n {
-            if i != j && ops[i].precedes(ops[j]) {
+            if i != j && ops[i].precedes(&ops[j]) {
                 preds[j] |= 1 << i;
             }
         }

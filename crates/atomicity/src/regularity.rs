@@ -92,7 +92,7 @@ impl std::error::Error for RegularityViolation {}
 /// assert!(check_swmr_regularity(&h).is_ok());
 /// ```
 pub fn check_swmr_regularity(history: &History) -> Result<(), RegularityViolation> {
-    let mut writes: Vec<&Operation> = history.writes().collect();
+    let mut writes: Vec<Operation> = history.writes().collect();
     writes.sort_by_key(|w| w.invoked_at);
 
     // Reuse the atomicity checker's structural validation by re-deriving
@@ -107,7 +107,7 @@ pub fn check_swmr_regularity(history: &History) -> Result<(), RegularityViolatio
         }
     }
     for pair in writes.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
+        let (a, b) = (&pair[0], &pair[1]);
         match a.responded_at {
             Some(r) if r <= b.invoked_at => {}
             _ => {
@@ -152,7 +152,7 @@ pub fn check_swmr_regularity(history: &History) -> Result<(), RegularityViolatio
         let last_preceding = writes
             .iter()
             .enumerate()
-            .filter(|(_, w)| w.precedes(read))
+            .filter(|(_, w)| w.precedes(&read))
             .map(|(i, _)| i + 1)
             .max()
             .unwrap_or(0);
@@ -163,7 +163,7 @@ pub fn check_swmr_regularity(history: &History) -> Result<(), RegularityViolatio
             last_preceding == 0
         } else {
             // Legal iff wr_k is concurrent with the read.
-            writes[k - 1].concurrent_with(read)
+            writes[k - 1].concurrent_with(&read)
         };
         if !ok {
             return Err(RegularityViolation::StaleOrFutureValue {

@@ -26,7 +26,7 @@ use std::collections::HashMap; // fastreg-lint: allow(nondet-order): keyed looku
 use std::collections::{BinaryHeap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::history::{History, HistoryEvent, OpKind, RegValue, Tick};
+use crate::history::{History, HistoryEvent, OpId, OpKind, RegValue, Tick};
 use crate::verdict::{Verdict, ViolationKind};
 
 /// Which contract the checker enforces.
@@ -560,7 +560,7 @@ pub fn replay_events(history: &History) -> Vec<HistoryEvent> {
 /// at a later tick. Beyond that index the only memory is the heap,
 /// O(concurrency).
 pub(crate) fn for_each_event(history: &History, mut f: impl FnMut(HistoryEvent)) {
-    let ops = history.ops();
+    let ops = history.records();
     let by_tick = (!ops.windows(2).all(|w| w[0].invoked_at <= w[1].invoked_at)).then(|| {
         // Stable: equal ticks stay in record order.
         let mut index: Vec<usize> = (0..ops.len()).collect();
@@ -569,24 +569,25 @@ pub(crate) fn for_each_event(history: &History, mut f: impl FnMut(HistoryEvent))
     });
     let mut responses: BinaryHeap<Reverse<(Tick, usize)>> = BinaryHeap::new();
     for n in 0..=ops.len() {
-        let next = (n < ops.len()).then(|| &ops[by_tick.as_ref().map_or(n, |index| index[n])]);
+        let next = (n < ops.len()).then(|| by_tick.as_ref().map_or(n, |index| index[n]));
         while let Some(&Reverse((at, i))) = responses.peek() {
-            if next.is_some_and(|op| at >= op.invoked_at) {
+            if next.is_some_and(|j| at >= ops[j].invoked_at) {
                 break;
             }
             responses.pop();
-            let (id, returned) = (ops[i].id, ops[i].returned);
+            let (id, returned) = (OpId(i), ops[i].returned());
             f(HistoryEvent::Responded { id, returned, at });
         }
-        let Some(op) = next else { break };
+        let Some(i) = next else { break };
+        let op = &ops[i];
         f(HistoryEvent::Invoked {
-            id: op.id,
+            id: OpId(i),
             proc: op.proc,
-            kind: op.kind,
+            kind: op.kind(),
             at: op.invoked_at,
         });
-        if let Some(at) = op.responded_at {
-            responses.push(Reverse((at, op.id.0)));
+        if let Some(at) = op.responded_at() {
+            responses.push(Reverse((at, i)));
         }
     }
 }

@@ -152,7 +152,7 @@ pub fn check_swmr_atomicity(history: &History) -> Result<(), AtomicityViolation>
     let index_of = index_writes(&writes)?;
 
     // Completed reads, with their resolved write index.
-    let mut resolved: Vec<(&Operation, usize)> = Vec::new();
+    let mut resolved: Vec<(Operation, usize)> = Vec::new();
     for read in history.reads().filter(|r| r.is_complete()) {
         let returned = match read.returned {
             Some(v) => v,
@@ -181,7 +181,8 @@ pub fn check_swmr_atomicity(history: &History) -> Result<(), AtomicityViolation>
     }
 
     // Condition (2): read succeeds wr_k (complete) => returns val_l, l >= k.
-    for &(read, l) in &resolved {
+    for (read, l) in &resolved {
+        let l = *l;
         let latest_preceding = writes
             .iter()
             .enumerate()
@@ -200,9 +201,9 @@ pub fn check_swmr_atomicity(history: &History) -> Result<(), AtomicityViolation>
 
     // Condition (3): read returns val_k (k >= 1) => wr_k precedes or is
     // concurrent with the read (i.e. the read does not precede wr_k).
-    for &(read, k) in &resolved {
-        if k >= 1 {
-            let wr_k = writes[k - 1];
+    for (read, k) in &resolved {
+        if *k >= 1 {
+            let wr_k = &writes[k - 1];
             if read.precedes(wr_k) {
                 return Err(AtomicityViolation::ReadFromFuture {
                     read: read.id,
@@ -213,8 +214,9 @@ pub fn check_swmr_atomicity(history: &History) -> Result<(), AtomicityViolation>
     }
 
     // Condition (4): rd2 succeeds rd1 => index(rd2) >= index(rd1).
-    for &(rd1, k1) in &resolved {
-        for &(rd2, k2) in &resolved {
+    for (rd1, k1) in &resolved {
+        for (rd2, k2) in &resolved {
+            let (k1, k2) = (*k1, *k2);
             if rd1.precedes(rd2) && k2 < k1 {
                 return Err(AtomicityViolation::NewOldInversion {
                     first_read: rd1.id,
@@ -231,8 +233,8 @@ pub fn check_swmr_atomicity(history: &History) -> Result<(), AtomicityViolation>
 
 /// Collects writes in invocation order and validates single-writer
 /// sequentiality.
-fn collect_writes(history: &History) -> Result<Vec<&Operation>, AtomicityViolation> {
-    let mut writes: Vec<&Operation> = history.writes().collect();
+fn collect_writes(history: &History) -> Result<Vec<Operation>, AtomicityViolation> {
+    let mut writes: Vec<Operation> = history.writes().collect();
     writes.sort_by_key(|w| w.invoked_at);
 
     if let Some(first) = writes.first() {
@@ -243,7 +245,7 @@ fn collect_writes(history: &History) -> Result<Vec<&Operation>, AtomicityViolati
         }
     }
     for pair in writes.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
+        let (a, b) = (&pair[0], &pair[1]);
         // The writer is sequential: the earlier write must respond before
         // the later one is invoked — unless the earlier one never completes,
         // in which case it must be the last write. Ties (`r ==
@@ -264,7 +266,7 @@ fn collect_writes(history: &History) -> Result<Vec<&Operation>, AtomicityViolati
 /// Maps each written value to its 1-based write index.
 #[allow(clippy::disallowed_types)]
 pub(crate) fn index_writes(
-    writes: &[&Operation],
+    writes: &[Operation],
     // fastreg-lint: allow(nondet-order): O(1) keyed lookup on the checker hot path; only get/insert, never iterated
 ) -> Result<HashMap<u64, usize>, AtomicityViolation> {
     // fastreg-lint: allow(nondet-order): same map as the signature above

@@ -520,7 +520,7 @@ mod tests {
             let c = closed_loop::<FastCrash>(workers);
             let history = c.snapshot();
             for client in 0..c.cfg.w + c.cfg.r {
-                let ops: Vec<_> = history.ops().iter().filter(|o| o.proc == client).collect();
+                let ops: Vec<_> = history.ops().filter(|o| o.proc == client).collect();
                 assert_eq!(ops.len(), 10, "client {client}");
                 let stamps: Vec<(u64, u64)> = ops
                     .iter()
@@ -645,6 +645,7 @@ mod tests {
             assert_eq!(c.try_settle().map(|_| ()), Ok(()));
             assert_eq!(c.ops_completed(), 90);
             c.check_atomic().unwrap();
+            assert_eq!(c.rt_stats().panicked, 1, "workers = {workers}");
         }
     }
 

@@ -250,6 +250,7 @@ struct Counters {
     local_sends: AtomicU64,
     remote_sends: AtomicU64,
     step_clock_reads: AtomicU64,
+    panicked: AtomicU64,
 }
 
 /// Adds `n` to a counter only the calling thread writes.
@@ -298,6 +299,9 @@ pub struct RtStats {
     /// Actor steps that read the wall clock (asked for
     /// [`Outbox::now`]); the busy-time reads are not counted.
     pub step_clock_reads: u64,
+    /// Actors whose step panicked: each is dropped from the pool, a
+    /// crash (named by [`ActorPool::shutdown`]'s report).
+    pub panicked: u64,
 }
 
 /// A running set of actors partitioned over a pool of workers: worker 0
@@ -500,6 +504,7 @@ impl<M> ActorPool<M> {
                 local_sends: s.local_sends + load(&c.local_sends),
                 remote_sends: s.remote_sends + load(&c.remote_sends),
                 step_clock_reads: s.step_clock_reads + load(&c.step_clock_reads),
+                panicked: s.panicked + load(&c.panicked),
             })
     }
 
@@ -735,6 +740,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Worker<M> {
         } else {
             self.actors[slot] = None;
             self.panicked.push(me);
+            add(&self.counters[self.index].panicked, 1);
             msgs.clear();
         }
         self.buf = msgs;
@@ -1255,6 +1261,7 @@ mod tests {
             pool.inject(ProcessId::new(0), Msg::Ping);
         }
         assert_eq!(recv(&mut pool, &rx), 10, "the survivors keep answering");
+        assert_eq!(pool.stats().panicked, 1, "counted once, as it crashed");
         assert_eq!(
             pool.shutdown(),
             Err(RtError::ActorPanicked {

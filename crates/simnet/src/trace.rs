@@ -234,11 +234,16 @@ pub struct Trace<M> {
 }
 
 impl<M> Trace<M> {
-    /// Creates a trace that stores at most `capacity` entries.
+    /// Creates a trace that stores at most `capacity` entries, with
+    /// room for the first [`DEFAULT_CAPACITY`] of them (and their
+    /// messages) reserved up front: a run that fills a bounded trace
+    /// makes no growth copies, and leaves no outgrown buffers behind in
+    /// the heap.
     pub(crate) fn with_capacity(capacity: usize) -> Self {
+        let room = capacity.min(DEFAULT_CAPACITY);
         Trace {
-            entries: Vec::new(),
-            payloads: Vec::new(),
+            entries: Vec::with_capacity(room),
+            payloads: Vec::with_capacity(room),
             capacity,
             suppressed: 0,
             running: Fnv1a::OFFSET_BASIS,

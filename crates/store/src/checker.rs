@@ -52,9 +52,9 @@ impl KvHistory {
         self.per_key.iter().map(|(key, h)| (*key, h))
     }
 
-    /// Every recorded operation, key by key (times compare within a
-    /// shard only).
-    pub fn ops(&self) -> impl Iterator<Item = &Operation> {
+    /// Every recorded operation, key by key, as views of each key's
+    /// records (times compare within a shard only).
+    pub fn ops(&self) -> impl Iterator<Item = Operation> + Clone + '_ {
         self.per_key.iter().flat_map(|(_, h)| h.ops())
     }
 
@@ -80,8 +80,8 @@ impl KvHistory {
 
 /// Rebuilds recorded operations into a register [`History`] (invocation
 /// order restored by sorting on the interval endpoints).
-fn rebuild<'a>(ops: impl Iterator<Item = &'a Operation>) -> History {
-    let mut ops: Vec<&Operation> = ops.collect();
+fn rebuild(ops: impl Iterator<Item = Operation>) -> History {
+    let mut ops: Vec<Operation> = ops.collect();
     ops.sort_by_key(|op| (op.invoked_at, op.responded_at));
     let mut h = History::new();
     for op in ops {
@@ -252,12 +252,12 @@ mod tests {
     /// `h` with its first completed read rebuilt to return `value`, or
     /// `None` if no read completed.
     fn doctor(h: &History, value: u64) -> Option<History> {
-        let mut ops = h.ops().to_vec();
+        let mut ops: Vec<_> = h.ops().collect();
         let read = ops
             .iter_mut()
             .find(|op| op.kind == OpKind::Read && op.responded_at.is_some())?;
         read.returned = Some(RegValue::Val(value));
-        Some(rebuild(ops.iter()))
+        Some(rebuild(ops.into_iter()))
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn store() -> ShardedStore {
 /// What must agree per operation: order (the index), `proc`, kind,
 /// returned value and latency — not the invocation tick, which counts
 /// from the start of a different world.
-fn shape(op: &Operation) -> (u32, OpKind, Option<RegValue>, Option<u64>) {
+fn shape(op: Operation) -> (u32, OpKind, Option<RegValue>, Option<u64>) {
     let latency = op.responded_at.map(|at| at - op.invoked_at);
     (op.proc, op.kind, op.returned, latency)
 }
@@ -172,8 +172,8 @@ fn every_key_records_what_its_own_cluster_records() {
         let keys: Vec<Key> = global.histories().map(|(key, _)| key).collect();
         assert_eq!(keys, reference.keys().copied().collect::<Vec<_>>());
         for ((key, got), want) in global.histories().zip(reference.values()) {
-            let got: Vec<_> = got.ops().iter().map(shape).collect();
-            let want: Vec<_> = want.ops().iter().map(shape).collect();
+            let got: Vec<_> = got.ops().map(shape).collect();
+            let want: Vec<_> = want.ops().map(shape).collect();
             assert_eq!(got, want, "key {key}, threads = {threads}");
         }
         let report = StoreChecker::check_streaming(&store, &global, threads);

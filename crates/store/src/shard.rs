@@ -395,7 +395,7 @@ mod tests {
         }
         // Ticks are the shard world's: key 8's second put starts where
         // key 7's does, once the first wave settled.
-        let second_put = |key| s.key_history(key).unwrap().ops()[1].invoked_at;
+        let second_put = |key| s.key_history(key).unwrap().ops().nth(1).unwrap().invoked_at;
         assert_eq!(second_put(7), second_put(8));
     }
 

@@ -1513,6 +1513,10 @@ pub(crate) fn e19_obs_invariants(n_ops: u64) -> Table {
         (1..=stats.drained_messages).contains(&stats.max_batch),
         "E19: max batch must be within [1, drained]"
     );
+    assert_eq!(
+        stats.panicked, 0,
+        "E19: no actor of the flagship run panics"
+    );
     // The drain counts depend on thread timing: render the relations
     // just verified, not the counts.
     table.row(vec![

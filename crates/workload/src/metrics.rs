@@ -11,7 +11,8 @@ use fastreg_atomicity::history::{History, OpKind, Operation};
 
 pub use fastreg_obs::LatencyStats;
 
-/// Per-kind latency breakdown of a history.
+/// Per-kind latency breakdown of a history, read from its operation
+/// views with no per-operation buffer.
 #[derive(Clone, Debug)]
 pub struct OpBreakdown {
     /// Read latency stats (completed reads only).
@@ -32,28 +33,28 @@ impl OpBreakdown {
 
     /// Computes the breakdown of recorded operations, in any order: each
     /// latency is its own op's interval, so the store's per-key
-    /// histories are read in place.
-    pub(crate) fn of_ops<'a>(ops: impl IntoIterator<Item = &'a Operation>) -> Self {
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
+    /// histories are read in place. Two passes over the views, one per
+    /// kind, stream each latency into its [`LatencyStats`] count;
+    /// nothing is buffered per operation.
+    pub(crate) fn of_ops(ops: impl Iterator<Item = Operation> + Clone) -> Self {
         let mut incomplete = 0;
-        for op in ops {
-            match op.responded_at {
-                Some(resp) => {
-                    let lat = resp - op.invoked_at;
-                    match op.kind {
-                        OpKind::Read => reads.push(lat),
-                        OpKind::Write { .. } => writes.push(lat),
-                    }
+        let reads =
+            LatencyStats::from_latencies(ops.clone().filter_map(|op| match op.responded_at {
+                None => {
+                    incomplete += 1;
+                    None
                 }
-                None => incomplete += 1,
-            }
-        }
-        let completed = (reads.len() + writes.len()) as u64;
+                Some(at) => matches!(op.kind, OpKind::Read).then(|| at - op.invoked_at),
+            }));
+        let writes = LatencyStats::from_latencies(ops.filter_map(|op| {
+            let at = op.responded_at?;
+            matches!(op.kind, OpKind::Write { .. }).then(|| at - op.invoked_at)
+        }));
+        let count = |stats: &Option<LatencyStats>| stats.as_ref().map_or(0, |s| s.count);
         OpBreakdown {
-            reads: LatencyStats::from_latencies(reads),
-            writes: LatencyStats::from_latencies(writes),
-            completed,
+            completed: count(&reads) + count(&writes),
+            reads,
+            writes,
             incomplete,
         }
     }

@@ -70,24 +70,26 @@ const TRACE_CAPACITY: usize = 2_048;
 /// each protocol's sample configuration — divide by 1 000 for the per-op
 /// figures. A budget may only go down; a change that raises one says why.
 ///
-/// What is left is per run, not per operation: ≈ 40 allocations (history
-/// reserve, checker maps, the final snapshot and latency breakdown) and
-/// ≈ 160 kB, most of it the history's reserve for the run (1 512
-/// operations of 72 B). The final snapshot shares the recorded
+/// What is left is per run, not per operation: ≈ 20 allocations (history
+/// reserve, checker maps and the final snapshot) and
+/// ≈ 65 kB, most of it the history's reserve for the run (1 512
+/// operations of 32 B). The final snapshot shares the recorded
 /// operations, so it costs one reference-counted handle, not a copy;
-/// its replay into the checker adds only its heap of pending responses. Max–min is the
+/// its replay into the checker adds only its heap of pending responses,
+/// and the latency breakdown counts latencies per value, on the stack,
+/// instead of buffering every latency. Max–min is the
 /// exception: each server builds a `Round` per gather, and drops it once
 /// all `S` servers have reported.
 #[rustfmt::skip] // one row per line: a table, not code
 const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
-    (ProtocolId::FastCrash, 36, 167_996, 10_000),
-    (ProtocolId::FastByz, 37, 187_460, 12_000),
-    (ProtocolId::Abd, 38, 188_236, 15_260),
-    (ProtocolId::MaxMin, 2_976, 520_796, 21_760),
-    (ProtocolId::FastRegular, 35, 155_516, 10_000),
-    (ProtocolId::SwsrFast, 36, 169_140, 10_000),
-    (ProtocolId::MwmrAbd, 35, 159_048, 12_000),
-    (ProtocolId::MwmrNaiveFast, 35, 158_920, 6_000),
+    (ProtocolId::FastCrash, 18, 66_620, 10_000),
+    (ProtocolId::FastByz, 19, 86_084, 12_000),
+    (ProtocolId::Abd, 20, 86_860, 15_260),
+    (ProtocolId::MaxMin, 2_958, 419_420, 21_760),
+    (ProtocolId::FastRegular, 18, 58_236, 10_000),
+    (ProtocolId::SwsrFast, 18, 67_764, 10_000),
+    (ProtocolId::MwmrAbd, 17, 57_672, 12_000),
+    (ProtocolId::MwmrNaiveFast, 17, 57_544, 6_000),
 ];
 
 /// This thread's `(allocations, bytes allocated)` so far.
@@ -181,10 +183,10 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// served. Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
 const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64, u64); 4] = [
-    (MIX, 6_152, 1_127_310, 8, 3_126),
-    (&[ProtocolId::FastCrash], 6_791, 1_202_246, 8, 3_448),
-    (&[ProtocolId::Abd], 4_823, 909_302, 8, 2_267),
-    (&[ProtocolId::FastByz], 7_517, 1_387_846, 8, 4_124),
+    (MIX, 6_137, 1_005_902, 8, 2_833),
+    (&[ProtocolId::FastCrash], 6_776, 1_080_838, 8, 3_155),
+    (&[ProtocolId::Abd], 4_808, 787_894, 8, 1_974),
+    (&[ProtocolId::FastByz], 7_502, 1_266_438, 8, 3_831),
 ];
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more
