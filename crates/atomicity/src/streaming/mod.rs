@@ -111,10 +111,15 @@ impl OnlineChecker {
 
     /// Feeds a recorded history's events one at a time, in
     /// [`replay_events`] order, without collecting them: the only memory
-    /// the replay adds is its heap of pending responses.
+    /// the replay adds is its heap of pending responses. The SWMR
+    /// checker's value index is sized from the history's write count
+    /// first, so while the written values ascend it never grows.
     pub fn on_history(&mut self, history: &History) {
         match &mut self.0 {
-            Engine::Swmr(c) => for_each_event(history, |e| c.on_event(&e)),
+            Engine::Swmr(c) => {
+                c.reserve_writes(history.writes().count());
+                for_each_event(history, |e| c.on_event(&e));
+            }
             Engine::Lin(c) => for_each_event(history, |e| c.on_event(&e)),
         }
     }

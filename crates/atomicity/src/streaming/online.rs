@@ -17,14 +17,20 @@
 //! Everything behind the frontier is pruned, so peak resident *operation*
 //! count is O(frontier), not O(history). The one intentionally unbounded
 //! piece of state is the value→write-index map: any future read may return
-//! any past value, so the map must cover all writes — it holds two words
-//! per write, not operations.
+//! any past value, so the map must cover all writes. While the writer's
+//! values strictly ascend — every writer in the workspace writes
+//! 1, 2, 3, … — the map is just those values in write order, one word
+//! per write: write `k`'s value sits at slot `k − 1`, and a read's value
+//! is found by binary search. [`OnlineChecker::on_history`] sizes that
+//! array from the history's write count before the replay, so checking
+//! a run makes one allocation for it and frees none. The first write
+//! whose value is not above the last one spills the array, once, into a
+//! `BTreeMap` that keeps any order.
+//!
+//! [`OnlineChecker::on_history`]: crate::streaming::OnlineChecker::on_history
 
 use std::cmp::Reverse;
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap; // fastreg-lint: allow(nondet-order): keyed lookup (value -> write index), never iterated
-use std::collections::{BinaryHeap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use crate::history::{History, HistoryEvent, OpId, OpKind, RegValue, Tick};
 use crate::verdict::{Verdict, ViolationKind};
@@ -102,9 +108,7 @@ pub struct StreamingChecker {
     open_writes: Vec<OpenWrite>,
     /// value → 1-based write index, over *all* writes seen. Deliberately
     /// unpruned (see module docs).
-    #[allow(clippy::disallowed_types)]
-    // fastreg-lint: allow(nondet-order): pure keyed lookup (value -> write index), never iterated
-    value_index: HashMap<u64, usize, BuildHasherDefault<ValueHasher>>,
+    value_index: ValueIndex,
     /// Response ticks of completed writes still needed by the
     /// latest-preceding-write count, oldest first; nondecreasing.
     write_resps: VecDeque<Tick>,
@@ -144,30 +148,39 @@ pub struct StreamingChecker {
     hwm: usize,
 }
 
-/// The value index's hasher: one multiply and a fold of the product's
-/// high half into its low half, so sequential written values spread over
-/// both the bucket bits and the tag bits of the table. Deterministic and
-/// unkeyed — the index is never iterated, so its order reaches nothing —
-/// and far cheaper than the default SipHash on one `u64` per write and
-/// per read.
-#[derive(Default)]
-struct ValueHasher(u64);
+/// The map from a written value to its 1-based write index.
+#[derive(Clone, Debug)]
+enum ValueIndex {
+    /// The values written so far, in write order and strictly ascending:
+    /// write `k`'s value is at slot `k − 1`.
+    Ascending(Vec<u64>),
+    /// Any order: the writer once wrote a value not above its last one.
+    Spilled(BTreeMap<u64, usize>),
+}
 
-impl Hasher for ValueHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+impl ValueIndex {
+    /// Records write `k`'s value; `true` if the value was written before.
+    fn insert(&mut self, value: u64, k: usize) -> bool {
+        if let ValueIndex::Ascending(values) = self {
+            if values.last().is_none_or(|&last| value > last) {
+                values.push(value);
+                return false;
+            }
+            let spilled = values.iter().enumerate().map(|(i, &v)| (v, i + 1));
+            *self = ValueIndex::Spilled(spilled.collect());
+        }
+        match self {
+            ValueIndex::Spilled(index) => index.insert(value, k).is_some(),
+            ValueIndex::Ascending(_) => unreachable!("spilled above"),
         }
     }
 
-    fn write_u64(&mut self, value: u64) {
-        // 2^64 / φ, rounded to odd.
-        let product = u128::from(self.0 ^ value) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+    /// The 1-based index of the write of `value`, if it was written.
+    fn get(&self, value: u64) -> Option<usize> {
+        match self {
+            ValueIndex::Ascending(values) => values.binary_search(&value).ok().map(|i| i + 1),
+            ValueIndex::Spilled(index) => index.get(&value).copied(),
+        }
     }
 }
 
@@ -182,8 +195,6 @@ impl StreamingChecker {
         Self::new(Mode::Regular)
     }
 
-    // The HashMap construction mirrors the annotated field type.
-    #[allow(clippy::disallowed_types)]
     fn new(mode: Mode) -> Self {
         StreamingChecker {
             mode,
@@ -192,8 +203,7 @@ impl StreamingChecker {
             writes_invoked: 0,
             last_write: None,
             open_writes: Vec::new(),
-            // fastreg-lint: allow(nondet-order): empty constructor for the field annotated above
-            value_index: HashMap::default(),
+            value_index: ValueIndex::Ascending(Vec::new()),
             write_resps: VecDeque::new(),
             write_resps_pruned: 0,
             pending_reads: Vec::new(),
@@ -208,6 +218,14 @@ impl StreamingChecker {
             inversion: false,
             first_bad: None,
             hwm: 0,
+        }
+    }
+
+    /// Makes room for `writes` more written values in the index, so
+    /// that while they ascend, recording them allocates nothing.
+    pub(crate) fn reserve_writes(&mut self, writes: usize) {
+        if let ValueIndex::Ascending(values) = &mut self.value_index {
+            values.reserve_exact(writes);
         }
     }
 
@@ -269,7 +287,7 @@ impl StreamingChecker {
         }
         self.writes_invoked += 1;
         let k = self.writes_invoked;
-        if self.value_index.insert(value, k).is_some() {
+        if self.value_index.insert(value, k) {
             self.duplicate = true;
         }
         self.open_writes.push(OpenWrite { id, bound: None });
@@ -328,8 +346,8 @@ impl StreamingChecker {
                 Mode::Regular => 0,
             },
             Some(RegValue::Bottom) => 0,
-            Some(RegValue::Val(v)) => match self.value_index.get(&v) {
-                Some(&k) => k,
+            Some(RegValue::Val(v)) => match self.value_index.get(v) {
+                Some(k) => k,
                 None => {
                     // Park: the value may be written later; if it never is,
                     // the verdict reports it as unwritten.
@@ -605,22 +623,6 @@ mod tests {
 
     fn online_regular(h: &History) -> Verdict {
         OnlineChecker::check(Spec::SwmrRegular, h)
-    }
-
-    /// Sequential values — what a writer usually writes — land in
-    /// distinct buckets of a 4 096-slot table and carry varied tag bits.
-    #[test]
-    fn the_value_hasher_spreads_sequential_values() {
-        let hash = |v: u64| {
-            let mut h = ValueHasher::default();
-            h.write_u64(v);
-            h.finish()
-        };
-        let buckets: std::collections::BTreeSet<u64> =
-            (0..4_096).map(|v| hash(v) & 4_095).collect();
-        assert!(buckets.len() > 2_500, "{} buckets", buckets.len());
-        let tags: std::collections::BTreeSet<u64> = (0..4_096).map(|v| hash(v) >> 57).collect();
-        assert_eq!(tags.len(), 128);
     }
 
     fn batch_atomic(h: &History) -> Verdict {
@@ -1097,7 +1099,11 @@ mod tests {
     /// events share a tick.
     type GenOp = (u32, bool, u64, u64, bool, u64);
 
-    fn gen_ops() -> impl proptest::strategy::Strategy<Value = (Vec<GenOp>, bool)> {
+    /// Ops, whether to record them in tick order, and how writes pick
+    /// their values (see [`gen_history`]).
+    type GenOps = (Vec<GenOp>, bool, u8);
+
+    fn gen_ops() -> impl proptest::strategy::Strategy<Value = GenOps> {
         use proptest::prelude::*;
         (
             proptest::collection::vec(
@@ -1112,13 +1118,18 @@ mod tests {
                 0..24,
             ),
             any::<bool>(),
+            0u8..4,
         )
     }
 
     /// Records `ops` in list order, invocation ticks sorted first when
     /// `in_tick_order` (the simulator's case) and left as drawn otherwise
-    /// (concurrent recording threads' case). Writes carry distinct values.
-    fn gen_history((mut ops, in_tick_order): (Vec<GenOp>, bool)) -> History {
+    /// (concurrent recording threads' case). The `i`-th op, if a write,
+    /// writes by `values`: 0 and 1, `i + 1` (distinct and ascending, as
+    /// every workspace writer writes); 2, `5 (i + 1) mod 29` (distinct,
+    /// ascending for five writes at most, so the value index spills
+    /// mid-run); 3, its drawn `returned` field plus one (repeats).
+    fn gen_history((mut ops, in_tick_order, values): GenOps) -> History {
         if in_tick_order {
             ops.sort_by_key(|op| op.2);
         }
@@ -1126,9 +1137,16 @@ mod tests {
         let ids: Vec<_> = ops
             .iter()
             .enumerate()
-            .map(|(i, &(proc, write, at, ..))| match write {
-                true => h.invoke_write(proc, i as u64 + 1, at),
-                false => h.invoke_read(proc, at),
+            .map(|(i, &(proc, write, at, _, _, ret))| {
+                let value = match values {
+                    0 | 1 => i as u64 + 1,
+                    2 => 5 * (i as u64 + 1) % 29,
+                    _ => ret + 1,
+                };
+                match write {
+                    true => h.invoke_write(proc, value, at),
+                    false => h.invoke_read(proc, at),
+                }
             })
             .collect();
         // Respond in reverse record order: the history must not care.
@@ -1219,6 +1237,15 @@ mod tests {
             proptest::prop_assert_eq!(replay_events(&h), sorted_events(&h), "{}", h.render());
         }
 
+        /// The online checker against both batch checkers, with write
+        /// values that ascend, spill the value index mid-run, or repeat.
+        #[test]
+        fn generated_histories_match_batch(ops in gen_ops()) {
+            let h = gen_history(ops);
+            proptest::prop_assert_eq!(online_atomic(&h), batch_atomic(&h), "{}", h.render());
+            proptest::prop_assert_eq!(online_regular(&h), batch_regular(&h), "{}", h.render());
+        }
+
         #[test]
         fn on_history_agrees_with_on_events_of_the_replay(ops in gen_ops()) {
             let h = gen_history(ops);
@@ -1233,6 +1260,142 @@ mod tests {
                     replayed.high_water_mark()
                 );
             }
+        }
+    }
+
+    /// The SWMR engine of `checker`.
+    fn swmr(checker: &OnlineChecker) -> &StreamingChecker {
+        match &checker.0 {
+            crate::streaming::Engine::Swmr(c) => c,
+            crate::streaming::Engine::Lin(_) => panic!("not an SWMR checker"),
+        }
+    }
+
+    /// The online SWMR atomicity checker after replaying `h`.
+    fn replayed(h: &History) -> StreamingChecker {
+        let mut c = StreamingChecker::new_atomic();
+        c.on_events(&replay_events(h));
+        c
+    }
+
+    #[test]
+    fn ascending_writes_resolve_reads_by_position() {
+        let mut h = History::new();
+        w(&mut h, 10, 0, 1);
+        w(&mut h, 20, 2, 3);
+        r(&mut h, 1, RegValue::Val(20), 4, 5);
+        w(&mut h, 35, 6, 7);
+        r(&mut h, 1, RegValue::Val(35), 8, 9);
+        let c = replayed(&h);
+        let ValueIndex::Ascending(values) = &c.value_index else {
+            panic!("ascending writes spilled the index");
+        };
+        assert_eq!(values, &[10, 20, 35]);
+        assert_eq!(
+            (1..=36)
+                .filter_map(|v| c.value_index.get(v))
+                .collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        assert_eq!(c.value_index.get(15), None);
+        assert_eq!(c.verdict(), Verdict::Clean);
+        assert_matches_batch(&h);
+
+        // A read of a stale value: write 3 completed before it began.
+        r(&mut h, 2, RegValue::Val(20), 10, 11);
+        assert!(matches!(replayed(&h).value_index, ValueIndex::Ascending(_)));
+        assert_eq!(
+            online_atomic(&h),
+            Verdict::Violation(ViolationKind::MissedPrecedingWrite)
+        );
+        assert_matches_batch(&h);
+    }
+
+    /// Sequential operations `(write value | read return)`, one per two
+    /// ticks: `Ok(v)` writes `v`, `Err(ret)` reads `ret`.
+    fn sequential(ops: &[Result<u64, RegValue>]) -> History {
+        let mut h = History::new();
+        for (i, op) in ops.iter().enumerate() {
+            let at = 2 * i as Tick;
+            match *op {
+                Ok(v) => w(&mut h, v, at, at + 1),
+                Err(ret) => r(&mut h, 1, ret, at, at + 1),
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn a_write_below_the_last_spills_the_index_mid_run() {
+        use RegValue::{Bottom, Val};
+        let ops = [
+            Ok(1),
+            Err(Val(1)),
+            Ok(3),
+            Err(Val(3)),
+            Ok(2), // below 3: the spill
+            Err(Val(2)),
+            Err(Val(3)), // stale
+            Ok(7),
+            Err(Val(7)),
+            Err(Val(2)), // stale
+            Ok(5),
+            Err(Val(5)),
+            Err(Bottom), // stale
+            Err(Val(9)), // unwritten
+        ];
+        let mut spilled_at = None;
+        for n in 0..=ops.len() {
+            let h = sequential(&ops[..n]);
+            assert_matches_batch(&h);
+            let c = replayed(&h);
+            if matches!(c.value_index, ValueIndex::Spilled(_)) {
+                spilled_at.get_or_insert(n);
+            }
+        }
+        assert_eq!(spilled_at, Some(5), "the fifth op writes below the last");
+        let c = replayed(&sequential(&ops));
+        let want = [(1, 1), (3, 2), (2, 3), (7, 4), (5, 5)];
+        for (v, k) in want {
+            assert_eq!(c.value_index.get(v), Some(k), "value {v}");
+        }
+        assert_eq!(c.value_index.get(4), None);
+    }
+
+    #[test]
+    fn a_duplicate_is_flagged_before_and_after_the_spill() {
+        let duplicate = Verdict::Violation(ViolationKind::DuplicateWrittenValue);
+        // While the index ascends: repeating a value is the spill.
+        let h = sequential(&[Ok(1), Ok(2), Ok(1)]);
+        let c = replayed(&h);
+        assert!(matches!(c.value_index, ValueIndex::Spilled(_)));
+        assert_eq!(c.verdict(), duplicate);
+        assert_matches_batch(&h);
+        // Once spilled by a fresh lower value.
+        let h = sequential(&[Ok(1), Ok(3), Ok(2)]);
+        assert!(matches!(replayed(&h).value_index, ValueIndex::Spilled(_)));
+        assert_eq!(online_atomic(&h), Verdict::Clean);
+        let h = sequential(&[Ok(1), Ok(3), Ok(2), Ok(3)]);
+        assert_eq!(replayed(&h).verdict(), duplicate);
+        assert_matches_batch(&h);
+    }
+
+    #[test]
+    fn on_history_sizes_the_value_array_to_the_write_count() {
+        let mut h = History::new();
+        for v in 1..=300 {
+            w(&mut h, v, 4 * v, 4 * v + 1);
+            r(&mut h, 1, RegValue::Val(v), 4 * v + 2, 4 * v + 3);
+        }
+        h.invoke_write(0, 301, 2_000); // incomplete: still a write
+        for spec in [Spec::SwmrAtomic, Spec::SwmrRegular] {
+            let mut checker = OnlineChecker::new(spec);
+            checker.on_history(&h);
+            assert_eq!(checker.verdict(), Verdict::Clean);
+            let ValueIndex::Ascending(values) = &swmr(&checker).value_index else {
+                panic!("ascending writes spilled the index");
+            };
+            assert_eq!((values.len(), values.capacity()), (301, 301));
         }
     }
 

@@ -66,13 +66,15 @@ fn record(ops: Vec<GenOp>) -> History {
 /// several readers, reads drawn from the whole write set (past and
 /// future), plus low-probability corruption — duplicate values,
 /// overlapping writes, a second writing process, unwritten returns,
-/// crashes.
+/// crashes — and, rarely, a fresh value below every earlier one, which
+/// spills the online checker's ascending value index.
 fn gen_swmr(seed: u64) -> History {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let n_ops = rng.gen_range(4..=60usize);
     let n_readers = rng.gen_range(1..=3u32);
     let mut t = 0u64;
-    let mut next_value = 1u64;
+    let mut next_value = 100u64;
+    let mut low_value = 100u64;
     let mut values: Vec<u64> = Vec::new();
     let mut writer_free = 0u64;
     let mut reader_free = vec![0u64; n_readers as usize];
@@ -81,7 +83,7 @@ fn gen_swmr(seed: u64) -> History {
         t += rng.gen_range(0..3);
         if rng.gen_bool(0.35) {
             // A write. Rarely: from a second process, or overlapping the
-            // previous write, or duplicating an old value.
+            // previous write, or duplicating an old value, or below them all.
             let proc = if rng.gen_bool(0.03) { 99 } else { 0 };
             let inv = if rng.gen_bool(0.05) {
                 t
@@ -90,6 +92,9 @@ fn gen_swmr(seed: u64) -> History {
             };
             let value = if rng.gen_bool(0.04) && !values.is_empty() {
                 values[rng.gen_range(0..values.len())]
+            } else if rng.gen_bool(0.05) {
+                low_value -= 1;
+                low_value
             } else {
                 next_value += 1;
                 next_value

@@ -7,6 +7,13 @@
 //! performance change can state its effect ("fast-crash 16.5 → 0.04
 //! allocations per op") before any timer is read.
 //!
+//! Two more columns hold memory to exact integers: the peak of live bytes
+//! inside the measured window (above what was live when it opened), and
+//! the bytes freed inside it — the churn a growing buffer leaves behind.
+//! [`an_abd_run_allocates_its_large_buffers_once`] counts the window's
+//! allocations of [`LARGE`] bytes or more, so no buffer of a long run
+//! outgrows its first size.
+//!
 //! The counts cover everything `run_closed_loop` does on this thread:
 //! automata, simulator, history, online checker and the driver itself,
 //! including the per-run constant (checker set-up, final snapshot, latency
@@ -29,12 +36,18 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static FREED: Cell<u64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting this thread's allocations, their sizes
-/// and the sizes it frees. `realloc` is the trait's default (allocate,
-/// copy, free), so a growing `Vec` is charged its new size each time it
-/// grows.
+/// An allocation of at least this many bytes (64 KiB) is large.
+const LARGE: usize = 64 << 10;
+
+/// The system allocator, counting this thread's allocations, their sizes,
+/// the sizes it frees, the high-water of its live bytes and its large
+/// allocations. `realloc` is the trait's default (allocate, copy, free),
+/// so a growing `Vec` is charged its new size each time it grows, and
+/// the old and new buffers are both live at that moment.
 struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -45,6 +58,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
         BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        PEAK.with(|n| n.set(n.get().max(live())));
+        if layout.size() >= LARGE {
+            LARGE_ALLOCS.with(|n| n.set(n.get() + 1));
+        }
         // SAFETY: `layout` comes from our caller under `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -66,30 +83,33 @@ const OPS: u64 = 1_000;
 /// then on recording an entry is a counter bump, as in a long run.
 const TRACE_CAPACITY: usize = 2_048;
 
-/// `(allocations, bytes allocated, deliveries)` of [`OPS`] operations on
-/// each protocol's sample configuration — divide by 1 000 for the per-op
-/// figures. A budget may only go down; a change that raises one says why.
+/// `(allocations, bytes allocated, deliveries, peak live bytes, bytes
+/// freed)` of [`OPS`] operations on each protocol's sample configuration
+/// — divide by 1 000 for the per-op figures. A budget may only go down; a
+/// change that raises one says why.
 ///
-/// What is left is per run, not per operation: ≈ 20 allocations (history
-/// reserve, checker maps and the final snapshot) and
-/// ≈ 65 kB, most of it the history's reserve for the run (1 512
-/// operations of 32 B). The final snapshot shares the recorded
-/// operations, so it costs one reference-counted handle, not a copy;
-/// its replay into the checker adds only its heap of pending responses,
-/// and the latency breakdown counts latencies per value, on the stack,
-/// instead of buffering every latency. Max–min is the
-/// exception: each server builds a `Round` per gather, and drops it once
-/// all `S` servers have reported.
+/// What is left is per run, not per operation: 11–17 allocations
+/// (history reserve, the checker's value array, sized once from the
+/// write count, and the final snapshot) and 51–58 kB, most of it the
+/// history's reserve for the run (1 512 operations of 32 B). That
+/// reserve is also the peak: it is live beside the 512-op list it
+/// replaces, and that list's 16 kB is most of the bytes freed. The
+/// final snapshot shares the recorded operations, so it costs one
+/// reference-counted handle, not a copy; its replay into the checker
+/// adds only its heap of pending responses, and the latency breakdown
+/// counts latencies per value, on the stack, instead of buffering every
+/// latency. Max–min is the exception: each server builds a `Round` per
+/// gather, and drops it once all `S` servers have reported.
 #[rustfmt::skip] // one row per line: a table, not code
-const COST_PINS: [(ProtocolId, u64, u64, u64); 8] = [
-    (ProtocolId::FastCrash, 18, 66_620, 10_000),
-    (ProtocolId::FastByz, 19, 86_084, 12_000),
-    (ProtocolId::Abd, 20, 86_860, 15_260),
-    (ProtocolId::MaxMin, 2_958, 419_420, 21_760),
-    (ProtocolId::FastRegular, 18, 58_236, 10_000),
-    (ProtocolId::SwsrFast, 18, 67_764, 10_000),
-    (ProtocolId::MwmrAbd, 17, 57_672, 12_000),
-    (ProtocolId::MwmrNaiveFast, 17, 57_544, 6_000),
+const COST_PINS: [(ProtocolId, u64, u64, u64, u64, u64); 8] = [
+    (ProtocolId::FastCrash, 11, 51_648, 10_000, 48_344, 19_648),
+    (ProtocolId::FastByz, 11, 54_872, 12_000, 48_344, 21_784),
+    (ProtocolId::Abd, 12, 55_760, 15_260, 48_344, 22_352),
+    (ProtocolId::MaxMin, 2_951, 405_248, 21_760, 48_344, 373_248),
+    (ProtocolId::FastRegular, 12, 51_072, 10_000, 48_344, 19_072),
+    (ProtocolId::SwsrFast, 11, 53_872, 10_000, 48_344, 21_232),
+    (ProtocolId::MwmrAbd, 17, 57_672, 12_000, 48_344, 24_904),
+    (ProtocolId::MwmrNaiveFast, 17, 57_544, 6_000, 48_344, 24_840),
 ];
 
 /// This thread's `(allocations, bytes allocated)` so far.
@@ -97,13 +117,52 @@ fn tally() -> (u64, u64) {
     (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
-/// Bytes this thread has allocated and not freed.
-fn live() -> u64 {
-    BYTES.with(Cell::get) - FREED.with(Cell::get)
+/// Bytes this thread has allocated less those it has freed — negative
+/// where it freed more than it allocated (another thread's blocks).
+fn live() -> i64 {
+    BYTES.with(Cell::get).wrapping_sub(FREED.with(Cell::get)) as i64
+}
+
+/// A measured window's memory: opened by [`Window::open`], read by
+/// [`Window::close`].
+struct Window {
+    live: i64,
+    freed: u64,
+    large: u64,
+}
+
+/// What a closed [`Window`] saw.
+struct WindowMemory {
+    /// The most bytes live at once, above those live when it opened.
+    peak: u64,
+    /// Bytes freed inside it.
+    churn: u64,
+    /// Allocations of [`LARGE`] bytes or more.
+    large: u64,
+}
+
+impl Window {
+    fn open() -> Self {
+        let live = live();
+        PEAK.with(|n| n.set(live));
+        Window {
+            live,
+            freed: FREED.with(Cell::get),
+            large: LARGE_ALLOCS.with(Cell::get),
+        }
+    }
+
+    fn close(self) -> WindowMemory {
+        WindowMemory {
+            peak: (PEAK.with(Cell::get) - self.live) as u64,
+            churn: FREED.with(Cell::get) - self.freed,
+            large: LARGE_ALLOCS.with(Cell::get) - self.large,
+        }
+    }
 }
 
 /// Warms a deployment of `id` up, then charges one [`OPS`]-op closed loop.
-fn measure(id: ProtocolId) -> (u64, u64, u64) {
+fn measure(id: ProtocolId) -> (u64, u64, u64, u64, u64) {
     let sim = SimConfig::default().with_trace_capacity(TRACE_CAPACITY);
     let mut c = ClusterBuilder::new(id.sample_config())
         .sim(sim)
@@ -131,15 +190,17 @@ fn measure(id: ProtocolId) -> (u64, u64, u64) {
         ..WorkloadSpec::default()
     };
     let delivered_before = delivered(&c);
-    let before = tally();
+    let (before, window) = (tally(), Window::open());
     let report = run_closed_loop(&mut c, &spec);
-    let after = tally();
+    let (after, memory) = (tally(), window.close());
     let report = report.unwrap_or_else(|e| panic!("{id}: {e}"));
     assert_eq!(report.breakdown.completed, 512 + OPS, "{id}");
     (
         after.0 - before.0,
         after.1 - before.1,
         delivered(&c) - delivered_before,
+        memory.peak,
+        memory.churn,
     )
 }
 
@@ -150,13 +211,13 @@ fn per_op_costs_are_pinned_for_every_protocol() {
     let measured: Vec<_> = COST_PINS
         .iter()
         .map(|&(id, ..)| {
-            let (allocs, bytes, deliveries) = measure(id);
-            (id, allocs, bytes, deliveries)
+            let (allocs, bytes, deliveries, peak, churn) = measure(id);
+            (id, allocs, bytes, deliveries, peak, churn)
         })
         .collect();
     assert_eq!(
         measured, COST_PINS,
-        "(protocol, allocations, bytes, deliveries) per {OPS} ops"
+        "(protocol, allocations, bytes, deliveries, peak live bytes, bytes freed) per {OPS} ops"
     );
 }
 
@@ -165,7 +226,7 @@ fn per_op_costs_are_pinned_for_every_protocol() {
 const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId::FastByz];
 
 /// `(backends, allocations, bytes allocated, worlds built, bytes retained
-/// per key)` of [`OPS`] KV operations of the `store_zipf` shape (8
+/// per key, peak live bytes, bytes freed)` of [`OPS`] KV operations of the `store_zipf` shape (8
 /// shards, 1 500 keys, Zipf 1.2, 64 clients, 10 % puts; 242 keys served)
 /// on a fresh store with `threads = 1`, so this thread's tally sees every
 /// shard: routing, world and register construction, waves, the history
@@ -182,16 +243,19 @@ const MIX: &[ProtocolId] = &[ProtocolId::FastCrash, ProtocolId::Abd, ProtocolId:
 /// key's automata, history and place in its world — divided by the keys
 /// served. Same ratchet as [`COST_PINS`].
 #[rustfmt::skip] // one row per line: a table, not code
-const KV_COST_PINS: [(&[ProtocolId], u64, u64, u64, u64); 4] = [
-    (MIX, 6_137, 1_005_902, 8, 2_833),
-    (&[ProtocolId::FastCrash], 6_776, 1_080_838, 8, 3_155),
-    (&[ProtocolId::Abd], 4_808, 787_894, 8, 1_974),
-    (&[ProtocolId::FastByz], 7_502, 1_266_438, 8, 3_831),
+const KV_COST_PINS: [KvCost; 4] = [
+    (MIX, 6_132, 1_000_930, 8, 2_833, 718_522, 309_376),
+    (&[ProtocolId::FastCrash], 6_771, 1_075_866, 8, 3_155, 796_402, 306_432),
+    (&[ProtocolId::Abd], 4_803, 782_922, 8, 1_974, 510_626, 299_264),
+    (&[ProtocolId::FastByz], 7_497, 1_261_466, 8, 3_831, 959_922, 328_512),
 ];
+
+/// One row of [`KV_COST_PINS`].
+type KvCost = (&'static [ProtocolId], u64, u64, u64, u64, u64, u64);
 
 /// Charges one [`OPS`]-op KV run over `backends`; one more
 /// `ShardedStore::fingerprint()` on the result must allocate nothing.
-fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64, u64) {
+fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64, u64, u64, u64) {
     let cfg = ClusterConfig::crash_stop(5, 1, 2).expect("valid");
     let store = StoreBuilder::new(cfg)
         .shards(8)
@@ -207,9 +271,9 @@ fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64, u64) {
         dist: KeyDist::Zipf { exponent: 1.2 },
         seed: 0xC057,
     };
-    let (before, held_before) = (tally(), live());
+    let (before, held_before, window) = (tally(), live(), Window::open());
     let run = run_kv_workload(store, &spec, 1);
-    let after = tally();
+    let (after, memory) = (tally(), window.close());
     let (store, report) = run.unwrap_or_else(|e| panic!("{backends:?}: {e}"));
     assert_eq!(report.breakdown.completed, OPS, "{backends:?}");
     assert!(report.check.is_clean(), "{backends:?}");
@@ -218,10 +282,11 @@ fn measure_kv(backends: &[ProtocolId]) -> (u64, u64, u64, u64) {
     assert_eq!(fingerprint, report.fingerprint, "{backends:?}");
     let keys = report.distinct_keys;
     drop(report);
-    let retained = live() - held_before;
+    let retained = (live() - held_before) as u64;
     let worlds = store.shards().iter().filter(|s| s.key_count() > 0).count();
     let (allocs, bytes) = (after.0 - before.0, after.1 - before.1);
-    (allocs, bytes, worlds as u64, retained / keys)
+    let (peak, churn) = (memory.peak, memory.churn);
+    (allocs, bytes, worlds as u64, retained / keys, peak, churn)
 }
 
 #[test]
@@ -229,13 +294,14 @@ fn per_op_costs_are_pinned_for_the_store() {
     let measured: Vec<_> = KV_COST_PINS
         .iter()
         .map(|&(backends, ..)| {
-            let (allocs, bytes, worlds, retained) = measure_kv(backends);
-            (backends, allocs, bytes, worlds, retained)
+            let (allocs, bytes, worlds, retained, peak, churn) = measure_kv(backends);
+            (backends, allocs, bytes, worlds, retained, peak, churn)
         })
         .collect();
     assert_eq!(
         measured, KV_COST_PINS,
-        "(backends, allocations, bytes, worlds built, bytes retained per key) per {OPS} KV ops"
+        "(backends, allocations, bytes, worlds built, bytes retained per key, peak live bytes, \
+         bytes freed) per {OPS} KV ops"
     );
 }
 
@@ -267,4 +333,41 @@ fn a_read_costs_the_same_however_long_the_history() {
     };
     let short = read_after(10);
     assert_eq!(read_after(1_000), short, "(allocations, bytes) of one read");
+}
+
+/// Operations in [`an_abd_run_allocates_its_large_buffers_once`]'s run:
+/// at `sim_abd_read`'s shape about 43 % of them are writes, so the
+/// checker's value array (8 bytes per write) passes [`LARGE`].
+const LONG_OPS: u64 = 30_000;
+
+/// Building a default-config ABD cluster and running a [`LONG_OPS`]-op
+/// closed loop on it makes four large allocations, each once: the
+/// history's reserve for the run, the trace's entries and its payloads
+/// (reserved for the default trace bound up front), and the checker's
+/// value array (sized from the history's write count before the
+/// replay). A buffer that grew by doubling past [`LARGE`] would show as
+/// more, and would leave its outgrown copies behind as free heap.
+#[test]
+fn an_abd_run_allocates_its_large_buffers_once() {
+    let id = ProtocolId::Abd;
+    let spec = WorkloadSpec {
+        n_ops: LONG_OPS,
+        write_fraction: 0.1,
+        think_time: 1,
+        seed: 0xC057,
+    };
+    let window = Window::open();
+    let mut c = ClusterBuilder::new(id.sample_config())
+        .seed(0xC057)
+        .build(id)
+        .expect("feasible");
+    let report = run_closed_loop(&mut c, &spec).expect("the run completes");
+    let memory = window.close();
+    assert!(report.streaming_verdict.is_clean());
+    let writes = report.history.writes().count();
+    assert!(
+        writes * std::mem::size_of::<u64>() >= LARGE,
+        "{writes} writes keep the value array under {LARGE} bytes"
+    );
+    assert_eq!(memory.large, 4, "allocations of {LARGE} bytes or more");
 }
