@@ -121,9 +121,6 @@ pub struct CellOutcome {
     pub fingerprint: u64,
     /// Operations issued (invoked; completion depends on the schedule).
     pub ops_issued: u64,
-    /// The rendered history — populated only for violations, where a
-    /// human will want to look.
-    pub history: Option<String>,
     /// Coverage signals harvested from the run.
     pub signals: RunSignals,
 }
@@ -375,7 +372,6 @@ fn outcome(cluster: &dyn SimControl, verdict: Verdict, ops_issued: u64) -> CellO
         verdict,
         fingerprint: cluster.trace_fingerprint(),
         ops_issued,
-        history: (!verdict.is_clean()).then(|| cluster.snapshot().render()),
         signals: RunSignals {
             reorder_depth: cluster.max_reorder_depth(),
             witness_levels: cluster.witness_levels(),
@@ -438,8 +434,8 @@ mod tests {
                 let out = c.run();
                 assert!(
                     out.verdict.is_clean(),
-                    "feasible fast-crash violated under {dist} seed {seed}:\n{}",
-                    out.history.unwrap_or_default()
+                    "feasible fast-crash: {} under {dist} seed {seed}",
+                    out.verdict
                 );
             }
         }

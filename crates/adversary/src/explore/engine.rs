@@ -20,6 +20,7 @@
 
 use fastreg::config::ClusterConfig;
 use fastreg::protocols::registry::{Contract, ProtocolId};
+use fastreg_atomicity::verdict::Verdict;
 use fastreg_rt::threaded::map_ordered;
 use fastreg_simnet::fault::FaultScript;
 
@@ -262,16 +263,12 @@ pub fn explore(config: &ExploreConfig) -> ExploreReport {
         }
     };
 
-    // Shrink the proven violations — independent work, same ordered
-    // pool. `CheckerLimit` outcomes (the oracle gave up on an oversized
-    // history) are neither clean nor findings: there is nothing proven
-    // to shrink, and classifying them as bugs would fail sound feasible
-    // cells for running a large `--budget`.
+    // Shrink the violations — independent work, same ordered pool.
     let violating: Vec<(usize, Job, CellOutcome)> = jobs
         .iter()
         .zip(&outcomes)
         .enumerate()
-        .filter(|(_, (_, out))| out.verdict.is_proven_violation())
+        .filter(|(_, (_, out))| matches!(out.verdict, Verdict::Violation(_)))
         .map(|(i, (job, out))| (i, job.clone(), out.clone()))
         .collect();
     let findings: Vec<Finding> = map_ordered(
@@ -339,12 +336,10 @@ mod tests {
     }
 
     #[test]
-    fn checker_limit_is_not_classified_as_a_protocol_bug() {
-        use fastreg::config::ClusterConfig;
-        use fastreg_atomicity::verdict::{Verdict, ViolationKind};
+    fn an_inconclusive_cell_is_not_a_finding() {
         // A large op budget on the sound feasible MWMR baseline pushes
         // the history past the linearizability oracle's cap: the verdict
-        // is checker-limit, which must be neither an "unexpected"
+        // is inconclusive, which must be neither an "unexpected"
         // protocol bug nor shrunk into a bogus counterexample.
         let config = ExploreConfig {
             cells: 2,
@@ -362,7 +357,7 @@ mod tests {
             report
                 .cells
                 .iter()
-                .any(|c| c.outcome.verdict == Verdict::Violation(ViolationKind::CheckerLimit)),
+                .any(|c| c.outcome.verdict == Verdict::Inconclusive),
             "the oversized budget must actually trip the oracle cap"
         );
         assert_eq!(report.unexpected().count(), 0);

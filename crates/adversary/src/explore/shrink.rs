@@ -8,13 +8,12 @@
 //!    repeating until a full pass removes nothing (a fixpoint);
 //! 2. **op budget reduction** — halve the op budget while the violation
 //!    persists, then keep stepping down one op at a time from the
-//!    halving floor until a step comes back clean.
+//!    halving floor until a step no longer violates.
 //!
-//! Candidates count only if their violation is *proven*
-//! ([`Verdict::is_proven_violation`](fastreg_atomicity::verdict::Verdict::is_proven_violation)):
-//! a reduction that merely pushes the history past a checker's budget
-//! is rejected, so shrinking can never morph a real violation into a
-//! `checker-limit` verdict.
+//! A candidate counts only if its verdict is still a
+//! [`Verdict::Violation`]: a reduction that comes back clean, or
+//! [`Verdict::Inconclusive`] because the history outgrew the checker's
+//! budget, is rejected.
 //!
 //! Because a cell's schedule randomness is independent of its fault
 //! script (see [`Cell::run_with`]), removing an event never perturbs the
@@ -22,6 +21,7 @@
 //! not a different one. The shrink is deterministic, so the resulting
 //! counterexample bytes are too.
 
+use fastreg_atomicity::verdict::Verdict;
 use fastreg_simnet::fault::FaultScript;
 
 use super::cell::{Cell, CellOutcome};
@@ -50,15 +50,14 @@ pub struct ShrinkStats {
 ///
 /// # Panics
 ///
-/// Panics if `outcome` is not a proven violation (there is nothing to
-/// shrink).
+/// Panics if `outcome` is not a violation (there is nothing to shrink).
 pub(crate) fn shrink(
     cell: &Cell,
     faults: &FaultScript,
     outcome: &CellOutcome,
 ) -> (Counterexample, ShrinkStats) {
     assert!(
-        outcome.verdict.is_proven_violation(),
+        matches!(outcome.verdict, Verdict::Violation(_)),
         "shrink() is only defined on violating outcomes"
     );
     let mut attempts = 0u64;
@@ -77,7 +76,7 @@ pub(crate) fn shrink(
             let candidate = best_faults.without(i);
             attempts += 1;
             let out = best_cell.run_with(&candidate);
-            if out.verdict.is_proven_violation() {
+            if matches!(out.verdict, Verdict::Violation(_)) {
                 best_faults = candidate;
                 best = out;
                 removed_any = true;
@@ -88,34 +87,22 @@ pub(crate) fn shrink(
         }
     }
 
-    // Pass 2: halve the op budget while the violation persists...
-    while best_cell.ops > 1 {
-        let candidate = Cell {
-            ops: best_cell.ops / 2,
-            ..best_cell
-        };
-        attempts += 1;
-        let out = candidate.run_with(&best_faults);
-        if out.verdict.is_proven_violation() {
+    // Pass 2: halve the op budget while the violation persists, then
+    // step down one op at a time below the halving floor.
+    let steps: [fn(u32) -> u32; 2] = [|ops| ops / 2, |ops| ops - 1];
+    for step in steps {
+        while best_cell.ops > 1 {
+            let candidate = Cell {
+                ops: step(best_cell.ops),
+                ..best_cell
+            };
+            attempts += 1;
+            let out = candidate.run_with(&best_faults);
+            if !matches!(out.verdict, Verdict::Violation(_)) {
+                break;
+            }
             best_cell = candidate;
             best = out;
-        } else {
-            break;
-        }
-    }
-    // ... then try a few single decrements below the halving floor.
-    while best_cell.ops > 1 {
-        let candidate = Cell {
-            ops: best_cell.ops - 1,
-            ..best_cell
-        };
-        attempts += 1;
-        let out = candidate.run_with(&best_faults);
-        if out.verdict.is_proven_violation() {
-            best_cell = candidate;
-            best = out;
-        } else {
-            break;
         }
     }
 

@@ -21,6 +21,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use fastreg_atomicity::verdict::Verdict;
 use fastreg_simnet::fault::FaultScript;
 
 use super::cell::{splitmix64, Cell, CellExpectation, CellOutcome, FaultDistribution};
@@ -310,7 +311,7 @@ impl CoverageScheduler {
             tracker.observe(&features);
             self.pair_runs[job.pair] += 1;
             let mut gained = novel as u64;
-            if out.verdict.is_proven_violation() {
+            if matches!(out.verdict, Verdict::Violation(_)) {
                 if novel > 0 {
                     gained += VIOLATION_BONUS;
                 }

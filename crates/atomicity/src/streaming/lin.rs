@@ -14,8 +14,7 @@
 //! On histories of at most 63 operations the verdict code is identical to
 //! the batch oracle's. Longer histories whose epochs all stay at 63
 //! operations or fewer get an *exact* clean/not-linearizable verdict where
-//! the batch oracle could only report
-//! [`CheckerLimit`](crate::verdict::ViolationKind::CheckerLimit); only an
+//! the batch oracle gives up with [`Verdict::Inconclusive`]; only an
 //! individual epoch exceeding 63 operations makes the streaming checker
 //! give up the same way.
 
@@ -79,7 +78,7 @@ pub struct StreamingLinChecker {
     in_set: BTreeSet<RegValue>,
     /// Sticky outcome: the history is proven non-linearizable, or an
     /// epoch outgrew the 64-bit search mask.
-    terminal: Option<ViolationKind>,
+    terminal: Option<Verdict>,
     hwm: usize,
 }
 
@@ -140,7 +139,7 @@ impl StreamingLinChecker {
                 self.open += 1;
                 if self.buffer.len() >= 64 {
                     // Same budget as the batch oracle's 64-bit mask.
-                    self.terminal = Some(ViolationKind::CheckerLimit);
+                    self.terminal = Some(Verdict::Inconclusive);
                     self.buffer.clear();
                     self.open = 0;
                 }
@@ -181,7 +180,7 @@ impl StreamingLinChecker {
         let ops: Vec<LiteOp> = self.buffer.values().copied().collect();
         let out = epoch_out_values(&ops, &self.in_set);
         if out.is_empty() {
-            self.terminal = Some(ViolationKind::NotLinearizable);
+            self.terminal = Some(Verdict::Violation(ViolationKind::NotLinearizable));
         } else {
             self.in_set = out;
         }
@@ -200,8 +199,8 @@ impl StreamingLinChecker {
     /// of the batch oracle on histories the oracle can hold (at most 63
     /// operations).
     pub fn verdict(&self) -> Verdict {
-        if let Some(kind) = self.terminal {
-            return Verdict::Violation(kind);
+        if let Some(verdict) = self.terminal {
+            return verdict;
         }
         if self.buffer.is_empty() {
             return Verdict::Clean;
@@ -417,7 +416,7 @@ mod tests {
         }
         assert_eq!(
             batch(&h),
-            Verdict::Violation(ViolationKind::CheckerLimit),
+            Verdict::Inconclusive,
             "precondition: batch oracle must be over budget"
         );
         assert_eq!(online_lin(&h), Verdict::Clean);
@@ -450,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_epoch_hits_the_checker_limit() {
+    fn oversized_epoch_is_inconclusive() {
         // 64 mutually-overlapping ops: one epoch the mask cannot hold.
         let mut h = History::new();
         let ids: Vec<_> = (0..64).map(|i| h.invoke_write(i, i as u64, 0)).collect();
@@ -458,16 +457,13 @@ mod tests {
             h.respond(id, None, 100);
         }
         assert_eq!(online_lin(&h), batch(&h));
-        assert_eq!(
-            online_lin(&h),
-            Verdict::Violation(ViolationKind::CheckerLimit)
-        );
+        assert_eq!(online_lin(&h), Verdict::Inconclusive);
         // The terminal outcome is sticky: a later, sequential write
         // does not clear it.
         let late = h.invoke_write(0, 99, 200);
         h.respond(late, None, 201);
         let mut c = StreamingLinChecker::new();
         c.on_events(&crate::streaming::online::replay_events(&h));
-        assert_eq!(c.verdict(), Verdict::Violation(ViolationKind::CheckerLimit));
+        assert_eq!(c.verdict(), Verdict::Inconclusive);
     }
 }

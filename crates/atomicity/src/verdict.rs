@@ -6,9 +6,12 @@
 //! opposite trade-off: a verdict that is *stable across runs* — the same
 //! violation found again (or replayed from a counterexample file weeks
 //! later) must compare equal, even though the operation ids differ. A
-//! [`Verdict`] is that compact form: either [`Verdict::Clean`] or a
-//! [`ViolationKind`] with a stable kebab-case code that round-trips
-//! through text.
+//! [`Verdict`] is that compact form, one of three outcomes:
+//! [`Verdict::Clean`]; [`Verdict::Violation`], carrying a
+//! [`ViolationKind`] the checker proved; or [`Verdict::Inconclusive`],
+//! when the linearizability search outgrew its 64-operation budget and
+//! proved nothing either way. Each has a stable kebab-case code that
+//! round-trips through text.
 
 use std::fmt;
 use std::str::FromStr;
@@ -39,27 +42,11 @@ pub enum ViolationKind {
     NotRegular,
     /// The history admits no linearization (MWMR checker).
     NotLinearizable,
-    /// The checker gave up (history too large for the oracle); not a
-    /// violation of the history, but not a clean bill either.
-    CheckerLimit,
 }
 
 impl ViolationKind {
-    /// Every kind, in a stable order (for enumeration in tests/docs).
-    pub(crate) const ALL: [ViolationKind; 9] = [
-        ViolationKind::DuplicateWrittenValue,
-        ViolationKind::MalformedWrites,
-        ViolationKind::UnwrittenValue,
-        ViolationKind::MissedPrecedingWrite,
-        ViolationKind::ReadFromFuture,
-        ViolationKind::NewOldInversion,
-        ViolationKind::NotRegular,
-        ViolationKind::NotLinearizable,
-        ViolationKind::CheckerLimit,
-    ];
-
     /// The stable kebab-case code (what counterexample files store).
-    pub(crate) fn code(self) -> &'static str {
+    fn code(self) -> &'static str {
         match self {
             ViolationKind::DuplicateWrittenValue => "duplicate-written-value",
             ViolationKind::MalformedWrites => "malformed-writes",
@@ -69,7 +56,6 @@ impl ViolationKind {
             ViolationKind::NewOldInversion => "new-old-inversion",
             ViolationKind::NotRegular => "not-regular",
             ViolationKind::NotLinearizable => "not-linearizable",
-            ViolationKind::CheckerLimit => "checker-limit",
         }
     }
 }
@@ -99,13 +85,7 @@ impl From<&RegularityViolation> for ViolationKind {
     }
 }
 
-impl fmt::Display for ViolationKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.code())
-    }
-}
-
-/// Error parsing a [`Verdict`] or [`ViolationKind`] code.
+/// Error parsing a [`Verdict`] code.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnknownVerdict {
     /// The string that failed to parse.
@@ -116,29 +96,14 @@ impl fmt::Display for UnknownVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown verdict '{}' (valid: clean, {})",
+            "unknown verdict '{}' (valid: {})",
             self.given,
-            ViolationKind::ALL
-                .iter()
-                .map(|k| k.code())
-                .collect::<Vec<_>>()
-                .join(", ")
+            Verdict::ALL.map(Verdict::code).join(", ")
         )
     }
 }
 
 impl std::error::Error for UnknownVerdict {}
-
-impl FromStr for ViolationKind {
-    type Err = UnknownVerdict;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ViolationKind::ALL
-            .into_iter()
-            .find(|k| k.code() == s)
-            .ok_or_else(|| UnknownVerdict { given: s.into() })
-    }
-}
 
 /// The outcome of checking one history against one contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -147,9 +112,26 @@ pub enum Verdict {
     Clean,
     /// It does not; the stable kind of the first violation found.
     Violation(ViolationKind),
+    /// The linearizability search outgrew its 64-operation budget: the
+    /// history is neither shown clean nor shown to violate.
+    Inconclusive,
 }
 
 impl Verdict {
+    /// Every verdict, in a stable order (what a code parses against).
+    const ALL: [Verdict; 10] = [
+        Verdict::Clean,
+        Verdict::Inconclusive,
+        Verdict::Violation(ViolationKind::DuplicateWrittenValue),
+        Verdict::Violation(ViolationKind::MalformedWrites),
+        Verdict::Violation(ViolationKind::UnwrittenValue),
+        Verdict::Violation(ViolationKind::MissedPrecedingWrite),
+        Verdict::Violation(ViolationKind::ReadFromFuture),
+        Verdict::Violation(ViolationKind::NewOldInversion),
+        Verdict::Violation(ViolationKind::NotRegular),
+        Verdict::Violation(ViolationKind::NotLinearizable),
+    ];
+
     /// Lifts an atomicity-checker result.
     pub fn from_atomicity(r: &Result<(), AtomicityViolation>) -> Verdict {
         match r {
@@ -167,12 +149,12 @@ impl Verdict {
     }
 
     /// Lifts a linearizability-checker result; the checker running out of
-    /// budget maps to [`ViolationKind::CheckerLimit`].
+    /// budget maps to [`Verdict::Inconclusive`].
     pub fn from_linearizable(r: &Result<bool, LinCheckError>) -> Verdict {
         match r {
             Ok(true) => Verdict::Clean,
             Ok(false) => Verdict::Violation(ViolationKind::NotLinearizable),
-            Err(_) => Verdict::Violation(ViolationKind::CheckerLimit),
+            Err(_) => Verdict::Inconclusive,
         }
     }
 
@@ -181,21 +163,13 @@ impl Verdict {
         matches!(self, Verdict::Clean)
     }
 
-    /// Returns `true` for a violation the checker actually *proved* —
-    /// i.e. any violation except [`ViolationKind::CheckerLimit`], which
-    /// records that the oracle gave up, not that the history is wrong.
-    /// Violation-hunting code classifies on this, never on
-    /// `!is_clean()`: an oversized-but-correct history must not be
-    /// reported as a protocol bug.
-    pub fn is_proven_violation(self) -> bool {
-        matches!(self, Verdict::Violation(k) if k != ViolationKind::CheckerLimit)
-    }
-
-    /// The stable code (`"clean"` or the violation kind's code).
+    /// The stable code (`"clean"`, `"inconclusive"` or the violation
+    /// kind's code).
     pub fn code(self) -> &'static str {
         match self {
             Verdict::Clean => "clean",
             Verdict::Violation(k) => k.code(),
+            Verdict::Inconclusive => "inconclusive",
         }
     }
 }
@@ -210,10 +184,10 @@ impl FromStr for Verdict {
     type Err = UnknownVerdict;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s == "clean" {
-            return Ok(Verdict::Clean);
-        }
-        s.parse::<ViolationKind>().map(Verdict::Violation)
+        Verdict::ALL
+            .into_iter()
+            .find(|v| v.code() == s)
+            .ok_or_else(|| UnknownVerdict { given: s.into() })
     }
 }
 
@@ -227,13 +201,13 @@ mod tests {
 
     #[test]
     fn codes_round_trip() {
-        for k in ViolationKind::ALL {
-            assert_eq!(k.code().parse::<ViolationKind>(), Ok(k));
-            assert_eq!(k.code().parse::<Verdict>(), Ok(Verdict::Violation(k)));
+        for v in Verdict::ALL {
+            assert_eq!(v.to_string().parse::<Verdict>(), Ok(v));
         }
-        assert_eq!("clean".parse::<Verdict>(), Ok(Verdict::Clean));
         assert!(Verdict::Clean.is_clean());
+        assert!(!Verdict::Inconclusive.is_clean());
         assert_eq!(Verdict::Clean.to_string(), "clean");
+        assert_eq!(Verdict::Inconclusive.to_string(), "inconclusive");
     }
 
     #[test]
@@ -242,6 +216,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("atomic-ish"));
         assert!(msg.contains("clean"));
+        assert!(msg.contains("inconclusive"));
         assert!(msg.contains("new-old-inversion"));
     }
 
@@ -276,6 +251,9 @@ mod tests {
         assert!(!regular.is_clean());
         let lin = Verdict::from_linearizable(&check_linearizable(&h));
         assert_eq!(lin, Verdict::Violation(ViolationKind::NotLinearizable));
+        // A search past its budget proves nothing either way.
+        let too_long = Err(LinCheckError::TooManyOps { found: 64 });
+        assert_eq!(Verdict::from_linearizable(&too_long), Verdict::Inconclusive);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use fastreg_lint::scanner::{scan, Scanned};
 /// it into the test module that uses it, or delete it.
 const SURFACE_PINS: &[(&str, usize)] = &[
     ("adversary", 59),
-    ("atomicity", 63),
+    ("atomicity", 62),
     ("auth", 21),
     ("bench", 0),
     ("core", 136),

@@ -118,7 +118,7 @@ impl KeyVerdict {
     /// counterexample — mirroring the exploration engine's
     /// expected/unexpected split.
     pub(crate) fn is_unexpected(&self) -> bool {
-        self.verdict.is_proven_violation() && self.contract != Contract::Unsound
+        matches!(self.verdict, Verdict::Violation(_)) && self.contract != Contract::Unsound
     }
 }
 
@@ -135,11 +135,11 @@ impl StoreCheckReport {
         self.per_key.iter().filter(|k| k.verdict.is_clean()).count()
     }
 
-    /// The verdicts that are proven violations.
+    /// The verdicts that are violations.
     pub fn violations(&self) -> impl Iterator<Item = &KeyVerdict> {
         self.per_key
             .iter()
-            .filter(|k| k.verdict.is_proven_violation())
+            .filter(|k| matches!(k.verdict, Verdict::Violation(_)))
     }
 
     /// Violations on sound backends — real bugs.
@@ -473,5 +473,20 @@ mod tests {
         assert!(bad[0].is_unexpected());
         assert!(!report.is_clean());
         assert_eq!(report.clean_count(), report.per_key.len() - 1);
+    }
+
+    #[test]
+    fn an_inconclusive_key_is_neither_clean_nor_a_violation() {
+        let key = KeyVerdict {
+            key: 1,
+            shard: 0,
+            protocol: ProtocolId::MwmrAbd,
+            contract: ProtocolId::MwmrAbd.contract(),
+            verdict: Verdict::Inconclusive,
+        };
+        let report = StoreCheckReport { per_key: vec![key] };
+        assert!(!report.is_clean());
+        assert_eq!(report.violations().count(), 0);
+        assert_eq!(report.unexpected().count(), 0);
     }
 }

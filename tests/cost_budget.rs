@@ -10,7 +10,7 @@
 //! Two more columns hold memory to exact integers: the peak of live bytes
 //! inside the measured window (above what was live when it opened), and
 //! the bytes freed inside it — the churn a growing buffer leaves behind.
-//! [`an_abd_run_allocates_its_large_buffers_once`] counts the window's
+//! [`LARGE_ALLOCATION_PINS`] counts, per protocol, the window's
 //! allocations of [`LARGE`] bytes or more, so no buffer of a long run
 //! outgrows its first size.
 //!
@@ -28,6 +28,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use fastreg_suite::fastreg_atomicity::verdict::Verdict;
 use fastreg_suite::fastreg_workload::driver::{run_closed_loop, WorkloadSpec};
 use fastreg_suite::fastreg_workload::kv::{run_kv_workload, KeyDist, KvWorkloadSpec};
 use fastreg_suite::prelude::*;
@@ -335,39 +336,67 @@ fn a_read_costs_the_same_however_long_the_history() {
     assert_eq!(read_after(1_000), short, "(allocations, bytes) of one read");
 }
 
-/// Operations in [`an_abd_run_allocates_its_large_buffers_once`]'s run:
-/// at `sim_abd_read`'s shape about 43 % of them are writes, so the
-/// checker's value array (8 bytes per write) passes [`LARGE`].
-const LONG_OPS: u64 = 30_000;
+/// Operations in [`LARGE_ALLOCATION_PINS`]' runs: the fewest (to the
+/// thousand) at which every single-writer protocol writes 8 192 values,
+/// so that its checker's value array (8 bytes per write) passes
+/// [`LARGE`]. Fast-regular writes least, 8 245 times.
+const LONG_OPS: u64 = 45_000;
 
-/// Building a default-config ABD cluster and running a [`LONG_OPS`]-op
-/// closed loop on it makes four large allocations, each once: the
-/// history's reserve for the run, the trace's entries and its payloads
-/// (reserved for the default trace bound up front), and the checker's
-/// value array (sized from the history's write count before the
-/// replay). A buffer that grew by doubling past [`LARGE`] would show as
+/// `(protocol, allocations of LARGE bytes or more, verdict)` of building
+/// each protocol's sample configuration with the default simulator and
+/// running a [`LONG_OPS`]-op closed loop on it. Each large buffer is
+/// allocated once: the history's reserve for the run, the trace's
+/// entries and its payloads (reserved for the default trace bound up
+/// front) and, on a single writer, the checker's value array (sized from
+/// the history's write count before the replay). The multi-writer rows
+/// have no value array, and their histories outgrow the linearizability
+/// search. A buffer that grew by doubling past [`LARGE`] would show as
 /// more, and would leave its outgrown copies behind as free heap.
+#[rustfmt::skip] // one row per line: a table, not code
+const LARGE_ALLOCATION_PINS: [(ProtocolId, u64, Verdict); 8] = [
+    (ProtocolId::FastCrash, 4, Verdict::Clean),
+    (ProtocolId::FastByz, 4, Verdict::Clean),
+    (ProtocolId::Abd, 4, Verdict::Clean),
+    (ProtocolId::MaxMin, 4, Verdict::Clean),
+    (ProtocolId::FastRegular, 4, Verdict::Clean),
+    (ProtocolId::SwsrFast, 4, Verdict::Clean),
+    (ProtocolId::MwmrAbd, 3, Verdict::Inconclusive),
+    (ProtocolId::MwmrNaiveFast, 3, Verdict::Inconclusive),
+];
+
 #[test]
-fn an_abd_run_allocates_its_large_buffers_once() {
-    let id = ProtocolId::Abd;
+fn a_long_run_allocates_its_large_buffers_once() {
+    let covered: Vec<_> = LARGE_ALLOCATION_PINS.iter().map(|p| p.0).collect();
+    assert_eq!(covered, ProtocolId::ALL);
     let spec = WorkloadSpec {
         n_ops: LONG_OPS,
         write_fraction: 0.1,
         think_time: 1,
         seed: 0xC057,
     };
-    let window = Window::open();
-    let mut c = ClusterBuilder::new(id.sample_config())
-        .seed(0xC057)
-        .build(id)
-        .expect("feasible");
-    let report = run_closed_loop(&mut c, &spec).expect("the run completes");
-    let memory = window.close();
-    assert!(report.streaming_verdict.is_clean());
-    let writes = report.history.writes().count();
-    assert!(
-        writes * std::mem::size_of::<u64>() >= LARGE,
-        "{writes} writes keep the value array under {LARGE} bytes"
+    let run = |id: ProtocolId| {
+        let window = Window::open();
+        let mut c = ClusterBuilder::new(id.sample_config())
+            .seed(0xC057)
+            .build(id)
+            .expect("feasible");
+        let report = run_closed_loop(&mut c, &spec).expect("the run completes");
+        let memory = window.close();
+        let writes = report.history.writes().count();
+        assert!(
+            id.sample_config().w > 1 || writes * std::mem::size_of::<u64>() >= LARGE,
+            "{id}: {writes} writes keep the value array under {LARGE} bytes"
+        );
+        (id, memory.large, report.streaming_verdict)
+    };
+    // One thread per row: the tally is per thread, and the rows are the
+    // slowest runs in this file.
+    let measured: Vec<_> = std::thread::scope(|s| {
+        let rows: Vec<_> = covered.iter().map(|&id| s.spawn(move || run(id))).collect();
+        rows.into_iter().map(|row| row.join().unwrap()).collect()
+    });
+    assert_eq!(
+        measured, LARGE_ALLOCATION_PINS,
+        "(protocol, allocations of {LARGE} bytes or more, verdict) per {LONG_OPS} ops"
     );
-    assert_eq!(memory.large, 4, "allocations of {LARGE} bytes or more");
 }
